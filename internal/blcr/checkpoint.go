@@ -31,6 +31,10 @@ type Stats struct {
 	// tracer installed by WithSpans, and consumers read them back by scope
 	// (internal/obs) — the trace is the source of truth.
 	Duration simclock.Duration
+	// Geometry is the shape of the context image a restart parsed — what
+	// a DigestCache seeded from that image's manifest needs. Nil for
+	// checkpoints and delta replays.
+	Geometry *Geometry
 }
 
 // Checkpointer captures and restores process snapshots.

@@ -95,16 +95,8 @@ func (l *Layout) Range(off, n int64) blob.Blob {
 // memcpy-rate read of the image on the process's node, plus any
 // dirty-detection walks the delta layout carries.
 func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]string, simclock.Duration) {
-	chunk = chunkOrDefault(chunk)
-	img, dur := l.Materialize()
-	var out []string
-	if img.Len() > 0 {
-		img.ForEachChunk(chunk, func(piece blob.Blob) error { //nolint:errcheck // the callback never fails
-			out = append(out, digest(piece))
-			return nil
-		})
-	}
-	return out, dur
+	pass := l.DigestWhole(chunk, digest)
+	return pass.Digests(), pass.Dur
 }
 
 // Materialize snapshots the whole laid-out context file into one
@@ -136,11 +128,9 @@ const pteBytesPerByte = 512
 
 // RescanCost is the virtual cost of re-reading an image whose dirty set
 // the hardware already knows: a PTE-granularity scan of the whole page
-// table (to collect dirty bits) plus a walk and memcpy-rate read of
-// only the dirty bytes. The pre-copy rounds after the first charge this
-// instead of a full Materialize pass — the digests still come from the
-// genuinely materialized image, so correctness never rests on the dirty
-// bits being right; only the charged time does.
+// table (to collect dirty bits) plus a walk and memcpy-rate read of only
+// the dirty bytes. An incremental DigestPass charges it for exactly the
+// bytes it re-read.
 func (c *Checkpointer) RescanCost(onHost bool, totalBytes, dirtyBytes int64) simclock.Duration {
 	memcpy := c.model.PhiMemcpy
 	if onHost {

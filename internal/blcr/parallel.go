@@ -484,9 +484,9 @@ type pageRun struct {
 func (c *Checkpointer) RestartParallel(size int64, workers int, chunk int64, open RangeSourceFactory, spawn Spawner) (*proc.Process, *Stats, error) {
 	chunk = chunkOrDefault(chunk)
 	acc := simclock.NewPipelineAccum()
-	sc := &rangeScanner{c: c, open: open, size: size, acc: acc}
+	sc := &rangeScanner{c: c, open: open, size: size, acc: acc, geo: &Geometry{}}
 	defer sc.close()
-	st := &Stats{}
+	st := &Stats{Geometry: sc.geo}
 
 	dec, err := sc.readRecord()
 	if err != nil {
@@ -569,6 +569,7 @@ func (c *Checkpointer) RestartParallel(size int64, workers int, chunk int64, ope
 			continue
 		}
 		if rsize > 0 {
+			sc.geo.addRun(name, rsize)
 			runs = append(runs, pageRun{region: reg, fileOff: sc.pos(), n: rsize})
 			if err := sc.skip(rsize); err != nil {
 				return abandon(err)
@@ -718,6 +719,7 @@ type rangeScanner struct {
 	size   int64
 	acc    *simclock.PipelineAccum
 	onHost bool
+	geo    *Geometry // records the image's shape as it is scanned
 
 	src     stream.Source
 	readPos int64 // absolute offset of the next byte src will return
@@ -853,5 +855,7 @@ func (s *rangeScanner) readRecord() (*recDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recDecoder{buf: body.Bytes()}, nil
+	buf := body.Bytes()
+	s.geo.addMeta(append(hb, buf...))
+	return &recDecoder{buf: buf}, nil
 }

@@ -36,8 +36,8 @@ func (c *Checkpointer) Restart(source stream.Source, spawn Spawner) (*proc.Proce
 // RestartAdopted; adopt selects the page-adoption cost model.
 func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
 	acc := simclock.NewPipelineAccum()
-	r := &contextReader{c: c, src: source, acc: acc, adopt: adopt}
-	st := &Stats{}
+	r := &contextReader{c: c, src: source, acc: acc, adopt: adopt, geo: &Geometry{}}
+	st := &Stats{Geometry: r.geo}
 
 	// Header.
 	dec, err := r.readRecord()
@@ -125,6 +125,9 @@ func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bo
 			st.Regions++
 			continue
 		}
+		if size > 0 {
+			r.geo.addRun(name, size)
+		}
 		// Pages arrive in PageChunk pieces; restore them as they come.
 		for off := int64(0); off < size; {
 			n := size - off
@@ -166,8 +169,9 @@ type contextReader struct {
 	c      *Checkpointer
 	src    stream.Source
 	acc    *simclock.PipelineAccum
-	onHost bool // restore target is the host (set once the spawner ran)
-	adopt  bool // pages are adopted in place, not copied (RestartAdopted)
+	onHost bool      // restore target is the host (set once the spawner ran)
+	adopt  bool      // pages are adopted in place, not copied (RestartAdopted)
+	geo    *Geometry // records the image's shape as it is parsed; nil for deltas
 
 	pending blob.Blob
 	off     int64
@@ -230,7 +234,11 @@ func (r *contextReader) readRecord() (*recDecoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &recDecoder{buf: body.Bytes()}, nil
+	buf := body.Bytes()
+	if r.geo != nil {
+		r.geo.addMeta(append(hb, buf...))
+	}
+	return &recDecoder{buf: buf}, nil
 }
 
 // readContent returns n bytes of raw page content without materializing.

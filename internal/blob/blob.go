@@ -120,7 +120,7 @@ func (b Blob) Slice(off, n int64) Blob {
 		if e.IsLiteral() {
 			out.extents = append(out.extents, Extent{Literal: e.Literal[start : start+take], Size: take})
 		} else {
-			out.extents = append(out.extents, Extent{Seed: e.Seed, Off: e.Off + start, Size: take})
+			out.extents = append(out.extents, Extent{Seed: e.Seed, Off: streamOff(e.Seed, e.Off+start), Size: take})
 		}
 		out.size += take
 		off += take
@@ -128,6 +128,21 @@ func (b Blob) Slice(off, n int64) Blob {
 		pos = end
 	}
 	return out
+}
+
+// streamOff canonicalizes a synthetic stream offset. Seed 0 is zeros
+// wherever it is read, so its offset carries no information and is pinned
+// to 0; every site that builds a synthetic extent or compares two stream
+// positions goes through here. The snapshot store dedups all zero chunks
+// to one chunk file, so a restore hands zero extents back at offsets
+// unrelated to where they land — an offset-sensitive comparison would
+// materialize them (gigabytes of literal zeros in a region's overlay) and
+// key identical zero chunks apart in digest caches.
+func streamOff(seed uint64, off int64) int64 {
+	if seed == 0 {
+		return 0
+	}
+	return off
 }
 
 // gen8 returns the 8 background bytes of stream seed at 8-aligned offset,
@@ -233,7 +248,8 @@ func Equal(a, c Blob) bool {
 		}
 		// Fast paths.
 		switch {
-		case !ea.IsLiteral() && !ec.IsLiteral() && ea.Seed == ec.Seed && ea.Off+aoff == ec.Off+co:
+		case !ea.IsLiteral() && !ec.IsLiteral() && ea.Seed == ec.Seed &&
+			streamOff(ea.Seed, ea.Off+aoff) == streamOff(ec.Seed, ec.Off+co):
 			// Identical synthetic streams.
 		case ea.IsLiteral() && ec.IsLiteral():
 			if !bytesEqual(ea.Literal[aoff:aoff+n], ec.Literal[co:co+n]) {

@@ -180,7 +180,7 @@ func (b *Buffer) WriteBlob(off int64, src Blob) {
 		switch {
 		case e.IsLiteral():
 			b.WriteAt(e.Literal, pos)
-		case e.Seed == b.seed && e.Off == pos:
+		case e.Seed == b.seed && streamOff(e.Seed, e.Off) == streamOff(b.seed, pos):
 			// Identical background: nothing to write, but any overlay
 			// previously covering this range must be cleared so the
 			// background shows through again.
@@ -249,7 +249,7 @@ func (b *Buffer) SnapshotRange(off, n int64) Blob {
 			we = end
 		}
 		if ws > pos {
-			out.extents = append(out.extents, Extent{Seed: b.seed, Off: pos, Size: ws - pos})
+			out.extents = append(out.extents, Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: ws - pos})
 			out.size += ws - pos
 		}
 		data := make([]byte, we-ws)
@@ -259,7 +259,7 @@ func (b *Buffer) SnapshotRange(off, n int64) Blob {
 		pos = we
 	}
 	if pos < end {
-		out.extents = append(out.extents, Extent{Seed: b.seed, Off: pos, Size: end - pos})
+		out.extents = append(out.extents, Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: end - pos})
 		out.size += end - pos
 	}
 	return out

@@ -114,3 +114,55 @@ func TestRDMAQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestZeroSeedExtentIsOffsetFree pins the one invariant behind the
+// store-restore path: a seed-0 extent is zeros wherever it is read, so its
+// stream offset must never make two zero runs look different. The store
+// dedups every zero chunk to one chunk file, so a restore writes chunk k of
+// a zero-background region from an extent cut at some unrelated offset.
+func TestZeroSeedExtentIsOffsetFree(t *testing.T) {
+	// Every way of building a zero extent pins Off to 0.
+	z := Zeros(1 << 20)
+	for _, b := range []Blob{z.Slice(4096, 8192), NewBuffer(1<<20, 0).SnapshotRange(12345, 100)} {
+		for _, e := range b.Extents() {
+			if e.Off != 0 {
+				t.Fatalf("zero-seed extent built with Off %d, want 0", e.Off)
+			}
+		}
+	}
+
+	// Writing zeros cut at offset 4096 to position 512 KiB of a
+	// zero-background buffer is a no-op, and clears any overlay there.
+	buf := NewBuffer(1<<20, 0)
+	buf.WriteAt([]byte{1, 2, 3}, 512*1024+10)
+	buf.WriteBlob(512*1024, z.Slice(4096, 64*1024))
+	if got := buf.DirtyBytes(); got != 0 {
+		t.Fatalf("zero extent at a foreign offset materialized %d overlay bytes", got)
+	}
+	// An extent that still carries a nonzero Off (built by hand) is
+	// treated the same.
+	buf.WriteBlob(0, Blob{extents: []Extent{{Seed: 0, Off: 777, Size: 4096}}, size: 4096})
+	if got := buf.DirtyBytes(); got != 0 {
+		t.Fatalf("hand-built zero extent materialized %d overlay bytes", got)
+	}
+
+	// Equality of zero runs does not depend on where they were cut.
+	if !Equal(z.Slice(0, 4096), z.Slice(8192, 4096)) {
+		t.Fatal("two zero slices compare unequal")
+	}
+
+	// A nonzero seed stays offset-sensitive: its stream differs by offset.
+	s := Synthetic(42, 1<<20)
+	if Equal(s.Slice(0, 4096), s.Slice(8192, 4096)) {
+		t.Fatal("two different windows of a seeded stream compare equal")
+	}
+	sb := NewBuffer(1<<20, 42)
+	sb.WriteBlob(8192, s.Slice(0, 4096))
+	if got := sb.DirtyBytes(); got != 4096 {
+		t.Fatalf("seeded extent at a foreign offset left %d overlay bytes, want 4096", got)
+	}
+	sb.WriteBlob(8192, s.Slice(8192, 4096))
+	if got := sb.DirtyBytes(); got != 0 {
+		t.Fatalf("seeded extent at its own offset left %d overlay bytes, want 0", got)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"snapify/internal/blcr"
 	"snapify/internal/blob"
 	"snapify/internal/proc"
 	"snapify/internal/scif"
@@ -61,13 +62,15 @@ type OffloadProc struct {
 	// the pause protocol, Section 4.1).
 	pipe *proc.PipeEnd
 
-	// Pre-copy round state (live migration): the chunk digests of the
-	// previous round's materialized image. The next round diffs its own
-	// digests against these to size the dirty set — both for the
-	// shipped delta and for the dirty-bit-assisted rescan cost. Cleared
-	// on round 1, on resume, and when the final capture consumes it.
-	precopyDigests []string
-	precopyChunk   int64
+	// digests is the process's chunk-digest cache: the digest list of the
+	// last full-layout image a store capture, a store-mode restore or a
+	// pre-copy round saw, which the next digest pass carries forward for
+	// every chunk dirty tracking says is untouched (nil: the next pass
+	// digests everything). digestMu serializes passes from epoch cut to
+	// cache install — two interleaved cuts would each hide writes from
+	// the other.
+	digestMu sync.Mutex
+	digests  *blcr.DigestCache
 }
 
 type ChannelPort struct {
@@ -425,6 +428,12 @@ type ctrlState struct {
 
 func (op *OffloadProc) writeCtrl(st ctrlState) {
 	r := op.p.Region(ctrlRegionName)
+	if r == nil {
+		// The process was torn down (Destroy, daemon stop) between a
+		// server thread's result send and its control-region clear:
+		// there is no control region left to write.
+		return
+	}
 	buf := make([]byte, 0, 64+len(st.Func)+len(st.Args))
 	if st.Active {
 		buf = append(buf, 1)

@@ -258,7 +258,8 @@ func (d *Daemon) handleSnapifyResume(ep *scif.Endpoint, payload []byte) {
 // handleSnapifyRestore rebuilds an offload process from a snapshot
 // directory. Payload: binNameLen u32 | binName | ctxDirLen u32 | ctxDir |
 // lsNode u32 | lsDirLen u32 | lsDir | deltaCount u32 | (dirLen u32 |
-// dir)* | streams u16 | chunkBytes u64 | alignNs u64. The context comes from ctxDir
+// dir)* | streams u16 | chunkBytes u64 | alignNs u64 | retryAttempts u16 |
+// retryBackoffNs u64 | storeResident u8. The context comes from ctxDir
 // (the base checkpoint); the saved local store from lsDir on lsNode (the
 // latest pause — the host for checkpoint and swap, the daemon's own card
 // for migration); delta contexts, if any, are replayed in order (the
@@ -295,6 +296,10 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 		MaxAttempts: int(u16(payload[18:])),
 		Backoff:     simclock.Duration(u64(payload[20:])),
 	}
+	// storeResident: the context is read out of the host store's manifest
+	// for ctxPath, so that manifest's digest list describes the restored
+	// image and can seed the process's chunk-digest cache.
+	storeResident := len(payload) > 28 && payload[28] == 1
 
 	bin, err := LookupBinary(binName)
 	if err != nil {
@@ -318,6 +323,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 	ctxPath := dir + "/" + ContextFileName
 	var restored *proc.Process
 	var rst *blcr.Stats
+	var seed *blcr.DigestCache
 	adopted := false
 	if len(deltaDirs) == 0 && d.staging.Has(ctxPath) {
 		// Live migration switch-over: the pre-copy rounds already parked
@@ -325,7 +331,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 		// in place — installing page tables over resident frames instead
 		// of streaming the image from the host. Any failure falls through
 		// to the streaming path, which is byte-identical.
-		restored, rst, adopted = d.tryAdoptedRestart(cr, ctxPath, spawn)
+		restored, rst, seed, adopted = d.tryAdoptedRestart(cr, ctxPath, spawn)
 	}
 	if !adopted {
 		// BLCR reads the context "on the fly" from host storage via a
@@ -376,6 +382,22 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 		}
 	}
 
+	// Seed the chunk-digest cache from the manifest the image came out of
+	// — this is what makes the next swap-out of this process warm — and
+	// arm the epoch tracking while the regions still hold exactly that
+	// image, before anything below writes to the process. A delta chain's
+	// image is no single manifest's, so it seeds nothing.
+	if seed == nil && storeResident && len(deltaDirs) == 0 {
+		size, chunkBytes, digests, committed, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, ctxPath)
+		if err == nil && ok && committed && size == rst.Geometry.Size() {
+			seed = blcr.NewDigestCache(rst.Geometry, chunkBytes, digests, blcr.SeedRestore)
+			rst.Duration += planDur
+		}
+	}
+	if seed != nil {
+		seed.Arm(restored)
+	}
+
 	// Copy the local store back on the fly into the mapped regions.
 	lsDur, lsBytes, err := d.reloadLocalStore(restored, lsDir, lsNode, streams)
 	if err != nil {
@@ -390,6 +412,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 		fail(err)
 		return
 	}
+	op.digests = seed
 
 	// Set up the Snapify pipe so the host's upcoming resume reaches the
 	// restored process; it stays quiesced until then (Section 4.3).
@@ -659,12 +682,11 @@ func (op *OffloadProc) snapifyAgent() {
 			}
 			op.p.ResumeSteps()
 			drained = false
-			// An aborted live migration resumes here: its pre-copy digest
-			// cache no longer tracks a continuous dirty history, so the
-			// next capture must pay the full scan.
-			op.mu.Lock()
-			op.precopyDigests, op.precopyChunk = nil, 0
-			op.mu.Unlock()
+			// A cache whose last pass was a pre-copy round means the
+			// migration's final capture never succeeded (it would have
+			// terminated this process): the migration was aborted under
+			// pause, and the next capture pays the full scan.
+			op.dropDigestsIf(blcr.SeedPrecopy)
 			// Re-enter an offload function that was in flight when the
 			// snapshot was taken (Section 4.3): its progress is in the
 			// control region and the data regions.
@@ -731,9 +753,10 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, mode uint8, streams int
 
 // runCaptureStore is the dedup-aware capture path: instead of streaming
 // every byte, the agent lays out the context file in memory (blcr.Layout),
-// digests it chunk by chunk, negotiates a have/need set against the host's
-// chunk store, and ships only the chunks the store lacks over store-mode
-// striped streams. The committed manifest reassembles a byte-identical
+// produces its chunk digest list (re-reading only what changed since the
+// image the process's chunk-digest cache describes), negotiates a
+// have/need set against the host's chunk store, and ships only the chunks
+// the store lacks over store-mode striped streams. The committed manifest reassembles a byte-identical
 // context file through the store's overlay file system, so restores (and
 // the end-to-end verification below) use the ordinary read path. Returns
 // the layout stats plus the bytes physically shipped — the dedup win is
@@ -761,39 +784,33 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, mode uint8, stream
 		return nil, 0, err
 	}
 	size := lay.Size()
-	img, digDur := lay.Materialize()
-	digests := snapstore.ChunkDigests(img, chunk)
-	if mode == CaptureFull {
-		// Live migration's final capture: the pre-copy rounds digested
-		// this image already, so the hardware dirty bits scope the final
-		// pass to what changed since the last round — the digests still
-		// come from the real materialized image, only the charged time
-		// shrinks. Consumed here so a later unrelated capture pays full
-		// price again.
-		op.mu.Lock()
-		prev, prevChunk := op.precopyDigests, op.precopyChunk
-		op.precopyDigests, op.precopyChunk = nil, 0
-		op.mu.Unlock()
-		if prev != nil && prevChunk == chunk {
-			dirty := precopyDirtyBytes(digests, prev, chunk, size)
-			digDur = cr.RescanCost(op.p.Node().IsHost(), size, dirty)
-		}
+	tk := op.agentTrack()
+	tk.AlignTo(align)
+	// The digest pass: a full-layout image goes through the process's
+	// chunk-digest cache and re-reads only what changed since the image
+	// the cache describes; a delta layout is a different file every time
+	// and is digested whole, leaving the cache (and the epochs it is
+	// keyed to) alone.
+	var img *blcr.DigestPass
+	if mode == CaptureDelta {
+		img = lay.DigestWhole(chunk, snapstore.Digest)
+	} else {
+		img = op.digestPass(lay, chunk, blcr.SeedCapture)
 	}
+	emitDigestSpan(tk, scope, "store_digest", align, img, nil)
 
 	rp := cr.Retry()
 	attempts := rp.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	tk := op.agentTrack()
-	tk.AlignTo(align)
 
 	st := lay.Stats()
 	var shipped int64
-	elapsed := digDur
+	elapsed := img.Dur
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
-		passDur, passShipped, err := op.storePass(img, path, parent, size, chunk, streams, digests, align+elapsed, scope, tk, "capture_stream")
+		passDur, passShipped, err := op.storePass(img, path, parent, size, chunk, streams, align+elapsed, scope, tk, "capture_stream")
 		shipped += passShipped
 		elapsed += passDur
 		if err == nil {
@@ -811,24 +828,82 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, mode uint8, stream
 	}
 	// Give up: drop the pending upload so its pinned digests don't shield
 	// orphaned chunks from GC. Chunks already shipped stay — they are
-	// content-addressed and a later capture may reuse them.
+	// content-addressed and a later capture may reuse them. The digest
+	// cache goes too: a stale digest is undetectable later, a failed
+	// capture is where unenumerated things went wrong, and a full pass
+	// costs one scan.
 	op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
+	if mode != CaptureDelta {
+		op.dropDigestsIf(blcr.SeedCapture)
+	}
 	return nil, 0, lastErr
 }
 
+// digestPass runs one digest pass over a full layout through the
+// process's chunk-digest cache and installs the pass's cache for the next
+// one. The counters split the image into bytes re-read and bytes whose
+// digest was carried forward.
+func (op *OffloadProc) digestPass(lay *blcr.Layout, chunk int64, seed blcr.DigestSeed) *blcr.DigestPass {
+	op.digestMu.Lock()
+	pass := lay.DigestPass(op.digests, chunk, seed, snapstore.Digest)
+	op.digests = pass.Cache
+	op.digestMu.Unlock()
+	const help = "Image bytes a store digest pass re-read and re-hashed, or covered by a digest carried forward from the previous image."
+	mx := op.d.plat.Obs.MetricsOf()
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "rehashed")).Add(pass.BytesRehashed)
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(lay.Size() - pass.BytesRehashed)
+	return pass
+}
+
+// dropDigestsIf forgets the chunk-digest cache if seed is what last
+// produced it, and disarms the epoch tracking that fed it; the next digest
+// pass is a full one.
+func (op *OffloadProc) dropDigestsIf(seed blcr.DigestSeed) {
+	op.digestMu.Lock()
+	defer op.digestMu.Unlock()
+	if op.digests != nil && op.digests.Seed() == seed {
+		op.digests.Disarm(op.p)
+		op.digests = nil
+	}
+}
+
+// CachedDigests returns the chunk size and digest list of the process's
+// chunk-digest cache (0, nil when there is none). Tests compare it with
+// the full recompute after every capture — the only check that can see a
+// wrongly carried digest.
+func (op *OffloadProc) CachedDigests() (chunkBytes int64, digests []string) {
+	op.digestMu.Lock()
+	defer op.digestMu.Unlock()
+	if op.digests == nil {
+		return 0, nil
+	}
+	return op.digests.ChunkBytes(), append([]string(nil), op.digests.Digests()...)
+}
+
+// emitDigestSpan records a digest pass on the agent lane under scope.
+func emitDigestSpan(tk *obs.Track, scope uint64, name string, at simclock.Duration, pass *blcr.DigestPass, extra map[string]int64) {
+	args := map[string]int64{
+		"chunks_total":    int64(len(pass.Digests())),
+		"chunks_rehashed": int64(pass.ChunksRehashed),
+		"bytes_rehashed":  pass.BytesRehashed,
+		"seeded_from":     int64(pass.SeededFrom),
+	}
+	for k, v := range extra {
+		args[k] = v
+	}
+	tk.Emit(scope, name, at, pass.Dur, args)
+}
+
 // storePass runs one negotiate-then-ship round of a dedup-aware capture
-// or pre-copy round. src is the materialized point-in-time image the
-// digests describe — chunks ship from it, never from a live re-read, so
-// a round taken while the process runs stays self-consistent. It
-// returns the pass's virtual duration (negotiation round-trip plus the
-// slowest stream) and the bytes shipped. The per-stream spans (named
-// spanName) — the host's source of truth for the Report — are emitted
-// only when the pass succeeds, so a retried pass doesn't pollute the
-// scope.
-func (op *OffloadProc) storePass(src blob.Blob, path, parent string, size, chunk int64, streams int, digests []string, at simclock.Duration, scope uint64, tk *obs.Track, spanName string) (simclock.Duration, int64, error) {
-	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, parent, size, chunk, digests)
+// over a digested image. It returns the pass's virtual duration
+// (negotiation round-trip plus the slowest stream) and the bytes shipped.
+// The per-stream spans (named spanName) — the host's source of truth for
+// the Report — are emitted only when the pass succeeds, so a retried pass
+// doesn't pollute the scope.
+func (op *OffloadProc) storePass(img *blcr.DigestPass, path, parent string, size, chunk int64, streams int, at simclock.Duration, scope uint64, tk *obs.Track, spanName string) (simclock.Duration, int64, error) {
+	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, parent, size, chunk, img.Digests())
 	tk.Emit(scope, "store_negotiate", at, negDur, map[string]int64{
-		"chunks_total":  int64(len(digests)),
+		"chunks_total":  int64(len(img.Digests())),
 		"chunks_needed": int64(len(need)),
 	})
 	if err != nil {
@@ -839,14 +914,15 @@ func (op *OffloadProc) storePass(src blob.Blob, path, parent string, size, chunk
 		// the negotiation and not one data byte moves.
 		return negDur, 0, nil
 	}
-	shipDur, shipped, err := op.shipChunks(src, path, size, chunk, streams, need, at+negDur, scope, spanName)
+	shipDur, shipped, err := op.shipChunks(img, path, size, chunk, streams, need, at+negDur, scope, spanName)
 	return negDur + shipDur, shipped, err
 }
 
-// shipChunks ships the need set of a negotiated upload from the
-// materialized image over store-mode striped streams, one contiguous
-// group per stream.
-func (op *OffloadProc) shipChunks(src blob.Blob, path string, size, chunk int64, streams int, need []int, at simclock.Duration, scope uint64, spanName string) (simclock.Duration, int64, error) {
+// shipChunks ships the need set of a negotiated upload over store-mode
+// striped streams, one contiguous group per stream. The content comes
+// from the digest pass that produced the negotiated digests — its own
+// point-in-time reads, never a later re-read of a running process.
+func (op *OffloadProc) shipChunks(img *blcr.DigestPass, path string, size, chunk int64, streams int, need []int, at simclock.Duration, scope uint64, spanName string) (simclock.Duration, int64, error) {
 	chunkLen := func(i int) int64 {
 		n := size - int64(i)*chunk
 		if n > chunk {
@@ -887,7 +963,7 @@ func (op *OffloadProc) shipChunks(src blob.Blob, path string, size, chunk int64,
 		for _, ci := range g {
 			off := int64(ci) * chunk
 			n := chunkLen(ci)
-			cost, err := f.WriteBlobAt(off, src.Slice(off, n))
+			cost, err := f.WriteBlobAt(off, img.Chunk(ci))
 			if err != nil {
 				f.Abort()
 				return err
@@ -929,23 +1005,6 @@ func (op *OffloadProc) shipChunks(src blob.Blob, path string, size, chunk int64,
 	return wall, total, nil
 }
 
-// precopyDirtyBytes sums the bytes of the chunks whose digest changed
-// between two rounds' digest lists (an appeared or vanished tail counts
-// as dirty).
-func precopyDirtyBytes(cur, prev []string, chunk, size int64) int64 {
-	var dirty int64
-	for i, d := range cur {
-		if i >= len(prev) || prev[i] != d {
-			n := size - int64(i)*chunk
-			if n > chunk {
-				n = chunk
-			}
-			dirty += n
-		}
-	}
-	return dirty
-}
-
 // --- live migration: pre-copy rounds and destination staging ---
 
 // precopyResult is one pre-copy round's outcome, as reported to the host.
@@ -962,7 +1021,7 @@ type precopyResult struct {
 // handleSnapifyPrecopy runs one pre-copy round on the source card: digest
 // the running process's image and ship the changed chunks to the host
 // store while the process keeps mutating state. No pause is involved —
-// the materialized image is the round's consistent cut.
+// the chunks the digest pass read are the round's consistent cut.
 // Payload: procID u32 | round u32 | alignNs u64 | scope u64 | chunkBytes
 // u64 | streams u16 | shipFloorBytes u64 | dirLen u32 | dir.
 // Reply: 0 | durNs u64 | imageBytes u64 | dirtyBytes u64 | shippedBytes
@@ -1004,15 +1063,16 @@ func (d *Daemon) handleSnapifyPrecopy(ep *scif.Endpoint, payload []byte) {
 	reply(ep, opSnapifyPrecopyResp, resp)
 }
 
-// runPrecopyRound digests the running process and, unless the dirty set
+// runPrecopyRound digests the running process and, unless what changed
 // already fits under shipFloor, negotiates and ships the changed chunks
 // into the host store's pending upload for the migration's context path.
-// Round 1 pays the full materialize cost; later rounds are charged the
-// dirty-bit-assisted rescan (PTE sweep + dirty pages only), while the
-// digests always come from the genuinely materialized image so the shipped
-// bytes stay byte-correct. The digest cache updates every round — skipped
-// (probe) rounds included, since the hardware dirty bits reset at each
-// scan regardless of whether anything ships.
+// The digest pass goes through the process's chunk-digest cache: the first
+// pass of a process nothing has digested yet reads the whole image; every
+// later one reads only the chunks written since the previous cut, and is
+// charged for exactly that. The pass cuts the epochs before it reads, so
+// the process may keep writing throughout; the chunks it read are the
+// round's consistent cut, and they — never a later re-read — are what
+// ships. The cache updates every round, skipped (probe) rounds included.
 func (op *OffloadProc) runPrecopyRound(round int, chunk int64, streams int, shipFloor int64, dir string, align simclock.Duration, scope uint64) (precopyResult, error) {
 	if chunk <= 0 {
 		chunk = blcr.PageChunk
@@ -1020,38 +1080,33 @@ func (op *OffloadProc) runPrecopyRound(round int, chunk int64, streams int, ship
 	if streams < 1 {
 		streams = 1
 	}
-	cr := op.d.plat.CR
-	lay, err := cr.LayoutFull(op.p)
+	res, err := op.precopyRound(round, chunk, streams, shipFloor, dir, align, scope)
+	if err != nil {
+		op.dropDigestsIf(blcr.SeedPrecopy)
+	}
+	return res, err
+}
+
+func (op *OffloadProc) precopyRound(round int, chunk int64, streams int, shipFloor int64, dir string, align simclock.Duration, scope uint64) (precopyResult, error) {
+	lay, err := op.d.plat.CR.LayoutFull(op.p)
 	if err != nil {
 		return precopyResult{}, err
 	}
 	size := lay.Size()
-	img, digDur := lay.Materialize()
-	digests := snapstore.ChunkDigests(img, chunk)
-
-	op.mu.Lock()
-	prev, prevChunk := op.precopyDigests, op.precopyChunk
-	op.mu.Unlock()
+	pass := op.digestPass(lay, chunk, blcr.SeedPrecopy)
+	digests := pass.Digests()
+	dirty := pass.ChangedBytes
 	if round <= 1 {
-		prev, prevChunk = nil, 0
+		// Nothing of this migration is in the store yet, whatever an
+		// earlier capture left in the cache.
+		dirty = size
 	}
-	dirty := size
-	if prev != nil && prevChunk == chunk {
-		dirty = precopyDirtyBytes(digests, prev, chunk, size)
-		digDur = cr.RescanCost(op.p.Node().IsHost(), size, dirty)
-	}
-	op.mu.Lock()
-	op.precopyDigests, op.precopyChunk = digests, chunk
-	op.mu.Unlock()
 
 	tk := op.agentTrack()
 	tk.AlignTo(align)
-	tk.Emit(scope, "precopy_digest", align, digDur, map[string]int64{
-		"round":       int64(round),
-		"dirty_bytes": dirty,
-	})
+	emitDigestSpan(tk, scope, "precopy_digest", align, pass, map[string]int64{"round": int64(round), "dirty_bytes": dirty})
 
-	res := precopyResult{dur: digDur, imageBytes: size, dirtyBytes: dirty, chunksTotal: len(digests)}
+	res := precopyResult{dur: pass.Dur, imageBytes: size, dirtyBytes: dirty, chunksTotal: len(digests)}
 	if dirty <= shipFloor {
 		// Probe round: the delta is small enough to ship inside the
 		// downtime budget, so leave it for the final (paused) capture.
@@ -1060,7 +1115,7 @@ func (op *OffloadProc) runPrecopyRound(round int, chunk int64, streams int, ship
 	}
 	path := dir + "/" + ContextFileName
 	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, "", size, chunk, digests)
-	tk.Emit(scope, "store_negotiate", align+digDur, negDur, map[string]int64{
+	tk.Emit(scope, "store_negotiate", align+res.dur, negDur, map[string]int64{
 		"chunks_total":  int64(len(digests)),
 		"chunks_needed": int64(len(need)),
 	})
@@ -1072,7 +1127,22 @@ func (op *OffloadProc) runPrecopyRound(round int, chunk int64, streams int, ship
 	if committed {
 		return res, nil
 	}
-	shipDur, shipped, err := op.shipChunks(img, path, size, chunk, streams, need, align+digDur+negDur, scope, "precopy_stream")
+	for _, i := range need {
+		if pass.Reread(i) {
+			continue
+		}
+		// The store lacks a chunk whose digest this round carried forward
+		// without reading it (the store was collected since the cache's
+		// image went in, or this migration's upload was lost). The
+		// process is running, so reading the chunk now could ship bytes
+		// the digest does not describe: redo the round as a full pass
+		// (which reads every chunk itself, so it cannot land here again).
+		op.dropDigestsIf(blcr.SeedPrecopy)
+		redo, err := op.precopyRound(round, chunk, streams, shipFloor, dir, align+res.dur, scope)
+		redo.dur += res.dur
+		return redo, err
+	}
+	shipDur, shipped, err := op.shipChunks(pass, path, size, chunk, streams, need, align+res.dur, scope, "precopy_stream")
 	res.dur += shipDur
 	res.shippedBytes = shipped
 	return res, err
@@ -1170,30 +1240,32 @@ func (d *Daemon) stageFetch(path string, digests []string, need []int) (simclock
 // committed manifest is the authority — Plan re-verifies every staged
 // chunk against it, so a stale staging area degrades to extra fetches,
 // never to a wrong image. ok=false falls back to the streaming restore.
-func (d *Daemon) tryAdoptedRestart(cr *blcr.Checkpointer, ctxPath string, spawn blcr.Spawner) (*proc.Process, *blcr.Stats, bool) {
+func (d *Daemon) tryAdoptedRestart(cr *blcr.Checkpointer, ctxPath string, spawn blcr.Spawner) (*proc.Process, *blcr.Stats, *blcr.DigestCache, bool) {
 	size, chunkBytes, digests, committed, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, ctxPath)
 	if err != nil || !ok || !committed {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	need := d.staging.Plan(ctxPath, size, chunkBytes, digests)
 	var fetchDur simclock.Duration
 	if len(need) > 0 {
 		fetchDur, _, err = d.stageFetch(ctxPath, digests, need)
 		if err != nil {
-			return nil, nil, false
+			return nil, nil, nil, false
 		}
 	}
 	img, ok := d.staging.Image(ctxPath)
 	if !ok {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	restored, rst, err := cr.RestartAdopted(img, spawn)
 	if err != nil {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	rst.Duration += planDur + fetchDur
 	d.staging.Drop(ctxPath)
-	return restored, rst, true
+	// The plan is the committed manifest the staged image was verified
+	// against: it seeds the migrated process's chunk-digest cache.
+	return restored, rst, blcr.NewDigestCache(rst.Geometry, chunkBytes, digests, blcr.SeedRestore), true
 }
 
 // captureOnce runs one capture pass into path.

@@ -57,7 +57,14 @@ type rig struct {
 
 func newRig(t *testing.T, binName string, devices int) *rig {
 	t.Helper()
-	coi.RegisterBinary(testBinary(binName))
+	return newRigBinary(t, testBinary(binName), devices)
+}
+
+// newRigBinary is newRig for a caller-built binary.
+func newRigBinary(t *testing.T, bin *coi.Binary, devices int) *rig {
+	t.Helper()
+	binName := bin.Name
+	coi.RegisterBinary(bin)
 	plat := platformtest.Start(t, platformtest.Options{Devices: devices})
 	host := plat.Procs.Spawn("host_proc", simnet.HostNode, plat.Host().Mem)
 	tl := simclock.NewTimeline()

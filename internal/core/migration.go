@@ -12,23 +12,25 @@ import (
 // Live migration (the VM-style pre-copy extension of the paper's
 // stop-the-world migration, Section 5 / Fig 7): a Migration session runs
 // iterative digest-and-ship rounds against the *running* offload process —
-// each round materializes a consistent cut of the image, diffs its chunk
-// digests against the previous round's, and ships only the changed chunks
-// into the host store while the destination card stages them — then pauses
-// the process only for the final small delta plus the context switch-over.
+// each round cuts the regions' digest epochs, re-reads and re-digests the
+// chunks written since the previous cut (the process's chunk-digest cache
+// carries the rest forward), and ships only the changed chunks into the
+// host store while the destination card stages them — then pauses the
+// process only for the final small delta plus the context switch-over.
 // The restored image is byte-identical to a stop-the-world migration's:
-// every round's digests come from a genuinely materialized image and every
-// staged chunk is digest-verified, so pre-copy only moves *when* bytes
-// travel, never *which* bytes arrive.
+// what a round ships is what its digest pass read, and every staged chunk
+// is digest-verified, so pre-copy only moves *when* bytes travel, never
+// *which* bytes arrive.
 
 // PrecopyRound is one pre-copy round's outcome, recorded in
 // Report.Precopy.
 type PrecopyRound struct {
 	// Round numbers from 1.
 	Round int
-	// Duration is the round's source-side virtual time: the digest scan
-	// (full materialize on round 1, the dirty-bit-assisted rescan after)
-	// plus the have/need negotiation and chunk shipping.
+	// Duration is the round's source-side virtual time: the digest pass
+	// (a full read of a process nothing has digested yet, otherwise a
+	// page-table sweep plus the chunks written since the last pass) plus
+	// the have/need negotiation and chunk shipping.
 	Duration simclock.Duration
 	// StageDuration is the destination card's time pulling the round's
 	// chunks from the host store into its staging area.
@@ -36,7 +38,7 @@ type PrecopyRound struct {
 	// ImageBytes is the full context image size at this round's cut.
 	ImageBytes int64
 	// DirtyBytes is how much of the image changed since the previous
-	// round (the whole image on round 1).
+	// round, in whole chunks (the whole image on round 1).
 	DirtyBytes int64
 	// ShippedBytes is how many bytes the round physically moved to the
 	// host store; dedup against earlier rounds makes it <= DirtyBytes.

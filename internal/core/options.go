@@ -167,8 +167,9 @@ func (o *MigrateOptions) validate(cp *coi.Process) error {
 // normalized returns a copy of o with the pre-copy defaults resolved: the
 // store data path is forced on (pre-copy rounds live in the store's
 // have/need negotiation), the chunk geometry is made consistent between
-// rounds and the final capture (the dirty diff compares digest lists, so
-// both must chunk identically), and stream counts inherit sensibly.
+// rounds and the final capture (they share one chunk-digest cache, which
+// a change of chunk size would discard), and stream counts inherit
+// sensibly.
 func (o MigrateOptions) normalized() MigrateOptions {
 	if !o.Precopy.Enabled() {
 		return o

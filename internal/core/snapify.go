@@ -526,6 +526,7 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	if st := cp.State(); st != coi.StateSwapped {
 		return nil, fmt.Errorf("core: restore requires a swapped-out handle, have %s", st)
 	}
+	storeResident := byte(0)
 	if opts.Store.Enabled {
 		// Fail fast with a clear error when the snapshot is supposed to be
 		// store-resident but no manifest committed; the data path itself
@@ -534,6 +535,12 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 			return nil, errors.New("core: restore: platform has no snapshot store")
 		}
 		ctx := baseDir + "/" + coi.ContextFileName
+		// The overlay prefers a plain file, so only without one is the
+		// manifest what the restore reads — and only then may the card
+		// seed its chunk-digest cache from the manifest's digest list.
+		if !plat.Host().FS.Exists(ctx) {
+			storeResident = 1
+		}
 		if !plat.Store.Has(ctx) {
 			return nil, fmt.Errorf("core: restore: no committed store manifest for %s", ctx)
 		}
@@ -563,6 +570,7 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	payload = binary.BigEndian.AppendUint64(payload, uint64(start))
 	payload = binary.BigEndian.AppendUint16(payload, uint16(opts.Retry.MaxAttempts))
 	payload = binary.BigEndian.AppendUint64(payload, uint64(opts.Retry.Backoff))
+	payload = append(payload, storeResident)
 
 	resp, err := coi.DaemonRestoreRequest(plat, device, payload)
 	if err != nil {

@@ -4,7 +4,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"snapify/internal/blob"
 )
+
+// blobOf returns n literal bytes.
+func blobOf(n int) blob.Blob { return blob.FromBytes(make([]byte, n)) }
 
 func TestRangeSetCoalescing(t *testing.T) {
 	var s rangeSet
@@ -106,5 +111,89 @@ func TestRegionDirtyTracking(t *testing.T) {
 	r.WriteAt(make([]byte, 100), 50)
 	if got := r.DirtySinceClean(); got != 150 {
 		t.Fatalf("dirty = %d, want 150", got)
+	}
+}
+
+// TestEpochTrackerArmsLazily: a region nobody has cut records nothing in
+// the digest-epoch set however much it is written; the first cut arms it
+// and reports the whole region, and from then on every mutator feeds it.
+func TestEpochTrackerArmsLazily(t *testing.T) {
+	r := newRegion("r", RegionHeap, 64*1024, 0)
+	for i := 0; i < 100; i++ {
+		r.WriteAt([]byte{1, 2, 3}, int64(i)*97)
+	}
+	if r.epoch != nil {
+		t.Fatal("writes armed the epoch tracker before any cut")
+	}
+	if got := r.CutEpoch(); len(got) != 1 || got[0] != (ByteRange{0, 64 * 1024}) {
+		t.Fatalf("first cut = %v, want the whole region", got)
+	}
+	if got := r.CutEpoch(); len(got) != 0 {
+		t.Fatalf("cut with no write in between = %v, want empty", got)
+	}
+
+	r.WriteAt([]byte{9}, 5000)            // page 1
+	r.Fill(7, 3*EpochPage+10, 20)         // page 3
+	r.WriteBlob(8*EpochPage-1, blobOf(2)) // straddles pages 7 and 8
+	want := []ByteRange{{EpochPage, EpochPage}, {3 * EpochPage, EpochPage}, {7 * EpochPage, 2 * EpochPage}}
+	got := r.CutEpoch()
+	if len(got) != len(want) {
+		t.Fatalf("cut = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cut = %v, want %v", got, want)
+		}
+	}
+	r.Restore(blobOf(64 * 1024))
+	if got := r.CutEpoch(); len(got) != 1 || got[0] != (ByteRange{0, 64 * 1024}) {
+		t.Fatalf("cut after Restore = %v, want the whole region", got)
+	}
+
+	r.DropEpoch()
+	r.WriteAt([]byte{1}, 0)
+	if r.epoch != nil {
+		t.Fatal("a dropped tracker must stay disarmed until the next cut")
+	}
+}
+
+// TestEpochTrackerCoalesces: a long-running writer hammering a hot area
+// keeps the armed tracker at O(1) spans, and a region whose size is not a
+// page multiple never reports a range past its end.
+func TestEpochTrackerCoalesces(t *testing.T) {
+	r := newRegion("hot", RegionHeap, 10*EpochPage+100, 0)
+	r.CutEpoch()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		r.WriteAt([]byte{byte(i)}, 2*EpochPage+rng.Int63n(3*EpochPage))
+	}
+	if n := len(r.epoch.spans); n != 1 {
+		t.Fatalf("hot region holds %d spans after 10000 writes, want 1", n)
+	}
+	r.WriteAt([]byte{1}, 10*EpochPage+99)
+	got := r.CutEpoch()
+	if len(got) != 2 || got[0] != (ByteRange{2 * EpochPage, 3 * EpochPage}) || got[1] != (ByteRange{10 * EpochPage, 100}) {
+		t.Fatalf("cut = %v", got)
+	}
+}
+
+// TestEpochIndependentOfMarkClean: the delta checkpoint's clean mark and
+// the digest epoch's cut are separate ledgers of the same writes.
+func TestEpochIndependentOfMarkClean(t *testing.T) {
+	r := newRegion("r", RegionHeap, 8*EpochPage, 0)
+	r.MarkClean()
+	r.CutEpoch()
+	r.WriteAt([]byte{1}, 100)
+	r.MarkClean()
+	r.WriteAt([]byte{2}, 5*EpochPage)
+	if got := r.CutEpoch(); len(got) != 2 {
+		t.Fatalf("MarkClean hid a write from the epoch: cut = %v", got)
+	}
+	if got := r.DirtyRanges(); len(got) != 1 || got[0] != (ByteRange{5 * EpochPage, 1}) {
+		t.Fatalf("CutEpoch disturbed the delta ledger: dirty = %v", got)
+	}
+	r.WriteAt([]byte{3}, 200)
+	if got := r.DirtyRanges(); len(got) != 2 {
+		t.Fatalf("delta ledger after a cut = %v, want both writes since MarkClean", got)
 	}
 }

@@ -51,7 +51,20 @@ type Region struct {
 	buf    *blob.Buffer
 	pinned bool
 	dirty  rangeSet // writes since the last MarkClean (incremental CR)
+	// epoch is the digest-epoch dirty set: the pages written since the
+	// last CutEpoch. It is independent of dirty — a delta checkpoint's
+	// MarkClean does not touch it and a CutEpoch does not touch dirty —
+	// and nil until a chunk-digest cache exists for the process, so a
+	// process that is never store-captured pays one not-taken branch per
+	// write and nothing else.
+	epoch *rangeSet
 }
+
+// EpochPage is the granularity of the digest-epoch dirty set (the
+// hardware's dirty bits are per page). Rounding writes out to pages lets
+// neighbouring small writes coalesce, so a hot region stays a handful of
+// spans however long it runs.
+const EpochPage = 4096
 
 func newRegion(name string, kind RegionKind, size int64, seed uint64) *Region {
 	return &Region{name: name, kind: kind, seed: seed, buf: blob.NewBuffer(size, seed)}
@@ -102,7 +115,20 @@ func (r *Region) WriteAt(p []byte, off int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf.WriteAt(p, off)
-	r.dirty.add(off, int64(len(p)))
+	r.wrote(off, int64(len(p)))
+}
+
+// wrote records a mutation of [off, off+n) in every dirty tracker. Every
+// mutator of the region's content ends here; a mutator that skipped it
+// would let a stale chunk digest be carried forward undetectably (see
+// CutEpoch). Caller holds r.mu.
+func (r *Region) wrote(off, n int64) {
+	r.dirty.add(off, n)
+	if r.epoch != nil && n > 0 {
+		lo := off &^ (EpochPage - 1)
+		hi := (off + n + EpochPage - 1) &^ (EpochPage - 1)
+		r.epoch.add(lo, hi-lo)
+	}
 }
 
 // ReadAt fills p from the region at off.
@@ -117,7 +143,7 @@ func (r *Region) Fill(v byte, off, n int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf.Fill(v, off, n)
-	r.dirty.add(off, n)
+	r.wrote(off, n)
 }
 
 // SnapshotRange returns the content of [off, off+n). Part of scif.Memory.
@@ -139,7 +165,7 @@ func (r *Region) WriteBlob(off int64, src blob.Blob) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf.WriteBlob(off, src)
-	r.dirty.add(off, src.Len())
+	r.wrote(off, src.Len())
 }
 
 // Restore overwrites the whole region from src.
@@ -147,7 +173,7 @@ func (r *Region) Restore(src blob.Blob) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.buf.Restore(src)
-	r.dirty.add(0, r.buf.Size())
+	r.wrote(0, r.buf.Size())
 }
 
 // DirtyRanges returns the coalesced byte ranges written since the last
@@ -171,6 +197,37 @@ func (r *Region) MarkClean() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.dirty.reset()
+}
+
+// CutEpoch ends the region's current digest epoch and starts the next: it
+// returns the page-rounded ranges written since the previous cut (clipped
+// to the region) and resets the set, under one hold of the region lock.
+// The first cut arms the tracker and reports the whole region — nothing
+// is known about writes before it. A consumer must cut before it reads
+// the content it will digest: a write landing between the two is then
+// seen twice (in the content and in the next epoch), never zero times.
+func (r *Region) CutEpoch() []ByteRange {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	size := r.buf.Size()
+	if r.epoch == nil {
+		r.epoch = &rangeSet{}
+		return []ByteRange{{Off: 0, Len: size}}
+	}
+	out := r.epoch.spans
+	r.epoch.spans = nil
+	if n := len(out); n > 0 && out[n-1].End() > size {
+		out[n-1].Len = size - out[n-1].Off
+	}
+	return out
+}
+
+// DropEpoch disarms the digest-epoch tracker: the cache it served is
+// gone, so writes stop paying for it until the next CutEpoch.
+func (r *Region) DropEpoch() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.epoch = nil
 }
 
 // DirtyBytes returns the overlay (actually written) byte count.

@@ -494,3 +494,27 @@ func TestOverlayRangeAndPassthroughReads(t *testing.T) {
 		t.Fatal("passthrough read differs")
 	}
 }
+
+// TestDigestKeysZeroChunksTogether: every all-zero chunk of one size is
+// the same content, so however it was cut out of its image it must share
+// one synthetic-digest cache entry — a zero-background region's chunks are
+// otherwise hashed (and materialized) once per chunk index.
+func TestDigestKeysZeroChunksTogether(t *testing.T) {
+	const chunk = 256 * 1024
+	img := blob.Zeros(8 * chunk)
+	first := Digest(img.Slice(0, chunk))
+	synMu.Lock()
+	before := len(synCache)
+	synMu.Unlock()
+	for k := int64(1); k < 8; k++ {
+		if d := Digest(img.Slice(k*chunk, chunk)); d != first {
+			t.Fatalf("zero chunk %d digests to %s, chunk 0 to %s", k, d, first)
+		}
+	}
+	synMu.Lock()
+	after := len(synCache)
+	synMu.Unlock()
+	if after != before {
+		t.Errorf("zero chunks at 7 more offsets added %d cache entries, want 0", after-before)
+	}
+}

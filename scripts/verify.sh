@@ -79,7 +79,12 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # torn snapshot, no orphan .partial) or retryable, and the seeded runs
 # (seeds pinned inside the tests: 1, 7, 0xC0FFEE) must replay to
 # byte-identical Chrome traces. -count=2 makes cross-run nondeterminism
-# a failure, not a flake. snapstore carries the federation chaos cases
+# a failure, not a flake. core also carries the chunk-digest cache's two
+# cases: TestChaosPrecopyWriterRace (a writer thread races the pre-copy
+# rounds' epoch cuts; the final digest list must equal the full
+# recompute) and TestChaosLostDirtyRangeIsInvisibleToVerify (a dropped
+# dirty-range record, caught by the oracle while Store.Verify reports
+# clean). snapstore carries the federation chaos cases
 # (TestChaosFederation*), sched the fleet-level kill-during-replication
 # case, and fleetd the control-plane cases (TestChaosFleet*: host kill
 # mid-evacuation-wave, capture crash mid-preemption, seed replay).
