@@ -53,11 +53,10 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (2, 3, or 4)")
 	fig := flag.Int("fig", 0, "regenerate one figure (9, 10, or 11)")
 	ablations := flag.Bool("ablations", false, "run the design-choice ablations")
-	parallel := flag.Bool("parallel", false, "run the multi-stream parallel capture sweep")
-	store := flag.Bool("store", false, "run the dedup-store swap-cycle comparison")
-	migrate := flag.Bool("migrate", false, "run the stop-the-world vs live migration downtime sweep")
-	federation := flag.Bool("federation", false, "run the cross-host federation benchmark: migration dedup + host-kill recovery from replicas")
-	fleet := flag.Bool("fleet", false, "run the fleet control-plane benchmark: seeded bursty trace across an oversubscription sweep")
+	benches := make([]*bool, len(experiments.Benches))
+	for i, b := range experiments.Benches {
+		benches[i] = flag.Bool(b.Flag, false, b.Usage)
+	}
 	jsonPath := flag.String("json", "", "with -parallel, -store, or -migrate: also write the result as JSON to this file")
 	tracePath := flag.String("trace", "", "with -parallel, -store, or -migrate: write the run's Chrome trace-event JSON to this file (open in Perfetto)")
 	smoke := flag.Bool("smoke", false, "with -parallel, -store, -migrate, or -faults: use a small image (fast CI smoke, shape still checked)")
@@ -86,7 +85,11 @@ func main() {
 		return
 	}
 
-	if !*all && *table == 0 && *fig == 0 && !*ablations && !*parallel && !*store && !*migrate && !*federation && !*fleet && *faults == "" {
+	anyBench := false
+	for _, on := range benches {
+		anyBench = anyBench || *on
+	}
+	if !*all && *table == 0 && *fig == 0 && !*ablations && !anyBench && *faults == "" {
 		*all = true
 	}
 
@@ -131,122 +134,62 @@ func main() {
 	if *all || *ablations {
 		runAblations(*check)
 	}
-	if *all || *parallel {
-		runParallel(*smoke, *jsonPath, *tracePath, *analyzeTrace)
-	}
-	if *all || *store {
-		// -all writes no files; explicit -store honors -json/-trace.
-		jp, tp := *jsonPath, *tracePath
-		if *all && !*store {
-			jp, tp = "", ""
+	for i, b := range experiments.Benches {
+		switch {
+		case *benches[i]:
+			runBench(b, *smoke, *jsonPath, *tracePath, *analyzeTrace)
+		case *all:
+			// -all writes no files; only a benchmark asked for by name
+			// honors -json/-trace.
+			runBench(b, *smoke, "", "", *analyzeTrace)
 		}
-		runStore(*smoke, jp, tp, *analyzeTrace)
-	}
-	if *all || *migrate {
-		jp, tp := *jsonPath, *tracePath
-		if *all && !*migrate {
-			jp, tp = "", ""
-		}
-		runMigrate(*smoke, jp, tp, *analyzeTrace)
-	}
-	if *all || *federation {
-		jp := *jsonPath
-		if *all && !*federation {
-			jp = ""
-		}
-		runFederation(*smoke, jp)
-	}
-	if *all || *fleet {
-		jp, tp := *jsonPath, *tracePath
-		if *all && !*fleet {
-			jp, tp = "", ""
-		}
-		runFleet(*smoke, jp, tp)
 	}
 	if *faults != "" {
 		runFaults(*faults, *smoke)
 	}
 }
 
-// runFleet executes the fleet control-plane benchmark: the seeded
-// bursty trace against the model backend, once per oversubscription
-// ratio. Its shape check (jobs conserved, everything admitted
-// completes, evacuation inside its deadline, oversubscription swapping
-// and lifting utilization, the event heap staying O(log n)) always
-// runs: the sweep exists to pin those claims.
-func runFleet(smoke bool, jsonPath, tracePath string) {
-	p := experiments.DefaultFleetParams()
-	if smoke {
-		p = experiments.SmokeFleetParams()
-	}
-	res, err := experiments.FleetBench(p)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: fleet: %v\n", err)
+// runBench executes one standing benchmark (experiments.Benches): render,
+// shape check, then the optional critical-path breakdown, JSON and trace
+// files. The shape check always runs, -check or not: each benchmark exists
+// to pin the claims its CheckShape lists.
+func runBench(b experiments.Bench, smoke bool, jsonPath, tracePath string, doAnalyze bool) {
+	die := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "snapbench: "+format+"\n", args...)
 		os.Exit(1)
+	}
+	write := func(path string, out []byte, note string) {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			die("writing %s: %v", path, err)
+		}
+		fmt.Printf("[wrote %s%s]\n", path, note)
+	}
+	res, err := b.Run(smoke)
+	if err != nil {
+		die("%s: %v", b.Label, err)
 	}
 	fmt.Println(res.Render())
 	if err := res.CheckShape(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: fleet shape check FAILED: %v\n", err)
-		os.Exit(1)
+		die("%s shape check FAILED: %v", b.Label, err)
 	}
-	fmt.Println("[fleet shape check: OK]")
+	fmt.Printf("[%s shape check: OK]\n", b.Label)
+	traced, hasTrace := res.(interface{ TraceJSON() []byte })
+	if doAnalyze && b.Analyze {
+		printCriticalPath(traced.TraceJSON())
+	}
 	if jsonPath != "" {
 		out, err := res.JSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: fleet: %v\n", err)
-			os.Exit(1)
+			die("%s: %v", b.Label, err)
 		}
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
+		write(jsonPath, out, "")
 	}
-	if tracePath != "" {
-		out := res.TraceJSON()
+	if tracePath != "" && hasTrace {
+		out := traced.TraceJSON()
 		if err := obs.ValidateChromeTrace(out); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: trace validation FAILED: %v\n", err)
-			os.Exit(1)
+			die("trace validation FAILED: %v", err)
 		}
-		if err := os.WriteFile(tracePath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", tracePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s: valid Chrome trace; open at ui.perfetto.dev]\n", tracePath)
-	}
-}
-
-// runFederation executes the cross-host federation benchmark. Its shape
-// check (>= 2x cross-host dedup on warm legs, byte-identical
-// restart-from-replica after a host kill, repaired replica sets, clean
-// fsck) always runs: the benchmark exists to pin those claims.
-func runFederation(smoke bool, jsonPath string) {
-	size := int64(experiments.FederationImageBytes)
-	if smoke {
-		size = 96 * simclock.MiB
-	}
-	res, err := experiments.FederationBench(size, experiments.FederationHosts, experiments.FederationLegs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: federation: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Render())
-	if err := res.CheckShape(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: federation shape check FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("[federation shape check: OK]")
-	if jsonPath != "" {
-		out, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: federation: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
+		write(tracePath, out, ": valid Chrome trace; open at ui.perfetto.dev")
 	}
 }
 
@@ -281,152 +224,6 @@ func runFaults(planPath string, smoke bool) {
 		os.Exit(1)
 	}
 	fmt.Println("[faulted capture shape check: OK]")
-}
-
-// runParallel executes the multi-stream capture sweep. Its shape check
-// (4 streams >= 2x serial, byte-identical snapshots) always runs: the
-// sweep exists to pin that claim, -check or not.
-func runParallel(smoke bool, jsonPath, tracePath string, doAnalyze bool) {
-	size := int64(experiments.ParallelCaptureImageBytes)
-	if smoke {
-		size = 256 * simclock.MiB
-	}
-	res, err := experiments.ParallelCapture(size, experiments.ParallelCaptureStreams)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: parallel capture: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Render())
-	if err := res.CheckShape(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: parallel capture shape check FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("[parallel capture shape check: OK]")
-	if doAnalyze {
-		printCriticalPath(res.TraceJSON())
-	}
-	if jsonPath != "" {
-		out, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: parallel capture: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
-	}
-	if tracePath != "" {
-		out := res.TraceJSON()
-		if err := obs.ValidateChromeTrace(out); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: trace validation FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(tracePath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", tracePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s: valid Chrome trace; open at ui.perfetto.dev]\n", tracePath)
-	}
-}
-
-// runStore executes the dedup-store swap-cycle comparison. Its shape
-// check (>= 3x shipped-byte reduction, checksum-identical restores,
-// negotiation spans scoped to captures, GC back to zero chunks) always
-// runs: the benchmark exists to pin those claims, -check or not.
-func runStore(smoke bool, jsonPath, tracePath string, doAnalyze bool) {
-	size := int64(experiments.DedupSwapImageBytes)
-	if smoke {
-		size = 256 * simclock.MiB
-	}
-	res, err := experiments.DedupSwap(size, experiments.DedupSwapCycles)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: dedup swap: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Render())
-	if err := res.CheckShape(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: dedup swap shape check FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("[dedup swap shape check: OK]")
-	if doAnalyze {
-		printCriticalPath(res.TraceJSON())
-	}
-	if jsonPath != "" {
-		out, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: dedup swap: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
-	}
-	if tracePath != "" {
-		out := res.TraceJSON()
-		if err := obs.ValidateChromeTrace(out); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: trace validation FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(tracePath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", tracePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s: valid Chrome trace; open at ui.perfetto.dev]\n", tracePath)
-	}
-}
-
-// runMigrate executes the stop-the-world vs live migration downtime
-// sweep. Its shape check (byte-identical restores, live downtime bounded
-// while stop-the-world grows with the image, store drained after
-// release) always runs: the sweep exists to pin those claims.
-func runMigrate(smoke bool, jsonPath, tracePath string, doAnalyze bool) {
-	sizes := experiments.MigrateSweepSizes
-	if smoke {
-		sizes = experiments.MigrateSweepSmokeSizes
-	}
-	res, err := experiments.MigrateSweep(sizes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: migrate sweep: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res.Render())
-	if err := res.CheckShape(); err != nil {
-		fmt.Fprintf(os.Stderr, "snapbench: migrate sweep shape check FAILED: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("[migrate sweep shape check: OK]")
-	if doAnalyze {
-		printCriticalPath(res.TraceJSON())
-	}
-	if jsonPath != "" {
-		out, err := res.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: migrate sweep: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(jsonPath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s]\n", jsonPath)
-	}
-	if tracePath != "" {
-		out := res.TraceJSON()
-		if err := obs.ValidateChromeTrace(out); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: trace validation FAILED: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(tracePath, out, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "snapbench: writing %s: %v\n", tracePath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[wrote %s: valid Chrome trace; open at ui.perfetto.dev]\n", tracePath)
-	}
 }
 
 // printCriticalPath parses a run's Chrome trace and prints the

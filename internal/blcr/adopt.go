@@ -29,7 +29,7 @@ func (c *Checkpointer) RestartAdopted(img blob.Blob, spawn Spawner) (*proc.Proce
 // residentSource feeds an already-resident image to the restart parser.
 // Transport cost is zero — the bytes crossed the fabric during the
 // pre-copy rounds, charged there — so the only time the restart accrues
-// is the adoption stage the contextReader adds per chunk.
+// is the adoption stage the reader charges per piece.
 type residentSource struct {
 	img blob.Blob
 	off int64

@@ -1,6 +1,8 @@
 package blcr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -183,15 +185,90 @@ func TestRestartEnforcesMemoryBudget(t *testing.T) {
 	}
 }
 
-func TestRestartRejectsCorruptContext(t *testing.T) {
-	e := newEnv()
-	e.fs.WriteFile("garbage", blob.FromBytes([]byte("this is not a context file at all, sorry")))
-	_, _, err := e.cr.Restart(e.source(t, "garbage"), func(img *Image) (*proc.Process, error) {
-		return proc.New(img.Name, 1, 1, nil), nil
+// corruptInput is a defect a decoder must reject with *ErrBadContext
+// rather than a panic, rendered in the full and in the delta format. The
+// cases are also committed as fuzz seeds under testdata/fuzz/.
+type corruptInput struct {
+	name        string
+	full, delta []byte
+}
+
+func corruptInputs() []corruptInput {
+	rec := func(tag uint16, fill func(*recEncoder)) []byte {
+		return (&recEncoder{}).record(tag, fill).Bytes()
+	}
+	// cut re-frames a record to its first n body bytes.
+	cut := func(r []byte, n int) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, uint64(n)), r[8:8+n]...)
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	header := rec(tagHeader, func(e *recEncoder) { e.str(magic); e.u64(formatVersion) })
+	procMeta := rec(tagProcMeta, func(e *recEncoder) {
+		e.str("p")
+		e.u64(1)
+		e.u64(1)
+		e.u64(0) // threads
+		e.u64(1) // regions
 	})
-	var bad *ErrBadContext
-	if !errors.As(err, &bad) {
-		t.Fatalf("want ErrBadContext, got %v", err)
+	region := func(size uint64) []byte {
+		return rec(tagRegionMeta, func(e *recEncoder) {
+			e.str("heap")
+			e.u64(uint64(proc.RegionHeap))
+			e.u64(7)
+			e.u64(size)
+			e.u64(0)
+			e.u64(0)
+		})
+	}
+	count := func(tag uint16, n uint64) []byte { return rec(tag, func(e *recEncoder) { e.u64(n) }) }
+	deltaHeader := rec(tagDeltaHeader, func(e *recEncoder) { e.str(magic); e.u64(formatVersion); e.u64(1) })
+	deltaRegion := rec(tagDeltaRegion, func(e *recEncoder) { e.str("heap"); e.u64(1) })
+	deltaRange := func(off, n uint64) []byte {
+		return rec(tagDeltaRange, func(e *recEncoder) { e.u64(off); e.u64(n) })
+	}
+	garbage := []byte("this is not a context file at all, sorry")
+	oneByte := []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xB1}
+	return []corruptInput{
+		{"garbage", garbage, garbage},
+		// Frame length 1 passes the frame check; the tag needs 2 bytes.
+		{"one-byte record", oneByte, oneByte},
+		{"string length past the record",
+			rec(tagHeader, func(e *recEncoder) { e.u64(1 << 40) }),
+			rec(tagDeltaHeader, func(e *recEncoder) { e.u64(1 << 40) })},
+		// tag + name, then the frame ends 4 bytes into the next field.
+		{"record cut mid-field",
+			join(header, procMeta, cut(region(16), 2+8+4+4)),
+			join(deltaHeader, cut(deltaRegion, 2+8+4+4))},
+		{"trailer region count mismatch",
+			join(header, procMeta, region(16), make([]byte, 16), count(tagTrailer, 2)),
+			join(deltaHeader, deltaRegion, deltaRange(0, 4), make([]byte, 4), count(tagDeltaTrailer, 2))},
+		{"size beyond int64",
+			join(header, procMeta, region(1<<63), count(tagTrailer, 1)),
+			join(deltaHeader, deltaRegion, deltaRange(1<<63, 4), make([]byte, 4), count(tagDeltaTrailer, 1))},
+		{"range sum wraps past the region",
+			join(header, procMeta, region(1<<63-1), count(tagTrailer, 1)),
+			join(deltaHeader, deltaRegion, deltaRange(8, 1<<63-1), count(tagDeltaTrailer, 1))},
+	}
+}
+
+func TestRestartRejectsCorruptContext(t *testing.T) {
+	for _, tc := range corruptInputs() {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv()
+			e.fs.WriteFile("full", blob.FromBytes(tc.full))
+			e.fs.WriteFile("delta", blob.FromBytes(tc.delta))
+			target := proc.New("t", 1, 1, nil)
+			target.AddRegion("heap", proc.RegionHeap, 16, 7) //nolint:errcheck
+			_, _, seqErr := e.cr.Restart(e.source(t, "full"), freshSpawn)
+			_, _, rangedErr := e.cr.RestartParallel(int64(len(tc.full)), 2, 0, e.rangeSource("full"), freshSpawn)
+			_, deltaErr := e.cr.ApplyDelta(target, e.source(t, "delta"))
+			for feeder, err := range map[string]error{"sequential": seqErr, "ranged": rangedErr, "ApplyDelta": deltaErr} {
+				var bad *ErrBadContext
+				if !errors.As(err, &bad) {
+					t.Errorf("%s: want ErrBadContext, got %v", feeder, err)
+				}
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package blcr
 import (
 	"fmt"
 
-	"snapify/internal/blob"
 	"snapify/internal/obs"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
@@ -88,30 +87,27 @@ func (c *Checkpointer) walkStage(onHost bool, n int64) simclock.Duration {
 	return c.model.PhiPageWalk(n)
 }
 
+// copyStage returns the memcpy cost of n bytes on the host or a card.
+func (c *Checkpointer) copyStage(onHost bool, n int64) simclock.Duration {
+	if onHost {
+		return c.model.HostMemcpy(n)
+	}
+	return c.model.PhiMemcpy(n)
+}
+
 // Checkpoint freezes p at a safe point, serializes it to sink, and resumes
 // it. The returned stats include the virtual end-to-end latency (BLCR's
 // "checkpoint time" in Table 4). The sink is closed on success and aborted
 // on error.
 func (c *Checkpointer) Checkpoint(p *proc.Process, sink stream.Sink) (*Stats, error) {
-	if p.State() != proc.Running {
-		return nil, fmt.Errorf("blcr: cannot checkpoint %s process %s", p.State(), p.Name())
-	}
-	acc := simclock.NewPipelineAccum()
-
 	// Freeze: every thread reaches a safe point.
 	p.PauseSteps()
 	defer p.ResumeSteps()
-	acc.Add(simclock.Duration(p.ThreadCount()) * c.model.ThreadQuiesce)
-
-	st, err := c.write(p, sink, acc)
+	st, err := c.writePlan(p, c.planFull(p), sink)
 	if err != nil {
-		sink.Abort()
 		return nil, err
 	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	st.Duration = acc.Total()
+	st.Duration += simclock.Duration(p.ThreadCount()) * c.model.ThreadQuiesce
 	return st, nil
 }
 
@@ -119,112 +115,32 @@ func (c *Checkpointer) Checkpoint(p *proc.Process, sink stream.Sink) (*Stats, er
 // its step gate. Snapify's capture path uses it: the pause protocol has
 // already drained the channels and frozen the process (Section 4.1).
 func (c *Checkpointer) CheckpointFrozen(p *proc.Process, sink stream.Sink) (*Stats, error) {
+	st, err := c.writePlan(p, c.planFull(p), sink)
+	if err != nil {
+		return nil, err
+	}
+	c.emitStreamSpans(p, "capture_stream", c.spanStart(), []simclock.Duration{st.Duration}, []int64{st.Bytes})
+	return st, nil
+}
+
+// writePlan is the one-sink transport: the whole plan as a single shard,
+// walked into the caller's sink at PageChunk. The sink is closed on success
+// and aborted on error.
+func (c *Checkpointer) writePlan(p *proc.Process, pl *plan, sink stream.Sink) (*Stats, error) {
 	if p.State() != proc.Running {
+		sink.Abort()
 		return nil, fmt.Errorf("blcr: cannot checkpoint %s process %s", p.State(), p.Name())
 	}
 	acc := simclock.NewPipelineAccum()
-	st, err := c.write(p, sink, acc)
-	if err != nil {
+	whole := shard{n: pl.total, segs: pl.segs}
+	if err := c.writeShard(sink, whole, 0, p.Node().IsHost(), PageChunk, acc); err != nil {
 		sink.Abort()
 		return nil, err
 	}
 	if err := sink.Close(); err != nil {
 		return nil, err
 	}
+	st := pl.st
 	st.Duration = acc.Total()
-	if c.sp != nil {
-		c.emitStreamSpans(p, "capture_stream", c.sp.start, []simclock.Duration{st.Duration}, []int64{st.Bytes})
-	}
-	return st, nil
-}
-
-func (c *Checkpointer) write(p *proc.Process, sink stream.Sink, acc *simclock.PipelineAccum) (*Stats, error) {
-	onHost := p.Node().IsHost()
-	st := &Stats{}
-	enc := &recEncoder{}
-
-	emit := func(b blob.Blob, meta bool) error {
-		cost, err := sink.WriteBlob(b)
-		if err != nil {
-			return err
-		}
-		stream.Observe(acc, cost, c.walkStage(onHost, b.Len()))
-		st.Bytes += b.Len()
-		if meta {
-			st.MetaWrites++
-		}
-		return nil
-	}
-
-	regions := p.Regions()
-	threads := p.ThreadNames()
-
-	// Header.
-	if err := emit(enc.record(tagHeader, func(e *recEncoder) {
-		e.str(magic)
-		e.u64(formatVersion)
-	}), true); err != nil {
-		return nil, err
-	}
-	// Process metadata.
-	if err := emit(enc.record(tagProcMeta, func(e *recEncoder) {
-		e.str(p.Name())
-		e.u64(uint64(p.PID()))
-		e.u64(uint64(p.Node()))
-		e.u64(uint64(len(threads)))
-		e.u64(uint64(len(regions)))
-	}), true); err != nil {
-		return nil, err
-	}
-	// One small record per thread — part of BLCR's small-write preamble.
-	for _, name := range threads {
-		if err := emit(enc.record(tagThread, func(e *recEncoder) {
-			e.str(name)
-		}), true); err != nil {
-			return nil, err
-		}
-		st.Threads++
-	}
-	// Regions: a small metadata record, then the pages in large chunks.
-	// Local-store regions are memory-mapped files (COI buffers, Section 2):
-	// like the real BLCR, only the mapping is recorded — the content is
-	// external, saved separately by Snapify's pause phase. This is why the
-	// paper reports snapshot size and local-store size as distinct
-	// quantities (Fig 10b).
-	for _, r := range regions {
-		pinned := uint64(0)
-		if r.Pinned() {
-			pinned = 1
-		}
-		external := uint64(0)
-		if r.Kind() == proc.RegionLocalStore {
-			external = 1
-		}
-		if err := emit(enc.record(tagRegionMeta, func(e *recEncoder) {
-			e.str(r.Name())
-			e.u64(uint64(r.Kind()))
-			e.u64(r.Seed())
-			e.u64(uint64(r.Size()))
-			e.u64(pinned)
-			e.u64(external)
-		}), true); err != nil {
-			return nil, err
-		}
-		if external == 0 {
-			snap := r.Snapshot()
-			if err := snap.ForEachChunk(PageChunk, func(chunk blob.Blob) error {
-				return emit(chunk, false)
-			}); err != nil {
-				return nil, err
-			}
-		}
-		st.Regions++
-	}
-	// Trailer.
-	if err := emit(enc.record(tagTrailer, func(e *recEncoder) {
-		e.u64(uint64(len(regions)))
-	}), true); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return &st, nil
 }

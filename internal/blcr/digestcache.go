@@ -20,9 +20,10 @@ import (
 // content-addressed, so a manifest naming an old chunk is self-consistent
 // and Store.Verify passes on it. The defence is here: the cache is used
 // only when the new layout has the cached geometry exactly, epochs are cut
-// before any content is read, and the full recompute (Layout.ChunkDigests
-// / snapstore.ChunkDigests over Materialize) stays as the oracle the
-// tests check every pass against.
+// before any content is read, and the full recompute stays as the oracle
+// the tests check every pass against: Layout.DigestWhole here (behind
+// ChunkDigests), snapstore.ChunkDigests over Layout.Materialize in
+// internal/core's differential test.
 
 // Geometry is the shape of a full-layout context image: where each
 // metadata record sits and the bytes it holds, and where each region's

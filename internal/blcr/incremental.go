@@ -3,7 +3,6 @@ package blcr
 import (
 	"fmt"
 
-	"snapify/internal/blob"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -19,14 +18,6 @@ import (
 // latency roughly by the workload's dirty fraction (see
 // BenchmarkAblation_IncrementalCheckpoint).
 
-// Delta record tags extend the context-file format.
-const (
-	tagDeltaHeader uint16 = 0xB1D0 + iota
-	tagDeltaRegion
-	tagDeltaRange
-	tagDeltaTrailer
-)
-
 // CheckpointFull is Checkpoint plus a clean mark on every region, making
 // the snapshot a valid base for subsequent CheckpointDelta calls.
 func (c *Checkpointer) CheckpointFull(p *proc.Process, sink stream.Sink) (*Stats, error) {
@@ -36,16 +27,22 @@ func (c *Checkpointer) CheckpointFull(p *proc.Process, sink stream.Sink) (*Stats
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range p.Regions() {
-		r.MarkClean()
-	}
+	markClean(p)
 	return st, nil
 }
 
+// markClean starts a new delta epoch: what is written from here on is the
+// next delta's dirty set.
+func markClean(p *proc.Process) {
+	for _, r := range p.Regions() {
+		r.MarkClean()
+	}
+}
+
 // CheckpointDelta freezes p and serializes only the ranges written since
-// the last CheckpointFull or CheckpointDelta. Local-store regions are
-// included (their deltas are cheap); region creation or removal since the
-// base is not supported and returns an error.
+// the last CheckpointFull or CheckpointDelta, then marks every region
+// clean. Region creation or removal since the base is not supported and
+// returns an error.
 func (c *Checkpointer) CheckpointDelta(p *proc.Process, sink stream.Sink) (*Stats, error) {
 	p.PauseSteps()
 	defer p.ResumeSteps()
@@ -53,164 +50,87 @@ func (c *Checkpointer) CheckpointDelta(p *proc.Process, sink stream.Sink) (*Stat
 	if err != nil {
 		return nil, err
 	}
+	markClean(p)
 	st.Duration += simclock.Duration(p.ThreadCount()) * c.model.ThreadQuiesce
 	return st, nil
 }
 
 // CheckpointDeltaFrozen serializes the dirty ranges of an already-quiesced
 // process (the Snapify capture path after a pause has drained everything).
+// The regions stay dirty: a caller that verifies the snapshot end to end —
+// and may have to redo the capture from the same dirty set — marks them
+// clean itself once satisfied.
 func (c *Checkpointer) CheckpointDeltaFrozen(p *proc.Process, sink stream.Sink) (*Stats, error) {
-	if p.State() != proc.Running {
-		return nil, fmt.Errorf("blcr: cannot checkpoint %s process %s", p.State(), p.Name())
-	}
-	acc := simclock.NewPipelineAccum()
-	onHost := p.Node().IsHost()
-	st := &Stats{}
-	enc := &recEncoder{}
-	emit := func(b blob.Blob, meta bool, walk int64) error {
-		cost, err := sink.WriteBlob(b)
-		if err != nil {
-			return err
-		}
-		stream.Observe(acc, cost, c.walkStage(onHost, walk))
-		st.Bytes += b.Len()
-		if meta {
-			st.MetaWrites++
-		}
-		return nil
-	}
-
-	regions := p.Regions()
-	if err := emit(enc.record(tagDeltaHeader, func(e *recEncoder) {
-		e.str(magic)
-		e.u64(formatVersion)
-		e.u64(uint64(len(regions)))
-	}), true, metaRecordSize); err != nil {
-		sink.Abort()
+	st, err := c.writePlan(p, c.planDelta(p), sink)
+	if err != nil {
 		return nil, err
 	}
-	for _, r := range regions {
-		ranges := r.DirtyRanges()
-		if err := emit(enc.record(tagDeltaRegion, func(e *recEncoder) {
-			e.str(r.Name())
-			e.u64(uint64(len(ranges)))
-		}), true, metaRecordSize); err != nil {
-			sink.Abort()
-			return nil, err
-		}
-		for _, rg := range ranges {
-			if err := emit(enc.record(tagDeltaRange, func(e *recEncoder) {
-				e.u64(uint64(rg.Off))
-				e.u64(uint64(rg.Len))
-			}), true, metaRecordSize); err != nil {
-				sink.Abort()
-				return nil, err
-			}
-			content := r.SnapshotRange(rg.Off, rg.Len)
-			if err := content.ForEachChunk(PageChunk, func(chunk blob.Blob) error {
-				return emit(chunk, false, chunk.Len())
-			}); err != nil {
-				sink.Abort()
-				return nil, err
-			}
-		}
-		// Dirty detection walks the region's page tables even where
-		// nothing changed.
-		acc.Add(c.walkStage(onHost, r.Size()) / 8)
-		r.MarkClean()
-		st.Regions++
-	}
-	if err := emit(enc.record(tagDeltaTrailer, func(e *recEncoder) {
-		e.u64(uint64(len(regions)))
-	}), true, metaRecordSize); err != nil {
-		sink.Abort()
-		return nil, err
-	}
-	if err := sink.Close(); err != nil {
-		return nil, err
-	}
-	st.Duration = acc.Total()
-	if c.sp != nil {
-		c.emitStreamSpans(p, "capture_stream", c.sp.start, []simclock.Duration{st.Duration}, []int64{st.Bytes})
-	}
+	c.emitStreamSpans(p, "capture_stream", c.spanStart(), []simclock.Duration{st.Duration}, []int64{st.Bytes})
 	return st, nil
 }
 
 // ApplyDelta replays a delta context onto an already-restored process.
 func (c *Checkpointer) ApplyDelta(p *proc.Process, source stream.Source) (*Stats, error) {
-	acc := simclock.NewPipelineAccum()
-	r := &contextReader{c: c, src: source, acc: acc, onHost: p.Node().IsHost()}
+	r := &reader{c: c, feed: sequential(source), acc: simclock.NewPipelineAccum(), onHost: p.Node().IsHost()}
 	st := &Stats{}
 
-	dec, err := r.readRecord()
+	dec, err := r.record(tagDeltaHeader, "delta header")
 	if err != nil {
 		return nil, err
 	}
-	if tag := dec.u16(); tag != tagDeltaHeader {
-		return nil, badContext("expected delta header, got tag %#x", tag)
-	}
-	if m := dec.str(); m != magic {
+	m, v, nRegions := dec.str(), dec.u64(), dec.i64()
+	switch {
+	case dec.err != nil:
+		return nil, dec.err
+	case m != magic:
 		return nil, badContext("bad magic %q", m)
-	}
-	if v := dec.u64(); v != formatVersion {
+	case v != formatVersion:
 		return nil, badContext("unsupported version %d", v)
 	}
-	nRegions := int(dec.u64())
 	st.MetaWrites++
 
-	for i := 0; i < nRegions; i++ {
-		dec, err = r.readRecord()
+	for i := int64(0); i < nRegions; i++ {
+		dec, err = r.record(tagDeltaRegion, "delta region")
 		if err != nil {
 			return nil, err
 		}
-		if tag := dec.u16(); tag != tagDeltaRegion {
-			return nil, badContext("expected delta region, got tag %#x", tag)
+		name, nRanges := dec.str(), dec.i64()
+		if dec.err != nil {
+			return nil, dec.err
 		}
-		name := dec.str()
-		nRanges := int(dec.u64())
 		st.MetaWrites++
 		reg := p.Region(name)
 		if reg == nil {
 			return nil, badContext("delta names unknown region %q", name)
 		}
-		for j := 0; j < nRanges; j++ {
-			dec, err = r.readRecord()
+		for j := int64(0); j < nRanges; j++ {
+			dec, err = r.record(tagDeltaRange, "delta range")
 			if err != nil {
 				return nil, err
 			}
-			if tag := dec.u16(); tag != tagDeltaRange {
-				return nil, badContext("expected delta range, got tag %#x", tag)
+			off, n := dec.i64(), dec.i64()
+			if dec.err != nil {
+				return nil, dec.err
 			}
-			off := int64(dec.u64())
-			n := int64(dec.u64())
 			st.MetaWrites++
-			if off < 0 || n < 0 || off+n > reg.Size() {
-				return nil, badContext("delta range [%d,%d) outside region %q", off, off+n, name)
+			if off > reg.Size() || n > reg.Size()-off {
+				return nil, badContext("delta range [%d,+%d) outside region %q", off, n, name)
 			}
-			for done := int64(0); done < n; {
-				m := n - done
-				if m > PageChunk {
-					m = PageChunk
-				}
-				content, err := r.readContent(m)
-				if err != nil {
-					return nil, err
-				}
-				reg.WriteBlob(off+done, content)
-				done += m
+			if err := r.copyTo(reg, off, n); err != nil {
+				return nil, err
 			}
 			st.Bytes += n
 		}
 		st.Regions++
 	}
-	dec, err = r.readRecord()
+	dec, err = r.record(tagDeltaTrailer, "delta trailer")
 	if err != nil {
 		return nil, err
 	}
-	if tag := dec.u16(); tag != tagDeltaTrailer {
-		return nil, badContext("expected delta trailer, got tag %#x", tag)
+	if n := dec.i64(); dec.err != nil || n != nRegions {
+		return nil, badContext("delta trailer region count %d != %d", n, nRegions)
 	}
-	st.Duration = acc.Total()
+	st.Duration = r.acc.Total()
 	return st, nil
 }
 
@@ -221,6 +141,12 @@ func (c *Checkpointer) RestartChain(base stream.Source, deltas []stream.Source, 
 	if err != nil {
 		return nil, nil, err
 	}
+	return c.applyChain(p, st, deltas)
+}
+
+// applyChain replays deltas in order onto the freshly restored p, folding
+// their bytes and time into the base restore's stats.
+func (c *Checkpointer) applyChain(p *proc.Process, st *Stats, deltas []stream.Source) (*proc.Process, *Stats, error) {
 	for i, d := range deltas {
 		ds, err := c.ApplyDelta(p, d)
 		if err != nil {

@@ -12,8 +12,8 @@ import (
 // without writing a byte anywhere. The dedup-aware capture path uses
 // it in three steps: digest the image chunk by chunk (ChunkDigests),
 // negotiate a have/need set against the store, then ship only the
-// missing ranges (Range) — the bytes are identical, offset for offset,
-// to what the plain serial or striped writers would have produced.
+// missing ranges (Range) — the bytes are, offset for offset, what the
+// one-sink and striped transports write from the same plan.
 type Layout struct {
 	c      *Checkpointer
 	pl     *plan
@@ -31,12 +31,12 @@ func (c *Checkpointer) LayoutFull(p *proc.Process) (*Layout, error) {
 
 // LayoutDelta lays out the delta-checkpoint format (dirty ranges only).
 // Regions are NOT marked clean: the caller does that itself once the
-// capture is verified end-to-end, exactly like the KeepDirty writers.
+// capture is verified end-to-end, exactly like the delta writers.
 func (c *Checkpointer) LayoutDelta(p *proc.Process) (*Layout, error) {
 	if p.State() != proc.Running {
 		return nil, fmt.Errorf("blcr: cannot lay out %s process %s", p.State(), p.Name())
 	}
-	return &Layout{c: c, pl: c.planDelta(p, p.Node().IsHost()), onHost: p.Node().IsHost()}, nil
+	return &Layout{c: c, pl: c.planDelta(p), onHost: p.Node().IsHost()}, nil
 }
 
 // Size is the laid-out context file's exact byte length.
@@ -110,11 +110,7 @@ func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]str
 // plus any dirty-detection walks the delta layout carries.
 func (l *Layout) Materialize() (blob.Blob, simclock.Duration) {
 	img := l.Range(0, l.pl.total)
-	memcpy := l.c.model.PhiMemcpy
-	if l.onHost {
-		memcpy = l.c.model.HostMemcpy
-	}
-	dur := l.c.walkStage(l.onHost, l.pl.total) + memcpy(l.pl.total)
+	dur := l.c.walkStage(l.onHost, l.pl.total) + l.c.copyStage(l.onHost, l.pl.total)
 	for _, sg := range l.pl.segs {
 		dur += sg.extraWalk
 	}
@@ -132,9 +128,5 @@ const pteBytesPerByte = 512
 // the dirty bytes. An incremental DigestPass charges it for exactly the
 // bytes it re-read.
 func (c *Checkpointer) RescanCost(onHost bool, totalBytes, dirtyBytes int64) simclock.Duration {
-	memcpy := c.model.PhiMemcpy
-	if onHost {
-		memcpy = c.model.HostMemcpy
-	}
-	return memcpy(totalBytes/pteBytesPerByte) + c.walkStage(onHost, dirtyBytes) + memcpy(dirtyBytes)
+	return c.copyStage(onHost, totalBytes/pteBytesPerByte) + c.walkStage(onHost, dirtyBytes) + c.copyStage(onHost, dirtyBytes)
 }

@@ -2,9 +2,6 @@ package blcr
 
 import (
 	"fmt"
-	"io"
-
-	"snapify/internal/blob"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -32,54 +29,81 @@ func (c *Checkpointer) Restart(source stream.Source, spawn Spawner) (*proc.Proce
 	return c.restartFrom(source, spawn, false)
 }
 
-// restartFrom is the shared record-parse loop behind Restart and
-// RestartAdopted; adopt selects the page-adoption cost model.
+// restartFrom is the sequential feeder behind Restart and RestartAdopted:
+// each region's pages are written as the stream delivers them. adopt
+// selects the page-adoption cost model.
 func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
-	acc := simclock.NewPipelineAccum()
-	r := &contextReader{c: c, src: source, acc: acc, adopt: adopt, geo: &Geometry{}}
+	r := &reader{c: c, feed: sequential(source), acc: simclock.NewPipelineAccum(), adopt: adopt, geo: &Geometry{}}
+	p, st, err := c.parseContext(r, spawn, func(reg *proc.Region, _, n int64) error {
+		return r.copyTo(reg, 0, n)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	st.Duration = r.acc.Total()
+	return p, st, nil
+}
+
+// copyTo writes the file's next n bytes into reg at off as they arrive,
+// PageChunk at a time.
+func (r *reader) copyTo(reg *proc.Region, off, n int64) error {
+	for done := int64(0); done < n; {
+		m := min(n-done, PageChunk)
+		content, err := r.take(m)
+		if err != nil {
+			return err
+		}
+		reg.WriteBlob(off+done, content)
+		done += m
+	}
+	return nil
+}
+
+// parseContext is the one parser of the full context format. It reads the
+// header, process and thread records, spawns the target, and rebuilds the
+// region table; for every region whose pages are in the file it calls
+// pages with r positioned at the run's first byte (file offset fileOff),
+// and pages must consume exactly those n bytes — copying them now
+// (restartFrom) or noting where they are and skipping them
+// (RestartParallel). The returned process has its step gate paused and is
+// terminated if anything after the spawn fails. Stats.Duration is the
+// caller's to fill.
+func (c *Checkpointer) parseContext(r *reader, spawn Spawner, pages func(reg *proc.Region, fileOff, n int64) error) (*proc.Process, *Stats, error) {
 	st := &Stats{Geometry: r.geo}
 
-	// Header.
-	dec, err := r.readRecord()
+	dec, err := r.record(tagHeader, "header")
 	if err != nil {
 		return nil, nil, err
 	}
-	if tag := dec.u16(); tag != tagHeader {
-		return nil, nil, badContext("expected header, got tag %#x", tag)
-	}
-	if m := dec.str(); m != magic {
+	m, v := dec.str(), dec.u64()
+	switch {
+	case dec.err != nil:
+		return nil, nil, dec.err
+	case m != magic:
 		return nil, nil, badContext("bad magic %q", m)
-	}
-	if v := dec.u64(); v != formatVersion {
+	case v != formatVersion:
 		return nil, nil, badContext("unsupported version %d", v)
 	}
-	st.MetaWrites++
 
-	// Process metadata.
-	dec, err = r.readRecord()
+	dec, err = r.record(tagProcMeta, "process metadata")
 	if err != nil {
 		return nil, nil, err
 	}
-	if tag := dec.u16(); tag != tagProcMeta {
-		return nil, nil, badContext("expected process metadata, got tag %#x", tag)
-	}
-	img := &Image{Name: dec.str(), PID: int(dec.u64())}
+	img := &Image{Name: dec.str(), PID: int(dec.i64())}
 	_ = dec.u64() // original node; the target node is the spawner's choice
-	nThreads := int(dec.u64())
-	nRegions := int(dec.u64())
-	st.MetaWrites++
-
-	for i := 0; i < nThreads; i++ {
-		dec, err = r.readRecord()
+	nThreads, nRegions := dec.i64(), dec.i64()
+	if dec.err != nil {
+		return nil, nil, dec.err
+	}
+	for i := int64(0); i < nThreads; i++ {
+		dec, err = r.record(tagThread, "thread record")
 		if err != nil {
 			return nil, nil, err
 		}
-		if tag := dec.u16(); tag != tagThread {
-			return nil, nil, badContext("expected thread record, got tag %#x", tag)
-		}
 		img.Threads = append(img.Threads, dec.str())
-		st.MetaWrites++
-		st.Threads++
+		if dec.err != nil {
+			return nil, nil, dec.err
+		}
 	}
 
 	p, err := spawn(img)
@@ -95,22 +119,28 @@ func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bo
 		return nil, nil, err
 	}
 
-	for i := 0; i < nRegions; i++ {
-		dec, err = r.readRecord()
+	for i := int64(0); i < nRegions; i++ {
+		dec, err = r.record(tagRegionMeta, "region metadata")
 		if err != nil {
 			return abandon(err)
-		}
-		if tag := dec.u16(); tag != tagRegionMeta {
-			return abandon(badContext("expected region metadata, got tag %#x", tag))
 		}
 		name := dec.str()
 		kind := proc.RegionKind(dec.u64())
 		seed := dec.u64()
-		size := int64(dec.u64())
+		size := dec.i64()
 		pinned := dec.u64() == 1
+		// Memory-mapped file content is not in the context; the restore
+		// driver (the COI daemon) reloads it from the saved local-store
+		// files.
 		external := dec.u64() == 1
-		st.MetaWrites++
-
+		switch {
+		case dec.err != nil:
+			return abandon(dec.err)
+		case external != (kind == proc.RegionLocalStore):
+			return abandon(badContext("region %q: kind %v with external flag %v", name, kind, external))
+		case p.Region(name) != nil:
+			return abandon(badContext("region %q appears twice", name))
+		}
 		reg, err := p.AddRegion(name, kind, size, seed)
 		if err != nil {
 			return abandon(fmt.Errorf("blcr: restoring region %q: %w", name, err))
@@ -118,130 +148,29 @@ func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bo
 		if pinned {
 			reg.Pin()
 		}
+		st.Regions++
 		if external {
-			// Memory-mapped file content is not in the context; the
-			// restore driver (the COI daemon) reloads it from the saved
-			// local-store files.
-			st.Regions++
 			continue
 		}
 		if size > 0 {
+			fileOff := r.geo.size
 			r.geo.addRun(name, size)
-		}
-		// Pages arrive in PageChunk pieces; restore them as they come.
-		for off := int64(0); off < size; {
-			n := size - off
-			if n > PageChunk {
-				n = PageChunk
-			}
-			content, err := r.readContent(n)
-			if err != nil {
+			if err := pages(reg, fileOff, size); err != nil {
 				return abandon(err)
 			}
-			reg.WriteBlob(off, content)
-			off += n
 		}
-		st.Regions++
 		st.Bytes += size
 	}
 
-	dec, err = r.readRecord()
+	dec, err = r.record(tagTrailer, "trailer")
 	if err != nil {
 		return abandon(err)
 	}
-	if tag := dec.u16(); tag != tagTrailer {
-		return abandon(badContext("expected trailer, got tag %#x", tag))
-	}
-	if n := int(dec.u64()); n != nRegions {
+	if n := dec.i64(); dec.err != nil || n != nRegions {
 		return abandon(badContext("trailer region count %d != %d", n, nRegions))
 	}
-	st.MetaWrites++
+	st.Threads = len(img.Threads)
+	st.MetaWrites = 3 + st.Threads + st.Regions
 	st.Bytes += int64(st.MetaWrites) * (metaRecordSize + 8)
-
-	st.Duration = acc.Total()
 	return p, st, nil
-}
-
-// contextReader streams framed records and raw page content out of a
-// stream.Source, charging virtual time as chunks arrive. Page content
-// stays in blob form (synthetic background is never materialized).
-type contextReader struct {
-	c      *Checkpointer
-	src    stream.Source
-	acc    *simclock.PipelineAccum
-	onHost bool      // restore target is the host (set once the spawner ran)
-	adopt  bool      // pages are adopted in place, not copied (RestartAdopted)
-	geo    *Geometry // records the image's shape as it is parsed; nil for deltas
-
-	pending blob.Blob
-	off     int64
-}
-
-// pull ensures at least n bytes are buffered (or returns an error).
-func (r *contextReader) pull(n int64) error {
-	for r.pending.Len()-r.off < n {
-		chunk, cost, err := r.src.Next(PageChunk)
-		if err == io.EOF {
-			return badContext("truncated context file")
-		}
-		if err != nil {
-			return err
-		}
-		// Restore-side producer stage: writing the pages into memory —
-		// or, on the adoption path, only installing page-table entries
-		// over frames that are already resident.
-		restoreStage := r.c.model.PhiMemcpy
-		if r.onHost {
-			restoreStage = r.c.model.HostMemcpy
-		}
-		n := chunk.Len()
-		if r.adopt {
-			n /= pteBytesPerByte
-		}
-		stream.Observe(r.acc, cost, restoreStage(n))
-		if r.off > 0 {
-			r.pending = r.pending.Slice(r.off, r.pending.Len()-r.off)
-			r.off = 0
-		}
-		r.pending = blob.Concat(r.pending, chunk)
-	}
-	return nil
-}
-
-// take returns the next n bytes as a blob.
-func (r *contextReader) take(n int64) (blob.Blob, error) {
-	if err := r.pull(n); err != nil {
-		return blob.Blob{}, err
-	}
-	b := r.pending.Slice(r.off, n)
-	r.off += n
-	return b, nil
-}
-
-// readRecord parses one framed metadata record.
-func (r *contextReader) readRecord() (*recDecoder, error) {
-	hdr, err := r.take(8)
-	if err != nil {
-		return nil, err
-	}
-	hb := hdr.Bytes()
-	n := int64(uint64(hb[0])<<56 | uint64(hb[1])<<48 | uint64(hb[2])<<40 | uint64(hb[3])<<32 |
-		uint64(hb[4])<<24 | uint64(hb[5])<<16 | uint64(hb[6])<<8 | uint64(hb[7]))
-	if n <= 0 || n > 1<<20 {
-		return nil, badContext("implausible record length %d", n)
-	}
-	body, err := r.take(n)
-	if err != nil {
-		return nil, err
-	}
-	buf := body.Bytes()
-	if r.geo != nil {
-		r.geo.addMeta(append(hb, buf...))
-	}
-	return &recDecoder{buf: buf}, nil
-}
-
-// readContent returns n bytes of raw page content without materializing.
-func (r *contextReader) readContent(n int64) (blob.Blob, error) {
-	return r.take(n)
 }

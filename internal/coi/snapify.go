@@ -703,11 +703,12 @@ func (op *OffloadProc) snapifyAgent() {
 }
 
 // runCapture serializes the frozen process into the snapshot directory on
-// host storage: one Snapify-IO stream for streams <= 1 (the paper's data
-// path, byte-for-byte), or streams striped Snapify-IO streams, each
-// double-buffered and writing a disjoint range of the same context file,
-// assembled by the host daemon. chunk is the I/O granularity for the
-// parallel path (0 uses the checkpointer's default).
+// host storage. blcr lays the file out once; streams only picks what
+// carries it: one plain Snapify-IO stream for streams <= 1 (the paper's data
+// path, and the row every speed-up is quoted against), or streams striped
+// Snapify-IO streams, each double-buffered and writing a disjoint range of
+// the same context file, assembled by the host daemon. chunk is the I/O
+// granularity for the striped path (0 uses the checkpointer's default).
 func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, mode uint8, streams int, chunk int64, dir string) (*blcr.Stats, error) {
 	name := ContextFileName
 	if mode == CaptureDelta {
@@ -719,7 +720,7 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, mode uint8, streams int
 		return op.captureOnce(cr, mode, streams, chunk, path)
 	}
 	// With retry enabled even a one-stream capture rides the striped path
-	// (one worker writes a byte-identical file): only striped streams have
+	// (one worker, same layout, same file): only striped streams have
 	// the ack watermark and detach semantics a resume needs. A shard-level
 	// resume handles transport faults; the loop below redoes the whole
 	// capture for crash-class failures, where the remote daemon lost
@@ -1268,7 +1269,11 @@ func (d *Daemon) tryAdoptedRestart(cr *blcr.Checkpointer, ctxPath string, spawn 
 	return restored, rst, blcr.NewDigestCache(rst.Geometry, chunkBytes, digests, blcr.SeedRestore), true
 }
 
-// captureOnce runs one capture pass into path.
+// captureOnce runs one capture pass into path, over the transport the
+// request selects: one plain Snapify-IO stream, or striped two-slot streams
+// (which a retry-enabled capture needs even for one stream — see
+// runCapture). Delta regions stay dirty either way: a redo must lay out the
+// same delta, and the agent marks clean once runCapture returns success.
 func (op *OffloadProc) captureOnce(cr *blcr.Checkpointer, mode uint8, streams int, chunk int64, path string) (*blcr.Stats, error) {
 	if streams <= 1 && !cr.Retry().Enabled() {
 		sink, err := op.d.plat.IO.Open(op.d.dev.Node, simnet.HostNode, path, snapifyio.Write)
@@ -1287,12 +1292,6 @@ func (op *OffloadProc) captureOnce(cr *blcr.Checkpointer, mode uint8, streams in
 		})
 	}
 	if mode == CaptureDelta {
-		if cr.Retry().Enabled() {
-			// The regions stay dirty until the capture verifies: a redo
-			// must lay out the same delta. The agent marks clean after
-			// runCapture returns success.
-			return cr.CheckpointDeltaFrozenParallelKeepDirty(op.p, streams, chunk, open)
-		}
 		return cr.CheckpointDeltaFrozenParallel(op.p, streams, chunk, open)
 	}
 	return cr.CheckpointFrozenParallel(op.p, streams, chunk, open)

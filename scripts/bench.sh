@@ -35,28 +35,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# One loop serves both halves. Each entry is snapbench's flag for the
+# benchmark, the BENCH_<name>.json it records, and the full-scale banner —
+# the same five rows, in the same order, as experiments.Benches.
+prefix= smoke=
 if [ "${1:-}" = "-smoke" ]; then
     echo "==> regenerating smoke-scale regression-gate baselines (baselines/)"
     mkdir -p baselines
-    go run ./cmd/snapbench -parallel -smoke -json baselines/BENCH_capture.json
-    go run ./cmd/snapbench -store -smoke -json baselines/BENCH_dedup.json
-    go run ./cmd/snapbench -migrate -smoke -json baselines/BENCH_migrate.json
-    go run ./cmd/snapbench -federation -smoke -json baselines/BENCH_federation.json
-    go run ./cmd/snapbench -fleet -smoke -json baselines/BENCH_fleet.json
-    exit 0
+    prefix=baselines/ smoke=-smoke
 fi
 
-echo "==> parallel capture sweep (8 GiB image, streams 1/2/4/8)"
-go run ./cmd/snapbench -parallel -json BENCH_capture.json
-
-echo "==> dedup store swap cycles (1 GiB image, 4 cycles, plain vs store)"
-go run ./cmd/snapbench -store -json BENCH_dedup.json
-
-echo "==> migration downtime sweep (1-8 GiB images, stop-the-world vs live)"
-go run ./cmd/snapbench -migrate -json BENCH_migrate.json
-
-echo "==> federation scenario (cross-host dedup ping-pong + host-kill recovery)"
-go run ./cmd/snapbench -federation -json BENCH_federation.json
-
-echo "==> fleet control plane (120 hosts, 2400 jobs, oversubscription sweep)"
-go run ./cmd/snapbench -fleet -json BENCH_fleet.json
+while IFS='|' read -r flag name banner; do
+    [ -n "$smoke" ] || echo "==> $banner"
+    go run ./cmd/snapbench "-$flag" $smoke -json "${prefix}BENCH_$name.json"
+done <<'EOF'
+parallel|capture|parallel capture sweep (8 GiB image, streams 1/2/4/8)
+store|dedup|dedup store swap cycles (1 GiB image, 4 cycles, plain vs store)
+migrate|migrate|migration downtime sweep (1-8 GiB images, stop-the-world vs live)
+federation|federation|federation scenario (cross-host dedup ping-pong + host-kill recovery)
+fleet|fleet|fleet control plane (120 hosts, 2400 jobs, oversubscription sweep)
+EOF

@@ -36,16 +36,17 @@ go run ./cmd/snapifylint -unused-allowlist ./internal/... ./cmd/...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> coverage floors (internal/snapstore, internal/core, internal/sched, internal/fleetd)"
-# Per-package statement-coverage floors for the two packages that hold
-# the durability-critical logic (the dedup store and the checkpoint /
-# restart engine). The floors sit a few points under the measured
+echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/sched, internal/fleetd)"
+# Per-package statement-coverage floors for the packages that hold the
+# durability-critical logic (the dedup store, the snapshot protocol, and
+# the checkpoint / restart engine with its context-file codec) and the
+# schedulers above them. The floors sit a few points under the measured
 # coverage at the time each floor was set, so they trip on real test
 # erosion, not on formatting-level churn. Raise a floor when coverage
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/sched/:62.0" "./internal/fleetd/:78.0"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/sched/:62.0" "./internal/fleetd/:78.0"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -63,15 +64,19 @@ done
 [ "$cover_fail" = 0 ]
 
 echo "==> fuzz smoke (5s per target, committed seed corpora)"
-# Short native-Go fuzz runs over the two external parsing surfaces: the
+# Short native-Go fuzz runs over the external parsing surfaces: the
 # snapstore manifest decoder (bytes off the VFS / off the wire from a
-# federation peer) and the Chrome-trace parser (CI artifacts, user
-# exports). The committed corpora under testdata/fuzz/ replay first;
-# 5s of mutation on top catches regressions in input hardening without
-# turning the gate into a fuzzing campaign. Crashers minimize into
-# testdata/fuzz/ and fail the gate until fixed.
+# federation peer), the Chrome-trace parser (CI artifacts, user
+# exports), and the BLCR context-file and delta decoders (snapshot
+# directories outlive the build that wrote them). The committed corpora
+# under testdata/fuzz/ replay first; 5s of mutation on top catches
+# regressions in input hardening without turning the gate into a fuzzing
+# campaign. Crashers minimize into testdata/fuzz/ and fail the gate until
+# fixed.
 go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 5s ./internal/snapstore/
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/analyze/
+go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
+go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
