@@ -35,7 +35,7 @@ func (cp *Process) CreateBuffer(size int64) (*Buffer, error) {
 	if cmd == nil {
 		return nil, errors.New("coi: command channel not connected")
 	}
-	req := append([]byte{cmdBufferCreate}, putU32(uint32(id))...)
+	req := append([]byte{cmdBufferCreate}, binary.BigEndian.AppendUint32(nil, uint32(id))...)
 	req = binary.BigEndian.AppendUint64(req, uint64(size))
 	reply, err := cmd.Request(req)
 	if err != nil {
@@ -73,7 +73,7 @@ func (b *Buffer) Destroy() error {
 	if cmd == nil {
 		return errors.New("coi: command channel not connected")
 	}
-	reply, err := cmd.Request(append([]byte{cmdBufferDestroy}, putU32(uint32(b.id))...))
+	reply, err := cmd.Request(append([]byte{cmdBufferDestroy}, binary.BigEndian.AppendUint32(nil, uint32(b.id))...))
 	if err != nil {
 		return err
 	}

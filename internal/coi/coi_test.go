@@ -261,38 +261,24 @@ func waitFor(t *testing.T, cond func() bool) {
 // drain with local-store save to dir.
 func snapPause(t *testing.T, cp *Process, dir string) {
 	t.Helper()
-	if _, err := cp.DaemonRequest(opSnapifyPause, putU32(uint32(cp.ID())), opSnapifyPauseResp); err != nil {
+	if err := cp.DaemonRequest(opSnapifyPause, &IDReq{cp.ID()}, &Empty{}); err != nil {
 		t.Fatalf("pause handshake: %v", err)
 	}
 	if _, err := cp.PauseChannels(); err != nil {
 		t.Fatalf("host drain: %v", err)
 	}
-	payload := putU32(uint32(cp.ID()))
-	payload = appendU64(payload, 0) // alignNs: tests drive the raw protocol at t=0
-	payload = appendU32(payload, uint32(simnet.HostNode))
-	payload = appendU32(payload, uint32(len(dir)))
-	payload = append(payload, dir...)
-	if _, err := cp.DaemonRequest(opSnapifyDrain, payload, opSnapifyDrainResp); err != nil {
+	// Align stays zero: tests drive the raw protocol at t=0.
+	req := &DrainReq{ProcID: cp.ID(), DrainArgs: DrainArgs{LocalStoreNode: simnet.HostNode, Dir: dir}}
+	if err := cp.DaemonRequest(opSnapifyDrain, req, &DrainResp{}); err != nil {
 		t.Fatalf("device drain: %v", err)
 	}
 }
 
 func snapCapture(t *testing.T, cp *Process, dir string, terminate bool) {
 	t.Helper()
-	payload := putU32(uint32(cp.ID()))
-	tb := byte(0)
-	if terminate {
-		tb = 1
-	}
-	payload = append(payload, tb, CaptureFull)
-	payload = appendU16(payload, 0) // streams: serial
-	payload = appendU64(payload, 0) // chunk: default
-	payload = appendU64(payload, 0) // alignNs
-	payload = appendU32(payload, uint32(len(dir)))
-	payload = append(payload, dir...)
-	payload = appendU16(payload, 0) // retry attempts: disabled
-	payload = appendU64(payload, 0) // retry backoff
-	if _, err := cp.DaemonRequest(opSnapifyCapture, payload, opSnapifyCaptureResp); err != nil {
+	// Serial stream, default chunk, retry disabled, no store.
+	req := &CaptureReq{ProcID: cp.ID(), CaptureArgs: CaptureArgs{Terminate: terminate, Mode: CaptureFull, Dir: dir}}
+	if err := cp.DaemonRequest(opSnapifyCapture, req, &CaptureResp{}); err != nil {
 		t.Fatalf("capture: %v", err)
 	}
 	if terminate {
@@ -302,7 +288,7 @@ func snapCapture(t *testing.T, cp *Process, dir string, terminate bool) {
 
 func snapResume(t *testing.T, cp *Process) {
 	t.Helper()
-	if _, err := cp.DaemonRequest(opSnapifyResume, putU32(uint32(cp.ID())), opSnapifyResumeResp); err != nil {
+	if err := cp.DaemonRequest(opSnapifyResume, &IDReq{cp.ID()}, &Empty{}); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	cp.ResumeChannels()
@@ -310,56 +296,19 @@ func snapResume(t *testing.T, cp *Process) {
 
 func snapRestore(t *testing.T, cp *Process, dev simnet.NodeID, dir string) []RemapEntry {
 	t.Helper()
-	payload := appendU32(nil, uint32(len(cp.BinaryName())))
-	payload = append(payload, cp.BinaryName()...)
-	payload = appendU32(payload, uint32(len(dir)))
-	payload = append(payload, dir...)
-	payload = appendU32(payload, uint32(simnet.HostNode))
-	payload = appendU32(payload, uint32(len(dir)))
-	payload = append(payload, dir...)
-	payload = appendU32(payload, 0) // no deltas
-	payload = appendU16(payload, 0) // streams: serial
-	payload = appendU64(payload, 0) // chunk: default
-	payload = appendU64(payload, 0) // alignNs
-	payload = appendU16(payload, 0) // retry attempts: disabled
-	payload = appendU64(payload, 0) // retry backoff
-
 	// The restore request goes to the target card's daemon on a fresh
 	// connection (the old card may not even host the process anymore).
-	ep, err := cp.plat.Net.Connect(simnet.HostNode, addrOf(dev))
+	resp, err := DaemonRestoreRequest(cp.plat, dev, &RestoreReq{
+		Binary: cp.BinaryName(), ContextDir: dir, LocalStoreNode: simnet.HostNode, LocalStoreDir: dir,
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restore failed: %v", err)
 	}
-	defer ep.Close()
-	if _, err := ep.Send(append([]byte{opSnapifyRestore}, payload...)); err != nil {
-		t.Fatal(err)
-	}
-	raw, _, err := ep.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := expectOp(raw, opSnapifyRestoreResp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u[0] != 0 {
-		t.Fatalf("restore failed: %s", u[1:])
-	}
-	newID := int(u32(u[1:5]))
-	rest := u[29:] // skip durations (8+8+8)
-	ports := parsePorts(rest)
-	remap, err := cp.Rebind(dev, newID, ports)
+	remap, err := cp.Rebind(dev, resp.ProcID, resp.Ports)
 	if err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
 	return remap
-}
-
-func addrOf(dev simnet.NodeID) (a scifAddr) { return scifAddr{Node: dev, Port: DaemonPort} }
-
-type scifAddr = struct {
-	Node simnet.NodeID
-	Port int
 }
 
 func TestPauseDrainsAllChannels(t *testing.T) {

@@ -1,7 +1,7 @@
 package coi
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -18,36 +18,6 @@ import (
 
 // DaemonPort is the fixed SCIF port every COI daemon listens on.
 const DaemonPort = 2000
-
-// Daemon opcodes on the lifecycle channel.
-const (
-	opLaunch uint8 = iota + 1
-	opLaunchResp
-	opDestroy
-	opDestroyResp
-	// Snapify service requests (Section 4.1): the daemon is the
-	// coordinator of the pause/capture/resume/restore protocol.
-	opSnapifyPause
-	opSnapifyPauseResp
-	opSnapifyDrain
-	opSnapifyDrainResp
-	opSnapifyCapture
-	opSnapifyCaptureResp
-	opSnapifyResume
-	opSnapifyResumeResp
-	opSnapifyRestore
-	opSnapifyRestoreResp
-	opAwaitReady
-	opAwaitReadyResp
-	// Live-migration extensions: a pre-copy round on the source card's
-	// daemon (digest + ship while the process runs) and the staging
-	// control on the destination card's daemon (sync staged chunks from
-	// the host store, or drop them).
-	opSnapifyPrecopy
-	opSnapifyPrecopyResp
-	opSnapifyPrecopyStage
-	opSnapifyPrecopyStageResp
-)
 
 // Daemon is the per-card COI daemon (coi_daemon): it launches offload
 // processes on request, monitors host- and offload-process liveness, cleans
@@ -173,6 +143,10 @@ func (d *Daemon) serve() {
 	}
 }
 
+// handleConn serves one host connection: decode a request, run its one
+// handler, send the one reply. A request that does not decode is refused
+// with an error reply and the connection keeps serving; an opcode nobody
+// serves (a corrupted frame) drops the connection.
 func (d *Daemon) handleConn(ep *scif.Endpoint) {
 	for {
 		raw, _, err := ep.Recv()
@@ -180,89 +154,71 @@ func (d *Daemon) handleConn(ep *scif.Endpoint) {
 			ep.Close() //nolint:errcheck // the peer is gone (Recv failed); close only releases the endpoint
 			return
 		}
-		op := raw[0]
-		payload := raw[1:]
-		// Fault hook: a dropped request makes the daemon momentarily
-		// unreachable — the host gets a transient error reply it can retry
-		// on (response opcodes pair with requests at op+1).
-		if f := d.plat.Net.Fabric().Injector().Fire(faultinject.SiteRequest, d.dev.Node.String()); f != nil && f.Kind == faultinject.Drop {
-			reply(ep, op+1, append([]byte{1}, []byte("injected fault: coi daemon unavailable")...))
-			continue
-		}
-		switch op {
-		case opLaunch:
-			d.handleLaunch(ep, payload)
-		case opDestroy:
-			d.handleDestroy(ep, payload)
-		case opSnapifyPause:
-			d.handleSnapifyPause(ep, payload)
-		case opSnapifyDrain:
-			d.handleSnapifyDrain(ep, payload)
-		case opSnapifyCapture:
-			d.handleSnapifyCapture(ep, payload)
-		case opSnapifyResume:
-			d.handleSnapifyResume(ep, payload)
-		case opSnapifyRestore:
-			d.handleSnapifyRestore(ep, payload)
-		case opSnapifyPrecopy:
-			d.handleSnapifyPrecopy(ep, payload)
-		case opSnapifyPrecopyStage:
-			d.handleSnapifyPrecopyStage(ep, payload)
-		case opAwaitReady:
-			id := int(u32(payload))
-			if op, err := d.Lookup(id); err != nil {
-				reply(ep, opAwaitReadyResp, append([]byte{1}, []byte(err.Error())...))
-			} else {
-				op.AwaitChannels()
-				reply(ep, opAwaitReadyResp, []byte{0})
-			}
-		default:
+		op, req, err := daemonRequests.decode(raw)
+		if req == nil && len(raw) > 0 {
 			ep.Close() //nolint:errcheck // protocol error: dropping the connection IS the error signal
 			return
 		}
+		// Fault hook: a dropped request makes the daemon momentarily
+		// unreachable — the host gets a transient error reply it can retry
+		// on.
+		if f := d.plat.Net.Fabric().Injector().Fire(faultinject.SiteRequest, d.dev.Node.String()); f != nil && f.Kind == faultinject.Drop {
+			err = errors.New("injected fault: coi daemon unavailable")
+		}
+		var resp Message = &Empty{}
+		if err == nil {
+			resp, err = d.dispatch(op, req)
+		}
+		respOp := op + 1
+		if len(raw) == 0 {
+			respOp = 0 // an empty message has no opcode to answer
+		}
+		ep.Send(encodeReply(respOp, resp, err)) //nolint:errcheck // peer teardown surfaces on its Recv
 	}
 }
 
-func reply(ep *scif.Endpoint, op uint8, payload []byte) {
-	ep.Send(append([]byte{op}, payload...)) //nolint:errcheck // peer teardown surfaces on its Recv
+// dispatch runs the one handler of a decoded lifecycle request.
+func (d *Daemon) dispatch(op uint8, req Message) (Message, error) {
+	switch op {
+	case opLaunch:
+		return d.handleLaunch(req.(*launchReq))
+	case opDestroy:
+		return &Empty{}, d.handleDestroy(req.(*IDReq).ID)
+	case opAwaitReady:
+		op, err := d.Lookup(req.(*IDReq).ID)
+		if err == nil {
+			op.AwaitChannels()
+		}
+		return &Empty{}, err
+	case opSnapifyPause:
+		return &Empty{}, d.handleSnapifyPause(req.(*IDReq).ID)
+	case opSnapifyDrain:
+		return d.handleSnapifyDrain(req.(*DrainReq))
+	case opSnapifyCapture:
+		return d.handleSnapifyCapture(req.(*CaptureReq))
+	case opSnapifyResume:
+		return &Empty{}, d.handleSnapifyResume(req.(*IDReq).ID)
+	case opSnapifyRestore:
+		return d.handleSnapifyRestore(req.(*RestoreReq))
+	case opSnapifyPrecopy:
+		return d.handleSnapifyPrecopy(req.(*PrecopyReq))
+	case opSnapifyPrecopyStage:
+		return d.handleSnapifyPrecopyStage(req.(*StageReq))
+	}
+	return nil, fmt.Errorf("coi: opcode %d is not a lifecycle request", op)
 }
 
-func u32(b []byte) uint32                 { return binary.BigEndian.Uint32(b) }
-func putU32(v uint32) []byte              { return binary.BigEndian.AppendUint32(nil, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
-func u16(b []byte) uint16                 { return binary.BigEndian.Uint16(b) }
-func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
-func u64(b []byte) uint64                 { return binary.BigEndian.Uint64(b) }
-func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
-
-// handleLaunch creates an offload process running the named binary.
-// Payload: binaryNameLen u32 | binaryName | binarySize i64.
-func (d *Daemon) handleLaunch(ep *scif.Endpoint, payload []byte) {
-	nameLen := u32(payload)
-	name := string(payload[4 : 4+nameLen])
-	binSize := int64(binary.BigEndian.Uint64(payload[4+nameLen:]))
-
-	bin, err := LookupBinary(name)
+// handleLaunch launches the named binary as an offload process.
+func (d *Daemon) handleLaunch(req *launchReq) (*launchResp, error) {
+	bin, err := LookupBinary(req.Binary)
 	if err != nil {
-		reply(ep, opLaunchResp, append([]byte{1}, []byte(err.Error())...))
-		return
+		return nil, err
 	}
-	op, err := d.launch(bin, binSize)
+	op, err := d.launch(bin, req.BinarySize)
 	if err != nil {
-		reply(ep, opLaunchResp, append([]byte{1}, []byte(err.Error())...))
-		return
+		return nil, err
 	}
-	// Reply: 0 | procID u32 | #channels u32 | (nameLen u32 | name | port u32)*
-	resp := []byte{0}
-	resp = appendU32(resp, uint32(op.id))
-	ports := op.ChannelPorts()
-	resp = appendU32(resp, uint32(len(ports)))
-	for _, cp := range ports {
-		resp = appendU32(resp, uint32(len(cp.name)))
-		resp = append(resp, cp.name...)
-		resp = appendU32(resp, uint32(cp.port))
-	}
-	reply(ep, opLaunchResp, resp)
+	return &launchResp{ProcID: op.id, Ports: op.ChannelPorts()}, nil
 }
 
 // launch builds the offload process and its runtime.
@@ -295,17 +251,14 @@ func (d *Daemon) launch(bin *Binary, binSize int64) (*OffloadProc, error) {
 }
 
 // handleDestroy tears down an offload process at the host's request.
-// Payload: procID u32.
-func (d *Daemon) handleDestroy(ep *scif.Endpoint, payload []byte) {
-	id := int(u32(payload))
+func (d *Daemon) handleDestroy(id int) error {
 	op, err := d.Lookup(id)
 	if err != nil {
-		reply(ep, opDestroyResp, append([]byte{1}, []byte(err.Error())...))
-		return
+		return err
 	}
 	op.p.AnnounceExit() // requested teardown is not a crash
 	op.teardown()
-	reply(ep, opDestroyResp, []byte{0})
+	return nil
 }
 
 // WatchHostProcess terminates the offload process if its host process

@@ -1,84 +1,46 @@
 package coi
 
 import (
-	"fmt"
-
 	"snapify/internal/platform"
 	"snapify/internal/scif"
 	"snapify/internal/simnet"
 )
 
-// Exported surface for internal/core: the Snapify daemon opcodes, wire
-// helpers, and the restore request (which goes to the target card's daemon
-// on a fresh connection, since the source card may no longer host the
-// process).
+// Exported surface for internal/core: the Snapify request opcodes it sends
+// through Process.DaemonRequest, and the two requests that go to a card's
+// daemon on a fresh connection, since that card does not (yet, or any
+// longer) host the process.
 
 // Daemon opcodes core sends on the lifecycle channel.
 const (
-	OpSnapifyPause       = opSnapifyPause
-	OpSnapifyPauseResp   = opSnapifyPauseResp
-	OpSnapifyDrain       = opSnapifyDrain
-	OpSnapifyDrainResp   = opSnapifyDrainResp
-	OpSnapifyCapture     = opSnapifyCapture
-	OpSnapifyCaptureResp = opSnapifyCaptureResp
-	OpSnapifyResume      = opSnapifyResume
-	OpSnapifyResumeResp  = opSnapifyResumeResp
-	OpSnapifyPrecopy     = opSnapifyPrecopy
-	OpSnapifyPrecopyResp = opSnapifyPrecopyResp
+	OpSnapifyPause   = opSnapifyPause
+	OpSnapifyDrain   = opSnapifyDrain
+	OpSnapifyCapture = opSnapifyCapture
+	OpSnapifyResume  = opSnapifyResume
+	OpSnapifyPrecopy = opSnapifyPrecopy
 )
-
-// Stage-control modes of a DaemonStageRequest.
-const (
-	// StageSync pulls the current digest plan's missing chunks from the
-	// host store into the destination daemon's staging area.
-	StageSync uint8 = 0
-	// StageDrop discards the staged chunks for the path (abort).
-	StageDrop uint8 = 1
-)
-
-// PutU32 encodes v big-endian.
-func PutU32(v uint32) []byte { return putU32(v) }
-
-// AppendU32 appends v big-endian to b.
-func AppendU32(b []byte, v uint32) []byte { return appendU32(b, v) }
-
-// ParsePortList decodes the (name, port) list of a launch or restore reply.
-func ParsePortList(b []byte) []ChannelPort { return parsePorts(b) }
 
 // DaemonRestoreRequest sends a snapify-restore request to the daemon on
-// device and returns the reply payload after the status byte.
-func DaemonRestoreRequest(plat *platform.Platform, device simnet.NodeID, payload []byte) ([]byte, error) {
-	return daemonRequest(plat, device, opSnapifyRestore, opSnapifyRestoreResp, "restore", payload)
+// device.
+func DaemonRestoreRequest(plat *platform.Platform, device simnet.NodeID, req *RestoreReq) (*RestoreResp, error) {
+	resp := new(RestoreResp)
+	return resp, daemonRequest(plat, device, opSnapifyRestore, req, resp, "coi: daemon restore error")
 }
 
 // DaemonStageRequest sends a pre-copy stage-control request (StageSync
 // or StageDrop) to the daemon on the migration's destination device.
-func DaemonStageRequest(plat *platform.Platform, device simnet.NodeID, payload []byte) ([]byte, error) {
-	return daemonRequest(plat, device, opSnapifyPrecopyStage, opSnapifyPrecopyStageResp, "stage", payload)
+func DaemonStageRequest(plat *platform.Platform, device simnet.NodeID, req *StageReq) (*StageResp, error) {
+	resp := new(StageResp)
+	return resp, daemonRequest(plat, device, opSnapifyPrecopyStage, req, resp, "coi: daemon stage error")
 }
 
-// daemonRequest runs one host-to-daemon request on a fresh connection —
-// the shape restore and stage control share, since both talk to a card
-// that does not (yet) host the process.
-func daemonRequest(plat *platform.Platform, device simnet.NodeID, op, respOp uint8, what string, payload []byte) ([]byte, error) {
+// daemonRequest runs one host-to-daemon request on a fresh connection.
+func daemonRequest(plat *platform.Platform, device simnet.NodeID, op uint8, req, resp Message, what string) error {
 	ep, err := plat.Net.Connect(simnet.HostNode, scif.Addr{Node: device, Port: DaemonPort})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot request endpoint: the reply already arrived or err reports the failure
-	if _, err := ep.Send(append([]byte{op}, payload...)); err != nil {
-		return nil, err
-	}
-	raw, _, err := ep.Recv()
-	if err != nil {
-		return nil, err
-	}
-	u, err := expectOp(raw, respOp)
-	if err != nil {
-		return nil, err
-	}
-	if u[0] != 0 {
-		return nil, fmt.Errorf("coi: daemon %s error: %s", what, u[1:])
-	}
-	return u[1:], nil
+	_, err = roundTrip(ep, op, req, resp, what)
+	return err
 }

@@ -47,18 +47,18 @@ func (cp *Process) ExportMeta() HandleMeta {
 // Encode serializes the metadata.
 func (m HandleMeta) Encode() []byte {
 	var b []byte
-	b = appendU32(b, uint32(len(m.BinaryName)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.BinaryName)))
 	b = append(b, m.BinaryName...)
-	b = appendU32(b, uint32(m.DevNode))
-	b = appendU32(b, uint32(len(m.Buffers)))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.DevNode))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Buffers)))
 	for _, bm := range m.Buffers {
-		b = appendU32(b, uint32(bm.ID))
+		b = binary.BigEndian.AppendUint32(b, uint32(bm.ID))
 		b = binary.BigEndian.AppendUint64(b, uint64(bm.Size))
 		b = binary.BigEndian.AppendUint64(b, uint64(bm.Addr))
 	}
-	b = appendU32(b, uint32(len(m.Pipelines)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Pipelines)))
 	for _, id := range m.Pipelines {
-		b = appendU32(b, id)
+		b = binary.BigEndian.AppendUint32(b, id)
 	}
 	return b
 }
@@ -73,25 +73,25 @@ func DecodeHandleMeta(b []byte) (m HandleMeta, err error) {
 	if len(b) < 4 {
 		return m, fmt.Errorf("coi: truncated handle metadata")
 	}
-	n := int(u32(b))
+	n := int(binary.BigEndian.Uint32(b))
 	m.BinaryName = string(b[4 : 4+n])
 	b = b[4+n:]
-	m.DevNode = simnet.NodeID(u32(b))
+	m.DevNode = simnet.NodeID(binary.BigEndian.Uint32(b))
 	b = b[4:]
-	nb := int(u32(b))
+	nb := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
 	for i := 0; i < nb; i++ {
 		m.Buffers = append(m.Buffers, BufferMeta{
-			ID:   int(u32(b)),
+			ID:   int(binary.BigEndian.Uint32(b)),
 			Size: int64(binary.BigEndian.Uint64(b[4:])),
 			Addr: int64(binary.BigEndian.Uint64(b[12:])),
 		})
 		b = b[20:]
 	}
-	np := int(u32(b))
+	np := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
 	for i := 0; i < np; i++ {
-		m.Pipelines = append(m.Pipelines, u32(b))
+		m.Pipelines = append(m.Pipelines, binary.BigEndian.Uint32(b))
 		b = b[4:]
 	}
 	return m, nil

@@ -1,0 +1,485 @@
+package coi
+
+import (
+	"fmt"
+
+	"snapify/internal/blcr"
+	"snapify/internal/simclock"
+	"snapify/internal/simnet"
+	"snapify/internal/wire"
+)
+
+// This file is the COI/Snapify control protocol: every message the host,
+// the COI daemon and the offload process's Snapify agent exchange on the
+// lifecycle channel and the agent pipe is a struct plus the one field list
+// that both encodes and decodes it. internal/core fills a struct and reads
+// a struct; the daemon decodes a request once and forwards its agent half;
+// the agent takes the struct. Nothing outside this file knows a byte
+// offset. DESIGN.md §3 tabulates the layouts.
+
+// Daemon opcodes on the lifecycle channel. A reply's opcode is its
+// request's plus one.
+const (
+	opLaunch uint8 = iota + 1
+	opLaunchResp
+	opDestroy
+	opDestroyResp
+	// Snapify service requests (Section 4.1): the daemon is the
+	// coordinator of the pause/capture/resume/restore protocol.
+	opSnapifyPause
+	opSnapifyPauseResp
+	opSnapifyDrain
+	opSnapifyDrainResp
+	opSnapifyCapture
+	opSnapifyCaptureResp
+	opSnapifyResume
+	opSnapifyResumeResp
+	opSnapifyRestore
+	opSnapifyRestoreResp
+	opAwaitReady
+	opAwaitReadyResp
+	// Live-migration extensions: a pre-copy round on the source card's
+	// daemon (digest + ship while the process runs) and the staging
+	// control on the destination card's daemon (sync staged chunks from
+	// the host store, or drop them).
+	opSnapifyPrecopy
+	opSnapifyPrecopyResp
+	opSnapifyPrecopyStage
+	opSnapifyPrecopyStageResp
+)
+
+// Pipe opcodes between the daemon and the offload process's Snapify agent.
+// The two Done messages are replies (their request's opcode plus one); the
+// pause ack and resume done are bare.
+const (
+	pipePauseReq uint8 = iota + 30
+	pipePauseAck
+	pipeDrainReq
+	pipeDrainDone
+	pipeCaptureReq
+	pipeCaptureDone
+	pipeResumeReq
+	pipeResumeDone
+)
+
+// Message is one control message. Only this file defines them.
+type Message interface {
+	fields(c *wire.Cursor)
+}
+
+// Empty is a message with no fields: the bare agent-pipe messages and
+// every reply that only reports success.
+type Empty struct{}
+
+func (*Empty) fields(*wire.Cursor) {}
+
+// IDReq names one object by id: an offload process on the lifecycle
+// channel (destroy, await-ready, pause, resume), a pipeline or buffer on
+// the command channel.
+type IDReq struct{ ID int }
+
+func (m *IDReq) fields(c *wire.Cursor) { wire.U32(c, &m.ID) }
+
+type launchReq struct {
+	Binary     string
+	BinarySize int64
+}
+
+func (m *launchReq) fields(c *wire.Cursor) {
+	wire.Str32(c, &m.Binary)
+	wire.U64(c, &m.BinarySize)
+}
+
+// launchResp lists the channels the host must connect to.
+type launchResp struct {
+	ProcID int
+	Ports  []ChannelPort
+}
+
+func (m *launchResp) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	wire.List(c, wire.U32[int], &m.Ports, portField)
+}
+
+func portField(c *wire.Cursor, p *ChannelPort) {
+	wire.Str32(c, &p.name)
+	wire.U32(c, &p.port)
+}
+
+// DrainArgs is what the agent needs to drain (step 4 of Fig 3): where the
+// local store goes. Align, here and below, is the host's virtual clock at
+// which the operation begins, so card-side spans land on the shared
+// timeline.
+type DrainArgs struct {
+	Align          simclock.Duration
+	LocalStoreNode simnet.NodeID
+	Dir            string
+}
+
+func (m *DrainArgs) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Align)
+	wire.U32(c, &m.LocalStoreNode)
+	wire.Str32(c, &m.Dir)
+}
+
+// DrainReq is the host's drain request; the daemon forwards DrainArgs.
+type DrainReq struct {
+	ProcID int
+	DrainArgs
+}
+
+func (m *DrainReq) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	m.DrainArgs.fields(c)
+}
+
+// DrainResp reports the quiesce plus local-store save.
+type DrainResp struct {
+	Duration        simclock.Duration
+	LocalStoreBytes int64
+}
+
+func (m *DrainResp) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Duration)
+	wire.U64(c, &m.LocalStoreBytes)
+}
+
+// CaptureArgs is what the agent needs to capture: the mode, the data path
+// (Streams striped Snapify-IO streams of ChunkBytes granularity; <= 1 is
+// the paper's single stream), the retry policy, and — for a dedup-aware
+// capture — the store flag and the parent snapshot path.
+type CaptureArgs struct {
+	Terminate  bool
+	Mode       uint8
+	Streams    int
+	ChunkBytes int64
+	Align      simclock.Duration
+	Dir        string
+	Retry      blcr.RetryPolicy
+	Store      bool
+	Parent     string
+}
+
+func (m *CaptureArgs) fields(c *wire.Cursor) {
+	wire.Bool(c, &m.Terminate)
+	wire.U8(c, &m.Mode)
+	wire.U16(c, &m.Streams)
+	wire.U64(c, &m.ChunkBytes)
+	wire.U64(c, &m.Align)
+	wire.Str32(c, &m.Dir)
+	wire.U16(c, &m.Retry.MaxAttempts)
+	wire.U64(c, &m.Retry.Backoff)
+	wire.Bool(c, &m.Store)
+	wire.Str32(c, &m.Parent)
+}
+
+// CaptureReq is the host's capture request; the daemon forwards
+// CaptureArgs.
+type CaptureReq struct {
+	ProcID int
+	CaptureArgs
+}
+
+func (m *CaptureReq) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	m.CaptureArgs.fields(c)
+}
+
+// CaptureResp reports a finished capture. Scope keys the per-stream spans
+// the shard workers emitted; the host derives its Report from them
+// (Duration is the fallback when the platform runs without
+// observability). ShippedBytes is what physically moved.
+type CaptureResp struct {
+	SnapshotBytes int64
+	Duration      simclock.Duration
+	Scope         uint64
+	ShippedBytes  int64
+}
+
+func (m *CaptureResp) fields(c *wire.Cursor) {
+	wire.U64(c, &m.SnapshotBytes)
+	wire.U64(c, &m.Duration)
+	wire.U64(c, &m.Scope)
+	wire.U64(c, &m.ShippedBytes)
+}
+
+// RestoreReq rebuilds an offload process. The context comes from
+// ContextDir (the base checkpoint); the saved local store from
+// LocalStoreDir on LocalStoreNode (the latest pause — the host for
+// checkpoint and swap, the daemon's own card for migration); DeltaDirs,
+// if any, are replayed in order. Streams > 1 restores the base context
+// over that many concurrent range streams. StoreResident says the context
+// is read out of the host store's manifest, whose digest list can then
+// seed the process's chunk-digest cache.
+type RestoreReq struct {
+	Binary         string
+	ContextDir     string
+	LocalStoreNode simnet.NodeID
+	LocalStoreDir  string
+	DeltaDirs      []string
+	Streams        int
+	ChunkBytes     int64
+	Align          simclock.Duration
+	Retry          blcr.RetryPolicy
+	StoreResident  bool
+}
+
+func (m *RestoreReq) fields(c *wire.Cursor) {
+	wire.Str32(c, &m.Binary)
+	wire.Str32(c, &m.ContextDir)
+	wire.U32(c, &m.LocalStoreNode)
+	wire.Str32(c, &m.LocalStoreDir)
+	wire.List(c, wire.U32[int], &m.DeltaDirs, wire.Str32)
+	wire.U16(c, &m.Streams)
+	wire.U64(c, &m.ChunkBytes)
+	wire.U64(c, &m.Align)
+	wire.U16(c, &m.Retry.MaxAttempts)
+	wire.U64(c, &m.Retry.Backoff)
+	wire.Bool(c, &m.StoreResident)
+}
+
+// RestoreResp describes the restored process and its new channels.
+type RestoreResp struct {
+	ProcID          int
+	ContextDur      simclock.Duration
+	LocalStoreDur   simclock.Duration
+	LocalStoreBytes int64
+	Ports           []ChannelPort
+}
+
+func (m *RestoreResp) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	wire.U64(c, &m.ContextDur)
+	wire.U64(c, &m.LocalStoreDur)
+	wire.U64(c, &m.LocalStoreBytes)
+	wire.List(c, wire.U32[int], &m.Ports, portField)
+}
+
+// PrecopyReq asks the source card for one pre-copy round. A round whose
+// dirty set already fits under ShipFloor ships nothing.
+type PrecopyReq struct {
+	ProcID     int
+	Round      int
+	Align      simclock.Duration
+	Scope      uint64
+	ChunkBytes int64
+	Streams    int
+	ShipFloor  int64
+	Dir        string
+}
+
+func (m *PrecopyReq) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	wire.U32(c, &m.Round)
+	wire.U64(c, &m.Align)
+	wire.U64(c, &m.Scope)
+	wire.U64(c, &m.ChunkBytes)
+	wire.U16(c, &m.Streams)
+	wire.U64(c, &m.ShipFloor)
+	wire.Str32(c, &m.Dir)
+}
+
+// PrecopyResp is one pre-copy round's outcome.
+type PrecopyResp struct {
+	Duration     simclock.Duration
+	ImageBytes   int64
+	DirtyBytes   int64
+	ShippedBytes int64
+	ChunksTotal  int
+	ChunksNeeded int
+	Skipped      bool
+}
+
+func (m *PrecopyResp) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Duration)
+	wire.U64(c, &m.ImageBytes)
+	wire.U64(c, &m.DirtyBytes)
+	wire.U64(c, &m.ShippedBytes)
+	wire.U32(c, &m.ChunksTotal)
+	wire.U32(c, &m.ChunksNeeded)
+	wire.Bool(c, &m.Skipped)
+}
+
+// Stage-control modes of a StageReq.
+const (
+	// StageSync pulls the current digest plan's missing chunks from the
+	// host store into the destination daemon's staging area.
+	StageSync uint8 = 0
+	// StageDrop discards the staged chunks for the path (abort).
+	StageDrop uint8 = 1
+)
+
+// StageReq is the destination card's side of a pre-copy round.
+type StageReq struct {
+	Mode  uint8
+	Align simclock.Duration
+	Scope uint64
+	Path  string
+}
+
+func (m *StageReq) fields(c *wire.Cursor) {
+	wire.U8(c, &m.Mode)
+	wire.U64(c, &m.Align)
+	wire.U64(c, &m.Scope)
+	wire.Str32(c, &m.Path)
+}
+
+type StageResp struct {
+	Duration     simclock.Duration
+	FetchedBytes int64
+	StagedBytes  int64
+}
+
+func (m *StageResp) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Duration)
+	wire.U64(c, &m.FetchedBytes)
+	wire.U64(c, &m.StagedBytes)
+}
+
+// portResp and offsetResp are the two command-channel replies process.go
+// and the post-restore rebind read (offload.go composes them).
+type portResp struct{ Port int }
+
+func (m *portResp) fields(c *wire.Cursor) { wire.U32(c, &m.Port) }
+
+type offsetResp struct{ Offset int64 }
+
+func (m *offsetResp) fields(c *wire.Cursor) { wire.U64(c, &m.Offset) }
+
+// requestTable maps request opcodes to their name in diagnostics and
+// their message type.
+type requestTable map[uint8]struct {
+	name string
+	new  func() Message
+}
+
+// daemonRequests is what the COI daemon serves on the lifecycle channel;
+// agentRequests what the offload process's agent serves on its pipe.
+var (
+	daemonRequests = requestTable{
+		opLaunch:              {"launch", func() Message { return new(launchReq) }},
+		opDestroy:             {"destroy", func() Message { return new(IDReq) }},
+		opAwaitReady:          {"await-ready", func() Message { return new(IDReq) }},
+		opSnapifyPause:        {"pause", func() Message { return new(IDReq) }},
+		opSnapifyDrain:        {"drain", func() Message { return new(DrainReq) }},
+		opSnapifyCapture:      {"capture", func() Message { return new(CaptureReq) }},
+		opSnapifyResume:       {"resume", func() Message { return new(IDReq) }},
+		opSnapifyRestore:      {"restore", func() Message { return new(RestoreReq) }},
+		opSnapifyPrecopy:      {"precopy", func() Message { return new(PrecopyReq) }},
+		opSnapifyPrecopyStage: {"precopy-stage", func() Message { return new(StageReq) }},
+	}
+	agentRequests = requestTable{
+		pipePauseReq:   {"agent pause", func() Message { return new(Empty) }},
+		pipeDrainReq:   {"agent drain", func() Message { return new(DrainArgs) }},
+		pipeCaptureReq: {"agent capture", func() Message { return new(CaptureArgs) }},
+		pipeResumeReq:  {"agent resume", func() Message { return new(Empty) }},
+	}
+)
+
+// MalformedError rejects bytes that are not the message they should be:
+// too short for its fields, bytes left over, a boolean that is neither 0
+// nor 1, an opcode nobody serves.
+type MalformedError struct {
+	What string // "capture request", "restore reply", ...
+	Err  error
+}
+
+func (e *MalformedError) Error() string { return "coi: malformed " + e.What + ": " + e.Err.Error() }
+func (e *MalformedError) Unwrap() error { return e.Err }
+
+// remoteError is a failure the peer reported in a reply.
+type remoteError string
+
+func (e remoteError) Error() string { return string(e) }
+
+// reply is the one response shape, on the lifecycle channel, the agent
+// pipe and the command channel alike: 0 then the body's fields, or 1 then
+// the error text to the end of the message.
+type reply struct {
+	failed bool
+	text   string
+	body   Message
+}
+
+func (r *reply) fields(c *wire.Cursor) {
+	wire.Bool(c, &r.failed)
+	if r.failed {
+		wire.Rest(c, &r.text)
+	} else {
+		r.body.fields(c)
+	}
+}
+
+// encodeMsg returns op followed by m's fields.
+func encodeMsg(op uint8, m Message) []byte {
+	c := wire.Encoder()
+	wire.U8(c, &op)
+	m.fields(c)
+	return c.Bytes()
+}
+
+// encodeReply returns the reply with opcode op: body on success, err's
+// text on failure.
+func encodeReply(op uint8, body Message, err error) []byte {
+	if err != nil {
+		return encodeMsg(op, &reply{failed: true, text: err.Error()})
+	}
+	return encodeMsg(op, &reply{body: body})
+}
+
+// decodeFields runs m's field list over raw; what names the message in
+// the rejection.
+func decodeFields(raw []byte, what string, m Message) error {
+	c := wire.Decoder(raw)
+	m.fields(c)
+	if err := c.Err(); err != nil {
+		return &MalformedError{what, err}
+	}
+	return nil
+}
+
+// decode is the one request decoder: the opcode picks the message, its
+// field list consumes the rest. An empty message or an opcode the table
+// does not serve yields a nil message.
+func (t requestTable) decode(raw []byte) (op uint8, m Message, err error) {
+	if len(raw) == 0 {
+		return 0, nil, &MalformedError{"request", wire.ErrTruncated}
+	}
+	op = raw[0]
+	r, ok := t[op]
+	if !ok {
+		return op, nil, &MalformedError{"request", fmt.Errorf("unknown opcode %d", op)}
+	}
+	m = r.new()
+	return op, m, decodeFields(raw[1:], r.name+" request", m)
+}
+
+// decodeMsg decodes a message that must carry opcode want.
+func decodeMsg(raw []byte, want uint8, m Message) error {
+	if len(raw) == 0 || raw[0] != want {
+		return fmt.Errorf("coi: protocol error: want opcode %d", want)
+	}
+	return decodeFields(raw[1:], fmt.Sprintf("opcode-%d message", want), m)
+}
+
+// decodeStatus decodes what follows a reply's opcode — the status byte,
+// then the body or the error text; a failure the peer reported comes back
+// as a remoteError.
+func decodeStatus(raw []byte, what string, body Message) error {
+	r := &reply{body: body}
+	if err := decodeFields(raw, what, r); err != nil {
+		return err
+	}
+	if r.failed {
+		return remoteError(r.text)
+	}
+	return nil
+}
+
+// decodeReply decodes the reply that must carry opcode want into body.
+func decodeReply(raw []byte, want uint8, body Message) error {
+	if len(raw) == 0 || raw[0] != want {
+		return fmt.Errorf("coi: protocol error: want opcode %d", want)
+	}
+	return decodeStatus(raw[1:], fmt.Sprintf("opcode-%d reply", want), body)
+}

@@ -231,7 +231,7 @@ func (op *OffloadProc) handleCommand(channel string, req []byte) []byte {
 		return []byte{0}
 	case cmdBufferCreate:
 		// id u32 | size u64
-		id := int(u32(req[1:]))
+		id := int(binary.BigEndian.Uint32(req[1:]))
 		size := int64(binary.BigEndian.Uint64(req[5:]))
 		off, err := op.createBuffer(id, size)
 		if err != nil {
@@ -239,20 +239,20 @@ func (op *OffloadProc) handleCommand(channel string, req []byte) []byte {
 		}
 		return append([]byte{0}, binary.BigEndian.AppendUint64(nil, uint64(off))...)
 	case cmdBufferDestroy:
-		id := int(u32(req[1:]))
+		id := int(binary.BigEndian.Uint32(req[1:]))
 		if err := op.destroyBuffer(id); err != nil {
 			return append([]byte{1}, []byte(err.Error())...)
 		}
 		return []byte{0}
 	case cmdPipelineCreate:
-		id := u32(req[1:])
+		id := binary.BigEndian.Uint32(req[1:])
 		port, err := op.createPipeline(id)
 		if err != nil {
 			return append([]byte{1}, []byte(err.Error())...)
 		}
-		return append([]byte{0}, putU32(uint32(port))...)
+		return append([]byte{0}, binary.BigEndian.AppendUint32(nil, uint32(port))...)
 	case cmdBufferReregister:
-		id := int(u32(req[1:]))
+		id := int(binary.BigEndian.Uint32(req[1:]))
 		off, err := op.reregisterBuffer(id)
 		if err != nil {
 			return append([]byte{1}, []byte(err.Error())...)

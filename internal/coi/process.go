@@ -1,7 +1,6 @@
 package coi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -109,32 +108,19 @@ func CreateProcess(plat *platform.Platform, hostProc *proc.Process, tl *simclock
 	binSize := DefaultBinarySize
 	tl.Advance(plat.Model().RDMA(binSize) + plat.Model().ProcLaunch)
 
-	req := []byte{opLaunch}
-	req = appendU32(req, uint32(len(binaryName)))
-	req = append(req, binaryName...)
-	req = binary.BigEndian.AppendUint64(req, uint64(binSize))
-	if d, err := ep.Send(req); err != nil { //nolint:mutexblock // intended: the launch request owns the lifecycle channel for its round-trip
-		return nil, err
-	} else {
-		tl.Advance(d)
-	}
-	raw, d, err := ep.Recv() //nolint:mutexblock // intended: the launch reply completes inside the lifecycle critical region
-	if err != nil {
-		return nil, err
-	}
+	var resp launchResp
+	// The round-trip blocks under lifecycleMu on purpose: the lock
+	// serializes the whole launch against Snapify swap (Section 4.2).
+	d, err := roundTrip(ep, opLaunch, &launchReq{Binary: binaryName, BinarySize: binSize}, &resp, "coi: launch failed")
 	tl.Advance(d)
-	u, err := expectOp(raw, opLaunchResp)
 	if err != nil {
 		return nil, err
 	}
-	if u[0] != 0 {
-		return nil, fmt.Errorf("coi: launch failed: %s", u[1:])
-	}
-	cp.id = int(u32(u[1:5]))
-	if err := cp.connectChannels(parsePorts(u[5:])); err != nil {
+	cp.id = resp.ProcID
+	if err := cp.connectChannels(resp.Ports); err != nil {
 		return nil, err
 	}
-	if _, err := cp.DaemonRequest(opAwaitReady, putU32(uint32(cp.id)), opAwaitReadyResp); err != nil {
+	if err := cp.DaemonRequest(opAwaitReady, &IDReq{cp.id}, &Empty{}); err != nil {
 		return nil, err
 	}
 	_ = bin
@@ -146,25 +132,23 @@ func CreateProcess(plat *platform.Platform, hostProc *proc.Process, tl *simclock
 	return cp, nil
 }
 
-func expectOp(raw []byte, want uint8) ([]byte, error) {
-	if len(raw) == 0 || raw[0] != want {
-		return nil, fmt.Errorf("coi: protocol error: want opcode %d", want)
+// roundTrip runs one request/reply exchange on ep — the reply's opcode is
+// the request's plus one — and returns the virtual time the two messages
+// took. what prefixes a failure the daemon reported.
+func roundTrip(ep *scif.Endpoint, op uint8, req, resp Message, what string) (simclock.Duration, error) {
+	sendDur, err := ep.Send(encodeMsg(op, req))
+	if err != nil {
+		return 0, err
 	}
-	return raw[1:], nil
-}
-
-func parsePorts(b []byte) []ChannelPort {
-	n := int(u32(b))
-	b = b[4:]
-	out := make([]ChannelPort, 0, n)
-	for i := 0; i < n; i++ {
-		nameLen := int(u32(b))
-		name := string(b[4 : 4+nameLen])
-		port := int(u32(b[4+nameLen:]))
-		b = b[8+nameLen:]
-		out = append(out, ChannelPort{name, port})
+	raw, recvDur, err := ep.Recv()
+	if err != nil {
+		return sendDur, err
 	}
-	return out
+	err = decodeReply(raw, op+1, resp)
+	if re, ok := err.(remoteError); ok {
+		err = fmt.Errorf("%s: %s", what, string(re))
+	}
+	return sendDur + recvDur, err
 }
 
 // connectChannels dials the offload process's channels.
@@ -268,15 +252,15 @@ func (cp *Process) CreatePipeline() (*Pipeline, error) {
 	if cmd == nil {
 		return nil, errors.New("coi: command channel not connected")
 	}
-	reply, err := cmd.Request(append([]byte{cmdPipelineCreate}, putU32(id)...))
+	raw, err := cmd.Request(encodeMsg(cmdPipelineCreate, &IDReq{int(id)}))
 	if err != nil {
 		return nil, err
 	}
-	if reply[0] != 0 {
-		return nil, fmt.Errorf("coi: pipeline create failed: %s", reply[1:])
+	var created portResp
+	if err := decodeStatus(raw, "pipeline-create reply", &created); err != nil {
+		return nil, fmt.Errorf("coi: pipeline create failed: %w", err)
 	}
-	port := int(u32(reply[1:]))
-	ep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: cp.devNode, Port: port})
+	ep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: cp.devNode, Port: created.Port})
 	if err != nil {
 		return nil, err
 	}
@@ -298,20 +282,9 @@ func (cp *Process) Destroy() error {
 	if s := cp.State(); s == StateDestroyed || s == StateSwapped {
 		return fmt.Errorf("%w: %s", ErrProcessGone, s)
 	}
-	req := append([]byte{opDestroy}, putU32(uint32(cp.id))...)
-	if _, err := cp.lifecycleEP.Send(req); err != nil { //nolint:mutexblock // intended: lifecycleMu serializes the destroy round-trip against Snapify swap (Section 4.2)
+	// Blocking under lifecycleMu on purpose, as in CreateProcess.
+	if _, err := roundTrip(cp.lifecycleEP, opDestroy, &IDReq{cp.id}, &Empty{}, "coi: destroy failed"); err != nil {
 		return err
-	}
-	raw, _, err := cp.lifecycleEP.Recv() //nolint:mutexblock // intended: the destroy reply completes inside the lifecycle critical region
-	if err != nil {
-		return err
-	}
-	u, err := expectOp(raw, opDestroyResp)
-	if err != nil {
-		return err
-	}
-	if u[0] != 0 {
-		return fmt.Errorf("coi: destroy failed: %s", u[1:])
 	}
 	cp.setState(StateDestroyed)
 	cp.closeAll()

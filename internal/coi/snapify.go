@@ -1,7 +1,7 @@
 package coi
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -46,18 +46,6 @@ const (
 // LocalStorePrefix prefixes saved local-store files in a snapshot
 // directory.
 const LocalStorePrefix = "localstore_"
-
-// Pipe opcodes between the daemon and the offload process's Snapify agent.
-const (
-	pipePauseReq uint8 = iota + 30
-	pipePauseAck
-	pipeDrainReq
-	pipeDrainDone
-	pipeCaptureReq
-	pipeCaptureDone
-	pipeResumeReq
-	pipeResumeDone
-)
 
 // pauseState is one active pause request the daemon tracks (it keeps a
 // list and removes entries as requests complete, Section 4.1).
@@ -111,27 +99,25 @@ func (d *Daemon) pauseStateFor(id int) *pauseState {
 	return d.activeReqs[id]
 }
 
-// await blocks for the next agent message with the wanted opcode.
-func (ps *pauseState) await(want uint8) ([]byte, error) {
+// await blocks for the agent's next message, which must carry opcode
+// want: a reply decoded into done, or (done == nil) a bare ack.
+func (ps *pauseState) await(want uint8, done Message) error {
 	msg, ok := <-ps.inbox
 	if !ok {
-		return nil, fmt.Errorf("coi: snapify pipe closed awaiting opcode %d", want)
+		return fmt.Errorf("coi: snapify pipe closed awaiting opcode %d", want)
 	}
-	if msg[0] != want {
-		return nil, fmt.Errorf("coi: snapify protocol error: got pipe opcode %d, want %d", msg[0], want)
+	if done == nil {
+		return decodeMsg(msg, want, &Empty{})
 	}
-	return msg[1:], nil
+	return decodeReply(msg, want, done)
 }
 
 // handleSnapifyPause is steps 1-3 of Fig 3: open the pipe, signal the
 // offload process, collect its acknowledgement, and relay it to the host.
-// Payload: procID u32.
-func (d *Daemon) handleSnapifyPause(ep *scif.Endpoint, payload []byte) {
-	id := int(u32(payload))
+func (d *Daemon) handleSnapifyPause(id int) error {
 	op, err := d.Lookup(id)
 	if err != nil {
-		reply(ep, opSnapifyPauseResp, append([]byte{1}, []byte(err.Error())...))
-		return
+		return err
 	}
 	daemonEnd, procEnd := proc.NewPipe(d.plat.Model())
 	op.mu.Lock()
@@ -140,53 +126,44 @@ func (d *Daemon) handleSnapifyPause(ep *scif.Endpoint, payload []byte) {
 	ps := &pauseState{id: id, op: op, pipe: daemonEnd, inbox: make(chan []byte, 8)}
 	d.addPauseState(ps)
 
-	if _, err := daemonEnd.Send([]byte{pipePauseReq}); err != nil {
-		d.removePauseState(id)
-		reply(ep, opSnapifyPauseResp, append([]byte{1}, []byte(err.Error())...))
-		return
+	_, err = daemonEnd.Send(encodeMsg(pipePauseReq, &Empty{}))
+	if err == nil {
+		err = op.p.Deliver(proc.SigSnapify)
 	}
-	if err := op.p.Deliver(proc.SigSnapify); err != nil {
-		d.removePauseState(id)
-		reply(ep, opSnapifyPauseResp, append([]byte{1}, []byte(err.Error())...))
-		return
+	if err == nil {
+		err = ps.await(pipePauseAck, nil)
 	}
-	if _, err := ps.await(pipePauseAck); err != nil {
+	if err != nil {
 		d.removePauseState(id)
-		reply(ep, opSnapifyPauseResp, append([]byte{1}, []byte(err.Error())...))
-		return
 	}
-	reply(ep, opSnapifyPauseResp, []byte{0})
+	return err
+}
+
+// askAgent forwards one request (opcode op) to the agent of the process
+// pause request id is active on and awaits its answer (opcode op+1): a
+// reply decoded into done, or (done == nil) a bare ack.
+func (d *Daemon) askAgent(id int, op uint8, args, done Message) (*pauseState, error) {
+	ps := d.pauseStateFor(id)
+	if ps == nil {
+		return nil, errors.New("no active pause")
+	}
+	if _, err := ps.pipe.Send(encodeMsg(op, args)); err != nil {
+		return nil, err
+	}
+	return ps, ps.await(op+1, done)
 }
 
 // handleSnapifyDrain is step 4: forward the drain request (with the
 // snapshot directory and the local-store target node) and wait for the
 // agent to finish quiescing and saving its local store.
-// Payload: procID u32 | alignNs u64 | lsTarget u32 | dirLen u32 | dir.
-// Reply: 0 | saveDurNs u64 | localStoreBytes u64.
-func (d *Daemon) handleSnapifyDrain(ep *scif.Endpoint, payload []byte) {
-	id := int(u32(payload))
-	align := simclock.Duration(u64(payload[4:]))
-	ps := d.pauseStateFor(id)
-	if ps == nil {
-		reply(ep, opSnapifyDrainResp, append([]byte{1}, []byte("no active pause")...))
-		return
-	}
-	if _, err := ps.pipe.Send(append([]byte{pipeDrainReq}, payload[4:]...)); err != nil {
-		reply(ep, opSnapifyDrainResp, append([]byte{1}, []byte(err.Error())...))
-		return
-	}
-	resp, err := ps.await(pipeDrainDone)
-	if err != nil {
-		reply(ep, opSnapifyDrainResp, append([]byte{1}, []byte(err.Error())...))
-		return
-	}
-	if resp[0] != 0 {
-		reply(ep, opSnapifyDrainResp, append([]byte{1}, resp[1:]...))
-		return
+func (d *Daemon) handleSnapifyDrain(req *DrainReq) (*DrainResp, error) {
+	resp := new(DrainResp)
+	if _, err := d.askAgent(req.ProcID, pipeDrainReq, &req.DrainArgs, resp); err != nil {
+		return nil, err
 	}
 	// The daemon coordinates the drain for its whole duration.
-	d.coidTrack().Emit(0, "drain_coordination", align, simclock.Duration(u64(resp[1:])), nil)
-	reply(ep, opSnapifyDrainResp, append([]byte{0}, resp[1:]...))
+	d.coidTrack().Emit(0, "drain_coordination", req.Align, resp.Duration, nil)
+	return resp, nil
 }
 
 // coidTrack is the COI daemon's lane in the trace, one per card.
@@ -195,116 +172,40 @@ func (d *Daemon) coidTrack() *obs.Track {
 }
 
 // handleSnapifyCapture forwards the capture request and waits for the
-// checkpoint to finish. Payload: procID u32 | terminate u8 | mode u8 |
-// streams u16 | chunkBytes u64 | alignNs u64 | dirLen u32 | dir. Reply:
-// 0 | snapshotBytes u64 | captureDurNs u64 | scope u64. The scope keys
-// the per-stream capture spans the shard workers emitted; the host
-// derives its Report from them (durNs is the fallback when the platform
-// runs without observability).
-func (d *Daemon) handleSnapifyCapture(ep *scif.Endpoint, payload []byte) {
-	id := int(u32(payload))
-	terminate := payload[4] == 1
-	align := simclock.Duration(u64(payload[16:]))
-	ps := d.pauseStateFor(id)
-	if ps == nil {
-		reply(ep, opSnapifyCaptureResp, append([]byte{1}, []byte("no active pause")...))
-		return
-	}
-	if _, err := ps.pipe.Send(append([]byte{pipeCaptureReq}, payload[4:]...)); err != nil {
-		reply(ep, opSnapifyCaptureResp, append([]byte{1}, []byte(err.Error())...))
-		return
-	}
-	resp, err := ps.await(pipeCaptureDone)
+// checkpoint to finish.
+func (d *Daemon) handleSnapifyCapture(req *CaptureReq) (*CaptureResp, error) {
+	resp := new(CaptureResp)
+	ps, err := d.askAgent(req.ProcID, pipeCaptureReq, &req.CaptureArgs, resp)
 	if err != nil {
-		reply(ep, opSnapifyCaptureResp, append([]byte{1}, []byte(err.Error())...))
-		return
+		return nil, err
 	}
-	if resp[0] != 0 {
-		reply(ep, opSnapifyCaptureResp, append([]byte{1}, resp[1:]...))
-		return
-	}
-	if terminate {
+	if req.Terminate {
 		// The exit is announced: the daemon must not treat it as a crash
 		// (Section 3, "Dealing with distributed states").
 		ps.op.p.AnnounceExit()
 		ps.op.teardown()
-		d.removePauseState(id)
+		d.removePauseState(req.ProcID)
 	}
-	d.coidTrack().Emit(0, "capture_coordination", align, simclock.Duration(u64(resp[9:])), nil)
-	reply(ep, opSnapifyCaptureResp, append([]byte{0}, resp[1:]...))
+	d.coidTrack().Emit(0, "capture_coordination", req.Align, resp.Duration, nil)
+	return resp, nil
 }
 
 // handleSnapifyResume forwards the resume and closes out the pause state.
-// Payload: procID u32.
-func (d *Daemon) handleSnapifyResume(ep *scif.Endpoint, payload []byte) {
-	id := int(u32(payload))
-	ps := d.pauseStateFor(id)
-	if ps == nil {
-		reply(ep, opSnapifyResumeResp, append([]byte{1}, []byte("no active pause")...))
-		return
-	}
-	if _, err := ps.pipe.Send([]byte{pipeResumeReq}); err != nil {
-		reply(ep, opSnapifyResumeResp, append([]byte{1}, []byte(err.Error())...))
-		return
-	}
-	if _, err := ps.await(pipeResumeDone); err != nil {
-		reply(ep, opSnapifyResumeResp, append([]byte{1}, []byte(err.Error())...))
-		return
+func (d *Daemon) handleSnapifyResume(id int) error {
+	if _, err := d.askAgent(id, pipeResumeReq, &Empty{}, nil); err != nil {
+		return err
 	}
 	d.removePauseState(id)
-	reply(ep, opSnapifyResumeResp, []byte{0})
+	return nil
 }
 
 // handleSnapifyRestore rebuilds an offload process from a snapshot
-// directory. Payload: binNameLen u32 | binName | ctxDirLen u32 | ctxDir |
-// lsNode u32 | lsDirLen u32 | lsDir | deltaCount u32 | (dirLen u32 |
-// dir)* | streams u16 | chunkBytes u64 | alignNs u64 | retryAttempts u16 |
-// retryBackoffNs u64 | storeResident u8. The context comes from ctxDir
-// (the base checkpoint); the saved local store from lsDir on lsNode (the
-// latest pause — the host for checkpoint and swap, the daemon's own card
-// for migration); delta contexts, if any, are replayed in order (the
-// incremental extension). streams > 1 restores the base context over that
-// many concurrent Snapify-IO range streams.
-// Reply: 0 | newID u32 | restoreDurNs u64 | lsCopyDurNs u64 | lsBytes u64
-// | #channels u32 | ports...
-func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
-	fail := func(err error) { reply(ep, opSnapifyRestoreResp, append([]byte{1}, []byte(err.Error())...)) }
-
-	binLen := u32(payload)
-	binName := string(payload[4 : 4+binLen])
-	payload = payload[4+binLen:]
-	dirLen := u32(payload)
-	dir := string(payload[4 : 4+dirLen])
-	payload = payload[4+dirLen:]
-	lsNode := simnet.NodeID(u32(payload))
-	payload = payload[4:]
-	lsDirLen := u32(payload)
-	lsDir := string(payload[4 : 4+lsDirLen])
-	payload = payload[4+lsDirLen:]
-	deltaCount := int(u32(payload))
-	payload = payload[4:]
-	deltaDirs := make([]string, 0, deltaCount)
-	for i := 0; i < deltaCount; i++ {
-		n := u32(payload)
-		deltaDirs = append(deltaDirs, string(payload[4:4+n]))
-		payload = payload[4+n:]
-	}
-	streams := int(u16(payload))
-	chunk := int64(u64(payload[2:]))
-	align := simclock.Duration(u64(payload[10:]))
-	rp := blcr.RetryPolicy{
-		MaxAttempts: int(u16(payload[18:])),
-		Backoff:     simclock.Duration(u64(payload[20:])),
-	}
-	// storeResident: the context is read out of the host store's manifest
-	// for ctxPath, so that manifest's digest list describes the restored
-	// image and can seed the process's chunk-digest cache.
-	storeResident := len(payload) > 28 && payload[28] == 1
-
-	bin, err := LookupBinary(binName)
+// directory (see RestoreReq).
+func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
+	deltaDirs, streams, align, rp := req.DeltaDirs, req.Streams, req.Align, req.Retry
+	bin, err := LookupBinary(req.Binary)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 
 	d.mu.Lock()
@@ -320,7 +221,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 	tracer := d.plat.Obs.TracerOf()
 	scope := tracer.NewScope()
 	cr := d.plat.CR.WithSpans(tracer, scope, align).WithRetry(rp)
-	ctxPath := dir + "/" + ContextFileName
+	ctxPath := req.ContextDir + "/" + ContextFileName
 	var restored *proc.Process
 	var rst *blcr.Stats
 	var seed *blcr.DigestCache
@@ -338,16 +239,14 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 		// Snapify-IO read descriptor (Section 4.3).
 		src, err := d.plat.IO.Open(d.dev.Node, simnet.HostNode, ctxPath, snapifyio.Read)
 		if err != nil {
-			fail(err)
-			return
+			return nil, err
 		}
 		deltas := make([]stream.Source, 0, len(deltaDirs))
 		for _, dd := range deltaDirs {
 			ds, err := d.plat.IO.Open(d.dev.Node, simnet.HostNode, dd+"/"+DeltaFileName, snapifyio.Read)
 			if err != nil {
 				src.Close() //nolint:errcheck // error path: close only releases the descriptor; the size mismatch is the reported error
-				fail(err)
-				return
+				return nil, err
 			}
 			deltas = append(deltas, ds)
 		}
@@ -368,7 +267,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 					Stripe: snapifyio.Stripe{Offset: off, Length: n},
 				})
 			}
-			restored, rst, err = cr.RestartChainParallel(size, streams, chunk, open, deltas, spawn)
+			restored, rst, err = cr.RestartChainParallel(size, streams, req.ChunkBytes, open, deltas, spawn)
 		} else {
 			restored, rst, err = cr.RestartChain(src, deltas, spawn)
 			src.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
@@ -377,8 +276,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 			ds.Close() //nolint:errcheck // restore already failed; close only releases the descriptor
 		}
 		if err != nil {
-			fail(fmt.Errorf("restoring offload process: %w", err))
-			return
+			return nil, fmt.Errorf("restoring offload process: %w", err)
 		}
 	}
 
@@ -387,7 +285,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 	// arm the epoch tracking while the regions still hold exactly that
 	// image, before anything below writes to the process. A delta chain's
 	// image is no single manifest's, so it seeds nothing.
-	if seed == nil && storeResident && len(deltaDirs) == 0 {
+	if seed == nil && req.StoreResident && len(deltaDirs) == 0 {
 		size, chunkBytes, digests, committed, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, ctxPath)
 		if err == nil && ok && committed && size == rst.Geometry.Size() {
 			seed = blcr.NewDigestCache(rst.Geometry, chunkBytes, digests, blcr.SeedRestore)
@@ -399,18 +297,16 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 	}
 
 	// Copy the local store back on the fly into the mapped regions.
-	lsDur, lsBytes, err := d.reloadLocalStore(restored, lsDir, lsNode, streams)
+	lsDur, lsBytes, err := d.reloadLocalStore(restored, req.LocalStoreDir, req.LocalStoreNode, streams)
 	if err != nil {
 		restored.Terminate()
-		fail(err)
-		return
+		return nil, err
 	}
 
 	op, err := rebuildOffloadProc(d, bin, newID, restored)
 	if err != nil {
 		restored.Terminate()
-		fail(err)
-		return
+		return nil, err
 	}
 	op.digests = seed
 
@@ -433,19 +329,7 @@ func (d *Daemon) handleSnapifyRestore(ep *scif.Endpoint, payload []byte) {
 	tk.Emit(scope, "restore_context", align, rst.Duration, ctxArgs)
 	tk.Emit(scope, "reload_local_store", align+rst.Duration, lsDur, map[string]int64{"bytes": lsBytes})
 
-	resp := []byte{0}
-	resp = appendU32(resp, uint32(newID))
-	resp = binary.BigEndian.AppendUint64(resp, uint64(rst.Duration))
-	resp = binary.BigEndian.AppendUint64(resp, uint64(lsDur))
-	resp = binary.BigEndian.AppendUint64(resp, uint64(lsBytes))
-	ports := op.ChannelPorts()
-	resp = appendU32(resp, uint32(len(ports)))
-	for _, cp := range ports {
-		resp = appendU32(resp, uint32(len(cp.name)))
-		resp = append(resp, cp.name...)
-		resp = appendU32(resp, uint32(cp.port))
-	}
-	reply(ep, opSnapifyRestoreResp, resp)
+	return &RestoreResp{ProcID: newID, ContextDur: rst.Duration, LocalStoreDur: lsDur, LocalStoreBytes: lsBytes, Ports: op.ChannelPorts()}, nil
 }
 
 // reloadLocalStore streams saved local-store files from the snapshot
@@ -584,93 +468,39 @@ func (op *OffloadProc) snapifyAgent() {
 			// that close the pipe.
 			return
 		}
-		switch raw[0] {
+		kind, req, err := agentRequests.decode(raw)
+		if err != nil {
+			continue // the daemon encodes its requests from structs; a stray message is not one
+		}
+		switch kind {
 		case pipePauseReq:
-			pipe.Send([]byte{pipePauseAck}) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			pipe.Send(encodeMsg(pipePauseAck, &Empty{})) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
 
 		case pipeDrainReq:
-			align := simclock.Duration(u64(raw[1:]))
-			lsTarget := simnet.NodeID(u32(raw[9:]))
-			dirLen := u32(raw[13:])
-			dir := string(raw[17 : 17+dirLen])
+			args := req.(*DrainArgs)
 			// Quiesce: running steps drain at the gate; the result-send
 			// critical region is held so case-4 channels stay empty.
 			op.p.PauseSteps()
 			op.resultMu.Lock()
 			drained = true
 			quiesce := simclock.Duration(op.p.ThreadCount()) * op.d.plat.Model().ThreadQuiesce
-			d, bytes, err := op.SaveLocalStore(lsTarget, dir)
-			if err != nil {
-				pipe.Send(append([]byte{pipeDrainDone, 1}, []byte(err.Error())...)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
-				continue
+			d, bytes, err := op.SaveLocalStore(args.LocalStoreNode, args.Dir)
+			if err == nil {
+				// The request carries the host's virtual clock so the agent's
+				// spans land on the shared timeline (trace only; the reported
+				// durations are what the host folds into its Report).
+				tk := op.agentTrack()
+				tk.AlignTo(args.Align)
+				tk.Emit(0, "quiesce", args.Align, quiesce, nil)
+				tk.Emit(0, "save_local_store", args.Align+quiesce, d, map[string]int64{"bytes": bytes})
 			}
-			// The request carries the host's virtual clock so the agent's
-			// spans land on the shared timeline (trace only; the reported
-			// durations are what the host folds into its Report).
-			tk := op.agentTrack()
-			tk.AlignTo(align)
-			tk.Emit(0, "quiesce", align, quiesce, nil)
-			tk.Emit(0, "save_local_store", align+quiesce, d, map[string]int64{"bytes": bytes})
-			d += quiesce
-			resp := []byte{pipeDrainDone, 0}
-			resp = binary.BigEndian.AppendUint64(resp, uint64(d))
-			resp = binary.BigEndian.AppendUint64(resp, uint64(bytes))
-			pipe.Send(resp) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			pipe.Send(encodeReply(pipeDrainDone, &DrainResp{Duration: d + quiesce, LocalStoreBytes: bytes}, err)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
 
 		case pipeCaptureReq:
-			terminate := raw[1] == 1
-			mode := raw[2]
-			streams := int(u16(raw[3:]))
-			chunk := int64(u64(raw[5:]))
-			align := simclock.Duration(u64(raw[13:]))
-			dirLen := u32(raw[21:])
-			dir := string(raw[25 : 25+dirLen])
-			rp := blcr.RetryPolicy{
-				MaxAttempts: int(u16(raw[25+dirLen:])),
-				Backoff:     simclock.Duration(u64(raw[27+dirLen:])),
-			}
-			// Dedup-aware captures (StoreOptions on the host side) carry
-			// a store flag and the parent snapshot path after the retry
-			// policy.
-			storeOn := false
-			parent := ""
-			if base := 35 + int(dirLen); len(raw) > base {
-				storeOn = raw[base] == 1
-				pn := int(u32(raw[base+1:]))
-				parent = string(raw[base+5 : base+5+pn])
-			}
-			// Every shard worker of this capture emits a span under one
-			// fresh scope; the host derives its Report from those spans.
-			tracer := op.d.plat.Obs.TracerOf()
-			scope := tracer.NewScope()
-			cr := op.d.plat.CR.WithSpans(tracer, scope, align).WithRetry(rp)
-			var st *blcr.Stats
-			var shipped int64
-			var err error
-			if storeOn {
-				st, shipped, err = op.runCaptureStore(cr, mode, streams, chunk, dir, parent, align, scope)
-			} else {
-				st, err = op.runCapture(cr, mode, streams, chunk, dir)
-				if st != nil {
-					shipped = st.Bytes
-				}
-			}
-			if err == nil && (mode == CaptureBase || mode == CaptureDelta) {
-				for _, r := range op.p.Regions() {
-					r.MarkClean()
-				}
-			}
-			if err != nil {
-				pipe.Send(append([]byte{pipeCaptureDone, 1}, []byte(err.Error())...)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
-				continue
-			}
-			resp := []byte{pipeCaptureDone, 0}
-			resp = appendU64(resp, uint64(st.Bytes))
-			resp = appendU64(resp, uint64(st.Duration))
-			resp = appendU64(resp, scope)
-			resp = appendU64(resp, uint64(shipped))
-			pipe.Send(resp) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
-			if terminate {
+			args := req.(*CaptureArgs)
+			resp, err := op.capture(args)
+			pipe.Send(encodeReply(pipeCaptureDone, resp, err)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			if err == nil && args.Terminate {
 				// The daemon tears the process down; this agent thread
 				// ends with it.
 				return
@@ -696,10 +526,45 @@ func (op *OffloadProc) snapifyAgent() {
 					op.executeFunction(st.PipelineID, st.Seq, st.Func, st.Args)
 				})
 			}
-			pipe.Send([]byte{pipeResumeDone}) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			pipe.Send(encodeMsg(pipeResumeDone, &Empty{})) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
 			return
 		}
 	}
+}
+
+// capture runs one capture request on the paused process, over the plain
+// or the dedup-aware data path.
+func (op *OffloadProc) capture(args *CaptureArgs) (*CaptureResp, error) {
+	// Every shard worker of this capture emits a span under one fresh
+	// scope; the host derives its Report from those spans.
+	tracer := op.d.plat.Obs.TracerOf()
+	scope := tracer.NewScope()
+	cr := op.d.plat.CR.WithSpans(tracer, scope, args.Align).WithRetry(args.Retry)
+	var st *blcr.Stats
+	var shipped int64
+	var err error
+	if args.Store {
+		st, shipped, err = op.runCaptureStore(cr, args, scope)
+	} else if st, err = op.runCapture(cr, args); err == nil {
+		shipped = st.Bytes
+	}
+	if err != nil {
+		return nil, err
+	}
+	if args.Mode == CaptureBase || args.Mode == CaptureDelta {
+		for _, r := range op.p.Regions() {
+			r.MarkClean()
+		}
+	}
+	return &CaptureResp{SnapshotBytes: st.Bytes, Duration: st.Duration, Scope: scope, ShippedBytes: shipped}, nil
+}
+
+// contextPath is the file a capture writes: the context, or the delta.
+func (a *CaptureArgs) contextPath() string {
+	if a.Mode == CaptureDelta {
+		return a.Dir + "/" + DeltaFileName
+	}
+	return a.Dir + "/" + ContextFileName
 }
 
 // runCapture serializes the frozen process into the snapshot directory on
@@ -709,12 +574,9 @@ func (op *OffloadProc) snapifyAgent() {
 // Snapify-IO streams, each double-buffered and writing a disjoint range of
 // the same context file, assembled by the host daemon. chunk is the I/O
 // granularity for the striped path (0 uses the checkpointer's default).
-func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, mode uint8, streams int, chunk int64, dir string) (*blcr.Stats, error) {
-	name := ContextFileName
-	if mode == CaptureDelta {
-		name = DeltaFileName
-	}
-	path := dir + "/" + name
+func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*blcr.Stats, error) {
+	mode, streams, chunk := args.Mode, args.Streams, args.ChunkBytes
+	path := args.contextPath()
 	rp := cr.Retry()
 	if !rp.Enabled() {
 		return op.captureOnce(cr, mode, streams, chunk, path)
@@ -762,12 +624,9 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, mode uint8, streams int
 // the end-to-end verification below) use the ordinary read path. Returns
 // the layout stats plus the bytes physically shipped — the dedup win is
 // st.Bytes - shipped.
-func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, mode uint8, streams int, chunk int64, dir, parent string, align simclock.Duration, scope uint64) (*blcr.Stats, int64, error) {
-	name := ContextFileName
-	if mode == CaptureDelta {
-		name = DeltaFileName
-	}
-	path := dir + "/" + name
+func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs, scope uint64) (*blcr.Stats, int64, error) {
+	mode, streams, chunk, align := args.Mode, args.Streams, args.ChunkBytes, args.Align
+	path := args.contextPath()
 	if streams < 1 {
 		streams = 1
 	}
@@ -811,7 +670,7 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, mode uint8, stream
 	elapsed := img.Dur
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
-		passDur, passShipped, err := op.storePass(img, path, parent, size, chunk, streams, align+elapsed, scope, tk, "capture_stream")
+		passDur, passShipped, err := op.storePass(img, path, args.Parent, size, chunk, streams, align+elapsed, scope, tk, "capture_stream")
 		shipped += passShipped
 		elapsed += passDur
 		if err == nil {
@@ -1008,60 +867,16 @@ func (op *OffloadProc) shipChunks(img *blcr.DigestPass, path string, size, chunk
 
 // --- live migration: pre-copy rounds and destination staging ---
 
-// precopyResult is one pre-copy round's outcome, as reported to the host.
-type precopyResult struct {
-	dur          simclock.Duration
-	imageBytes   int64
-	dirtyBytes   int64
-	shippedBytes int64
-	chunksTotal  int
-	chunksNeeded int
-	skipped      bool
-}
-
 // handleSnapifyPrecopy runs one pre-copy round on the source card: digest
 // the running process's image and ship the changed chunks to the host
 // store while the process keeps mutating state. No pause is involved —
 // the chunks the digest pass read are the round's consistent cut.
-// Payload: procID u32 | round u32 | alignNs u64 | scope u64 | chunkBytes
-// u64 | streams u16 | shipFloorBytes u64 | dirLen u32 | dir.
-// Reply: 0 | durNs u64 | imageBytes u64 | dirtyBytes u64 | shippedBytes
-// u64 | chunksTotal u32 | chunksNeeded u32 | skipped u8.
-func (d *Daemon) handleSnapifyPrecopy(ep *scif.Endpoint, payload []byte) {
-	fail := func(err error) { reply(ep, opSnapifyPrecopyResp, append([]byte{1}, []byte(err.Error())...)) }
-	id := int(u32(payload))
-	round := int(u32(payload[4:]))
-	align := simclock.Duration(u64(payload[8:]))
-	scope := u64(payload[16:])
-	chunk := int64(u64(payload[24:]))
-	streams := int(u16(payload[32:]))
-	shipFloor := int64(u64(payload[34:]))
-	dirLen := u32(payload[42:])
-	dir := string(payload[46 : 46+dirLen])
-
-	op, err := d.Lookup(id)
+func (d *Daemon) handleSnapifyPrecopy(req *PrecopyReq) (*PrecopyResp, error) {
+	op, err := d.Lookup(req.ProcID)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	res, err := op.runPrecopyRound(round, chunk, streams, shipFloor, dir, align, scope)
-	if err != nil {
-		fail(err)
-		return
-	}
-	resp := []byte{0}
-	resp = appendU64(resp, uint64(res.dur))
-	resp = appendU64(resp, uint64(res.imageBytes))
-	resp = appendU64(resp, uint64(res.dirtyBytes))
-	resp = appendU64(resp, uint64(res.shippedBytes))
-	resp = appendU32(resp, uint32(res.chunksTotal))
-	resp = appendU32(resp, uint32(res.chunksNeeded))
-	if res.skipped {
-		resp = append(resp, 1)
-	} else {
-		resp = append(resp, 0)
-	}
-	reply(ep, opSnapifyPrecopyResp, resp)
+	return op.runPrecopyRound(*req)
 }
 
 // runPrecopyRound digests the running process and, unless what changed
@@ -1074,24 +889,25 @@ func (d *Daemon) handleSnapifyPrecopy(ep *scif.Endpoint, payload []byte) {
 // the process may keep writing throughout; the chunks it read are the
 // round's consistent cut, and they — never a later re-read — are what
 // ships. The cache updates every round, skipped (probe) rounds included.
-func (op *OffloadProc) runPrecopyRound(round int, chunk int64, streams int, shipFloor int64, dir string, align simclock.Duration, scope uint64) (precopyResult, error) {
-	if chunk <= 0 {
-		chunk = blcr.PageChunk
+func (op *OffloadProc) runPrecopyRound(req PrecopyReq) (*PrecopyResp, error) {
+	if req.ChunkBytes <= 0 {
+		req.ChunkBytes = blcr.PageChunk
 	}
-	if streams < 1 {
-		streams = 1
+	if req.Streams < 1 {
+		req.Streams = 1
 	}
-	res, err := op.precopyRound(round, chunk, streams, shipFloor, dir, align, scope)
+	res, err := op.precopyRound(req)
 	if err != nil {
 		op.dropDigestsIf(blcr.SeedPrecopy)
 	}
 	return res, err
 }
 
-func (op *OffloadProc) precopyRound(round int, chunk int64, streams int, shipFloor int64, dir string, align simclock.Duration, scope uint64) (precopyResult, error) {
+func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
+	round, chunk, align, scope := req.Round, req.ChunkBytes, req.Align, req.Scope
 	lay, err := op.d.plat.CR.LayoutFull(op.p)
 	if err != nil {
-		return precopyResult{}, err
+		return nil, err
 	}
 	size := lay.Size()
 	pass := op.digestPass(lay, chunk, blcr.SeedPrecopy)
@@ -1107,24 +923,24 @@ func (op *OffloadProc) precopyRound(round int, chunk int64, streams int, shipFlo
 	tk.AlignTo(align)
 	emitDigestSpan(tk, scope, "precopy_digest", align, pass, map[string]int64{"round": int64(round), "dirty_bytes": dirty})
 
-	res := precopyResult{dur: pass.Dur, imageBytes: size, dirtyBytes: dirty, chunksTotal: len(digests)}
-	if dirty <= shipFloor {
+	res := &PrecopyResp{Duration: pass.Dur, ImageBytes: size, DirtyBytes: dirty, ChunksTotal: len(digests)}
+	if dirty <= req.ShipFloor {
 		// Probe round: the delta is small enough to ship inside the
 		// downtime budget, so leave it for the final (paused) capture.
-		res.skipped = true
+		res.Skipped = true
 		return res, nil
 	}
-	path := dir + "/" + ContextFileName
+	path := req.Dir + "/" + ContextFileName
 	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, "", size, chunk, digests)
-	tk.Emit(scope, "store_negotiate", align+res.dur, negDur, map[string]int64{
+	tk.Emit(scope, "store_negotiate", align+res.Duration, negDur, map[string]int64{
 		"chunks_total":  int64(len(digests)),
 		"chunks_needed": int64(len(need)),
 	})
-	res.dur += negDur
+	res.Duration += negDur
 	if err != nil {
 		return res, err
 	}
-	res.chunksNeeded = len(need)
+	res.ChunksNeeded = len(need)
 	if committed {
 		return res, nil
 	}
@@ -1139,66 +955,49 @@ func (op *OffloadProc) precopyRound(round int, chunk int64, streams int, shipFlo
 		// the digest does not describe: redo the round as a full pass
 		// (which reads every chunk itself, so it cannot land here again).
 		op.dropDigestsIf(blcr.SeedPrecopy)
-		redo, err := op.precopyRound(round, chunk, streams, shipFloor, dir, align+res.dur, scope)
-		redo.dur += res.dur
+		req.Align += res.Duration
+		redo, err := op.precopyRound(req)
+		if redo != nil {
+			redo.Duration += res.Duration
+		}
 		return redo, err
 	}
-	shipDur, shipped, err := op.shipChunks(pass, path, size, chunk, streams, need, align+res.dur, scope, "precopy_stream")
-	res.dur += shipDur
-	res.shippedBytes = shipped
+	shipDur, shipped, err := op.shipChunks(pass, path, size, chunk, req.Streams, need, align+res.Duration, scope, "precopy_stream")
+	res.Duration += shipDur
+	res.ShippedBytes = shipped
 	return res, err
 }
 
 // handleSnapifyPrecopyStage is the destination card's side of a pre-copy
 // round: pull the freshly shipped chunks out of the host store into the
 // staging area (StageSync), or discard the staged state (StageDrop, on
-// abort). Payload: mode u8 | alignNs u64 | scope u64 | pathLen u32 | path.
-// Reply: 0 | durNs u64 | fetchedBytes u64 | stagedBytes u64.
-func (d *Daemon) handleSnapifyPrecopyStage(ep *scif.Endpoint, payload []byte) {
-	fail := func(err error) { reply(ep, opSnapifyPrecopyStageResp, append([]byte{1}, []byte(err.Error())...)) }
-	mode := payload[0]
-	align := simclock.Duration(u64(payload[1:]))
-	scope := u64(payload[9:])
-	pathLen := u32(payload[17:])
-	path := string(payload[21 : 21+pathLen])
-
-	if mode == StageDrop {
+// abort).
+func (d *Daemon) handleSnapifyPrecopyStage(req *StageReq) (*StageResp, error) {
+	path := req.Path
+	if req.Mode == StageDrop {
 		d.staging.Drop(path)
-		resp := []byte{0}
-		resp = appendU64(resp, 0)
-		resp = appendU64(resp, 0)
-		resp = appendU64(resp, 0)
-		reply(ep, opSnapifyPrecopyStageResp, resp)
-		return
+		return &StageResp{}, nil
 	}
 	size, chunkBytes, digests, _, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, path)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
 	if !ok {
-		fail(fmt.Errorf("coi: stage sync: no digest plan for %s on the host store", path))
-		return
+		return nil, fmt.Errorf("coi: stage sync: no digest plan for %s on the host store", path)
 	}
 	need := d.staging.Plan(path, size, chunkBytes, digests)
 	fetchDur, fetched, err := d.stageFetch(path, digests, need)
 	if err != nil {
-		fail(err)
-		return
+		return nil, err
 	}
-	dur := planDur + fetchDur
-	staged := d.staging.StagedBytes(path)
+	resp := &StageResp{Duration: planDur + fetchDur, FetchedBytes: fetched, StagedBytes: d.staging.StagedBytes(path)}
 	tk := d.coidTrack()
-	tk.AlignTo(align)
-	tk.Emit(scope, "precopy_stage", align, dur, map[string]int64{
-		"fetched_bytes": fetched,
-		"staged_bytes":  staged,
+	tk.AlignTo(req.Align)
+	tk.Emit(req.Scope, "precopy_stage", req.Align, resp.Duration, map[string]int64{
+		"fetched_bytes": resp.FetchedBytes,
+		"staged_bytes":  resp.StagedBytes,
 	})
-	resp := []byte{0}
-	resp = appendU64(resp, uint64(dur))
-	resp = appendU64(resp, uint64(fetched))
-	resp = appendU64(resp, uint64(staged))
-	reply(ep, opSnapifyPrecopyStageResp, resp)
+	return resp, nil
 }
 
 // stageFetch pulls the needed chunks from the host store's chunk files

@@ -1,7 +1,6 @@
 package coi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -16,24 +15,11 @@ import (
 // post-restore rebind (reconnect channels, recreate pipelines, re-register
 // buffers and build the RDMA remap table, Section 4.3).
 
-// DaemonRequest sends one request on the lifecycle channel and returns the
-// reply payload (after the status byte has been checked).
-func (cp *Process) DaemonRequest(op uint8, payload []byte, wantResp uint8) ([]byte, error) {
-	if _, err := cp.lifecycleEP.Send(append([]byte{op}, payload...)); err != nil {
-		return nil, err
-	}
-	raw, _, err := cp.lifecycleEP.Recv()
-	if err != nil {
-		return nil, err
-	}
-	u, err := expectOp(raw, wantResp)
-	if err != nil {
-		return nil, err
-	}
-	if u[0] != 0 {
-		return nil, fmt.Errorf("coi: daemon error: %s", u[1:])
-	}
-	return u[1:], nil
+// DaemonRequest runs one request on the lifecycle channel: req goes out
+// under opcode op, the reply (opcode op+1) is decoded into resp.
+func (cp *Process) DaemonRequest(op uint8, req, resp Message) error {
+	_, err := roundTrip(cp.lifecycleEP, op, req, resp, "coi: daemon error")
+	return err
 }
 
 // PauseChannels acquires every host-side lock of the drain protocol and
@@ -167,7 +153,7 @@ func (cp *Process) Rebind(devNode simnet.NodeID, newID int, ports []ChannelPort)
 	if cmdEP == nil {
 		return nil, fmt.Errorf("coi: restored process offers no command channel")
 	}
-	if _, err := cp.DaemonRequest(opAwaitReady, putU32(uint32(newID)), opAwaitReadyResp); err != nil {
+	if err := cp.DaemonRequest(opAwaitReady, &IDReq{newID}, &Empty{}); err != nil {
 		return nil, err
 	}
 	// Re-establish the daemon's host-liveness watch for the new pairing.
@@ -177,33 +163,26 @@ func (cp *Process) Rebind(devNode simnet.NodeID, newID int, ports []ChannelPort)
 
 	// The application threads are still blocked on the pause locks, so the
 	// rebind speaks on the raw command endpoint directly.
-	rawRequest := func(req []byte) ([]byte, error) {
-		if _, err := cmdEP.Send(append([]byte{cmdRequest}, req...)); err != nil {
-			return nil, err
+	rawRequest := func(cmd uint8, id int, resp Message) error {
+		if _, err := cmdEP.Send(append([]byte{cmdRequest}, encodeMsg(cmd, &IDReq{id})...)); err != nil {
+			return err
 		}
 		raw, _, err := cmdEP.Recv()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if raw[0] != cmdReply {
-			return nil, fmt.Errorf("coi: rebind: unexpected opcode %d", raw[0])
-		}
-		if raw[1] != 0 {
-			return nil, fmt.Errorf("coi: rebind: %s", raw[2:])
-		}
-		return raw[2:], nil
+		return decodeReply(raw, cmdReply, resp)
 	}
 
 	// Recreate each pipeline's run-function channel and splice it in; the
 	// pending waiters survive, and the restored server re-sends results
 	// for any re-entered function.
 	for _, pl := range cp.Pipelines() {
-		reply, err := rawRequest(append([]byte{cmdPipelineCreate}, putU32(pl.id)...))
-		if err != nil {
+		var created portResp
+		if err := rawRequest(cmdPipelineCreate, int(pl.id), &created); err != nil {
 			return nil, fmt.Errorf("coi: recreating pipeline %d: %w", pl.id, err)
 		}
-		port := int(u32(reply))
-		nep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: devNode, Port: port})
+		nep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: devNode, Port: created.Port})
 		if err != nil {
 			return nil, err
 		}
@@ -226,13 +205,12 @@ func (cp *Process) Rebind(devNode simnet.NodeID, newID int, ports []ChannelPort)
 	var remap []RemapEntry
 	for _, id := range ids {
 		b := bufs[id]
-		reply, err := rawRequest(append([]byte{cmdBufferReregister}, putU32(uint32(id))...))
-		if err != nil {
+		var registered offsetResp
+		if err := rawRequest(cmdBufferReregister, id, &registered); err != nil {
 			return nil, fmt.Errorf("coi: re-registering buffer %d: %w", id, err)
 		}
-		newOff := int64(binary.BigEndian.Uint64(reply))
-		remap = append(remap, RemapEntry{BufferID: id, Old: b.rdmaOff, New: newOff})
-		b.rdmaOff = newOff
+		remap = append(remap, RemapEntry{BufferID: id, Old: b.rdmaOff, New: registered.Offset})
+		b.rdmaOff = registered.Offset
 		cp.tl.Advance(model.RegisterCost(b.size))
 	}
 	return remap, nil

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -139,16 +138,12 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	start := cp.Timeline().Now()
 	floor := m.shipFloor()
 
-	payload := coi.PutU32(uint32(cp.ID()))
-	payload = coi.AppendU32(payload, uint32(m.round))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(start))
-	payload = binary.BigEndian.AppendUint64(payload, m.scope)
-	payload = binary.BigEndian.AppendUint64(payload, uint64(m.opts.Precopy.ChunkBytes))
-	payload = binary.BigEndian.AppendUint16(payload, uint16(m.opts.Precopy.Streams))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(floor))
-	payload = coi.AppendU32(payload, uint32(len(m.opts.Path)))
-	payload = append(payload, m.opts.Path...)
-	resp, err := cp.DaemonRequest(coi.OpSnapifyPrecopy, payload, coi.OpSnapifyPrecopyResp)
+	var resp coi.PrecopyResp
+	err := cp.DaemonRequest(coi.OpSnapifyPrecopy, &coi.PrecopyReq{
+		ProcID: cp.ID(), Round: m.round, Align: start, Scope: m.scope,
+		ChunkBytes: m.opts.Precopy.ChunkBytes, Streams: m.opts.Precopy.Streams,
+		ShipFloor: floor, Dir: m.opts.Path,
+	}, &resp)
 	if err != nil {
 		err = fmt.Errorf("core: pre-copy round %d: %w", m.round, err)
 		m.s.failDump("migrate", err)
@@ -156,26 +151,26 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	}
 	rec := PrecopyRound{
 		Round:        m.round,
-		Duration:     simclock.Duration(binary.BigEndian.Uint64(resp)),
-		ImageBytes:   int64(binary.BigEndian.Uint64(resp[8:])),
-		DirtyBytes:   int64(binary.BigEndian.Uint64(resp[16:])),
-		ShippedBytes: int64(binary.BigEndian.Uint64(resp[24:])),
-		ChunksTotal:  int(binary.BigEndian.Uint32(resp[32:])),
-		ChunksNeeded: int(binary.BigEndian.Uint32(resp[36:])),
-		Skipped:      resp[40] == 1,
+		Duration:     resp.Duration,
+		ImageBytes:   resp.ImageBytes,
+		DirtyBytes:   resp.DirtyBytes,
+		ShippedBytes: resp.ShippedBytes,
+		ChunksTotal:  resp.ChunksTotal,
+		ChunksNeeded: resp.ChunksNeeded,
+		Skipped:      resp.Skipped,
 	}
 
 	if !rec.Skipped {
 		// The round's chunks are in the host store; let the destination
 		// pull them down while the source keeps running. A skipped round
 		// shipped nothing, so there is nothing new to stage.
-		stageDur, _, _, err := m.stageRequest(coi.StageSync, start+rec.Duration)
+		staged, err := m.stageRequest(coi.StageSync, start+rec.Duration)
 		if err != nil {
 			err = fmt.Errorf("core: pre-copy round %d staging: %w", m.round, err)
 			m.s.failDump("migrate", err)
 			return rec, false, err
 		}
-		rec.StageDuration = stageDur
+		rec.StageDuration = staged.Duration
 	}
 
 	tk := m.s.hostTrack()
@@ -215,21 +210,9 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 
 // stageRequest sends one stage-control request (StageSync or StageDrop)
 // to the destination card's daemon.
-func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (dur simclock.Duration, fetched, staged int64, err error) {
-	ctx := m.ctxPath()
-	payload := []byte{mode}
-	payload = binary.BigEndian.AppendUint64(payload, uint64(align))
-	payload = binary.BigEndian.AppendUint64(payload, m.scope)
-	payload = coi.AppendU32(payload, uint32(len(ctx)))
-	payload = append(payload, ctx...)
-	resp, err := coi.DaemonStageRequest(m.s.Proc.Platform(), m.opts.DeviceTo, payload)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	dur = simclock.Duration(binary.BigEndian.Uint64(resp))
-	fetched = int64(binary.BigEndian.Uint64(resp[8:]))
-	staged = int64(binary.BigEndian.Uint64(resp[16:]))
-	return dur, fetched, staged, nil
+func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.StageResp, error) {
+	return coi.DaemonStageRequest(m.s.Proc.Platform(), m.opts.DeviceTo,
+		&coi.StageReq{Mode: mode, Align: align, Scope: m.scope, Path: m.ctxPath()})
 }
 
 // Finish executes the switch-over: pause, final capture (only the last

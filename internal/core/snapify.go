@@ -15,7 +15,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,6 +26,7 @@ import (
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
+	"snapify/internal/wire"
 )
 
 // HandleStateRegion is the host-process region where pause serializes the
@@ -244,7 +244,7 @@ func (s *Snapshot) Pause() error {
 
 	// Steps 1-3 of Fig 3: snapify-service request to the daemon, pipe +
 	// signal to the offload process, acknowledgements back.
-	if _, err := cp.DaemonRequest(coi.OpSnapifyPause, coi.PutU32(uint32(cp.ID())), coi.OpSnapifyPauseResp); err != nil {
+	if err := cp.DaemonRequest(coi.OpSnapifyPause, &coi.IDReq{ID: cp.ID()}, &coi.Empty{}); err != nil {
 		return fmt.Errorf("core: pause handshake: %w", err)
 	}
 	handshake += 2*model.SCIFMsg(16) + model.SignalLatency + 4*model.PipeLatency
@@ -259,17 +259,14 @@ func (s *Snapshot) Pause() error {
 	// payload carries the host's virtual clock at which the drain begins,
 	// so the card-side tracks land on the shared timeline.
 	align := start + handshake + hostDrain
-	payload := coi.PutU32(uint32(cp.ID()))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(align))
-	payload = coi.AppendU32(payload, uint32(s.localStoreTarget))
-	payload = coi.AppendU32(payload, uint32(len(s.Path)))
-	payload = append(payload, s.Path...)
-	resp, err := cp.DaemonRequest(coi.OpSnapifyDrain, payload, coi.OpSnapifyDrainResp)
+	var drained coi.DrainResp
+	err = cp.DaemonRequest(coi.OpSnapifyDrain, &coi.DrainReq{ProcID: cp.ID(),
+		DrainArgs: coi.DrainArgs{Align: align, LocalStoreNode: s.localStoreTarget, Dir: s.Path}}, &drained)
 	if err != nil {
 		return fmt.Errorf("core: device drain: %w", err)
 	}
-	deviceDrain := simclock.Duration(binary.BigEndian.Uint64(resp))
-	s.Report.LocalStoreBytes = int64(binary.BigEndian.Uint64(resp[8:]))
+	deviceDrain := drained.Duration
+	s.Report.LocalStoreBytes = drained.LocalStoreBytes
 
 	// The phase spans are the source of truth; the Report repeats them.
 	tk := s.hostTrack()
@@ -310,9 +307,10 @@ func saveHandleState(cp *coi.Process) error {
 	if len(enc)+4 > handleStateSize {
 		return fmt.Errorf("core: handle metadata %d bytes exceeds region", len(enc))
 	}
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(enc)))
-	buf = append(buf, enc...)
-	r.WriteAt(buf, 0)
+	n := len(enc)
+	c := wire.Encoder()
+	wire.U32(c, &n)
+	r.WriteAt(append(c.Bytes(), enc...), 0)
 	return nil
 }
 
@@ -325,7 +323,8 @@ func LoadHandleState(host *proc.Process) (coi.HandleMeta, error) {
 	}
 	head := make([]byte, 4)
 	r.ReadAt(head, 0)
-	n := binary.BigEndian.Uint32(head)
+	var n int
+	wire.U32(wire.Decoder(head), &n)
 	buf := make([]byte, n)
 	r.ReadAt(buf, 4)
 	return coi.DecodeHandleMeta(buf)
@@ -367,40 +366,20 @@ func (s *Snapshot) captureMode(opts CaptureOptions, mode uint8) error {
 	cp := s.Proc
 	start := cp.Timeline().Now() // stable until Wait advances it
 	go func() {
-		payload := coi.PutU32(uint32(cp.ID()))
-		tb := byte(0)
-		if opts.Terminate {
-			tb = 1
-		}
-		payload = append(payload, tb, mode)
-		payload = binary.BigEndian.AppendUint16(payload, uint16(opts.Streams))
-		payload = binary.BigEndian.AppendUint64(payload, uint64(opts.ChunkBytes))
-		payload = binary.BigEndian.AppendUint64(payload, uint64(start))
-		payload = coi.AppendU32(payload, uint32(len(s.Path)))
-		payload = append(payload, s.Path...)
-		payload = binary.BigEndian.AppendUint16(payload, uint16(opts.Retry.MaxAttempts))
-		payload = binary.BigEndian.AppendUint64(payload, uint64(opts.Retry.Backoff))
-		sb := byte(0)
-		if opts.Store.Enabled {
-			sb = 1
-		}
-		payload = append(payload, sb)
-		payload = coi.AppendU32(payload, uint32(len(opts.Store.Parent)))
-		payload = append(payload, opts.Store.Parent...)
-		resp, err := cp.DaemonRequest(coi.OpSnapifyCapture, payload, coi.OpSnapifyCaptureResp)
+		var resp coi.CaptureResp
+		err := cp.DaemonRequest(coi.OpSnapifyCapture, &coi.CaptureReq{ProcID: cp.ID(), CaptureArgs: coi.CaptureArgs{
+			Terminate: opts.Terminate, Mode: mode, Streams: opts.Streams, ChunkBytes: opts.ChunkBytes,
+			Align: start, Dir: s.Path, Retry: opts.Retry,
+			Store: opts.Store.Enabled, Parent: opts.Store.Parent,
+		}}, &resp)
 		s.mu.Lock()
 		if err != nil {
 			s.captureErr = fmt.Errorf("core: capture: %w", err)
 		} else {
-			s.Report.SnapshotBytes = int64(binary.BigEndian.Uint64(resp))
-			fallback := simclock.Duration(binary.BigEndian.Uint64(resp[8:]))
-			scope := binary.BigEndian.Uint64(resp[16:])
-			s.Report.ShippedBytes = s.Report.SnapshotBytes
-			if len(resp) >= 32 {
-				s.Report.ShippedBytes = int64(binary.BigEndian.Uint64(resp[24:]))
-			}
-			dur, streams, durs := deriveCapture(cp.Platform().Obs.TracerOf(), scope, start, fallback)
-			s.Report.Capture = s.hostTrack().Emit(scope, "snapify_capture", start, dur,
+			s.Report.SnapshotBytes = resp.SnapshotBytes
+			s.Report.ShippedBytes = resp.ShippedBytes
+			dur, streams, durs := deriveCapture(cp.Platform().Obs.TracerOf(), resp.Scope, start, resp.Duration)
+			s.Report.Capture = s.hostTrack().Emit(resp.Scope, "snapify_capture", start, dur,
 				map[string]int64{"bytes": s.Report.SnapshotBytes, "streams": int64(streams),
 					"shipped_bytes": s.Report.ShippedBytes}).Dur
 			s.Report.CaptureStreams = streams
@@ -484,7 +463,7 @@ func (s *Snapshot) Resume() error {
 	model := cp.Platform().Model()
 	s.countOp("resume")
 	start := cp.Timeline().Now()
-	if _, err := cp.DaemonRequest(coi.OpSnapifyResume, coi.PutU32(uint32(cp.ID())), coi.OpSnapifyResumeResp); err != nil {
+	if err := cp.DaemonRequest(coi.OpSnapifyResume, &coi.IDReq{ID: cp.ID()}, &coi.Empty{}); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
 	}
 	s.mu.Lock()
@@ -526,7 +505,7 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	if st := cp.State(); st != coi.StateSwapped {
 		return nil, fmt.Errorf("core: restore requires a swapped-out handle, have %s", st)
 	}
-	storeResident := byte(0)
+	storeResident := false
 	if opts.Store.Enabled {
 		// Fail fast with a clear error when the snapshot is supposed to be
 		// store-resident but no manifest committed; the data path itself
@@ -539,7 +518,7 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 		// manifest what the restore reads — and only then may the card
 		// seed its chunk-digest cache from the manifest's digest list.
 		if !plat.Host().FS.Exists(ctx) {
-			storeResident = 1
+			storeResident = true
 		}
 		if !plat.Store.Has(ctx) {
 			return nil, fmt.Errorf("core: restore: no committed store manifest for %s", ctx)
@@ -553,42 +532,25 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	s.countOp("restore")
 	start := cp.Timeline().Now()
 
-	payload := coi.AppendU32(nil, uint32(len(cp.BinaryName())))
-	payload = append(payload, cp.BinaryName()...)
-	payload = coi.AppendU32(payload, uint32(len(baseDir)))
-	payload = append(payload, baseDir...)
-	payload = coi.AppendU32(payload, uint32(s.localStoreTarget))
-	payload = coi.AppendU32(payload, uint32(len(s.Path)))
-	payload = append(payload, s.Path...)
-	payload = coi.AppendU32(payload, uint32(len(deltaDirs)))
-	for _, dd := range deltaDirs {
-		payload = coi.AppendU32(payload, uint32(len(dd)))
-		payload = append(payload, dd...)
-	}
-	payload = binary.BigEndian.AppendUint16(payload, uint16(opts.Streams))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(opts.ChunkBytes))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(start))
-	payload = binary.BigEndian.AppendUint16(payload, uint16(opts.Retry.MaxAttempts))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(opts.Retry.Backoff))
-	payload = append(payload, storeResident)
-
-	resp, err := coi.DaemonRestoreRequest(plat, device, payload)
+	resp, err := coi.DaemonRestoreRequest(plat, device, &coi.RestoreReq{
+		Binary: cp.BinaryName(), ContextDir: baseDir,
+		LocalStoreNode: s.localStoreTarget, LocalStoreDir: s.Path, DeltaDirs: deltaDirs,
+		Streams: opts.Streams, ChunkBytes: opts.ChunkBytes, Align: start, Retry: opts.Retry,
+		StoreResident: storeResident,
+	})
 	if err != nil {
 		err = fmt.Errorf("core: restore: %w", err)
 		s.failDump("restore", err)
 		return nil, err
 	}
-	newID := int(binary.BigEndian.Uint32(resp))
-	restoreDevice := simclock.Duration(binary.BigEndian.Uint64(resp[4:]))
-	restoreLocal := simclock.Duration(binary.BigEndian.Uint64(resp[12:]))
-	ports := coi.ParsePortList(resp[28:])
+	restoreDevice, restoreLocal := resp.ContextDur, resp.LocalStoreDur
 
 	// The daemon also copies the runtime libraries back on the fly.
 	if libs, _, err := plat.Host().FS.ReadFile(s.Path + "/runtime_libs"); err == nil {
 		restoreLocal += model.RDMA(libs.Len())
 	}
 
-	remap, err := cp.Rebind(device, newID, ports)
+	remap, err := cp.Rebind(device, resp.ProcID, resp.Ports)
 	if err != nil {
 		err = fmt.Errorf("core: rebind: %w", err)
 		s.failDump("restore", err)

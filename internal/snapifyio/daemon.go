@@ -1,12 +1,14 @@
 package snapifyio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"sync"
 
+	"snapify/internal/blob"
 	"snapify/internal/faultinject"
 	"snapify/internal/obs"
 	"snapify/internal/scif"
@@ -365,7 +367,8 @@ func (d *Daemon) remoteServer() {
 	}
 }
 
-// remoteHandler serves one file stream for a peer daemon.
+// remoteHandler serves one connection from a peer daemon: a one-shot
+// control request, or one file stream.
 func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 	d.trackEp(ep)
 	defer d.untrackEp(ep)
@@ -375,23 +378,30 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 	if err != nil {
 		return
 	}
-	if len(raw) > 0 && raw[0] == msgMetricsDump {
-		// SIGUSR1 analogue: dump the metrics registry and hang up.
-		d.reply(ep, func(w *wire) {
-			w.u8(msgMetricsResp)
-			w.str(d.svc.obs.MetricsOf().Expose())
-		})
+	first, err := decode(raw)
+	if err != nil {
+		// A mangled request is refused in-band where its protocol has a
+		// refusal; otherwise hanging up is the signal.
+		if len(raw) > 0 {
+			switch raw[0] {
+			case msgOpen:
+				send(ep, &openResp{Err: err.Error()})
+			case msgStoreNegotiate:
+				send(ep, &negotiateResp{Err: err.Error()})
+			case msgStoreDigests:
+				send(ep, &digestsResp{Err: err.Error()})
+			}
+		}
 		return
 	}
-	if len(raw) > 0 && raw[0] == msgDiscard {
+	switch first.kind() {
+	case msgMetricsDump:
+		// SIGUSR1 analogue: dump the metrics registry and hang up.
+		send(ep, &textMsg{Kind: msgMetricsResp, Text: d.svc.obs.MetricsOf().Expose()})
+	case msgDiscard:
 		// Control: drop a pending striped assembly and its partial file
 		// (a writer gave up on resuming).
-		u := &unwire{buf: raw}
-		u.u8()
-		path := u.str()
-		if u.err() != nil {
-			return
-		}
+		path := first.(*textMsg).Text
 		d.discardAssembly(path)
 		if cs := d.chunkStore(); cs != nil {
 			// A writer giving up on a path also abandons any negotiated
@@ -401,260 +411,249 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 		d.svc.obs.MetricsOf().Counter("snapifyio_discards_total",
 			"Pending striped assemblies discarded by control request.",
 			obs.L("node", d.node.String())).Inc()
-		d.reply(ep, func(w *wire) { w.u8(msgDiscardResp); w.str("") })
-		return
+		send(ep, &textMsg{Kind: msgDiscardResp})
+	case msgStoreNegotiate:
+		send(ep, d.serveNegotiate(first.(*negotiateMsg)))
+	case msgStoreDigests:
+		send(ep, d.serveDigestPlan(first.(*textMsg).Text))
+	case msgOpen:
+		d.serveStream(ep, first.(*openMsg))
 	}
-	if len(raw) > 0 && raw[0] == msgStoreNegotiate {
-		d.serveNegotiate(ep, raw)
-		return
-	}
-	if len(raw) > 0 && raw[0] == msgStoreDigests {
-		d.serveDigestPlan(ep, raw)
-		return
-	}
-	u, err := expect(raw, msgOpen)
-	if err != nil {
-		return
-	}
-	mode := Mode(u.u8())
-	streamID := u.i64()
-	slots := int(u.u8())
-	bufSize := u.i64()
-	windows := make([]int64, 0, slots)
-	for i := 0; i < slots && !u.bad; i++ {
-		windows = append(windows, u.i64())
-	}
-	striped := u.u8() == 1
-	st := Stripe{Offset: u.i64(), Length: u.i64(), Total: u.i64()}
-	path := u.str()
-	storeMode := u.u8() == 1
+}
 
-	openErr := func(msg string) {
-		d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(msg); w.i64(0) })
-	}
-	if err := u.err(); err != nil {
-		openErr(err.Error())
-		return
-	}
-	if bufSize != d.bufSize {
+// serveStream validates a stream declaration and serves the stream.
+func (d *Daemon) serveStream(ep *scif.Endpoint, open *openMsg) {
+	slots := len(open.Windows)
+	if open.BufSize != d.bufSize {
 		// Mismatched staging sizes would deadlock the chunk protocol.
-		openErr("staging buffer size mismatch")
+		send(ep, &openResp{Err: "staging buffer size mismatch"})
 		return
 	}
 	if slots < 1 || slots > MaxSlots {
-		openErr(fmt.Sprintf("stream wants %d staging slots, daemon allows 1..%d", slots, MaxSlots))
+		send(ep, &openResp{Err: fmt.Sprintf("stream wants %d staging slots, daemon allows 1..%d", slots, MaxSlots)})
 		return
 	}
+	d.registerStream(open.StreamID, streamInfo{mode: open.Mode, path: open.Path, slots: slots})
+	defer d.unregisterStream(open.StreamID)
 
-	d.registerStream(streamID, streamInfo{mode: mode, path: path, slots: slots})
-	defer d.unregisterStream(streamID)
-
-	switch {
-	case mode == Write && storeMode:
-		d.serveStoreWrite(ep, streamID, path, windows, striped, st)
-	case mode == Write:
-		d.serveWrite(ep, streamID, path, windows, striped, st)
-	case mode == Read:
-		d.serveRead(ep, streamID, path, windows, striped, st)
+	switch open.Mode {
+	case Write:
+		d.serveWrite(ep, open)
+	case Read:
+		d.serveRead(ep, open)
 	}
 }
 
 // serveNegotiate answers a have/need control round against the attached
-// chunk store: decode the digest list, ask the store which chunks it
-// lacks, reply with the need set (or that the manifest committed on the
-// spot).
-func (d *Daemon) serveNegotiate(ep *scif.Endpoint, raw []byte) {
-	u := &unwire{buf: raw}
-	u.u8()
-	path := u.str()
-	parent := u.str()
-	size := u.i64()
-	chunkBytes := u.i64()
-	count := int(u.i64())
-	var digests []string
-	for i := 0; i < count && !u.bad; i++ {
-		digests = append(digests, u.str())
-	}
-	fail := func(msg string) {
-		d.reply(ep, func(w *wire) {
-			w.u8(msgStoreNegotiateResp)
-			w.str(msg)
-			w.u8(0)
-			w.dur(0)
-			w.i64(0)
-		})
-	}
-	if err := u.err(); err != nil {
-		fail(err.Error())
-		return
-	}
+// chunk store: ask the store which of the image's chunks it lacks, reply
+// with the need set (or that the manifest committed on the spot).
+func (d *Daemon) serveNegotiate(req *negotiateMsg) *negotiateResp {
 	cs := d.chunkStore()
 	if cs == nil {
-		fail(fmt.Sprintf("no chunk store attached on %v", d.node))
-		return
+		return &negotiateResp{Err: fmt.Sprintf("no chunk store attached on %v", d.node)}
 	}
-	need, committed, dur, err := cs.Negotiate(path, parent, size, chunkBytes, digests)
+	need, committed, dur, err := cs.Negotiate(req.Path, req.Parent, req.Size, req.ChunkBytes, req.Digests)
 	if err != nil {
-		fail(err.Error())
-		return
+		return &negotiateResp{Err: err.Error()}
 	}
-	d.reply(ep, func(w *wire) {
-		w.u8(msgStoreNegotiateResp)
-		w.str("")
-		if committed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.dur(dur)
-		w.i64(int64(len(need)))
-		for _, idx := range need {
-			w.i64(int64(idx))
-		}
-	})
+	return &negotiateResp{Committed: committed, Dur: dur, Need: need}
 }
 
 // serveDigestPlan answers a digest-plan request against the attached
 // chunk store: the live-migration destination asking "what should I be
 // staging for this path right now?".
-func (d *Daemon) serveDigestPlan(ep *scif.Endpoint, raw []byte) {
-	u := &unwire{buf: raw}
-	u.u8()
-	path := u.str()
-	fail := func(msg string) {
-		d.reply(ep, func(w *wire) {
-			w.u8(msgStoreDigestsResp)
-			w.str(msg)
-			w.u8(0)
-			w.u8(0)
-			w.dur(0)
-			w.i64(0)
-			w.i64(0)
-			w.i64(0)
-		})
-	}
-	if err := u.err(); err != nil {
-		fail(err.Error())
-		return
-	}
+func (d *Daemon) serveDigestPlan(path string) *digestsResp {
 	cs := d.chunkStore()
 	if cs == nil {
-		fail(fmt.Sprintf("no chunk store attached on %v", d.node))
-		return
+		return &digestsResp{Err: fmt.Sprintf("no chunk store attached on %v", d.node)}
 	}
 	size, chunkBytes, digests, committed, ok, dur := cs.DigestPlan(path)
-	d.reply(ep, func(w *wire) {
-		w.u8(msgStoreDigestsResp)
-		w.str("")
-		if ok {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		if committed {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-		w.dur(dur)
-		w.i64(size)
-		w.i64(chunkBytes)
-		w.i64(int64(len(digests)))
-		for _, dg := range digests {
-			w.str(dg)
-		}
-	})
+	return &digestsResp{OK: ok, Committed: committed, Dur: dur, Size: size, ChunkBytes: chunkBytes, Digests: digests}
 }
 
-func (d *Daemon) reply(ep *scif.Endpoint, fill func(*wire)) {
-	w := &wire{}
-	fill(w)
-	ep.Send(w.buf) //nolint:errcheck // peer teardown is handled by Recv errors
+func send(ep *scif.Endpoint, m msg) {
+	ep.Send(encode(m)) //nolint:errcheck // peer teardown is handled by Recv errors
 }
 
-// serveWrite drains the peer's staging slots into a local file — appended
-// chunk by chunk in the classic mode, or written at explicit offsets into
-// a shared striped assembly.
-func (d *Daemon) serveWrite(ep *scif.Endpoint, streamID int64, path string, windows []int64, striped bool, st Stripe) {
-	var fw vfs.Writer
-	var asm *assembly
-	var err error
-	if striped {
-		if st.Offset < 0 || st.Length < 0 || st.Offset+st.Length > st.Total {
-			d.reply(ep, func(w *wire) {
-				w.u8(msgOpenResp)
-				w.str(fmt.Sprintf("stripe [%d,%d) outside file of %d bytes", st.Offset, st.Offset+st.Length, st.Total))
-				w.i64(0)
-			})
-			return
-		}
-		asm, err = d.openAssembly(path, st.Total)
-	} else {
-		fw, err = d.fs.Create(path)
+// chunkSink is where a write stream's drained chunks land: an append-mode
+// file, a shared striped assembly, or the node's chunk store.
+type chunkSink interface {
+	// put persists one chunk at off (ignored by an append-mode file) and
+	// returns the file-system time. partial is an injected partial-write
+	// fault: persist at most a prefix, credit nothing, and return the
+	// fault as the error — the resumed stream replays the whole chunk.
+	put(off int64, content blob.Blob, partial bool) (simclock.Duration, error)
+	// commit is the stream's clean close.
+	commit() error
+	// leave parts the stream without committing. abort discards what the
+	// stream shares with its siblings; otherwise (a transport-class
+	// failure, or a detach) whatever a replacement stream could resume
+	// from survives.
+	leave(abort bool)
+}
+
+// appendSink is the classic mode: one stream appends one file, which has
+// nothing to resume from.
+type appendSink struct{ fw vfs.Writer }
+
+func (s appendSink) put(_ int64, content blob.Blob, partial bool) (simclock.Duration, error) {
+	if partial {
+		s.fw.WriteBlob(content.Slice(0, content.Len()/2)) //nolint:errcheck // injected fault: the chunk is nacked regardless of how the half-write fared
+		return 0, errors.New("injected fault: partial write")
 	}
+	return s.fw.WriteBlob(content)
+}
+func (s appendSink) commit() error { return s.fw.Close() }
+func (s appendSink) leave(bool)    { s.fw.Abort() }
+
+// stripeSink writes one stream's byte range of a shared striped assembly.
+// Aborting poisons the assembly for every sibling; detaching keeps it and
+// its coverage for a watermark resume.
+type stripeSink struct {
+	d    *Daemon
+	path string
+	asm  *assembly
+}
+
+func (s stripeSink) put(off int64, content blob.Blob, partial bool) (simclock.Duration, error) {
+	if partial {
+		s.asm.sw.WriteBlobAt(off, content.Slice(0, content.Len()/2)) //nolint:errcheck // injected fault: the chunk is nacked regardless of how the half-write fared
+		return 0, errors.New("injected fault: partial stripe write")
+	}
+	if s.d.coveredRange(s.asm, off, off+content.Len()) {
+		// Idempotent replay of bytes that are already durable (a resumed
+		// stream's watermark undercounts acked-but-uncredited chunks):
+		// ack without touching the file — it may even have committed
+		// under us.
+		return 0, nil
+	}
+	dur, err := s.asm.sw.WriteBlobAt(off, content)
+	if err == nil {
+		s.d.credit(s.asm, off, content.Len())
+	}
+	return dur, err
+}
+func (s stripeSink) commit() error { return s.d.releaseAssembly(s.path, s.asm, false) }
+func (s stripeSink) leave(abort bool) {
+	if abort {
+		s.d.releaseAssembly(s.path, s.asm, true) //nolint:errcheck // abort path: discarding the partial assembly is the handling
+	} else {
+		s.d.detachAssembly(s.path, s.asm)
+	}
+}
+
+// storeSink feeds a negotiated dedup upload: each chunk is verified
+// against its announced digest and stored once. There is no assembly and
+// no partial file — chunks are durable and idempotent the moment they
+// land, so a severed stream simply leaves the upload pending and a retry
+// re-negotiates, shipping only what is still missing. commit asks the
+// store to commit the manifest (a no-op until the last missing chunk has
+// landed across all sibling streams).
+type storeSink struct {
+	cs   ChunkStore
+	path string
+}
+
+func (s storeSink) put(off int64, content blob.Blob, partial bool) (simclock.Duration, error) {
+	if partial {
+		// The store admits whole verified chunks or nothing, so a partial
+		// write degenerates to a failed chunk.
+		return 0, errors.New("injected fault: partial chunk upload")
+	}
+	return s.cs.PutChunkAt(s.path, off, content)
+}
+func (s storeSink) commit() error {
+	_, _, err := s.cs.CloseUpload(s.path)
+	return err
+}
+func (s storeSink) leave(abort bool) {
+	if abort {
+		s.cs.AbortUpload(s.path)
+	}
+}
+
+// openSink opens the sink a write stream declared.
+func (d *Daemon) openSink(open *openMsg) (chunkSink, error) {
+	st := open.Stripe
+	if open.Striped && (st.Offset < 0 || st.Length < 0 || st.Offset+st.Length > st.Total) {
+		return nil, fmt.Errorf("stripe [%d,%d) outside file of %d bytes", st.Offset, st.Offset+st.Length, st.Total)
+	}
+	switch {
+	case open.Store:
+		cs := d.chunkStore()
+		if cs == nil {
+			return nil, fmt.Errorf("no chunk store attached on %v", d.node)
+		}
+		if !open.Striped {
+			// Store chunks are positioned by definition; the stripe
+			// carries the offsets.
+			return nil, errors.New("store-mode stream requires a stripe")
+		}
+		return storeSink{cs, open.Path}, nil
+	case open.Striped:
+		asm, err := d.openAssembly(open.Path, st.Total)
+		if err != nil {
+			return nil, err
+		}
+		return stripeSink{d, open.Path, asm}, nil
+	default:
+		fw, err := d.fs.Create(open.Path)
+		if err != nil {
+			return nil, err
+		}
+		return appendSink{fw}, nil
+	}
+}
+
+// serveWrite drains the peer's staging slots into the stream's sink, one
+// chunk-ready at a time: validate the request, consult the fault plan,
+// pull the bytes with scif_vreadfrom, persist, acknowledge.
+func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
+	sink, err := d.openSink(open)
 	if err != nil {
-		d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(err.Error()); w.i64(0) })
+		send(ep, &openResp{Err: err.Error()})
 		return
 	}
-	abort := func() {
-		if striped {
-			d.releaseAssembly(path, asm, true) //nolint:errcheck // abort path: discarding the partial assembly is the handling
-		} else {
-			fw.Abort()
-		}
-	}
-	// fail parts the stream on a transport-class failure (peer vanished,
-	// corrupted message, injected fault). A striped stream detaches —
-	// the assembly and its coverage survive for a watermark resume — an
-	// unstriped one can only discard its append-mode file.
-	fail := func() {
-		if striped {
-			d.detachAssembly(path, asm)
-		} else {
-			fw.Abort()
-		}
-	}
-	d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(""); w.i64(0) })
+	send(ep, &openResp{})
 
-	staging := make([]*slot, len(windows))
+	st := open.Stripe
+	staging := make([]*slot, len(open.Windows))
 	for i := range staging {
 		staging[i] = newSlot(d.bufSize)
 	}
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {
-			fail() // peer vanished mid-stream
+			sink.leave(false) // peer vanished mid-stream
 			return
 		}
-		u := &unwire{buf: raw}
-		switch u.u8() {
+		m, err := decode(raw)
+		if err != nil {
+			sink.leave(false) // truncated or corrupted request
+			return
+		}
+		switch m.kind() {
 		case msgChunkReady:
-			sid := u.i64()
-			sl := int(u.u8())
-			n := u.i64()
-			fileOff := u.i64()
-			nack := func(msg string) {
-				d.reply(ep, func(w *wire) {
-					w.u8(msgChunkAck)
-					w.i64(streamID)
-					w.u8(uint8(sl))
-					w.str(msg)
-					w.dur(0)
-					w.dur(0)
-				})
+			cr := m.(*chunkReady)
+			nack := func(text string) {
+				send(ep, &chunkAck{StreamID: open.StreamID, Slot: cr.Slot, Err: text})
 			}
-			if u.err() != nil {
-				fail() // truncated or corrupted request
-				return
+			// A request that breaks the stream's declaration is a peer
+			// bug, not a transport fault: refuse it and abort.
+			var bad string
+			switch {
+			case cr.StreamID != open.StreamID:
+				bad = fmt.Sprintf("chunk for stream %d on stream %d", cr.StreamID, open.StreamID)
+			case cr.Slot >= len(staging):
+				bad = fmt.Sprintf("chunk names slot %d of %d", cr.Slot, len(staging))
+			case !open.Striped && cr.FileOff >= 0:
+				bad = "positioned chunk on an unstriped stream"
+			case open.Striped && (cr.FileOff < st.Offset || cr.FileOff+cr.N > st.Offset+st.Length):
+				bad = fmt.Sprintf("chunk [%d,%d) outside stripe [%d,%d)", cr.FileOff, cr.FileOff+cr.N, st.Offset, st.Offset+st.Length)
 			}
-			if sid != streamID {
-				nack(fmt.Sprintf("chunk for stream %d on stream %d", sid, streamID))
-				abort()
-				return
-			}
-			if sl < 0 || sl >= len(staging) {
-				nack(fmt.Sprintf("chunk names slot %d of %d", sl, len(staging)))
-				abort()
+			if bad != "" {
+				nack(bad)
+				sink.leave(true)
 				return
 			}
 			// Consult the fault plan at the daemon's chunk service
@@ -670,221 +669,39 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, streamID int64, path string, wind
 			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(st.Offset, 10)); f != nil {
 				switch f.Kind {
 				case faultinject.Drop:
-					fail()
+					sink.leave(false)
 					return
 				case faultinject.PartialWrite:
 					partial = true
 				}
 			}
 			// Drain the peer's registered buffer with scif_vreadfrom.
-			rdma, err := ep.VReadFrom(staging[sl], 0, n, windows[sl])
+			rdma, err := ep.VReadFrom(staging[cr.Slot], 0, cr.N, open.Windows[cr.Slot])
 			if err != nil {
-				fail()
+				sink.leave(false)
 				return
 			}
-			content := staging[sl].SnapshotRange(0, n)
-			var fsWrite simclock.Duration
-			if striped {
-				if fileOff < st.Offset || fileOff+n > st.Offset+st.Length {
-					nack(fmt.Sprintf("chunk [%d,%d) outside stripe [%d,%d)", fileOff, fileOff+n, st.Offset, st.Offset+st.Length))
-					abort()
-					return
-				}
-				if partial {
-					// Injected partial stripe write: persist a prefix,
-					// report failure, and never credit coverage — the
-					// resumed stream replays the whole chunk.
-					_, _ = asm.sw.WriteBlobAt(fileOff, content.Slice(0, n/2)) //nolint:errcheck // injected fault: the chunk is nacked below regardless of how the half-write fared
-					nack("injected fault: partial stripe write")
-					fail()
-					return
-				}
-				if d.coveredRange(asm, fileOff, fileOff+n) {
-					// Idempotent replay of bytes that are already
-					// durable (a resumed stream's watermark undercounts
-					// acked-but-uncredited chunks): ack without touching
-					// the file — it may even have committed under us.
-					fsWrite = 0
-				} else {
-					fsWrite, err = asm.sw.WriteBlobAt(fileOff, content)
-					if err == nil {
-						d.credit(asm, fileOff, n)
-					}
-				}
-			} else {
-				if fileOff >= 0 {
-					nack("positioned chunk on an unstriped stream")
-					abort()
-					return
-				}
-				if partial {
-					_, _ = fw.WriteBlob(content.Slice(0, n/2)) //nolint:errcheck // injected fault: the chunk is nacked below regardless of how the half-write fared
-					nack("injected fault: partial write")
-					fail()
-					return
-				}
-				fsWrite, err = fw.WriteBlob(content)
-			}
+			fsWrite, err := sink.put(cr.FileOff, staging[cr.Slot].SnapshotRange(0, cr.N), partial)
 			if err != nil {
+				// A failed write aborts; an injected partial one detaches,
+				// so the resumed stream can replay the chunk.
 				nack(err.Error())
-				abort()
+				sink.leave(!partial)
 				return
 			}
-			d.reply(ep, func(w *wire) {
-				w.u8(msgChunkAck)
-				w.i64(streamID)
-				w.u8(uint8(sl))
-				w.str("")
-				w.dur(rdma)
-				w.dur(fsWrite)
-			})
+			send(ep, &chunkAck{StreamID: open.StreamID, Slot: cr.Slot, RDMA: rdma, FSWrite: fsWrite})
 		case msgClose:
-			var err error
-			if striped {
-				err = d.releaseAssembly(path, asm, false)
-			} else {
-				err = fw.Close()
+			resp := &textMsg{Kind: msgCloseResp}
+			if err := sink.commit(); err != nil {
+				resp.Text = err.Error()
 			}
-			msg := ""
-			if err != nil {
-				msg = err.Error()
-			}
-			d.reply(ep, func(w *wire) { w.u8(msgCloseResp); w.str(msg) })
-			return
-		case msgDetach:
-			fail()
+			send(ep, resp)
 			return
 		case msgAbort:
-			abort()
+			sink.leave(true)
 			return
-		default:
-			fail()
-			return
-		}
-	}
-}
-
-// serveStoreWrite drains the peer's staging slots into the node's chunk
-// store: each positioned chunk of a negotiated dedup upload is verified
-// against its announced digest and stored once. There is no striped
-// assembly and no partial file — chunks are durable and idempotent the
-// moment they land, so a severed stream simply leaves the upload
-// pending and a retry re-negotiates, shipping only what is still
-// missing. Close asks the store to commit the manifest (a no-op until
-// the last missing chunk has landed across all sibling streams).
-func (d *Daemon) serveStoreWrite(ep *scif.Endpoint, streamID int64, path string, windows []int64, striped bool, st Stripe) {
-	openErr := func(msg string) {
-		d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(msg); w.i64(0) })
-	}
-	cs := d.chunkStore()
-	if cs == nil {
-		openErr(fmt.Sprintf("no chunk store attached on %v", d.node))
-		return
-	}
-	if !striped {
-		// Store chunks are positioned by definition; the stripe carries
-		// the offsets.
-		openErr("store-mode stream requires a stripe")
-		return
-	}
-	if st.Offset < 0 || st.Length < 0 || st.Offset+st.Length > st.Total {
-		openErr(fmt.Sprintf("stripe [%d,%d) outside file of %d bytes", st.Offset, st.Offset+st.Length, st.Total))
-		return
-	}
-	d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(""); w.i64(0) })
-
-	staging := make([]*slot, len(windows))
-	for i := range staging {
-		staging[i] = newSlot(d.bufSize)
-	}
-	for {
-		raw, _, err := ep.Recv()
-		if err != nil {
-			return // peer vanished: upload stays pending for a retry
-		}
-		u := &unwire{buf: raw}
-		switch u.u8() {
-		case msgChunkReady:
-			sid := u.i64()
-			sl := int(u.u8())
-			n := u.i64()
-			fileOff := u.i64()
-			nack := func(msg string) {
-				d.reply(ep, func(w *wire) {
-					w.u8(msgChunkAck)
-					w.i64(streamID)
-					w.u8(uint8(sl))
-					w.str(msg)
-					w.dur(0)
-					w.dur(0)
-				})
-			}
-			if u.err() != nil {
-				return // truncated or corrupted request
-			}
-			if sid != streamID {
-				nack(fmt.Sprintf("chunk for stream %d on stream %d", sid, streamID))
-				return
-			}
-			if sl < 0 || sl >= len(staging) {
-				nack(fmt.Sprintf("chunk names slot %d of %d", sl, len(staging)))
-				return
-			}
-			// Same fault surface as the plain write path: the daemon can
-			// crash (wiping pending uploads) and chunk faults hit this
-			// stream, keyed by its stripe offset.
-			inj := d.svc.net.Fabric().Injector()
-			if f := inj.Fire(faultinject.SiteDaemon, d.node.String()); f != nil && f.Kind == faultinject.Crash {
-				d.crash()
-				return
-			}
-			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(st.Offset, 10)); f != nil {
-				switch f.Kind {
-				case faultinject.Drop:
-					return
-				case faultinject.PartialWrite:
-					// The store admits whole verified chunks or nothing, so
-					// a partial write degenerates to a failed chunk: nothing
-					// durable, nothing credited.
-					nack("injected fault: partial chunk upload")
-					return
-				}
-			}
-			if fileOff < st.Offset || fileOff+n > st.Offset+st.Length {
-				nack(fmt.Sprintf("chunk [%d,%d) outside stripe [%d,%d)", fileOff, fileOff+n, st.Offset, st.Offset+st.Length))
-				return
-			}
-			rdma, err := ep.VReadFrom(staging[sl], 0, n, windows[sl])
-			if err != nil {
-				return
-			}
-			fsWrite, err := cs.PutChunkAt(path, fileOff, staging[sl].SnapshotRange(0, n))
-			if err != nil {
-				nack(err.Error())
-				return
-			}
-			d.reply(ep, func(w *wire) {
-				w.u8(msgChunkAck)
-				w.i64(streamID)
-				w.u8(uint8(sl))
-				w.str("")
-				w.dur(rdma)
-				w.dur(fsWrite)
-			})
-		case msgClose:
-			_, _, err := cs.CloseUpload(path)
-			msg := ""
-			if err != nil {
-				msg = err.Error()
-			}
-			d.reply(ep, func(w *wire) { w.u8(msgCloseResp); w.str(msg) })
-			return
-		case msgDetach:
-			return // upload stays pending for a resume
-		case msgAbort:
-			cs.AbortUpload(path)
-			return
-		default:
+		default: // msgDetach, or a message that has no business on a write stream
+			sink.leave(false)
 			return
 		}
 	}
@@ -892,26 +709,26 @@ func (d *Daemon) serveStoreWrite(ep *scif.Endpoint, streamID int64, path string,
 
 // serveRead streams a local file (or a byte range of it) into the peer's
 // staging slots.
-func (d *Daemon) serveRead(ep *scif.Endpoint, streamID int64, path string, windows []int64, striped bool, st Stripe) {
+func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 	var fr vfs.Reader
 	var err error
-	if striped {
+	if open.Striped {
 		rfs, ok := d.fs.(vfs.RangeFS)
 		if !ok {
 			err = fmt.Errorf("snapifyio: file system on %v does not support range reads", d.node)
 		} else {
-			fr, err = rfs.OpenRange(path, st.Offset, st.Length)
+			fr, err = rfs.OpenRange(open.Path, open.Stripe.Offset, open.Stripe.Length)
 		}
 	} else {
-		fr, err = d.fs.Open(path)
+		fr, err = d.fs.Open(open.Path)
 	}
 	if err != nil {
-		d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(err.Error()); w.i64(0) })
+		send(ep, &openResp{Err: err.Error()})
 		return
 	}
-	d.reply(ep, func(w *wire) { w.u8(msgOpenResp); w.str(""); w.i64(fr.Size()) })
+	send(ep, &openResp{Size: fr.Size()})
 
-	staging := make([]*slot, len(windows))
+	staging := make([]*slot, len(open.Windows))
 	for i := range staging {
 		staging[i] = newSlot(d.bufSize)
 	}
@@ -920,31 +737,24 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, streamID int64, path string, windo
 		if err != nil {
 			return
 		}
-		u := &unwire{buf: raw}
-		switch u.u8() {
+		m, err := decode(raw)
+		if err != nil {
+			return // truncated or corrupted request
+		}
+		switch m.kind() {
 		case msgPull:
-			sid := u.i64()
-			sl := int(u.u8())
-			if u.err() != nil {
-				return // truncated or corrupted request
+			pull := m.(*pullMsg)
+			here := &chunkHere{StreamID: open.StreamID, Slot: pull.Slot}
+			nack := func(text string) {
+				here.Err = text
+				send(ep, here)
 			}
-			nack := func(msg string) {
-				d.reply(ep, func(w *wire) {
-					w.u8(msgChunkHere)
-					w.i64(streamID)
-					w.u8(uint8(sl))
-					w.str(msg)
-					w.i64(0)
-					w.dur(0)
-					w.dur(0)
-				})
-			}
-			if sid != streamID {
-				nack(fmt.Sprintf("pull for stream %d on stream %d", sid, streamID))
+			if pull.StreamID != open.StreamID {
+				nack(fmt.Sprintf("pull for stream %d on stream %d", pull.StreamID, open.StreamID))
 				return
 			}
-			if sl < 0 || sl >= len(staging) {
-				nack(fmt.Sprintf("pull names slot %d of %d", sl, len(staging)))
+			if pull.Slot >= len(staging) {
+				nack(fmt.Sprintf("pull names slot %d of %d", pull.Slot, len(staging)))
 				return
 			}
 			// The read path consults the same fault plan as the write
@@ -955,44 +765,29 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, streamID int64, path string, windo
 				d.crash()
 				return
 			}
-			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(st.Offset, 10)); f != nil && f.Kind != faultinject.Slow {
+			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(open.Stripe.Offset, 10)); f != nil && f.Kind != faultinject.Slow {
 				nack("injected fault: chunk read failed")
 				return
 			}
 			chunk, fsRead, err := fr.Next(d.bufSize)
 			if err == io.EOF {
-				d.reply(ep, func(w *wire) {
-					w.u8(msgChunkHere)
-					w.i64(streamID)
-					w.u8(uint8(sl))
-					w.str("")
-					w.i64(0)
-					w.dur(0)
-					w.dur(0)
-				})
-				continue // peer will close
+				send(ep, here) // N == 0: end of file
+				continue       // peer will close
 			}
 			if err != nil {
 				nack(err.Error())
 				return
 			}
-			staging[sl].WriteBlob(0, chunk)
+			staging[pull.Slot].WriteBlob(0, chunk)
 			// Push into the peer's registered buffer with scif_vwriteto.
-			rdma, err := ep.VWriteTo(staging[sl], 0, chunk.Len(), windows[sl])
+			rdma, err := ep.VWriteTo(staging[pull.Slot], 0, chunk.Len(), open.Windows[pull.Slot])
 			if err != nil {
 				return
 			}
-			d.reply(ep, func(w *wire) {
-				w.u8(msgChunkHere)
-				w.i64(streamID)
-				w.u8(uint8(sl))
-				w.str("")
-				w.i64(chunk.Len())
-				w.dur(fsRead)
-				w.dur(rdma)
-			})
+			here.N, here.FSRead, here.RDMA = chunk.Len(), fsRead, rdma
+			send(ep, here)
 		case msgClose, msgAbort, msgDetach:
-			d.reply(ep, func(w *wire) { w.u8(msgCloseResp); w.str("") })
+			send(ep, &textMsg{Kind: msgCloseResp})
 			return
 		default:
 			return
@@ -1045,30 +840,9 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 	}
 	streamID := d.svc.nextStreamID.Add(1)
 
-	w := &wire{}
-	w.u8(msgOpen)
-	w.u8(uint8(mode))
-	w.i64(streamID)
-	w.u8(uint8(slots))
-	w.i64(d.bufSize)
-	for _, win := range windows {
-		w.i64(win)
-	}
-	if st.enabled() {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	w.i64(st.Offset)
-	w.i64(st.Length)
-	w.i64(st.Total)
-	w.str(path)
-	if opts.Store {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-	if _, err := ep.Send(w.buf); err != nil {
+	req := &openMsg{Mode: mode, StreamID: streamID, BufSize: d.bufSize, Windows: windows,
+		Striped: st.enabled(), Stripe: st, Path: path, Store: opts.Store}
+	if _, err := ep.Send(encode(req)); err != nil {
 		ep.Close()
 		return nil, err
 	}
@@ -1077,16 +851,16 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 		ep.Close()
 		return nil, err
 	}
-	u, err := expect(raw, msgOpenResp)
+	resp, err := expect[*openResp](raw, msgOpenResp)
 	if err != nil {
 		ep.Close()
 		return nil, err
 	}
-	if msg := u.str(); msg != "" {
+	if resp.Err != "" {
 		ep.Close()
-		return nil, &RemoteError{Node: target, Path: path, Msg: msg}
+		return nil, &RemoteError{Node: target, Path: path, Msg: resp.Err}
 	}
-	size := u.i64()
+	size := resp.Size
 
 	// The stream is a bulk flow on the PCIe link for as long as it is
 	// open: writes move node -> target, reads target -> node.

@@ -104,36 +104,29 @@ func (f *File) awaitAck(stages *[3]simclock.Duration) error {
 	if err != nil {
 		return err
 	}
-	u, err := expect(raw, msgChunkAck)
+	f.inflight-- // whatever arrived is the reply to the oldest chunk: acks come in send order
+	ack, err := expect[*chunkAck](raw, msgChunkAck)
 	if err != nil {
 		return err
 	}
-	if sid := u.i64(); sid != f.streamID {
-		return fmt.Errorf("snapifyio: ack for stream %d on stream %d", sid, f.streamID)
-	}
-	u.u8() // slot index; acks arrive in send order
-	f.inflight--
-	msg := u.str()
-	rdma := u.dur() + f.model.SCIFMsgLatency // notify + DMA
-	fsWrite := u.dur()
-	if err := u.err(); err != nil {
-		return err
+	if ack.StreamID != f.streamID {
+		return fmt.Errorf("snapifyio: ack for stream %d on stream %d", ack.StreamID, f.streamID)
 	}
 	chunkLen := int64(0)
 	if len(f.sentLens) > 0 {
 		chunkLen = f.sentLens[0]
 		f.sentLens = f.sentLens[1:]
 	}
-	if msg != "" {
+	if ack.Err != "" {
 		// A nacked chunk was not durably written; it does not advance
 		// the watermark.
 		f.errCtr.Inc()
-		return &RemoteError{Node: f.target, Path: "", Msg: msg}
+		return &RemoteError{Node: f.target, Path: "", Msg: ack.Err}
 	}
 	f.acked += chunkLen
 	if stages != nil {
-		stages[1] += rdma
-		stages[2] += fsWrite
+		stages[1] += ack.RDMA + f.model.SCIFMsgLatency // notify + DMA
+		stages[2] += ack.FSWrite
 	}
 	return nil
 }
@@ -157,10 +150,8 @@ func (f *File) Detach() {
 	if f.release != nil {
 		defer f.release()
 	}
-	w := &wire{}
-	w.u8(msgDetach)
-	f.ep.Send(w.buf) //nolint:errcheck // best effort: the remote handler also detaches on reset
-	f.ep.Close()     //nolint:errcheck // detach path: dropping the connection carries the signal
+	f.ep.Send(encode(bare(msgDetach))) //nolint:errcheck // best effort: the remote handler also detaches on reset
+	f.ep.Close()                       //nolint:errcheck // detach path: dropping the connection carries the signal
 }
 
 // WriteBlob streams one chunk (split at the staging buffer size) to the
@@ -197,13 +188,8 @@ func (f *File) WriteBlob(b blob.Blob) (stream.Cost, error) {
 		// Notify the remote daemon; with one slot this immediately awaits
 		// the drain ack (the paper's ping-pong), with more the ack of an
 		// earlier chunk is awaited instead, keeping slots-1 in flight.
-		w := &wire{}
-		w.u8(msgChunkReady)
-		w.i64(f.streamID)
-		w.u8(uint8(sl))
-		w.i64(chunk.Len())
-		w.i64(off)
-		if _, err := f.ep.Send(w.buf); err != nil {
+		ready := &chunkReady{StreamID: f.streamID, Slot: sl, N: chunk.Len(), FileOff: off}
+		if _, err := f.ep.Send(encode(ready)); err != nil {
 			return err
 		}
 		f.inflight++
@@ -264,12 +250,9 @@ func (f *File) Flush() (stream.Cost, error) {
 // was consumed (and its content snapshotted), so reuse is safe.
 func (f *File) ensurePulls() error {
 	for !f.eof && f.pulls < len(f.slots) {
-		w := &wire{}
-		w.u8(msgPull)
-		w.i64(f.streamID)
-		w.u8(uint8(f.seq % len(f.slots)))
+		pull := &pullMsg{StreamID: f.streamID, Slot: f.seq % len(f.slots)}
 		f.seq++
-		if _, err := f.ep.Send(w.buf); err != nil {
+		if _, err := f.ep.Send(encode(pull)); err != nil {
 			return err
 		}
 		f.pulls++
@@ -297,26 +280,19 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 		if err != nil {
 			return blob.Blob{}, stream.Cost{}, err
 		}
-		u, err := expect(raw, msgChunkHere)
+		f.pulls--
+		here, err := expect[*chunkHere](raw, msgChunkHere)
 		if err != nil {
 			return blob.Blob{}, stream.Cost{}, err
 		}
-		if sid := u.i64(); sid != f.streamID {
-			return blob.Blob{}, stream.Cost{}, fmt.Errorf("snapifyio: chunk for stream %d on stream %d", sid, f.streamID)
+		if here.StreamID != f.streamID {
+			return blob.Blob{}, stream.Cost{}, fmt.Errorf("snapifyio: chunk for stream %d on stream %d", here.StreamID, f.streamID)
 		}
-		sl := int(u.u8())
-		f.pulls--
-		msg := u.str()
-		n := u.i64()
-		fsRead := u.dur()
-		rdma := u.dur() + f.model.SCIFMsgLatency
-		if err := u.err(); err != nil {
-			return blob.Blob{}, stream.Cost{}, err
-		}
-		if msg != "" {
+		if here.Err != "" {
 			f.errCtr.Inc()
-			return blob.Blob{}, stream.Cost{}, &RemoteError{Node: f.target, Path: "", Msg: msg}
+			return blob.Blob{}, stream.Cost{}, &RemoteError{Node: f.target, Path: "", Msg: here.Err}
 		}
+		sl, n := here.Slot, here.N
 		if n == 0 {
 			f.eof = true
 			// Drain the remaining prefetch replies (all EOF markers, since
@@ -327,14 +303,14 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 				if err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
-				if _, err := expect(raw, msgChunkHere); err != nil {
+				if _, err := expect[*chunkHere](raw, msgChunkHere); err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
 				f.pulls--
 			}
 			return blob.Blob{}, stream.Cost{}, io.EOF
 		}
-		if sl < 0 || sl >= len(f.slots) {
+		if sl >= len(f.slots) {
 			return blob.Blob{}, stream.Cost{}, fmt.Errorf("snapifyio: chunk names slot %d of %d", sl, len(f.slots))
 		}
 		f.current = f.slots[sl].SnapshotRange(0, n)
@@ -348,7 +324,7 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 		// transfer) outrun host-to-device reads in Section 7. Prefetching
 		// streams overlap the legs instead.
 		cost = stream.Cost{
-			Stages: []simclock.Duration{fsRead, rdma, f.localCopy(n) + f.pending},
+			Stages: []simclock.Duration{here.FSRead, here.RDMA + f.model.SCIFMsgLatency, f.localCopy(n) + f.pending},
 			Serial: len(f.slots) == 1,
 		}
 		f.pending = 0
@@ -388,30 +364,24 @@ func (f *File) Close() error {
 		if err != nil {
 			return err
 		}
-		if _, err := expect(raw, msgChunkHere); err != nil {
+		if _, err := expect[*chunkHere](raw, msgChunkHere); err != nil {
 			return err
 		}
 		f.pulls--
 	}
-	w := &wire{}
-	w.u8(msgClose)
-	if _, err := f.ep.Send(w.buf); err != nil {
+	if _, err := f.ep.Send(encode(bare(msgClose))); err != nil {
 		return err
 	}
 	raw, _, err := f.ep.Recv()
 	if err != nil {
 		return err
 	}
-	u, err := expect(raw, msgCloseResp)
+	resp, err := expect[*textMsg](raw, msgCloseResp)
 	if err != nil {
 		return err
 	}
-	msg := u.str()
-	if err := u.err(); err != nil {
-		return err
-	}
-	if msg != "" {
-		return &RemoteError{Node: f.target, Path: "", Msg: msg}
+	if resp.Text != "" {
+		return &RemoteError{Node: f.target, Path: "", Msg: resp.Text}
 	}
 	return nil
 }
@@ -427,8 +397,6 @@ func (f *File) Abort() {
 	if f.release != nil {
 		defer f.release()
 	}
-	w := &wire{}
-	w.u8(msgAbort)
-	f.ep.Send(w.buf) //nolint:errcheck // best effort: the remote handler also aborts on reset
-	f.ep.Close()     //nolint:errcheck // abort path: dropping the connection is the abort signal
+	f.ep.Send(encode(bare(msgAbort))) //nolint:errcheck // best effort: the remote handler also aborts on reset
+	f.ep.Close()                      //nolint:errcheck // abort path: dropping the connection is the abort signal
 }

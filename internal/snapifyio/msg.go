@@ -1,12 +1,16 @@
 package snapifyio
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"snapify/internal/simclock"
+	"snapify/internal/wire"
 )
+
+// This file is the Snapify-IO daemon protocol: every message is a struct
+// plus the one field list that both encodes and decodes it. Nothing else
+// in the package knows a byte offset. DESIGN.md §8 tabulates the layouts.
 
 // Wire message types between Snapify-IO daemons.
 const (
@@ -30,77 +34,266 @@ const (
 	msgStoreDigestsResp
 )
 
-// errTruncated is reported when a message is shorter than its fields
-// claim — either a protocol bug or an injected truncation fault.
-var errTruncated = errors.New("snapifyio: truncated message")
+// errMalformed is what every rejected message unwraps to: too short for
+// its fields, bytes left over, or an unknown type — a protocol bug or an
+// injected truncation/corruption fault.
+var errMalformed = errors.New("snapifyio: malformed message")
 
-// wire is a minimal append/consume codec for the daemon protocol.
-type wire struct{ buf []byte }
-
-func (w *wire) u8(v uint8)              { w.buf = append(w.buf, v) }
-func (w *wire) i64(v int64)             { w.buf = binary.BigEndian.AppendUint64(w.buf, uint64(v)) }
-func (w *wire) dur(d simclock.Duration) { w.i64(int64(d)) }
-func (w *wire) str(s string) {
-	w.i64(int64(len(s)))
-	w.buf = append(w.buf, s...)
+// msg is one wire message.
+type msg interface {
+	kind() uint8
+	fields(c *wire.Cursor)
 }
 
-// unwire consumes a wire message. Every accessor bounds-checks: reading
-// past the end (a truncated or corrupted message) latches the bad flag
-// and yields zero values, and the caller checks err() once after
-// decoding instead of trusting the peer's framing.
-type unwire struct {
-	buf []byte
-	off int
-	bad bool
+// bare is a message that is only its type byte: msgClose, msgAbort,
+// msgDetach, msgMetricsDump.
+type bare uint8
+
+func (b bare) kind() uint8       { return uint8(b) }
+func (bare) fields(*wire.Cursor) {}
+
+// openMsg declares a stream: its staging slots (one registered window
+// each), the byte range it carries, and where the bytes land.
+type openMsg struct {
+	Mode     Mode
+	StreamID int64
+	BufSize  int64
+	Windows  []int64
+	Striped  bool
+	Stripe   Stripe
+	Path     string
+	Store    bool
 }
 
-func (u *unwire) u8() uint8 {
-	if u.off+1 > len(u.buf) {
-		u.bad = true
-		return 0
-	}
-	v := u.buf[u.off]
-	u.off++
-	return v
+func (*openMsg) kind() uint8 { return msgOpen }
+func (m *openMsg) fields(c *wire.Cursor) {
+	wire.U8(c, &m.Mode)
+	wire.U64(c, &m.StreamID)
+	slots := len(m.Windows)
+	wire.U8(c, &slots)
+	wire.U64(c, &m.BufSize)
+	wire.Elems(c, &m.Windows, slots, wire.U64[int64])
+	wire.Bool(c, &m.Striped)
+	wire.U64(c, &m.Stripe.Offset)
+	wire.U64(c, &m.Stripe.Length)
+	wire.U64(c, &m.Stripe.Total)
+	wire.Str64(c, &m.Path)
+	wire.Bool(c, &m.Store)
 }
 
-func (u *unwire) i64() int64 {
-	if u.off+8 > len(u.buf) {
-		u.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(u.buf[u.off:])
-	u.off += 8
-	return int64(v)
+// openResp carries the remote file size for a read stream. In every
+// reply a non-empty Err is the daemon's refusal and the other fields are
+// zero.
+type openResp struct {
+	Err  string
+	Size int64
 }
 
-func (u *unwire) dur() simclock.Duration { return simclock.Duration(u.i64()) }
-
-func (u *unwire) str() string {
-	n := int(u.i64())
-	if n < 0 || u.off+n > len(u.buf) {
-		u.bad = true
-		return ""
-	}
-	s := string(u.buf[u.off : u.off+n])
-	u.off += n
-	return s
+func (*openResp) kind() uint8 { return msgOpenResp }
+func (m *openResp) fields(c *wire.Cursor) {
+	wire.Str64(c, &m.Err)
+	wire.U64(c, &m.Size)
 }
 
-// err reports whether any accessor ran past the message end.
-func (u *unwire) err() error {
-	if u.bad {
-		return errTruncated
+// chunkReady says slot Slot holds N bytes for file offset FileOff (-1 on
+// an append stream).
+type chunkReady struct {
+	StreamID int64
+	Slot     int
+	N        int64
+	FileOff  int64
+}
+
+func (*chunkReady) kind() uint8 { return msgChunkReady }
+func (m *chunkReady) fields(c *wire.Cursor) {
+	wire.U64(c, &m.StreamID)
+	wire.U8(c, &m.Slot)
+	wire.U64(c, &m.N)
+	wire.U64(c, &m.FileOff)
+}
+
+type chunkAck struct {
+	StreamID int64
+	Slot     int
+	Err      string
+	RDMA     simclock.Duration
+	FSWrite  simclock.Duration
+}
+
+func (*chunkAck) kind() uint8 { return msgChunkAck }
+func (m *chunkAck) fields(c *wire.Cursor) {
+	wire.U64(c, &m.StreamID)
+	wire.U8(c, &m.Slot)
+	wire.Str64(c, &m.Err)
+	wire.U64(c, &m.RDMA)
+	wire.U64(c, &m.FSWrite)
+}
+
+type pullMsg struct {
+	StreamID int64
+	Slot     int
+}
+
+func (*pullMsg) kind() uint8 { return msgPull }
+func (m *pullMsg) fields(c *wire.Cursor) {
+	wire.U64(c, &m.StreamID)
+	wire.U8(c, &m.Slot)
+}
+
+// chunkHere answers a pull; N == 0 is end of file.
+type chunkHere struct {
+	StreamID int64
+	Slot     int
+	Err      string
+	N        int64
+	FSRead   simclock.Duration
+	RDMA     simclock.Duration
+}
+
+func (*chunkHere) kind() uint8 { return msgChunkHere }
+func (m *chunkHere) fields(c *wire.Cursor) {
+	wire.U64(c, &m.StreamID)
+	wire.U8(c, &m.Slot)
+	wire.Str64(c, &m.Err)
+	wire.U64(c, &m.N)
+	wire.U64(c, &m.FSRead)
+	wire.U64(c, &m.RDMA)
+}
+
+// textMsg is a message that is one string: the close and discard replies
+// (an error text, empty on success), the metrics dump, and the discard
+// and digest-plan requests (a path).
+type textMsg struct {
+	Kind uint8
+	Text string
+}
+
+func (m *textMsg) kind() uint8           { return m.Kind }
+func (m *textMsg) fields(c *wire.Cursor) { wire.Str64(c, &m.Text) }
+
+// negotiateMsg opens a dedup upload: the image's ordered chunk digests.
+type negotiateMsg struct {
+	Path       string
+	Parent     string
+	Size       int64
+	ChunkBytes int64
+	Digests    []string
+}
+
+func (*negotiateMsg) kind() uint8 { return msgStoreNegotiate }
+func (m *negotiateMsg) fields(c *wire.Cursor) {
+	wire.Str64(c, &m.Path)
+	wire.Str64(c, &m.Parent)
+	wire.U64(c, &m.Size)
+	wire.U64(c, &m.ChunkBytes)
+	wire.List(c, wire.U64[int], &m.Digests, wire.Str64)
+}
+
+// negotiateResp lists the chunk indices the store lacks.
+type negotiateResp struct {
+	Err       string
+	Committed bool
+	Dur       simclock.Duration
+	Need      []int
+}
+
+func (*negotiateResp) kind() uint8 { return msgStoreNegotiateResp }
+func (m *negotiateResp) fields(c *wire.Cursor) {
+	wire.Str64(c, &m.Err)
+	wire.Bool(c, &m.Committed)
+	wire.U64(c, &m.Dur)
+	wire.List(c, wire.U64[int], &m.Need, wire.U64[int])
+}
+
+// digestsResp is the digest plan for a path: OK is false when the store
+// knows nothing about it.
+type digestsResp struct {
+	Err        string
+	OK         bool
+	Committed  bool
+	Dur        simclock.Duration
+	Size       int64
+	ChunkBytes int64
+	Digests    []string
+}
+
+func (*digestsResp) kind() uint8 { return msgStoreDigestsResp }
+func (m *digestsResp) fields(c *wire.Cursor) {
+	wire.Str64(c, &m.Err)
+	wire.Bool(c, &m.OK)
+	wire.Bool(c, &m.Committed)
+	wire.U64(c, &m.Dur)
+	wire.U64(c, &m.Size)
+	wire.U64(c, &m.ChunkBytes)
+	wire.List(c, wire.U64[int], &m.Digests, wire.Str64)
+}
+
+// newMsg returns an empty message of the given type, nil if there is none.
+func newMsg(kind uint8) msg {
+	switch kind {
+	case msgOpen:
+		return new(openMsg)
+	case msgOpenResp:
+		return new(openResp)
+	case msgChunkReady:
+		return new(chunkReady)
+	case msgChunkAck:
+		return new(chunkAck)
+	case msgPull:
+		return new(pullMsg)
+	case msgChunkHere:
+		return new(chunkHere)
+	case msgClose, msgAbort, msgDetach, msgMetricsDump:
+		return bare(kind)
+	case msgCloseResp, msgMetricsResp, msgDiscard, msgDiscardResp, msgStoreDigests:
+		return &textMsg{Kind: kind}
+	case msgStoreNegotiate:
+		return new(negotiateMsg)
+	case msgStoreNegotiateResp:
+		return new(negotiateResp)
+	case msgStoreDigestsResp:
+		return new(digestsResp)
 	}
 	return nil
 }
 
-// expect decodes a message and verifies its type.
-func expect(raw []byte, want uint8) (*unwire, error) {
-	u := &unwire{buf: raw}
-	if got := u.u8(); u.bad || got != want {
-		return nil, fmt.Errorf("snapifyio: protocol error: got message %d, want %d", got, want)
+// encode returns m's wire bytes: its type byte, then its fields.
+func encode(m msg) []byte {
+	c := wire.Encoder()
+	k := m.kind()
+	wire.U8(c, &k)
+	m.fields(c)
+	return c.Bytes()
+}
+
+// decode is the one decoder: the type byte picks the message, its field
+// list consumes the rest. Every rejection unwraps to errMalformed.
+func decode(raw []byte) (msg, error) {
+	if len(raw) == 0 {
+		return nil, fmt.Errorf("%w: empty", errMalformed)
 	}
-	return u, nil
+	m := newMsg(raw[0])
+	if m == nil {
+		return nil, fmt.Errorf("%w: unknown type %d", errMalformed, raw[0])
+	}
+	c := wire.Decoder(raw[1:])
+	m.fields(c)
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("%w (type %d): %v", errMalformed, raw[0], err)
+	}
+	return m, nil
+}
+
+// expect decodes raw and verifies it is the message the caller is waiting
+// for.
+func expect[M msg](raw []byte, kind uint8) (M, error) {
+	m, err := decode(raw)
+	if err == nil && m.kind() != kind {
+		err = fmt.Errorf("snapifyio: protocol error: got message %d, want %d", m.kind(), kind)
+	}
+	if err != nil {
+		var none M
+		return none, err
+	}
+	return m.(M), nil
 }

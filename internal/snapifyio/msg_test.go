@@ -1,0 +1,308 @@
+package snapifyio
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"snapify/internal/blob"
+	"snapify/internal/scif"
+	"snapify/internal/simclock"
+	"snapify/internal/simnet"
+)
+
+// The daemon protocol's byte layouts are pinned by hex captured from the
+// inline wire compositions msg.go's field lists replaced (daemon.go,
+// file.go and snapifyio.go at PR 15, run over these field values).
+// Service.Negotiate and StagePlan charge virtual time by message length,
+// so identical bytes is what keeps every virtual number identical.
+var goldenMessages = []struct {
+	name string
+	hex  string
+	msg  msg
+}{
+	{"open",
+		"01010000000000000029020000000000400000000000000000100000000000000020000100000000001000000000000000200000000000000080000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f616401",
+		&openMsg{Mode: Write, StreamID: 41, BufSize: 4 << 20, Windows: []int64{4096, 8192}, Striped: true, Stripe: Stripe{Offset: 1 << 20, Length: 2 << 20, Total: 8 << 20}, Path: "/snap/a/context_offload", Store: true}},
+	{"open_plain_read",
+		"0100000000000000002a01000000000040000000000000000010000000000000000000000000000000000000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f616400",
+		&openMsg{Mode: Read, StreamID: 42, BufSize: 4 << 20, Windows: []int64{4096}, Path: "/snap/a/context_offload"}},
+	{"open_resp",
+		"0200000000000000000000000010000000",
+		&openResp{Size: 256 << 20}},
+	{"open_resp_err",
+		"02000000000000001c73746167696e67206275666665722073697a65206d69736d617463680000000000000000",
+		&openResp{Err: "staging buffer size mismatch"}},
+	{"chunk_ready",
+		"0300000000000000290100000000004000000000000000100000",
+		&chunkReady{StreamID: 41, Slot: 1, N: 4 << 20, FileOff: 1 << 20}},
+	{"chunk_ready_append",
+		"03000000000000002a0000000000000003e8ffffffffffffffff",
+		&chunkReady{StreamID: 42, Slot: 0, N: 1000, FileOff: -1}},
+	{"chunk_ack",
+		"040000000000000029010000000000000000000000000009eb100000000000124f80",
+		&chunkAck{StreamID: 41, Slot: 1, RDMA: 650 * time.Microsecond, FSWrite: 1200 * time.Microsecond}},
+	{"chunk_ack_err",
+		"0400000000000000290100000000000000176368756e6b206e616d657320736c6f742039206f66203200000000000000000000000000000000",
+		&chunkAck{StreamID: 41, Slot: 1, Err: "chunk names slot 9 of 2"}},
+	{"pull",
+		"05000000000000002a00",
+		&pullMsg{StreamID: 42, Slot: 0}},
+	{"chunk_here",
+		"06000000000000002a000000000000000000000000000040000000000000000dbba0000000000009eb10",
+		&chunkHere{StreamID: 42, Slot: 0, N: 4 << 20, FSRead: 900 * time.Microsecond, RDMA: 650 * time.Microsecond}},
+	{"chunk_here_err",
+		"06000000000000002a000000000000000021696e6a6563746564206661756c743a206368756e6b2072656164206661696c6564000000000000000000000000000000000000000000000000",
+		&chunkHere{StreamID: 42, Slot: 0, Err: "injected fault: chunk read failed"}},
+	{"close",
+		"07",
+		bare(msgClose)},
+	{"close_resp",
+		"080000000000000000",
+		&textMsg{Kind: msgCloseResp}},
+	{"close_resp_err",
+		"08000000000000000d636f6d6d6974206661696c6564",
+		&textMsg{Kind: msgCloseResp, Text: "commit failed"}},
+	{"abort",
+		"09",
+		bare(msgAbort)},
+	{"detach",
+		"0c",
+		bare(msgDetach)},
+	{"metrics_dump",
+		"0a",
+		bare(msgMetricsDump)},
+	{"metrics_resp",
+		"0b000000000000000f232048454c50207820790a7820310a",
+		&textMsg{Kind: msgMetricsResp, Text: "# HELP x y\nx 1\n"}},
+	{"discard",
+		"0d00000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164",
+		&textMsg{Kind: msgDiscard, Text: "/snap/a/context_offload"}},
+	{"discard_resp",
+		"0e0000000000000000",
+		&textMsg{Kind: msgDiscardResp}},
+	{"negotiate",
+		"0f00000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000000a0000000000000004000000000000000000003000000000000000461613131000000000000000462623232000000000000000463633333",
+		&negotiateMsg{Path: "/snap/a/context_offload", Parent: "/snap/base/context_offload", Size: 10 << 20, ChunkBytes: 4 << 20, Digests: []string{"aa11", "bb22", "cc33"}}},
+	{"negotiate_resp",
+		"10000000000000000000000000000000a410000000000000000200000000000000000000000000000002",
+		&negotiateResp{Dur: 42 * time.Microsecond, Need: []int{0, 2}}},
+	{"negotiate_resp_err",
+		"10000000000000001f6e6f206368756e6b2073746f7265206174746163686564206f6e206d6963300000000000000000000000000000000000",
+		&negotiateResp{Err: "no chunk store attached on mic0"}},
+	{"digests",
+		"1100000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164",
+		&textMsg{Kind: msgStoreDigests, Text: "/snap/a/context_offload"}},
+	{"digests_resp",
+		"120000000000000000010100000000000042680000000000a0000000000000004000000000000000000003000000000000000461613131000000000000000462623232000000000000000463633333",
+		&digestsResp{OK: true, Committed: true, Dur: 17 * time.Microsecond, Size: 10 << 20, ChunkBytes: 4 << 20, Digests: []string{"aa11", "bb22", "cc33"}}},
+	{"digests_resp_err",
+		"12000000000000001f6e6f206368756e6b2073746f7265206174746163686564206f6e206d69633000000000000000000000000000000000000000000000000000000000000000000000",
+		&digestsResp{Err: "no chunk store attached on mic0"}},
+}
+
+func goldenBytes(t testing.TB, h string) []byte {
+	t.Helper()
+	raw, err := hex.DecodeString(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+func TestGoldenWireBytes(t *testing.T) {
+	for _, g := range goldenMessages {
+		t.Run(g.name, func(t *testing.T) {
+			want := goldenBytes(t, g.hex)
+			if got := encode(g.msg); !bytes.Equal(got, want) {
+				t.Fatalf("layout changed:\n got %x\nwant %x", got, want)
+			}
+			m, err := decode(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(m, g.msg) {
+				t.Fatalf("decode(encode(m)):\n got %+v\nwant %+v", m, g.msg)
+			}
+			// No prefix of a message is a message.
+			for k := 0; k < len(want); k++ {
+				if _, err := decode(want[:k]); !errors.Is(err, errMalformed) {
+					t.Fatalf("prefix %d of %d: err = %v, want errMalformed", k, len(want), err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzWireDecode holds the daemon protocol's one decoder to three
+// properties: no input panics, every rejection unwraps to errMalformed,
+// and an accepted input is exactly its message — it re-encodes to the same
+// bytes. Seeds: the golden messages.
+func FuzzWireDecode(f *testing.F) {
+	for _, g := range goldenMessages {
+		f.Add(goldenBytes(f, g.hex))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decode(data)
+		if err != nil {
+			if !errors.Is(err, errMalformed) {
+				t.Fatalf("rejected with %v, want errMalformed", err)
+			}
+			return
+		}
+		if again := encode(m); !bytes.Equal(again, data) {
+			t.Fatalf("accepted input re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+	})
+}
+
+// A request the daemon cannot decode is refused in-band where its
+// protocol has a refusal (open, negotiate, digest plan), the daemon
+// survives every cut of every golden request, and serves a real stream
+// afterwards.
+func TestDaemonRefusesGarbageAndKeepsServing(t *testing.T) {
+	r := newRig(t)
+	refused := map[uint8]bool{msgOpen: true, msgStoreNegotiate: true, msgStoreDigests: true}
+	for _, g := range goldenMessages {
+		full := goldenBytes(t, g.hex)
+		for k := 0; k < len(full); k++ {
+			ep, err := r.net.Connect(1, scif.Addr{Node: simnet.HostNode, Port: Port})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ep.Send(full[:k]); err != nil {
+				t.Fatal(err)
+			}
+			raw, _, err := ep.Recv()
+			ep.Close()
+			if !refused[g.msg.kind()] || k == 0 {
+				if err == nil {
+					t.Fatalf("%s cut to %d bytes: daemon answered %x, want a hang-up", g.name, k, raw)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s cut to %d bytes: daemon hung up, want a refusal", g.name, k)
+			}
+			var text string
+			switch m, _ := decode(raw); m := m.(type) {
+			case *openResp:
+				text = m.Err
+			case *negotiateResp:
+				text = m.Err
+			case *digestsResp:
+				text = m.Err
+			}
+			if !strings.Contains(text, "malformed message") {
+				t.Fatalf("%s cut to %d bytes: reply %x is not a refusal", g.name, k, raw)
+			}
+		}
+	}
+	content := blob.FromBytes([]byte("still serving"))
+	f, err := r.svc.Open(1, simnet.HostNode, "/after_garbage", Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAll(t, f, content)
+	if got, _, err := r.server.Host.FS.ReadFile("/after_garbage"); err != nil || !blob.Equal(got, content) {
+		t.Fatalf("write after garbage: err %v", err)
+	}
+}
+
+// fakeStore is a ChunkStore that records what a store-mode stream did.
+type fakeStore struct {
+	mu      sync.Mutex
+	chunks  map[int64]blob.Blob
+	closed  int
+	aborted int
+}
+
+func (s *fakeStore) Negotiate(path, parent string, size, chunkBytes int64, digests []string) ([]int, bool, simclock.Duration, error) {
+	return []int{0, 1}, false, 5, nil
+}
+func (s *fakeStore) PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.chunks[off] = content
+	return 7, nil
+}
+func (s *fakeStore) CloseUpload(path string) (bool, simclock.Duration, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed++
+	return true, 0, nil
+}
+func (s *fakeStore) AbortUpload(path string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.aborted++
+}
+func (s *fakeStore) AbortAll() {}
+func (s *fakeStore) DigestPlan(path string) (int64, int64, []string, bool, bool, simclock.Duration) {
+	return 8, 4, []string{"d0", "d1"}, false, true, 3
+}
+
+// A store-mode stream rides the same chunk-ready loop as a file stream:
+// positioned chunks land in the store, close commits, and a chunk outside
+// the declared stripe is refused and aborts the upload.
+func TestStoreStreamThroughTheOneWriteLoop(t *testing.T) {
+	r := newRig(t)
+	st := &fakeStore{chunks: map[int64]blob.Blob{}}
+	if err := r.svc.AttachStore(simnet.HostNode, st); err != nil {
+		t.Fatal(err)
+	}
+	need, committed, _, err := r.svc.Negotiate(1, simnet.HostNode, "/s/ctx", "", 8, 4, []string{"d0", "d1"})
+	if err != nil || committed || len(need) != 2 {
+		t.Fatalf("negotiate: need %v committed %v err %v", need, committed, err)
+	}
+	if size, chunk, digests, _, ok, _, err := r.svc.StagePlan(1, simnet.HostNode, "/s/ctx"); err != nil || !ok || size != 8 || chunk != 4 || len(digests) != 2 {
+		t.Fatalf("stage plan: %d %d %v ok=%v err=%v", size, chunk, digests, ok, err)
+	}
+	open := func() *File {
+		f, err := r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Write, OpenOptions{
+			Slots: 2, Stripe: Stripe{Offset: 0, Length: 8, Total: 8}, Store: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := open()
+	for off, text := range map[int64]string{4: "tail", 0: "head"} {
+		if _, err := f.WriteBlobAt(off, blob.FromBytes([]byte(text))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.closed != 1 || len(st.chunks) != 2 || !blob.Equal(st.chunks[4], blob.FromBytes([]byte("tail"))) {
+		t.Fatalf("store saw closed=%d chunks=%d", st.closed, len(st.chunks))
+	}
+
+	// Speak the protocol by hand to step outside the stripe: the client
+	// library refuses to.
+	f = open()
+	f.slots[0].WriteBlob(0, blob.FromBytes([]byte("oops")))
+	if _, err := f.ep.Send(encode(&chunkReady{StreamID: f.streamID, Slot: 0, N: 4, FileOff: 6})); err != nil {
+		t.Fatal(err)
+	}
+	f.inflight++
+	var remote *RemoteError
+	if err := f.awaitAck(nil); !errors.As(err, &remote) || !strings.Contains(remote.Msg, "outside stripe") {
+		t.Fatalf("out-of-stripe chunk: %v", err)
+	}
+	f.Abort()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.aborted != 1 || len(st.chunks) != 2 {
+		t.Fatalf("after the refused chunk: aborted=%d chunks=%d", st.aborted, len(st.chunks))
+	}
+}

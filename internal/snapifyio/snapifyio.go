@@ -180,20 +180,18 @@ func (s *Service) DumpMetrics(localNode, targetNode simnet.NodeID) (string, erro
 		return "", err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	w := &wire{}
-	w.u8(msgMetricsDump)
-	if _, err := ep.Send(w.buf); err != nil {
+	if _, err := ep.Send(encode(bare(msgMetricsDump))); err != nil {
 		return "", err
 	}
 	raw, _, err := ep.Recv()
 	if err != nil {
 		return "", err
 	}
-	u, err := expect(raw, msgMetricsResp)
+	resp, err := expect[*textMsg](raw, msgMetricsResp)
 	if err != nil {
 		return "", err
 	}
-	return u.str(), nil
+	return resp.Text, nil
 }
 
 // Discard asks the daemon on targetNode to drop the pending striped
@@ -206,26 +204,19 @@ func (s *Service) Discard(localNode, targetNode simnet.NodeID, path string) erro
 		return err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	w := &wire{}
-	w.u8(msgDiscard)
-	w.str(path)
-	if _, err := ep.Send(w.buf); err != nil {
+	if _, err := ep.Send(encode(&textMsg{Kind: msgDiscard, Text: path})); err != nil {
 		return err
 	}
 	raw, _, err := ep.Recv()
 	if err != nil {
 		return err
 	}
-	u, err := expect(raw, msgDiscardResp)
+	resp, err := expect[*textMsg](raw, msgDiscardResp)
 	if err != nil {
 		return err
 	}
-	msg := u.str()
-	if err := u.err(); err != nil {
-		return err
-	}
-	if msg != "" {
-		return &RemoteError{Node: targetNode, Path: path, Msg: msg}
+	if resp.Text != "" {
+		return &RemoteError{Node: targetNode, Path: path, Msg: resp.Text}
 	}
 	return nil
 }
@@ -257,17 +248,8 @@ func (s *Service) Negotiate(localNode, targetNode simnet.NodeID, path, parent st
 		return nil, false, 0, err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	w := &wire{}
-	w.u8(msgStoreNegotiate)
-	w.str(path)
-	w.str(parent)
-	w.i64(size)
-	w.i64(chunkBytes)
-	w.i64(int64(len(digests)))
-	for _, d := range digests {
-		w.str(d)
-	}
-	sendDur, err := ep.Send(w.buf)
+	req := &negotiateMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, Digests: digests}
+	sendDur, err := ep.Send(encode(req))
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -275,25 +257,15 @@ func (s *Service) Negotiate(localNode, targetNode simnet.NodeID, path, parent st
 	if err != nil {
 		return nil, false, 0, err
 	}
-	u, err := expect(raw, msgStoreNegotiateResp)
+	resp, err := expect[*negotiateResp](raw, msgStoreNegotiateResp)
 	if err != nil {
 		return nil, false, 0, err
 	}
-	msg := u.str()
-	committed = u.u8() == 1
-	storeDur := u.dur()
-	n := int(u.i64())
-	for i := 0; i < n && !u.bad; i++ {
-		need = append(need, int(u.i64()))
+	dur = sendDur + recvDur + resp.Dur
+	if resp.Err != "" {
+		return nil, false, dur, &RemoteError{Node: targetNode, Path: path, Msg: resp.Err}
 	}
-	if err := u.err(); err != nil {
-		return nil, false, 0, err
-	}
-	dur = sendDur + recvDur + storeDur
-	if msg != "" {
-		return nil, false, dur, &RemoteError{Node: targetNode, Path: path, Msg: msg}
-	}
-	return need, committed, dur, nil
+	return resp.Need, resp.Committed, dur, nil
 }
 
 // StagePlan fetches the digest plan for path from the chunk store on
@@ -309,10 +281,7 @@ func (s *Service) StagePlan(localNode, targetNode simnet.NodeID, path string) (s
 		return 0, 0, nil, false, false, 0, err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	w := &wire{}
-	w.u8(msgStoreDigests)
-	w.str(path)
-	sendDur, err := ep.Send(w.buf)
+	sendDur, err := ep.Send(encode(&textMsg{Kind: msgStoreDigests, Text: path}))
 	if err != nil {
 		return 0, 0, nil, false, false, 0, err
 	}
@@ -320,28 +289,15 @@ func (s *Service) StagePlan(localNode, targetNode simnet.NodeID, path string) (s
 	if err != nil {
 		return 0, 0, nil, false, false, 0, err
 	}
-	u, err := expect(raw, msgStoreDigestsResp)
+	resp, err := expect[*digestsResp](raw, msgStoreDigestsResp)
 	if err != nil {
 		return 0, 0, nil, false, false, 0, err
 	}
-	msg := u.str()
-	ok = u.u8() == 1
-	committed = u.u8() == 1
-	storeDur := u.dur()
-	size = u.i64()
-	chunkBytes = u.i64()
-	n := int(u.i64())
-	for i := 0; i < n && !u.bad; i++ {
-		digests = append(digests, u.str())
+	dur = sendDur + recvDur + resp.Dur
+	if resp.Err != "" {
+		return 0, 0, nil, false, false, dur, &RemoteError{Node: targetNode, Path: path, Msg: resp.Err}
 	}
-	if err := u.err(); err != nil {
-		return 0, 0, nil, false, false, 0, err
-	}
-	dur = sendDur + recvDur + storeDur
-	if msg != "" {
-		return 0, 0, nil, false, false, dur, &RemoteError{Node: targetNode, Path: path, Msg: msg}
-	}
-	return size, chunkBytes, digests, committed, ok, dur, nil
+	return resp.Size, resp.ChunkBytes, resp.Digests, resp.Committed, resp.OK, dur, nil
 }
 
 // CrashDaemon crashes (and immediately restarts) the daemon on node:

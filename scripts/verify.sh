@@ -23,6 +23,19 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> one wire codec (no encoding/binary in the protocol files)"
+# Every COI/Snapify control message and every Snapify-IO message is a
+# field list over internal/wire (DESIGN.md §3, §8). A hand-rolled offset
+# in core, in snapifyio, or in coi's protocol files is a second definition
+# of a layout; the command/pipeline/buffer channels and HandleMeta
+# (offload.go, pipeline.go, buffer.go, meta.go) are out of scope.
+if grep -l '"encoding/binary"' $(git ls-files 'internal/core/*.go' 'internal/snapifyio/*.go' \
+    internal/coi/daemon.go internal/coi/snapify.go internal/coi/snapify_host.go \
+    internal/coi/export.go internal/coi/process.go internal/coi/msg.go | grep -v '_test\.go$'); then
+    echo "verify: the files above import encoding/binary; code the message in msg.go instead" >&2
+    exit 1
+fi
+
 echo "==> snapifylint -stats ./internal/... ./cmd/..."
 # All twelve analyzers run here, including the interprocedural CFG-based
 # ones (maporder, spanleak, lockorder, closeleak); -stats prints the
@@ -36,17 +49,18 @@ go run ./cmd/snapifylint -unused-allowlist ./internal/... ./cmd/...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/sched, internal/fleetd)"
+echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd)"
 # Per-package statement-coverage floors for the packages that hold the
-# durability-critical logic (the dedup store, the snapshot protocol, and
-# the checkpoint / restart engine with its context-file codec) and the
-# schedulers above them. The floors sit a few points under the measured
+# durability-critical logic (the dedup store, the snapshot protocol, the
+# checkpoint / restart engine with its context-file codec, and the two
+# daemons that speak the control and data protocols) and the schedulers
+# above them. The floors sit a few points under the measured
 # coverage at the time each floor was set, so they trip on real test
 # erosion, not on formatting-level churn. Raise a floor when coverage
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/sched/:62.0" "./internal/fleetd/:78.0"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:62.0" "./internal/fleetd/:78.0"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -67,8 +81,10 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # Short native-Go fuzz runs over the external parsing surfaces: the
 # snapstore manifest decoder (bytes off the VFS / off the wire from a
 # federation peer), the Chrome-trace parser (CI artifacts, user
-# exports), and the BLCR context-file and delta decoders (snapshot
-# directories outlive the build that wrote them). The committed corpora
+# exports), the BLCR context-file and delta decoders (snapshot
+# directories outlive the build that wrote them), and the two control
+# protocols' request decoders (bytes off a SCIF connection, which the
+# fault plan truncates and corrupts). The committed corpora
 # under testdata/fuzz/ replay first; 5s of mutation on top catches
 # regressions in input hardening without turning the gate into a fuzzing
 # campaign. Crashers minimize into testdata/fuzz/ and fail the gate until
@@ -77,6 +93,8 @@ go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 5s ./internal/snapstore
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/analyze/
 go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
+go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
+go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
