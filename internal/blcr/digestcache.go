@@ -6,6 +6,7 @@ import (
 	"snapify/internal/blob"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
+	"snapify/internal/stream"
 )
 
 // This file is the incremental digest pass of the dedup-aware capture
@@ -21,9 +22,9 @@ import (
 // and Store.Verify passes on it. The defence is here: the cache is used
 // only when the new layout has the cached geometry exactly, epochs are cut
 // before any content is read, and the full recompute stays as the oracle
-// the tests check every pass against: Layout.DigestWhole here (behind
-// ChunkDigests), snapstore.ChunkDigests over Layout.Materialize in
-// internal/core's differential test.
+// the tests check every pass against: Layout.ChunkDigests here,
+// snapstore.ChunkDigests over Layout.Materialize in internal/core's
+// differential test.
 
 // Geometry is the shape of a full-layout context image: where each
 // metadata record sits and the bytes it holds, and where each region's
@@ -104,13 +105,17 @@ const (
 )
 
 // DigestCache is the chunk digests of one full-layout image of a
-// process, with the geometry and chunk size they were computed under. It
-// is immutable; each pass returns its successor.
+// process, with the geometry and chunk size they were computed under. A
+// pass returns its successor, which shares the pass's digest list and is
+// complete once the pass has handed out its last window; until then it
+// carries nothing forward, so a pass abandoned half way (its caller drops
+// the cache) can never seed another.
 type DigestCache struct {
 	chunk   int64
 	geo     *Geometry
 	digests []string
 	seed    DigestSeed
+	partial bool // the pass that produces it has windows left
 }
 
 // NewDigestCache builds the cache of an image that was not digested here:
@@ -157,93 +162,189 @@ func (c *DigestCache) eachRegion(p *proc.Process, fn func(*proc.Region)) {
 	}
 }
 
-// DigestPass is the outcome of one digest pass over a layout.
+// DigestPass is one digest pass over a layout, handed out window by
+// window: Next reads and digests the next few chunks, the caller ships
+// what the store lacks of them and comes back for more, so the first chunk
+// is on the wire long before the last one is read. Everything that can be
+// known without reading — the epochs' dirty ranges, the geometry, the
+// carried digests, which chunks to re-read — is settled when the pass is
+// made. Nothing is read twice: a chunk the pass read stays with it (Chunk)
+// and is what ships, now or on a retry.
 type DigestPass struct {
 	// Cache describes the image the pass cut; the caller installs it for
-	// the next pass (and drops it if what follows the pass fails — the
-	// epochs were cut and cannot be replayed). Nil from DigestWhole.
+	// the next pass (and drops it if the pass is abandoned or what follows
+	// it fails — the epochs were cut and cannot be replayed). Nil from
+	// DigestUncached.
 	Cache *DigestCache
-	// SeededFrom is the seed of the cache the pass carried digests from,
-	// SeedNone if it carried none.
+	// SeededFrom is the seed of the cache the pass carries digests from,
+	// SeedNone if it carries none.
 	SeededFrom DigestSeed
-	// ChunksRehashed and BytesRehashed count what the pass re-read and
-	// re-hashed; every other digest was carried forward.
+	// Prelude is the serial cost ahead of the first chunk: the PTE sweep
+	// that finds a warm pass its dirty pages, a delta layout's
+	// dirty-detection walks. Per-chunk costs go through Observe.
+	Prelude simclock.Duration
+	// ChunksRehashed and BytesRehashed count what the windows handed out
+	// so far re-read and re-hashed; every other digest was carried forward.
 	ChunksRehashed int
 	BytesRehashed  int64
 	// ChangedBytes sums the re-hashed chunks whose digest differs from
 	// the carried one (every chunk when nothing was carried): what a
 	// store holding the previous image lacks.
 	ChangedBytes int64
-	// Dur is the virtual cost of the pass: a full Materialize when
-	// nothing was carried, else RescanCost over the bytes re-read.
-	Dur simclock.Duration
 
 	lay     *Layout
 	chunk   int64
-	digests []string
-	whole   blob.Blob         // the materialized image, when nothing was carried
-	read    map[int]blob.Blob // the chunks re-read, when something was
+	digest  func(blob.Blob) string
+	digests []string          // carried digests in place; "" where a chunk's window is still to come
+	from    []string          // the list digests were carried from; nil when nothing was
+	due     []int             // chunks still to re-read, ascending
+	next    int               // first chunk of the next window
+	read    map[int]chunkRead // the pass's own reads
 }
 
-// Digests is the image's chunk digest list.
+// chunkRead is one chunk as the pass read it; priced once an accumulator
+// holds the walk and copy of that read.
+type chunkRead struct {
+	data   blob.Blob
+	priced bool
+}
+
+// Digests is the image's chunk digest list, complete once Next has handed
+// out the last window.
 func (p *DigestPass) Digests() []string { return p.digests }
 
-// Reread reports whether the pass read chunk i itself.
-func (p *DigestPass) Reread(i int) bool {
-	if p.read == nil {
-		return true
+// ImageBytes and ChunkBytes are the geometry the digests are computed
+// under.
+func (p *DigestPass) ImageBytes() int64 { return p.lay.Size() }
+func (p *DigestPass) ChunkBytes() int64 { return p.chunk }
+
+// Next reads and digests the next window and returns it as the chunk
+// range [lo, hi): the chunks up to and including the w-th (w >= 1) one the
+// pass still has to re-read, and on the last window the carried chunks
+// behind it — so a pass with at most w chunks to re-read is one window
+// over the whole list. ok is false once every window was handed out.
+func (p *DigestPass) Next(w int) (lo, hi int, ok bool) {
+	if p.next == len(p.digests) {
+		return 0, 0, false
 	}
+	take := min(w, len(p.due))
+	lo, hi = p.next, len(p.digests)
+	if take < len(p.due) {
+		hi = p.due[take-1] + 1
+	}
+	for _, i := range p.due[:take] {
+		piece := p.readChunk(i)
+		p.digests[i] = p.digest(piece)
+		p.ChunksRehashed++
+		p.BytesRehashed += piece.Len()
+		if p.from == nil || p.digests[i] != p.from[i] {
+			p.ChangedBytes += piece.Len()
+		}
+	}
+	p.due, p.next = p.due[take:], hi
+	if hi == len(p.digests) && p.Cache != nil {
+		p.Cache.partial = false
+	}
+	return lo, hi, true
+}
+
+// Whole reads and digests whatever windows are left and winds the pass
+// back, so that the next Next hands out the whole list as one window with
+// nothing left to read: for a pass that must know its totals before
+// anything ships, and for the retry of one that failed half way.
+func (p *DigestPass) Whole() {
+	p.Next(max(1, len(p.due)))
+	p.next = 0
+}
+
+// Reread reports whether the pass holds its own read of chunk i.
+func (p *DigestPass) Reread(i int) bool {
 	_, ok := p.read[i]
 	return ok
 }
 
-// Chunk returns chunk i of the image the pass describes. A chunk the pass
-// re-read comes from the pass's own point-in-time snapshot. A carried
-// chunk is read from the process now, which is the same bytes only while
-// the process is frozen: a pass over a running process (a pre-copy round)
-// must not ship a chunk for which Reread is false.
+// Chunk returns chunk i of the image the pass describes: the pass's own
+// point-in-time read if it has one, else — a carried chunk — a read of the
+// process now, kept like any other. That is the same bytes only while the
+// process is frozen: a pass over a running process (a pre-copy round) must
+// not ask for a chunk for which Reread is false.
 func (p *DigestPass) Chunk(i int) blob.Blob {
-	off := int64(i) * p.chunk
-	n := p.lay.Size() - off
-	if n > p.chunk {
-		n = p.chunk
+	if r, ok := p.read[i]; ok {
+		return r.data
 	}
-	if p.read == nil {
-		return p.whole.Slice(off, n)
-	}
-	if b, ok := p.read[i]; ok {
-		return b
-	}
-	return p.lay.Range(off, n)
+	return p.readChunk(i)
 }
 
-// DigestWhole materializes the whole layout and digests it in chunk-sized
-// windows (<=0 means PageChunk): the pass that carries nothing forward and
-// leaves the regions' digest epochs alone. It is what a delta layout — a
-// different file every time — is digested with, and the oracle an
-// incremental pass is checked against. Like ChunkDigests, the digest
-// function is a parameter so blcr stays free of hash imports.
-func (l *Layout) DigestWhole(chunk int64, digest func(blob.Blob) string) *DigestPass {
-	chunk = chunkOrDefault(chunk)
-	pass := &DigestPass{lay: l, chunk: chunk}
-	pass.whole, pass.Dur = l.Materialize()
-	pass.digests = make([]string, (l.Size()+chunk-1)/chunk)
-	for i := range pass.digests {
-		pass.digests[i] = digest(pass.Chunk(i))
+func (p *DigestPass) readChunk(i int) blob.Blob {
+	off := int64(i) * p.chunk
+	b := p.lay.Range(off, min(p.chunk, p.lay.Size()-off))
+	p.read[i] = chunkRead{data: b}
+	return b
+}
+
+// Observe feeds chunk i into acc as one pipeline step: the walk and the
+// copy of the pass's read of it — once, however often the chunk ships —
+// beside the transport stages of shipping it. It is the rule writeShard
+// prices a plain capture's chunks by, with the digest copy as one more
+// stage.
+func (p *DigestPass) Observe(acc *simclock.PipelineAccum, i int, cost stream.Cost) {
+	if r, ok := p.read[i]; ok && !r.priced {
+		p.read[i] = chunkRead{data: r.data, priced: true}
+		c, onHost, n := p.lay.c, p.lay.onHost, r.data.Len()
+		stream.Observe(acc, cost, c.walkStage(onHost, n), c.copyStage(onHost, n))
+	} else if len(cost.Stages) > 0 {
+		stream.Observe(acc, cost)
 	}
-	pass.ChunksRehashed, pass.BytesRehashed, pass.ChangedBytes = len(pass.digests), l.Size(), l.Size()
+}
+
+// ObserveUnshipped feeds acc the reads among chunks [lo, hi) that no
+// accumulator holds yet — re-read, and found unchanged or already in the
+// store — as pipeline steps with no transport stage.
+func (p *DigestPass) ObserveUnshipped(acc *simclock.PipelineAccum, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		p.Observe(acc, i, stream.Cost{})
+	}
+}
+
+// newPass starts a pass that re-reads the chunks in due.
+func (l *Layout) newPass(chunk int64, digest func(blob.Blob) string, digests []string, due []int) *DigestPass {
+	return &DigestPass{lay: l, chunk: chunk, digest: digest, digests: digests, due: due,
+		read: make(map[int]chunkRead, len(due))}
+}
+
+// allChunks lists chunks 0..n-1: the re-read set of a pass that carries
+// nothing.
+func allChunks(n int) []int {
+	due := make([]int, n)
+	for i := range due {
+		due[i] = i
+	}
+	return due
+}
+
+// DigestUncached starts a pass that re-reads every chunk, carries nothing
+// and leaves the regions' digest epochs alone: what a delta layout — a
+// different file every time — is digested with.
+func (l *Layout) DigestUncached(chunk int64, digest func(blob.Blob) string) *DigestPass {
+	chunk = chunkOrDefault(chunk)
+	n := int((l.Size() + chunk - 1) / chunk)
+	pass := l.newPass(chunk, digest, make([]string, n), allChunks(n))
+	for _, sg := range l.pl.segs {
+		pass.Prelude += sg.extraWalk
+	}
 	return pass
 }
 
-// DigestPass digests a full layout like DigestWhole, but carries forward
-// from prev every digest that neither a region write since prev's cut nor
-// a changed metadata record can have invalidated. prev may be nil, and is
-// ignored when its chunk size or geometry differs from the layout's.
+// DigestPass starts a pass over a full layout that carries forward from
+// prev every digest that neither a region write since prev's cut nor a
+// changed metadata record can have invalidated. prev may be nil, and is
+// ignored when its chunk size or geometry differs from the layout's or the
+// pass that was to complete it never did.
 //
-// The pass cuts every region's digest epoch before it reads any content,
-// so it is safe on a running process: a write that lands after a region's
-// cut is in the next epoch whether or not this pass's read also saw it.
-// The returned cache is stamped with seed.
+// The pass cuts every region's digest epoch here, before any window reads
+// any content, so it is safe on a running process: a write that lands
+// after a region's cut is in the next epoch whether or not this pass's
+// read also saw it. The returned cache is stamped with seed.
 func (l *Layout) DigestPass(prev *DigestCache, chunk int64, seed DigestSeed, digest func(blob.Blob) string) *DigestPass {
 	chunk = chunkOrDefault(chunk)
 	geo := l.Geometry()
@@ -263,36 +364,35 @@ func (l *Layout) DigestPass(prev *DigestCache, chunk int64, seed DigestSeed, dig
 		pos += sg.fileLen()
 	}
 
-	usable := prev != nil && prev.chunk == chunk
+	usable := prev != nil && prev.chunk == chunk && !prev.partial
 	if usable {
 		var metaDirty []proc.ByteRange
 		metaDirty, usable = geo.metaDiff(prev.geo)
 		dirty = append(dirty, metaDirty...)
 	}
+	n := int((geo.size + chunk - 1) / chunk)
+	var pass *DigestPass
 	if !usable {
-		pass := l.DigestWhole(chunk, digest)
-		pass.Cache = &DigestCache{chunk: chunk, geo: geo, digests: pass.digests, seed: seed}
-		return pass
-	}
-
-	pass := &DigestPass{lay: l, chunk: chunk, SeededFrom: prev.seed, read: make(map[int]blob.Blob)}
-	pass.digests = append([]string(nil), prev.digests...)
-	for _, rg := range dirty {
-		for i := int(rg.Off / chunk); i <= int((rg.End()-1)/chunk); i++ {
-			if pass.Reread(i) {
-				continue
-			}
-			piece := l.Range(int64(i)*chunk, min(chunk, geo.size-int64(i)*chunk))
-			pass.read[i] = piece
-			pass.digests[i] = digest(piece)
-			pass.ChunksRehashed++
-			pass.BytesRehashed += piece.Len()
-			if pass.digests[i] != prev.digests[i] {
-				pass.ChangedBytes += piece.Len()
+		pass = l.newPass(chunk, digest, make([]string, n), allChunks(n))
+	} else {
+		stale := make([]bool, n)
+		for _, rg := range dirty {
+			for i := int(rg.Off / chunk); i <= int((rg.End()-1)/chunk); i++ {
+				stale[i] = true
 			}
 		}
+		digests := append([]string(nil), prev.digests...)
+		var due []int
+		for i, s := range stale {
+			if s {
+				due = append(due, i)
+				digests[i] = ""
+			}
+		}
+		pass = l.newPass(chunk, digest, digests, due)
+		pass.from, pass.SeededFrom = prev.digests, prev.seed
+		pass.Prelude = l.c.copyStage(l.onHost, geo.size/pteBytesPerByte)
 	}
-	pass.Cache = &DigestCache{chunk: chunk, geo: geo, digests: pass.digests, seed: seed}
-	pass.Dur = l.c.RescanCost(l.onHost, geo.size, pass.BytesRehashed)
+	pass.Cache = &DigestCache{chunk: chunk, geo: geo, digests: pass.digests, seed: seed, partial: true}
 	return pass
 }

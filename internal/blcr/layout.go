@@ -9,11 +9,11 @@ import (
 )
 
 // Layout is a checkpoint's byte-exact context-file layout, computed
-// without writing a byte anywhere. The dedup-aware capture path uses
-// it in three steps: digest the image chunk by chunk (ChunkDigests),
-// negotiate a have/need set against the store, then ship only the
-// missing ranges (Range) — the bytes are, offset for offset, what the
-// one-sink and striped transports write from the same plan.
+// without writing a byte anywhere. The dedup-aware capture path walks it
+// window by window (DigestPass): digest a few chunks, negotiate their
+// have/need set against the store, ship the missing ones from the same
+// reads — the bytes are, offset for offset, what the one-sink and striped
+// transports write from the same plan.
 type Layout struct {
 	c      *Checkpointer
 	pl     *plan
@@ -87,27 +87,31 @@ func (l *Layout) Range(off, n int64) blob.Blob {
 	return blob.Concat(parts...)
 }
 
-// ChunkDigests digests the layout in chunk-sized windows (<=0 means
-// PageChunk) using the supplied digest function — the function lives in
-// internal/snapstore; keeping it a parameter keeps blcr free of hash
-// imports (snapifylint's storegate pins that). The returned duration is
-// the virtual cost of the digest pass: one page-table walk plus one
-// memcpy-rate read of the image on the process's node, plus any
-// dirty-detection walks the delta layout carries.
+// ChunkDigests materializes the whole layout and digests it in chunk-sized
+// pieces (<=0 means PageChunk): the full recompute every windowed
+// DigestPass is checked against, and nothing a capture runs. The digest
+// function lives in internal/snapstore; keeping it a parameter keeps blcr
+// free of hash imports (snapifylint's storegate pins that). The duration
+// is Materialize's: the walk and the copy of the whole image, summed.
 func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]string, simclock.Duration) {
-	pass := l.DigestWhole(chunk, digest)
-	return pass.Digests(), pass.Dur
+	chunk = chunkOrDefault(chunk)
+	img, dur := l.Materialize()
+	digests := make([]string, (l.Size()+chunk-1)/chunk)
+	for i := range digests {
+		off := int64(i) * chunk
+		digests[i] = digest(img.Slice(off, min(chunk, l.Size()-off)))
+	}
+	return digests, dur
 }
 
 // Materialize snapshots the whole laid-out context file into one
-// immutable blob. The pre-copy rounds of a live migration depend on
-// this immutability: the process keeps running (and writing) after the
-// call, but digests computed from the returned blob and chunks shipped
-// from it always describe the same point-in-time image — never a torn
-// mix of old and new pages. The returned duration is the cost of the
-// full read pass: a page-table walk plus a memcpy-rate copy of the
-// image on the process's node (the same formula ChunkDigests charges),
-// plus any dirty-detection walks the delta layout carries.
+// immutable blob: the image the full-recompute oracles digest (ChunkDigests
+// here, internal/core's differential test). The returned duration is the
+// cost of reading it in one serial pass — a page-table walk plus a
+// memcpy-rate copy of the image on the process's node, plus any
+// dirty-detection walks the delta layout carries. No capture pays it: a
+// DigestPass prices the same walk and copy chunk by chunk, overlapped with
+// the shipping.
 func (l *Layout) Materialize() (blob.Blob, simclock.Duration) {
 	img := l.Range(0, l.pl.total)
 	dur := l.c.walkStage(l.onHost, l.pl.total) + l.c.copyStage(l.onHost, l.pl.total)
@@ -119,14 +123,7 @@ func (l *Layout) Materialize() (blob.Blob, simclock.Duration) {
 
 // pteBytesPerByte is the page-table overhead ratio: one 8-byte entry
 // describes one 4 KiB page, so scanning (or installing) the page tables
-// that cover n bytes of memory touches n/512 bytes.
+// that cover n bytes of memory touches n/512 bytes. A warm DigestPass
+// charges that scan (at memcpy rate) to collect the dirty bits the
+// hardware already keeps, then walks and copies only the dirty chunks.
 const pteBytesPerByte = 512
-
-// RescanCost is the virtual cost of re-reading an image whose dirty set
-// the hardware already knows: a PTE-granularity scan of the whole page
-// table (to collect dirty bits) plus a walk and memcpy-rate read of only
-// the dirty bytes. An incremental DigestPass charges it for exactly the
-// bytes it re-read.
-func (c *Checkpointer) RescanCost(onHost bool, totalBytes, dirtyBytes int64) simclock.Duration {
-	return c.copyStage(onHost, totalBytes/pteBytesPerByte) + c.walkStage(onHost, dirtyBytes) + c.copyStage(onHost, dirtyBytes)
-}

@@ -1,9 +1,9 @@
 package coi_test
 
-// Wall-clock micro-benchmark of the warm store-capture path (ROADMAP item
-// 1b). It sits beside internal/coi, whose agent runs the digest pass, but
-// drives it through internal/core — the only caller — so it lives in the
-// external test package.
+// Wall-clock micro-benchmarks of the store-capture path, warm (ROADMAP
+// item 1b) and cold (item 4). They sit beside internal/coi, whose agent
+// runs the upload loop, but drive it through internal/core — the only
+// caller — so they live in the external test package.
 
 import (
 	"testing"
@@ -18,13 +18,11 @@ import (
 
 var sinkCapture simclock.Duration
 
-// BenchmarkStoreCaptureWarm times one warm store checkpoint (pause,
-// store capture, resume) of a 256 MiB process that dirtied one page since
-// the previous capture: the digest pass re-reads one or two 4 MiB chunks
-// of 73 and carries every other digest forward. ns/op and allocs/op are
-// the simulator's own cost; capture-vms/op is the capture's virtual time.
-func BenchmarkStoreCaptureWarm(b *testing.B) {
-	bin := coi.NewBinary("coi_bench_warm")
+// benchProcess starts a platform with one 256 MiB offload process on
+// card 1.
+func benchProcess(b *testing.B, name string) (*coi.Process, *coi.OffloadProc) {
+	b.Helper()
+	bin := coi.NewBinary(name)
 	bin.AddRegion("private", proc.RegionHeap, 256*simclock.MiB, 0)
 	coi.RegisterBinary(bin)
 	plat := platformtest.Start(b, platformtest.Options{CardMem: simclock.GiB})
@@ -37,25 +35,42 @@ func BenchmarkStoreCaptureWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	private := op.Proc().Region("private")
+	return cp, op
+}
+
+// storeCheckpoint runs one store checkpoint (pause, store capture,
+// resume) and returns the capture's virtual time.
+func storeCheckpoint(b *testing.B, cp *coi.Process, dir string) simclock.Duration {
+	b.Helper()
 	var opts core.CaptureOptions
 	opts.Store.Enabled = true
+	s := core.NewSnapshot(dir, cp)
+	if err := s.Pause(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Capture(opts); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Wait(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Resume(); err != nil {
+		b.Fatal(err)
+	}
+	return s.Report.Capture
+}
+
+// BenchmarkStoreCaptureWarm times one warm store checkpoint of a 256 MiB
+// process that dirtied one page since the previous capture: the digest
+// pass re-reads one or two 4 MiB chunks of 73 and carries every other
+// digest forward. ns/op and allocs/op are the simulator's own cost;
+// capture-vms/op is the capture's virtual time.
+func BenchmarkStoreCaptureWarm(b *testing.B) {
+	cp, op := benchProcess(b, "coi_bench_warm")
+	private := op.Proc().Region("private")
 	checkpoint := func(i int) simclock.Duration {
 		private.WriteAt([]byte{byte(i), byte(i >> 8)}, 100*simclock.MiB)
-		s := core.NewSnapshot("/bench/warm", cp)
-		if err := s.Pause(); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Capture(opts); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Wait(); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Resume(); err != nil {
-			b.Fatal(err)
-		}
-		return s.Report.Capture
+		return storeCheckpoint(b, cp, "/bench/warm")
 	}
 	checkpoint(0) // cold: digests and ships everything, seeds the cache
 
@@ -64,6 +79,23 @@ func BenchmarkStoreCaptureWarm(b *testing.B) {
 	var total simclock.Duration
 	for i := 1; i <= b.N; i++ {
 		total += checkpoint(i)
+	}
+	sinkCapture = total
+	b.ReportMetric(float64(total)/float64(b.N)/1e6, "capture-vms/op")
+}
+
+// BenchmarkStoreCaptureCold times the first store checkpoint of a fresh
+// 256 MiB process into an empty store: every one of 73 chunks is read,
+// digested, offered in windows and shipped. Platform and process are new
+// each iteration and set up off the clock.
+func BenchmarkStoreCaptureCold(b *testing.B) {
+	b.ReportAllocs()
+	var total simclock.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cp, _ := benchProcess(b, "coi_bench_cold")
+		b.StartTimer()
+		total += storeCheckpoint(b, cp, "/bench/cold")
 	}
 	sinkCapture = total
 	b.ReportMetric(float64(total)/float64(b.N)/1e6, "capture-vms/op")

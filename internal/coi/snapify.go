@@ -615,24 +615,18 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*bl
 }
 
 // runCaptureStore is the dedup-aware capture path: instead of streaming
-// every byte, the agent lays out the context file in memory (blcr.Layout),
-// produces its chunk digest list (re-reading only what changed since the
-// image the process's chunk-digest cache describes), negotiates a
-// have/need set against the host's chunk store, and ships only the chunks
-// the store lacks over store-mode striped streams. The committed manifest reassembles a byte-identical
-// context file through the store's overlay file system, so restores (and
-// the end-to-end verification below) use the ordinary read path. Returns
-// the layout stats plus the bytes physically shipped — the dedup win is
-// st.Bytes - shipped.
+// every byte, the agent lays out the context file in memory (blcr.Layout)
+// and runs it through the upload loop (storeUpload): digest a window of
+// chunks — re-reading only what changed since the image the process's
+// chunk-digest cache describes — negotiate its have/need set against the
+// host's chunk store, ship what the store lacks, next window. The
+// committed manifest reassembles a byte-identical context file through the
+// store's overlay file system, so restores (and the end-to-end
+// verification below) use the ordinary read path. Returns the layout stats
+// plus the bytes physically shipped — the dedup win is st.Bytes - shipped.
 func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs, scope uint64) (*blcr.Stats, int64, error) {
-	mode, streams, chunk, align := args.Mode, args.Streams, args.ChunkBytes, args.Align
+	mode, align := args.Mode, args.Align
 	path := args.contextPath()
-	if streams < 1 {
-		streams = 1
-	}
-	if chunk <= 0 {
-		chunk = blcr.PageChunk
-	}
 	var lay *blcr.Layout
 	var err error
 	if mode == CaptureDelta {
@@ -643,75 +637,76 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs,
 	if err != nil {
 		return nil, 0, err
 	}
-	size := lay.Size()
 	tk := op.agentTrack()
 	tk.AlignTo(align)
-	// The digest pass: a full-layout image goes through the process's
-	// chunk-digest cache and re-reads only what changed since the image
-	// the cache describes; a delta layout is a different file every time
-	// and is digested whole, leaving the cache (and the epochs it is
-	// keyed to) alone.
-	var img *blcr.DigestPass
+	// A full-layout image goes through the process's chunk-digest cache
+	// and re-reads only what changed since the image the cache describes;
+	// a delta layout is a different file every time and is digested whole,
+	// leaving the cache (and the epochs it is keyed to) alone.
+	var pass *blcr.DigestPass
 	if mode == CaptureDelta {
-		img = lay.DigestWhole(chunk, snapstore.Digest)
+		pass = lay.DigestUncached(args.ChunkBytes, snapstore.Digest)
 	} else {
-		img = op.digestPass(lay, chunk, blcr.SeedCapture)
+		pass = op.digestPass(lay, args.ChunkBytes, blcr.SeedCapture)
 	}
-	emitDigestSpan(tk, scope, "store_digest", align, img, nil)
+	up := upload{path: path, parent: args.Parent, streams: max(args.Streams, 1), scope: scope, streamSpan: "capture_stream"}
 
 	rp := cr.Retry()
-	attempts := rp.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-
 	st := lay.Stats()
 	var shipped int64
-	elapsed := img.Dur
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		passDur, passShipped, err := op.storePass(img, path, args.Parent, size, chunk, streams, align+elapsed, scope, tk, "capture_stream")
-		shipped += passShipped
-		elapsed += passDur
-		if err == nil {
-			if verr := op.verifySnapshotFile(path, size); verr == nil {
-				st.Duration = elapsed
-				return &st, shipped, nil
-			} else {
-				err = verr
-			}
+	var elapsed, digestDur simclock.Duration
+	for attempt := 1; ; attempt++ {
+		acc := simclock.NewPipelineAccum()
+		if attempt == 1 {
+			acc.Add(pass.Prelude)
+		} else {
+			// The store may have lost the upload with the daemon: finish
+			// the digest list and offer it whole, in one message; only
+			// what is still missing ships, from the reads the pass kept.
+			pass.Whole()
 		}
-		lastErr = err
-		if attempt < attempts {
-			elapsed += rp.BackoffFor(attempt + 1)
+		up.at = align + elapsed
+		n, _, uerr := op.storeUpload(pass, acc, up)
+		shipped += n
+		elapsed += acc.Total()
+		if attempt == 1 {
+			digestDur = elapsed
 		}
+		if err = uerr; err == nil {
+			err = op.verifySnapshotFile(path, lay.Size())
+		}
+		if err == nil || attempt >= rp.MaxAttempts {
+			break
+		}
+		elapsed += rp.BackoffFor(attempt + 1)
 	}
-	// Give up: drop the pending upload so its pinned digests don't shield
-	// orphaned chunks from GC. Chunks already shipped stay — they are
-	// content-addressed and a later capture may reuse them. The digest
-	// cache goes too: a stale digest is undetectable later, a failed
-	// capture is where unenumerated things went wrong, and a full pass
-	// costs one scan.
-	op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
-	if mode != CaptureDelta {
-		op.dropDigestsIf(blcr.SeedCapture)
+	op.endDigestPass(tk, scope, "store_digest", align, digestDur, pass, nil)
+	if err != nil {
+		// Give up: drop the pending upload so its pinned digests don't
+		// shield orphaned chunks from GC. Chunks already shipped stay — they
+		// are content-addressed and a later capture may reuse them. The
+		// digest cache goes too: a stale digest is undetectable later, a
+		// failed capture is where unenumerated things went wrong, and a
+		// full pass costs one scan.
+		op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
+		if mode != CaptureDelta {
+			op.dropDigestsIf(blcr.SeedCapture)
+		}
+		return nil, 0, err
 	}
-	return nil, 0, lastErr
+	st.Duration = elapsed
+	return &st, shipped, nil
 }
 
-// digestPass runs one digest pass over a full layout through the
+// digestPass starts one digest pass over a full layout through the
 // process's chunk-digest cache and installs the pass's cache for the next
-// one. The counters split the image into bytes re-read and bytes whose
-// digest was carried forward.
+// one; the cache is complete when the pass is, and every path that
+// abandons a pass drops it.
 func (op *OffloadProc) digestPass(lay *blcr.Layout, chunk int64, seed blcr.DigestSeed) *blcr.DigestPass {
 	op.digestMu.Lock()
+	defer op.digestMu.Unlock()
 	pass := lay.DigestPass(op.digests, chunk, seed, snapstore.Digest)
 	op.digests = pass.Cache
-	op.digestMu.Unlock()
-	const help = "Image bytes a store digest pass re-read and re-hashed, or covered by a digest carried forward from the previous image."
-	mx := op.d.plat.Obs.MetricsOf()
-	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "rehashed")).Add(pass.BytesRehashed)
-	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(lay.Size() - pass.BytesRehashed)
 	return pass
 }
 
@@ -740,8 +735,12 @@ func (op *OffloadProc) CachedDigests() (chunkBytes int64, digests []string) {
 	return op.digests.ChunkBytes(), append([]string(nil), op.digests.Digests()...)
 }
 
-// emitDigestSpan records a digest pass on the agent lane under scope.
-func emitDigestSpan(tk *obs.Track, scope uint64, name string, at simclock.Duration, pass *blcr.DigestPass, extra map[string]int64) {
+// endDigestPass records a digest pass that is over — handed out whole or
+// abandoned — as a span on the agent lane under scope, covering the
+// pipelined pass it fed (its negotiations nest inside), and in the
+// counters that split the image into bytes re-read and bytes whose digest
+// was carried forward.
+func (op *OffloadProc) endDigestPass(tk *obs.Track, scope uint64, name string, at, dur simclock.Duration, pass *blcr.DigestPass, extra map[string]int64) {
 	args := map[string]int64{
 		"chunks_total":    int64(len(pass.Digests())),
 		"chunks_rehashed": int64(pass.ChunksRehashed),
@@ -751,118 +750,11 @@ func emitDigestSpan(tk *obs.Track, scope uint64, name string, at simclock.Durati
 	for k, v := range extra {
 		args[k] = v
 	}
-	tk.Emit(scope, name, at, pass.Dur, args)
-}
-
-// storePass runs one negotiate-then-ship round of a dedup-aware capture
-// over a digested image. It returns the pass's virtual duration
-// (negotiation round-trip plus the slowest stream) and the bytes shipped.
-// The per-stream spans (named spanName) — the host's source of truth for
-// the Report — are emitted only when the pass succeeds, so a retried pass
-// doesn't pollute the scope.
-func (op *OffloadProc) storePass(img *blcr.DigestPass, path, parent string, size, chunk int64, streams int, at simclock.Duration, scope uint64, tk *obs.Track, spanName string) (simclock.Duration, int64, error) {
-	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, parent, size, chunk, img.Digests())
-	tk.Emit(scope, "store_negotiate", at, negDur, map[string]int64{
-		"chunks_total":  int64(len(img.Digests())),
-		"chunks_needed": int64(len(need)),
-	})
-	if err != nil {
-		return negDur, 0, err
-	}
-	if committed {
-		// Every chunk was already resident: the manifest committed during
-		// the negotiation and not one data byte moves.
-		return negDur, 0, nil
-	}
-	shipDur, shipped, err := op.shipChunks(img, path, size, chunk, streams, need, at+negDur, scope, spanName)
-	return negDur + shipDur, shipped, err
-}
-
-// shipChunks ships the need set of a negotiated upload over store-mode
-// striped streams, one contiguous group per stream. The content comes
-// from the digest pass that produced the negotiated digests — its own
-// point-in-time reads, never a later re-read of a running process.
-func (op *OffloadProc) shipChunks(img *blcr.DigestPass, path string, size, chunk int64, streams int, need []int, at simclock.Duration, scope uint64, spanName string) (simclock.Duration, int64, error) {
-	chunkLen := func(i int) int64 {
-		n := size - int64(i)*chunk
-		if n > chunk {
-			n = chunk
-		}
-		return n
-	}
-	// Partition the need set into contiguous groups, one stream each.
-	// Chunks are uniform except the last, so an even split by count is an
-	// even split by bytes.
-	if streams > len(need) {
-		streams = len(need)
-	}
-	per := (len(need) + streams - 1) / streams
-	var groups [][]int
-	for i := 0; i < len(need); i += per {
-		e := i + per
-		if e > len(need) {
-			e = len(need)
-		}
-		groups = append(groups, need[i:e])
-	}
-	durs := make([]simclock.Duration, len(groups))
-	bytes := make([]int64, len(groups))
-	ferr := fanout.Run(len(groups), len(groups), func(i int) error {
-		g := groups[i]
-		first := int64(g[0]) * chunk
-		end := int64(g[len(g)-1])*chunk + chunkLen(g[len(g)-1])
-		f, err := op.d.plat.IO.OpenStream(op.d.dev.Node, simnet.HostNode, path, snapifyio.Write, snapifyio.OpenOptions{
-			Slots:  2,
-			Stripe: snapifyio.Stripe{Offset: first, Length: end - first, Total: size},
-			Store:  true,
-		})
-		if err != nil {
-			return err
-		}
-		acc := simclock.NewPipelineAccum()
-		for _, ci := range g {
-			off := int64(ci) * chunk
-			n := chunkLen(ci)
-			cost, err := f.WriteBlobAt(off, img.Chunk(ci))
-			if err != nil {
-				f.Abort()
-				return err
-			}
-			stream.Observe(acc, cost, op.d.plat.Model().PhiMemcpy(n))
-			bytes[i] += n
-		}
-		if cost, err := f.Flush(); err != nil {
-			f.Abort()
-			return err
-		} else {
-			stream.Observe(acc, cost)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		durs[i] = acc.Total()
-		return nil
-	})
-	var wall simclock.Duration
-	var total int64
-	for i := range groups {
-		if durs[i] > wall {
-			wall = durs[i]
-		}
-		total += bytes[i]
-	}
-	if ferr != nil {
-		return wall, total, ferr
-	}
-	// Mirror the plain parallel capture's per-stream spans so the host's
-	// deriveCapture (and the exported trace) treat both data paths alike.
-	tracer := op.d.plat.Obs.TracerOf()
-	for i := range groups {
-		stk := tracer.Track(op.d.dev.Node.String(), fmt.Sprintf("%s/stream %d", op.p.Name(), i))
-		stk.AlignTo(at)
-		stk.Emit(scope, spanName, at, durs[i], map[string]int64{"bytes": bytes[i]})
-	}
-	return wall, total, nil
+	tk.Emit(scope, name, at, dur, args)
+	const help = "Image bytes a store digest pass re-read and re-hashed, or covered by a digest carried forward from the previous image."
+	mx := op.d.plat.Obs.MetricsOf()
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "rehashed")).Add(pass.BytesRehashed)
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(pass.ImageBytes() - pass.BytesRehashed)
 }
 
 // --- live migration: pre-copy rounds and destination staging ---
@@ -880,15 +772,16 @@ func (d *Daemon) handleSnapifyPrecopy(req *PrecopyReq) (*PrecopyResp, error) {
 }
 
 // runPrecopyRound digests the running process and, unless what changed
-// already fits under shipFloor, negotiates and ships the changed chunks
-// into the host store's pending upload for the migration's context path.
-// The digest pass goes through the process's chunk-digest cache: the first
-// pass of a process nothing has digested yet reads the whole image; every
-// later one reads only the chunks written since the previous cut, and is
-// charged for exactly that. The pass cuts the epochs before it reads, so
-// the process may keep writing throughout; the chunks it read are the
-// round's consistent cut, and they — never a later re-read — are what
-// ships. The cache updates every round, skipped (probe) rounds included.
+// already fits under shipFloor, ships the changed chunks into the host
+// store's pending upload for the migration's context path — the same
+// upload loop as a paused capture. The digest pass goes through the
+// process's chunk-digest cache: the first pass of a process nothing has
+// digested yet reads the whole image; every later one reads only the
+// chunks written since the previous cut, and is charged for exactly that.
+// The pass cuts the epochs before it reads, so the process may keep
+// writing throughout; the chunks it read are the round's consistent cut,
+// and they — never a later re-read — are what ships. The cache updates
+// every round, skipped (probe) rounds included.
 func (op *OffloadProc) runPrecopyRound(req PrecopyReq) (*PrecopyResp, error) {
 	if req.ChunkBytes <= 0 {
 		req.ChunkBytes = blcr.PageChunk
@@ -904,55 +797,43 @@ func (op *OffloadProc) runPrecopyRound(req PrecopyReq) (*PrecopyResp, error) {
 }
 
 func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
-	round, chunk, align, scope := req.Round, req.ChunkBytes, req.Align, req.Scope
 	lay, err := op.d.plat.CR.LayoutFull(op.p)
 	if err != nil {
 		return nil, err
 	}
-	size := lay.Size()
-	pass := op.digestPass(lay, chunk, blcr.SeedPrecopy)
-	digests := pass.Digests()
-	dirty := pass.ChangedBytes
-	if round <= 1 {
-		// Nothing of this migration is in the store yet, whatever an
-		// earlier capture left in the cache.
-		dirty = size
-	}
-
+	pass := op.digestPass(lay, req.ChunkBytes, blcr.SeedPrecopy)
+	acc := simclock.NewPipelineAccum()
+	acc.Add(pass.Prelude)
 	tk := op.agentTrack()
-	tk.AlignTo(align)
-	emitDigestSpan(tk, scope, "precopy_digest", align, pass, map[string]int64{"round": int64(round), "dirty_bytes": dirty})
+	tk.AlignTo(req.Align)
 
-	res := &PrecopyResp{Duration: pass.Dur, ImageBytes: size, DirtyBytes: dirty, ChunksTotal: len(digests)}
-	if dirty <= req.ShipFloor {
+	// Round 1 ships as it digests: nothing of this migration is in the
+	// store yet, whatever an earlier capture left in the cache. A later
+	// round may ship only if what changed is over the floor, so it digests
+	// everything first and uploads in one window.
+	res := &PrecopyResp{ImageBytes: lay.Size(), DirtyBytes: lay.Size(), ChunksTotal: len(pass.Digests())}
+	if req.Round > 1 {
+		pass.Whole()
+		res.DirtyBytes = pass.ChangedBytes
+	}
+	if res.DirtyBytes <= req.ShipFloor {
 		// Probe round: the delta is small enough to ship inside the
 		// downtime budget, so leave it for the final (paused) capture.
 		res.Skipped = true
-		return res, nil
+		pass.Whole()
+		pass.ObserveUnshipped(acc, 0, res.ChunksTotal)
+	} else {
+		res.ShippedBytes, res.ChunksNeeded, err = op.storeUpload(pass, acc, upload{
+			path: req.Dir + "/" + ContextFileName, streams: req.Streams, live: true,
+			at: req.Align, scope: req.Scope, streamSpan: "precopy_stream",
+		})
 	}
-	path := req.Dir + "/" + ContextFileName
-	need, committed, negDur, err := op.d.plat.IO.Negotiate(op.d.dev.Node, simnet.HostNode, path, "", size, chunk, digests)
-	tk.Emit(scope, "store_negotiate", align+res.Duration, negDur, map[string]int64{
-		"chunks_total":  int64(len(digests)),
-		"chunks_needed": int64(len(need)),
-	})
-	res.Duration += negDur
-	if err != nil {
-		return res, err
-	}
-	res.ChunksNeeded = len(need)
-	if committed {
-		return res, nil
-	}
-	for _, i := range need {
-		if pass.Reread(i) {
-			continue
-		}
-		// The store lacks a chunk whose digest this round carried forward
-		// without reading it (the store was collected since the cache's
-		// image went in, or this migration's upload was lost). The
-		// process is running, so reading the chunk now could ship bytes
-		// the digest does not describe: redo the round as a full pass
+	res.Duration = acc.Total()
+	op.endDigestPass(tk, req.Scope, "precopy_digest", req.Align, res.Duration, pass,
+		map[string]int64{"round": int64(req.Round), "dirty_bytes": res.DirtyBytes})
+	if errors.Is(err, errCarriedChunkMissing) {
+		// The store was collected since the cache's image went in, or this
+		// migration's upload was lost: redo the round as a full pass
 		// (which reads every chunk itself, so it cannot land here again).
 		op.dropDigestsIf(blcr.SeedPrecopy)
 		req.Align += res.Duration
@@ -962,9 +843,6 @@ func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
 		}
 		return redo, err
 	}
-	shipDur, shipped, err := op.shipChunks(pass, path, size, chunk, req.Streams, need, align+res.Duration, scope, "precopy_stream")
-	res.Duration += shipDur
-	res.ShippedBytes = shipped
 	return res, err
 }
 

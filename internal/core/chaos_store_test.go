@@ -171,3 +171,87 @@ func TestChaosStoreGCCrash(t *testing.T) {
 		t.Errorf("store inconsistent after recovery: %v", problems)
 	}
 }
+
+// TestChaosStoreDaemonCrashMidWindow kills the host Snapify-IO daemon
+// inside the third window of a windowed upload: after the window's
+// negotiation, before its last chunk. The daemon comes back with no
+// upload; the agent finishes the digest list it was still computing,
+// offers it whole in one message, and ships only what the store still
+// lacks — from the reads the pass kept. The manifest names exactly the
+// frozen image, the restore runs on it, nothing stays pending, and
+// releasing the snapshot collects the store to zero.
+func TestChaosStoreDaemonCrashMidWindow(t *testing.T) {
+	const window = 8 // coi's storeWindow
+	const landed = 2*window + 2
+	r := newRig(t, "core_chaos_store_window", 1)
+	r.count(t, 20)
+	ctx := "/snap/chwin/" + coi.ContextFileName
+	s := NewSnapshot("/snap/chwin", r.cp)
+	if err := Pause(s); err != nil {
+		t.Fatal(err)
+	}
+	opts := chaosStoreOpts()
+	opts.Streams = 1
+	op := r.offload(t)
+	want := oracleDigests(t, r, op.Proc(), opts.ChunkBytes)
+	// The host daemon's chunk service point counts every chunk it is asked
+	// to drain: the crash takes the third chunk of the third window.
+	arm(r, faultinject.Fault{Site: faultinject.SiteDaemon, Key: simnet.HostNode.String(), Kind: faultinject.Crash, Nth: landed + 1})
+	err := s.Capture(opts)
+	if err == nil {
+		err = Wait(s)
+	}
+	disarm(r)
+	assertNoPartials(t, r.plat)
+	if err != nil {
+		t.Fatalf("retry must ride out a daemon crash mid-window: %v", err)
+	}
+
+	var windows []map[string]int64
+	for _, sp := range r.plat.Obs.TracerOf().Spans() {
+		if sp.Name == "store_negotiate" {
+			windows = append(windows, sp.Args)
+		}
+	}
+	if len(windows) != 4 {
+		t.Fatalf("%d negotiations %v, want three windows and one whole-list retry", len(windows), windows)
+	}
+	for k, w := range windows[:3] {
+		if w["chunks_total"] != window || w["chunks_needed"] != window {
+			t.Errorf("window %d offered %d chunks, %d needed; want %d of %d", k, w["chunks_total"], w["chunks_needed"], window, window)
+		}
+	}
+	retry := windows[3]
+	if retry["chunks_total"] != int64(len(want)) {
+		t.Errorf("the retry offered %d digests, want the whole list of %d in one message", retry["chunks_total"], len(want))
+	}
+	if retry["chunks_needed"] <= 0 || retry["chunks_needed"] > int64(len(want)-landed) {
+		t.Errorf("the retry needed %d of %d chunks with %d landed before the crash", retry["chunks_needed"], len(want), landed)
+	}
+	if sp := lastDigestSpan(t, r, "store_digest"); sp["chunks_rehashed"] != sp["chunks_total"] || sp["chunks_total"] != int64(len(want)) {
+		t.Errorf("the pass did not finish its digest list for the retry: %v", sp)
+	}
+
+	assertCacheIs(t, op, opts.ChunkBytes, want, "retried capture")
+	assertManifestIs(t, r, ctx, want, "retried capture")
+	if n := r.plat.Store.PendingUploads(); n != 0 {
+		t.Errorf("%d uploads pending after the retried capture", n)
+	}
+	ropts := RestoreOptions{Streams: 2, ChunkBytes: opts.ChunkBytes}
+	ropts.Store.Enabled = true
+	if _, err := Swapin(s, 1, ropts); err != nil {
+		t.Fatalf("swap-in after the retried capture: %v", err)
+	}
+	if got := r.count(t, 40); got != refSum(40) {
+		t.Errorf("restored computation = %d, want %d", got, refSum(40))
+	}
+	if _, err := r.plat.Store.Release(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.plat.Store.GC(0); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.plat.Store.Stats(); st.Chunks != 0 || st.Manifests != 0 {
+		t.Errorf("release + gc left %+v", st)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snapify/internal/coi"
+	"snapify/internal/simclock"
 )
 
 // storeOpts is the capture configuration of the store tests: a striped
@@ -206,5 +207,43 @@ func TestStoreDeltaChainParentOnlyInStore(t *testing.T) {
 	}
 	if s := r.plat.Store.Stats(); s.Manifests != 0 || s.Chunks != 0 {
 		t.Errorf("store not empty after chain release + gc: %+v", s)
+	}
+}
+
+// coldStoreCapture is the virtual time of the first cold store capture
+// this test process ran; it outlives one run of the test, so -count=N
+// compares N runs.
+var coldStoreCapture simclock.Duration
+
+// TestColdStoreCaptureDeterministic: a cold one-stream store capture — the
+// pipelined digest → negotiate → ship pass — is priced from sizes alone.
+// Fresh platforms in one process, and (scripts/verify.sh: -count=50 at
+// GOMAXPROCS 1 and 8) any number of runs, report one Report.Capture value
+// to the nanosecond.
+func TestColdStoreCaptureDeterministic(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		r := newRig(t, "core_store_deterministic", 1)
+		r.count(t, 20)
+		opts := CaptureOptions{ChunkBytes: 256 * 1024}
+		opts.Store.Enabled = true
+		s := NewSnapshot("/snap/det", r.cp)
+		if err := s.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Capture(opts); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Report.ShippedBytes != s.Report.SnapshotBytes || s.Report.CaptureStreams != 1 {
+			t.Fatalf("not a cold one-stream capture: %+v", s.Report)
+		}
+		if coldStoreCapture == 0 {
+			coldStoreCapture = s.Report.Capture
+		}
+		if s.Report.Capture != coldStoreCapture {
+			t.Fatalf("cold store capture took %d virtual ns, an earlier identical one %d", s.Report.Capture, coldStoreCapture)
+		}
 	}
 }

@@ -9,10 +9,12 @@ import (
 )
 
 // scriptedTwoCardCapture replays a fixed two-card snapshot lifecycle on a
-// fresh tracer: pause and a 2-stream store-mode capture on mic0 (digest
-// pass, have/need negotiation, then the streams), then a restore onto
-// mic1 — the same span names and track layout the real stack emits, with
-// hand-picked durations so the export is stable.
+// fresh tracer: pause and a 2-stream store-mode capture on mic0 (one
+// pipelined digest pass with its two have/need windows nested inside it,
+// each stream open from the window that first needed it to the end of the
+// pass), then a restore onto mic1 — the same span names and track layout
+// the real stack emits, with hand-picked durations so the export is
+// stable.
 func scriptedTwoCardCapture() *Tracer {
 	tr := NewTracer()
 	host := tr.Track("host", "app")
@@ -32,11 +34,12 @@ func scriptedTwoCardCapture() *Tracer {
 	scope := tr.NewScope()
 	w0 := tr.Track("mic0", "offload_a/stream 0")
 	w1 := tr.Track("mic0", "offload_a/stream 1")
-	agent0.Emit(scope, "store_digest", 1000, 300, map[string]int64{
+	agent0.Emit(scope, "store_negotiate", 1000, 100, map[string]int64{"chunks_total": 2, "chunks_needed": 1})
+	agent0.Emit(scope, "store_negotiate", 1900, 100, map[string]int64{"chunks_total": 2, "chunks_needed": 1})
+	w0.Emit(scope, "capture_stream", 1100, 1900, map[string]int64{"bytes": 4096, "stream": 0})
+	w1.Emit(scope, "capture_stream", 2000, 1000, map[string]int64{"bytes": 4096, "stream": 1})
+	agent0.Emit(scope, "store_digest", 1000, 2000, map[string]int64{
 		"chunks_total": 4, "chunks_rehashed": 2, "bytes_rehashed": 8192, "seeded_from": 2})
-	agent0.Emit(scope, "store_negotiate", 1300, 100, map[string]int64{"chunks_total": 4, "chunks_needed": 2})
-	w0.Emit(scope, "capture_stream", 1400, 1600, map[string]int64{"bytes": 4096, "stream": 0})
-	w1.Emit(scope, "capture_stream", 1400, 1100, map[string]int64{"bytes": 4096, "stream": 1})
 	coid0.Emit(0, "capture_coordination", 1000, 2000, nil)
 	host.Emit(scope, "snapify_capture", 1000, 2000, map[string]int64{"bytes": 16384, "streams": 2, "shipped_bytes": 8192})
 

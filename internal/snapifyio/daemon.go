@@ -386,7 +386,7 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 			switch raw[0] {
 			case msgOpen:
 				send(ep, &openResp{Err: err.Error()})
-			case msgStoreNegotiate:
+			case msgStoreNegotiate, msgStoreWindow:
 				send(ep, &negotiateResp{Err: err.Error()})
 			case msgStoreDigests:
 				send(ep, &digestsResp{Err: err.Error()})
@@ -412,8 +412,8 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 			"Pending striped assemblies discarded by control request.",
 			obs.L("node", d.node.String())).Inc()
 		send(ep, &textMsg{Kind: msgDiscardResp})
-	case msgStoreNegotiate:
-		send(ep, d.serveNegotiate(first.(*negotiateMsg)))
+	case msgStoreNegotiate, msgStoreWindow:
+		send(ep, d.serveNegotiate(first))
 	case msgStoreDigests:
 		send(ep, d.serveDigestPlan(first.(*textMsg).Text))
 	case msgOpen:
@@ -445,18 +445,27 @@ func (d *Daemon) serveStream(ep *scif.Endpoint, open *openMsg) {
 }
 
 // serveNegotiate answers a have/need control round against the attached
-// chunk store: ask the store which of the image's chunks it lacks, reply
-// with the need set (or that the manifest committed on the spot).
-func (d *Daemon) serveNegotiate(req *negotiateMsg) *negotiateResp {
+// chunk store: ask the store which chunks of the offered list (or window
+// of it) it lacks, reply with the need set (or that the manifest committed
+// on the spot). What the store refuses — a window outside the declared
+// geometry, or for a path with no upload open — is the reply's error text.
+func (d *Daemon) serveNegotiate(req msg) *negotiateResp {
 	cs := d.chunkStore()
 	if cs == nil {
 		return &negotiateResp{Err: fmt.Sprintf("no chunk store attached on %v", d.node)}
 	}
-	need, committed, dur, err := cs.Negotiate(req.Path, req.Parent, req.Size, req.ChunkBytes, req.Digests)
+	resp := new(negotiateResp)
+	var err error
+	switch req := req.(type) {
+	case *negotiateMsg:
+		resp.Need, resp.Committed, resp.Dur, err = cs.Negotiate(req.Path, req.Parent, req.Size, req.ChunkBytes, req.Digests)
+	case *windowMsg:
+		resp.Need, resp.Committed, resp.Dur, err = cs.NegotiateWindow(req.Path, req.Parent, req.Size, req.ChunkBytes, req.First, req.Digests)
+	}
 	if err != nil {
 		return &negotiateResp{Err: err.Error()}
 	}
-	return &negotiateResp{Committed: committed, Dur: dur, Need: need}
+	return resp
 }
 
 // serveDigestPlan answers a digest-plan request against the attached
@@ -909,15 +918,4 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 		f.stripeEnd = st.Offset + st.Length
 	}
 	return f, nil
-}
-
-// RemoteError is a failure reported by the remote daemon.
-type RemoteError struct {
-	Node simnet.NodeID
-	Path string
-	Msg  string
-}
-
-func (e *RemoteError) Error() string {
-	return "snapifyio: " + e.Node.String() + ":" + e.Path + ": " + e.Msg
 }

@@ -32,6 +32,7 @@ const (
 	msgStoreNegotiateResp
 	msgStoreDigests // control: fetch the digest plan (pending upload or manifest) for a snapshot path
 	msgStoreDigestsResp
+	msgStoreWindow // control: one window of a have/need negotiation whose digest list arrives in pieces; answered by msgStoreNegotiateResp
 )
 
 // errMalformed is what every rejected message unwraps to: too short for
@@ -189,7 +190,31 @@ func (m *negotiateMsg) fields(c *wire.Cursor) {
 	wire.List(c, wire.U64[int], &m.Digests, wire.Str64)
 }
 
-// negotiateResp lists the chunk indices the store lacks.
+// windowMsg offers one window of a dedup upload's digest list: Digests are
+// those of chunks First, First+1, ... of the declared image. The window at
+// First == 0 opens the upload; each later one continues it and restates
+// the same geometry. negotiateMsg is the window that is the whole list.
+type windowMsg struct {
+	Path       string
+	Parent     string
+	Size       int64
+	ChunkBytes int64
+	First      int
+	Digests    []string
+}
+
+func (*windowMsg) kind() uint8 { return msgStoreWindow }
+func (m *windowMsg) fields(c *wire.Cursor) {
+	wire.Str64(c, &m.Path)
+	wire.Str64(c, &m.Parent)
+	wire.U64(c, &m.Size)
+	wire.U64(c, &m.ChunkBytes)
+	wire.U64(c, &m.First)
+	wire.List(c, wire.U64[int], &m.Digests, wire.Str64)
+}
+
+// negotiateResp lists the chunk indices the store lacks, of the list or
+// the window the request offered.
 type negotiateResp struct {
 	Err       string
 	Committed bool
@@ -249,6 +274,8 @@ func newMsg(kind uint8) msg {
 		return &textMsg{Kind: kind}
 	case msgStoreNegotiate:
 		return new(negotiateMsg)
+	case msgStoreWindow:
+		return new(windowMsg)
 	case msgStoreNegotiateResp:
 		return new(negotiateResp)
 	case msgStoreDigestsResp:

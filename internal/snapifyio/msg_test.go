@@ -14,11 +14,13 @@ import (
 	"snapify/internal/scif"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
+	"snapify/internal/snapstore"
 )
 
 // The daemon protocol's byte layouts are pinned by hex captured from the
 // inline wire compositions msg.go's field lists replaced (daemon.go,
-// file.go and snapifyio.go at PR 15, run over these field values).
+// file.go and snapifyio.go at PR 15, run over these field values);
+// negotiate_window, which came later, by its own first encoding.
 // Service.Negotiate and StagePlan charge virtual time by message length,
 // so identical bytes is what keeps every virtual number identical.
 var goldenMessages = []struct {
@@ -89,6 +91,9 @@ var goldenMessages = []struct {
 	{"negotiate",
 		"0f00000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000000a0000000000000004000000000000000000003000000000000000461613131000000000000000462623232000000000000000463633333",
 		&negotiateMsg{Path: "/snap/a/context_offload", Parent: "/snap/base/context_offload", Size: 10 << 20, ChunkBytes: 4 << 20, Digests: []string{"aa11", "bb22", "cc33"}}},
+	{"negotiate_window",
+		"1300000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000002800000000000000040000000000000000000080000000000000002000000000000000461613131000000000000000462623232",
+		&windowMsg{Path: "/snap/a/context_offload", Parent: "/snap/base/context_offload", Size: 40 << 20, ChunkBytes: 4 << 20, First: 8, Digests: []string{"aa11", "bb22"}}},
 	{"negotiate_resp",
 		"10000000000000000000000000000000a410000000000000000200000000000000000000000000000002",
 		&negotiateResp{Dur: 42 * time.Microsecond, Need: []int{0, 2}}},
@@ -167,7 +172,7 @@ func FuzzWireDecode(f *testing.F) {
 // afterwards.
 func TestDaemonRefusesGarbageAndKeepsServing(t *testing.T) {
 	r := newRig(t)
-	refused := map[uint8]bool{msgOpen: true, msgStoreNegotiate: true, msgStoreDigests: true}
+	refused := map[uint8]bool{msgOpen: true, msgStoreNegotiate: true, msgStoreWindow: true, msgStoreDigests: true}
 	for _, g := range goldenMessages {
 		full := goldenBytes(t, g.hex)
 		for k := 0; k < len(full); k++ {
@@ -224,6 +229,9 @@ type fakeStore struct {
 
 func (s *fakeStore) Negotiate(path, parent string, size, chunkBytes int64, digests []string) ([]int, bool, simclock.Duration, error) {
 	return []int{0, 1}, false, 5, nil
+}
+func (s *fakeStore) NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) ([]int, bool, simclock.Duration, error) {
+	return []int{first}, false, 5, nil
 }
 func (s *fakeStore) PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error) {
 	s.mu.Lock()
@@ -304,5 +312,50 @@ func TestStoreStreamThroughTheOneWriteLoop(t *testing.T) {
 	defer st.mu.Unlock()
 	if st.aborted != 1 || len(st.chunks) != 2 {
 		t.Fatalf("after the refused chunk: aborted=%d chunks=%d", st.aborted, len(st.chunks))
+	}
+}
+
+// A window the store cannot place — past the geometry it declares, or for
+// a path with no upload open — is refused in-band: the client gets a
+// *RemoteError carrying the store's reason, the daemon neither panics nor
+// hangs up, and the upload the window named is still there to continue.
+func TestDaemonRefusesMisplacedWindows(t *testing.T) {
+	r := newRig(t)
+	model := r.server.Fabric.Model()
+	st := snapstore.New(model, r.server.Host.FS, nil, nil)
+	if err := r.svc.AttachStore(simnet.HostNode, st); err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 4
+	content := blob.FromBytes([]byte("aaaabbbbccccdddd"))
+	d := snapstore.ChunkDigests(content, chunk)
+	window := func(path string, size int64, first int, digests []string) ([]int, error) {
+		need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, path, "", size, chunk, first, digests)
+		return need, err
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		var remote *RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, snapstore.ErrBadWindow.Error()) {
+			t.Errorf("%s: err = %v, want the store's ErrBadWindow as a *RemoteError", what, err)
+		}
+	}
+	_, err := window("/s/ctx", 16, 2, d[2:])
+	refused("no upload open", err)
+	if need, err := window("/s/ctx", 16, 0, d[:2]); err != nil || len(need) != 2 {
+		t.Fatalf("opening window: need %v err %v", need, err)
+	}
+	_, err = window("/s/ctx", 16, 2, append(d[2:4:4], "extra"))
+	refused("past the declared geometry", err)
+	_, err = window("/s/ctx", 12, 2, d[2:3])
+	refused("geometry restated", err)
+	_, err = window("/s/ctx", 16, 3, d[3:])
+	refused("gap", err)
+	if need, err := window("/s/ctx", 16, 2, d[2:]); err != nil || len(need) != 2 {
+		t.Fatalf("continuing window after the refusals: need %v err %v", need, err)
+	}
+	// The window that is the whole list rides the whole-list message.
+	if need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, "/s/whole", "", 16, chunk, 0, d); err != nil || len(need) != 4 {
+		t.Fatalf("whole-list window: need %v err %v", need, err)
 	}
 }

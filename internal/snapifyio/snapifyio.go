@@ -80,6 +80,17 @@ var (
 	ErrFileClosed = errors.New("snapifyio: file closed")
 )
 
+// RemoteError is a failure reported by the remote daemon.
+type RemoteError struct {
+	Node simnet.NodeID
+	Path string
+	Msg  string
+}
+
+func (e *RemoteError) Error() string {
+	return "snapifyio: " + e.Node.String() + ":" + e.Path + ": " + e.Msg
+}
+
 // Stripe names a byte range of the remote file carried by one stream. The
 // zero value means the stream carries the whole file (the classic mode).
 type Stripe struct {
@@ -116,10 +127,14 @@ type OpenOptions struct {
 // *snapstore.Store implements it; the indirection keeps snapifyio a
 // pure transport with no dependency on the store's internals.
 type ChunkStore interface {
-	// Negotiate registers an upload and returns the chunk indices the
-	// store lacks, or committed=true if the manifest committed on the
-	// spot because every chunk was already resident.
+	// Negotiate registers an upload from its whole digest list and returns
+	// the chunk indices the store lacks, or committed=true if the manifest
+	// committed on the spot because every chunk was already resident.
 	Negotiate(path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error)
+	// NegotiateWindow is Negotiate for a list that arrives in pieces: the
+	// digests of chunks first, first+1, ...; first == 0 registers the
+	// upload, later windows must continue it.
+	NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error)
 	// PutChunkAt stores one chunk-aligned piece of a negotiated upload.
 	PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error)
 	// CloseUpload commits the manifest if every chunk landed; otherwise
@@ -236,19 +251,39 @@ func (s *Service) AttachStore(node simnet.NodeID, cs ChunkStore) error {
 	return nil
 }
 
-// Negotiate runs the have/need round of a dedup-aware capture: it sends
-// the snapshot's chunk digests to the chunk store on targetNode and
-// returns the indices of the chunks the store lacks. committed=true
-// means the store already had every chunk and the manifest committed
-// without a single data byte moving. dur is the virtual round-trip
-// including the store's index scan.
+// Negotiate runs the have/need round of a dedup-aware capture over the
+// image's whole digest list: it sends the list to the chunk store on
+// targetNode and returns the indices of the chunks the store lacks.
+// committed=true means the store already had every chunk and the manifest
+// committed without a single data byte moving. dur is the virtual
+// round-trip including the store's index scan.
 func (s *Service) Negotiate(localNode, targetNode simnet.NodeID, path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
+	return s.negotiate(localNode, targetNode, path,
+		&negotiateMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, Digests: digests})
+}
+
+// NegotiateWindow is the have/need round for one window of a digest list
+// that is still being computed: digests are those of chunks first,
+// first+1, ...; the answer covers only them. The window at first == 0
+// opens the upload, each later one must continue it, and committed=true
+// can only come back from the one that completes the list. A window that
+// is the whole list travels as Negotiate's message.
+func (s *Service) NegotiateWindow(localNode, targetNode simnet.NodeID, path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
+	if first == 0 && chunkBytes > 0 && int64(len(digests)) == (size+chunkBytes-1)/chunkBytes {
+		return s.Negotiate(localNode, targetNode, path, parent, size, chunkBytes, digests)
+	}
+	return s.negotiate(localNode, targetNode, path,
+		&windowMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, First: first, Digests: digests})
+}
+
+// negotiate is the one-shot control round-trip both negotiation messages
+// ride.
+func (s *Service) negotiate(localNode, targetNode simnet.NodeID, path string, req msg) (need []int, committed bool, dur simclock.Duration, err error) {
 	ep, err := s.net.Connect(localNode, scif.Addr{Node: targetNode, Port: Port})
 	if err != nil {
 		return nil, false, 0, err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	req := &negotiateMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, Digests: digests}
 	sendDur, err := ep.Send(encode(req))
 	if err != nil {
 		return nil, false, 0, err

@@ -65,17 +65,37 @@ type Store struct {
 	tierPromotions *obs.Counter
 }
 
-// upload is one negotiated dedup upload in flight. It pins its digests
-// against GC until committed or aborted, so a concurrent sweep can
-// never reclaim a chunk the writer was told the store already has.
+// upload is one negotiated dedup upload in flight. Its digest list fills
+// window by window, from chunk 0 up; it pins the digests it knows so far
+// against GC until committed or aborted, so a concurrent sweep can never
+// reclaim a chunk the writer was told the store already has.
 type upload struct {
 	path       string // normalized snapshot path
 	parent     string // normalized parent snapshot path, or ""
 	size       int64
 	chunkBytes int64
-	digests    []string
-	have       []bool // chunk present when negotiated or put since
-	committed  bool
+	digests    []string // chunks 0..len-1, as the windows so far declared them
+	have       []bool   // chunk present when its window was negotiated or put since
+	// missing holds the digests some window found absent. Such a digest
+	// stays needed wherever it recurs, whether or not the earlier copy has
+	// landed since: the need sets add up to the one the whole list would
+	// have got in a single message, whatever the windows and whatever is
+	// still in flight between them.
+	missing   map[string]bool
+	committed bool
+}
+
+// complete reports whether every window arrived and every chunk landed.
+func (up *upload) complete() bool {
+	if len(up.digests) != chunkCount(up.size, up.chunkBytes) {
+		return false
+	}
+	for _, ok := range up.have {
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // New builds a Store over the host file system. injector may be nil or
@@ -131,58 +151,91 @@ func (st *Store) fire(key string) *faultinject.Fault {
 	return st.injector().Fire(faultinject.SiteStore, key)
 }
 
-// Negotiate registers a dedup upload for the snapshot at path and
-// returns which chunk indices the store lacks. digests are the ordered
-// chunk digests of the full image (size bytes in chunkBytes chunks);
-// parent, if nonempty, names the snapshot whose manifest this one's
-// delta chain extends and must already be committed. If nothing is
-// missing the manifest commits immediately (committed reports this) and
-// no data streams at all.
-//
-// Negotiating again for the same path replaces the pending upload (the
-// retry path after a mid-upload crash: chunks already shipped are found
-// and drop out of the need set).
+// ErrBadWindow reports a negotiation window that does not fit the upload
+// it claims to continue: it reaches past the declared geometry, restates
+// the geometry differently, leaves a gap, or names a path with no upload
+// open. The upload, if any, is left as it was.
+var ErrBadWindow = errors.New("snapstore: window does not continue the upload")
+
+// Negotiate registers a dedup upload for the snapshot at path from its
+// whole digest list at once and returns which chunk indices the store
+// lacks: the one-window case of NegotiateWindow, and what a retry after a
+// crash (the writer knows the full list by then) and Federation.ShipDir
+// use. If nothing is missing the manifest commits immediately (committed
+// reports this) and no data streams at all.
 func (st *Store) Negotiate(path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
+	if size >= 0 && chunkBytes > 0 {
+		if want := chunkCount(size, chunkBytes); len(digests) != want {
+			return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: %d digests for %d bytes in %d-byte chunks (want %d)", path, len(digests), size, chunkBytes, want)
+		}
+	}
+	return st.NegotiateWindow(path, parent, size, chunkBytes, 0, digests)
+}
+
+// NegotiateWindow offers the store the digests of chunks first,
+// first+1, ... of the image (size bytes in chunkBytes chunks) going to the
+// snapshot at path, and returns which of them the store lacks. A writer
+// that digests as it ships sends its list in such windows, in order:
+// first == 0 opens the upload — replacing a pending one for the path, the
+// retry path after a mid-upload crash: chunks already shipped are found
+// and drop out of the need set — and each later window must continue
+// exactly where the last ended, under the same geometry and parent
+// (ErrBadWindow otherwise). parent, if nonempty, names the snapshot whose
+// manifest this one's delta chain extends and must already be committed.
+// When the window that completes the list finds that no window had a chunk
+// missing, the manifest commits on the spot (committed reports this) and
+// no stream ever opens; otherwise it commits when the stream that brought
+// the last missing chunk closes — never in between, so the outcome does
+// not depend on how far the shipping has got when a window arrives.
+func (st *Store) NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
 	if size < 0 || chunkBytes <= 0 {
 		return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: bad geometry size=%d chunkBytes=%d", path, size, chunkBytes)
 	}
-	if got, want := len(digests), chunkCount(size, chunkBytes); got != want {
-		return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: %d digests for %d bytes in %d-byte chunks (want %d)", path, got, size, chunkBytes, want)
+	if count := chunkCount(size, chunkBytes); first < 0 || first > count || len(digests) > count-first {
+		return nil, false, 0, fmt.Errorf("%w: %s: chunks [%d,%d) of %d", ErrBadWindow, path, first, first+len(digests), count)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	path = normPath(path)
 	if parent != "" {
 		parent = normPath(parent)
-		if !st.fs.Exists(manifestPath(parent)) {
-			return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: parent %s has no manifest", path, parent)
-		}
-		if parent == path {
-			return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: snapshot cannot parent itself", path)
-		}
 	}
-	up := &upload{
-		path:       path,
-		parent:     parent,
-		size:       size,
-		chunkBytes: chunkBytes,
-		digests:    append([]string(nil), digests...),
-		have:       make([]bool, len(digests)),
+	up := st.uploads[path]
+	if first > 0 {
+		if up == nil || up.committed {
+			return nil, false, 0, fmt.Errorf("%w: %s: no upload open for chunk %d", ErrBadWindow, path, first)
+		}
+		if up.size != size || up.chunkBytes != chunkBytes || up.parent != parent || first != len(up.digests) {
+			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d of %d bytes in %d-byte chunks under parent %q, upload is at chunk %d of %d in %d under %q",
+				ErrBadWindow, path, first, size, chunkBytes, parent, len(up.digests), up.size, up.chunkBytes, up.parent)
+		}
+	} else {
+		if parent != "" {
+			if !st.fs.Exists(manifestPath(parent)) {
+				return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: parent %s has no manifest", path, parent)
+			}
+			if parent == path {
+				return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: snapshot cannot parent itself", path)
+			}
+		}
+		up = &upload{path: path, parent: parent, size: size, chunkBytes: chunkBytes, missing: make(map[string]bool)}
+		st.uploads[path] = up
 	}
 	for i, d := range digests {
-		if st.chunkResidentLocked(d) {
-			up.have[i] = true
-			st.chunkHits.Inc()
+		if up.missing[d] || !st.chunkResidentLocked(d) {
+			up.missing[d] = true
+			need = append(need, first+i)
 		} else {
-			need = append(need, i)
+			st.chunkHits.Inc()
 		}
+		up.digests = append(up.digests, d)
+		up.have = append(up.have, !up.missing[d])
 	}
-	st.uploads[path] = up
 	// Metadata cost: one fs round-trip plus an in-memory index scan of
-	// the digest list (a real store answers have/need from an index, not
-	// per-chunk stats).
+	// the window's digests (a real store answers have/need from an index,
+	// not per-chunk stats).
 	dur = st.model.HostFSOpLatency + st.model.HostMemcpy(64*int64(len(digests)))
-	if len(need) == 0 {
+	if len(up.missing) == 0 && up.complete() {
 		d, err := st.commitLocked(up)
 		dur += d
 		if err != nil {
@@ -209,6 +262,9 @@ func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock
 		return 0, fmt.Errorf("snapstore: put %s: offset %d not a chunk boundary of %d-byte chunks in %d bytes", path, off, up.chunkBytes, up.size)
 	}
 	idx := int(off / up.chunkBytes)
+	if idx >= len(up.digests) {
+		return 0, fmt.Errorf("snapstore: put %s: chunk %d is past the %d the negotiated windows cover", path, idx, len(up.digests))
+	}
 	m := Manifest{Size: up.size, ChunkBytes: up.chunkBytes}
 	if content.Len() != m.chunkLen(idx) {
 		return 0, fmt.Errorf("snapstore: put %s: chunk %d is %d bytes, want %d", path, idx, content.Len(), m.chunkLen(idx))
@@ -239,10 +295,10 @@ func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock
 	return dur, nil
 }
 
-// CloseUpload finishes a negotiated upload: if every chunk is present
-// the manifest commits atomically and CloseUpload reports committed;
-// otherwise the upload stays pending (the writer detached or died
-// mid-stream — a retry re-negotiates). Idempotent across the parallel
+// CloseUpload finishes a negotiated upload: if every window arrived and
+// every chunk is present the manifest commits atomically and CloseUpload
+// reports committed; otherwise the upload stays pending (the writer
+// detached or died mid-stream — a retry re-negotiates). Idempotent across the parallel
 // streams of one capture: the first complete close commits, later
 // closes see committed.
 func (st *Store) CloseUpload(path string) (bool, simclock.Duration, error) {
@@ -255,10 +311,8 @@ func (st *Store) CloseUpload(path string) (bool, simclock.Duration, error) {
 	if up.committed {
 		return true, 0, nil
 	}
-	for _, ok := range up.have {
-		if !ok {
-			return false, 0, nil
-		}
+	if !up.complete() {
+		return false, 0, nil
 	}
 	dur, err := st.commitLocked(up)
 	return err == nil, dur, err
@@ -275,15 +329,15 @@ func (st *Store) AbortUpload(path string) {
 
 // DigestPlan returns the digest list the destination of a live
 // migration should stage against: the pending negotiated upload for
-// path when one is in flight (the current pre-copy round's image), else
-// the committed manifest. committed distinguishes the two; ok is false
+// path when one is in flight with its whole list declared (the current
+// pre-copy round's image), else the committed manifest. committed distinguishes the two; ok is false
 // when neither exists. The charged duration mirrors Negotiate's
 // metadata cost — one fs round-trip plus an index scan of the list.
 func (st *Store) DigestPlan(path string) (size, chunkBytes int64, digests []string, committed, ok bool, dur simclock.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	p := normPath(path)
-	if up := st.uploads[p]; up != nil && !up.committed {
+	if up := st.uploads[p]; up != nil && !up.committed && len(up.digests) == chunkCount(up.size, up.chunkBytes) {
 		dur = st.model.HostFSOpLatency + st.model.HostMemcpy(64*int64(len(up.digests)))
 		return up.size, up.chunkBytes, append([]string(nil), up.digests...), false, true, dur
 	}

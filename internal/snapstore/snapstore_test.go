@@ -518,3 +518,134 @@ func TestDigestKeysZeroChunksTogether(t *testing.T) {
 		t.Errorf("zero chunks at 7 more offsets added %d cache entries, want 0", after-before)
 	}
 }
+
+// TestNegotiateWindowsAddUpToTheWholeList: a digest list offered in
+// windows gets, window by window, the need set the whole list gets in one
+// message — duplicates of a chunk an earlier window shipped included, so
+// the bytes a capture ships do not depend on how it cuts its windows or on
+// what has landed in between — pins only the digests it knows so far, and
+// commits at the close that follows the last chunk, never before the last
+// window arrived.
+func TestNegotiateWindowsAddUpToTheWholeList(t *testing.T) {
+	const chunk = 4096
+	// Seven chunks: A B Z | Z C A | Z — zeros and A recur across windows.
+	a, b, c, z := testContent(31, chunk), testContent(32, chunk), testContent(33, chunk), blob.Zeros(chunk)
+	content := blob.Concat(a, b, z, z, c, a, z)
+	digests := ChunkDigests(content, chunk)
+
+	whole := newEnv(t)
+	wantNeed, _, _, err := whole.st.Negotiate("/snap/w", "", content.Len(), chunk, digests)
+	if err != nil || len(wantNeed) != 7 {
+		t.Fatalf("whole-list need %v err %v, want all seven", wantNeed, err)
+	}
+
+	e := newEnv(t)
+	var gotNeed []int
+	for first := 0; first < len(digests); first += 3 {
+		end := min(first+3, len(digests))
+		need, committed, _, err := e.st.NegotiateWindow("/snap/w", "", content.Len(), chunk, first, digests[first:end])
+		if err != nil || committed {
+			t.Fatalf("window at %d: committed=%v err=%v", first, committed, err)
+		}
+		gotNeed = append(gotNeed, need...)
+		// Everything the window needs lands before the next is offered —
+		// the worst case for a store that answered from residency alone.
+		for _, idx := range need {
+			if _, err := e.st.PutChunkAt("/snap/w", int64(idx)*chunk, content.Slice(int64(idx)*chunk, chunk)); err != nil {
+				t.Fatalf("put chunk %d: %v", idx, err)
+			}
+		}
+		if _, err := e.st.PutChunkAt("/snap/w", int64(end)*chunk, z); end < len(digests) && err == nil {
+			t.Fatalf("chunk %d was admitted before a window declared its digest", end)
+		}
+		if committed, _, err := e.st.CloseUpload("/snap/w"); end < len(digests) && (committed || err != nil) {
+			t.Fatalf("close after the window at %d: committed=%v err=%v, want pending", first, committed, err)
+		}
+		// A sweep between windows keeps what the known windows name and
+		// has nothing else to find.
+		if gs, _, err := e.st.GC(0); err != nil || gs.ChunksReclaimed != 0 {
+			t.Fatalf("gc after the window at %d reclaimed %d chunks (err %v)", first, gs.ChunksReclaimed, err)
+		}
+	}
+	if len(gotNeed) != len(wantNeed) {
+		t.Fatalf("windowed need %v, whole-list need %v", gotNeed, wantNeed)
+	}
+	for i := range gotNeed {
+		if gotNeed[i] != wantNeed[i] {
+			t.Fatalf("windowed need %v, whole-list need %v", gotNeed, wantNeed)
+		}
+	}
+	if committed, _, err := e.st.CloseUpload("/snap/w"); err != nil || !committed {
+		t.Fatalf("final close: committed=%v err=%v", committed, err)
+	}
+	if got := readAll(t, e, "/snap/w"); !blob.Equal(got, content) {
+		t.Fatal("windowed upload does not reassemble byte-identical")
+	}
+
+	// The same image again under another path: nothing is missing, so the
+	// window that completes the list commits on the spot — and only that one.
+	for first := 0; first < len(digests); first += 3 {
+		end := min(first+3, len(digests))
+		need, committed, _, err := e.st.NegotiateWindow("/snap/w2", "", content.Len(), chunk, first, digests[first:end])
+		if err != nil || len(need) != 0 || committed != (end == len(digests)) {
+			t.Fatalf("resident window at %d: need=%v committed=%v err=%v", first, need, committed, err)
+		}
+	}
+	if e.st.PendingUploads() != 0 || !e.st.Has("/snap/w2") {
+		t.Fatalf("after the resident upload: %d pending, manifest present %v", e.st.PendingUploads(), e.st.Has("/snap/w2"))
+	}
+}
+
+// TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload: a window past
+// the declared geometry, one that restates the geometry differently, one
+// that leaves a gap or repeats, and one for a path with no upload open
+// (never opened, committed, or aborted) are all ErrBadWindow, and leave
+// the upload they named exactly as it was.
+func TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload(t *testing.T) {
+	e := newEnv(t)
+	const chunk = 4096
+	content := testContent(41, 5*chunk)
+	d := ChunkDigests(content, chunk)
+	size := content.Len()
+	refused := func(what string, path string, size, chunkBytes int64, first int, digests []string) {
+		t.Helper()
+		if _, _, _, err := e.st.NegotiateWindow(path, "", size, chunkBytes, first, digests); !errors.Is(err, ErrBadWindow) {
+			t.Errorf("%s: err = %v, want ErrBadWindow", what, err)
+		}
+	}
+	refused("no upload open", "/snap/r", size, chunk, 2, d[2:4])
+	refused("first window past the geometry", "/snap/r", size, chunk, 0, append(d[:5:5], "extra"))
+	refused("negative first chunk", "/snap/r", size, chunk, -1, d[:1])
+
+	if _, _, _, err := e.st.NegotiateWindow("/snap/r", "", size, chunk, 0, d[:2]); err != nil {
+		t.Fatal(err)
+	}
+	refused("gap", "/snap/r", size, chunk, 3, d[3:])
+	refused("repeat", "/snap/r", size, chunk, 1, d[1:3])
+	refused("past the geometry", "/snap/r", size, chunk, 2, append(d[2:5:5], "extra"))
+	refused("different size", "/snap/r", size-chunk, chunk, 2, d[2:4])
+	refused("different chunk size", "/snap/r", size, 2*chunk, 2, d[2:3])
+	if _, _, _, err := e.st.NegotiateWindow("/snap/r", "/snap/other", size, chunk, 2, d[2:]); !errors.Is(err, ErrBadWindow) {
+		t.Errorf("different parent: err = %v, want ErrBadWindow", err)
+	}
+	// None of that moved the upload: the window it is waiting for fits.
+	need, _, _, err := e.st.NegotiateWindow("/snap/r", "", size, chunk, 2, d[2:])
+	if err != nil || len(need) != 3 {
+		t.Fatalf("the continuing window: need=%v err=%v", need, err)
+	}
+	for idx := 0; idx < 5; idx++ {
+		if _, err := e.st.PutChunkAt("/snap/r", int64(idx)*chunk, content.Slice(int64(idx)*chunk, chunk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if committed, _, err := e.st.CloseUpload("/snap/r"); err != nil || !committed {
+		t.Fatalf("close: committed=%v err=%v", committed, err)
+	}
+	refused("committed upload", "/snap/r", size, chunk, 5, nil)
+
+	if _, _, _, err := e.st.NegotiateWindow("/snap/gone", "", size, chunk, 0, d[:2]); err != nil {
+		t.Fatal(err)
+	}
+	e.st.AbortAll()
+	refused("upload lost to a daemon crash", "/snap/gone", size, chunk, 2, d[2:])
+}

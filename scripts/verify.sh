@@ -30,7 +30,7 @@ echo "==> one wire codec (no encoding/binary in the protocol files)"
 # of a layout; the command/pipeline/buffer channels and HandleMeta
 # (offload.go, pipeline.go, buffer.go, meta.go) are out of scope.
 if grep -l '"encoding/binary"' $(git ls-files 'internal/core/*.go' 'internal/snapifyio/*.go' \
-    internal/coi/daemon.go internal/coi/snapify.go internal/coi/snapify_host.go \
+    internal/coi/daemon.go internal/coi/snapify.go internal/coi/upload.go internal/coi/snapify_host.go \
     internal/coi/export.go internal/coi/process.go internal/coi/msg.go | grep -v '_test\.go$'); then
     echo "verify: the files above import encoding/binary; code the message in msg.go instead" >&2
     exit 1
@@ -107,11 +107,23 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # rounds' epoch cuts; the final digest list must equal the full
 # recompute) and TestChaosLostDirtyRangeIsInvisibleToVerify (a dropped
 # dirty-range record, caught by the oracle while Store.Verify reports
-# clean). snapstore carries the federation chaos cases
+# clean), and the store upload's crash cases (TestChaosStore*), among
+# them TestChaosStoreDaemonCrashMidWindow: the host daemon dies between a
+# window's negotiation and its last chunk, and the retry must offer the
+# whole digest list in one message, ship only what is missing and leave
+# nothing pending. snapstore carries the federation chaos cases
 # (TestChaosFederation*), sched the fleet-level kill-during-replication
 # case, and fleetd the control-plane cases (TestChaosFleet*: host kill
 # mid-evacuation-wave, capture crash mid-preemption, seed replay).
 go test -race -count=2 -run 'TestChaos|TestSeedReplay' ./internal/core/ ./internal/snapstore/ ./internal/sched/ ./internal/fleetd/
+
+echo "==> cold store capture determinism (-count=50, GOMAXPROCS 1 and 8)"
+# The windowed digest -> negotiate -> ship pass of a cold one-stream store
+# capture is priced from sizes alone; fifty runs on one P and fifty on
+# eight must report one Report.Capture value to the nanosecond (the test
+# keeps the first value it saw across -count iterations).
+GOMAXPROCS=1 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
+GOMAXPROCS=8 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
 
 echo "==> snapbench -parallel -smoke -trace (parallel capture + trace smoke)"
 # The -trace flag makes snapbench export the sweep's Chrome trace and
@@ -129,9 +141,10 @@ rm -f "$trace_out"
 
 echo "==> snapbench -store -smoke -trace (dedup store + trace smoke)"
 # The store smoke runs the swap-cycle dedup comparison on a small image;
-# its shape check pins the >= 3x shipped-byte reduction, the
-# byte-identical store round-trip, the negotiation spans' capture-scope
-# correlation, and GC back to zero chunks.
+# its shape check pins the >= 3x shipped-byte reduction, the cold store
+# capture at <= 1.15x the plain one, the byte-identical store
+# round-trip, the negotiation spans' capture-scope correlation and their
+# windows adding up to each capture's image, and GC back to zero chunks.
 store_trace=$(mktemp /tmp/snapify_store_smoke.XXXXXX.json)
 go run ./cmd/snapbench -store -smoke -trace "$store_trace"
 rm -f "$store_trace"
