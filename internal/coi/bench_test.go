@@ -1,9 +1,11 @@
 package coi_test
 
-// Wall-clock micro-benchmarks of the store-capture path, warm (ROADMAP
-// item 1b) and cold (item 4). They sit beside internal/coi, whose agent
-// runs the upload loop, but drive it through internal/core — the only
-// caller — so they live in the external test package.
+// Wall-clock micro-benchmarks of the store data path: capture, warm
+// (ROADMAP item 1b) and cold (item 4), and the swap-in restore over the
+// store read stream. They sit beside internal/coi, whose agent runs the
+// upload loop and whose daemon the download, but drive them through
+// internal/core — the only caller — so they live in the external test
+// package.
 
 import (
 	"testing"
@@ -99,4 +101,38 @@ func BenchmarkStoreCaptureCold(b *testing.B) {
 	}
 	sinkCapture = total
 	b.ReportMetric(float64(total)/float64(b.N)/1e6, "capture-vms/op")
+}
+
+// BenchmarkStoreRestore times one swap-in of a store-resident 256 MiB
+// process: 73 chunks of 4 MiB pulled over the store read stream into the
+// restart parser, the digest cache seeded, the handle rebound. The
+// swap-out between restores is off the clock. restore-vms/op is the
+// restore's virtual time.
+func BenchmarkStoreRestore(b *testing.B) {
+	cp, _ := benchProcess(b, "coi_bench_restore")
+	var copts core.CaptureOptions
+	var ropts core.RestoreOptions
+	copts.Store.Enabled = true
+	ropts.Store.Enabled = true
+
+	b.ReportAllocs()
+	var total simclock.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := core.Swapout("/bench/restore", cp, copts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if cp, err = s.Restore(1, ropts); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := s.Resume(); err != nil {
+			b.Fatal(err)
+		}
+		total += s.Report.RestoreTotal()
+	}
+	sinkCapture = total
+	b.ReportMetric(float64(total)/float64(b.N)/1e6, "restore-vms/op")
 }

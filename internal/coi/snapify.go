@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"snapify/internal/blcr"
-	"snapify/internal/blob"
 	"snapify/internal/fanout"
 	"snapify/internal/obs"
 	"snapify/internal/proc"
@@ -202,7 +201,7 @@ func (d *Daemon) handleSnapifyResume(id int) error {
 // handleSnapifyRestore rebuilds an offload process from a snapshot
 // directory (see RestoreReq).
 func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
-	deltaDirs, streams, align, rp := req.DeltaDirs, req.Streams, req.Align, req.Retry
+	deltaDirs, align := req.DeltaDirs, req.Align
 	bin, err := LookupBinary(req.Binary)
 	if err != nil {
 		return nil, err
@@ -220,7 +219,7 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 	// host's virtual clock carried in the request.
 	tracer := d.plat.Obs.TracerOf()
 	scope := tracer.NewScope()
-	cr := d.plat.CR.WithSpans(tracer, scope, align).WithRetry(rp)
+	cr := d.plat.CR.WithSpans(tracer, scope, align).WithRetry(req.Retry)
 	ctxPath := req.ContextDir + "/" + ContextFileName
 	var restored *proc.Process
 	var rst *blcr.Stats
@@ -235,48 +234,10 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 		restored, rst, seed, adopted = d.tryAdoptedRestart(cr, ctxPath, spawn)
 	}
 	if !adopted {
-		// BLCR reads the context "on the fly" from host storage via a
-		// Snapify-IO read descriptor (Section 4.3).
-		src, err := d.plat.IO.Open(d.dev.Node, simnet.HostNode, ctxPath, snapifyio.Read)
-		if err != nil {
+		// BLCR reads the context "on the fly" from host storage over
+		// Snapify-IO (Section 4.3).
+		if restored, rst, err = d.streamRestart(cr, req, ctxPath, spawn); err != nil {
 			return nil, err
-		}
-		deltas := make([]stream.Source, 0, len(deltaDirs))
-		for _, dd := range deltaDirs {
-			ds, err := d.plat.IO.Open(d.dev.Node, simnet.HostNode, dd+"/"+DeltaFileName, snapifyio.Read)
-			if err != nil {
-				src.Close() //nolint:errcheck // error path: close only releases the descriptor; the size mismatch is the reported error
-				return nil, err
-			}
-			deltas = append(deltas, ds)
-		}
-		if streams > 1 || rp.Enabled() {
-			// Parallel restore: the plain descriptor only supplies the context
-			// size; the pages arrive over striped range streams, each
-			// prefetching on its own slots. A retry-enabled restore rides this
-			// path even with one stream — range reads are idempotent, so a
-			// faulted source reopens at its current offset and continues.
-			if streams < 1 {
-				streams = 1
-			}
-			size := src.Size()
-			src.Close() //nolint:errcheck // size probe: close only releases the descriptor
-			open := func(off, n int64) (stream.Source, error) {
-				return d.plat.IO.OpenStream(d.dev.Node, simnet.HostNode, ctxPath, snapifyio.Read, snapifyio.OpenOptions{
-					Slots:  2,
-					Stripe: snapifyio.Stripe{Offset: off, Length: n},
-				})
-			}
-			restored, rst, err = cr.RestartChainParallel(size, streams, req.ChunkBytes, open, deltas, spawn)
-		} else {
-			restored, rst, err = cr.RestartChain(src, deltas, spawn)
-			src.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
-		}
-		for _, ds := range deltas {
-			ds.Close() //nolint:errcheck // restore already failed; close only releases the descriptor
-		}
-		if err != nil {
-			return nil, fmt.Errorf("restoring offload process: %w", err)
 		}
 	}
 
@@ -297,7 +258,7 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 	}
 
 	// Copy the local store back on the fly into the mapped regions.
-	lsDur, lsBytes, err := d.reloadLocalStore(restored, req.LocalStoreDir, req.LocalStoreNode, streams)
+	lsDur, lsBytes, err := d.reloadLocalStore(restored, req.LocalStoreDir, req.LocalStoreNode, req.Streams)
 	if err != nil {
 		restored.Terminate()
 		return nil, err
@@ -757,7 +718,7 @@ func (op *OffloadProc) endDigestPass(tk *obs.Track, scope uint64, name string, a
 	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(pass.ImageBytes() - pass.BytesRehashed)
 }
 
-// --- live migration: pre-copy rounds and destination staging ---
+// --- live migration: pre-copy rounds (the destination's staging is in download.go) ---
 
 // handleSnapifyPrecopy runs one pre-copy round on the source card: digest
 // the running process's image and ship the changed chunks to the host
@@ -844,106 +805,6 @@ func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
 		return redo, err
 	}
 	return res, err
-}
-
-// handleSnapifyPrecopyStage is the destination card's side of a pre-copy
-// round: pull the freshly shipped chunks out of the host store into the
-// staging area (StageSync), or discard the staged state (StageDrop, on
-// abort).
-func (d *Daemon) handleSnapifyPrecopyStage(req *StageReq) (*StageResp, error) {
-	path := req.Path
-	if req.Mode == StageDrop {
-		d.staging.Drop(path)
-		return &StageResp{}, nil
-	}
-	size, chunkBytes, digests, _, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, path)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("coi: stage sync: no digest plan for %s on the host store", path)
-	}
-	need := d.staging.Plan(path, size, chunkBytes, digests)
-	fetchDur, fetched, err := d.stageFetch(path, digests, need)
-	if err != nil {
-		return nil, err
-	}
-	resp := &StageResp{Duration: planDur + fetchDur, FetchedBytes: fetched, StagedBytes: d.staging.StagedBytes(path)}
-	tk := d.coidTrack()
-	tk.AlignTo(req.Align)
-	tk.Emit(req.Scope, "precopy_stage", req.Align, resp.Duration, map[string]int64{
-		"fetched_bytes": resp.FetchedBytes,
-		"staged_bytes":  resp.StagedBytes,
-	})
-	return resp, nil
-}
-
-// stageFetch pulls the needed chunks from the host store's chunk files
-// into the staging area. Chunks are plain content-addressed files under
-// the store's chunk prefix, served by the host IO daemon's overlay.
-func (d *Daemon) stageFetch(path string, digests []string, need []int) (simclock.Duration, int64, error) {
-	acc := simclock.NewPipelineAccum()
-	var fetched int64
-	for _, idx := range need {
-		f, err := d.plat.IO.Open(d.dev.Node, simnet.HostNode, snapstore.ChunkPrefix+digests[idx], snapifyio.Read)
-		if err != nil {
-			return 0, 0, fmt.Errorf("coi: stage fetch chunk %d: %w", idx, err)
-		}
-		parts := make([]blob.Blob, 0, 1)
-		var off int64
-		for off < f.Size() {
-			b, cost, err := f.Next(4 * simclock.MiB)
-			if err != nil {
-				f.Close() //nolint:errcheck // error path: close only releases the descriptor; the read error is what propagates
-				return 0, 0, err
-			}
-			stream.Observe(acc, cost, d.plat.Model().PhiMemcpy(b.Len()))
-			parts = append(parts, b)
-			off += b.Len()
-		}
-		f.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
-		content := blob.Concat(parts...)
-		if err := d.staging.SetChunk(path, idx, content); err != nil {
-			return 0, 0, err
-		}
-		fetched += content.Len()
-	}
-	return acc.Total(), fetched, nil
-}
-
-// tryAdoptedRestart restores the migrated process from the staging area:
-// the pre-copy rounds parked (almost) every chunk on this card, so the
-// restart installs page tables over resident frames instead of streaming
-// the context from the host; only last-round stragglers are fetched. The
-// committed manifest is the authority — Plan re-verifies every staged
-// chunk against it, so a stale staging area degrades to extra fetches,
-// never to a wrong image. ok=false falls back to the streaming restore.
-func (d *Daemon) tryAdoptedRestart(cr *blcr.Checkpointer, ctxPath string, spawn blcr.Spawner) (*proc.Process, *blcr.Stats, *blcr.DigestCache, bool) {
-	size, chunkBytes, digests, committed, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, ctxPath)
-	if err != nil || !ok || !committed {
-		return nil, nil, nil, false
-	}
-	need := d.staging.Plan(ctxPath, size, chunkBytes, digests)
-	var fetchDur simclock.Duration
-	if len(need) > 0 {
-		fetchDur, _, err = d.stageFetch(ctxPath, digests, need)
-		if err != nil {
-			return nil, nil, nil, false
-		}
-	}
-	img, ok := d.staging.Image(ctxPath)
-	if !ok {
-		return nil, nil, nil, false
-	}
-	restored, rst, err := cr.RestartAdopted(img, spawn)
-	if err != nil {
-		return nil, nil, nil, false
-	}
-	rst.Duration += planDur + fetchDur
-	d.staging.Drop(ctxPath)
-	// The plan is the committed manifest the staged image was verified
-	// against: it seeds the migrated process's chunk-digest cache.
-	return restored, rst, blcr.NewDigestCache(rst.Geometry, chunkBytes, digests, blcr.SeedRestore), true
 }
 
 // captureOnce runs one capture pass into path, over the transport the

@@ -1,6 +1,7 @@
 package coi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -76,6 +77,9 @@ func (s *recordingStore) AbortUpload(string)                                  {}
 func (s *recordingStore) AbortAll()                                           {}
 func (s *recordingStore) DigestPlan(string) (int64, int64, []string, bool, bool, simclock.Duration) {
 	return 0, 0, nil, false, false, 0
+}
+func (s *recordingStore) ReadChunk(string) (blob.Blob, simclock.Duration, error) {
+	return blob.Blob{}, 0, errors.New("recordingStore keeps no content")
 }
 
 // uploadRig launches an idle offload process with a 3 MiB heap of unique

@@ -219,11 +219,18 @@ func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.Stag
 // delta ships when pre-copy ran), restore on the destination (adopting
 // the staged chunks), and resume. Report.Downtime records the whole
 // stop-everything window. On a capture failure the source process is
-// resumed — it stays unharmed on its card.
-func (m *Migration) Finish() (*coi.Process, error) {
+// resumed — it stays unharmed on its card. However Finish fails, the image
+// the rounds staged on the destination card is dropped with it: a later
+// Finish restores by streaming.
+func (m *Migration) Finish() (ncp *coi.Process, err error) {
 	if m.finished {
 		return nil, errors.New("core: migration already finished")
 	}
+	defer func() {
+		if err != nil {
+			m.dropStaging()
+		}
+	}()
 	s := m.s
 	downStart := s.Proc.Timeline().Now()
 	if err := s.Pause(); err != nil {
@@ -242,7 +249,7 @@ func (m *Migration) Finish() (*coi.Process, error) {
 		s.Resume() //nolint:errcheck // best-effort unwind; the capture error is what propagates
 		return nil, err
 	}
-	ncp, err := s.Restore(m.opts.DeviceTo, m.opts.Restore)
+	ncp, err = s.Restore(m.opts.DeviceTo, m.opts.Restore)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +279,11 @@ func (m *Migration) Abort() {
 	if plat.Store != nil {
 		plat.Store.AbortUpload(m.ctxPath())
 	}
+	m.dropStaging()
+}
+
+// dropStaging discards whatever the rounds staged on the destination card.
+func (m *Migration) dropStaging() {
 	if m.opts.Precopy.Enabled() {
 		m.stageRequest(coi.StageDrop, m.s.Proc.Timeline().Now()) //nolint:errcheck // best-effort cleanup; the destination daemon may be the very thing that failed
 	}

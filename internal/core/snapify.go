@@ -508,15 +508,15 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	storeResident := false
 	if opts.Store.Enabled {
 		// Fail fast with a clear error when the snapshot is supposed to be
-		// store-resident but no manifest committed; the data path itself
-		// reads through the store's overlay either way.
+		// store-resident but no manifest committed.
 		if plat.Store == nil {
 			return nil, errors.New("core: restore: platform has no snapshot store")
 		}
 		ctx := baseDir + "/" + coi.ContextFileName
 		// The overlay prefers a plain file, so only without one is the
-		// manifest what the restore reads — and only then may the card
-		// seed its chunk-digest cache from the manifest's digest list.
+		// manifest what the restore reads — and only then may the card pull
+		// the context over the store's read stream and seed its chunk-digest
+		// cache from the manifest's digest list.
 		if !plat.Host().FS.Exists(ctx) {
 			storeResident = true
 		}

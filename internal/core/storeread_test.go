@@ -1,0 +1,469 @@
+package core
+
+// The store read stream at the core layer: a store-resident swap-in and a
+// live migration's destination staging pull their chunks over one two-slot
+// store-mode Snapify-IO stream (coi/download.go). These tests hold it to
+// the path it replaced — the same image as the striped overlay restore,
+// byte for byte — sweep its fault points, and pin the two bugs the
+// per-chunk file opens had.
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"snapify/internal/blcr"
+	"snapify/internal/blob"
+	"snapify/internal/coi"
+	"snapify/internal/faultinject"
+	"snapify/internal/proc"
+	"snapify/internal/simclock"
+	"snapify/internal/simnet"
+	"snapify/internal/snapstore"
+)
+
+// storeStreamRestoreOpts selects the store read stream: store-resident,
+// one stream, no retry policy.
+func storeStreamRestoreOpts() RestoreOptions {
+	var o RestoreOptions
+	o.Store.Enabled = true
+	return o
+}
+
+// TestLiveMigrateUnderHostTierBudget: with a host-tier budget far under
+// the image, most chunks a pre-copy round ships are demoted to the cold
+// tier before the destination stages them. Staging reads through the
+// store, so it finds them there (and the reads count); opening chunk files
+// by path, as staging used to, failed round 1 with "file does not exist".
+func TestLiveMigrateUnderHostTierBudget(t *testing.T) {
+	r := newRig(t, "core_mig_tier", 2)
+	r.count(t, 20)
+	if _, err := r.plat.Store.SetTierPolicy(snapstore.TierPolicy{HostBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	cp2, snap, err := Migrate(r.cp, MigrateOptions{
+		DeviceTo: 2, Path: "/snap/tiermig",
+		Precopy: PrecopyOptions{MaxRounds: 3, ChunkBytes: 32 * 1024},
+	})
+	if err != nil {
+		t.Fatalf("live migration under a host-tier budget: %v", err)
+	}
+	if cp2.DeviceNode() != 2 || len(snap.Report.Precopy) == 0 {
+		t.Fatalf("process on %v after %d rounds", cp2.DeviceNode(), len(snap.Report.Precopy))
+	}
+	if got := r.count(t, 40); got != refSum(40) {
+		t.Errorf("computation after the migration = %d, want %d", got, refSum(40))
+	}
+	ts := r.plat.Store.TierStats()
+	if ts.ColdChunks == 0 || ts.ColdHits == 0 {
+		t.Errorf("the budget demoted %d chunks and staging read %d from the cold tier; want both > 0", ts.ColdChunks, ts.ColdHits)
+	}
+	assertNoStaging(t, r, 2)
+}
+
+// TestFailedAdoptionDropsTheStagedImage: the switch-over's straggler pull
+// hits one chunk fault, the adoption gives up, and the restore falls back
+// to streaming the committed image — which must succeed, and must not
+// leave the image the rounds staged parked on the destination card.
+func TestFailedAdoptionDropsTheStagedImage(t *testing.T) {
+	r := newRig(t, "core_mig_adopt_fault", 2)
+	r.count(t, 20)
+	m, err := NewMigration(r.cp, MigrateOptions{
+		DeviceTo: 2, Path: "/snap/adoptfault",
+		Precopy: PrecopyOptions{MaxRounds: 2, ChunkBytes: 32 * 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := uint64(20)
+	for done := false; !done; {
+		if _, done, err = m.Round(); err != nil {
+			t.Fatal(err)
+		}
+		iters += 10
+		r.count(t, iters) // leaves the final capture a delta, the switch-over a straggler
+	}
+	// Finish, by hand up to the restore, so the fault can be armed for it
+	// alone: the final capture's chunk writes consult the same site.
+	s := m.Snapshot()
+	if err := s.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	copts := m.opts.Capture
+	copts.Terminate = true
+	if err := s.Capture(copts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	dst := coi.DaemonAt(r.plat, 2)
+	if !dst.Staging().Has(m.ctxPath()) {
+		t.Fatal("nothing staged on the destination before the switch-over")
+	}
+	inj := faultinject.New(faultinject.Plan{{Site: faultinject.SiteChunk, Key: "0", Kind: faultinject.Drop}}, nil)
+	r.plat.Server.Fabric.SetInjector(inj)
+	_, err = s.Restore(2, m.opts.Restore)
+	disarm(r)
+	if err != nil {
+		t.Fatalf("restore after a failed adoption: %v", err)
+	}
+	if inj.FiredTotal() != 1 {
+		t.Fatalf("%d faults fired, want the one on the straggler pull", inj.FiredTotal())
+	}
+	for _, sp := range r.plat.Obs.TracerOf().Spans() {
+		if sp.Name == "restore_context" && sp.Args["adopted"] != 0 {
+			t.Error("the restore adopted the staged image despite the failed pull")
+		}
+	}
+	assertNoStaging(t, r, 2)
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	iters += 10
+	if got := r.count(t, iters); got != refSum(iters) {
+		t.Errorf("computation after the fallback restore = %d, want %d", got, refSum(iters))
+	}
+}
+
+// TestFailedFinishDropsTheStagedImage: a switch-over that fails at the
+// final capture resumes the source and leaves nothing staged.
+func TestFailedFinishDropsTheStagedImage(t *testing.T) {
+	r := newRig(t, "core_mig_finish_fault", 2)
+	r.count(t, 20)
+	m, err := NewMigration(r.cp, MigrateOptions{
+		DeviceTo: 2, Path: "/snap/finishfault",
+		Precopy: PrecopyOptions{MaxRounds: 1, ChunkBytes: 32 * 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Round(); err != nil {
+		t.Fatal(err)
+	}
+	r.count(t, 30)
+	arm(r, faultinject.Fault{Site: faultinject.SiteDaemon, Key: simnet.HostNode.String(), Kind: faultinject.Crash})
+	_, err = m.Finish()
+	disarm(r)
+	if err == nil {
+		t.Fatal("Finish survived a daemon crash in its final capture with no retry budget")
+	}
+	assertNoStaging(t, r, 2)
+	if got := r.count(t, 40); got != refSum(40) {
+		t.Errorf("source computation after the failed switch-over = %d, want %d", got, refSum(40))
+	}
+}
+
+// framedMeta is the context file's framed metadata record: blcr pads a
+// record to 96 bytes behind its 8-byte length. The differential test lays
+// its image out from this figure and checks the sum against the layout's
+// own size, so a format change fails there, loudly, not here, silently.
+const framedMeta = 104
+
+// restoredImage is what a restore left on the card.
+type restoredImage struct {
+	img     blob.Blob
+	geo     *blcr.Geometry
+	chunk   int64
+	digests []string
+}
+
+// TestStoreRestoreDifferential restores one store-resident image over the
+// store read stream and over the striped overlay path, on identical fresh
+// platforms, and requires the two restored processes to be the same
+// process: byte-identical full layouts, equal geometry, equal seeded digest
+// caches — which must also be the digests of the frozen image that went
+// into the store. The image is built so that, at the chunk size under test,
+// a chunk edge falls inside a metadata record, another chunk spans a region
+// boundary (the tail of one region's pages, the next region's record, the
+// head of its pages), and the last chunk is short; content written across
+// those edges is literal, the rest synthetic background.
+func TestStoreRestoreDifferential(t *testing.T) {
+	for _, chunk := range []int64{32 * 1024, blcr.PageChunk} {
+		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
+			var want []string
+			restore := func(ropts RestoreOptions) restoredImage {
+				r := newRig(t, "core_store_restore_diff", 1)
+				r.count(t, 20)
+				r.quiesce(t)
+				p := r.offload(t).Proc()
+				lay, err := r.plat.CR.LayoutFull(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// New regions go where the trailer is now. Size "pad" so the
+				// record after it straddles the next chunk edge; "small" then
+				// starts just past that edge and ends inside the same chunk,
+				// so that chunk also holds big's record and the head of big's
+				// pages; big's odd size leaves the last chunk short.
+				padMeta := lay.Size() - framedMeta
+				edge := (padMeta+2*framedMeta)/chunk*chunk + chunk
+				sizes := map[string]int64{"pad": edge - framedMeta/2 - (padMeta + framedMeta), "small": 10_000, "big": 3*chunk/2 + 777}
+				var ends []int64 // where each new region's pages end in the file
+				off := padMeta
+				for i, name := range []string{"pad", "small", "big"} {
+					reg, err := p.AddRegion(name, proc.RegionHeap, sizes[name], uint64(900+i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					off += framedMeta
+					reg.WriteAt([]byte("head of "+name), 0)
+					reg.WriteAt([]byte("tail of "+name), sizes[name]-16)
+					if within := (off/chunk+1)*chunk - off; within >= 8 && within+8 < sizes[name] {
+						reg.WriteAt([]byte("across the edge"), within-7)
+					}
+					off += sizes[name]
+					ends = append(ends, off)
+				}
+				smallMeta := padMeta + framedMeta + sizes["pad"]
+				if !(smallMeta < edge && edge < smallMeta+framedMeta) {
+					t.Fatalf("chunk edge %d is not inside small's record [%d,%d)", edge, smallMeta, smallMeta+framedMeta)
+				}
+				if smallEnd, bigRun := ends[1], ends[1]+framedMeta; bigRun/chunk != edge/chunk || ends[2] <= bigRun {
+					t.Fatalf("chunk %d does not hold small's tail (%d) and big's head (%d)", edge/chunk, smallEnd, bigRun)
+				}
+
+				dir := "/snap/restorediff"
+				s := NewSnapshot(dir, r.cp)
+				if err := s.Pause(); err != nil {
+					t.Fatal(err)
+				}
+				if lay, err = r.plat.CR.LayoutFull(p); err != nil {
+					t.Fatal(err)
+				}
+				if lay.Size() != off+framedMeta || lay.Size()%chunk == 0 {
+					t.Fatalf("frozen image is %d bytes, laid out by hand %d; want them equal and the last chunk short", lay.Size(), off+framedMeta)
+				}
+				frozen, _ := lay.Materialize()
+				digests := snapstore.ChunkDigests(frozen, chunk)
+				if want == nil {
+					want = digests
+				}
+				if firstDiff(digests, want) != -1 {
+					t.Fatal("the two platforms froze different images")
+				}
+				copts := CaptureOptions{Terminate: true, ChunkBytes: chunk}
+				copts.Store.Enabled = true
+				if err := s.Capture(copts); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Wait(); err != nil {
+					t.Fatal(err)
+				}
+				assertManifestIs(t, r, dir+"/"+coi.ContextFileName, want, "after the swap-out")
+
+				// A daemon-level restore: the process as the context rebuilt
+				// it, before a rebind starts threads in it.
+				resp, err := coi.DaemonRestoreRequest(r.plat, 1, &coi.RestoreReq{
+					Binary: r.cp.BinaryName(), ContextDir: dir, LocalStoreNode: simnet.HostNode, LocalStoreDir: dir,
+					Streams: ropts.Streams, ChunkBytes: ropts.ChunkBytes, Retry: ropts.Retry, StoreResident: true,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, err := coi.DaemonAt(r.plat, 1).Lookup(resp.ProcID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lay, err = r.plat.CR.LayoutFull(op.Proc()); err != nil {
+					t.Fatal(err)
+				}
+				out := restoredImage{geo: lay.Geometry()}
+				out.img, _ = lay.Materialize()
+				out.chunk, out.digests = op.CachedDigests()
+				return out
+			}
+
+			streamed := restore(storeStreamRestoreOpts())
+			striped := restore(storeRestoreOpts(chunk))
+			if streamed.img.Len() != striped.img.Len() || !blob.Equal(streamed.img, striped.img) {
+				t.Error("the restored processes' full layouts differ")
+			}
+			if !reflect.DeepEqual(streamed.geo, striped.geo) {
+				t.Error("the restored processes' geometries differ")
+			}
+			for name, got := range map[string]restoredImage{"store read stream": streamed, "striped overlay": striped} {
+				if got.chunk != chunk || firstDiff(got.digests, want) != -1 {
+					t.Errorf("%s: cache seeded with %d digests of %d-byte chunks, differing from the frozen image's at chunk %d",
+						name, len(got.digests), got.chunk, firstDiff(got.digests, want))
+				}
+			}
+		})
+	}
+}
+
+// storeSwapout swaps the rig's process out into the store in default-size
+// chunks and returns the snapshot with its chunk count.
+func storeSwapout(t *testing.T, r *rig, dir string) (*Snapshot, int) {
+	t.Helper()
+	var copts CaptureOptions
+	copts.Store.Enabled = true
+	s, err := Swapout(dir, r.cp, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := r.plat.Store.Manifest(dir + "/" + coi.ContextFileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, len(m.Chunks)
+}
+
+// faultAtPull parses the one-fault plan that hits the k-th chunk the host's
+// Snapify-IO daemon serves from now on: the daemon crashing, or the chunk's
+// read failing. The sweeps arm their faults from JSON so that a failing
+// index can be replayed as a plan file.
+func faultAtPull(t *testing.T, crash bool, k int) faultinject.Plan {
+	t.Helper()
+	text := fmt.Sprintf(`[{"site": "snapifyio.chunk", "key": "0", "kind": "drop", "nth": %d}]`, k)
+	if crash {
+		text = fmt.Sprintf(`[{"site": "snapifyio.daemon", "key": "host", "kind": "crash", "nth": %d}]`, k)
+	}
+	plan, err := faultinject.ParsePlan([]byte(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestChaosStoreRestoreSweep fails a store-resident restore at every pull
+// of its read stream, once by a host daemon crash and once by a chunk
+// fault: the restore returns the error, leaves no process behind and the
+// card's memory where it was, and the same snapshot restores on the next
+// attempt with the computation intact.
+func TestChaosStoreRestoreSweep(t *testing.T) {
+	for _, crash := range []bool{true, false} {
+		r := newRig(t, "core_chaos_store_restore", 1)
+		iters := uint64(20)
+		r.count(t, iters)
+		s, chunks := storeSwapout(t, r, "/snap/restoresweep")
+		if chunks < 4 {
+			t.Fatalf("image is %d chunks; the sweep wants a few", chunks)
+		}
+		for k := 1; k <= chunks; k++ {
+			t.Run(fmt.Sprintf("crash=%v/pull%d", crash, k), func(t *testing.T) {
+				mem, procs := r.plat.Device(1).Mem.Used(), r.plat.Procs.Count()
+				r.plat.Server.Fabric.SetInjector(faultinject.New(faultAtPull(t, crash, k), nil))
+				_, err := s.Restore(1, storeStreamRestoreOpts())
+				disarm(r)
+				if err == nil {
+					t.Fatal("restore survived a fault on its read stream with no retry policy")
+				}
+				if got := r.plat.Procs.Count(); got != procs {
+					t.Errorf("%d processes after the failed restore, %d before", got, procs)
+				}
+				if got := r.plat.Device(1).Mem.Used(); got != mem {
+					t.Errorf("card memory %d after the failed restore, %d before", got, mem)
+				}
+				if _, err := Swapin(s, 1, storeStreamRestoreOpts()); err != nil {
+					t.Fatalf("next attempt: %v", err)
+				}
+				iters += 5
+				if got := r.count(t, iters); got != refSum(iters) {
+					t.Fatalf("computation after the retried restore = %d, want %d", got, refSum(iters))
+				}
+				s, _ = storeSwapout(t, r, "/snap/restoresweep")
+			})
+		}
+		assertNoPartials(t, r.plat)
+	}
+}
+
+// TestChaosStagingRoundSweep fails a live migration's first staging round
+// at every pull of its read stream, by daemon crash and by chunk fault:
+// Round reports the staging failure, and Abort leaves the source running
+// with its computation intact, the destination's staging area empty and the
+// store consistent.
+func TestChaosStagingRoundSweep(t *testing.T) {
+	opts := MigrateOptions{DeviceTo: 2, Path: "/snap/stagesweep", Precopy: PrecopyOptions{MaxRounds: 2}}
+	// A fault-free round sizes the sweep: the faults count the chunks the
+	// host daemon serves, and the round's upload comes first.
+	probe := newRig(t, "core_chaos_stage_probe", 2)
+	probe.count(t, 20)
+	m, err := NewMigration(probe.cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := m.Round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Abort()
+	if first.ChunksTotal < 4 || first.ChunksNeeded != first.ChunksTotal {
+		t.Fatalf("probe round shipped %d of %d chunks; the sweep wants a cold store and a few chunks", first.ChunksNeeded, first.ChunksTotal)
+	}
+	for _, crash := range []bool{true, false} {
+		for k := 1; k <= first.ChunksTotal; k++ {
+			t.Run(fmt.Sprintf("crash=%v/pull%d", crash, k), func(t *testing.T) {
+				r := newRig(t, "core_chaos_stage", 2)
+				r.count(t, 20)
+				m, err := NewMigration(r.cp, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.plat.Server.Fabric.SetInjector(faultinject.New(faultAtPull(t, crash, first.ChunksNeeded+k), nil))
+				_, _, err = m.Round()
+				disarm(r)
+				if err == nil || !strings.Contains(err.Error(), "staging") {
+					t.Fatalf("round with a fault on its staging stream: err = %v, want the staging failure", err)
+				}
+				m.Abort()
+				if st := r.cp.State(); st != coi.StateActive {
+					t.Fatalf("source process state %v after the aborted round, want active", st)
+				}
+				if got := r.count(t, 40); got != refSum(40) {
+					t.Errorf("source computation after the aborted round = %d, want %d", got, refSum(40))
+				}
+				assertNoStaging(t, r, 2)
+				assertNoPartials(t, r.plat)
+				assertStoreConsistent(t, r)
+			})
+		}
+	}
+}
+
+// storeReadDurations are the virtual times of the first store-stream
+// restore and staging round this test process ran; they outlive one run of
+// the test, so -count=N compares N runs.
+var storeReadDurations [2]simclock.Duration
+
+// TestStoreRestoreDeterministic: a swap-in over the store read stream and a
+// staging round over it are priced from sizes alone — one stream is the
+// link's only flow. Fresh platforms in one process, and (scripts/verify.sh:
+// -count=50 at GOMAXPROCS 1 and 8) any number of runs, report one restore
+// and one staging duration to the nanosecond.
+func TestStoreRestoreDeterministic(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		r := newRig(t, "core_store_restore_deterministic", 2)
+		r.count(t, 20)
+		s, _ := storeSwapout(t, r, "/snap/restoredet")
+		if _, err := Swapin(s, 1, storeStreamRestoreOpts()); err != nil {
+			t.Fatal(err)
+		}
+		// A restored process respawns its pipeline thread when the first
+		// call arrives; make one, so the image the round stages has the
+		// thread's record in it on every run.
+		r.count(t, 30)
+		r.quiesce(t)
+		m, err := NewMigration(r.cp, MigrateOptions{DeviceTo: 2, Path: "/snap/stagedet", Precopy: PrecopyOptions{MaxRounds: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		round, _, err := m.Round()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Abort()
+		got := [2]simclock.Duration{s.Report.RestoreDevice, round.StageDuration}
+		if got[0] <= 0 || got[1] <= 0 {
+			t.Fatalf("restore took %d virtual ns, staging %d", got[0], got[1])
+		}
+		if storeReadDurations == [2]simclock.Duration{} {
+			storeReadDurations = got
+		}
+		if got != storeReadDurations {
+			t.Fatalf("store-stream restore and staging took %v virtual ns, earlier identical ones %v", got, storeReadDurations)
+		}
+	}
+}

@@ -309,6 +309,14 @@ func (d *Daemon) teardown() {
 	d.streams = make(map[int64]streamInfo)
 	cs := d.store
 	d.mu.Unlock()
+	if cs != nil {
+		// Negotiated uploads die with the daemon; their durable chunks
+		// stay, so a retrying capture ships only what is still missing.
+		// They go before the connections do: a client that has seen its
+		// reset may open the retry's upload at once, and a wipe that ran
+		// after that would take the new upload with the old ones.
+		cs.AbortAll()
+	}
 	sort.Slice(eps, func(i, j int) bool {
 		a, b := eps[i], eps[j]
 		if a.RemoteAddr() != b.RemoteAddr() {
@@ -332,11 +340,6 @@ func (d *Daemon) teardown() {
 	sort.Strings(paths)
 	for _, path := range paths {
 		asms[path].sw.Abort()
-	}
-	if cs != nil {
-		// Negotiated uploads die with the daemon; their durable chunks
-		// stay, so a retrying capture ships only what is still missing.
-		cs.AbortAll()
 	}
 }
 
@@ -716,21 +719,35 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
 	}
 }
 
-// serveRead streams a local file (or a byte range of it) into the peer's
-// staging slots.
-func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
-	var fr vfs.Reader
-	var err error
-	if open.Striped {
+// openSource opens what a read stream declared: chunks of a store-resident
+// snapshot's digest plan, a byte range of a file, or a whole file.
+func (d *Daemon) openSource(open *openMsg) (vfs.Reader, error) {
+	switch {
+	case open.Store:
+		cs := d.chunkStore()
+		if cs == nil {
+			return nil, fmt.Errorf("no chunk store attached on %v", d.node)
+		}
+		if open.Striped {
+			return nil, errors.New("store-mode read names chunks, not a stripe")
+		}
+		return newPlanReader(cs, open.Path, open.Chunks)
+	case open.Striped:
 		rfs, ok := d.fs.(vfs.RangeFS)
 		if !ok {
-			err = fmt.Errorf("snapifyio: file system on %v does not support range reads", d.node)
-		} else {
-			fr, err = rfs.OpenRange(open.Path, open.Stripe.Offset, open.Stripe.Length)
+			return nil, fmt.Errorf("snapifyio: file system on %v does not support range reads", d.node)
 		}
-	} else {
-		fr, err = d.fs.Open(open.Path)
+		return rfs.OpenRange(open.Path, open.Stripe.Offset, open.Stripe.Length)
+	default:
+		return d.fs.Open(open.Path)
 	}
+}
+
+// serveRead streams the declared source into the peer's staging slots, one
+// pull at a time: validate the request, consult the fault plan, read the
+// next piece, push it with scif_vwriteto, answer.
+func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
+	fr, err := d.openSource(open)
 	if err != nil {
 		send(ep, &openResp{Err: err.Error()})
 		return
@@ -825,8 +842,13 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 			return nil, fmt.Errorf("snapifyio: stripe [%d,%d) outside declared file of %d bytes", st.Offset, st.Offset+st.Length, st.Total)
 		}
 	}
-	if opts.Store && (mode != Write || !st.enabled()) {
-		return nil, fmt.Errorf("snapifyio: store-mode stream must be a striped write")
+	switch {
+	case opts.Store && mode == Write && !st.enabled():
+		return nil, errors.New("snapifyio: store-mode write stream needs a stripe (its chunks carry offsets)")
+	case opts.Store && mode == Read && st.enabled():
+		return nil, errors.New("snapifyio: store-mode read stream names chunks, not a stripe")
+	case len(opts.Chunks) > 0 && !(opts.Store && mode == Read):
+		return nil, errors.New("snapifyio: only a store-mode read stream names chunks")
 	}
 
 	model := d.svc.net.Fabric().Model()
@@ -850,7 +872,7 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 	streamID := d.svc.nextStreamID.Add(1)
 
 	req := &openMsg{Mode: mode, StreamID: streamID, BufSize: d.bufSize, Windows: windows,
-		Striped: st.enabled(), Stripe: st, Path: path, Store: opts.Store}
+		Striped: st.enabled(), Stripe: st, Path: path, Store: opts.Store, Chunks: opts.Chunks}
 	if _, err := ep.Send(encode(req)); err != nil {
 		ep.Close()
 		return nil, err

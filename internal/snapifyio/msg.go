@@ -54,7 +54,7 @@ func (b bare) kind() uint8       { return uint8(b) }
 func (bare) fields(*wire.Cursor) {}
 
 // openMsg declares a stream: its staging slots (one registered window
-// each), the byte range it carries, and where the bytes land.
+// each), the byte range it carries, and where the bytes land or come from.
 type openMsg struct {
 	Mode     Mode
 	StreamID int64
@@ -64,6 +64,11 @@ type openMsg struct {
 	Stripe   Stripe
 	Path     string
 	Store    bool
+	// Chunks is what a store-mode read asks for: chunk indices of the
+	// path's digest plan, in serving order (none: the whole plan). The list
+	// is on the wire only behind Mode == Read and Store, so every other
+	// open is the bytes it always was.
+	Chunks []int
 }
 
 func (*openMsg) kind() uint8 { return msgOpen }
@@ -80,6 +85,9 @@ func (m *openMsg) fields(c *wire.Cursor) {
 	wire.U64(c, &m.Stripe.Total)
 	wire.Str64(c, &m.Path)
 	wire.Bool(c, &m.Store)
+	if m.Store && m.Mode == Read {
+		wire.List(c, wire.U64[int], &m.Chunks, wire.U64[int])
+	}
 }
 
 // openResp carries the remote file size for a read stream. In every

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"snapify/internal/blob"
+	"snapify/internal/faultinject"
 	"snapify/internal/scif"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
@@ -20,7 +21,9 @@ import (
 // The daemon protocol's byte layouts are pinned by hex captured from the
 // inline wire compositions msg.go's field lists replaced (daemon.go,
 // file.go and snapifyio.go at PR 15, run over these field values);
-// negotiate_window, which came later, by its own first encoding.
+// negotiate_window and the two open_store_read messages (an open grows a
+// chunk list only as a store-mode read), which came later, by their own
+// first encoding.
 // Service.Negotiate and StagePlan charge virtual time by message length,
 // so identical bytes is what keeps every virtual number identical.
 var goldenMessages = []struct {
@@ -34,6 +37,12 @@ var goldenMessages = []struct {
 	{"open_plain_read",
 		"0100000000000000002a01000000000040000000000000000010000000000000000000000000000000000000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f616400",
 		&openMsg{Mode: Read, StreamID: 42, BufSize: 4 << 20, Windows: []int64{4096}, Path: "/snap/a/context_offload"}},
+	{"open_store_read",
+		"0100000000000000002b020000000000400000000000000000100000000000000020000000000000000000000000000000000000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164010000000000000003000000000000000000000000000000070000000000000003",
+		&openMsg{Mode: Read, StreamID: 43, BufSize: 4 << 20, Windows: []int64{4096, 8192}, Path: "/snap/a/context_offload", Store: true, Chunks: []int{0, 7, 3}}},
+	{"open_store_read_whole",
+		"0100000000000000002c020000000000400000000000000000100000000000000020000000000000000000000000000000000000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164010000000000000000",
+		&openMsg{Mode: Read, StreamID: 44, BufSize: 4 << 20, Windows: []int64{4096, 8192}, Path: "/snap/a/context_offload", Store: true}},
 	{"open_resp",
 		"0200000000000000000000000010000000",
 		&openResp{Size: 256 << 20}},
@@ -225,6 +234,8 @@ type fakeStore struct {
 	chunks  map[int64]blob.Blob
 	closed  int
 	aborted int
+	// onAbortAll, when set, runs inside AbortAll.
+	onAbortAll func()
 }
 
 func (s *fakeStore) Negotiate(path, parent string, size, chunkBytes int64, digests []string) ([]int, bool, simclock.Duration, error) {
@@ -250,9 +261,16 @@ func (s *fakeStore) AbortUpload(path string) {
 	defer s.mu.Unlock()
 	s.aborted++
 }
-func (s *fakeStore) AbortAll() {}
+func (s *fakeStore) AbortAll() {
+	if s.onAbortAll != nil {
+		s.onAbortAll()
+	}
+}
 func (s *fakeStore) DigestPlan(path string) (int64, int64, []string, bool, bool, simclock.Duration) {
 	return 8, 4, []string{"d0", "d1"}, false, true, 3
+}
+func (s *fakeStore) ReadChunk(digest string) (blob.Blob, simclock.Duration, error) {
+	return blob.Blob{}, 0, errors.New("fakeStore is write-only")
 }
 
 // A store-mode stream rides the same chunk-ready loop as a file stream:
@@ -312,6 +330,45 @@ func TestStoreStreamThroughTheOneWriteLoop(t *testing.T) {
 	defer st.mu.Unlock()
 	if st.aborted != 1 || len(st.chunks) != 2 {
 		t.Fatalf("after the refused chunk: aborted=%d chunks=%d", st.aborted, len(st.chunks))
+	}
+}
+
+// A crashing daemon wipes its store's pending uploads before it resets its
+// connections. A client that has seen the reset may open its retry's upload
+// at once; a wipe that came after the reset could take that upload too.
+func TestCrashWipesUploadsBeforeItResetsConnections(t *testing.T) {
+	r := newRig(t)
+	st := &fakeStore{chunks: map[int64]blob.Blob{}}
+	if err := r.svc.AttachStore(simnet.HostNode, st); err != nil {
+		t.Fatal(err)
+	}
+	f, err := r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Write, OpenOptions{
+		Stripe: Stripe{Offset: 0, Length: 8, Total: 8}, Store: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Abort()
+	wipes, connectionUp := 0, false
+	st.onAbortAll = func() {
+		// The client's end still reaches the daemon's while the wipe runs.
+		_, err := f.ep.Send(encode(bare(msgDetach)))
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		wipes++
+		connectionUp = err == nil
+	}
+	r.server.Fabric.SetInjector(faultinject.New(faultinject.Plan{
+		{Site: faultinject.SiteDaemon, Key: simnet.HostNode.String(), Kind: faultinject.Crash}}, nil))
+	_, err = f.WriteBlobAt(0, blob.FromBytes([]byte("head")))
+	r.server.Fabric.SetInjector(nil)
+	if err == nil {
+		t.Fatal("chunk acknowledged by a daemon that crashed serving it")
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.onAbortAll = nil
+	if wipes != 1 || !connectionUp {
+		t.Errorf("when the client saw the reset the store had been wiped %d times, connection up during the wipe: %v; want 1, true", wipes, connectionUp)
 	}
 }
 

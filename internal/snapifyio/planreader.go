@@ -1,0 +1,81 @@
+package snapifyio
+
+import (
+	"fmt"
+	"io"
+
+	"snapify/internal/blob"
+	"snapify/internal/simclock"
+)
+
+// planReader is what a store-mode read stream serves, the read mirror of
+// storeSink: chunks of a snapshot's digest plan — the pending upload's
+// while one is in flight, else the committed manifest's — as one byte
+// stream. Every chunk comes out of the store through ReadChunk, so a tiered
+// store serves it from wherever it lives and counts the read; a chunk the
+// plan names but the store has not received yet fails the pull that reaches
+// it. The plan is read once, at open: what the stream carries does not
+// change under it.
+type planReader struct {
+	cs      ChunkStore
+	digests []string // chunks still to serve, in order
+	size    int64    // bytes the stream carries in all
+	cur     blob.Blob
+	off     int64
+	// lookup is the plan's own read, charged with the first chunk.
+	lookup simclock.Duration
+}
+
+// newPlanReader opens the chunks want (indices into path's digest plan, in
+// serving order; none means the whole plan) for reading.
+func newPlanReader(cs ChunkStore, path string, want []int) (*planReader, error) {
+	size, chunkBytes, digests, committed, ok, dur := cs.DigestPlan(path)
+	if !ok {
+		return nil, fmt.Errorf("no digest plan for %s", path)
+	}
+	r := &planReader{cs: cs, lookup: dur}
+	if len(want) == 0 {
+		// Naming no chunk asks for the snapshot itself, and that exists only
+		// once its manifest has committed. Reading out of an upload still in
+		// flight is for the reader that names chunks and verifies each one
+		// (a migration's destination, staging ahead of the commit).
+		if !committed {
+			return nil, fmt.Errorf("%s has an upload in flight in place of a committed image", path)
+		}
+		r.digests, r.size = digests, size
+		return r, nil
+	}
+	r.digests = make([]string, 0, len(want))
+	for _, i := range want {
+		if i < 0 || i >= len(digests) {
+			return nil, fmt.Errorf("chunk %d outside the %d of %s's digest plan", i, len(digests), path)
+		}
+		r.digests = append(r.digests, digests[i])
+		r.size += min(chunkBytes, size-int64(i)*chunkBytes)
+	}
+	return r, nil
+}
+
+func (r *planReader) Size() int64 { return r.size }
+
+// Next returns at most max bytes, never across a chunk boundary; the
+// chunk's store read is charged on the call that first touches it.
+func (r *planReader) Next(max int64) (blob.Blob, simclock.Duration, error) {
+	var dur simclock.Duration
+	if r.off >= r.cur.Len() {
+		if len(r.digests) == 0 {
+			return blob.Blob{}, 0, io.EOF
+		}
+		b, d, err := r.cs.ReadChunk(r.digests[0])
+		if err != nil {
+			return blob.Blob{}, d, err
+		}
+		r.digests = r.digests[1:]
+		r.cur, r.off = b, 0
+		dur, r.lookup = d+r.lookup, 0
+	}
+	n := min(max, r.cur.Len()-r.off)
+	out := r.cur.Slice(r.off, n)
+	r.off += n
+	return out, dur, nil
+}

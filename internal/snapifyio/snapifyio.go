@@ -114,18 +114,25 @@ type OpenOptions struct {
 	// Stripe restricts the stream to a byte range of the remote file; the
 	// zero value streams the whole file.
 	Stripe Stripe
-	// Store routes the stream's chunks into the target node's chunk
-	// store instead of a plain file: each positioned chunk is verified
-	// and deduplicated against the store, and the snapshot's manifest
-	// commits when a negotiated upload (see Service.Negotiate) sees its
-	// last missing chunk. Requires a stripe (chunks carry offsets) and a
-	// store attached on the target.
+	// Store routes the stream through the target node's chunk store
+	// instead of a plain file; it needs a store attached on the target. A
+	// write stream's positioned chunks are verified and deduplicated
+	// against the store, and the snapshot's manifest commits when a
+	// negotiated upload (see Service.Negotiate) sees its last missing
+	// chunk; it requires a stripe (chunks carry offsets). A read stream is
+	// its mirror: the target serves chunks of the snapshot's digest plan
+	// (the pending upload's, else the committed manifest's), each out of
+	// the store's ReadChunk, as one byte stream; it takes no stripe.
 	Store bool
+	// Chunks names the chunk indices a store-mode read stream carries, in
+	// the order it carries them; empty means every chunk of the plan, in
+	// order. No other stream may set it.
+	Chunks []int
 }
 
-// ChunkStore is the target-side repository a store-mode stream feeds.
-// *snapstore.Store implements it; the indirection keeps snapifyio a
-// pure transport with no dependency on the store's internals.
+// ChunkStore is the target-side repository a store-mode stream feeds or
+// drains. *snapstore.Store implements it; the indirection keeps snapifyio
+// a pure transport with no dependency on the store's internals.
 type ChunkStore interface {
 	// Negotiate registers an upload from its whole digest list and returns
 	// the chunk indices the store lacks, or committed=true if the manifest
@@ -148,6 +155,9 @@ type ChunkStore interface {
 	// when one is in flight, else the committed manifest's — so a live
 	// migration's destination can stage against it across rounds.
 	DigestPlan(path string) (size, chunkBytes int64, digests []string, committed, ok bool, dur simclock.Duration)
+	// ReadChunk returns a resident chunk's content and the virtual time to
+	// read it from wherever the store keeps it.
+	ReadChunk(digest string) (blob.Blob, simclock.Duration, error)
 }
 
 // Service manages the per-node daemons of one Xeon Phi server.

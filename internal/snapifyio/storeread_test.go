@@ -1,0 +1,251 @@
+package snapifyio
+
+import (
+	"errors"
+	"io"
+	"strings"
+	"testing"
+
+	"snapify/internal/blob"
+	"snapify/internal/obs"
+	"snapify/internal/scif"
+	"snapify/internal/simnet"
+	"snapify/internal/snapstore"
+)
+
+const storeReadChunk = 4
+
+// storeReadRig attaches a real chunk store to the host daemon and puts
+// content into it at path: negotiated, the chunks in land put, and — when
+// every chunk landed — committed.
+func storeReadRig(t *testing.T, path string, content blob.Blob, land ...int) (*rig, *snapstore.Store) {
+	t.Helper()
+	r := newRig(t)
+	st := snapstore.New(r.server.Fabric.Model(), r.server.Host.FS, obs.New(), nil)
+	if err := r.svc.AttachStore(simnet.HostNode, st); err != nil {
+		t.Fatal(err)
+	}
+	digests := snapstore.ChunkDigests(content, storeReadChunk)
+	if _, _, _, err := st.Negotiate(path, "", content.Len(), storeReadChunk, digests); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range land {
+		off := int64(i) * storeReadChunk
+		if _, err := st.PutChunkAt(path, off, content.Slice(off, min(storeReadChunk, content.Len()-off))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if committed, _, err := st.CloseUpload(path); err != nil || committed != (len(land) == len(digests)) {
+		t.Fatalf("close upload: committed %v err %v", committed, err)
+	}
+	return r, st
+}
+
+func openStoreRead(r *rig, path string, chunks ...int) (*File, error) {
+	return r.svc.OpenStream(1, simnet.HostNode, path, Read, OpenOptions{Slots: 2, Store: true, Chunks: chunks})
+}
+
+func wantRemote(t *testing.T, what string, err error, text string) {
+	t.Helper()
+	var remote *RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, text) {
+		t.Errorf("%s: err = %v, want a *RemoteError containing %q", what, err, text)
+	}
+}
+
+// The store-mode read stream serves a committed snapshot whole and in
+// order when no chunk is named, and exactly the named chunks in the named
+// order otherwise — a short last chunk and a repeated one included — with
+// the stages of every piece reported as overlapping.
+func TestStoreReadStreamServesThePlan(t *testing.T) {
+	content := blob.FromBytes([]byte("aaaabbbbccccdddde"))
+	r, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2, 3, 4)
+
+	f, err := openStoreRead(r, "/s/ctx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != content.Len() {
+		t.Errorf("whole-image stream is %d bytes, want %d", f.Size(), content.Len())
+	}
+	piece, cost, err := f.Next(DefaultBufSize)
+	if err != nil || cost.Serial || !blob.Equal(piece, content.Slice(0, storeReadChunk)) {
+		t.Fatalf("first piece: %d bytes, serial %v, err %v; want chunk 0 with overlapping stages", piece.Len(), cost.Serial, err)
+	}
+	rest, _ := readAll(t, f)
+	if !blob.Equal(blob.Concat(piece, rest), content) {
+		t.Error("whole-image stream differs from the snapshot")
+	}
+
+	f, err = openStoreRead(r, "/s/ctx", 4, 0, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Size() != 13 {
+		t.Errorf("stream of chunks 4,0,2,2 is %d bytes, want 13", f.Size())
+	}
+	if got, _ := readAll(t, f); !blob.Equal(got, blob.FromBytes([]byte("eaaaacccccccc"))) {
+		t.Errorf("named chunks came back as %q", got.Bytes())
+	}
+	if hits := st.TierStats().HostHits; hits != 9 {
+		t.Errorf("store counted %d chunk reads, want 9: every chunk goes through ReadChunk", hits)
+	}
+
+	_, err = openStoreRead(r, "/s/ctx", 5)
+	wantRemote(t, "chunk past the plan", err, "outside the 5")
+	_, err = openStoreRead(r, "/s/ctx", -1)
+	wantRemote(t, "negative chunk", err, "outside the 5")
+	_, err = openStoreRead(r, "/s/other")
+	wantRemote(t, "unknown path", err, "no digest plan")
+}
+
+// While an upload is in flight the stream serves its named chunks — what a
+// migration's destination stages between rounds — but not the image: there
+// is no snapshot to restore before the manifest commits. A chunk that has
+// not landed fails the pull that reaches it.
+func TestStoreReadStreamAheadOfTheCommit(t *testing.T) {
+	content := blob.FromBytes([]byte("aaaabbbbcccc"))
+	r, _ := storeReadRig(t, "/s/ctx", content, 0, 1)
+
+	f, err := openStoreRead(r, "/s/ctx", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, f); !blob.Equal(got, blob.FromBytes([]byte("bbbbaaaa"))) {
+		t.Errorf("landed chunks of the pending upload came back as %q", got.Bytes())
+	}
+	_, err = openStoreRead(r, "/s/ctx")
+	wantRemote(t, "whole image of a pending upload", err, "upload in flight")
+
+	// The stream prefetches, so the failed pull may surface one piece early
+	// as a dead connection; what it may not do is deliver the chunk or end
+	// the stream cleanly.
+	f, err = openStoreRead(r, "/s/ctx", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got int64
+	for err == nil {
+		var b blob.Blob
+		b, _, err = f.Next(DefaultBufSize)
+		got += b.Len()
+	}
+	if err == io.EOF || got > storeReadChunk {
+		t.Errorf("stream over a chunk that has not landed delivered %d bytes and ended with %v", got, err)
+	}
+}
+
+// Chunks the host-tier budget demoted to the cold tier are where ReadChunk
+// finds them; a reader that opened chunk files by path would not.
+func TestStoreReadStreamReachesTheColdTier(t *testing.T) {
+	content := blob.FromBytes([]byte("aaaabbbbccccdddd"))
+	r, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2, 3)
+	if _, err := st.SetTierPolicy(snapstore.TierPolicy{HostBytes: storeReadChunk}); err != nil {
+		t.Fatal(err)
+	}
+	if cold := st.TierStats().ColdChunks; cold != 3 {
+		t.Fatalf("%d chunks in the cold tier, want 3", cold)
+	}
+	f, err := openStoreRead(r, "/s/ctx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := readAll(t, f); !blob.Equal(got, content) {
+		t.Error("image read back through the cold tier differs")
+	}
+	if hits := st.TierStats().ColdHits; hits == 0 {
+		t.Error("no cold-tier read counted")
+	}
+}
+
+// What is not a store-mode read is refused: by the library before anything
+// is sent, and by the daemon for a peer that speaks the protocol by hand.
+func TestStoreReadStreamRefusals(t *testing.T) {
+	r, _ := storeReadRig(t, "/s/ctx", blob.FromBytes([]byte("aaaa")), 0)
+	for name, open := range map[string]func() (*File, error){
+		"stripe on a store read": func() (*File, error) {
+			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Slots: 2, Store: true, Stripe: Stripe{Length: 4}})
+		},
+		"chunks on a file read": func() (*File, error) {
+			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Chunks: []int{0}})
+		},
+		"chunks on a store write": func() (*File, error) {
+			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Write, OpenOptions{Store: true, Stripe: Stripe{Length: 4, Total: 4}, Chunks: []int{0}})
+		},
+		"store write without a stripe": func() (*File, error) {
+			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Write, OpenOptions{Store: true})
+		},
+	} {
+		if f, err := open(); err == nil {
+			f.Abort()
+			t.Errorf("%s: opened", name)
+		}
+	}
+
+	byHand := func(net *scif.Network, open *openMsg) string {
+		ep, err := net.Connect(1, scif.Addr{Node: simnet.HostNode, Port: Port})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close()
+		open.BufSize, open.Windows = DefaultBufSize, []int64{0, 0}
+		if _, err := ep.Send(encode(open)); err != nil {
+			t.Fatal(err)
+		}
+		raw, _, err := ep.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := expect[*openResp](raw, msgOpenResp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Err
+	}
+	if text := byHand(r.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Striped: true, Stripe: Stripe{Length: 4}, Path: "/s/ctx"}); !strings.Contains(text, "not a stripe") {
+		t.Errorf("striped store read by hand: daemon answered %q", text)
+	}
+	bare := newRig(t)
+	if text := byHand(bare.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Path: "/s/ctx"}); !strings.Contains(text, "no chunk store attached") {
+		t.Errorf("store read with no store attached: daemon answered %q", text)
+	}
+}
+
+// planReader hands out pieces no larger than asked and never across a
+// chunk boundary, and charges the plan lookup and each chunk's read once.
+func TestPlanReaderPieces(t *testing.T) {
+	content := blob.FromBytes([]byte("aaaabbbbcc"))
+	_, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2)
+	pr, err := newPlanReader(st, "/s/ctx", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int64
+	var charged int
+	for {
+		b, dur, err := pr.Next(3)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, b.Len())
+		if dur > 0 {
+			charged++
+		}
+	}
+	if want := []int64{3, 1, 3, 1, 2}; len(sizes) != len(want) {
+		t.Fatalf("pieces %v, want %v", sizes, want)
+	} else {
+		for i := range want {
+			if sizes[i] != want[i] {
+				t.Fatalf("pieces %v, want %v", sizes, want)
+			}
+		}
+	}
+	if charged != 3 {
+		t.Errorf("%d pieces carried a read cost, want 3: one per chunk", charged)
+	}
+}

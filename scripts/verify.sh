@@ -30,7 +30,7 @@ echo "==> one wire codec (no encoding/binary in the protocol files)"
 # of a layout; the command/pipeline/buffer channels and HandleMeta
 # (offload.go, pipeline.go, buffer.go, meta.go) are out of scope.
 if grep -l '"encoding/binary"' $(git ls-files 'internal/core/*.go' 'internal/snapifyio/*.go' \
-    internal/coi/daemon.go internal/coi/snapify.go internal/coi/upload.go internal/coi/snapify_host.go \
+    internal/coi/daemon.go internal/coi/snapify.go internal/coi/upload.go internal/coi/download.go internal/coi/snapify_host.go \
     internal/coi/export.go internal/coi/process.go internal/coi/msg.go | grep -v '_test\.go$'); then
     echo "verify: the files above import encoding/binary; code the message in msg.go instead" >&2
     exit 1
@@ -82,9 +82,11 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # snapstore manifest decoder (bytes off the VFS / off the wire from a
 # federation peer), the Chrome-trace parser (CI artifacts, user
 # exports), the BLCR context-file and delta decoders (snapshot
-# directories outlive the build that wrote them), and the two control
+# directories outlive the build that wrote them), the two control
 # protocols' request decoders (bytes off a SCIF connection, which the
-# fault plan truncates and corrupts). The committed corpora
+# fault plan truncates and corrupts), and the fault plan's own JSON
+# decoder (a -faults file, and what the chaos sweeps arm their per-index
+# faults from). The committed corpora
 # under testdata/fuzz/ replay first; 5s of mutation on top catches
 # regressions in input hardening without turning the gate into a fuzzing
 # campaign. Crashers minimize into testdata/fuzz/ and fail the gate until
@@ -95,6 +97,7 @@ go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
+go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 5s ./internal/faultinject/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
@@ -111,7 +114,10 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # them TestChaosStoreDaemonCrashMidWindow: the host daemon dies between a
 # window's negotiation and its last chunk, and the retry must offer the
 # whole digest list in one message, ship only what is missing and leave
-# nothing pending. snapstore carries the federation chaos cases
+# nothing pending; and the store read stream's two sweeps
+# (TestChaosStoreRestoreSweep, TestChaosStagingRoundSweep): a daemon crash
+# and a chunk fault at every pull of a swap-in and of a staging round.
+# snapstore carries the federation chaos cases
 # (TestChaosFederation*), sched the fleet-level kill-during-replication
 # case, and fleetd the control-plane cases (TestChaosFleet*: host kill
 # mid-evacuation-wave, capture crash mid-preemption, seed replay).
@@ -124,6 +130,13 @@ echo "==> cold store capture determinism (-count=50, GOMAXPROCS 1 and 8)"
 # keeps the first value it saw across -count iterations).
 GOMAXPROCS=1 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
+
+echo "==> store read stream determinism (-count=50, GOMAXPROCS 1 and 8)"
+# A swap-in over the store read stream and a pre-copy staging round over it
+# are one stream each, the link's only flow, so they too are priced from
+# sizes alone: one restore and one staging duration, to the nanosecond.
+GOMAXPROCS=1 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
+GOMAXPROCS=8 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 
 echo "==> snapbench -parallel -smoke -trace (parallel capture + trace smoke)"
 # The -trace flag makes snapbench export the sweep's Chrome trace and
