@@ -14,10 +14,10 @@ import (
 // on the test host FS.
 func (e *testEnv) stripedSink(t *testing.T, path string) ShardSinkFactory {
 	t.Helper()
-	var set *stream.StripeSet
+	var set *StripeSet
 	return func(off, n, total int64) (stream.Sink, error) {
 		if set == nil {
-			s, err := stream.NewStripeSet(vfs.Host(e.fs).(vfs.SparseFS), path, total)
+			s, err := NewStripeSet(vfs.Host(e.fs).(vfs.SparseFS), path, total)
 			if err != nil {
 				return nil, err
 			}
@@ -29,7 +29,7 @@ func (e *testEnv) stripedSink(t *testing.T, path string) ShardSinkFactory {
 
 func (e *testEnv) rangeSource(path string) RangeSourceFactory {
 	return func(off, n int64) (stream.Source, error) {
-		return stream.NewRangeSource(vfs.Host(e.fs).(vfs.RangeFS), path, off, n)
+		return NewRangeSource(vfs.Host(e.fs).(vfs.RangeFS), path, off, n)
 	}
 }
 

@@ -1,4 +1,4 @@
-package stream
+package blcr
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/simclock"
+	"snapify/internal/stream"
 	"snapify/internal/vfs"
 )
 
@@ -34,7 +35,7 @@ func NewStripeSet(fs vfs.SparseFS, path string, total int64) (*StripeSet, error)
 }
 
 // Sink returns a stripe sink for the byte range [off, off+n).
-func (s *StripeSet) Sink(off, n int64) (Sink, error) {
+func (s *StripeSet) Sink(off, n int64) (stream.Sink, error) {
 	if off < 0 || n <= 0 || off+n > s.total {
 		return nil, fmt.Errorf("stream: stripe [%d,%d) outside file of %d bytes", off, off+n, s.total)
 	}
@@ -80,19 +81,19 @@ type stripeSink struct {
 }
 
 // WriteBlob implements Sink, appending within the stripe's range.
-func (w *stripeSink) WriteBlob(b blob.Blob) (Cost, error) {
+func (w *stripeSink) WriteBlob(b blob.Blob) (stream.Cost, error) {
 	if w.closed {
-		return Cost{}, fmt.Errorf("stream: write on closed stripe")
+		return stream.Cost{}, fmt.Errorf("stream: write on closed stripe")
 	}
 	if w.off+b.Len() > w.end {
-		return Cost{}, fmt.Errorf("stream: chunk [%d,%d) overruns stripe ending at %d", w.off, w.off+b.Len(), w.end)
+		return stream.Cost{}, fmt.Errorf("stream: chunk [%d,%d) overruns stripe ending at %d", w.off, w.off+b.Len(), w.end)
 	}
 	d, err := w.set.sw.WriteBlobAt(w.off, b)
 	if err != nil {
-		return Cost{}, err
+		return stream.Cost{}, err
 	}
 	w.off += b.Len()
-	return Cost{Stages: []simclock.Duration{d}}, nil
+	return stream.Cost{Stages: []simclock.Duration{d}}, nil
 }
 
 // Close implements Sink.
@@ -116,7 +117,7 @@ func (w *stripeSink) Abort() {
 // NewRangeSource opens bytes [off, off+n) of the file at path on any
 // range-capable node file system as a Source (the read side of a parallel
 // restart from local storage).
-func NewRangeSource(fs vfs.RangeFS, path string, off, n int64) (Source, error) {
+func NewRangeSource(fs vfs.RangeFS, path string, off, n int64) (stream.Source, error) {
 	r, err := fs.OpenRange(path, off, n)
 	if err != nil {
 		return nil, err
@@ -126,9 +127,9 @@ func NewRangeSource(fs vfs.RangeFS, path string, off, n int64) (Source, error) {
 
 type vfsSource struct{ r vfs.Reader }
 
-func (s vfsSource) Next(max int64) (blob.Blob, Cost, error) {
+func (s vfsSource) Next(max int64) (blob.Blob, stream.Cost, error) {
 	b, d, err := s.r.Next(max)
-	return b, Cost{Stages: []simclock.Duration{d}}, err
+	return b, stream.Cost{Stages: []simclock.Duration{d}}, err
 }
 
 func (s vfsSource) Size() int64  { return s.r.Size() }

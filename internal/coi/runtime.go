@@ -15,6 +15,30 @@ var (
 	daemons   = make(map[*platform.Platform]map[simnet.NodeID]*Daemon)
 )
 
+// Boot assembles a platform and starts a COI daemon on every card: the one
+// way to a running server. snapify.NewServer, platformtest.Start,
+// mpi.NewCluster and the experiments' rig all boot here. It lives in coi
+// because platform cannot import the layer that runs on it. On failure
+// everything already started is stopped before the error is returned.
+func Boot(cfg platform.Config) (*platform.Platform, error) {
+	plat, err := platform.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := StartDaemons(plat); err != nil {
+		Shutdown(plat)
+		return nil, fmt.Errorf("starting COI daemons: %w", err)
+	}
+	return plat, nil
+}
+
+// Shutdown stops a booted server: its COI daemons, then its Snapify-IO
+// service. Idempotent.
+func Shutdown(plat *platform.Platform) {
+	StopDaemons(plat)
+	plat.IO.Stop()
+}
+
 // StartDaemons launches a COI daemon on every card of the platform.
 func StartDaemons(plat *platform.Platform) error {
 	daemonsMu.Lock()

@@ -207,7 +207,8 @@ func RestartApp(plat *platform.Platform, dir string) (*App, *proc.Process, *Rest
 // RestartAppOptions restores a whole application from a snapshot
 // directory: the host process first (BLCR), then — through the
 // callback's restart branch — the offload process, restored with the
-// given options (a store-resident snapshot needs Store.Enabled here).
+// given options (a store-resident snapshot is recognized as one either
+// way; Store.Enabled only turns a missing manifest into an early error).
 // It returns the new App, the restored host process, and the timing
 // report. The restored host process's step gate is released before
 // return.

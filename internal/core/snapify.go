@@ -204,9 +204,10 @@ type RestoreOptions struct {
 	Retry RetryPolicy
 	// Store asserts the snapshot lives in the host's content-addressed
 	// store: the restore fails fast with a clear error if no committed
-	// manifest exists, instead of a read error deep in the data path. The
-	// data path itself is unchanged — the store's overlay file system
-	// serves store-resident snapshots through the ordinary reads.
+	// manifest exists, instead of a read error deep in the data path. It
+	// does not pick the data path: a restore observes for itself whether
+	// the snapshot is store-resident (no plain context file, a committed
+	// manifest) and reads it over the store's read stream if so.
 	Store StoreOptions
 }
 
@@ -505,20 +506,18 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	if st := cp.State(); st != coi.StateSwapped {
 		return nil, fmt.Errorf("core: restore requires a swapped-out handle, have %s", st)
 	}
-	storeResident := false
+	ctx := baseDir + "/" + coi.ContextFileName
+	// Where the snapshot lives is observed, not declared. The overlay
+	// prefers a plain file, so only without one is a committed manifest
+	// what the restore reads — and only then may the card pull the context
+	// over the store's read stream and seed its chunk-digest cache from the
+	// manifest's digest list.
+	storeResident := plat.Store != nil && !plat.Host().FS.Exists(ctx) && plat.Store.Has(ctx)
 	if opts.Store.Enabled {
 		// Fail fast with a clear error when the snapshot is supposed to be
 		// store-resident but no manifest committed.
 		if plat.Store == nil {
 			return nil, errors.New("core: restore: platform has no snapshot store")
-		}
-		ctx := baseDir + "/" + coi.ContextFileName
-		// The overlay prefers a plain file, so only without one is the
-		// manifest what the restore reads — and only then may the card pull
-		// the context over the store's read stream and seed its chunk-digest
-		// cache from the manifest's digest list.
-		if !plat.Host().FS.Exists(ctx) {
-			storeResident = true
 		}
 		if !plat.Store.Has(ctx) {
 			return nil, fmt.Errorf("core: restore: no committed store manifest for %s", ctx)

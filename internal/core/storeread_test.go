@@ -467,3 +467,41 @@ func TestStoreRestoreDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreObservesStoreResidency: whether a snapshot lives in the store
+// is something RestoreChain can see — no plain context file on the host, a
+// committed manifest in the store — so a zero RestoreOptions must take the
+// same store read stream, and seed the same chunk-digest cache from the
+// manifest, as one with Store.Enabled set. Before residency was observed
+// the zero-options swap-in fell to the one-slot descriptor through the
+// overlay (2.7x the restore) and left the cache cold, so the next capture
+// re-read and re-shipped every chunk (25x the capture).
+func TestRestoreObservesStoreResidency(t *testing.T) {
+	type figures struct {
+		restore, capture simclock.Duration
+		shipped          int64
+	}
+	cycle := func(bin string, ropts RestoreOptions) figures {
+		r := newRig(t, bin, 1)
+		r.count(t, 20)
+		s, _ := storeSwapout(t, r, "/snap/resident")
+		if _, err := Swapin(s, 1, ropts); err != nil {
+			t.Fatal(err)
+		}
+		// As in TestStoreRestoreDeterministic: one call, so the respawned
+		// pipeline thread's record is in the next image on every run.
+		r.count(t, 30)
+		r.quiesce(t)
+		next, _ := storeSwapout(t, r, "/snap/resident_next")
+		return figures{s.Report.RestoreTotal(), next.Report.Capture, next.Report.ShippedBytes}
+	}
+	want := cycle("core_resident_flagged", storeStreamRestoreOpts())
+	got := cycle("core_resident_observed", RestoreOptions{})
+	if got.restore != want.restore {
+		t.Errorf("zero-options restore of a store-resident snapshot took %d virtual ns, the Store.Enabled one %d", got.restore, want.restore)
+	}
+	if got.capture != want.capture || got.shipped != want.shipped {
+		t.Errorf("capture after a zero-options restore: %d virtual ns, %d bytes shipped; after the Store.Enabled one (digest cache seeded from the manifest): %d ns, %d bytes",
+			got.capture, got.shipped, want.capture, want.shipped)
+	}
+}

@@ -31,10 +31,13 @@ type BufSizeAblationRow struct {
 	Footprint int64
 }
 
+// BufSizeAblationResult is the staging-buffer sweep.
+type BufSizeAblationResult []BufSizeAblationRow
+
 // BufSizeAblation sweeps the Snapify-IO staging buffer from 64 KiB to
 // 64 MiB.
-func BufSizeAblation() ([]BufSizeAblationRow, error) {
-	var rows []BufSizeAblationRow
+func BufSizeAblation() (BufSizeAblationResult, error) {
+	var rows BufSizeAblationResult
 	for _, bufSize := range []int64{
 		64 * simclock.KiB, 256 * simclock.KiB, 1 * simclock.MiB,
 		4 * simclock.MiB, 16 * simclock.MiB, 64 * simclock.MiB,
@@ -90,8 +93,8 @@ func bufSizeRun(bufSize int64) (BufSizeAblationRow, error) {
 	}, nil
 }
 
-// RenderBufSizeAblation prints the sweep.
-func RenderBufSizeAblation(rows []BufSizeAblationRow) string {
+// Render prints the sweep.
+func (rows BufSizeAblationResult) Render() string {
 	t := trace.New("Ablation: Snapify-IO staging buffer size (1 GiB device-to-host stream)",
 		"Buffer", "Transfer", "Pinned staging memory")
 	for _, r := range rows {
@@ -100,10 +103,10 @@ func RenderBufSizeAblation(rows []BufSizeAblationRow) string {
 	return t.String()
 }
 
-// CheckBufSizeAblation verifies the paper's trade-off: tiny buffers pay
+// CheckShape verifies the paper's trade-off: tiny buffers pay
 // per-chunk overheads; past a few MiB the curve flattens, so growing the
 // pinned footprint buys (almost) nothing — 4 MiB sits at the knee.
-func CheckBufSizeAblation(rows []BufSizeAblationRow) error {
+func (rows BufSizeAblationResult) CheckShape() error {
 	byBuf := map[int64]simclock.Duration{}
 	for _, r := range rows {
 		byBuf[r.BufSize] = r.Write1G
@@ -129,10 +132,13 @@ type IncrementalRow struct {
 	DeltaBytes    int64
 }
 
+// IncrementalAblationResult is the full-vs-delta comparison.
+type IncrementalAblationResult []IncrementalRow
+
 // IncrementalAblation measures the incremental-checkpoint extension on a
 // 256 MiB native process at several dirty fractions.
-func IncrementalAblation() ([]IncrementalRow, error) {
-	var rows []IncrementalRow
+func IncrementalAblation() (IncrementalAblationResult, error) {
+	var rows IncrementalAblationResult
 	for _, frac := range []float64{0.01, 0.05, 0.25, 1.0} {
 		plat, err := newPlatform(1)
 		if err != nil {
@@ -191,8 +197,8 @@ func IncrementalAblation() ([]IncrementalRow, error) {
 	return rows, nil
 }
 
-// RenderIncrementalAblation prints the comparison.
-func RenderIncrementalAblation(rows []IncrementalRow) string {
+// Render prints the comparison.
+func (rows IncrementalAblationResult) Render() string {
 	t := trace.New("Ablation: incremental vs full checkpoint (256 MiB native process, via Snapify-IO)",
 		"Dirty fraction", "Full ckpt", "Delta ckpt", "Full bytes", "Delta bytes", "Speedup")
 	for _, r := range rows {
@@ -204,9 +210,9 @@ func RenderIncrementalAblation(rows []IncrementalRow) string {
 	return t.String()
 }
 
-// CheckIncrementalAblation verifies deltas win in proportion to the dirty
+// CheckShape verifies deltas win in proportion to the dirty
 // fraction and degrade gracefully to ~full cost at 100%.
-func CheckIncrementalAblation(rows []IncrementalRow) error {
+func (rows IncrementalAblationResult) CheckShape() error {
 	for _, r := range rows {
 		if r.DirtyFraction <= 0.05 && float64(r.Full)/float64(r.Delta) < 3 {
 			return fmt.Errorf("delta at %.0f%% dirty only %.1fx faster",
@@ -226,10 +232,13 @@ type WsizeRow struct {
 	Ckpt  simclock.Duration
 }
 
+// WsizeAblationResult is the NFS transfer-size sweep.
+type WsizeAblationResult []WsizeRow
+
 // WsizeAblation sweeps the NFS rsize/wsize to show why BLCR's synchronous
 // write granularity decides the plain-NFS column of Table 4.
-func WsizeAblation() ([]WsizeRow, error) {
-	var rows []WsizeRow
+func WsizeAblation() (WsizeAblationResult, error) {
+	var rows WsizeAblationResult
 	for _, wsize := range []int64{16 * simclock.KiB, 64 * simclock.KiB, 256 * simclock.KiB, 1 * simclock.MiB} {
 		plat, err := newPlatform(1)
 		if err != nil {
@@ -258,8 +267,8 @@ func WsizeAblation() ([]WsizeRow, error) {
 	return rows, nil
 }
 
-// RenderWsizeAblation prints the sweep.
-func RenderWsizeAblation(rows []WsizeRow) string {
+// Render prints the sweep.
+func (rows WsizeAblationResult) Render() string {
 	t := trace.New("Ablation: NFS transfer size vs plain-NFS checkpoint cost (1 GiB)",
 		"rsize/wsize", "Checkpoint")
 	for _, r := range rows {
@@ -268,9 +277,9 @@ func RenderWsizeAblation(rows []WsizeRow) string {
 	return t.String()
 }
 
-// CheckWsizeAblation verifies monotonicity: smaller transfers, more RPCs,
+// CheckShape verifies monotonicity: smaller transfers, more RPCs,
 // slower checkpoints.
-func CheckWsizeAblation(rows []WsizeRow) error {
+func (rows WsizeAblationResult) CheckShape() error {
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Ckpt >= rows[i-1].Ckpt {
 			return fmt.Errorf("checkpoint not faster at wsize %s vs %s",

@@ -3,34 +3,25 @@ package experiments
 import "testing"
 
 func TestBufSizeAblationShape(t *testing.T) {
-	rows, err := BufSizeAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := smoke(t, "buffer ablation").(BufSizeAblationResult)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if err := CheckBufSizeAblation(rows); err != nil {
-		t.Errorf("%v\n%s", err, RenderBufSizeAblation(rows))
+	if err := rows.CheckShape(); err != nil {
+		t.Errorf("%v\n%s", err, rows.Render())
 	}
 }
 
 func TestIncrementalAblationShape(t *testing.T) {
-	rows, err := IncrementalAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckIncrementalAblation(rows); err != nil {
-		t.Errorf("%v\n%s", err, RenderIncrementalAblation(rows))
+	rows := smoke(t, "incremental ablation").(IncrementalAblationResult)
+	if err := rows.CheckShape(); err != nil {
+		t.Errorf("%v\n%s", err, rows.Render())
 	}
 }
 
 func TestWsizeAblationShape(t *testing.T) {
-	rows, err := WsizeAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckWsizeAblation(rows); err != nil {
-		t.Errorf("%v\n%s", err, RenderWsizeAblation(rows))
+	rows := smoke(t, "wsize ablation").(WsizeAblationResult)
+	if err := rows.CheckShape(); err != nil {
+		t.Errorf("%v\n%s", err, rows.Render())
 	}
 }

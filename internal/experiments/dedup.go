@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -9,14 +8,11 @@ import (
 	"snapify/internal/coi"
 	"snapify/internal/core"
 	"snapify/internal/obs"
-	"snapify/internal/phi"
 	"snapify/internal/platform"
 	"snapify/internal/simclock"
-	"snapify/internal/simnet"
 	"snapify/internal/snapstore"
 	"snapify/internal/trace"
 	"snapify/internal/vfs"
-	"snapify/internal/workloads"
 )
 
 // DedupSwapImageBytes is the default device image of the dedup swap
@@ -57,11 +53,6 @@ type DedupSwapRow struct {
 	// window of the capture's digest list).
 	ChunksTotal   int64 `json:"chunks_total"`
 	ChunksShipped int64 `json:"chunks_shipped"`
-	// PlainWallNs / StoreWallNs are the real wall-clock time the harness
-	// spent on this cycle's swap round trip on each path —
-	// machine-dependent, excluded from the regression gate.
-	PlainWallNs int64 `json:"plain_wall_ns"`
-	StoreWallNs int64 `json:"store_wall_ns"`
 }
 
 // DedupSwapResult is the full comparison.
@@ -98,10 +89,6 @@ type DedupSwapResult struct {
 	// ChunksAfterGC is the store's resident chunk count after every
 	// manifest was released and a GC ran: zero, or the refcounts leak.
 	ChunksAfterGC int `json:"chunks_after_gc"`
-	// WallTotalNs / WallNsPerGiB are the harness's own wall-clock cost
-	// across both paths, normalized per GiB of simulated image swapped.
-	WallTotalNs  int64 `json:"wall_total_ns"`
-	WallNsPerGiB int64 `json:"wall_ns_per_gib"`
 
 	tracer *obs.Tracer
 }
@@ -130,102 +117,41 @@ func DedupSwap(imageBytes int64, cycles int) (*DedupSwapResult, error) {
 	if cycles < 2 {
 		return nil, fmt.Errorf("dedup swap: need at least 2 cycles to dedup across, got %d", cycles)
 	}
-	newPlat := func() (*platform.Platform, error) {
-		p, err := platform.New(platform.Config{Server: phi.ServerConfig{
-			Devices: 1,
-			Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-		}})
-		if err != nil {
-			return nil, err
-		}
-		if err := coi.StartDaemons(p); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
+	cfg := serverFor(1, imageBytes)
+	spec := imageSpec("DS", "dedup swap cycles", imageBytes, cycles+2)
 
-	spec := workloads.Spec{
-		Code: "DS", Name: "dedup swap cycles",
-		HostMem:      16 * simclock.MiB,
-		DeviceMem:    imageBytes,
-		LocalStore:   4 * simclock.MiB,
-		Calls:        cycles + 2,
-		StepsPerCall: 2,
-	}
-
-	// runCycles drives one instance through the swap cycles on one data
-	// path and returns the per-cycle capture reports. The store-path
-	// instance finishes with the dual-capture identity probe while the
-	// process is still resident; both instances then run to completion
-	// (a corrupted restore would derail the remaining offload calls).
-	identical := false
-	runCycles := func(plat *platform.Platform, storeMode bool, pathPrefix string) ([]*core.Report, []int64, error) {
-		in, err := workloads.Launch(plat, spec, 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer in.Close()
-		if _, err := in.RunCalls(1); err != nil {
-			return nil, nil, err
-		}
-		var reports []*core.Report
-		var walls []int64
-		for c := 0; c < cycles; c++ {
-			wall := simclock.StartWall()
-			var copts core.CaptureOptions
-			var ropts core.RestoreOptions
-			copts.Store.Enabled = storeMode
-			ropts.Store.Enabled = storeMode
-			s, err := core.Swapout(fmt.Sprintf("%s/cycle%d", pathPrefix, c), in.CP, copts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cycle %d swapout: %w", c, err)
-			}
-			cp, err := core.Swapin(s, simnet.NodeID(1), ropts)
-			if err != nil {
-				return nil, nil, fmt.Errorf("cycle %d swapin: %w", c, err)
-			}
-			in.CP = cp
-			reports = append(reports, &s.Report)
-			walls = append(walls, wall.ElapsedNs())
-			// Dirty a small working set before the next cycle, as a real
-			// swapped tenant would between residencies.
-			if _, err := in.RunCalls(1); err != nil {
-				return nil, nil, err
-			}
-		}
-		if storeMode {
-			if identical, err = dualCaptureIdentical(plat, in.CP); err != nil {
-				return nil, nil, fmt.Errorf("identity probe: %w", err)
-			}
-		}
-		if _, err := in.Run(); err != nil {
-			return nil, nil, err
-		}
-		return reports, walls, nil
-	}
-
-	runWall := simclock.StartWall()
-	plainPlat, err := newPlat()
+	// Both instances run to completion after their cycles: a corrupted
+	// restore would derail the remaining offload calls.
+	plain, err := newRig(cfg, spec, 1)
 	if err != nil {
 		return nil, err
 	}
-	plainReports, plainWalls, err := func() ([]*core.Report, []int64, error) {
-		defer coi.StopDaemons(plainPlat)
-		defer plainPlat.IO.Stop()
-		return runCycles(plainPlat, false, "/bench/dedup/plain")
-	}()
+	plainReports, err := swapCycles(plain, cycles, false, "/bench/dedup/plain")
+	if err == nil {
+		_, err = plain.in.Run()
+	}
+	plain.stop()
 	if err != nil {
 		return nil, fmt.Errorf("plain path: %w", err)
 	}
 
-	plat, err := newPlat()
+	// The store-path instance also takes the dual-capture identity probe,
+	// while the process is still resident.
+	store, err := newRig(cfg, spec, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer coi.StopDaemons(plat)
-	defer plat.IO.Stop()
-	storeReports, storeWalls, err := runCycles(plat, true, "/bench/dedup/store")
+	defer store.stop()
+	plat := store.plat
+	storeReports, err := swapCycles(store, cycles, true, "/bench/dedup/store")
 	if err != nil {
+		return nil, fmt.Errorf("store path: %w", err)
+	}
+	identical, err := dualCaptureIdentical(store)
+	if err != nil {
+		return nil, fmt.Errorf("store path: identity probe: %w", err)
+	}
+	if _, err := store.in.Run(); err != nil {
 		return nil, fmt.Errorf("store path: %w", err)
 	}
 
@@ -287,8 +213,6 @@ func DedupSwap(imageBytes int64, cycles int) (*DedupSwapResult, error) {
 			StoreCaptureNs:    int64(storeReports[c].Capture),
 			PlainRestoreNs:    int64(plainReports[c].RestoreTotal()),
 			StoreRestoreNs:    int64(storeReports[c].RestoreTotal()),
-			PlainWallNs:       plainWalls[c],
-			StoreWallNs:       storeWalls[c],
 		}
 		if c < len(storeCaptures) {
 			row.ChunksTotal = storeCaptures[c].total
@@ -305,20 +229,42 @@ func DedupSwap(imageBytes int64, cycles int) (*DedupSwapResult, error) {
 
 	// Drop every snapshot and collect: a clean store afterwards is the
 	// refcount/GC acceptance (ISSUE 5) measured, not assumed.
-	for _, p := range plat.Store.List() {
-		if _, err := plat.Store.Release(p); err != nil {
-			return nil, fmt.Errorf("releasing %s: %w", p, err)
-		}
+	if res.ChunksAfterGC, err = drainStore(plat.Store); err != nil {
+		return nil, err
 	}
-	if _, _, err := plat.Store.GC(0); err != nil {
-		return nil, fmt.Errorf("gc: %w", err)
-	}
-	res.ChunksAfterGC = plat.Store.Stats().Chunks
-	res.WallTotalNs = runWall.ElapsedNs()
-	// Both paths swap the full image out and back each cycle.
-	res.WallNsPerGiB = simclock.WallNsPerGiB(res.WallTotalNs, 2*imageBytes*int64(cycles))
 	return res, nil
 }
+
+// swapCycles swaps the rig's process out and back in `cycles` times on one
+// data path, one offload call between swaps — the small working set a real
+// swapped tenant dirties between residencies — and returns each cycle's
+// report.
+func swapCycles(r *rig, cycles int, storeMode bool, pathPrefix string) ([]*core.Report, error) {
+	var copts core.CaptureOptions
+	var ropts core.RestoreOptions
+	copts.Store.Enabled = storeMode
+	ropts.Store.Enabled = storeMode
+	var reports []*core.Report
+	for c := 0; c < cycles; c++ {
+		s, err := core.Swapout(fmt.Sprintf("%s/cycle%d", pathPrefix, c), r.in.CP, copts)
+		if err != nil {
+			return nil, fmt.Errorf("cycle %d swapout: %w", c, err)
+		}
+		cp, err := core.Swapin(s, 1, ropts)
+		if err != nil {
+			return nil, fmt.Errorf("cycle %d swapin: %w", c, err)
+		}
+		r.in.CP = cp
+		reports = append(reports, &s.Report)
+		if _, err := r.in.RunCalls(1); err != nil {
+			return nil, err
+		}
+	}
+	return reports, nil
+}
+
+// replay re-runs the comparison a recorded document describes.
+func (r *DedupSwapResult) replay() (Result, error) { return DedupSwap(r.ImageBytes, r.Cycles) }
 
 // Render prints the comparison in the tables' layout.
 func (r *DedupSwapResult) Render() string {
@@ -334,10 +280,9 @@ func (r *DedupSwapResult) Render() string {
 			fmt.Sprintf("%.0f", simclock.Duration(row.PlainRestoreNs).Seconds()*1000),
 			fmt.Sprintf("%.0f", simclock.Duration(row.StoreRestoreNs).Seconds()*1000))
 	}
-	return t.String() + fmt.Sprintf("\nshipped: plain %d MiB, store %d MiB — %.1fx reduction; store dedup ratio %.2fx\nstore context byte-identical to plain: %v; chunks after release-all + GC: %d\nharness wall-clock: %.1f ms total, %d ns per simulated GiB",
+	return t.String() + fmt.Sprintf("\nshipped: plain %d MiB, store %d MiB — %.1fx reduction; store dedup ratio %.2fx\nstore context byte-identical to plain: %v; chunks after release-all + GC: %d",
 		r.PlainShippedTotal/simclock.MiB, r.StoreShippedTotal/simclock.MiB,
-		r.ReductionX, r.StoreDedupRatio, r.ContextsIdentical, r.ChunksAfterGC,
-		float64(r.WallTotalNs)/1e6, r.WallNsPerGiB)
+		r.ReductionX, r.StoreDedupRatio, r.ContextsIdentical, r.ChunksAfterGC)
 }
 
 // Capture-time bounds of the store path relative to the plain path, in
@@ -431,42 +376,21 @@ func (r *DedupSwapResult) CheckShape() error {
 	return nil
 }
 
-// JSON renders the comparison as the BENCH_dedup.json document.
-func (r *DedupSwapResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // dualCaptureIdentical captures the same frozen process twice — once to
 // a plain host file, once through the store — and compares the two byte
 // streams, reading the store copy back chunk-by-chunk through the
 // overlay exactly as a restore would. No work runs between the captures
 // (and CaptureFull does not reset dirty tracking), so the frozen image
 // is the same both times.
-func dualCaptureIdentical(plat *platform.Platform, cp *coi.Process) (bool, error) {
-	capture := func(dir string, storeMode bool) error {
-		s := core.NewSnapshot(dir, cp)
-		if err := s.Pause(); err != nil {
-			return err
-		}
-		var opts core.CaptureOptions
-		opts.Store.Enabled = storeMode
-		if err := s.Capture(opts); err != nil {
-			return err
-		}
-		if err := s.Wait(); err != nil {
-			return err
-		}
-		return s.Resume()
+func dualCaptureIdentical(r *rig) (bool, error) {
+	plat := r.plat
+	if _, err := r.cycle("/bench/dedup/ident_plain", core.CaptureOptions{}, nil); err != nil {
+		return false, fmt.Errorf("plain %w", err)
 	}
-	if err := capture("/bench/dedup/ident_plain", false); err != nil {
-		return false, fmt.Errorf("plain capture: %w", err)
-	}
-	if err := capture("/bench/dedup/ident_store", true); err != nil {
-		return false, fmt.Errorf("store capture: %w", err)
+	var storeOpts core.CaptureOptions
+	storeOpts.Store.Enabled = true
+	if _, err := r.cycle("/bench/dedup/ident_store", storeOpts, nil); err != nil {
+		return false, fmt.Errorf("store %w", err)
 	}
 	plain, _, err := plat.Host().FS.ReadFile("/bench/dedup/ident_plain/" + coi.ContextFileName)
 	if err != nil {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTable2Renders(t *testing.T) {
-	out := Table2()
+	out := Table2().Render()
 	for _, want := range []string{"Xeon Phi 5110P", "8GB per coprocessor", "E5-2630"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 2 missing %q", want)
@@ -15,10 +15,7 @@ func TestTable2Renders(t *testing.T) {
 }
 
 func TestTable3ShapeMatchesPaper(t *testing.T) {
-	res, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "table 3").(*Table3Result)
 	if len(res.Rows) != len(Table3Sizes) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -43,10 +40,7 @@ func TestTable3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable4ShapeMatchesPaper(t *testing.T) {
-	res, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "table 4").(*Table4Result)
 	if len(res.Rows) != len(Table4Sizes) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -56,10 +50,7 @@ func TestTable4ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig9ShapeMatchesPaper(t *testing.T) {
-	res, err := Fig9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "fig 9").(*Fig9Result)
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -69,10 +60,7 @@ func TestFig9ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig10ShapeMatchesPaper(t *testing.T) {
-	res, err := Fig10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "fig 10").(*Fig10Result)
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -82,10 +70,7 @@ func TestFig10ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig11ShapeMatchesPaper(t *testing.T) {
-	res, err := Fig11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "fig 11").(*Fig11Result)
 	if len(res.Rows) != 9 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

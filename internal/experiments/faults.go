@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
+	"os"
 
-	"snapify/internal/coi"
 	"snapify/internal/core"
 	"snapify/internal/faultinject"
-	"snapify/internal/phi"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
 	"snapify/internal/trace"
-	"snapify/internal/workloads"
 )
 
 // FaultedCaptureImageBytes is the default device image of the faulted
@@ -54,6 +50,25 @@ type FaultedCaptureResult struct {
 	RetryBackoffNs int64 `json:"retry_backoff_ns"`
 }
 
+// faultedCaptureFromPlan is FaultedCapture on the fault plan in the JSON
+// file at planPath (what snapbench -faults names).
+func faultedCaptureFromPlan(imageBytes int64, planPath string) (*FaultedCaptureResult, error) {
+	data, err := os.ReadFile(planPath)
+	if err != nil {
+		return nil, fmt.Errorf("reading fault plan: %w", err)
+	}
+	plan, err := faultinject.ParsePlan(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", planPath, err)
+	}
+	return FaultedCapture(imageBytes, plan)
+}
+
+// replay re-runs the comparison a recorded document describes.
+func (r *FaultedCaptureResult) replay() (Result, error) {
+	return FaultedCapture(r.ImageBytes, r.Plan)
+}
+
 // FaultedCapture captures one offload process twice — once clean, once
 // with plan armed on the fabric — through the full retry-enabled Snapify
 // stack, and reports the degraded-path overhead. The capture runs with
@@ -63,66 +78,27 @@ func FaultedCapture(imageBytes int64, plan faultinject.Plan) (*FaultedCaptureRes
 	if len(plan) == 0 {
 		return nil, fmt.Errorf("faulted capture: empty fault plan")
 	}
-	plat, err := platform.New(platform.Config{Server: phi.ServerConfig{
-		Devices: 1,
-		Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-	}})
+	r, err := newRig(serverFor(1, imageBytes), imageSpec("FC", "faulted capture", imageBytes, 4), 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := coi.StartDaemons(plat); err != nil {
-		return nil, err
-	}
-	defer coi.StopDaemons(plat)
-	defer plat.IO.Stop()
-
-	spec := workloads.Spec{
-		Code: "FC", Name: "faulted capture",
-		HostMem:      16 * simclock.MiB,
-		DeviceMem:    imageBytes,
-		LocalStore:   4 * simclock.MiB,
-		Calls:        4,
-		StepsPerCall: 2,
-	}
-	in, err := workloads.Launch(plat, spec, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	if _, err := in.RunCalls(1); err != nil {
-		return nil, err
-	}
+	defer r.stop()
+	plat := r.plat
 
 	opts := core.CaptureOptions{
 		Streams: 2,
 		Retry:   core.RetryPolicy{MaxAttempts: 4},
 	}
-	// The injector is armed only across Capture/Wait: the pause and
-	// resume control exchanges fail cleanly rather than retry (DESIGN.md
-	// §10), so a fault there would abort the benchmark instead of
-	// measuring the degraded data path.
-	capture := func(label, path string, inj *faultinject.Injector) (FaultedCaptureRow, error) {
-		s := core.NewSnapshot(path, in.CP)
-		if err := s.Pause(); err != nil {
-			return FaultedCaptureRow{}, fmt.Errorf("%s pause: %w", label, err)
-		}
-		plat.Server.Fabric.SetInjector(inj)
-		err := s.Capture(opts)
-		if err == nil {
-			err = s.Wait()
-		}
-		plat.Server.Fabric.SetInjector(nil)
+	capture := func(label string, inj *faultinject.Injector) (FaultedCaptureRow, error) {
+		rep, err := r.cycle("/bench/faults/"+label, opts, inj)
 		if err != nil {
-			return FaultedCaptureRow{}, fmt.Errorf("%s capture: %w", label, err)
-		}
-		if err := s.Resume(); err != nil {
-			return FaultedCaptureRow{}, fmt.Errorf("%s resume: %w", label, err)
+			return FaultedCaptureRow{}, fmt.Errorf("%s %w", label, err)
 		}
 		row := FaultedCaptureRow{
 			Label:          label,
-			CaptureSeconds: s.Report.Capture.Seconds(),
-			CaptureNs:      int64(s.Report.Capture),
-			SnapshotBytes:  s.Report.SnapshotBytes,
+			CaptureSeconds: rep.Capture.Seconds(),
+			CaptureNs:      int64(rep.Capture),
+			SnapshotBytes:  rep.SnapshotBytes,
 		}
 		if row.CaptureSeconds > 0 {
 			row.ThroughputMiBs = float64(imageBytes) / float64(simclock.MiB) / row.CaptureSeconds
@@ -133,13 +109,13 @@ func FaultedCapture(imageBytes int64, plan faultinject.Plan) (*FaultedCaptureRes
 	res := &FaultedCaptureResult{
 		Benchmark: "faulted-capture", ImageBytes: imageBytes, Plan: plan,
 	}
-	if res.Clean, err = capture("clean", "/bench/faults/clean", nil); err != nil {
+	if res.Clean, err = capture("clean", nil); err != nil {
 		return nil, err
 	}
 
 	inj := faultinject.New(plan, nil)
 	inj.PublishMetrics(plat.Obs.MetricsOf())
-	res.Faulted, err = capture("faulted", "/bench/faults/faulted", inj)
+	res.Faulted, err = capture("faulted", inj)
 	if err != nil {
 		// Retries exhausted: the run still must not leave a torn
 		// snapshot, but as a benchmark it has nothing to measure.
@@ -195,13 +171,4 @@ func (r *FaultedCaptureResult) CheckShape() error {
 			r.Faulted.CaptureSeconds, r.Clean.CaptureSeconds)
 	}
 	return nil
-}
-
-// JSON renders the comparison as a BENCH_faults.json-style document.
-func (r *FaultedCaptureResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -41,7 +41,7 @@ func TestFaultedCaptureShape(t *testing.T) {
 			t.Errorf("render lacks %q:\n%s", want, out)
 		}
 	}
-	if _, err := res.JSON(); err != nil {
+	if _, err := JSON(res); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,20 +1,16 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
 	"snapify/internal/coi"
 	"snapify/internal/obs"
-	"snapify/internal/phi"
-	"snapify/internal/platform"
 	"snapify/internal/sched"
 	"snapify/internal/simclock"
 	"snapify/internal/snapstore"
 	"snapify/internal/trace"
-	"snapify/internal/workloads"
 )
 
 // FederationImageBytes is the default device image of the federation
@@ -83,8 +79,6 @@ type FederationResult struct {
 	ChecksumMatch bool `json:"checksum_match"`
 	// FsckProblems totals store Verify findings across surviving hosts.
 	FsckProblems int `json:"fsck_problems"`
-
-	WallTotalNs int64 `json:"wall_total_ns"`
 }
 
 // FederationBench migrates one offload job across a fleet of hosts
@@ -102,23 +96,16 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 		return nil, fmt.Errorf("federation: need >= 2 legs to measure warm shipping, got %d", legs)
 	}
 
-	wall := simclock.StartWall()
+	cfg := serverFor(1, imageBytes)
 	fleet := sched.NewFleet(obs.New(), snapstore.DefaultLink(), nil)
 	names := make([]string, hosts)
 	for i := 0; i < hosts; i++ {
 		names[i] = fmt.Sprintf("h%d", i)
-		plat, err := platform.New(platform.Config{Server: phi.ServerConfig{
-			Devices: 1,
-			Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-		}})
+		plat, err := coi.Boot(cfg)
 		if err != nil {
 			return nil, err
 		}
-		if err := coi.StartDaemons(plat); err != nil {
-			return nil, err
-		}
-		defer coi.StopDaemons(plat)
-		defer plat.IO.Stop()
+		defer coi.Shutdown(plat)
 		if err := fleet.AddHost(names[i], plat); err != nil {
 			return nil, err
 		}
@@ -131,39 +118,13 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 	// The kernel folds freshly written input each call (In/OutPerCall
 	// nonzero), so the checksum depends only on the deterministic call
 	// sequence — comparable across platforms and restarts.
-	spec := workloads.Spec{
-		Code: "FD", Name: "federation migration legs",
-		HostMem:        16 * simclock.MiB,
-		DeviceMem:      imageBytes,
-		LocalStore:     4 * simclock.MiB,
-		Calls:          legs + 4,
-		StepsPerCall:   2,
-		ComputePerCall: time.Millisecond,
-		InPerCall:      16 * simclock.KiB,
-		OutPerCall:     16 * simclock.KiB,
-	}
+	spec := imageSpec("FD", "federation migration legs", imageBytes, legs+4)
+	spec.ComputePerCall = time.Millisecond
+	spec.InPerCall = 16 * simclock.KiB
+	spec.OutPerCall = 16 * simclock.KiB
 
 	// Uninterrupted reference for the final checksum comparison.
-	want, err := func() (uint64, error) {
-		plat, err := platform.New(platform.Config{Server: phi.ServerConfig{
-			Devices: 1,
-			Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-		}})
-		if err != nil {
-			return 0, err
-		}
-		defer plat.IO.Stop()
-		if err := coi.StartDaemons(plat); err != nil {
-			return 0, err
-		}
-		defer coi.StopDaemons(plat)
-		in, err := workloads.Launch(plat, spec, 1)
-		if err != nil {
-			return 0, err
-		}
-		defer in.Close()
-		return in.Run()
-	}()
+	want, err := referenceChecksum(cfg, spec)
 	if err != nil {
 		return nil, fmt.Errorf("federation: reference run: %w", err)
 	}
@@ -265,8 +226,12 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 		problems, _ := st.Verify()
 		res.FsckProblems += len(problems)
 	}
-	res.WallTotalNs = wall.ElapsedNs()
 	return res, nil
+}
+
+// replay re-runs the benchmark a recorded document describes.
+func (r *FederationResult) replay() (Result, error) {
+	return FederationBench(r.ImageBytes, r.Hosts, r.Legs)
 }
 
 // ctxManifestDigests reads the chunk digest list of the job's offload
@@ -295,11 +260,10 @@ func (r *FederationResult) Render() string {
 			fmt.Sprintf("%d", row.BytesShipped/simclock.MiB),
 			fmt.Sprintf("%d/%d", row.ChunksShipped, row.ChunksDeduped))
 	}
-	return t.String() + fmt.Sprintf("\nwarm legs: %d MiB logical, %d MiB shipped — %.1fx cross-host dedup\nhost kill: %d holders, lag %d -> repair +%d -> lag %d; recovered %d job(s), byte-identical %v, checksum match %v, fsck problems %d\nharness wall-clock: %.1f ms",
+	return t.String() + fmt.Sprintf("\nwarm legs: %d MiB logical, %d MiB shipped — %.1fx cross-host dedup\nhost kill: %d holders, lag %d -> repair +%d -> lag %d; recovered %d job(s), byte-identical %v, checksum match %v, fsck problems %d",
 		r.WarmLogicalBytes/simclock.MiB, r.WarmShippedBytes/simclock.MiB, r.CrossHostDedupX,
 		r.ReplicaHolders, r.LagAfterKill, r.RepairAdded, r.LagAfterRepair,
-		r.RecoveredJobs, r.ByteIdentical, r.ChecksumMatch, r.FsckProblems,
-		float64(r.WallTotalNs)/1e6)
+		r.RecoveredJobs, r.ByteIdentical, r.ChecksumMatch, r.FsckProblems)
 }
 
 // CheckShape verifies the acceptance claims: the cold leg ships the
@@ -349,13 +313,4 @@ func (r *FederationResult) CheckShape() error {
 		return fmt.Errorf("federation: %d fsck problems across surviving stores", r.FsckProblems)
 	}
 	return nil
-}
-
-// JSON renders the benchmark as the BENCH_federation.json document.
-func (r *FederationResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

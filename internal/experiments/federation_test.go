@@ -8,22 +8,19 @@ import (
 	"snapify/internal/simclock"
 )
 
-// TestFederationBenchSmoke runs the federation benchmark at a tiny
-// image size and holds it to its own acceptance shape: >= 2x cross-host
+// TestFederationBenchSmoke runs the federation benchmark at smoke
+// scale and holds it to its own acceptance shape: >= 2x cross-host
 // dedup on warm legs, byte-identical restart-from-replica after a host
 // kill, a repaired replica set, and clean stores.
 func TestFederationBenchSmoke(t *testing.T) {
-	res, err := FederationBench(32*simclock.MiB, FederationHosts, FederationLegs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "federation").(*FederationResult)
 	if err := res.CheckShape(); err != nil {
 		t.Fatal(err)
 	}
 	if res.CrossHostDedupX < 2 {
 		t.Errorf("cross-host dedup %.2fx, want >= 2", res.CrossHostDedupX)
 	}
-	out, err := res.JSON()
+	out, err := JSON(res)
 	if err != nil {
 		t.Fatal(err)
 	}

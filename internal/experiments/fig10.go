@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"snapify/internal/coi"
 	"snapify/internal/core"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
 	"snapify/internal/trace"
 	"snapify/internal/workloads"
@@ -62,27 +60,16 @@ func Fig10() (*Fig10Result, error) {
 }
 
 func fig10One(spec workloads.Spec) (*Fig10Row, error) {
-	plat, err := platform.New(platform.Config{Server: serverConfig()})
-	if err != nil {
-		return nil, err
-	}
-	if err := coi.StartDaemons(plat); err != nil {
-		return nil, err
-	}
-	defer coi.StopDaemons(plat)
-	defer plat.IO.Stop()
-
 	// A short prefix of the run; footprints, not progress, drive snapshot
 	// cost.
 	short := spec
 	short.Calls = 4
-	in, err := workloads.Launch(plat, short, 1)
+	r, err := newRig(paperServer(), short, 2)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := in.RunCalls(2); err != nil {
-		return nil, err
-	}
+	defer r.stop()
+	plat, in := r.plat, r.in
 
 	row := &Fig10Row{Code: spec.Code}
 	dir := "/fig10/" + spec.Code
@@ -149,40 +136,30 @@ func (r *Fig10Result) Render() string {
 	a := trace.New("Fig 10(a): Checkpoint time breakdown",
 		"Benchmark", "Pause", "Snapshot+Write (host)", "Snapshot+Write (device)", "Total")
 	aChart := trace.NewBarChart("", "s", "pause", "host capture", "device capture")
+	b := trace.New("Fig 10(b): Checkpoint file sizes",
+		"Benchmark", "Host snapshot", "Device snapshot", "Local store", "Total")
+	c := trace.New("Fig 10(c): Restart time breakdown",
+		"Benchmark", "Host restart", "Local-store copy", "Device restore", "Total")
+	d := trace.New("Fig 10(d): Process migration time",
+		"Benchmark", "Pause (incl. direct local-store copy)", "Capture", "Restore", "Total")
+	e := trace.New("Fig 10(e): Swap-out time",
+		"Benchmark", "Pause", "Capture", "Total")
+	f := trace.New("Fig 10(f): Swap-in time",
+		"Benchmark", "Restore", "Resume", "Total")
 	for _, row := range r.Rows {
 		a.Row(row.Code, trace.Seconds(row.Pause), trace.Seconds(row.HostCapture),
 			trace.Seconds(row.DevCapture), trace.Seconds(row.CkptTotal))
 		aChart.Bar(row.Code, []float64{
 			row.Pause.Seconds(), row.HostCapture.Seconds(), row.DevCapture.Seconds(),
 		}, "")
-	}
-	b := trace.New("Fig 10(b): Checkpoint file sizes",
-		"Benchmark", "Host snapshot", "Device snapshot", "Local store", "Total")
-	for _, row := range r.Rows {
 		b.Row(row.Code, trace.Bytes(row.HostBytes), trace.Bytes(row.DevBytes),
 			trace.Bytes(row.LocalStoreBytes), trace.Bytes(row.HostBytes+row.DevBytes+row.LocalStoreBytes))
-	}
-	c := trace.New("Fig 10(c): Restart time breakdown",
-		"Benchmark", "Host restart", "Local-store copy", "Device restore", "Total")
-	for _, row := range r.Rows {
 		c.Row(row.Code, trace.Seconds(row.HostRestore), trace.Seconds(row.LocalCopy),
 			trace.Seconds(row.DevRestore), trace.Seconds(row.RestartTotal))
-	}
-	d := trace.New("Fig 10(d): Process migration time",
-		"Benchmark", "Pause (incl. direct local-store copy)", "Capture", "Restore", "Total")
-	for _, row := range r.Rows {
 		d.Row(row.Code, trace.Seconds(row.MigPause), trace.Seconds(row.MigCapture),
 			trace.Seconds(row.MigRestore), trace.Seconds(row.MigTotal))
-	}
-	e := trace.New("Fig 10(e): Swap-out time",
-		"Benchmark", "Pause", "Capture", "Total")
-	for _, row := range r.Rows {
 		e.Row(row.Code, trace.Seconds(row.SwapOutPause), trace.Seconds(row.SwapOutCapture),
 			trace.Seconds(row.SwapOutTotal))
-	}
-	f := trace.New("Fig 10(f): Swap-in time",
-		"Benchmark", "Restore", "Resume", "Total")
-	for _, row := range r.Rows {
 		f.Row(row.Code, trace.Seconds(row.SwapInRestore), trace.Millis(row.SwapInResume),
 			trace.Seconds(row.SwapInTotal))
 	}

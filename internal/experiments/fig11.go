@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snapify/internal/mpi"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
 	"snapify/internal/trace"
 	"snapify/internal/workloads"
@@ -53,7 +52,7 @@ func Fig11() (*Fig11Result, error) {
 }
 
 func fig11One(spec workloads.MZSpec, ranks int) (*Fig11Row, error) {
-	cluster, err := mpi.NewCluster(ranks, platform.Config{Server: serverConfig()})
+	cluster, err := mpi.NewCluster(ranks, paperServer())
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"snapify/internal/coi"
-	"snapify/internal/phi"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
-	"snapify/internal/simnet"
 	"snapify/internal/trace"
 	"snapify/internal/workloads"
 )
@@ -60,29 +56,19 @@ func Fig9() (*Fig9Result, error) {
 
 // fig9Run executes a scaled run and extrapolates the full-run time.
 func fig9Run(spec workloads.Spec, noHooks bool) (simclock.Duration, error) {
-	plat, err := platform.New(platform.Config{
-		Server:    serverConfig(),
-		NoSnapify: noHooks,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := coi.StartDaemons(plat); err != nil {
-		return 0, err
-	}
-	defer coi.StopDaemons(plat)
-	defer plat.IO.Stop()
-
 	scaledSpec := spec
 	scaledSpec.Calls = spec.Calls / Fig9Scale
 	if scaledSpec.Calls < 20 {
 		scaledSpec.Calls = 20
 	}
-	in, err := workloads.Launch(plat, scaledSpec, simnet.NodeID(1))
+	cfg := paperServer()
+	cfg.NoSnapify = noHooks
+	r, err := newRig(cfg, scaledSpec, 0)
 	if err != nil {
 		return 0, err
 	}
-	defer in.Close()
+	defer r.stop()
+	in := r.in
 	launchCost := in.Runtime()
 	if _, err := in.Run(); err != nil {
 		return 0, err
@@ -133,8 +119,4 @@ func (r *Fig9Result) CheckShape() error {
 		return fmt.Errorf("fig9: average overhead %.2f%% far from the paper's 1.5%%", r.AveragePct)
 	}
 	return nil
-}
-
-func serverConfig() phi.ServerConfig {
-	return phi.ServerConfig{Devices: 2, Device: phi.DeviceConfig{MemBytes: 8 * simclock.GiB}}
 }

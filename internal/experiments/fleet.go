@@ -5,11 +5,11 @@ package experiments
 // against a fleet of hosts, once per oversubscription ratio. The
 // object of study is the utilization-vs-oversubscription curve — how
 // much extra throughput swap-based memory oversubscription buys and
-// what it costs in swap latency — plus the controller's wall-clock
-// placement rate (the event core's O(log n) claim at scale).
+// what it costs in swap latency — plus the event core's O(log n) claim
+// at scale, pinned as heap comparisons per event. (The controller's
+// wall-clock placement rate is bench/'s fleet_oversub workload.)
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"snapify/internal/fleetd"
@@ -35,17 +35,18 @@ const (
 	fleetEvacDeadline = 120000 * simclock.Duration(1e6)
 )
 
-// FleetParams sizes a FleetBench run. Every field rides in the result
-// document so the regression gate replays the exact configuration.
+// FleetParams sizes a FleetBench run. It is embedded in the result
+// document (the ratios as one row each), so the regression gate replays
+// the exact configuration.
 type FleetParams struct {
-	Hosts        int
-	CardsPerHost int
-	CardMem      int64
-	Jobs         int
-	Tenants      int
-	QueueDepth   int
-	Seed         uint64
-	Ratios       []int
+	Hosts        int    `json:"hosts"`
+	CardsPerHost int    `json:"cards_per_host"`
+	CardMem      int64  `json:"card_mem_bytes"`
+	Jobs         int    `json:"jobs"`
+	Tenants      int    `json:"tenants"`
+	QueueDepth   int    `json:"queue_depth"`
+	Seed         uint64 `json:"seed"`
+	Ratios       []int  `json:"-"`
 }
 
 // DefaultFleetParams is the full-scale configuration: 120 hosts and
@@ -100,26 +101,13 @@ type FleetRow struct {
 	// comparisons per event must stay logarithmic in the heap size.
 	Events          int64 `json:"events"`
 	HeapComparisons int64 `json:"heap_comparisons"`
-
-	// Wall-clock self-profiling (excluded from the regression gate).
-	RowWallNs              int64 `json:"row_wall_ns"`
-	WallPlacementsPerSec   int64 `json:"wall_placements_per_sec"`
-	WallEventsPerSec       int64 `json:"wall_events_per_sec"`
-	WallPlacementLatencyNs int64 `json:"wall_ns_per_placement"`
 }
 
 // FleetResult is the full BENCH_fleet.json document.
 type FleetResult struct {
-	Benchmark    string     `json:"benchmark"`
-	Hosts        int        `json:"hosts"`
-	CardsPerHost int        `json:"cards_per_host"`
-	CardMemBytes int64      `json:"card_mem_bytes"`
-	Jobs         int        `json:"jobs"`
-	Tenants      int        `json:"tenants"`
-	QueueDepth   int        `json:"queue_depth"`
-	Seed         uint64     `json:"seed"`
-	Rows         []FleetRow `json:"rows"`
-	WallTotalNs  int64      `json:"wall_total_ns"`
+	Benchmark string `json:"benchmark"`
+	FleetParams
+	Rows []FleetRow `json:"rows"`
 
 	tracer *obs.Tracer // the highest-ratio run's tracer, for TraceJSON
 }
@@ -138,18 +126,12 @@ func FleetBench(p FleetParams) (*FleetResult, error) {
 	if p.Hosts < 2 || p.CardsPerHost < 1 || p.Jobs < 1 || len(p.Ratios) < 2 {
 		return nil, fmt.Errorf("fleet: need >= 2 hosts, >= 1 card, >= 1 job, >= 2 ratios; got %+v", p)
 	}
-	total := simclock.StartWall()
-	res := &FleetResult{
-		Benchmark: "fleet",
-		Hosts:     p.Hosts, CardsPerHost: p.CardsPerHost, CardMemBytes: p.CardMem,
-		Jobs: p.Jobs, Tenants: p.Tenants, QueueDepth: p.QueueDepth, Seed: p.Seed,
-	}
+	res := &FleetResult{Benchmark: "fleet", FleetParams: p}
 	specs := fleetd.GenerateTrace(fleetd.TraceConfig{
 		Seed: p.Seed, Jobs: p.Jobs, Tenants: p.Tenants, CardMem: p.CardMem,
 		BurstScale: fleetBurstScale, ThinkScale: fleetThinkScale,
 	})
 	for i, pct := range p.Ratios {
-		wall := simclock.StartWall()
 		be := fleetd.NewModelBackend(fleetd.ModelOptions{
 			Hosts: p.Hosts, CardsPerHost: p.CardsPerHost, CardMem: p.CardMem,
 		})
@@ -191,25 +173,26 @@ func FleetBench(p FleetParams) (*FleetResult, error) {
 				row.EvacDeadlineMet = r.Done && r.DeadlineMet
 			}
 		}
-		row.RowWallNs = wall.ElapsedNs()
-		if secs := row.RowWallNs; secs > 0 {
-			row.WallPlacementsPerSec = row.Placements * 1e9 / secs
-			row.WallEventsPerSec = row.Events * 1e9 / secs
-		}
-		if row.Placements > 0 {
-			row.WallPlacementLatencyNs = row.RowWallNs / row.Placements
-		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.WallTotalNs = total.ElapsedNs()
 	return res, nil
+}
+
+// replay re-runs the sweep a recorded document describes.
+func (r *FleetResult) replay() (Result, error) {
+	p := r.FleetParams
+	p.Ratios = make([]int, len(r.Rows))
+	for i, row := range r.Rows {
+		p.Ratios[i] = row.OversubPct
+	}
+	return FleetBench(p)
 }
 
 // Render prints the curve in the tables' layout.
 func (r *FleetResult) Render() string {
 	t := trace.New(fmt.Sprintf("Fleet control plane: %d hosts x %d cards, %d jobs (seed %d), oversubscription sweep",
 		r.Hosts, r.CardsPerHost, r.Jobs, r.Seed),
-		"Oversub", "Adm/Rej", "Done", "Swaps out/in", "Preempt", "Evac", "Util %", "Swap p50/p99 (ms)", "Makespan (ms)", "Placements/s (wall)")
+		"Oversub", "Adm/Rej", "Done", "Swaps out/in", "Preempt", "Evac", "Util %", "Swap p50/p99 (ms)", "Makespan (ms)")
 	for _, row := range r.Rows {
 		t.Row(fmt.Sprintf("%d%%", row.OversubPct),
 			fmt.Sprintf("%d/%d", row.Admitted, row.Rejected),
@@ -219,10 +202,9 @@ func (r *FleetResult) Render() string {
 			fmt.Sprintf("%d", row.EvacMoves),
 			fmt.Sprintf("%d.%02d", row.UtilizationPct/100, row.UtilizationPct%100),
 			fmt.Sprintf("%d/%d", row.SwapP50Ns/1e6, row.SwapP99Ns/1e6),
-			fmt.Sprintf("%d", row.MakespanNs/1e6),
-			fmt.Sprintf("%d", row.WallPlacementsPerSec))
+			fmt.Sprintf("%d", row.MakespanNs/1e6))
 	}
-	return t.String() + fmt.Sprintf("\nharness wall-clock: %.1f ms", float64(r.WallTotalNs)/1e6)
+	return t.String()
 }
 
 // CheckShape verifies the acceptance claims: jobs are conserved at
@@ -285,13 +267,4 @@ func logCeil(n int64) int64 {
 		l++
 	}
 	return l
-}
-
-// JSON renders the benchmark as the BENCH_fleet.json document.
-func (r *FleetResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

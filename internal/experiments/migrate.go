@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
-	"snapify/internal/coi"
 	"snapify/internal/core"
 	"snapify/internal/obs"
-	"snapify/internal/phi"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
 	"snapify/internal/trace"
 	"snapify/internal/workloads"
@@ -59,9 +55,6 @@ type MigrateRow struct {
 	// stop-the-world-migrated, and the undisturbed run all finish with the
 	// same device-side checksum.
 	ChecksumsMatch bool `json:"checksums_match"`
-	// WallNs is the real wall-clock time the harness spent on this size
-	// (all three runs) — machine-dependent, excluded from the gate.
-	WallNs int64 `json:"wall_ns"`
 }
 
 // MigrateResult is the full sweep.
@@ -75,10 +68,6 @@ type MigrateResult struct {
 	// ChunksAfterGC is the largest live run's store population after every
 	// manifest was released and a GC ran: zero, or a refcount leaked.
 	ChunksAfterGC int `json:"chunks_after_gc"`
-	// WallTotalNs / WallNsPerGiB are the harness's own wall-clock cost,
-	// normalized per GiB of simulated image migrated (three runs per size).
-	WallTotalNs  int64 `json:"wall_total_ns"`
-	WallNsPerGiB int64 `json:"wall_ns_per_gib"`
 
 	tracer *obs.Tracer
 }
@@ -97,139 +86,50 @@ func (r *MigrateResult) TraceJSON() []byte { return r.tracer.ChromeTrace() }
 // the buffer's per-launch background seed, making the checksum depend on
 // the instance rather than the computation.
 func migrateSpec(imageBytes int64) workloads.Spec {
-	return workloads.Spec{
-		Code: "MG", Name: "migration sweep",
-		HostMem:        16 * simclock.MiB,
-		DeviceMem:      imageBytes,
-		LocalStore:     4 * simclock.MiB,
-		Calls:          10,
-		StepsPerCall:   2,
-		ComputePerCall: 2 * time.Millisecond,
-		InPerCall:      1 * simclock.MiB,
-	}
+	spec := imageSpec("MG", "migration sweep", imageBytes, 10)
+	spec.ComputePerCall = 2 * time.Millisecond
+	spec.InPerCall = 1 * simclock.MiB
+	return spec
 }
 
 // migrateOne runs both migration flavors at one image size on fresh
-// platforms (deterministic replays, so the checksums are comparable) and
-// returns the row plus the live platform for trace/store inspection.
-func migrateOne(imageBytes int64) (*MigrateRow, *platform.Platform, error) {
-	newPlat := func() (*platform.Platform, error) {
-		p, err := platform.New(platform.Config{Server: phi.ServerConfig{
-			Devices: 2,
-			Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-		}})
-		if err != nil {
-			return nil, err
-		}
-		if err := coi.StartDaemons(p); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
+// servers (deterministic replays, so the checksums are comparable) and
+// returns the row plus the live run's rig, still up, for trace and store
+// inspection.
+func migrateOne(imageBytes int64) (*MigrateRow, *rig, error) {
+	cfg := serverFor(2, imageBytes)
 	spec := migrateSpec(imageBytes)
 	row := &MigrateRow{ImageBytes: imageBytes}
-	wall := simclock.StartWall()
 
-	// Undisturbed reference checksum.
-	refPlat, err := newPlat()
-	if err != nil {
-		return nil, nil, err
-	}
-	refSum, err := func() (uint64, error) {
-		defer coi.StopDaemons(refPlat)
-		defer refPlat.IO.Stop()
-		in, err := workloads.Launch(refPlat, spec, 1)
-		if err != nil {
-			return 0, err
-		}
-		defer in.Close()
-		return in.Run()
-	}()
+	refSum, err := referenceChecksum(cfg, spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("reference run: %w", err)
 	}
 
-	// Stop-the-world.
-	stwPlat, err := newPlat()
+	stw, err := newRig(cfg, spec, 2)
 	if err != nil {
 		return nil, nil, err
 	}
 	stwSum, err := func() (uint64, error) {
-		defer coi.StopDaemons(stwPlat)
-		defer stwPlat.IO.Stop()
-		in, err := workloads.Launch(stwPlat, spec, 1)
-		if err != nil {
-			return 0, err
-		}
-		defer in.Close()
-		if _, err := in.RunCalls(2); err != nil {
-			return 0, err
-		}
-		_, snap, err := core.Migrate(in.CP, core.MigrateOptions{DeviceTo: 2, Path: "/bench/mig/stw"})
+		defer stw.stop()
+		_, snap, err := core.Migrate(stw.in.CP, core.MigrateOptions{DeviceTo: 2, Path: "/bench/mig/stw"})
 		if err != nil {
 			return 0, err
 		}
 		row.StwDowntimeNs = int64(snap.Report.Downtime)
-		return in.Run()
+		return stw.in.Run()
 	}()
 	if err != nil {
 		return nil, nil, fmt.Errorf("stop-the-world: %w", err)
 	}
 
-	// Live: drive the session by hand, one offload call between rounds —
-	// the process computes while its image moves.
-	livePlat, err := newPlat()
+	live, err := newRig(cfg, spec, 2)
 	if err != nil {
 		return nil, nil, err
 	}
-	liveSum, err := func() (uint64, error) {
-		in, err := workloads.Launch(livePlat, spec, 1)
-		if err != nil {
-			return 0, err
-		}
-		defer in.Close()
-		if _, err := in.RunCalls(2); err != nil {
-			return 0, err
-		}
-		m, err := core.NewMigration(in.CP, core.MigrateOptions{
-			DeviceTo: 2,
-			Path:     "/bench/mig/live",
-			Precopy:  core.PrecopyOptions{MaxRounds: MigrateSweepRounds},
-		})
-		if err != nil {
-			return 0, err
-		}
-		for {
-			rec, done, err := m.Round()
-			if err != nil {
-				return 0, fmt.Errorf("round %d: %w", rec.Round, err)
-			}
-			row.Rounds = rec.Round
-			row.PrecopyShippedBytes += rec.ShippedBytes
-			row.FinalDirtyBytes = rec.DirtyBytes
-			row.LiveTotalNs += int64(rec.Duration + rec.StageDuration)
-			if rec.Round == 1 {
-				row.UploadNs, row.StageNs = int64(rec.Duration), int64(rec.StageDuration)
-			}
-			if done {
-				break
-			}
-			if !in.Done() {
-				if _, err := in.RunCalls(1); err != nil {
-					return 0, err
-				}
-			}
-		}
-		if _, err := m.Finish(); err != nil {
-			return 0, err
-		}
-		row.LiveDowntimeNs = int64(m.Snapshot().Report.Downtime)
-		row.LiveTotalNs += row.LiveDowntimeNs
-		return in.Run()
-	}()
+	liveSum, err := liveMigrate(live, row)
 	if err != nil {
-		coi.StopDaemons(livePlat)
-		livePlat.IO.Stop()
+		live.stop()
 		return nil, nil, fmt.Errorf("live: %w", err)
 	}
 
@@ -237,8 +137,49 @@ func migrateOne(imageBytes int64) (*MigrateRow, *platform.Platform, error) {
 		row.DowntimeRatio = float64(row.LiveDowntimeNs) / float64(row.StwDowntimeNs)
 	}
 	row.ChecksumsMatch = refSum == stwSum && refSum == liveSum
-	row.WallNs = wall.ElapsedNs()
-	return row, livePlat, nil
+	return row, live, nil
+}
+
+// liveMigrate drives a pre-copy session by hand, one offload call between
+// rounds — the process computes while its image moves — fills in row's live
+// figures and runs the application to its final checksum.
+func liveMigrate(r *rig, row *MigrateRow) (uint64, error) {
+	in := r.in
+	m, err := core.NewMigration(in.CP, core.MigrateOptions{
+		DeviceTo: 2,
+		Path:     "/bench/mig/live",
+		Precopy:  core.PrecopyOptions{MaxRounds: MigrateSweepRounds},
+	})
+	if err != nil {
+		return 0, err
+	}
+	for {
+		rec, done, err := m.Round()
+		if err != nil {
+			return 0, fmt.Errorf("round %d: %w", rec.Round, err)
+		}
+		row.Rounds = rec.Round
+		row.PrecopyShippedBytes += rec.ShippedBytes
+		row.FinalDirtyBytes = rec.DirtyBytes
+		row.LiveTotalNs += int64(rec.Duration + rec.StageDuration)
+		if rec.Round == 1 {
+			row.UploadNs, row.StageNs = int64(rec.Duration), int64(rec.StageDuration)
+		}
+		if done {
+			break
+		}
+		if !in.Done() {
+			if _, err := in.RunCalls(1); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if _, err := m.Finish(); err != nil {
+		return 0, err
+	}
+	row.LiveDowntimeNs = int64(m.Snapshot().Report.Downtime)
+	row.LiveTotalNs += row.LiveDowntimeNs
+	return in.Run()
 }
 
 // MigrateSweep compares stop-the-world and live migration downtime across
@@ -251,30 +192,21 @@ func MigrateSweep(sizes []int64) (*MigrateResult, error) {
 		return nil, fmt.Errorf("migrate sweep: empty size grid")
 	}
 	res := &MigrateResult{Benchmark: "migrate-sweep"}
-	sweepWall := simclock.StartWall()
-	var migratedBytes int64
-	var last *platform.Platform
+	var last *rig
 	for _, size := range sizes {
-		migratedBytes += 3 * size
-		row, plat, err := migrateOne(size)
+		row, r, err := migrateOne(size)
+		if last != nil {
+			last.stop()
+		}
 		if err != nil {
-			if last != nil {
-				coi.StopDaemons(last)
-				last.IO.Stop()
-			}
 			return nil, fmt.Errorf("migrate sweep %s: %w", sizeLabel(size), err)
 		}
 		res.Rows = append(res.Rows, *row)
-		if last != nil {
-			coi.StopDaemons(last)
-			last.IO.Stop()
-		}
-		last = plat
+		last = r
 	}
-	defer coi.StopDaemons(last)
-	defer last.IO.Stop()
+	defer last.stop()
 
-	res.tracer = last.Obs.TracerOf()
+	res.tracer = last.plat.Obs.TracerOf()
 	for _, sp := range res.tracer.Spans() {
 		switch sp.Name {
 		case "precopy_round":
@@ -287,18 +219,20 @@ func MigrateSweep(sizes []int64) (*MigrateResult, error) {
 	// Store hygiene on the largest run: release everything, collect, and
 	// the store must be empty — pre-copy's intermediate manifests and the
 	// aborted-round machinery may not leak a single chunk.
-	for _, p := range last.Store.List() {
-		if _, err := last.Store.Release(p); err != nil {
-			return nil, fmt.Errorf("releasing %s: %w", p, err)
-		}
+	var err error
+	if res.ChunksAfterGC, err = drainStore(last.plat.Store); err != nil {
+		return nil, err
 	}
-	if _, _, err := last.Store.GC(0); err != nil {
-		return nil, fmt.Errorf("gc: %w", err)
-	}
-	res.ChunksAfterGC = last.Store.Stats().Chunks
-	res.WallTotalNs = sweepWall.ElapsedNs()
-	res.WallNsPerGiB = simclock.WallNsPerGiB(res.WallTotalNs, migratedBytes)
 	return res, nil
+}
+
+// replay re-runs the sweep a recorded document describes.
+func (r *MigrateResult) replay() (Result, error) {
+	sizes := make([]int64, len(r.Rows))
+	for i, row := range r.Rows {
+		sizes[i] = row.ImageBytes
+	}
+	return MigrateSweep(sizes)
 }
 
 // Render prints the sweep in the tables' layout.
@@ -317,9 +251,8 @@ func (r *MigrateResult) Render() string {
 			fmt.Sprintf("%.2f", simclock.Duration(row.StageNs).Seconds()),
 			fmt.Sprintf("%v", row.ChecksumsMatch))
 	}
-	return t.String() + fmt.Sprintf("\nspans: %d precopy_round, %d migration_downtime; chunks after release-all + GC: %d\nharness wall-clock: %.1f ms total, %d ns per simulated GiB",
-		r.RoundSpans, r.DowntimeSpans, r.ChunksAfterGC,
-		float64(r.WallTotalNs)/1e6, r.WallNsPerGiB)
+	return t.String() + fmt.Sprintf("\nspans: %d precopy_round, %d migration_downtime; chunks after release-all + GC: %d",
+		r.RoundSpans, r.DowntimeSpans, r.ChunksAfterGC)
 }
 
 // stageMaxRatio bounds round 1's staging against the same round's upload.
@@ -394,13 +327,4 @@ func (r *MigrateResult) CheckShape() error {
 		return fmt.Errorf("migrate sweep: %d chunks survive release-all + GC — a refcount leaked", r.ChunksAfterGC)
 	}
 	return nil
-}
-
-// JSON renders the sweep as the BENCH_migrate.json document.
-func (r *MigrateResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

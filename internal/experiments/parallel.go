@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"snapify/internal/coi"
 	"snapify/internal/core"
 	"snapify/internal/obs"
-	"snapify/internal/phi"
-	"snapify/internal/platform"
 	"snapify/internal/simclock"
 	"snapify/internal/trace"
-	"snapify/internal/workloads"
 )
 
 // ParallelCaptureStreams is the stream-count sweep of the parallel
@@ -46,11 +41,6 @@ type ParallelCaptureRow struct {
 	// SnapshotBytes is the context file size; identical across rows by
 	// the golden-parity guarantee.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// WallNs is the real wall-clock time the simulator harness spent
-	// producing this row — machine-dependent, excluded from the
-	// regression gate, reported so fleet-scale planning knows how fast
-	// the harness itself runs.
-	WallNs int64 `json:"wall_ns"`
 }
 
 // ParallelCaptureResult is the full sweep.
@@ -58,11 +48,6 @@ type ParallelCaptureResult struct {
 	Benchmark  string               `json:"benchmark"`
 	ImageBytes int64                `json:"image_bytes"`
 	Rows       []ParallelCaptureRow `json:"rows"`
-	// WallTotalNs / WallNsPerGiB are the harness's own wall-clock cost:
-	// total real nanoseconds for the sweep, and that normalized per GiB
-	// of simulated image captured.
-	WallTotalNs  int64 `json:"wall_total_ns"`
-	WallNsPerGiB int64 `json:"wall_ns_per_gib"`
 
 	tracer *obs.Tracer // the sweep platform's tracer, for TraceJSON
 }
@@ -85,64 +70,28 @@ func ParallelCapture(imageBytes int64, streams []int) (*ParallelCaptureResult, e
 	if len(streams) == 0 || streams[0] != 1 {
 		return nil, fmt.Errorf("parallel capture: sweep must start with the serial baseline, got %v", streams)
 	}
-	plat, err := platform.New(platform.Config{Server: phi.ServerConfig{
-		Devices: 1,
-		Device:  phi.DeviceConfig{MemBytes: imageBytes + 2*simclock.GiB},
-	}})
+	r, err := newRig(serverFor(1, imageBytes), imageSpec("PC", "parallel capture sweep", imageBytes, 4), 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := coi.StartDaemons(plat); err != nil {
-		return nil, err
-	}
-	defer coi.StopDaemons(plat)
-	defer plat.IO.Stop()
-
-	spec := workloads.Spec{
-		Code: "PC", Name: "parallel capture sweep",
-		HostMem:      16 * simclock.MiB,
-		DeviceMem:    imageBytes,
-		LocalStore:   4 * simclock.MiB,
-		Calls:        4,
-		StepsPerCall: 2,
-	}
-	in, err := workloads.Launch(plat, spec, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	if _, err := in.RunCalls(1); err != nil {
-		return nil, err
-	}
+	defer r.stop()
 
 	res := &ParallelCaptureResult{
 		Benchmark: "parallel-capture", ImageBytes: imageBytes,
-		tracer: plat.Obs.TracerOf(),
+		tracer: r.plat.Obs.TracerOf(),
 	}
-	sweepWall := simclock.StartWall()
 	for _, n := range streams {
-		rowWall := simclock.StartWall()
-		s := core.NewSnapshot(fmt.Sprintf("/bench/parallel/%d", n), in.CP)
-		if err := s.Pause(); err != nil {
-			return nil, fmt.Errorf("streams=%d pause: %w", n, err)
-		}
-		if err := s.Capture(core.CaptureOptions{Streams: n}); err != nil {
-			return nil, fmt.Errorf("streams=%d capture: %w", n, err)
-		}
-		if err := s.Wait(); err != nil {
-			return nil, fmt.Errorf("streams=%d wait: %w", n, err)
-		}
-		if err := s.Resume(); err != nil {
-			return nil, fmt.Errorf("streams=%d resume: %w", n, err)
+		rep, err := r.cycle(fmt.Sprintf("/bench/parallel/%d", n), core.CaptureOptions{Streams: n}, nil)
+		if err != nil {
+			return nil, fmt.Errorf("streams=%d %w", n, err)
 		}
 		row := ParallelCaptureRow{
 			Streams:        n,
-			CaptureSeconds: s.Report.Capture.Seconds(),
-			CaptureNs:      int64(s.Report.Capture),
-			SnapshotBytes:  s.Report.SnapshotBytes,
-			WallNs:         rowWall.ElapsedNs(),
+			CaptureSeconds: rep.Capture.Seconds(),
+			CaptureNs:      int64(rep.Capture),
+			SnapshotBytes:  rep.SnapshotBytes,
 		}
-		for _, d := range s.Report.CaptureStreamDurations {
+		for _, d := range rep.CaptureStreamDurations {
 			row.StreamSeconds = append(row.StreamSeconds, d.Seconds())
 			row.StreamNs = append(row.StreamNs, int64(d))
 		}
@@ -152,9 +101,16 @@ func ParallelCapture(imageBytes int64, streams []int) (*ParallelCaptureResult, e
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	res.WallTotalNs = sweepWall.ElapsedNs()
-	res.WallNsPerGiB = simclock.WallNsPerGiB(res.WallTotalNs, imageBytes*int64(len(streams)))
 	return res, nil
+}
+
+// replay re-runs the sweep a recorded document describes.
+func (r *ParallelCaptureResult) replay() (Result, error) {
+	streams := make([]int, len(r.Rows))
+	for i, row := range r.Rows {
+		streams[i] = row.Streams
+	}
+	return ParallelCapture(r.ImageBytes, streams)
 }
 
 // serialSeconds returns the speedup of a capture taking sec seconds over
@@ -176,8 +132,7 @@ func (r *ParallelCaptureResult) Render() string {
 			fmt.Sprintf("%.2fx", row.Speedup),
 			fmt.Sprintf("%.0f", row.ThroughputMiBs))
 	}
-	return t.String() + fmt.Sprintf("harness wall-clock: %.1f ms total, %d ns per simulated GiB\n",
-		float64(r.WallTotalNs)/1e6, r.WallNsPerGiB)
+	return t.String()
 }
 
 // CheckShape verifies the acceptance claims: 4 streams beat serial by at
@@ -212,13 +167,4 @@ func (r *ParallelCaptureResult) CheckShape() error {
 		}
 	}
 	return nil
-}
-
-// JSON renders the sweep as the BENCH_capture.json document.
-func (r *ParallelCaptureResult) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

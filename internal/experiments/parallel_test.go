@@ -13,10 +13,7 @@ import (
 // shape: 4 streams >= 2x over serial, monotone speedup, byte-identical
 // snapshots across all stream counts.
 func TestParallelCaptureShape(t *testing.T) {
-	res, err := ParallelCapture(256*simclock.MiB, ParallelCaptureStreams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := smoke(t, "parallel capture").(*ParallelCaptureResult)
 	if err := res.CheckShape(); err != nil {
 		t.Errorf("%v\n%s", err, res.Render())
 	}
@@ -28,7 +25,7 @@ func TestParallelCaptureShape(t *testing.T) {
 	if r := res.Rows[0].ThroughputMiBs; r < 180 || r > 260 {
 		t.Errorf("serial throughput %.0f MiB/s, want near the 250 MiB/s page-walk bound", r)
 	}
-	out, err := res.JSON()
+	out, err := JSON(res)
 	if err != nil {
 		t.Fatal(err)
 	}

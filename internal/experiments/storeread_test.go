@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"snapify/internal/simclock"
 )
 
 // The two gates on the store read stream hold at smoke scale and trip on
@@ -12,10 +10,9 @@ import (
 // copy fell back out of the overlap (0.7x the plain one), a staging round
 // that adds its stages up per chunk (0.94x its upload).
 func TestStoreReadGates(t *testing.T) {
-	dedup, err := DedupSwap(256*simclock.MiB, DedupSwapCycles)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The cached smoke results are shared with other tests: perturb copies.
+	dedup := *smoke(t, "dedup swap").(*DedupSwapResult)
+	dedup.Rows = append([]DedupSwapRow(nil), dedup.Rows...)
 	if err := dedup.CheckShape(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +22,8 @@ func TestStoreReadGates(t *testing.T) {
 		t.Errorf("store restore at 0.7x the plain one: CheckShape = %v, want the restore gate", err)
 	}
 
-	mig, err := MigrateSweep(MigrateSweepSmokeSizes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mig := *smoke(t, "migrate sweep").(*MigrateResult)
+	mig.Rows = append([]MigrateRow(nil), mig.Rows...)
 	if err := mig.CheckShape(); err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,41 @@ func Table3() (*Table3Result, error) {
 	host := plat.Host()
 	mnt := plat.NFS(1)
 
+	// toHost times a copy of the card's /tmp/src into a host-side sink (the
+	// table's "write" direction); toCard a copy of a host-side source into
+	// a scratch file on the card, removed again afterwards ("read").
+	toHost := func(sink stream.Sink, err error) (simclock.Duration, error) {
+		if err != nil {
+			return 0, err
+		}
+		src, err := dev.FS.Open("/tmp/src")
+		if err != nil {
+			sink.Abort()
+			return 0, err
+		}
+		acc := simclock.NewPipelineAccum()
+		if err := copyReaderToSink(src, sink, acc); err != nil {
+			return 0, err
+		}
+		return acc.Total(), nil
+	}
+	toCard := func(src stream.Source, err error) (simclock.Duration, error) {
+		if err != nil {
+			return 0, err
+		}
+		w, err := dev.FS.Create("/tmp/dst")
+		if err != nil {
+			src.Close() //nolint:errcheck // error path: the create failure is the reported error; Close on a read source only releases the handle
+			return 0, err
+		}
+		acc := simclock.NewPipelineAccum()
+		if err := copySourceToWriter(src, w, acc); err != nil {
+			return 0, err
+		}
+		dev.FS.Remove("/tmp/dst") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
+		return acc.Total(), nil
+	}
+
 	res := &Table3Result{}
 	for _, size := range Table3Sizes {
 		row := Table3Row{Size: size}
@@ -55,91 +90,35 @@ func Table3() (*Table3Result, error) {
 		if _, err := dev.FS.WriteFile("/tmp/src", content); err != nil {
 			return nil, fmt.Errorf("table3: staging %s on card: %w", sizeLabel(size), err)
 		}
-
 		// Snapify-IO: the native process reads the local file and writes
 		// through a Snapify-IO descriptor to the host.
-		f, err := plat.IO.Open(dev.Node, simnet.HostNode, "/t3/sio_w", snapifyio.Write)
-		if err != nil {
+		if row.SnapifyIOWrite, err = toHost(plat.IO.Open(dev.Node, simnet.HostNode, "/t3/sio_w", snapifyio.Write)); err != nil {
 			return nil, err
 		}
-		src, err := dev.FS.Open("/tmp/src")
-		if err != nil {
-			f.Abort()
-			return nil, err
-		}
-		acc := simclock.NewPipelineAccum()
-		if err := copyReaderToSink(src, f, acc); err != nil {
-			return nil, err
-		}
-		row.SnapifyIOWrite = acc.Total()
-
 		// NFS: cp to the mounted directory (buffered client).
-		nfsSink, err := mnt.CreateBuffered("/t3/nfs_w")
-		if err != nil {
+		if row.NFSWrite, err = toHost(mnt.CreateBuffered("/t3/nfs_w")); err != nil {
 			return nil, err
 		}
-		src2, err := dev.FS.Open("/tmp/src")
-		if err != nil {
-			nfsSink.Abort()
+		if row.SCPWrite, err = scp.Copy(plat.Server.Fabric, dev.Node, vfs.Ram(dev.FS), "/tmp/src",
+			simnet.HostNode, vfs.Host(host.FS), "/t3/scp_w"); err != nil {
 			return nil, err
 		}
-		acc = simclock.NewPipelineAccum()
-		if err := copyReaderToSink(src2, nfsSink, acc); err != nil {
-			return nil, err
-		}
-		row.NFSWrite = acc.Total()
-
-		// scp to the host.
-		d, err := scp.Copy(plat.Server.Fabric, dev.Node, vfs.Ram(dev.FS), "/tmp/src",
-			simnet.HostNode, vfs.Host(host.FS), "/t3/scp_w")
-		if err != nil {
-			return nil, err
-		}
-		row.SCPWrite = d
 		dev.FS.Remove("/tmp/src") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
 
 		// --- host -> device ("read") ---
 		if _, err := host.FS.WriteFile("/t3/src", content); err != nil {
 			return nil, err
 		}
-		fr, err := plat.IO.Open(dev.Node, simnet.HostNode, "/t3/src", snapifyio.Read)
-		if err != nil {
+		if row.SnapifyIORead, err = toCard(plat.IO.Open(dev.Node, simnet.HostNode, "/t3/src", snapifyio.Read)); err != nil {
 			return nil, err
 		}
-		w, err := dev.FS.Create("/tmp/sio_r")
-		if err != nil {
-			fr.Abort()
+		if row.NFSRead, err = toCard(mnt.Open("/t3/src")); err != nil {
 			return nil, err
 		}
-		acc = simclock.NewPipelineAccum()
-		if err := copySourceToWriter(fr, w, acc); err != nil {
+		if row.SCPRead, err = scp.Copy(plat.Server.Fabric, simnet.HostNode, vfs.Host(host.FS), "/t3/src",
+			dev.Node, vfs.Ram(dev.FS), "/tmp/scp_r"); err != nil {
 			return nil, err
 		}
-		row.SnapifyIORead = acc.Total()
-		dev.FS.Remove("/tmp/sio_r") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
-
-		nfsSrc, err := mnt.Open("/t3/src")
-		if err != nil {
-			return nil, err
-		}
-		w2, err := dev.FS.Create("/tmp/nfs_r")
-		if err != nil {
-			nfsSrc.Close() //nolint:errcheck // error path: the create failure is the reported error; Close on a read source only releases the handle
-			return nil, err
-		}
-		acc = simclock.NewPipelineAccum()
-		if err := copySourceToWriter(nfsSrc, w2, acc); err != nil {
-			return nil, err
-		}
-		row.NFSRead = acc.Total()
-		dev.FS.Remove("/tmp/nfs_r") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
-
-		d, err = scp.Copy(plat.Server.Fabric, simnet.HostNode, vfs.Host(host.FS), "/t3/src",
-			dev.Node, vfs.Ram(dev.FS), "/tmp/scp_r")
-		if err != nil {
-			return nil, err
-		}
-		row.SCPRead = d
 		dev.FS.Remove("/tmp/scp_r") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
 		host.FS.RemoveAll("/t3/")   //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
 

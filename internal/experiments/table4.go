@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snapify/internal/blcr"
-	"snapify/internal/platform"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
@@ -156,13 +155,11 @@ func Table4() (*Table4Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		stopPlatform(plat)
+		plat.IO.Stop()
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
-
-func stopPlatform(plat *platform.Platform) { plat.IO.Stop() }
 
 // Render prints the table in the paper's layout.
 func (r *Table4Result) Render() string {

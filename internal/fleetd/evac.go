@@ -51,13 +51,6 @@ func (c *Controller) ScheduleEvacuation(at simclock.Duration, host string, deadl
 	c.events.Push(event{at: at, seq: c.seq, kind: evEvacuate})
 }
 
-// ScheduleKillHost arranges for host to fail at virtual time `at`.
-func (c *Controller) ScheduleKillHost(at simclock.Duration, host string) {
-	c.seq++
-	c.controls[c.seq] = controlPayload{host: host, kill: true}
-	c.events.Push(event{at: at, seq: c.seq, kind: evEvacuate})
-}
-
 // startDrain begins the evacuation of host.
 func (c *Controller) startDrain(name string, deadline simclock.Duration) error {
 	h, err := c.hostByName(name)

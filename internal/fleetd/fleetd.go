@@ -459,9 +459,6 @@ func (c *Controller) Jobs() []*Job {
 	return out
 }
 
-// PendingLen returns how many admitted jobs await placement.
-func (c *Controller) PendingLen() int { return c.pending.Len() }
-
 // SwapLatencies returns the observed swap-in latencies, sorted.
 func (c *Controller) SwapLatencies() []simclock.Duration {
 	out := append([]simclock.Duration(nil), c.swapLats...)
@@ -514,7 +511,6 @@ func (c *Controller) schedule(at simclock.Duration, kind eventKind, j *Job) {
 type controlPayload struct {
 	host     string
 	deadline simclock.Duration
-	kill     bool
 	// card targets an evServeCard retry at one card's waiter queue.
 	card int
 }
@@ -598,11 +594,7 @@ func (c *Controller) handle(e event) error {
 	case evEvacuate:
 		p := c.controls[e.seq]
 		delete(c.controls, e.seq)
-		if p.kill {
-			if err := c.KillHost(p.host); err != nil {
-				return err
-			}
-		} else if err := c.startDrain(p.host, p.deadline); err != nil {
+		if err := c.startDrain(p.host, p.deadline); err != nil {
 			return err
 		}
 	case evServeCard:

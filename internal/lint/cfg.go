@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -536,23 +535,4 @@ func FactsAt(cfg *CFG, in map[*Block]Facts, node ast.Node, transfer func(n ast.N
 		}
 	}
 	return Facts{}
-}
-
-// sortedFactPositions renders fact keys that carry positions in a stable
-// order, for deterministic messages.
-func sortedFactPositions(fset interface {
-	Position(token.Pos) token.Position
-}, facts Facts, posOf func(any) token.Pos) []string {
-	var ps []token.Pos
-	for k := range facts {
-		if p := posOf(k); p.IsValid() {
-			ps = append(ps, p)
-		}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-	var out []string
-	for _, p := range ps {
-		out = append(out, fmt.Sprint(fset.Position(p).Line))
-	}
-	return out
 }

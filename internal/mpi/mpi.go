@@ -33,12 +33,8 @@ func NewCluster(n int, cfg platform.Config) (*Cluster, error) {
 	}
 	c := &Cluster{}
 	for i := 0; i < n; i++ {
-		plat, err := platform.New(cfg)
+		plat, err := coi.Boot(cfg)
 		if err != nil {
-			c.Stop()
-			return nil, err
-		}
-		if err := coi.StartDaemons(plat); err != nil {
 			c.Stop()
 			return nil, err
 		}
@@ -51,7 +47,7 @@ func NewCluster(n int, cfg platform.Config) (*Cluster, error) {
 // Stop shuts the cluster down.
 func (c *Cluster) Stop() {
 	for _, plat := range c.Nodes {
-		coi.StopDaemons(plat)
+		coi.Shutdown(plat)
 	}
 }
 

@@ -15,10 +15,6 @@ type CheckOptions struct {
 	// is deterministic, so the default is tight (1%) — it exists to
 	// absorb row reordering artifacts, not real drift.
 	RelTol float64
-	// SkipSubstrings lists key fragments whose fields are ignored
-	// entirely. Wall-clock fields are machine-dependent and skipped by
-	// default.
-	SkipSubstrings []string
 	// FieldTol overrides RelTol for any field whose key contains the
 	// map key (first match in sorted key order wins).
 	FieldTol map[string]float64
@@ -26,10 +22,7 @@ type CheckOptions struct {
 
 // DefaultCheckOptions returns the tolerances the snapbench gate uses.
 func DefaultCheckOptions() CheckOptions {
-	return CheckOptions{
-		RelTol:         0.01,
-		SkipSubstrings: []string{"wall"},
-	}
+	return CheckOptions{RelTol: 0.01}
 }
 
 // Regression is one field where a fresh benchmark run diverged from the
@@ -46,7 +39,8 @@ func (r Regression) String() string { return r.Path + ": " + r.Msg }
 // tolerance, strings and booleans must match exactly, and structure
 // (missing fields, new fields, array length changes) is itself a
 // regression — a schema drift the baseline must be regenerated for.
-// Fields whose key path matches a skip substring are ignored.
+// Every field counts: benchmark documents carry virtual-clock numbers
+// only (the wall clock is bench/'s ruler, not a BENCH_*.json field).
 func CompareBenchJSON(baseline, fresh []byte, opts CheckOptions) ([]Regression, error) {
 	var bv, fv any
 	if err := json.Unmarshal(baseline, &bv); err != nil {
@@ -58,16 +52,6 @@ func CompareBenchJSON(baseline, fresh []byte, opts CheckOptions) ([]Regression, 
 	var regs []Regression
 	compareValue("$", bv, fv, opts, &regs)
 	return regs, nil
-}
-
-func skipPath(path string, opts CheckOptions) bool {
-	lower := strings.ToLower(path)
-	for _, sub := range opts.SkipSubstrings {
-		if strings.Contains(lower, strings.ToLower(sub)) {
-			return true
-		}
-	}
-	return false
 }
 
 func tolFor(path string, opts CheckOptions) float64 {
@@ -85,9 +69,6 @@ func tolFor(path string, opts CheckOptions) float64 {
 }
 
 func compareValue(path string, base, fresh any, opts CheckOptions, regs *[]Regression) {
-	if skipPath(path, opts) {
-		return
-	}
 	switch bv := base.(type) {
 	case map[string]any:
 		fm, ok := fresh.(map[string]any)
@@ -113,13 +94,9 @@ func compareValue(path string, base, fresh any, opts CheckOptions, regs *[]Regre
 			fval, inF := fm[k]
 			switch {
 			case !inF:
-				if !skipPath(sub, opts) {
-					*regs = append(*regs, Regression{sub, "field missing from fresh run"})
-				}
+				*regs = append(*regs, Regression{sub, "field missing from fresh run"})
 			case !inB:
-				if !skipPath(sub, opts) {
-					*regs = append(*regs, Regression{sub, "field absent from baseline (regenerate baselines)"})
-				}
+				*regs = append(*regs, Regression{sub, "field absent from baseline (regenerate baselines)"})
 			default:
 				compareValue(sub, bval, fval, opts, regs)
 			}

@@ -9,8 +9,8 @@ const baseDoc = `{
   "benchmark": "parallel-capture",
   "image_bytes": 8589934592,
   "rows": [
-    {"streams": 1, "capture_ns": 4000000, "wall_ns": 123456},
-    {"streams": 4, "capture_ns": 1005000, "wall_ns": 99999}
+    {"streams": 1, "capture_ns": 4000000},
+    {"streams": 4, "capture_ns": 1005000}
   ],
   "serial_seconds": 0.004,
   "byte_identical": true
@@ -47,19 +47,6 @@ func TestCompareBenchPerturbed(t *testing.T) {
 	}
 }
 
-// TestCompareBenchSkipsWallClock: wall-clock fields are machine-
-// dependent and must never trip the gate.
-func TestCompareBenchSkipsWallClock(t *testing.T) {
-	fresh := strings.Replace(baseDoc, `"wall_ns": 123456`, `"wall_ns": 987654321`, 1)
-	regs, err := CompareBenchJSON([]byte(baseDoc), []byte(fresh), DefaultCheckOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("wall-clock drift flagged: %v", regs)
-	}
-}
-
 // TestCompareBenchWithinTolerance: sub-tolerance numeric drift passes.
 func TestCompareBenchWithinTolerance(t *testing.T) {
 	fresh := strings.Replace(baseDoc, `"capture_ns": 1005000`, `"capture_ns": 1006000`, 1)
@@ -85,7 +72,7 @@ func TestCompareBenchStructuralDrift(t *testing.T) {
 			strings.Replace(baseDoc, `"byte_identical": true`, `"byte_identical": true, "extra": 1`, 1),
 			"extra"},
 		{"array shrank",
-			strings.Replace(baseDoc, ",\n    {\"streams\": 4, \"capture_ns\": 1005000, \"wall_ns\": 99999}", ``, 1),
+			strings.Replace(baseDoc, ",\n    {\"streams\": 4, \"capture_ns\": 1005000}", ``, 1),
 			"rows"},
 		{"bool flip",
 			strings.Replace(baseDoc, `"byte_identical": true`, `"byte_identical": false`, 1),

@@ -1,8 +1,7 @@
 // Package platformtest is the shared test harness for suites that need
-// a running platform: it assembles a simulated server, starts the COI
-// daemons, and registers teardown with the test. The core, sched, and
-// chaos suites all build their platforms here instead of repeating the
-// platform.New + coi.StartDaemons + cleanup dance.
+// a running platform: it boots a simulated server (coi.Boot) and
+// registers teardown with the test. The core, sched, and chaos suites
+// all build their platforms here.
 //
 // It lives in its own package (not platform's test files) because the
 // COI layer imports platform — only a separate package can wire both
@@ -38,7 +37,7 @@ func Start(t testing.TB, opts Options) *platform.Platform {
 	if devices == 0 {
 		devices = 1
 	}
-	plat, err := platform.New(platform.Config{
+	plat, err := coi.Boot(platform.Config{
 		Server: phi.ServerConfig{
 			Devices: devices,
 			Device:  phi.DeviceConfig{MemBytes: opts.CardMem},
@@ -46,11 +45,8 @@ func Start(t testing.TB, opts Options) *platform.Platform {
 		NoSnapify: opts.NoSnapify,
 	})
 	if err != nil {
-		t.Fatalf("platformtest: building platform: %v", err)
+		t.Fatalf("platformtest: booting platform: %v", err)
 	}
-	if err := coi.StartDaemons(plat); err != nil {
-		t.Fatalf("platformtest: starting COI daemons: %v", err)
-	}
-	t.Cleanup(func() { coi.StopDaemons(plat) })
+	t.Cleanup(func() { coi.Shutdown(plat) })
 	return plat
 }

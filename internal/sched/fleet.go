@@ -1,9 +1,7 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"snapify/internal/core"
@@ -45,9 +43,8 @@ type Fleet struct {
 
 // Member is one server in the fleet.
 type Member struct {
-	Name  string
-	Plat  *platform.Platform
-	Sched *Scheduler
+	Name string
+	Plat *platform.Platform
 }
 
 // FleetJob is one offload application scheduled on the fleet.
@@ -102,7 +99,7 @@ func (f *Fleet) AddHost(name string, plat *platform.Platform) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.members[name] = &Member{Name: name, Plat: plat, Sched: New(plat)}
+	f.members[name] = &Member{Name: name, Plat: plat}
 	f.order = append(f.order, name)
 	return nil
 }
@@ -132,18 +129,6 @@ func (f *Fleet) JobByID(id int) *FleetJob {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.byID[id]
-}
-
-// JobsOn returns the not-done jobs currently homed on host, sorted by ID.
-func (f *Fleet) JobsOn(host string) []*FleetJob {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]*FleetJob, 0, len(f.byHost[host]))
-	for _, j := range f.byHost[host] {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
 }
 
 // rehomeLocked moves j's byHost index entry to host.
@@ -426,20 +411,4 @@ func (f *Fleet) Run() error {
 		j.Inst.Close()
 	}
 	return nil
-}
-
-// errNoMembers is returned by placement helpers when the fleet is empty.
-var errNoMembers = errors.New("sched: fleet has no members")
-
-// FirstAlive returns the first living member in registration order.
-func (f *Fleet) FirstAlive() (string, error) {
-	f.mu.Lock()
-	order := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	for _, n := range order {
-		if f.fed.Alive(n) {
-			return n, nil
-		}
-	}
-	return "", errNoMembers
 }

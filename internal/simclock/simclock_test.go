@@ -111,48 +111,6 @@ func TestPipelinePartialLastChunk(t *testing.T) {
 	}
 }
 
-func TestSpanTreeAccounting(t *testing.T) {
-	root := NewSpan("checkpoint")
-	root.Child("pause").Add(2 * time.Second)
-	root.Child("pause").Add(1 * time.Second) // same child reused
-	root.Child("capture").Add(5 * time.Second)
-	if got := root.Child("pause").Total(); got != 3*time.Second {
-		t.Errorf("pause total = %v, want 3s", got)
-	}
-	if got := root.Total(); got != 8*time.Second {
-		t.Errorf("root total = %v, want 8s", got)
-	}
-	if f := root.Find("capture"); f == nil || f.Total() != 5*time.Second {
-		t.Errorf("Find(capture) = %v", f)
-	}
-	if f := root.Find("missing"); f != nil {
-		t.Errorf("Find(missing) = %v, want nil", f)
-	}
-	bd := root.Breakdown()
-	if len(bd) != 2 || bd[0].Name != "capture" || bd[1].Name != "pause" {
-		t.Errorf("Breakdown = %v", bd)
-	}
-}
-
-func TestSpanConcurrent(t *testing.T) {
-	root := NewSpan("r")
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 1000; j++ {
-				root.Child("c").Add(time.Nanosecond)
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	if got := root.Total(); got != 8000*time.Nanosecond {
-		t.Errorf("concurrent total = %v, want 8000ns", got)
-	}
-}
-
 func TestMaxHelpers(t *testing.T) {
 	if Max(time.Second, 2*time.Second) != 2*time.Second {
 		t.Error("Max wrong")

@@ -3,14 +3,12 @@ package simclock
 import "time"
 
 // WallTimer measures real elapsed wall-clock time of the simulator
-// harness itself — the one legitimate wall-clock reading in the tree.
-// Everything the paper's figures report is virtual time from the cost
-// model; the wall timer exists so snapbench can report how fast the
-// *simulator* runs (ns of host CPU per GiB of simulated image), which
-// is what bounds fleet-scale experiments. Wall readings are
-// machine-dependent and must never feed a deterministic artifact:
-// benchmark JSON carries them in fields containing "wall", which the
-// analyze regression gate skips.
+// harness itself — the one sanctioned wall-clock reading in the tree,
+// and bench/ (the benchmark harness, BENCHMARK.json) its one caller.
+// Everything the paper's figures, snapbench and the in-tree BENCH_*.json
+// report is virtual time from the cost model; what the *simulator* costs
+// to run is bench/'s question alone. Wall readings are machine-dependent
+// and must never feed a deterministic artifact.
 type WallTimer struct {
 	start time.Time
 }
@@ -26,13 +24,4 @@ func (w WallTimer) ElapsedNs() int64 {
 		return 0
 	}
 	return time.Since(w.start).Nanoseconds()
-}
-
-// WallNsPerGiB scales elapsed wall nanoseconds to a per-GiB rate over
-// the given number of simulated bytes (0 if bytes is 0).
-func WallNsPerGiB(elapsedNs, bytes int64) int64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return int64(float64(elapsedNs) * float64(GiB) / float64(bytes))
 }

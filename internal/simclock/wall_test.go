@@ -2,18 +2,6 @@ package simclock
 
 import "testing"
 
-func TestWallNsPerGiB(t *testing.T) {
-	if got := WallNsPerGiB(1000, 0); got != 0 {
-		t.Errorf("zero bytes rate = %d, want 0", got)
-	}
-	if got := WallNsPerGiB(1000, GiB); got != 1000 {
-		t.Errorf("1 GiB rate = %d, want 1000", got)
-	}
-	if got := WallNsPerGiB(1000, 2*GiB); got != 500 {
-		t.Errorf("2 GiB rate = %d, want 500", got)
-	}
-}
-
 func TestWallTimer(t *testing.T) {
 	var zero WallTimer
 	if zero.ElapsedNs() != 0 {

@@ -679,11 +679,3 @@ pass:
 	}
 	return rs, dur, passErr
 }
-
-// Forget drops the replica-set record for dir (the snapshot was
-// released everywhere; its copies are now subject to each host's GC).
-func (f *Federation) Forget(dir string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.sets, normPath(dir))
-}

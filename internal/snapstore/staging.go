@@ -157,10 +157,3 @@ func (sg *Staging) Drop(path string) {
 	defer sg.mu.Unlock()
 	delete(sg.entries, normPath(path))
 }
-
-// DropAll discards every staged entry (daemon teardown).
-func (sg *Staging) DropAll() {
-	sg.mu.Lock()
-	defer sg.mu.Unlock()
-	sg.entries = make(map[string]*stageEntry)
-}

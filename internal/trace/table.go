@@ -93,8 +93,5 @@ func Bytes(n int64) string {
 	}
 }
 
-// Percent formats a ratio as a percentage.
-func Percent(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
-
 // Speedup formats a ratio like "6.3x".
 func Speedup(v float64) string { return fmt.Sprintf("%.1fx", v) }

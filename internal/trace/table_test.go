@@ -36,7 +36,6 @@ func TestFormatters(t *testing.T) {
 		{Bytes(2 * 1024), "2.0KiB"},
 		{Bytes(3 * 1024 * 1024), "3.0MiB"},
 		{Bytes(5 << 30), "5.00GiB"},
-		{Percent(0.0136), "1.36%"},
 		{Speedup(6.28), "6.3x"},
 	}
 	for _, c := range cases {

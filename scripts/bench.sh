@@ -21,12 +21,10 @@
 # utilization-vs-oversubscription curve in BENCH_fleet.json.
 # All land at the repository root.
 #
-# Every row also records the harness's own wall-clock cost (wall_ns /
-# wall_*_ns fields, plus the per-result wall_ns_per_gib normalization):
-# how much real time the simulation spent producing its virtual numbers.
-# Wall fields are machine-dependent and excluded from the regression
-# gate (`snapbench -check baselines/`); everything else is virtual-clock
-# deterministic and gated exactly.
+# Every recorded field is virtual time: deterministic, and gated exactly
+# by `snapbench -check baselines/`. What the simulator costs to run on the
+# wall clock is not recorded here; bench/ (BENCHMARK.json) is the one wall
+# ruler.
 #
 #   bench.sh          regenerate the full-scale BENCH_*.json at the root
 #   bench.sh -smoke   regenerate the smoke-scale baselines/ the verify.sh
@@ -37,7 +35,7 @@ cd "$(dirname "$0")/.."
 
 # One loop serves both halves. Each entry is snapbench's flag for the
 # benchmark, the BENCH_<name>.json it records, and the full-scale banner —
-# the same five rows, in the same order, as experiments.Benches.
+# the five standing benchmarks, in the order experiments.All lists them.
 prefix= smoke=
 if [ "${1:-}" = "-smoke" ]; then
     echo "==> regenerating smoke-scale regression-gate baselines (baselines/)"

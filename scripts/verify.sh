@@ -47,20 +47,24 @@ echo "==> snapifylint -unused-allowlist (no stale suppressions)"
 go run ./cmd/snapifylint -unused-allowlist ./internal/... ./cmd/...
 
 echo "==> go test -race ./..."
+# ./... includes ./cmd/snapbench, whose tests drive the command's run()
+# in-process: usage errors, the -json/-trace one-document rule, the
+# baseline gate's refusal of extra selectors.
 go test -race ./...
 
-echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd)"
+echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd, internal/experiments)"
 # Per-package statement-coverage floors for the packages that hold the
 # durability-critical logic (the dedup store, the snapshot protocol, the
 # checkpoint / restart engine with its context-file codec, and the two
-# daemons that speak the control and data protocols) and the schedulers
-# above them. The floors sit a few points under the measured
+# daemons that speak the control and data protocols), the schedulers
+# above them, and the experiment registry every reported number comes out
+# of. The floors sit a few points under the measured
 # coverage at the time each floor was set, so they trip on real test
 # erosion, not on formatting-level churn. Raise a floor when coverage
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:62.0" "./internal/fleetd/:78.0"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:78.0" "./internal/experiments/:77.0"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -138,10 +142,11 @@ echo "==> store read stream determinism (-count=50, GOMAXPROCS 1 and 8)"
 GOMAXPROCS=1 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 
-echo "==> snapbench -parallel -smoke -trace (parallel capture + trace smoke)"
-# The -trace flag makes snapbench export the sweep's Chrome trace and
-# schema-check it (obs.ValidateChromeTrace) before writing; a malformed
-# trace fails the gate.
+echo "==> snapbench -parallel -smoke -trace (the trace file the analyzer step reads)"
+# The one smoke invocation left: snapifyctl's critical-path analyzer
+# below needs a trace file. Every standing benchmark's shape check and
+# trace validation run inside the baseline gate at the end, on the same
+# smoke-scale replays the store, migrate and fleet smokes used to repeat.
 trace_out=$(mktemp /tmp/snapify_trace_smoke.XXXXXX.json)
 go run ./cmd/snapbench -parallel -smoke -trace "$trace_out"
 
@@ -152,43 +157,13 @@ echo "==> snapifyctl analyze critical-path (smoke trace)"
 go run ./cmd/snapifyctl analyze critical-path "$trace_out"
 rm -f "$trace_out"
 
-echo "==> snapbench -store -smoke -trace (dedup store + trace smoke)"
-# The store smoke runs the swap-cycle dedup comparison on a small image;
-# its shape check pins the >= 3x shipped-byte reduction, the cold store
-# capture at <= 1.15x the plain one, the byte-identical store
-# round-trip, the negotiation spans' capture-scope correlation and their
-# windows adding up to each capture's image, and GC back to zero chunks.
-store_trace=$(mktemp /tmp/snapify_store_smoke.XXXXXX.json)
-go run ./cmd/snapbench -store -smoke -trace "$store_trace"
-rm -f "$store_trace"
-
-echo "==> snapbench -migrate -smoke -trace (live migration + trace smoke)"
-# The migrate smoke runs the stop-the-world vs live pre-copy sweep on
-# small images; its shape check pins byte-identical restores, bounded
-# live downtime against a stop-the-world that grows with image size,
-# pre-copy convergence within the round budget, the downtime/round span
-# accounting, and a store drained back to zero chunks after release.
-migrate_trace=$(mktemp /tmp/snapify_migrate_smoke.XXXXXX.json)
-go run ./cmd/snapbench -migrate -smoke -trace "$migrate_trace"
-rm -f "$migrate_trace"
-
-echo "==> snapbench -fleet -smoke -trace (fleet control plane + trace smoke)"
-# The fleet smoke runs the seeded bursty trace against the model backend
-# at two oversubscription ratios; its shape check pins job conservation,
-# everything-admitted-completes, the evacuation deadline, swap-backed
-# oversubscription lifting utilization over the 100% baseline, and the
-# event heap staying O(log n). The -trace flag schema-checks the
-# control-plane Chrome trace (obs.ValidateChromeTrace) before writing.
-fleet_trace=$(mktemp /tmp/snapify_fleet_smoke.XXXXXX.json)
-go run ./cmd/snapbench -fleet -smoke -trace "$fleet_trace"
-rm -f "$fleet_trace"
-
 echo "==> snapbench -check baselines/ (benchmark regression gate)"
-# Re-runs every committed smoke-scale baseline at its recorded parameters
-# and fails on any drifted non-wall field: the virtual clock makes every
-# benchmark number exactly reproducible, so a drift means the data path
-# changed and the baselines (and their analysis) must be regenerated
-# deliberately — scripts/bench.sh -smoke refreshes them.
+# Replays every committed smoke-scale baseline at its recorded parameters
+# and fails on a drifted field (every field is virtual time, so exactly
+# reproducible — a drift means the data path changed and the baselines,
+# and their analysis, must be regenerated deliberately with
+# scripts/bench.sh -smoke), on a replay that breaks one of its benchmark's
+# CheckShape claims, or on one whose trace is not a valid Chrome trace.
 go run ./cmd/snapbench -check baselines/
 
 echo "verify: all gates passed"

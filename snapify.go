@@ -133,7 +133,7 @@ type Server struct {
 // COI daemon per card. On failure every daemon already started is stopped
 // before the error is returned.
 func NewServer(opts ServerOptions) (*Server, error) {
-	plat, err := platform.New(platform.Config{
+	plat, err := coi.Boot(platform.Config{
 		Server: phi.ServerConfig{
 			Devices: opts.Devices,
 			Device:  phi.DeviceConfig{MemBytes: opts.DeviceMemBytes},
@@ -143,21 +143,13 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapify: %w", err)
 	}
-	if err := coi.StartDaemons(plat); err != nil {
-		coi.StopDaemons(plat)
-		plat.IO.Stop()
-		return nil, fmt.Errorf("snapify: starting COI daemons: %w", err)
-	}
 	return &Server{Platform: plat}, nil
 }
 
 // Stop shuts the server down. It is idempotent: extra calls are no-ops, so
 // a deferred Stop composes with explicit shutdown paths.
 func (s *Server) Stop() {
-	s.stop.Do(func() {
-		coi.StopDaemons(s.Platform)
-		s.Platform.IO.Stop()
-	})
+	s.stop.Do(func() { coi.Shutdown(s.Platform) })
 }
 
 // Devices returns the number of cards.
