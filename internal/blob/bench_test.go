@@ -1,0 +1,45 @@
+package blob
+
+import "testing"
+
+// BenchmarkBufferSequentialWrite fills a fresh 32 MiB buffer with 64 KiB
+// writes, the way an offload app's "in" transfers fill its local store.
+func BenchmarkBufferSequentialWrite(b *testing.B) {
+	const size, chunk = 32 << 20, 64 << 10
+	p := make([]byte, chunk)
+	b.ReportAllocs()
+	b.SetBytes(size)
+	for i := 0; i < b.N; i++ {
+		buf := NewBuffer(size, 7)
+		for off := int64(0); off < size; off += chunk {
+			buf.WriteAt(p, off)
+		}
+	}
+}
+
+// BenchmarkBufferReadAtCovered reads 64 KiB of a fully written range of a
+// seeded buffer, the kernel's per-step read of its input.
+func BenchmarkBufferReadAtCovered(b *testing.B) {
+	const size, chunk = 4 << 20, 64 << 10
+	buf := NewBuffer(size, 7)
+	p := make([]byte, chunk)
+	for off := int64(0); off < size; off += chunk {
+		buf.WriteAt(p, off)
+	}
+	b.ReportAllocs()
+	b.SetBytes(chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.ReadAt(p, int64(i)*chunk%size)
+	}
+}
+
+// BenchmarkMaterialize generates 1 MiB of seeded background.
+func BenchmarkMaterialize(b *testing.B) {
+	dst := make([]byte, 1<<20)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(dst)))
+	for i := 0; i < b.N; i++ {
+		Materialize(0xDEADBEEF, 0, dst)
+	}
+}

@@ -18,6 +18,7 @@
 package blob
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 )
@@ -157,37 +158,45 @@ func gen8(seed uint64, alignedOff int64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Materialize fills dst with the synthetic stream of seed starting at off.
+// Materialize fills dst with the synthetic stream of seed starting at off:
+// one little-endian gen8 word per aligned 8 bytes, byte by byte only for an
+// unaligned head and tail.
 func Materialize(seed uint64, off int64, dst []byte) {
 	if seed == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 		return
 	}
-	for i := 0; i < len(dst); {
-		pos := off + int64(i)
-		aligned := pos &^ 7
-		w := gen8(seed, aligned)
-		for j := pos - aligned; j < 8 && i < len(dst); j++ {
-			dst[i] = byte(w >> (8 * uint(j)))
-			i++
-		}
+	i := 0
+	for ; i < len(dst) && (off+int64(i))&7 != 0; i++ {
+		dst[i] = genByte(seed, off+int64(i))
+	}
+	for ; len(dst)-i >= 8; i += 8 {
+		binary.LittleEndian.PutUint64(dst[i:], gen8(seed, off+int64(i)))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = genByte(seed, off+int64(i))
+	}
+}
+
+// genByte returns the background byte of stream seed at pos.
+func genByte(seed uint64, pos int64) byte {
+	return byte(gen8(seed, pos&^7) >> (8 * uint(pos&7)))
+}
+
+// CopyTo materializes the blob into dst, which must hold at least Len()
+// bytes.
+func (b Blob) CopyTo(dst []byte) {
+	pos := int64(0)
+	for _, e := range b.extents {
+		sliceOrGen(e, 0, e.Size, dst[pos:pos+e.Size])
+		pos += e.Size
 	}
 }
 
 // Bytes materializes the whole blob. Intended for tests and small blobs.
 func (b Blob) Bytes() []byte {
 	out := make([]byte, b.size)
-	pos := int64(0)
-	for _, e := range b.extents {
-		if e.IsLiteral() {
-			copy(out[pos:], e.Literal)
-		} else {
-			Materialize(e.Seed, e.Off, out[pos:pos+e.Size])
-		}
-		pos += e.Size
-	}
+	b.CopyTo(out)
 	return out
 }
 

@@ -154,8 +154,8 @@ func TestBufferMergeAdjacentAndOverlapping(t *testing.T) {
 	buf.WriteAt([]byte("aaaa"), 10) // [10,14)
 	buf.WriteAt([]byte("bbbb"), 14) // adjacent -> [10,18)
 	buf.WriteAt([]byte("cc"), 12)   // overlap inside
-	if len(buf.writes) != 1 {
-		t.Fatalf("writes not merged: %d spans", len(buf.writes))
+	if lits := literalExtents(buf.Snapshot()); lits != 1 {
+		t.Fatalf("one written run snapshots as %d literal extents, want 1", lits)
 	}
 	p := make([]byte, 8)
 	buf.ReadAt(p, 10)

@@ -2,6 +2,7 @@ package blob
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -10,19 +11,26 @@ import (
 // application has actually written. It is the content representation of a
 // simulated process's memory regions and COI buffers.
 //
+// Two cost rules keep it at memory speed: a written byte is copied once
+// (into the span that covers it, or into a fresh span of exactly the
+// uncovered gap — spans are never regrown or merged), and a read generates
+// background only where no span covers it.
+//
 // Buffer is not safe for concurrent use; the owning process model
 // serializes access (a real process's memory has no internal locking
 // either).
 type Buffer struct {
 	size   int64
 	seed   uint64
-	writes []span // sorted by off, non-overlapping, non-adjacent
+	writes []span // sorted by off, non-overlapping, non-empty; may be adjacent
 }
 
 type span struct {
 	off  int64
 	data []byte
 }
+
+func (w span) end() int64 { return w.off + int64(len(w.data)) }
 
 // NewBuffer returns a Buffer of size bytes of background content seed
 // (seed 0 = zero-filled, like fresh anonymous memory).
@@ -45,75 +53,33 @@ func (b *Buffer) DirtyBytes() int64 {
 	return n
 }
 
-// WriteAt copies p into the buffer at off.
+// search returns the index of the first span ending after off.
+func (b *Buffer) search(off int64) int {
+	return sort.Search(len(b.writes), func(i int) bool { return b.writes[i].end() > off })
+}
+
+// WriteAt copies p into the buffer at off: in place wherever a span already
+// covers the range, into a fresh span of exactly its length for each gap.
 func (b *Buffer) WriteAt(p []byte, off int64) {
-	if off < 0 || off+int64(len(p)) > b.size {
-		panic(fmt.Sprintf("blob: write [%d,%d) out of range of %d", off, off+int64(len(p)), b.size)) //nolint:paniclib // caller bug: write bounds, mirroring built-in slice semantics
-	}
-	if len(p) == 0 {
-		return
-	}
 	end := off + int64(len(p))
-
-	// Fast path: the write lands entirely inside one existing span (the
-	// steady state once a hot region has coalesced) — copy in place.
-	lo := sort.Search(len(b.writes), func(i int) bool {
-		return b.writes[i].off+int64(len(b.writes[i].data)) >= off
-	})
-	if lo < len(b.writes) {
-		if w := b.writes[lo]; w.off <= off && end <= w.off+int64(len(w.data)) {
-			copy(w.data[off-w.off:], p)
-			return
+	if off < 0 || end > b.size {
+		panic(fmt.Sprintf("blob: write [%d,%d) out of range of %d", off, end, b.size)) //nolint:paniclib // caller bug: write bounds, mirroring built-in slice semantics
+	}
+	for i, pos := b.search(off), off; pos < end; i++ {
+		if i < len(b.writes) && b.writes[i].off <= pos {
+			w := b.writes[i]
+			pos += int64(copy(w.data[pos-w.off:], p[pos-off:]))
+			continue
 		}
-	}
-
-	// Append fast path: the write overlaps or abuts the tail of exactly
-	// one span and extends it (the steady state of sequential writers) —
-	// extend with append, which amortizes instead of re-copying the span.
-	hiProbe := sort.Search(len(b.writes), func(i int) bool {
-		return b.writes[i].off > end
-	})
-	if hiProbe == lo+1 {
-		w := &b.writes[lo]
-		wEnd := w.off + int64(len(w.data))
-		if off >= w.off && off <= wEnd && end > wEnd {
-			inPlace := wEnd - off // bytes overwriting existing data
-			copy(w.data[off-w.off:], p[:inPlace])
-			w.data = append(w.data, p[inPlace:]...)
-			return
+		gapEnd := end
+		if i < len(b.writes) {
+			gapEnd = min(gapEnd, b.writes[i].off)
 		}
+		data := make([]byte, gapEnd-pos)
+		copy(data, p[pos-off:])
+		b.writes = slices.Insert(b.writes, i, span{off: pos, data: data})
+		pos = gapEnd
 	}
-
-	// Slow path: merge all spans overlapping or adjacent to [off, end)
-	// with the new data into a single span.
-	hi := sort.Search(len(b.writes), func(i int) bool {
-		return b.writes[i].off > end
-	})
-	if lo == hi {
-		// No overlap/adjacency: insert a fresh span.
-		data := make([]byte, len(p))
-		copy(data, p)
-		b.writes = append(b.writes, span{})
-		copy(b.writes[lo+1:], b.writes[lo:])
-		b.writes[lo] = span{off: off, data: data}
-		return
-	}
-	first, last := b.writes[lo], b.writes[hi-1]
-	newOff := first.off
-	if off < newOff {
-		newOff = off
-	}
-	newEnd := last.off + int64(len(last.data))
-	if end > newEnd {
-		newEnd = end
-	}
-	merged := make([]byte, newEnd-newOff)
-	for _, w := range b.writes[lo:hi] {
-		copy(merged[w.off-newOff:], w.data)
-	}
-	copy(merged[off-newOff:], p)
-	b.writes[lo] = span{off: newOff, data: merged}
-	b.writes = append(b.writes[:lo+1], b.writes[hi:]...)
 }
 
 // Fill writes n copies of v starting at off.
@@ -127,27 +93,23 @@ func (b *Buffer) Fill(v byte, off, n int64) {
 	b.WriteAt(p, off)
 }
 
-// ReadAt fills p with buffer content at off.
+// ReadAt fills p with buffer content at off: overlay bytes are copied, and
+// background is generated only for the gaps between spans.
 func (b *Buffer) ReadAt(p []byte, off int64) {
-	if off < 0 || off+int64(len(p)) > b.size {
-		panic(fmt.Sprintf("blob: read [%d,%d) out of range of %d", off, off+int64(len(p)), b.size)) //nolint:paniclib // caller bug: read bounds, mirroring built-in slice semantics
-	}
-	Materialize(b.seed, off, p)
-	lo := sort.Search(len(b.writes), func(i int) bool {
-		return b.writes[i].off+int64(len(b.writes[i].data)) > off
-	})
 	end := off + int64(len(p))
-	for i := lo; i < len(b.writes) && b.writes[i].off < end; i++ {
-		w := b.writes[i]
-		s, e := w.off, w.off+int64(len(w.data))
-		if s < off {
-			s = off
-		}
-		if e > end {
-			e = end
-		}
-		copy(p[s-off:e-off], w.data[s-w.off:e-w.off])
+	if off < 0 || end > b.size {
+		panic(fmt.Sprintf("blob: read [%d,%d) out of range of %d", off, end, b.size)) //nolint:paniclib // caller bug: read bounds, mirroring built-in slice semantics
 	}
+	pos := off
+	for i := b.search(off); i < len(b.writes) && b.writes[i].off < end; i++ {
+		w := b.writes[i]
+		if w.off > pos {
+			Materialize(b.seed, pos, p[pos-off:w.off-off])
+			pos = w.off
+		}
+		pos += int64(copy(p[pos-off:], w.data[pos-w.off:]))
+	}
+	Materialize(b.seed, pos, p[pos-off:])
 }
 
 // Snapshot returns an immutable Blob of the buffer's current content:
@@ -207,60 +169,57 @@ func (b *Buffer) clearOverlay(off, n int64) {
 		return
 	}
 	end := off + n
-	var out []span
-	for _, w := range b.writes {
-		ws, we := w.off, w.off+int64(len(w.data))
-		if we <= off || ws >= end {
-			out = append(out, w)
-			continue
-		}
-		if ws < off {
-			out = append(out, span{off: ws, data: w.data[:off-ws]})
-		}
-		if we > end {
-			out = append(out, span{off: end, data: w.data[end-ws:]})
-		}
+	lo := b.search(off)
+	hi := lo
+	for hi < len(b.writes) && b.writes[hi].off < end {
+		hi++
 	}
-	b.writes = out
+	if lo == hi {
+		return
+	}
+	var keep []span
+	if w := b.writes[lo]; w.off < off {
+		keep = append(keep, span{off: w.off, data: w.data[:off-w.off]})
+	}
+	if w := b.writes[hi-1]; w.end() > end {
+		keep = append(keep, span{off: end, data: w.data[end-w.off:]})
+	}
+	b.writes = slices.Replace(b.writes, lo, hi, keep...)
 }
 
 // SnapshotRange returns an immutable Blob of the buffer content in
-// [off, off+n).
+// [off, off+n). Each maximal run of adjacent spans becomes one literal
+// extent.
 func (b *Buffer) SnapshotRange(off, n int64) Blob {
-	if off < 0 || n < 0 || off+n > b.size {
-		panic(fmt.Sprintf("blob: SnapshotRange [%d,%d) out of range of %d", off, off+n, b.size)) //nolint:paniclib // caller bug: snapshot bounds, mirroring built-in slice semantics
+	end := off + n
+	if off < 0 || n < 0 || end > b.size {
+		panic(fmt.Sprintf("blob: SnapshotRange [%d,%d) out of range of %d", off, end, b.size)) //nolint:paniclib // caller bug: snapshot bounds, mirroring built-in slice semantics
 	}
 	if n == 0 {
 		return Blob{}
 	}
 	var out Blob
-	end := off + n
+	add := func(e Extent) {
+		out.extents = append(out.extents, e)
+		out.size += e.Size
+	}
 	pos := off
-	lo := sort.Search(len(b.writes), func(i int) bool {
-		return b.writes[i].off+int64(len(b.writes[i].data)) > off
-	})
-	for i := lo; i < len(b.writes) && b.writes[i].off < end; i++ {
-		w := b.writes[i]
-		ws, we := w.off, w.off+int64(len(w.data))
-		if ws < pos {
-			ws = pos
+	for i := b.search(off); i < len(b.writes) && b.writes[i].off < end; {
+		if ws := b.writes[i].off; ws > pos {
+			add(Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: ws - pos})
+			pos = ws
 		}
-		if we > end {
-			we = end
+		runEnd := b.writes[i].end()
+		for i++; i < len(b.writes) && runEnd < end && b.writes[i].off == runEnd; i++ {
+			runEnd = b.writes[i].end()
 		}
-		if ws > pos {
-			out.extents = append(out.extents, Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: ws - pos})
-			out.size += ws - pos
-		}
-		data := make([]byte, we-ws)
-		copy(data, w.data[ws-w.off:we-w.off])
-		out.extents = append(out.extents, Extent{Literal: data, Size: int64(len(data))})
-		out.size += int64(len(data))
-		pos = we
+		data := make([]byte, min(runEnd, end)-pos)
+		b.ReadAt(data, pos)
+		add(Extent{Literal: data, Size: int64(len(data))})
+		pos += int64(len(data))
 	}
 	if pos < end {
-		out.extents = append(out.extents, Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: end - pos})
-		out.size += end - pos
+		add(Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: end - pos})
 	}
 	return out
 }

@@ -97,7 +97,7 @@ func (m bytesMemory) SnapshotRange(off, n int64) blob.Blob {
 }
 
 func (m bytesMemory) WriteBlob(off int64, src blob.Blob) {
-	copy(m.p[off:], src.Bytes())
+	src.CopyTo(m.p[off:])
 }
 
 // Write copies data into the buffer at off via RDMA (COIBufferWrite: the

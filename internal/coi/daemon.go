@@ -31,6 +31,10 @@ type Daemon struct {
 	mu     sync.Mutex
 	procs  map[int]*OffloadProc
 	nextID int
+	// conns are the host connections being served. A host process that
+	// exits without Destroy leaves its handler parked in Recv, so Stop
+	// closes them or the handler would hold the daemon forever.
+	conns map[*scif.Endpoint]struct{}
 
 	// crashed records offload processes that exited without announcement;
 	// an expected exit (Snapify swap-out) must NOT land here (Section 3,
@@ -69,6 +73,7 @@ func StartDaemon(plat *platform.Platform, dev *phi.Device) (*Daemon, error) {
 		lst:        lst,
 		procs:      make(map[int]*OffloadProc),
 		nextID:     1,
+		conns:      make(map[*scif.Endpoint]struct{}),
 		crashed:    make(map[int]bool),
 		activeReqs: make(map[int]*pauseState),
 		staging:    snapstore.NewStaging(),
@@ -111,6 +116,14 @@ func (d *Daemon) Stop() {
 	}
 	d.p.AnnounceExit()
 	d.p.Terminate()
+	// Closing touches no virtual clock, so map order is harmless here.
+	d.mu.Lock()
+	conns := d.conns
+	d.conns = nil
+	d.mu.Unlock()
+	for ep := range conns {
+		ep.Close() //nolint:errcheck // daemon stop: releasing the endpoint is the point
+	}
 }
 
 // Crashed reports whether the daemon marked offload process id as crashed.
@@ -148,6 +161,19 @@ func (d *Daemon) serve() {
 // with an error reply and the connection keeps serving; an opcode nobody
 // serves (a corrupted frame) drops the connection.
 func (d *Daemon) handleConn(ep *scif.Endpoint) {
+	d.mu.Lock()
+	if d.conns == nil { // Stop already ran
+		d.mu.Unlock()
+		ep.Close() //nolint:errcheck // daemon stopped: refusing the connection is the point
+		return
+	}
+	d.conns[ep] = struct{}{}
+	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		delete(d.conns, ep)
+		d.mu.Unlock()
+	}()
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {

@@ -52,19 +52,20 @@ echo "==> go test -race ./..."
 # baseline gate's refusal of extra selectors.
 go test -race ./...
 
-echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd, internal/experiments)"
+echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd, internal/experiments, internal/blob)"
 # Per-package statement-coverage floors for the packages that hold the
 # durability-critical logic (the dedup store, the snapshot protocol, the
 # checkpoint / restart engine with its context-file codec, and the two
 # daemons that speak the control and data protocols), the schedulers
-# above them, and the experiment registry every reported number comes out
-# of. The floors sit a few points under the measured
+# above them, the experiment registry every reported number comes out
+# of, and the content representation under every region and COI buffer
+# (internal/blob). The floors sit a few points under the measured
 # coverage at the time each floor was set, so they trip on real test
 # erosion, not on formatting-level churn. Raise a floor when coverage
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:78.0" "./internal/experiments/:77.0"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:78.0" "./internal/experiments/:77.0" "./internal/blob/:90.4"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -90,7 +91,8 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # protocols' request decoders (bytes off a SCIF connection, which the
 # fault plan truncates and corrupts), and the fault plan's own JSON
 # decoder (a -faults file, and what the chaos sweeps arm their per-index
-# faults from). The committed corpora
+# faults from); and one differential target, blob.Buffer's overlay
+# against a flat []byte oracle under random op programs. The committed corpora
 # under testdata/fuzz/ replay first; 5s of mutation on top catches
 # regressions in input hardening without turning the gate into a fuzzing
 # campaign. Crashers minimize into testdata/fuzz/ and fail the gate until
@@ -102,6 +104,7 @@ go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 5s ./internal/faultinject/
+go test -run '^$' -fuzz '^FuzzBufferOps$' -fuzztime 5s ./internal/blob/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
