@@ -49,6 +49,9 @@ type ModelBackend struct {
 	opts  ModelOptions
 	model *simclock.Model
 	names []string
+	// index maps a host name to its position in names: the rack
+	// arithmetic and the replica ring read positions, never names.
+	index map[string]int
 	local snapstore.LinkModel
 	cross snapstore.LinkModel
 
@@ -71,12 +74,15 @@ func NewModelBackend(opts ModelOptions) *ModelBackend {
 		model:   simclock.Default(),
 		local:   snapstore.DefaultLink(),
 		cross:   snapstore.CrossRackLink(),
+		index:   make(map[string]int, opts.Hosts),
 		holders: make(map[int][]string),
 		dead:    make(map[string]bool),
 		swapped: make(map[int]int),
 	}
 	for i := 0; i < opts.Hosts; i++ {
-		b.names = append(b.names, fmt.Sprintf("h%03d", i))
+		name := fmt.Sprintf("h%03d", i)
+		b.names = append(b.names, name)
+		b.index[name] = i
 	}
 	return b
 }
@@ -94,12 +100,13 @@ func (b *ModelBackend) Topology() []HostTopo {
 	return out
 }
 
+// rackOf returns host's rack, -1 for a host this backend did not name.
 func (b *ModelBackend) rackOf(host string) int {
-	var idx int
-	if _, err := fmt.Sscanf(host, "h%d", &idx); err != nil {
+	i, ok := b.index[host]
+	if !ok {
 		return -1
 	}
-	return idx / b.opts.hostsPerRack()
+	return i / b.opts.hostsPerRack()
 }
 
 // LinkCost prices an a->b transfer: default link within a rack, the
@@ -143,10 +150,7 @@ func (b *ModelBackend) replicate(j *Job, dirty int64) simclock.Duration {
 	self := j.Host
 	holders := []string{self}
 	var worst simclock.Duration
-	var start int
-	if _, err := fmt.Sscanf(self, "h%d", &start); err != nil {
-		start = 0
-	}
+	start := b.index[self]
 	for i := 1; i < n && len(holders) < b.opts.replicaK(); i++ {
 		peer := b.names[(start+i)%n]
 		if b.dead[peer] {

@@ -64,9 +64,20 @@ func (b *chaosBackend) SwapOut(j *Job) (simclock.Duration, error) {
 
 var _ Backend = (*chaosBackend)(nil)
 
-// runChaosEvacuation drains a fully packed host while a seeded plan
-// kills migration destinations mid-wave, and returns the final stats.
+// runChaosEvacuation runs chaosEvacuation to the end and returns the
+// final stats.
 func runChaosEvacuation(t *testing.T, seed uint64) Stats {
+	t.Helper()
+	c := chaosEvacuation(t, seed)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats()
+}
+
+// chaosEvacuation sets up, without running it, the drain of a fully
+// packed host while a seeded plan kills migration destinations mid-wave.
+func chaosEvacuation(t *testing.T, seed uint64) *Controller {
 	t.Helper()
 	be := &chaosBackend{
 		ModelBackend: NewModelBackend(ModelOptions{
@@ -87,10 +98,7 @@ func runChaosEvacuation(t *testing.T, seed uint64) Stats {
 		t.Fatal(err)
 	}
 	c.ScheduleEvacuation(2*ms, "h000", 300000*ms)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return c.Stats()
+	return c
 }
 
 // TestChaosFleetEvacuationHostKill packs eight jobs onto one host and
@@ -127,10 +135,21 @@ func TestChaosFleetEvacuationSeedReplay(t *testing.T) {
 	}
 }
 
-// runChaosPreemption races a high-priority arrival against a resident
-// low-priority job while a seeded plan crashes swap-out captures, and
-// returns the final stats.
+// runChaosPreemption runs chaosPreemption to the end and returns the
+// final stats.
 func runChaosPreemption(t *testing.T, seed uint64) Stats {
+	t.Helper()
+	c := chaosPreemption(t, seed)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats()
+}
+
+// chaosPreemption sets up, without running it, a high-priority arrival
+// racing a resident low-priority job while a seeded plan crashes
+// swap-out captures.
+func chaosPreemption(t *testing.T, seed uint64) *Controller {
 	t.Helper()
 	be := &chaosBackend{
 		ModelBackend: NewModelBackend(ModelOptions{
@@ -148,10 +167,7 @@ func runChaosPreemption(t *testing.T, seed uint64) Stats {
 	if err := c.SubmitTrace(specs); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return c.Stats()
+	return c
 }
 
 // TestChaosFleetPreemptionCrash crashes the eviction capture the first

@@ -192,7 +192,7 @@ func (c *Controller) resumeOnSource(j *Job) {
 		// Still a snapshot; nothing was moving on the card. Re-raise the
 		// burst trigger the move canceled: the waiter entry when its
 		// burst is already due, the think end otherwise.
-		j.State = StateSwappedOut
+		c.setState(j, StateSwappedOut)
 		if j.wantsBurst {
 			queued := false
 			for _, id := range cd.waiters {
@@ -213,7 +213,7 @@ func (c *Controller) resumeOnSource(j *Job) {
 		}
 		return
 	}
-	j.State = StateThinking
+	c.setState(j, StateThinking)
 	// Its think clock kept running during the failed move.
 	if j.thinkEndAt > c.now {
 		c.schedule(j.thinkEndAt, evThinkEnd, j)
@@ -263,6 +263,7 @@ func (c *Controller) migrateDone(j *Job) error {
 	j.Host, j.Card = dstHost.name, dst.idx
 	dst.residents[j.ID] = j
 	dstHost.assigned[j.ID] = j
+	c.touch(j)
 	j.snapshotted = true
 	j.ckptBursts = j.burstsDone
 	c.stats.EvacMoves++
@@ -277,7 +278,7 @@ func (c *Controller) migrateDone(j *Job) error {
 			return err
 		}
 	} else {
-		j.State = StateThinking
+		c.setState(j, StateThinking)
 		c.schedule(j.thinkEndAt, evThinkEnd, j)
 	}
 	return c.drainStep(src)
@@ -388,7 +389,7 @@ func (c *Controller) markHostDead(name string) error {
 			j.ckptBursts = 0
 			c.stats.Restarted++
 		}
-		j.State = StatePending
+		c.setState(j, StatePending)
 		j.enqueuedAt = c.now
 		c.tenantQueued[j.Spec.Tenant]++
 		c.pending.Push(j)

@@ -19,8 +19,10 @@
 package fleetd
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"snapify/internal/obs"
@@ -159,6 +161,9 @@ type Job struct {
 	// the victim.
 	preemptEvicts int
 	preemptFor    int
+	// idleOn is the card whose idle tally counts this job, nil when none
+	// does; only touch moves it.
+	idleOn *card
 
 	curOp   opKind
 	opStart simclock.Duration
@@ -267,9 +272,46 @@ type card struct {
 	// retries counts consecutive failed serve attempts; it drives the
 	// card-targeted retry backoff and resets on the first success.
 	retries int
+	// idlers are the card's assigned jobs that preemption may evict:
+	// thinking or swapped out, and not already a victim. idle tallies
+	// their footprint per priority, in ascending priority order. touch
+	// is their only writer.
+	idlers map[int]*Job
+	idle   []prioBytes
+}
+
+// prioBytes is one priority's entry in a card's idle tally.
+type prioBytes struct {
+	prio  int
+	bytes int64
 }
 
 func (c *card) commitCap(pct int64) int64 { return c.cap * pct / 100 }
+
+// idleBelow is the footprint of the card's idlers below priority prio:
+// everything a job of that priority could free here by preemption.
+func (c *card) idleBelow(prio int) int64 {
+	var n int64
+	for _, t := range c.idle {
+		if t.prio >= prio {
+			break
+		}
+		n += t.bytes
+	}
+	return n
+}
+
+// addIdle moves priority prio's idle tally by delta bytes.
+func (c *card) addIdle(prio int, delta int64) {
+	i := 0
+	for i < len(c.idle) && c.idle[i].prio < prio {
+		i++
+	}
+	if i == len(c.idle) || c.idle[i].prio != prio {
+		c.idle = slices.Insert(c.idle, i, prioBytes{prio: prio})
+	}
+	c.idle[i].bytes += delta
+}
 
 type drainState struct {
 	deadline  simclock.Duration
@@ -349,6 +391,10 @@ type Controller struct {
 	waitLats  []simclock.Duration
 	totalCap  int64
 	firstTime simclock.Duration
+
+	// cands and take are preemptPlan's scratch: one card's candidates,
+	// and the best plan's victims so far.
+	cands, take []*Job
 
 	mAdmitted, mRejected, mPlacements, mPreempts *obs.Counter
 	mSwapOuts, mSwapIns, mEvacMoves, mLost       *obs.Counter
@@ -553,12 +599,7 @@ func (c *Controller) RunUntil(until simclock.Duration) error {
 		if until >= 0 && c.events.es[0].at > until {
 			break
 		}
-		e := c.events.Pop()
-		c.stats.Events++
-		if e.at > c.now {
-			c.now = e.at
-		}
-		if err := c.handle(e); err != nil {
+		if err := c.step(); err != nil {
 			return err
 		}
 	}
@@ -566,6 +607,16 @@ func (c *Controller) RunUntil(until simclock.Duration) error {
 		c.now = until
 	}
 	return nil
+}
+
+// step handles the next event; the heap must not be empty.
+func (c *Controller) step() error {
+	e := c.events.Pop()
+	c.stats.Events++
+	if e.at > c.now {
+		c.now = e.at
+	}
+	return c.handle(e)
 }
 
 func (c *Controller) handle(e event) error {
@@ -614,7 +665,7 @@ func (c *Controller) handle(e event) error {
 func (c *Controller) admit(j *Job) {
 	depth := c.opts.QueueDepth
 	if depth > 0 && c.tenantQueued[j.Spec.Tenant] >= depth {
-		j.State = StateRejected
+		c.setState(j, StateRejected)
 		c.stats.Rejected++
 		c.mRejected.Inc()
 		return
@@ -635,8 +686,13 @@ func (c *Controller) admit(j *Job) {
 // the card must also have physical residency headroom — evacuation
 // moves land resident immediately, so commit headroom alone (which
 // oversubscription inflates past card memory) is not enough for them.
+//
+// Fit comes before locality: a host's link cost is priced only once one
+// of its cards fits, since a host with no fitting card cannot win.
 func (c *Controller) findCard(j *Job, needRoom bool) *card {
 	pct := c.opts.oversubPct()
+	// Called even when no host fits: it forgets a snapshot whose every
+	// holder died, and later decisions read that.
 	holders := c.liveHolders(j)
 	var best *card
 	var bestLoc simclock.Duration
@@ -645,19 +701,7 @@ func (c *Controller) findCard(j *Job, needRoom bool) *card {
 		if h.dead || h.draining {
 			continue
 		}
-		loc := simclock.Duration(0)
-		if len(holders) > 0 {
-			loc = -1
-			for _, hold := range holders {
-				cost := simclock.Duration(0)
-				if hold != h.name {
-					cost = c.be.LinkCost(h.name, hold, j.Spec.Footprint)
-				}
-				if loc < 0 || cost < loc {
-					loc = cost
-				}
-			}
-		}
+		loc := simclock.Duration(-1) // priced at the host's first fitting card
 		for _, cd := range h.cards {
 			left := cd.commitCap(pct) - cd.committed - j.Spec.Footprint
 			if left < 0 {
@@ -666,12 +710,32 @@ func (c *Controller) findCard(j *Job, needRoom bool) *card {
 			if needRoom && cd.cap-cd.resident < j.Spec.Footprint {
 				continue
 			}
+			if loc < 0 {
+				_, loc = c.nearestHolder(h.name, holders, j.Spec.Footprint)
+			}
 			if best == nil || loc < bestLoc || (loc == bestLoc && left < bestLeft) {
 				best, bestLoc, bestLeft = cd, loc, left
 			}
 		}
 	}
 	return best
+}
+
+// nearestHolder returns the holder cheapest to move n bytes from onto
+// host (the first one on ties) and that link cost; with no holders, ""
+// and 0.
+func (c *Controller) nearestHolder(host string, holders []string, n int64) (string, simclock.Duration) {
+	from, best := "", simclock.Duration(0)
+	for i, hold := range holders {
+		cost := simclock.Duration(0)
+		if hold != host {
+			cost = c.be.LinkCost(host, hold, n)
+		}
+		if i == 0 || cost < best {
+			from, best = hold, cost
+		}
+	}
+	return from, best
 }
 
 // liveHolders returns j's replica holders on living hosts. When the
@@ -744,6 +808,7 @@ func (c *Controller) place(j *Job, cd *card) error {
 	j.Host, j.Card = h.name, cd.idx
 	cd.committed += j.Spec.Footprint
 	h.assigned[j.ID] = j
+	c.touch(j)
 	c.stats.Placements++
 	if c.stats.Placements == 1 {
 		// The utilization window opens when work first reaches a card;
@@ -762,7 +827,7 @@ func (c *Controller) place(j *Job, cd *card) error {
 	}
 	// Oversubscribed: the job waits for residency like a swapped-out
 	// one; serveWaiters launches or recovers it once memory frees.
-	j.State = StateSwappedOut
+	c.setState(j, StateSwappedOut)
 	j.wantsBurst = true
 	j.swapWantedAt = c.now
 	cd.waiters = append(cd.waiters, j.ID)
@@ -778,17 +843,7 @@ func (c *Controller) placedMotion(j *Job, cd *card) error {
 	h := c.hosts[cd.hostIdx]
 	holders := c.liveHolders(j)
 	if len(holders) > 0 {
-		from := holders[0]
-		bestCost := simclock.Duration(-1)
-		for _, hold := range holders {
-			cost := simclock.Duration(0)
-			if hold != h.name {
-				cost = c.be.LinkCost(h.name, hold, j.Spec.Footprint)
-			}
-			if bestCost < 0 || cost < bestCost {
-				from, bestCost = hold, cost
-			}
-		}
+		from, _ := c.nearestHolder(h.name, holders, j.Spec.Footprint)
 		j.swapWantedAt = c.now
 		dur, err := c.be.Recover(j, h.name, cd.idx)
 		if err != nil {
@@ -808,78 +863,17 @@ func (c *Controller) placedMotion(j *Job, cd *card) error {
 	return nil
 }
 
-// tryPreempt looks for a card where evicting strictly-lower-priority
-// idle jobs (thinking or swapped out) frees enough committed memory for
-// j. Swapped victims unassign immediately; thinking victims swap out
-// through the store first. Returns true when a preemption started.
+// tryPreempt evicts the victims preemptPlan picks for j. Swapped
+// victims unassign immediately; thinking victims swap out through the
+// store first. Returns true when a preemption started.
 func (c *Controller) tryPreempt(j *Job) bool {
-	pct := c.opts.oversubPct()
-	type plan struct {
-		cd      *card
-		victims []*Job
-	}
-	var best *plan
-	for _, h := range c.hosts {
-		if h.dead || h.draining {
-			continue
-		}
-		for _, cd := range h.cards {
-			deficit := j.Spec.Footprint - (cd.commitCap(pct) - cd.committed)
-			if deficit <= 0 {
-				continue // findCard would have taken it
-			}
-			var cands []*Job
-			for _, v := range h.assigned {
-				if v.Card != cd.idx || v.beingPreempted {
-					continue
-				}
-				if v.Spec.Priority >= j.Spec.Priority {
-					continue
-				}
-				if v.State == StateThinking || v.State == StateSwappedOut {
-					cands = append(cands, v)
-				}
-			}
-			// Evict lowest priority first; ties prefer swapped-out (free
-			// to evict), then latest-returning, then ID.
-			sort.Slice(cands, func(a, b int) bool {
-				va, vb := cands[a], cands[b]
-				if va.Spec.Priority != vb.Spec.Priority {
-					return va.Spec.Priority < vb.Spec.Priority
-				}
-				aSwapped, bSwapped := va.State == StateSwappedOut, vb.State == StateSwappedOut
-				if aSwapped != bSwapped {
-					return aSwapped
-				}
-				if va.thinkEndAt != vb.thinkEndAt {
-					return va.thinkEndAt > vb.thinkEndAt
-				}
-				return va.ID < vb.ID
-			})
-			var take []*Job
-			freed := int64(0)
-			for _, v := range cands {
-				take = append(take, v)
-				freed += v.Spec.Footprint
-				if freed >= deficit {
-					break
-				}
-			}
-			if freed < deficit {
-				continue
-			}
-			if best == nil || len(take) < len(best.victims) ||
-				(len(take) == len(best.victims) && (cd.hostIdx < best.cd.hostIdx ||
-					(cd.hostIdx == best.cd.hostIdx && cd.idx < best.cd.idx))) {
-				best = &plan{cd: cd, victims: take}
-			}
-		}
-	}
-	if best == nil {
+	cd, victims := c.preemptPlan(j)
+	if cd == nil {
 		return false
 	}
-	for _, v := range best.victims {
+	for _, v := range victims {
 		v.beingPreempted = true
+		c.touch(v)
 		if v.State == StateSwappedOut {
 			c.evictPreempted(v)
 			continue
@@ -896,6 +890,76 @@ func (c *Controller) tryPreempt(j *Job) bool {
 	return true
 }
 
+// preemptPlan finds the card where evicting strictly-lower-priority idle
+// jobs (thinking or swapped out) frees enough committed memory for j
+// with the fewest victims, ties to the earliest card in topology order,
+// and returns it with those victims in eviction order; a nil card when
+// no card can. It changes nothing. The victims alias c.take and are
+// valid until the next call.
+func (c *Controller) preemptPlan(j *Job) (*card, []*Job) {
+	pct := c.opts.oversubPct()
+	var best *card
+	for _, h := range c.hosts {
+		if h.dead || h.draining {
+			continue
+		}
+		for _, cd := range h.cards {
+			deficit := j.Spec.Footprint - (cd.commitCap(pct) - cd.committed)
+			if deficit <= 0 {
+				continue // findCard would have taken it
+			}
+			// The tally is exactly what evicting every candidate below
+			// frees, so a card it cannot cover is skipped unwalked.
+			if cd.idleBelow(j.Spec.Priority) < deficit {
+				continue
+			}
+			cands := c.cands[:0]
+			for _, v := range cd.idlers {
+				if v.Spec.Priority < j.Spec.Priority {
+					cands = append(cands, v)
+				}
+			}
+			slices.SortFunc(cands, evictOrder)
+			take := cands
+			for i, v := range cands {
+				if deficit -= v.Spec.Footprint; deficit <= 0 {
+					take = cands[:i+1]
+					break
+				}
+			}
+			// Cards come in topology order, so a tie keeps the earlier one.
+			if best == nil || len(take) < len(c.take) {
+				best = cd
+				c.cands, c.take = c.take, take
+			} else {
+				c.cands = cands
+			}
+		}
+	}
+	if best == nil {
+		return nil, nil
+	}
+	return best, c.take
+}
+
+// evictOrder ranks preemption victims: lowest priority first; ties
+// prefer swapped-out (free to evict), then latest-returning, then ID.
+func evictOrder(a, b *Job) int {
+	if a.Spec.Priority != b.Spec.Priority {
+		return cmp.Compare(a.Spec.Priority, b.Spec.Priority)
+	}
+	if aSwapped, bSwapped := a.State == StateSwappedOut, b.State == StateSwappedOut; aSwapped != bSwapped {
+		if aSwapped {
+			return -1
+		}
+		return 1
+	}
+	if a.thinkEndAt != b.thinkEndAt {
+		return cmp.Compare(b.thinkEndAt, a.thinkEndAt)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
 // evictPreempted unassigns a victim whose state is already safely in
 // the store and requeues it.
 func (c *Controller) evictPreempted(v *Job) {
@@ -904,7 +968,7 @@ func (c *Controller) evictPreempted(v *Job) {
 	v.wantsBurst = false
 	v.launched = false // it may be re-placed anywhere; recovery re-homes it
 	v.epoch++
-	v.State = StatePending
+	c.setState(v, StatePending)
 	v.enqueuedAt = c.now
 	c.tenantQueued[v.Spec.Tenant]++
 	c.stats.Preemptions++
@@ -917,7 +981,7 @@ func (c *Controller) evictPreempted(v *Job) {
 func (c *Controller) abortEviction(v *Job, preemptor *Job) {
 	v.beingPreempted = false
 	v.preemptFor = 0
-	v.State = StateThinking
+	c.setState(v, StateThinking)
 	c.stats.PreemptAborts++
 	if preemptor != nil && preemptor.preemptEvicts > 0 {
 		preemptor.preemptEvicts--
@@ -943,7 +1007,42 @@ func (c *Controller) unassign(j *Job) {
 	}
 	delete(h.assigned, j.ID)
 	j.Host, j.Card = "", -1
+	c.touch(j)
 	c.serveWaiters(cd)
+}
+
+// setState moves j to state s. It is the only writer of Job.State, so
+// the idle tally it refreshes cannot drift from the states it sums.
+func (c *Controller) setState(j *Job, s JobState) {
+	j.State = s
+	c.touch(j)
+}
+
+// touch re-derives j's place in the idle tally: a job counts on its
+// assigned card while it is thinking or swapped out and not already a
+// preemption victim. It runs after every change to one of those inputs:
+// the state (setState), the assignment (place, unassign, migrateDone)
+// and the beingPreempted flag.
+func (c *Controller) touch(j *Job) {
+	var on *card
+	if j.Card >= 0 && !j.beingPreempted && (j.State == StateThinking || j.State == StateSwappedOut) {
+		on = c.hosts[c.hostIdx[j.Host]].cards[j.Card]
+	}
+	if on == j.idleOn {
+		return
+	}
+	if was := j.idleOn; was != nil {
+		was.addIdle(j.Spec.Priority, -j.Spec.Footprint)
+		delete(was.idlers, j.ID)
+	}
+	if on != nil {
+		on.addIdle(j.Spec.Priority, j.Spec.Footprint)
+		if on.idlers == nil {
+			on.idlers = make(map[int]*Job)
+		}
+		on.idlers[j.ID] = j
+	}
+	j.idleOn = on
 }
 
 // --- engine ops ---
@@ -962,13 +1061,13 @@ func (c *Controller) startOp(j *Job, k opKind, dur simclock.Duration, cd *card) 
 	j.opDur = dur
 	switch k {
 	case opLaunch:
-		j.State = StateLaunching
+		c.setState(j, StateLaunching)
 	case opRecover, opSwapIn:
-		j.State = StateSwappingIn
+		c.setState(j, StateSwappingIn)
 	case opSwapOut:
-		j.State = StateSwappingOut
+		c.setState(j, StateSwappingOut)
 	case opMigrate:
-		j.State = StateMigrating
+		c.setState(j, StateMigrating)
 	}
 	c.schedule(start+dur, evOpDone, j)
 }
@@ -1023,7 +1122,7 @@ func (c *Controller) swapOutDone(j *Job) error {
 	cd := h.cards[j.Card]
 	cd.resident -= j.Spec.Footprint
 	delete(cd.residents, j.ID)
-	j.State = StateSwappedOut
+	c.setState(j, StateSwappedOut)
 	j.snapshotted = true
 	j.ckptBursts = j.burstsDone
 	if j.opPreempt {
@@ -1165,7 +1264,7 @@ func (c *Controller) evictForResidency(cd *card) {
 // --- job lifecycle ---
 
 func (c *Controller) startBurst(j *Job) error {
-	j.State = StateRunning
+	c.setState(j, StateRunning)
 	j.wantsBurst = false
 	j.burstStart = c.now
 	if err := c.be.RunBurst(j); err != nil {
@@ -1182,7 +1281,7 @@ func (c *Controller) burstEnd(j *Job) error {
 	if j.burstsDone >= j.Spec.Bursts {
 		return c.complete(j)
 	}
-	j.State = StateThinking
+	c.setState(j, StateThinking)
 	j.thinkStart = c.now
 	j.thinkEndAt = c.now + j.Spec.ThinkLen
 	c.schedule(j.thinkEndAt, evThinkEnd, j)
@@ -1229,7 +1328,7 @@ func (c *Controller) thinkEnd(j *Job) error {
 }
 
 func (c *Controller) complete(j *Job) error {
-	j.State = StateDone
+	c.setState(j, StateDone)
 	c.stats.Completed++
 	c.stats.Makespan = c.now
 	if err := c.be.Finish(j); err != nil {

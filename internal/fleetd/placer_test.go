@@ -1,0 +1,305 @@
+package fleetd
+
+// The placer's differential oracle. findCardScan and preemptPlanScan are
+// the brute-force placement and preemption searches the indexed ones
+// replaced, kept verbatim: findCardScan prices every host's locality
+// before testing fit, preemptPlanScan walks every host's assigned jobs
+// for each card instead of reading the card's idle tally and idlers.
+// Stepping a run one event at a time, the indexed and the scan searches
+// must agree on the head job's card and victims after every event.
+
+import (
+	"fmt"
+	"sort"
+	"testing"
+
+	"snapify/internal/obs"
+	"snapify/internal/simclock"
+)
+
+// findCardScan is findCard as a brute-force scan: every living host's
+// replica locality is priced, fitting or not.
+func (c *Controller) findCardScan(j *Job, needRoom bool) *card {
+	pct := c.opts.oversubPct()
+	holders := c.liveHolders(j)
+	var best *card
+	var bestLoc simclock.Duration
+	var bestLeft int64
+	for _, h := range c.hosts {
+		if h.dead || h.draining {
+			continue
+		}
+		loc := simclock.Duration(0)
+		if len(holders) > 0 {
+			loc = -1
+			for _, hold := range holders {
+				cost := simclock.Duration(0)
+				if hold != h.name {
+					cost = c.be.LinkCost(h.name, hold, j.Spec.Footprint)
+				}
+				if loc < 0 || cost < loc {
+					loc = cost
+				}
+			}
+		}
+		for _, cd := range h.cards {
+			left := cd.commitCap(pct) - cd.committed - j.Spec.Footprint
+			if left < 0 {
+				continue
+			}
+			if needRoom && cd.cap-cd.resident < j.Spec.Footprint {
+				continue
+			}
+			if best == nil || loc < bestLoc || (loc == bestLoc && left < bestLeft) {
+				best, bestLoc, bestLeft = cd, loc, left
+			}
+		}
+	}
+	return best
+}
+
+// preemptPlanScan is preemptPlan as a brute-force scan: each card's
+// candidates are found by walking its host's assigned jobs.
+func (c *Controller) preemptPlanScan(j *Job) (*card, []*Job) {
+	pct := c.opts.oversubPct()
+	type plan struct {
+		cd      *card
+		victims []*Job
+	}
+	var best *plan
+	for _, h := range c.hosts {
+		if h.dead || h.draining {
+			continue
+		}
+		for _, cd := range h.cards {
+			deficit := j.Spec.Footprint - (cd.commitCap(pct) - cd.committed)
+			if deficit <= 0 {
+				continue // findCard would have taken it
+			}
+			var cands []*Job
+			for _, v := range h.assigned {
+				if v.Card != cd.idx || v.beingPreempted {
+					continue
+				}
+				if v.Spec.Priority >= j.Spec.Priority {
+					continue
+				}
+				if v.State == StateThinking || v.State == StateSwappedOut {
+					cands = append(cands, v)
+				}
+			}
+			// Evict lowest priority first; ties prefer swapped-out (free
+			// to evict), then latest-returning, then ID.
+			sort.Slice(cands, func(a, b int) bool {
+				va, vb := cands[a], cands[b]
+				if va.Spec.Priority != vb.Spec.Priority {
+					return va.Spec.Priority < vb.Spec.Priority
+				}
+				aSwapped, bSwapped := va.State == StateSwappedOut, vb.State == StateSwappedOut
+				if aSwapped != bSwapped {
+					return aSwapped
+				}
+				if va.thinkEndAt != vb.thinkEndAt {
+					return va.thinkEndAt > vb.thinkEndAt
+				}
+				return va.ID < vb.ID
+			})
+			var take []*Job
+			freed := int64(0)
+			for _, v := range cands {
+				take = append(take, v)
+				freed += v.Spec.Footprint
+				if freed >= deficit {
+					break
+				}
+			}
+			if freed < deficit {
+				continue
+			}
+			if best == nil || len(take) < len(best.victims) ||
+				(len(take) == len(best.victims) && (cd.hostIdx < best.cd.hostIdx ||
+					(cd.hostIdx == best.cd.hostIdx && cd.idx < best.cd.idx))) {
+				best = &plan{cd: cd, victims: take}
+			}
+		}
+	}
+	if best == nil {
+		return nil, nil
+	}
+	return best.cd, best.victims
+}
+
+// placerSweep counts what a differential sweep exercised.
+type placerSweep struct {
+	events, compared, noCard, plans int
+}
+
+// stepCompare runs c dry one event at a time. After every event it
+// recounts every card's idle tally and, when dispatch would search for
+// the head job, compares the indexed searches with the scans for it:
+// findCard with and without needRoom, and preemptPlan. It leaves the
+// residency invariants to checkInvariants: some sweep seeds break them
+// (ROADMAP item 2), and their decisions are still compared.
+func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
+	t.Helper()
+	for c.events.Len() > 0 {
+		if err := c.step(); err != nil {
+			t.Fatal(err)
+		}
+		sw.events++
+		for _, h := range c.hosts {
+			for _, cd := range h.cards {
+				checkIdleTally(t, c, h, cd)
+			}
+		}
+		j := c.pending.Peek()
+		if j == nil || j.preemptEvicts > 0 {
+			continue
+		}
+		sw.compared++
+		for _, needRoom := range []bool{false, true} {
+			got, want := c.findCard(j, needRoom), c.findCardScan(j, needRoom)
+			if got != want {
+				t.Fatalf("at %v: job %d needRoom=%v: findCard picked %s, the scan %s",
+					c.now, j.ID, needRoom, cardName(c, got), cardName(c, want))
+			}
+			if got == nil && !needRoom {
+				sw.noCard++
+			}
+		}
+		gotCd, gotV := c.preemptPlan(j)
+		gotIDs := jobIDs(gotV)
+		wantCd, wantV := c.preemptPlanScan(j)
+		if gotCd != wantCd || fmt.Sprint(gotIDs) != fmt.Sprint(jobIDs(wantV)) {
+			t.Fatalf("at %v: job %d: preemptPlan chose %s %v, the scan %s %v",
+				c.now, j.ID, cardName(c, gotCd), gotIDs, cardName(c, wantCd), jobIDs(wantV))
+		}
+		if gotCd != nil {
+			sw.plans++
+		}
+	}
+}
+
+func cardName(c *Controller, cd *card) string {
+	if cd == nil {
+		return "none"
+	}
+	return fmt.Sprintf("%s/%d", c.hosts[cd.hostIdx].name, cd.idx)
+}
+
+func jobIDs(js []*Job) []int {
+	ids := make([]int, len(js))
+	for i, j := range js {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// TestPlacerMatchesScan is the indexed placer's differential: seeds 1-50
+// at 100, 150 and 200 % oversubscription with an evacuation, then the
+// kill-mid-evacuation and crash-mid-preemption chaos plans. Runs that
+// strand jobs still compare every decision they make, so no seed is
+// dropped for ending badly.
+func TestPlacerMatchesScan(t *testing.T) {
+	var sw placerSweep
+	for _, pct := range []int{100, 150, 200} {
+		for seed := uint64(1); seed <= 50; seed++ {
+			c := New(Options{OversubPct: pct, QueueDepth: 16, EvacWave: 2},
+				NewModelBackend(ModelOptions{Hosts: 4, CardsPerHost: 2, CardMem: 1 << 30, HostsPerRack: 2, ReplicaK: 2}), obs.New())
+			if err := c.SubmitTrace(GenerateTrace(TraceConfig{
+				Seed: seed, Jobs: 60, Tenants: 6, CardMem: 1 << 30, ThinkScale: 200,
+			})); err != nil {
+				t.Fatal(err)
+			}
+			c.ScheduleEvacuation(30*ms, "h000", 600000*ms)
+			stepCompare(t, c, &sw)
+		}
+	}
+	for _, seed := range []uint64{0xC0FFEE, 1, 2, 3} {
+		stepCompare(t, chaosEvacuation(t, seed), &sw)
+	}
+	stepCompare(t, chaosPreemption(t, 0xBADBEEF), &sw)
+	t.Logf("%d events, %d head-job comparisons, %d with no card, %d preemption plans",
+		sw.events, sw.compared, sw.noCard, sw.plans)
+	if sw.noCard == 0 || sw.plans == 0 {
+		t.Fatalf("the sweep never exercised preemption: %+v", sw)
+	}
+}
+
+// TestFindCardForgetsDeadSnapshotWithoutFit: findCard drops a snapshot
+// whose every holder died even when no card fits. Fit-before-locality
+// must not skip that: an evacuation move that finds no destination
+// still restarts such a job's progress, and later decisions see it.
+func TestFindCardForgetsDeadSnapshotWithoutFit(t *testing.T) {
+	c, be := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
+	if err := c.markHostDead("h001"); err != nil {
+		t.Fatal(err)
+	}
+	c.hosts[0].cards[0].committed = 1 << 30 // h000 full: nothing fits
+	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 1<<30, 4), Card: -1,
+		snapshotted: true, burstsDone: 2, ckptBursts: 2}
+	be.holders[j.ID] = []string{"h001"}
+	if cd := c.findCard(j, false); cd != nil {
+		t.Fatalf("placed on %s with the fleet full", cardName(c, cd))
+	}
+	if j.snapshotted || j.burstsDone != 0 || j.ckptBursts != 0 {
+		t.Fatalf("snapshot with no living holder kept: snapshotted=%v bursts done %d, checkpointed %d",
+			j.snapshotted, j.burstsDone, j.ckptBursts)
+	}
+}
+
+// TestModelBackendRackIndex: reading racks off the host index prices
+// every pair exactly as parsing the host names did.
+func TestModelBackendRackIndex(t *testing.T) {
+	b := NewModelBackend(ModelOptions{Hosts: 40, CardsPerHost: 1, CardMem: 1 << 30, HostsPerRack: 16})
+	for _, a := range b.names {
+		for _, z := range b.names {
+			var ia, iz int
+			if _, err := fmt.Sscanf(a, "h%d", &ia); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fmt.Sscanf(z, "h%d", &iz); err != nil {
+				t.Fatal(err)
+			}
+			want := b.cross.Cost(1 << 20)
+			if a == z {
+				want = 0
+			} else if ia/16 == iz/16 {
+				want = b.local.Cost(1 << 20)
+			}
+			if got := b.LinkCost(a, z, 1<<20); got != want {
+				t.Fatalf("LinkCost(%s, %s) = %v, want %v", a, z, got, want)
+			}
+		}
+	}
+	if b.rackOf("h040") != -1 || b.rackOf("x") != -1 {
+		t.Fatal("a host the backend did not name has a rack")
+	}
+}
+
+// BenchmarkControllerRun runs the bench's fleet_oversub shape: 2400
+// jobs over 120 one-card hosts at 200 % oversubscription, h000 drained
+// at 500 ms. Set-up (New, SubmitTrace) is outside the timer.
+func BenchmarkControllerRun(b *testing.B) {
+	const cardMem = 256 << 20
+	specs := GenerateTrace(TraceConfig{
+		Seed: 42, Jobs: 2400, Tenants: 8, CardMem: cardMem, BurstScale: 10, ThinkScale: 400,
+	})
+	b.ReportAllocs()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := New(Options{OversubPct: 200, QueueDepth: 512},
+			NewModelBackend(ModelOptions{Hosts: 120, CardsPerHost: 1, CardMem: cardMem}), obs.New())
+		if err := c.SubmitTrace(specs); err != nil {
+			b.Fatal(err)
+		}
+		c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
+		b.StartTimer()
+		if err := c.Run(); err != nil {
+			b.Fatal(err)
+		}
+		events += c.Stats().Events
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}

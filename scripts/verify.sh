@@ -65,7 +65,7 @@ echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, int
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:78.0" "./internal/experiments/:77.0" "./internal/blob/:90.4"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:82.8" "./internal/experiments/:77.0" "./internal/blob/:90.4"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -91,7 +91,9 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # protocols' request decoders (bytes off a SCIF connection, which the
 # fault plan truncates and corrupts), and the fault plan's own JSON
 # decoder (a -faults file, and what the chaos sweeps arm their per-index
-# faults from); and one differential target, blob.Buffer's overlay
+# faults from), the flight-dump reader (dump files `snapifyctl analyze
+# flight` reads back, possibly cut short by the crash that wrote them);
+# and one differential target, blob.Buffer's overlay
 # against a flat []byte oracle under random op programs. The committed corpora
 # under testdata/fuzz/ replay first; 5s of mutation on top catches
 # regressions in input hardening without turning the gate into a fuzzing
@@ -105,6 +107,7 @@ go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 5s ./internal/faultinject/
 go test -run '^$' -fuzz '^FuzzBufferOps$' -fuzztime 5s ./internal/blob/
+go test -run '^$' -fuzz '^FuzzDecodeFlightDump$' -fuzztime 5s ./internal/obs/
 
 echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # The chaos tier re-runs the deterministic fault-injection sweeps twice
