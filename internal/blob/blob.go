@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Extent is one contiguous run of content.
@@ -52,8 +53,7 @@ func FromBytes(b []byte) Blob {
 	if len(b) == 0 {
 		return Blob{}
 	}
-	c := make([]byte, len(b))
-	copy(c, b)
+	c := slices.Clone(b)
 	return Blob{extents: []Extent{{Literal: c, Size: int64(len(c))}}, size: int64(len(c))}
 }
 

@@ -1,6 +1,7 @@
 package blob
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -75,8 +76,7 @@ func (b *Buffer) WriteAt(p []byte, off int64) {
 		if i < len(b.writes) {
 			gapEnd = min(gapEnd, b.writes[i].off)
 		}
-		data := make([]byte, gapEnd-pos)
-		copy(data, p[pos-off:])
+		data := slices.Clone(p[pos-off : gapEnd-off])
 		b.writes = slices.Insert(b.writes, i, span{off: pos, data: data})
 		pos = gapEnd
 	}
@@ -204,19 +204,23 @@ func (b *Buffer) SnapshotRange(off, n int64) Blob {
 		out.size += e.Size
 	}
 	pos := off
+	var runBuf [4][]byte // most runs are a span or two: no allocation
+	run := runBuf[:0]
 	for i := b.search(off); i < len(b.writes) && b.writes[i].off < end; {
 		if ws := b.writes[i].off; ws > pos {
 			add(Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: ws - pos})
 			pos = ws
 		}
-		runEnd := b.writes[i].end()
-		for i++; i < len(b.writes) && runEnd < end && b.writes[i].off == runEnd; i++ {
-			runEnd = b.writes[i].end()
+		run = run[:0]
+		for ; i < len(b.writes) && b.writes[i].off <= pos && pos < end; i++ {
+			w := b.writes[i]
+			part := w.data[pos-w.off : min(w.end(), end)-w.off]
+			run = append(run, part)
+			pos += int64(len(part))
 		}
-		data := make([]byte, min(runEnd, end)-pos)
-		b.ReadAt(data, pos)
+		// Join allocates without zeroing: every byte is written once.
+		data := bytes.Join(run, nil)
 		add(Extent{Literal: data, Size: int64(len(data))})
-		pos += int64(len(data))
 	}
 	if pos < end {
 		add(Extent{Seed: b.seed, Off: streamOff(b.seed, pos), Size: end - pos})

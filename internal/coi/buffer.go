@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"snapify/internal/blob"
+	"snapify/internal/scif"
 )
 
 // Buffer is the host-side handle to a COI buffer: memory in the offload
@@ -86,25 +87,11 @@ func (b *Buffer) Destroy() error {
 	return nil
 }
 
-// bytesMemory adapts a mutable byte slice to scif.Memory for host-side
-// staging of buffer reads and writes.
-type bytesMemory struct{ p []byte }
-
-func (m bytesMemory) Size() int64 { return int64(len(m.p)) }
-
-func (m bytesMemory) SnapshotRange(off, n int64) blob.Blob {
-	return blob.FromBytes(m.p[off : off+n])
-}
-
-func (m bytesMemory) WriteBlob(off int64, src blob.Blob) {
-	src.CopyTo(m.p[off:])
-}
-
 // Write copies data into the buffer at off via RDMA (COIBufferWrite: the
 // "in" clause data transfer before an offload region).
 func (b *Buffer) Write(data []byte, off int64) error {
 	return b.rdma(func() error {
-		d, err := b.cp.dmaEP.VWriteTo(bytesMemory{data}, 0, int64(len(data)), b.rdmaOff+off)
+		d, err := b.cp.dmaEP.VWriteTo(scif.Bytes(data), 0, int64(len(data)), b.rdmaOff+off)
 		b.cp.tl.Advance(d)
 		return err
 	})
@@ -114,7 +101,7 @@ func (b *Buffer) Write(data []byte, off int64) error {
 // (COIBufferRead: the "out" clause transfer after an offload region).
 func (b *Buffer) Read(p []byte, off int64) error {
 	return b.rdma(func() error {
-		d, err := b.cp.dmaEP.VReadFrom(bytesMemory{p}, 0, int64(len(p)), b.rdmaOff+off)
+		d, err := b.cp.dmaEP.VReadFrom(scif.Bytes(p), 0, int64(len(p)), b.rdmaOff+off)
 		b.cp.tl.Advance(d)
 		return err
 	})

@@ -602,6 +602,30 @@ func TestSnapshotMidOffloadFunction(t *testing.T) {
 	cp.Destroy()
 }
 
+func TestControlRegionClearWhenResultArrives(t *testing.T) {
+	// The server thread clears the control record before it sends the
+	// result, so the host never holds a result while the card still reads
+	// the function as active (a pre-copy round cuts the dirty set right
+	// after a call returns, and must see the clear in this round).
+	RegisterBinary(counterBinary("app_ctrl_clear"))
+	e := newEnv(t, 1)
+	cp := e.create(t, "app_ctrl_clear", 1)
+	pl, err := cp.CreatePipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := DaemonAt(e.plat, 1).Lookup(cp.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		runCount(t, pl, 2)
+		if st := op.readCtrl(); st.Active {
+			t.Fatalf("call %d: control region reads active (seq %d) after RunFunction returned", i, st.Seq)
+		}
+	}
+}
+
 func TestHookCostsOnlyWhenEnabled(t *testing.T) {
 	RegisterBinary(counterBinary("app_hooks"))
 	run := func(noSnapify bool) simclock.Duration {

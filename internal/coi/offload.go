@@ -17,7 +17,7 @@ import (
 
 // Control-region layout. The server thread records the active offload
 // function here *before* executing it and clears it (under the result-send
-// lock) after the return value has been sent, so every snapshot knows
+// lock) just before the return value is sent, so every snapshot knows
 // whether an offload region was in flight and can re-enter it after a
 // restore.
 const (

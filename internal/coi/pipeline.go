@@ -211,11 +211,12 @@ func (op *OffloadProc) servePipeline(id uint32, ep *scif.Endpoint) {
 }
 
 // executeFunction records the active function in the control region, runs
-// it, and delivers the result. The result send and the control-region
-// clear are atomic under resultMu (the case-4 device-side critical
-// region), so a snapshot observes either "active" or "delivered".
+// it, and delivers the result. The control-region clear and the result
+// send are atomic under resultMu (the case-4 device-side critical region),
+// so a snapshot observes either "active" or "delivered".
 func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args []byte) {
-	op.writeCtrl(ctrlState{Active: true, PipelineID: id, Seq: seq, Func: name, Args: args})
+	active := ctrlState{Active: true, PipelineID: id, Seq: seq, Func: name, Args: args}
+	op.writeCtrl(active)
 
 	ctx := &RunContext{op: op}
 	var payload []byte
@@ -249,10 +250,14 @@ func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args 
 	}
 	op.resultMu.Lock()
 	defer op.resultMu.Unlock()
-	if _, err := pl.ep.Send(msg); err != nil { //nolint:mutexblock // intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
-		return
-	}
+	// Clear before the send: the host may act on the result the instant it
+	// arrives (a pre-copy round cuts the dirty set next), and must find the
+	// clear already written. A failed send puts the record back, so a
+	// restore still re-enters the function.
 	op.writeCtrl(ctrlState{})
+	if _, err := pl.ep.Send(msg); err != nil { //nolint:mutexblock // intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
+		op.writeCtrl(active)
+	}
 }
 
 // Compute charges d of offload compute time to the current invocation; the

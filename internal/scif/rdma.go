@@ -40,6 +40,48 @@ type Memory interface {
 	WriteBlob(off int64, src blob.Blob)
 }
 
+// byteMemory is a Memory that also moves plain bytes in and out under its
+// own locking (proc.Region, blob.Buffer).
+type byteMemory interface {
+	Memory
+	ReadAt(p []byte, off int64)
+	WriteAt(p []byte, off int64)
+}
+
+// Bytes is plain host memory, a user buffer, as the local side of
+// VReadFrom/VWriteTo.
+type Bytes []byte
+
+// Size returns len(m).
+func (m Bytes) Size() int64 { return int64(len(m)) }
+
+// SnapshotRange returns a copy of m[off:off+n].
+func (m Bytes) SnapshotRange(off, n int64) blob.Blob { return blob.FromBytes(m[off : off+n]) }
+
+// WriteBlob materializes src into m at off.
+func (m Bytes) WriteBlob(off int64, src blob.Blob) { src.CopyTo(m[off:]) }
+
+// move copies [srcOff, srcOff+n) of src to dst at dstOff, both ranges
+// already bounds-checked. Between Bytes and a byteMemory the bytes are
+// copied once, straight through the memory's ReadAt/WriteAt (which keep
+// its dirty tracking); any other pair moves extents, so synthetic
+// background is never materialized.
+func move(dst Memory, dstOff int64, src Memory, srcOff, n int64) {
+	if b, ok := dst.(Bytes); ok {
+		if m, ok := src.(byteMemory); ok {
+			m.ReadAt(b[dstOff:dstOff+n], srcOff)
+			return
+		}
+	}
+	if b, ok := src.(Bytes); ok {
+		if m, ok := dst.(byteMemory); ok {
+			m.WriteAt(b[srcOff:srcOff+n], dstOff)
+			return
+		}
+	}
+	dst.WriteBlob(dstOff, src.SnapshotRange(srcOff, n))
+}
+
 // Window is a memory region registered for RDMA on an endpoint
 // (scif_register). The peer addresses it by Offset.
 type Window struct {
@@ -124,8 +166,7 @@ func (e *Endpoint) VReadFrom(local Memory, localOff, n, remoteOffset int64) (sim
 	if localOff < 0 || localOff+n > local.Size() {
 		return 0, fmt.Errorf("scif: local range [%d,%d) out of range of %d", localOff, localOff+n, local.Size())
 	}
-	src := w.mem.SnapshotRange(w.memBase+(remoteOffset-w.Offset), n)
-	local.WriteBlob(localOff, src)
+	move(local, localOff, w.mem, w.memBase+(remoteOffset-w.Offset), n)
 	return slow * e.net.fabric.RDMACost(e.remote.Node, e.local.Node, n), nil
 }
 
@@ -143,8 +184,7 @@ func (e *Endpoint) VWriteTo(local Memory, localOff, n, remoteOffset int64) (simc
 	if localOff < 0 || localOff+n > local.Size() {
 		return 0, fmt.Errorf("scif: local range [%d,%d) out of range of %d", localOff, localOff+n, local.Size())
 	}
-	src := local.SnapshotRange(localOff, n)
-	w.mem.WriteBlob(w.memBase+(remoteOffset-w.Offset), src)
+	move(w.mem, w.memBase+(remoteOffset-w.Offset), local, localOff, n)
 	return slow * e.net.fabric.RDMACost(e.local.Node, e.remote.Node, n), nil
 }
 

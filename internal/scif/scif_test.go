@@ -11,13 +11,13 @@ import (
 	"snapify/internal/simnet"
 )
 
-func newTestNetwork(t *testing.T, devices int) *Network {
+func newTestNetwork(t testing.TB, devices int) *Network {
 	t.Helper()
 	return NewNetwork(simnet.NewFabric(simclock.Default(), devices))
 }
 
 // dial creates a connected pair with the server on (node, port).
-func dial(t *testing.T, n *Network, clientNode, serverNode simnet.NodeID) (client, server *Endpoint) {
+func dial(t testing.TB, n *Network, clientNode, serverNode simnet.NodeID) (client, server *Endpoint) {
 	t.Helper()
 	l, err := n.Listen(serverNode, 0)
 	if err != nil {

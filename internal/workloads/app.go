@@ -71,10 +71,7 @@ func RegisterBinary(s Spec) string {
 					n = buf.Size() - off
 				}
 				buf.ReadAt(page[:n], off)
-				for _, v := range page[:n] {
-					sum = sum*1099511628211 + uint64(v)
-				}
-				sum += callIdx
+				sum = fold(sum, page[:n]) + callIdx
 				binary.BigEndian.PutUint64(st[8:16], step+1)
 				binary.BigEndian.PutUint64(st[16:], sum)
 				heap.WriteAt(st, 0)
@@ -92,6 +89,39 @@ func RegisterBinary(s Spec) string {
 	})
 	coi.RegisterBinary(bin)
 	return name
+}
+
+// The kernel checksum's multiplier P (the FNV-64 prime) and its powers,
+// each reduced mod 2⁶⁴ (constant arithmetic is exact, so the wrap-around
+// uint64 multiplication would do is spelled out).
+const (
+	foldP1 = 1099511628211
+	foldP2 = foldP1 * foldP1 % (1 << 64)
+	foldP3 = foldP2 * foldP1 % (1 << 64)
+	foldP4 = foldP3 * foldP1 % (1 << 64)
+	foldP5 = foldP4 * foldP1 % (1 << 64)
+	foldP6 = foldP5 * foldP1 % (1 << 64)
+	foldP7 = foldP6 * foldP1 % (1 << 64)
+	foldP8 = foldP7 * foldP1 % (1 << 64)
+)
+
+// fold mixes p into sum as sum = sum·P + b for each byte b in turn, eight
+// bytes per step: Horner's rule over one little-endian word gives sum·P⁸ +
+// b₀P⁷ + … + b₆P + b₇, and since uint64 arithmetic is arithmetic mod 2⁶⁴
+// the result equals the byte-at-a-time chain for every input. The byte
+// terms do not depend on sum, so each step's serial chain is one multiply
+// and one add.
+func fold(sum uint64, p []byte) uint64 {
+	for ; len(p) >= 8; p = p[8:] {
+		w := binary.LittleEndian.Uint64(p)
+		hi := (w&0xff)*foldP7 + (w>>8&0xff)*foldP6 + ((w>>16&0xff)*foldP5 + (w>>24&0xff)*foldP4)
+		lo := (w>>32&0xff)*foldP3 + (w>>40&0xff)*foldP2 + ((w>>48&0xff)*foldP1 + w>>56)
+		sum = sum*foldP8 + (hi + lo)
+	}
+	for _, b := range p {
+		sum = sum*foldP1 + uint64(b)
+	}
+	return sum
 }
 
 // Instance is one running benchmark: the host process, its offload
