@@ -4,24 +4,17 @@
 //
 // Usage:
 //
-//	snapifylint [-allowlist file] [-json] [-sarif file] [-stats] [-unused-allowlist] [-list] [patterns...]
+//	snapifylint [-json] [-stats] [-list] [patterns...]
 //
 // Patterns are package directories relative to the module root, with the
 // usual /... suffix for subtrees (default ./...). The exit status is 0
-// when no findings survive the allowlist, 1 when findings remain, and 2
-// on usage or load errors.
+// when no findings survive, 1 when findings remain, and 2 on usage or
+// load errors.
 //
-// -sarif additionally writes the surviving findings as a SARIF 2.1.0 log
-// so code hosts and editors that speak the format can ingest them.
 // -stats appends a per-analyzer finding-count and wall-clock summary.
-// -unused-allowlist inverts the check: instead of findings it reports
-// allowlist entries that no longer match anything (exit 1 if any), so
-// the suppression file cannot rot.
-//
-// If -allowlist is not given and a .snapifylint file exists at the module
-// root, it is used automatically. See internal/lint for the allowlist and
-// //nolint directive formats — every suppression requires a written
-// justification.
+// The only way to suppress a finding is an inline //nolint directive with
+// a written justification; a directive that suppresses nothing is itself
+// a finding (see internal/lint).
 package main
 
 import (
@@ -36,10 +29,6 @@ import (
 	"snapify/internal/lint"
 )
 
-// DefaultAllowlistName is the allowlist loaded from the module root when
-// -allowlist is not given.
-const DefaultAllowlistName = ".snapifylint"
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -47,11 +36,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("snapifylint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	allowPath := flags.String("allowlist", "", "allowlist file of acknowledged findings (default: <module root>/"+DefaultAllowlistName+" if present)")
 	asJSON := flags.Bool("json", false, "emit findings as a JSON array (stable across runs, for CI diffing)")
-	sarifPath := flags.String("sarif", "", "also write findings as a SARIF 2.1.0 log to this file")
 	stats := flags.Bool("stats", false, "print a per-analyzer finding-count and wall-clock summary")
-	unusedOnly := flags.Bool("unused-allowlist", false, "report allowlist entries that no longer match any finding, exit 1 if any")
 	list := flags.Bool("list", false, "list the analyzers and the invariant each protects, then exit")
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -95,61 +81,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var allow *lint.Allowlist
-	switch {
-	case *allowPath != "":
-		if allow, err = lint.ParseAllowlist(*allowPath); err != nil {
-			fmt.Fprintln(stderr, "snapifylint:", err)
-			return 2
-		}
-	default:
-		implicit := filepath.Join(root, DefaultAllowlistName)
-		if _, statErr := os.Stat(implicit); statErr == nil {
-			if allow, err = lint.ParseAllowlist(implicit); err != nil {
-				fmt.Fprintln(stderr, "snapifylint:", err)
-				return 2
-			}
-		}
-	}
-
-	raw, perAnalyzer := lint.RunStats(pkgs, lint.All())
-	findings := allow.Filter(raw)
-
-	if *unusedOnly {
-		if allow == nil {
-			fmt.Fprintln(stdout, "snapifylint: no allowlist in use, nothing to check")
-			return 0
-		}
-		unused := allow.Unused()
-		for _, e := range unused {
-			fmt.Fprintf(stdout, "unused allowlist entry in %s: %s %s %s (delete it)\n",
-				allow.Source, e.Analyzer, e.PathSuffix, e.Match)
-		}
-		if len(unused) > 0 {
-			fmt.Fprintf(stdout, "snapifylint: %d stale allowlist entr%s\n",
-				len(unused), pluralY(len(unused)))
-			return 1
-		}
-		fmt.Fprintf(stdout, "snapifylint: allowlist %s is clean: every entry still matches a finding\n", allow.Source)
-		return 0
-	}
-	for _, e := range allow.Unused() {
-		fmt.Fprintf(stderr, "snapifylint: unused allowlist entry in %s: %s %s %s (delete it?)\n",
-			allow.Source, e.Analyzer, e.PathSuffix, e.Match)
-	}
+	findings, perAnalyzer := lint.RunStats(pkgs, lint.All())
 
 	// Findings print with module-root-relative paths so output (and the
 	// -json stream CI diffs across PRs) is stable across checkouts.
 	for i := range findings {
 		if rel, relErr := filepath.Rel(root, findings[i].File); relErr == nil {
 			findings[i].File = filepath.ToSlash(rel)
-		}
-	}
-
-	if *sarifPath != "" {
-		if err := writeSARIFFile(*sarifPath, findings); err != nil {
-			fmt.Fprintln(stderr, "snapifylint:", err)
-			return 2
 		}
 	}
 
@@ -180,9 +118,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printStats renders the per-analyzer summary: raw finding counts
-// (before the allowlist, so suppressed noise is still visible) and the
-// wall-clock each analyzer spent, then a total line.
+// printStats renders the per-analyzer summary: surviving finding counts
+// and the wall-clock each analyzer spent, then a total line.
 func printStats(w io.Writer, perAnalyzer []lint.AnalyzerStat) {
 	var findings int
 	var wall time.Duration
@@ -194,11 +131,4 @@ func printStats(w io.Writer, perAnalyzer []lint.AnalyzerStat) {
 	}
 	fmt.Fprintf(w, "stats: %-14s findings=%-3d wall=%s\n",
 		"total", findings, wall.Round(time.Microsecond))
-}
-
-func pluralY(n int) string {
-	if n == 1 {
-		return "y"
-	}
-	return "ies"
 }

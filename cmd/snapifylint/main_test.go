@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -15,179 +12,31 @@ import (
 
 const errcheckFixture = "internal/lint/testdata/src/errcheck"
 
-// writeAllowlist drops an allowlist with the given entry lines into a
-// temp dir and returns its path.
-func writeAllowlist(t *testing.T, lines ...string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "allow.txt")
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"errcheck", "maporder", "spanleak", "lockorder", "closeleak"} {
+	for _, name := range []string{"errcheck", "maporder", "closeleak"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output lacks analyzer %q:\n%s", name, stdout.String())
 		}
 	}
-}
-
-// TestRunSARIF checks the emitted log against the SARIF 2.1.0 shape:
-// schema/version header, tool.driver.name, a rules table for the
-// analyzers that fired, and results carrying ruleId, message.text and a
-// physical location with a slash-separated relative URI.
-func TestRunSARIF(t *testing.T) {
-	sarifPath := filepath.Join(t.TempDir(), "out.sarif")
-	allow := writeAllowlist(t, "# empty")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-allowlist", allow, "-sarif", sarifPath, errcheckFixture}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("expected exit 1 (fixture has findings), got %d\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
-	}
-
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatalf("reading SARIF log: %v", err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine   int `json:"startLine"`
-							StartColumn int `json:"startColumn"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF log is not valid JSON: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("version = %q, want 2.1.0", log.Version)
-	}
-	if !strings.Contains(log.Schema, "sarif-schema-2.1.0") {
-		t.Errorf("$schema = %q, want a 2.1.0 schema reference", log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(log.Runs))
-	}
-	r := log.Runs[0]
-	if r.Tool.Driver.Name != "snapifylint" {
-		t.Errorf("tool.driver.name = %q, want snapifylint", r.Tool.Driver.Name)
-	}
-	if len(r.Results) == 0 {
-		t.Fatal("SARIF log has no results for a fixture full of findings")
-	}
-	ruleIDs := make(map[string]bool)
-	for _, rule := range r.Tool.Driver.Rules {
-		ruleIDs[rule.ID] = true
-		if rule.ShortDescription.Text == "" {
-			t.Errorf("rule %s has an empty shortDescription", rule.ID)
-		}
-	}
-	for _, res := range r.Results {
-		if !ruleIDs[res.RuleID] {
-			t.Errorf("result ruleId %q missing from the rules table", res.RuleID)
-		}
-		if res.Level != "warning" {
-			t.Errorf("result level = %q, want warning", res.Level)
-		}
-		if res.Message.Text == "" {
-			t.Error("result has an empty message.text")
-		}
-		if len(res.Locations) != 1 {
-			t.Fatalf("result has %d locations, want 1", len(res.Locations))
-		}
-		loc := res.Locations[0].PhysicalLocation
-		if strings.Contains(loc.ArtifactLocation.URI, "\\") || filepath.IsAbs(loc.ArtifactLocation.URI) {
-			t.Errorf("URI %q is not a slash-separated relative path", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine < 1 {
-			t.Errorf("startLine = %d, want >= 1", loc.Region.StartLine)
-		}
+	if n := strings.Count(stdout.String(), "\n"); n != 8 {
+		t.Errorf("-list printed %d analyzers, want 8:\n%s", n, stdout.String())
 	}
 }
 
-// TestRunUnusedAllowlist covers both outcomes of -unused-allowlist: a
-// clean list (every entry still matches) exits 0, a stale entry is
-// reported on stdout and flips the exit to 1.
-func TestRunUnusedAllowlist(t *testing.T) {
-	used := "errcheck internal/lint/testdata/src/errcheck/errcheck.go errcheck.allowme -- driver test: a live entry"
-	stale := "wallclock internal/lint/testdata/src/errcheck/errcheck.go time.Now -- driver test: a stale decoy"
-
-	t.Run("clean", func(t *testing.T) {
-		allow := writeAllowlist(t, used)
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-allowlist", allow, "-unused-allowlist", errcheckFixture}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("expected exit 0 for a clean allowlist, got %d\nstdout: %s\nstderr: %s",
-				code, stdout.String(), stderr.String())
-		}
-		if !strings.Contains(stdout.String(), "clean") {
-			t.Errorf("clean run should say so:\n%s", stdout.String())
-		}
-	})
-
-	t.Run("stale", func(t *testing.T) {
-		allow := writeAllowlist(t, used, stale)
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-allowlist", allow, "-unused-allowlist", errcheckFixture}, &stdout, &stderr)
-		if code != 1 {
-			t.Fatalf("expected exit 1 for a stale entry, got %d\nstdout: %s", code, stdout.String())
-		}
-		out := stdout.String()
-		if !strings.Contains(out, "unused allowlist entry") || !strings.Contains(out, "time.Now") {
-			t.Errorf("stale entry not reported:\n%s", out)
-		}
-		if strings.Contains(out, "errcheck.allowme") {
-			t.Errorf("live entry must not be reported as stale:\n%s", out)
-		}
-	})
-}
-
-// TestRunStatsFlag: -stats appends one line per analyzer plus a total,
-// after the findings.
+// TestRunStats: -stats appends one line per analyzer, one for the
+// directive check, and a total, after the findings.
 func TestRunStats(t *testing.T) {
-	allow := writeAllowlist(t, "# empty")
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-allowlist", allow, "-stats", errcheckFixture}, &stdout, &stderr)
+	code := run([]string{"-stats", errcheckFixture}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("expected exit 1, got %d\nstderr: %s", code, stderr.String())
 	}
 	out := stdout.String()
-	for _, name := range []string{"errcheck", "maporder", "spanleak", "lockorder", "closeleak", "total"} {
+	for _, name := range []string{"errcheck", "maporder", "closeleak", "nolint", "total"} {
 		if !strings.Contains(out, "stats: "+name) {
 			t.Errorf("-stats output lacks a line for %q:\n%s", name, out)
 		}

@@ -72,12 +72,12 @@ func (c *ClientChan) Request(payload []byte) ([]byte, error) {
 		c.tl.Advance(c.hookCost)
 	}
 	msg := append([]byte{cmdRequest}, payload...)
-	d, err := c.ep.Send(msg) //nolint:mutexblock // intended (Section 4.1 case 3): the channel lock IS the pause lock; a request holds it across the round-trip
+	d, err := c.ep.Send(msg) // blocking under the lock is intended (Section 4.1 case 3): the channel lock IS the pause lock; a request holds it across the round-trip
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
 	c.tl.Advance(d)
-	raw, rd, err := c.ep.Recv() //nolint:mutexblock // intended (Section 4.1 case 3): the reply completes inside the same critical region the pause will take
+	raw, rd, err := c.ep.Recv() // blocking under the lock is intended (Section 4.1 case 3): the reply completes inside the same critical region the pause will take
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
@@ -108,13 +108,13 @@ func (c *ClientChan) Ping() error {
 func (c *ClientChan) PauseLock() (simclock.Duration, error) {
 	c.mu.Lock() // released by ResumeUnlock
 	var total simclock.Duration
-	d, err := c.ep.Send([]byte{cmdShutdown}) //nolint:mutexblock // intended (Section 4.1): PauseLock drains the channel under the lock it keeps holding until resume
+	d, err := c.ep.Send([]byte{cmdShutdown}) // blocking under the lock is intended (Section 4.1): PauseLock drains the channel under the lock it keeps holding until resume
 	if err != nil {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
 	total += d
-	raw, rd, err := c.ep.Recv() //nolint:mutexblock // intended (Section 4.1): the drain acknowledgement must arrive while the channel is locked
+	raw, rd, err := c.ep.Recv() // blocking under the lock is intended (Section 4.1): the drain acknowledgement must arrive while the channel is locked
 	if err != nil {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)

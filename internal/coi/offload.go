@@ -322,7 +322,7 @@ func (op *OffloadProc) createPipeline(id uint32) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	go func() { //nolint:goroutineleak // exits when its one Accept returns; teardown closes lst, which fails the Accept
+	go func() { // no shutdown signal needed: exits when its one Accept returns; teardown closes lst, which fails the Accept
 		ep, err := lst.Accept()
 		lst.Close() //nolint:errcheck // single-use listener: the one Accept already returned
 		if err != nil {

@@ -145,7 +145,7 @@ func (pl *Pipeline) RunFunctionAsync(name string, args []byte) (*RunHandle, erro
 	if cp.hooks() {
 		cp.tl.Advance(cp.plat.Model().HookOffloadCall)
 	}
-	d, err := ep.Send(msg) //nolint:mutexblock // intended (Fig 4 step 1): sendMu IS the pause lock; pause must block here, never mid-send
+	d, err := ep.Send(msg) // blocking under the lock is intended (Fig 4 step 1): sendMu IS the pause lock; pause must block here, never mid-send
 	pl.sendMu.Unlock()
 	if err != nil {
 		pl.mu.Lock()
@@ -255,7 +255,7 @@ func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args 
 	// clear already written. A failed send puts the record back, so a
 	// restore still re-enters the function.
 	op.writeCtrl(ctrlState{})
-	if _, err := pl.ep.Send(msg); err != nil { //nolint:mutexblock // intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
+	if _, err := pl.ep.Send(msg); err != nil { // blocking under the lock is intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
 		op.writeCtrl(active)
 	}
 }

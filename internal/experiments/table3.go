@@ -120,7 +120,7 @@ func Table3() (*Table3Result, error) {
 			return nil, err
 		}
 		dev.FS.Remove("/tmp/scp_r") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
-		host.FS.RemoveAll("/t3/")   //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
+		host.FS.RemoveAll("/t3/")
 
 		res.Rows = append(res.Rows, row)
 	}

@@ -13,7 +13,7 @@ import (
 // block collects every way out of the function: returns, panics, and
 // falling off the end. Defer statements appear as ordinary nodes in the
 // block that registers them — analyzers that care about function-exit
-// effects (spanleak, closeleak) interpret a registered defer as running
+// effects (closeleak) interpret a registered defer as running
 // at every subsequent exit.
 type CFG struct {
 	Entry  *Block

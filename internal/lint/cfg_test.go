@@ -95,7 +95,7 @@ func TestCFGAssumeNodes(t *testing.T) {
 	}
 }
 
-// TestAssumeNilness tables the guard classifier used by the leak engine's
+// TestAssumeNilness tables the guard classifier used by closeleak's
 // error-paired facts.
 func TestAssumeNilness(t *testing.T) {
 	cases := []struct {

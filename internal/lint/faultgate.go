@@ -23,7 +23,7 @@ var faultgateAllowed = []string{
 }
 
 // Faultgate reports non-test imports of internal/faultinject outside the
-// allowlist above. The failure model (DESIGN.md §10) keeps fault hooks at
+// list above. The failure model (DESIGN.md §10) keeps fault hooks at
 // the fabric choke points only: blcr retries, the core API, and the
 // platform recover from *failed operations*, never by asking the injector
 // what went wrong — if they could peek at the plan, recovery code would

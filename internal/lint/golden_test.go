@@ -81,17 +81,15 @@ func loadFixture(t *testing.T, rel string) (*Loader, *Package) {
 
 func analyzerByName(t *testing.T, name string) *Analyzer {
 	t.Helper()
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
+	a := ByName(name)
+	if a == nil {
+		t.Fatalf("no analyzer named %q", name)
 	}
-	t.Fatalf("no analyzer named %q", name)
-	return nil
+	return a
 }
 
 func TestGolden(t *testing.T) {
-	for _, name := range []string{"errcheck", "wallclock", "mutexblock", "goroutineleak", "paniclib", "rawprint", "faultgate", "storegate", "maporder", "spanleak", "lockorder", "closeleak"} {
+	for _, name := range []string{"errcheck", "wallclock", "paniclib", "rawprint", "faultgate", "storegate", "maporder", "closeleak"} {
 		t.Run(name, func(t *testing.T) {
 			_, pkg := loadFixture(t, name)
 			findings := Run([]*Package{pkg}, []*Analyzer{analyzerByName(t, name)})
@@ -99,6 +97,14 @@ func TestGolden(t *testing.T) {
 			checkFindings(t, findings, wants)
 		})
 	}
+}
+
+// TestStaleDirectives runs every analyzer over the nolint fixture: a
+// directive that suppresses a finding stays silent, and one that
+// suppresses nothing or names no registered analyzer is reported.
+func TestStaleDirectives(t *testing.T) {
+	_, pkg := loadFixture(t, "nolint")
+	checkFindings(t, Run([]*Package{pkg}, All()), fixtureWants(t, pkg.Dir, "paniclib"))
 }
 
 func checkFindings(t *testing.T, findings []Finding, wants []want) {
@@ -209,33 +215,6 @@ func TestStoregateExemptsSnapstore(t *testing.T) {
 	}
 	if findings := Run([]*Package{pkg}, []*Analyzer{analyzerByName(t, "storegate")}); len(findings) != 0 {
 		t.Errorf("expected no findings in internal/snapstore, got %v", findings)
-	}
-}
-
-// TestAllowlistGolden runs the errcheck fixture through testdata/allow.txt:
-// the entry for Allowlisted's finding must drop it (and be marked used),
-// the decoy entry must be reported unused, and every other finding must
-// survive.
-func TestAllowlistGolden(t *testing.T) {
-	_, pkg := loadFixture(t, "errcheck")
-	findings := Run([]*Package{pkg}, []*Analyzer{analyzerByName(t, "errcheck")})
-
-	al, err := ParseAllowlist(filepath.Join("testdata", "allow.txt"))
-	if err != nil {
-		t.Fatalf("parsing allowlist: %v", err)
-	}
-	kept := al.Filter(findings)
-	if len(kept) != len(findings)-1 {
-		t.Fatalf("allowlist dropped %d findings, want 1", len(findings)-len(kept))
-	}
-	for _, f := range kept {
-		if strings.Contains(f.Message, "errcheck.allowme") {
-			t.Errorf("allowlisted finding survived: %s:%d %s", f.File, f.Line, f.Message)
-		}
-	}
-	unused := al.Unused()
-	if len(unused) != 1 || unused[0].Analyzer != "wallclock" {
-		t.Fatalf("unused entries = %v, want exactly the wallclock decoy", unused)
 	}
 }
 

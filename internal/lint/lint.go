@@ -12,15 +12,13 @@
 //
 // # Suppressing a finding
 //
-// Every suppression must say why. Two mechanisms exist:
-//
-//   - An inline directive on the offending line:
-//     `//nolint:<analyzer> // <justification>`. A bare `//nolint:<analyzer>`
-//     with no justification does NOT suppress — the finding is reported
-//     with a note asking for one.
-//   - An entry in the allowlist file passed to the driver with -allowlist
-//     (see allowlist.go for the format). Entries without a justification
-//     fail to parse.
+// There is one way to suppress a finding, and it must say why: an inline
+// directive on the offending line, `//nolint:<analyzer> // <justification>`.
+// A bare `//nolint:<analyzer>` with no justification does NOT suppress —
+// the finding is reported with a note asking for one. A directive is
+// itself reported when it names no registered analyzer or suppresses
+// nothing on its line, so a suppression cannot outlive the code or the
+// analyzer it was written for.
 package lint
 
 import (
@@ -33,22 +31,15 @@ import (
 )
 
 // An Analyzer checks one Snapify coding invariant over a type-checked
-// package — or, for Module analyzers, over the whole loaded program at
-// once.
+// package.
 type Analyzer struct {
-	// Name is the short identifier used in reports, //nolint directives,
-	// and allowlist entries.
+	// Name is the short identifier used in reports and //nolint
+	// directives.
 	Name string
 	// Doc is a one-line statement of the invariant the analyzer protects.
 	Doc string
-	// Run inspects the pass's package (or, for Module analyzers, the
-	// pass's Prog) and reports findings through it.
+	// Run inspects the pass's package and reports findings through it.
 	Run func(*Pass)
-	// Module marks a whole-program analyzer: Run is invoked once per
-	// lint.Run with Pass.Pkg nil and Pass.Prog set, instead of once per
-	// package. Properties that span packages (the lock-order graph)
-	// cannot be checked one package at a time.
-	Module bool
 }
 
 // All returns every registered analyzer, in reporting order.
@@ -56,15 +47,11 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		UncheckedErr,
 		Wallclock,
-		MutexBlock,
-		GoroutineLeak,
 		PanicLib,
 		RawPrint,
 		Faultgate,
 		Storegate,
 		MapOrder,
-		SpanLeak,
-		LockOrder,
 		CloseLeak,
 	}
 }
@@ -93,11 +80,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// A Pass is one analyzer applied to one package (or, for Module
-// analyzers, to the whole program).
+// A Pass is one analyzer applied to one package.
 type Pass struct {
 	Analyzer *Analyzer
-	// Pkg is the package under analysis; nil for Module analyzers.
+	// Pkg is the package under analysis.
 	Pkg *Package
 	// Prog is the whole-program view (call graph, CFG cache), shared by
 	// every pass of one lint.Run.
@@ -106,49 +92,40 @@ type Pass struct {
 	findings []Finding
 }
 
-// Fset returns the file set positioning the pass's files.
-func (p *Pass) Fset() *token.FileSet {
-	if p.Pkg != nil {
-		return p.Pkg.Fset
-	}
-	for _, pkg := range p.Prog.Pkgs {
-		return pkg.Fset
-	}
-	return token.NewFileSet()
-}
-
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset().Position(pos)
-	p.findings = append(p.findings, Finding{
-		Analyzer: p.Analyzer.Name,
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.findings = append(p.findings, newFinding(p.Analyzer.Name, p.Pkg.Fset.Position(pos), fmt.Sprintf(format, args...)))
+}
+
+func newFinding(analyzer string, pos token.Position, msg string) Finding {
+	return Finding{Analyzer: analyzer, Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column, Message: msg}
 }
 
 // Run applies the analyzers to the packages and returns the surviving
 // findings, sorted by position. Findings on lines carrying a justified
 // //nolint:<analyzer> directive are dropped; directives without a
-// justification leave the finding in place with a note appended.
+// justification leave the finding in place with a note appended. Stale
+// directives are findings of their own (see directiveSet.stale).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	findings, _ := RunStats(pkgs, analyzers)
 	return findings
 }
 
+// directiveCheck is the Analyzer field of a finding about a //nolint
+// directive itself. It is a rule of the run, not a registered analyzer:
+// it cannot be selected or suppressed.
+const directiveCheck = "nolint"
+
 // An AnalyzerStat summarizes one analyzer's work in a RunStats call.
 type AnalyzerStat struct {
 	Analyzer string        `json:"analyzer"`
-	Findings int           `json:"findings"` // surviving findings (after //nolint, before allowlist)
+	Findings int           `json:"findings"` // surviving findings (after //nolint)
 	Wall     time.Duration `json:"wall_ns"`  // wall-clock spent in the analyzer's Run calls
 }
 
 // RunStats is Run plus per-analyzer counts and wall-clock timings (the
 // driver's -stats view; lint-time regressions should be visible, not
-// archaeological).
+// archaeological). The last stat is the directive check's.
 func RunStats(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []AnalyzerStat) {
 	prog := BuildProgram(pkgs)
 	directives := directiveSet{}
@@ -156,38 +133,35 @@ func RunStats(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []AnalyzerStat
 		collectDirectives(pkg, directives)
 	}
 	var out []Finding
-	stats := make([]AnalyzerStat, len(analyzers))
-	keep := func(a *Analyzer, i int, pass *Pass) {
-		for _, f := range pass.findings {
-			switch directives.lookup(f.File, f.Line, a.Name) {
-			case suppressJustified:
-				// Acknowledged with a reason: drop.
-			case suppressBare:
-				f.Message += " (a //nolint directive suppresses only with a justification: //nolint:" + a.Name + " // why)"
-				out = append(out, f)
-				stats[i].Findings++
-			default:
-				out = append(out, f)
-				stats[i].Findings++
-			}
-		}
+	stats := make([]AnalyzerStat, len(analyzers)+1)
+	timed := func(stat *AnalyzerStat, run func() []Finding) {
+		start := time.Now() //nolint:wallclock // lint tooling self-measurement, not simulated time
+		found := run()
+		stat.Wall = time.Since(start) //nolint:wallclock // lint tooling self-measurement, not simulated time
+		stat.Findings = len(found)
+		out = append(out, found...)
 	}
 	for i, a := range analyzers {
 		stats[i].Analyzer = a.Name
-		start := time.Now() //nolint:wallclock // lint tooling self-measurement, not simulated time
-		if a.Module {
-			pass := &Pass{Analyzer: a, Prog: prog}
-			a.Run(pass)
-			keep(a, i, pass)
-		} else {
+		timed(&stats[i], func() (kept []Finding) {
 			for _, pkg := range pkgs {
 				pass := &Pass{Analyzer: a, Pkg: pkg, Prog: prog}
 				a.Run(pass)
-				keep(a, i, pass)
+				for _, f := range pass.findings {
+					switch directives.lookup(f.File, f.Line, a.Name) {
+					case suppressJustified:
+						continue // acknowledged with a reason: drop
+					case suppressBare:
+						f.Message += " (a //nolint directive suppresses only with a justification: //nolint:" + a.Name + " // why)"
+					}
+					kept = append(kept, f)
+				}
 			}
-		}
-		stats[i].Wall = time.Since(start) //nolint:wallclock // lint tooling self-measurement, not simulated time
+			return kept
+		})
 	}
+	stats[len(analyzers)].Analyzer = directiveCheck
+	timed(&stats[len(analyzers)], func() []Finding { return directives.stale(analyzers) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
 			return out[i].File < out[j].File
@@ -213,28 +187,56 @@ const (
 	suppressJustified
 )
 
-// directiveSet maps file → line → analyzer name (or "all") → whether the
-// directive carries a justification.
-type directiveSet map[string]map[int]map[string]bool
+// A directive is one analyzer name of one //nolint comment.
+type directive struct {
+	pos       token.Position
+	justified bool
+	// used is set once the directive has met a finding on its line.
+	used bool
+}
+
+type directiveKey struct {
+	file string
+	line int
+	name string
+}
+
+// directiveSet holds every //nolint directive of a run, by file, line
+// and analyzer name.
+type directiveSet map[directiveKey]*directive
 
 func (d directiveSet) lookup(file string, line int, analyzer string) suppression {
-	byLine, ok := d[file]
-	if !ok {
+	dir := d[directiveKey{file, line, analyzer}]
+	if dir == nil {
 		return suppressNone
 	}
-	names, ok := byLine[line]
-	if !ok {
-		return suppressNone
+	dir.used = true // a bare directive's amended finding points at it
+	if !dir.justified {
+		return suppressBare
 	}
-	for _, key := range []string{analyzer, "all"} {
-		if justified, ok := names[key]; ok {
-			if justified {
-				return suppressJustified
-			}
-			return suppressBare
+	return suppressJustified
+}
+
+// stale reports the directives that name no registered analyzer, and
+// those naming an analyzer of this run that found nothing on their line.
+// A directive for a registered analyzer that did not run is not judged.
+func (d directiveSet) stale(ran []*Analyzer) []Finding {
+	judged := map[string]bool{}
+	for _, a := range ran {
+		judged[a.Name] = true
+	}
+	var out []Finding
+	for key, dir := range d {
+		switch {
+		case ByName(key.name) == nil:
+			out = append(out, newFinding(directiveCheck, dir.pos,
+				"//nolint:"+key.name+" names no registered analyzer (see snapifylint -list): delete it or fix the name"))
+		case judged[key.name] && !dir.used:
+			out = append(out, newFinding(directiveCheck, dir.pos,
+				"//nolint:"+key.name+" suppresses nothing on this line: delete it"))
 		}
 	}
-	return suppressNone
+	return out
 }
 
 // collectDirectives scans every comment in the package for //nolint
@@ -249,19 +251,14 @@ func collectDirectives(pkg *Package, set directiveSet) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				byLine := set[pos.Filename]
-				if byLine == nil {
-					byLine = map[int]map[string]bool{}
-					set[pos.Filename] = byLine
-				}
-				byName := byLine[pos.Line]
-				if byName == nil {
-					byName = map[string]bool{}
-					byLine[pos.Line] = byName
-				}
 				for _, n := range names {
-					// A justified directive wins over a bare duplicate.
-					byName[n] = byName[n] || justified
+					key := directiveKey{pos.Filename, pos.Line, n}
+					if dir := set[key]; dir != nil {
+						// A justified directive wins over a bare duplicate.
+						dir.justified = dir.justified || justified
+						continue
+					}
+					set[key] = &directive{pos: pos, justified: justified}
 				}
 			}
 		}

@@ -255,7 +255,7 @@ func (c *mapOrderChecker) reportSinks(rng *ast.RangeStmt, source string) {
 		if how := c.sinkHow(call); how != "" {
 			reported[call.Pos()] = true
 			c.pass.Reportf(rng.Pos(), "iteration over %s %s at line %d: iteration order is nondeterministic and leaks into serialized output; collect and sort first",
-				source, how, c.pass.Fset().Position(call.Pos()).Line)
+				source, how, c.pass.Pkg.Fset.Position(call.Pos()).Line)
 		}
 		return true
 	})

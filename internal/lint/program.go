@@ -7,13 +7,12 @@ import (
 	"strings"
 )
 
-// A Program is the whole-module view the interprocedural analyzers share:
-// every loaded package, an index of declared functions, and a static call
-// graph with interface calls resolved against the module's method sets.
-// lint.Run builds one Program per invocation and hands it to every Pass.
+// A Program is the whole-module view the flow analyzers share: an index
+// of declared functions, a static call graph with interface calls
+// resolved against the module's method sets (maporder's sink
+// reachability), and a CFG cache (maporder and closeleak). lint.Run
+// builds one Program per invocation and hands it to every Pass.
 type Program struct {
-	Pkgs []*Package
-
 	// Funcs indexes every function and method declared with a body in
 	// the loaded packages.
 	Funcs map[*types.Func]*FuncInfo
@@ -54,7 +53,6 @@ type CallSite struct {
 // BuildProgram indexes the packages and resolves the call graph.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		Pkgs:       pkgs,
 		Funcs:      map[*types.Func]*FuncInfo{},
 		siteByCall: map[*ast.CallExpr]CallSite{},
 		cfgs:       map[*ast.BlockStmt]*CFG{},
@@ -169,15 +167,6 @@ func implementationsOf(concrete []types.Type, iface *types.Interface, method *ty
 func (prog *Program) SiteOf(call *ast.CallExpr) (CallSite, bool) {
 	site, ok := prog.siteByCall[call]
 	return site, ok
-}
-
-// FuncsInOrder returns every indexed function in source order.
-func (prog *Program) FuncsInOrder() []*FuncInfo {
-	out := make([]*FuncInfo, 0, len(prog.funcOrder))
-	for _, fn := range prog.funcOrder {
-		out = append(out, prog.Funcs[fn])
-	}
-	return out
 }
 
 // CFGOf returns the (cached) control-flow graph of a function body.

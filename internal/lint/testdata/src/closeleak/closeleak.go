@@ -8,6 +8,7 @@ package closeleak
 import (
 	"snapify/internal/blob"
 	"snapify/internal/hostfs"
+	"snapify/internal/snapstore"
 )
 
 // copyFile: the classic two-open leak — the second Create's error return
@@ -107,4 +108,16 @@ func bareDirective(fs *hostfs.FS, p string, content blob.Blob) error {
 	}
 	_, werr := w.WriteBlob(content)
 	return werr
+}
+
+// memberStats: a map-lookup accessor hands back a member's long-lived
+// store. *snapstore.Store's only release-named method, Release(path),
+// drops one manifest, not the store, so the lookup is no acquisition.
+func memberStats(fed *snapstore.Federation, host string) (int, error) {
+	st, err := fed.StoreOf(host)
+	if err != nil {
+		return 0, err
+	}
+	stats := st.Stats()
+	return stats.Chunks, nil
 }

@@ -57,11 +57,3 @@ func suppressed() {
 func bareDirective() {
 	work() //nolint:errcheck
 }
-
-func allowme() error { return errors.New("boom") }
-
-// Allowlisted is covered by testdata/allow.txt in TestAllowlistGolden;
-// the plain golden test still expects its finding.
-func Allowlisted() {
-	allowme() // want "error result of errcheck.allowme is discarded by the bare call"
-}

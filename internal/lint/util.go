@@ -78,32 +78,3 @@ func errorResults(info *types.Info, call *ast.CallExpr) []int {
 var errorIface = types.Universe.Lookup("error").Type()
 
 func isErrorType(t types.Type) bool { return types.Identical(t, errorIface) }
-
-// isChanType reports whether t is (or points to) a channel.
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-// namedTypeIs reports whether t (possibly behind a pointer) is the named
-// type pkgPath.name.
-func namedTypeIs(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}

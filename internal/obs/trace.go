@@ -204,9 +204,9 @@ func (tk *Track) Span(scope uint64, name string, dur simclock.Duration, args map
 // An OpenSpan is an in-flight span begun with Track.Begin: the virtual
 // start time is fixed, the duration still accumulating. Every span begun
 // must be ended exactly once on every path out of the beginning function
-// — `defer sp.End()` right after Begin is the idiomatic form, and the
-// spanleak analyzer enforces the pairing. Ending twice is a no-op, so a
-// deferred End composes with an explicit early EndAt.
+// — `defer sp.End()` right after Begin is the idiomatic form. Ending
+// twice is a no-op, so a deferred End composes with an explicit early
+// EndAt.
 type OpenSpan struct {
 	tk    *Track
 	scope uint64

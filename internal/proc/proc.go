@@ -220,7 +220,7 @@ func (p *Process) SpawnThread(name string, fn func()) error {
 	}
 	p.threads[name]++
 	p.mu.Unlock()
-	go func() { //nolint:goroutineleak // this IS the tracking mechanism: the thread-table entry lives exactly as long as fn
+	go func() { // no shutdown signal needed: this IS the tracking mechanism: the thread-table entry lives exactly as long as fn
 		defer func() {
 			p.mu.Lock()
 			p.threads[name]--

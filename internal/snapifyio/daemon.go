@@ -375,7 +375,7 @@ func (d *Daemon) remoteServer() {
 func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 	d.trackEp(ep)
 	defer d.untrackEp(ep)
-	defer ep.Close()
+	defer ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 
 	raw, _, err := ep.Recv()
 	if err != nil {
@@ -863,7 +863,7 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 		staging[i] = newSlot(d.bufSize)
 		win, rc, err := ep.Register(staging[i], 0, d.bufSize)
 		if err != nil {
-			ep.Close()
+			ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 			return nil, err
 		}
 		windows[i] = win.Offset
@@ -874,21 +874,21 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 	req := &openMsg{Mode: mode, StreamID: streamID, BufSize: d.bufSize, Windows: windows,
 		Striped: st.enabled(), Stripe: st, Path: path, Store: opts.Store, Chunks: opts.Chunks}
 	if _, err := ep.Send(encode(req)); err != nil {
-		ep.Close()
+		ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 		return nil, err
 	}
 	raw, _, err := ep.Recv()
 	if err != nil {
-		ep.Close()
+		ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 		return nil, err
 	}
 	resp, err := expect[*openResp](raw, msgOpenResp)
 	if err != nil {
-		ep.Close()
+		ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 		return nil, err
 	}
 	if resp.Err != "" {
-		ep.Close()
+		ep.Close() //nolint:errcheck // dropping the per-stream connection is the error signal; a close error has no recovery
 		return nil, &RemoteError{Node: target, Path: path, Msg: resp.Err}
 	}
 	size := resp.Size
