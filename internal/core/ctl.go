@@ -163,8 +163,7 @@ func migrateArgs(fields []string) (MigrateOptions, bool) {
 }
 
 // defaultLiveRounds bounds the pre-copy iterations of a "migrate ... live"
-// command (and of scheduler evacuations that enable live migration
-// without tuning it).
+// command.
 const defaultLiveRounds = 3
 
 // migrateReply formats a migration's Report for the utility: one line per

@@ -158,11 +158,11 @@ type StoreOptions struct {
 	// path). The parent must already be committed in the store; its
 	// refcount is retained until this snapshot is released.
 	Parent string
-	// Replicas, when positive, asks the fleet layer (sched.Fleet) to keep
-	// this many total copies of the committed snapshot directory across
-	// hosts through the store federation. The capture data path itself
-	// stays host-local; replication fans out after the commit. Requires
-	// Enabled, and has no meaning on restore.
+	// Replicas, when above one, asks the fleet layer (fleetd's platform
+	// backend) to keep this many total copies of the committed snapshot
+	// directory across hosts through the store federation. The capture
+	// data path itself stays host-local; replication fans out after the
+	// commit. Requires Enabled, and has no meaning on restore.
 	Replicas int
 }
 

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"snapify/internal/coi"
+	"snapify/internal/fleetd"
 	"snapify/internal/obs"
-	"snapify/internal/sched"
 	"snapify/internal/simclock"
 	"snapify/internal/snapstore"
 	"snapify/internal/trace"
@@ -64,7 +64,7 @@ type FederationResult struct {
 	CrossHostDedupX float64 `json:"cross_host_dedup_x"`
 
 	// Host-kill recovery phase: the job checkpoints with k-way
-	// replication, its host dies, Recover restarts it from a replica.
+	// replication, its host dies, and it restarts from a replica.
 	Replicas       int `json:"replicas"`
 	ReplicaHolders int `json:"replica_holders"`
 	LagAfterKill   int `json:"replica_lag_after_kill"`
@@ -97,7 +97,8 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 	}
 
 	cfg := serverFor(1, imageBytes)
-	fleet := sched.NewFleet(obs.New(), snapstore.DefaultLink(), nil)
+	fed := snapstore.NewFederation(obs.New(), snapstore.DefaultLink(), nil)
+	be := fleetd.NewPlatformBackend(fed, 1, cfg.Server.Device.MemBytes)
 	names := make([]string, hosts)
 	for i := 0; i < hosts; i++ {
 		names[i] = fmt.Sprintf("h%d", i)
@@ -106,14 +107,14 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 			return nil, err
 		}
 		defer coi.Shutdown(plat)
-		if err := fleet.AddHost(names[i], plat); err != nil {
+		if err := be.AddHost(names[i], plat); err != nil {
 			return nil, err
 		}
 	}
-	fleet.Capture.Streams = 2
-	fleet.Capture.ChunkBytes = 256 * 1024
-	fleet.Capture.Store.Enabled = true
-	fleet.Restore.Store.Enabled = true
+	be.Capture.Streams = 2
+	be.Capture.ChunkBytes = 256 * 1024
+	be.Capture.Store.Enabled = true
+	be.Restore.Store.Enabled = true
 
 	// The kernel folds freshly written input each call (In/OutPerCall
 	// nonzero), so the checksum depends only on the deterministic call
@@ -134,11 +135,15 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 		Hosts: hosts, Legs: legs, Replicas: federationReplicas,
 	}
 
-	j, err := fleet.Submit(spec, names[0], 1)
-	if err != nil {
+	// The script plays the controller: it keeps the job record's host
+	// current and picks every destination itself.
+	j := &fleetd.Job{ID: 1, Host: names[0], Spec: fleetd.JobSpec{
+		ID: 1, Footprint: spec.DeviceMem + spec.LocalStore, Bursts: 1, Workload: &spec,
+	}}
+	if _, err := be.Launch(j); err != nil {
 		return nil, err
 	}
-	if _, err := j.Inst.RunCalls(2); err != nil {
+	if _, err := be.Instance(j.ID).RunCalls(2); err != nil {
 		return nil, err
 	}
 
@@ -150,10 +155,11 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 		if from == names[0] {
 			to = names[1]
 		}
-		stats, err := fleet.MigrateJob(j, to)
+		stats, err := be.MigrateJob(j, to, 0)
 		if err != nil {
 			return nil, fmt.Errorf("federation: leg %d (%s -> %s): %w", leg, from, to, err)
 		}
+		j.Host = to
 		row := FederationLeg{
 			Leg: leg, From: from, To: to,
 			BytesLogical:  stats.BytesLogical,
@@ -168,7 +174,7 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 			res.WarmLogicalBytes += row.BytesLogical
 			res.WarmShippedBytes += row.BytesShipped
 		}
-		if _, err := j.Inst.RunCalls(1); err != nil {
+		if _, err := be.Instance(j.ID).RunCalls(1); err != nil {
 			return nil, err
 		}
 	}
@@ -176,50 +182,50 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 		res.CrossHostDedupX = float64(res.WarmLogicalBytes) / float64(res.WarmShippedBytes)
 	}
 
-	// Kill phase: replicate the checkpoint, lose the host, recover.
-	fleet.Capture.Store.Replicas = federationReplicas
-	_, holders, err := fleet.Checkpoint(j)
-	if err != nil {
+	// Kill phase: replicate the checkpoint, lose the host, repair, and
+	// recover onto the surviving holder closest to the dead host.
+	be.Capture.Store.Replicas = federationReplicas
+	if _, err := be.Checkpoint(j); err != nil {
 		return nil, fmt.Errorf("federation: replicated checkpoint: %w", err)
 	}
-	res.ReplicaHolders = len(holders)
+	res.ReplicaHolders = len(be.Holders(j))
 	doomed := j.Host
-	before, err := ctxManifestDigests(fleet, doomed, j)
+	before, err := ctxManifestDigests(fed, doomed, j.ID)
 	if err != nil {
 		return nil, err
 	}
-	if err := fleet.KillHost(doomed); err != nil {
-		return nil, err
-	}
-	res.LagAfterKill = fleet.Federation().ReplicaLag()
-	repair, _, err := fleet.Federation().Repair(0)
+	be.HostKilled(doomed)
+	res.LagAfterKill = fed.ReplicaLag()
+	repair, _, err := fed.Repair(0)
 	if err != nil {
 		return nil, fmt.Errorf("federation: repair: %w", err)
 	}
 	res.RepairAdded = repair.ReplicasAdded
-	res.LagAfterRepair = fleet.Federation().ReplicaLag()
+	res.LagAfterRepair = fed.ReplicaLag()
 
-	recovered, err := fleet.Recover()
-	if err != nil {
+	dst := fed.ClosestHolder(fleetd.SnapshotDir(j.ID), doomed, j.Spec.Footprint)
+	if _, err := be.Recover(j, dst, 0); err != nil {
 		return nil, fmt.Errorf("federation: recover: %w", err)
 	}
-	res.RecoveredJobs = len(recovered)
-	after, err := ctxManifestDigests(fleet, j.Host, j)
+	j.Host = dst
+	res.RecoveredJobs = 1
+	after, err := ctxManifestDigests(fed, j.Host, j.ID)
 	if err != nil {
 		return nil, err
 	}
 	res.ByteIdentical = strings.Join(before, ",") == strings.Join(after, ",")
 
-	if err := fleet.Run(); err != nil {
+	inst := be.Instance(j.ID)
+	if _, err := inst.Run(); err != nil {
 		return nil, fmt.Errorf("federation: running recovered job: %w", err)
 	}
-	res.ChecksumMatch = j.Inst.Checksum() == want
+	res.ChecksumMatch = inst.Checksum() == want
+	if err := be.Finish(j); err != nil {
+		return nil, err
+	}
 
-	for _, name := range fleet.Federation().Members() {
-		if !fleet.Federation().Alive(name) {
-			continue
-		}
-		st, err := fleet.Federation().StoreOf(name)
+	for _, name := range fed.Members() {
+		st, err := fed.StoreOf(name)
 		if err != nil {
 			return nil, err
 		}
@@ -234,16 +240,16 @@ func (r *FederationResult) replay() (Result, error) {
 	return FederationBench(r.ImageBytes, r.Hosts, r.Legs)
 }
 
-// ctxManifestDigests reads the chunk digest list of the job's offload
+// ctxManifestDigests reads the chunk digest list of job id's offload
 // context manifest in the named member's store.
-func ctxManifestDigests(f *sched.Fleet, host string, j *sched.FleetJob) ([]string, error) {
-	st, err := f.Federation().StoreOf(host)
+func ctxManifestDigests(fed *snapstore.Federation, host string, id int) ([]string, error) {
+	st, err := fed.StoreOf(host)
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := st.Manifest(j.Dir + "/" + coi.ContextFileName)
+	m, _, err := st.Manifest(fleetd.SnapshotDir(id) + "/" + coi.ContextFileName)
 	if err != nil {
-		return nil, fmt.Errorf("federation: context manifest of job %d on %s: %w", j.ID, host, err)
+		return nil, fmt.Errorf("federation: context manifest of job %d on %s: %w", id, host, err)
 	}
 	return m.Chunks, nil
 }

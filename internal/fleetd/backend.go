@@ -224,23 +224,24 @@ func (b *ModelBackend) Migrate(j *Job, dstHost string, dstCard int) (simclock.Du
 // Recover prices restoring j onto dstHost from its closest holder.
 func (b *ModelBackend) Recover(j *Job, dstHost string, dstCard int) (simclock.Duration, error) {
 	fp := j.Spec.Footprint
-	from := dstHost
-	holders := b.Holders(j)
-	if len(holders) > 0 {
-		from = holders[0]
-		best := simclock.Duration(-1)
-		for _, h := range holders {
-			c := b.LinkCost(dstHost, h, fp)
-			if best < 0 || c < best {
-				from, best = h, c
-			}
-		}
-	}
+	from := closestHolder(b, dstHost, b.Holders(j), fp)
 	dur := simclock.Rate(b.model.HostFSReadColdBandwidth)(fp) + b.model.RDMA(fp)
-	if from != dstHost {
+	if from != "" && from != dstHost {
 		dur += b.LinkCost(from, dstHost, fp)
 	}
 	return dur, nil
+}
+
+// closestHolder is both backends' recovery source: the holder cheapest
+// to move n bytes from onto dst, the first one on ties; "" with none.
+func closestHolder(be Backend, dst string, holders []string, n int64) string {
+	from, best := "", simclock.Duration(0)
+	for _, h := range holders {
+		if c := be.LinkCost(dst, h, n); from == "" || c < best {
+			from, best = h, c
+		}
+	}
+	return from
 }
 
 // Finish is free in model mode.

@@ -15,7 +15,7 @@
 // mechanics and cost pricing hide behind the Backend interface —
 // ModelBackend prices operations from the calibrated simclock model at
 // 100+ host scale, PlatformBackend drives real simulated platforms
-// through sched.Fleet at test scale.
+// through the store federation at test scale.
 package fleetd
 
 import (
@@ -140,9 +140,6 @@ type Job struct {
 	// -1 while unassigned.
 	Host string
 	Card int
-
-	// FJ binds the job to its real sched.Fleet record in platform mode.
-	FJ interface{}
 
 	epoch      int
 	burstsDone int
@@ -571,14 +568,24 @@ func (c *Controller) hostByName(name string) (*hostState, error) {
 	return c.hosts[i], nil
 }
 
-// SubmitTrace schedules every job on the arrival trace.
+// SubmitTrace schedules every job on the arrival trace. A job no card
+// can hold is refused: queued, it would block its queue's head forever.
 func (c *Controller) SubmitTrace(specs []JobSpec) error {
+	var largest int64
+	for _, h := range c.hosts {
+		for _, cd := range h.cards {
+			largest = max(largest, cd.cap)
+		}
+	}
 	for _, sp := range specs {
 		if _, ok := c.jobs[sp.ID]; ok {
 			return fmt.Errorf("fleetd: duplicate job id %d", sp.ID)
 		}
 		if sp.Bursts < 1 || sp.Footprint <= 0 || sp.BurstLen <= 0 {
 			return fmt.Errorf("fleetd: job %d: bursts, footprint and burst length must be positive", sp.ID)
+		}
+		if sp.Footprint > largest {
+			return fmt.Errorf("fleetd: job %d: footprint %d bytes exceeds every card (largest %d)", sp.ID, sp.Footprint, largest)
 		}
 		j := &Job{ID: sp.ID, Spec: sp, State: StatePending, Card: -1}
 		c.jobs[sp.ID] = j

@@ -238,6 +238,21 @@ func TestPlacementBestFit(t *testing.T) {
 	completedAll(t, c)
 }
 
+// TestSubmitRejectsOversizedJob: a job larger than every card is
+// refused at submission. Queued, it would sit at the head of its
+// tenant's queue forever and nothing behind it would ever place.
+func TestSubmitRejectsOversizedJob(t *testing.T) {
+	c, _ := newModel(t, Options{OversubPct: 300}, ModelOptions{Hosts: 2, CardsPerHost: 2, CardMem: 1 << 30})
+	if err := c.SubmitTrace([]JobSpec{simpleSpec(1, "a", 0, 0, 1<<30+1, 2)}); err == nil {
+		t.Fatal("a job no card can hold must be refused")
+	}
+	if err := c.SubmitTrace([]JobSpec{simpleSpec(2, "a", 0, 0, 1<<30, 2)}); err != nil {
+		t.Fatalf("a job that fills one card exactly: %v", err)
+	}
+	mustRun(t, c)
+	completedAll(t, c)
+}
+
 // TestOversubscriptionSwaps: at 100% two jobs too big to share a card
 // serialize with no swaps; at 200% they interleave through the
 // store-backed swap path during each other's long think phases,

@@ -1,6 +1,6 @@
 // Package platformtest is the shared test harness for suites that need
 // a running platform: it boots a simulated server (coi.Boot) and
-// registers teardown with the test. The core, sched, and chaos suites
+// registers teardown with the test. The core, fleetd, and chaos suites
 // all build their platforms here.
 //
 // It lives in its own package (not platform's test files) because the

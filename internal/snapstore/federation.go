@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,8 +57,8 @@ func (l LinkModel) Cost(n int64) simclock.Duration { return l.cost(n) }
 
 // InjectorFunc resolves the current fault injector at fire time (nil
 // injector, or a nil func, means no faults). The alias lets callers
-// outside the fault-injection choke points (sched's fleet control
-// plane) thread an injector through without importing faultinject —
+// outside the fault-injection choke points (fleetd's platform
+// backend) thread an injector through without importing faultinject —
 // the faultgate boundary (DESIGN.md §10) stays intact because only the
 // choke point dereferences it.
 type InjectorFunc = func() *faultinject.Injector
@@ -511,9 +512,12 @@ func (f *Federation) placementLocked(src, dir string) []string {
 }
 
 // ReplicateDir establishes k total copies of the snapshot directory dir
-// (the copy on src counts). Placement is deterministic. If a
-// destination dies mid-ship the error surfaces, but every completed
-// copy is recorded — a subsequent Repair tops the set back up to k.
+// (the copy on src counts). Placement is deterministic. A holder from an
+// earlier call keeps the previous capture, so it is brought up to date
+// first (the negotiation ships only what changed); one whose refresh
+// fails leaves the set. If a destination dies mid-ship the error
+// surfaces, but every completed copy is recorded — a subsequent Repair
+// tops the set back up to k.
 func (f *Federation) ReplicateDir(src, dir string, k int) ([]string, simclock.Duration, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -535,6 +539,17 @@ func (f *Federation) ReplicateDir(src, dir string, k int) ([]string, simclock.Du
 		sort.Strings(set.holders)
 	}
 	var dur simclock.Duration
+	for _, dst := range f.holdersLocked(dir) {
+		if dst == src {
+			continue
+		}
+		_, d, err := f.shipDirLocked(src, dst, dir)
+		dur += d
+		if err != nil {
+			set.holders = slices.DeleteFunc(set.holders, func(h string) bool { return h == dst })
+			return f.holdersLocked(dir), dur, err
+		}
+	}
 	for _, dst := range f.placementLocked(src, dir) {
 		if f.holdersAliveLocked(set) >= k {
 			break
@@ -609,6 +624,32 @@ func (f *Federation) ReplicaLag() int {
 		}
 	}
 	return n
+}
+
+// DropDir is the owner letting go of dir for good: on every living
+// member it releases each snapshot committed under dir and removes dir's
+// plain files, and it forgets dir's replica set so Repair and
+// ReplicaLag stop counting it. Chunks are left for each store's GC.
+func (f *Federation) DropDir(dir string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dir = normPath(dir)
+	delete(f.sets, dir)
+	prefix := strings.TrimSuffix(dir, "/") + "/"
+	for _, name := range f.aliveLocked() {
+		st := f.members[name]
+		for _, p := range st.List() {
+			// A release cascades up a delta chain, so a parent listed
+			// later may already be gone.
+			if strings.HasPrefix(p, prefix) && st.Has(p) {
+				if _, err := st.Release(p); err != nil {
+					return fmt.Errorf("snapstore: dropping %s on %s: %w", p, name, err)
+				}
+			}
+		}
+		st.fs.RemoveAll(prefix)
+	}
+	return nil
 }
 
 // RepairStats reports one repair pass.

@@ -163,6 +163,33 @@ func TestFederationReplicateAndHolders(t *testing.T) {
 	fe.assertFsckClean(t)
 }
 
+// TestFederationReplicateRefreshesHolders re-captures a replicated
+// directory on its source: replicating again must bring the existing
+// holder up to date, not count its stale copy as a replica.
+func TestFederationReplicateRefreshesHolders(t *testing.T) {
+	fe := newFedEnv(t, 3)
+	fe.seedDir(t, "h0", "/ckpt/job1", 3, 4*1024)
+	holders, _, err := fe.fed.ReplicateDir("h0", "/ckpt/job1", 2)
+	if err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	e := fe.hosts["h0"]
+	if _, err := e.st.Release("/ckpt/job1/ctx"); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	fresh := fe.seedDir(t, "h0", "/ckpt/job1", 5, 4*1024)
+	again, _, err := fe.fed.ReplicateDir("h0", "/ckpt/job1", 2)
+	if err != nil || !reflect.DeepEqual(again, holders) {
+		t.Fatalf("re-replicate = %v, %v; want %v", again, err, holders)
+	}
+	for _, h := range holders {
+		if got := readAll(t, fe.hosts[h], "/ckpt/job1/ctx"); !blob.Equal(got, fresh) {
+			t.Errorf("holder %s keeps the previous capture", h)
+		}
+	}
+	fe.assertFsckClean(t)
+}
+
 // TestFederationKillAndRepair kills a holder and checks the repair loop
 // re-establishes k from the surviving copy.
 func TestFederationKillAndRepair(t *testing.T) {
@@ -190,6 +217,45 @@ func TestFederationKillAndRepair(t *testing.T) {
 	}
 	if got := len(fe.fed.Holders("/ckpt/job1")); got != 2 {
 		t.Fatalf("holders after repair = %d, want 2", got)
+	}
+	fe.assertFsckClean(t)
+}
+
+// TestFederationDropDir releases a replicated directory everywhere: no
+// living copy keeps a manifest or a plain file, GC empties the stores,
+// and the forgotten set no longer counts as lagging.
+func TestFederationDropDir(t *testing.T) {
+	fe := newFedEnv(t, 3)
+	fe.seedDir(t, "h0", "/ckpt/job1", 4, 4*1024)
+	holders, _, err := fe.fed.ReplicateDir("h0", "/ckpt/job1", 2)
+	if err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	if err := fe.fed.KillHost(holders[1]); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	if err := fe.fed.DropDir("/ckpt/job1"); err != nil {
+		t.Fatalf("drop: %v", err)
+	}
+	if lag := fe.fed.ReplicaLag(); lag != 0 {
+		t.Fatalf("ReplicaLag after drop = %d, want 0", lag)
+	}
+	if got := fe.fed.Holders("/ckpt/job1"); len(got) != 0 {
+		t.Fatalf("holders after drop = %v, want none", got)
+	}
+	for name, e := range fe.hosts {
+		if !fe.fed.Alive(name) {
+			continue
+		}
+		if files := e.fs.List("/ckpt/job1/"); len(files) != 0 {
+			t.Errorf("host %s kept plain files %v", name, files)
+		}
+		if _, _, err := e.st.GC(0); err != nil {
+			t.Fatalf("gc on %s: %v", name, err)
+		}
+		if st := e.st.Stats(); st.Manifests != 0 || st.Chunks != 0 {
+			t.Errorf("host %s not empty after drop + gc: %+v", name, st)
+		}
 	}
 	fe.assertFsckClean(t)
 }

@@ -51,12 +51,12 @@ echo "==> go test -race ./..."
 # baseline gate's refusal of extra selectors.
 go test -race ./...
 
-echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/sched, internal/fleetd, internal/experiments, internal/blob, internal/scif, internal/workloads)"
+echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, internal/coi, internal/snapifyio, internal/fleetd, internal/experiments, internal/blob, internal/scif, internal/workloads)"
 # Per-package statement-coverage floors for the packages that hold the
 # durability-critical logic (the dedup store, the snapshot protocol, the
 # checkpoint / restart engine with its context-file codec, and the two
-# daemons that speak the control and data protocols), the schedulers
-# above them, the experiment registry every reported number comes out
+# daemons that speak the control and data protocols), the fleet
+# controller above them, the experiment registry every reported number comes out
 # of, the content representation under every region and COI buffer
 # (internal/blob), and the two packages every offload call runs through:
 # the SCIF transport whose RDMA moves COI buffer data (internal/scif) and
@@ -67,7 +67,7 @@ echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, int
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/sched/:65.0" "./internal/fleetd/:82.8" "./internal/experiments/:77.0" "./internal/blob/:90.4" "./internal/scif/:88.5" "./internal/workloads/:72.7"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:64.0" "./internal/snapifyio/:76.0" "./internal/fleetd/:82.8" "./internal/experiments/:77.0" "./internal/blob/:90.4" "./internal/scif/:88.5" "./internal/workloads/:72.7"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
@@ -130,10 +130,11 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # (TestChaosStoreRestoreSweep, TestChaosStagingRoundSweep): a daemon crash
 # and a chunk fault at every pull of a swap-in and of a staging round.
 # snapstore carries the federation chaos cases
-# (TestChaosFederation*), sched the fleet-level kill-during-replication
-# case, and fleetd the control-plane cases (TestChaosFleet*: host kill
-# mid-evacuation-wave, capture crash mid-preemption, seed replay).
-go test -race -count=2 -run 'TestChaos|TestSeedReplay' ./internal/core/ ./internal/snapstore/ ./internal/sched/ ./internal/fleetd/
+# (TestChaosFederation*), and fleetd the control-plane cases
+# (TestChaosFleet*: host kill mid-evacuation-wave, capture crash
+# mid-preemption, seed replay) and the platform backend's host kill
+# mid-replication (TestChaosFleetKillDuringReplication).
+go test -race -count=2 -run 'TestChaos|TestSeedReplay' ./internal/core/ ./internal/snapstore/ ./internal/fleetd/
 
 echo "==> cold store capture determinism (-count=50, GOMAXPROCS 1 and 8)"
 # The windowed digest -> negotiate -> ship pass of a cold one-stream store
