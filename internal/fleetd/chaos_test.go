@@ -207,7 +207,7 @@ func TestChaosFleetHostKillMidPreemptionEviction(t *testing.T) {
 	var victim *Job
 	if !stepUntil(t, c, func() bool {
 		for _, j := range c.Jobs() {
-			if j.curOp == opSwapOut && j.opPreempt {
+			if j.preemptFor != nil {
 				victim = j
 				return true
 			}
@@ -216,8 +216,8 @@ func TestChaosFleetHostKillMidPreemptionEviction(t *testing.T) {
 	}) {
 		t.Fatal("setup: no preemption eviction ever started")
 	}
-	preemptor := c.JobByID(victim.preemptFor)
-	if preemptor == nil || preemptor.preemptEvicts == 0 {
+	preemptor := victim.preemptFor
+	if preemptor.preemptEvicts == 0 {
 		t.Fatalf("setup: victim %d has no pending preemptor", victim.ID)
 	}
 	// Kill in two phases (KillHost = markHostDead + dispatch) so the
@@ -284,14 +284,10 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 	var moving *Job
 	if !stepUntil(t, c, func() bool {
 		for _, j := range c.Jobs() {
-			if j.curOp != opMigrate || j.opDstHost == "" || j.Host != "h000" {
+			if j.dst == nil || j.Host != "h000" {
 				continue
 			}
-			src, err := c.hostByName(j.Host)
-			if err != nil {
-				continue
-			}
-			if _, resident := src.cards[j.Card].residents[j.ID]; !resident {
+			if c.cardOf(j).residents[j.ID] == nil {
 				moving = j
 				return true
 			}
@@ -300,7 +296,7 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 	}) {
 		t.Fatal("setup: the drain never moved a swapped-out job")
 	}
-	if err := c.KillHost(moving.opDstHost); err != nil {
+	if err := c.KillHost(c.hosts[moving.dst.hostIdx].name); err != nil {
 		t.Fatal(err)
 	}
 	// stepUntil's per-step invariant check is the teeth here: the job

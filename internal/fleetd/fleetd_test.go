@@ -45,76 +45,6 @@ func completedAll(t *testing.T, c *Controller) {
 	}
 }
 
-// checkInvariants asserts the card-accounting invariants: residency
-// stays within [0, cap] (commitment may oversubscribe, physical memory
-// never), every running or thinking job actually holds residency on its
-// card, and every card's idle tally equals a recount from the host's
-// assigned jobs.
-func checkInvariants(t *testing.T, c *Controller) {
-	t.Helper()
-	for _, h := range c.hosts {
-		for _, cd := range h.cards {
-			if cd.resident < 0 || cd.resident > cd.cap {
-				t.Fatalf("at %v: card %s/%d resident %d outside [0, %d]",
-					c.now, h.name, cd.idx, cd.resident, cd.cap)
-			}
-			if cd.committed < 0 {
-				t.Fatalf("at %v: card %s/%d committed %d negative", c.now, h.name, cd.idx, cd.committed)
-			}
-			checkIdleTally(t, c, h, cd)
-		}
-	}
-	for _, j := range c.Jobs() {
-		if j.State != StateRunning && j.State != StateThinking {
-			continue
-		}
-		h, err := c.hostByName(j.Host)
-		if err != nil {
-			t.Fatalf("at %v: job %d %s on unknown host %q", c.now, j.ID, j.State, j.Host)
-		}
-		if _, ok := h.cards[j.Card].residents[j.ID]; !ok {
-			t.Fatalf("at %v: job %d is %s on %s/%d without residency",
-				c.now, j.ID, j.State, j.Host, j.Card)
-		}
-	}
-}
-
-// checkIdleTally recounts cd's idle tally from scratch: the jobs in
-// h.assigned on cd that are thinking or swapped out and not being
-// preempted, their footprint summed per priority. The tally must hold
-// exactly those jobs and, for every priority, exactly that sum.
-func checkIdleTally(t *testing.T, c *Controller, h *hostState, cd *card) {
-	t.Helper()
-	want := map[int]int64{}
-	n := 0
-	for _, v := range h.assigned {
-		if v.Card != cd.idx || v.beingPreempted || (v.State != StateThinking && v.State != StateSwappedOut) {
-			continue
-		}
-		want[v.Spec.Priority] += v.Spec.Footprint
-		n++
-		if cd.idlers[v.ID] != v || v.idleOn != cd {
-			t.Fatalf("at %v: idle job %d (%s) missing from card %s/%d's idlers", c.now, v.ID, v.State, h.name, cd.idx)
-		}
-	}
-	if len(cd.idlers) != n {
-		t.Fatalf("at %v: card %s/%d has %d idlers, recount %d", c.now, h.name, cd.idx, len(cd.idlers), n)
-	}
-	for i, e := range cd.idle {
-		if i > 0 && cd.idle[i-1].prio >= e.prio {
-			t.Fatalf("at %v: card %s/%d idle tally out of priority order: %v", c.now, h.name, cd.idx, cd.idle)
-		}
-		if e.bytes != want[e.prio] {
-			t.Fatalf("at %v: card %s/%d priority %d idle tally %d, recount %d",
-				c.now, h.name, cd.idx, e.prio, e.bytes, want[e.prio])
-		}
-		delete(want, e.prio)
-	}
-	if len(want) != 0 {
-		t.Fatalf("at %v: card %s/%d idle tally %v lacks priorities %v", c.now, h.name, cd.idx, cd.idle, want)
-	}
-}
-
 // stepUntil advances the controller in 1ms steps, checking invariants
 // at every step, until cond holds or the event queue drains. It
 // reports whether cond was met.
@@ -127,7 +57,9 @@ func stepUntil(t *testing.T, c *Controller, cond func() bool) bool {
 		if err := c.RunUntil(c.now + 1*ms); err != nil {
 			t.Fatal(err)
 		}
-		checkInvariants(t, c)
+		if err := c.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return true
 }

@@ -26,7 +26,6 @@ const (
 	evOpDone    // an engine op (launch/swap/migrate/recover) completed
 	evEvacuate  // start draining a host (job field unused, host in drain record)
 	evServeCard // retry one card's waiter queue after a failed serve attempt
-	evHeartbeat // re-run the dispatch loop (after external state changes)
 )
 
 // eventHeap is a binary min-heap over (at, seq). It is the control

@@ -78,7 +78,7 @@ func (c *Controller) preemptPlanScan(j *Job) (*card, []*Job) {
 			}
 			var cands []*Job
 			for _, v := range h.assigned {
-				if v.Card != cd.idx || v.beingPreempted {
+				if v.Card != cd.idx || v.preemptFor != nil {
 					continue
 				}
 				if v.Spec.Priority >= j.Spec.Priority {
@@ -135,11 +135,10 @@ type placerSweep struct {
 }
 
 // stepCompare runs c dry one event at a time. After every event it
-// recounts every card's idle tally and, when dispatch would search for
-// the head job, compares the indexed searches with the scans for it:
-// findCard with and without needRoom, and preemptPlan. It leaves the
-// residency invariants to checkInvariants: some sweep seeds break them
-// (ROADMAP item 2), and their decisions are still compared.
+// checks the controller's invariants (the idle tallies the indexed
+// searches read among them) and, when dispatch would search for the
+// head job, compares the indexed searches with the scans for it:
+// findCard with and without needRoom, and preemptPlan.
 func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 	t.Helper()
 	for c.events.Len() > 0 {
@@ -147,10 +146,8 @@ func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 			t.Fatal(err)
 		}
 		sw.events++
-		for _, h := range c.hosts {
-			for _, cd := range h.cards {
-				checkIdleTally(t, c, h, cd)
-			}
+		if err := c.checkInvariants(); err != nil {
+			t.Fatal(err)
 		}
 		j := c.pending.Peek()
 		if j == nil || j.preemptEvicts > 0 {
@@ -161,7 +158,7 @@ func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 			got, want := c.findCard(j, needRoom), c.findCardScan(j, needRoom)
 			if got != want {
 				t.Fatalf("at %v: job %d needRoom=%v: findCard picked %s, the scan %s",
-					c.now, j.ID, needRoom, cardName(c, got), cardName(c, want))
+					c.now, j.ID, needRoom, orNone(c, got), orNone(c, want))
 			}
 			if got == nil && !needRoom {
 				sw.noCard++
@@ -172,7 +169,7 @@ func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 		wantCd, wantV := c.preemptPlanScan(j)
 		if gotCd != wantCd || fmt.Sprint(gotIDs) != fmt.Sprint(jobIDs(wantV)) {
 			t.Fatalf("at %v: job %d: preemptPlan chose %s %v, the scan %s %v",
-				c.now, j.ID, cardName(c, gotCd), gotIDs, cardName(c, wantCd), jobIDs(wantV))
+				c.now, j.ID, orNone(c, gotCd), gotIDs, orNone(c, wantCd), jobIDs(wantV))
 		}
 		if gotCd != nil {
 			sw.plans++
@@ -180,11 +177,11 @@ func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 	}
 }
 
-func cardName(c *Controller, cd *card) string {
+func orNone(c *Controller, cd *card) string {
 	if cd == nil {
 		return "none"
 	}
-	return fmt.Sprintf("%s/%d", c.hosts[cd.hostIdx].name, cd.idx)
+	return c.cardName(cd)
 }
 
 func jobIDs(js []*Job) []int {
@@ -196,23 +193,14 @@ func jobIDs(js []*Job) []int {
 }
 
 // TestPlacerMatchesScan is the indexed placer's differential: seeds 1-50
-// at 100, 150 and 200 % oversubscription with an evacuation, then the
-// kill-mid-evacuation and crash-mid-preemption chaos plans. Runs that
-// strand jobs still compare every decision they make, so no seed is
-// dropped for ending badly.
+// of the 4 x 2 sweep shape at 100, 150 and 200 % oversubscription, then
+// the kill-mid-evacuation and crash-mid-preemption chaos plans. Every
+// run also holds the controller's invariants after every event.
 func TestPlacerMatchesScan(t *testing.T) {
 	var sw placerSweep
 	for _, pct := range []int{100, 150, 200} {
 		for seed := uint64(1); seed <= 50; seed++ {
-			c := New(Options{OversubPct: pct, QueueDepth: 16, EvacWave: 2},
-				NewModelBackend(ModelOptions{Hosts: 4, CardsPerHost: 2, CardMem: 1 << 30, HostsPerRack: 2, ReplicaK: 2}), obs.New())
-			if err := c.SubmitTrace(GenerateTrace(TraceConfig{
-				Seed: seed, Jobs: 60, Tenants: 6, CardMem: 1 << 30, ThinkScale: 200,
-			})); err != nil {
-				t.Fatal(err)
-			}
-			c.ScheduleEvacuation(30*ms, "h000", 600000*ms)
-			stepCompare(t, c, &sw)
+			stepCompare(t, smallFleet(t, pct, seed), &sw)
 		}
 	}
 	for _, seed := range []uint64{0xC0FFEE, 1, 2, 3} {
@@ -235,12 +223,13 @@ func TestFindCardForgetsDeadSnapshotWithoutFit(t *testing.T) {
 	if err := c.markHostDead("h001"); err != nil {
 		t.Fatal(err)
 	}
-	c.hosts[0].cards[0].committed = 1 << 30 // h000 full: nothing fits
+	// h000 full: nothing fits.
+	c.assign(&Job{ID: 2, Spec: simpleSpec(2, "a", 0, 0, 1<<30, 1)}, c.hosts[0].cards[0])
 	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 1<<30, 4), Card: -1,
 		snapshotted: true, burstsDone: 2, ckptBursts: 2}
 	be.holders[j.ID] = []string{"h001"}
 	if cd := c.findCard(j, false); cd != nil {
-		t.Fatalf("placed on %s with the fleet full", cardName(c, cd))
+		t.Fatalf("placed on %s with the fleet full", orNone(c, cd))
 	}
 	if j.snapshotted || j.burstsDone != 0 || j.ckptBursts != 0 {
 		t.Fatalf("snapshot with no living holder kept: snapshotted=%v bursts done %d, checkpointed %d",
