@@ -154,8 +154,12 @@ func (f *FlightRecorder) Trigger(reason string) *FlightDump {
 			d.Path = path
 		}
 	}
+	// Concurrent triggers render outside the lock and may finish in any
+	// order; the latest incident, the highest Seq, is the one kept.
 	f.mu.Lock()
-	f.last = d
+	if f.last == nil || d.Seq > f.last.Seq {
+		f.last = d
+	}
 	f.mu.Unlock()
 	return d
 }
@@ -180,7 +184,8 @@ func writeFileAtomic(path string, d *FlightDump) error {
 	return nil
 }
 
-// LastDump returns the most recent Trigger result (nil if none yet).
+// LastDump returns the dump of the latest Trigger, the one with the
+// highest Seq (nil if none yet).
 func (f *FlightRecorder) LastDump() *FlightDump {
 	if f == nil {
 		return nil

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"snapify/internal/simclock"
@@ -42,6 +44,39 @@ func TestFlightRecorderRing(t *testing.T) {
 	}
 	if err := ValidateChromeTrace([]byte(d.Trace)); err != nil {
 		t.Errorf("dump trace does not validate: %v", err)
+	}
+}
+
+// TestFlightRecorderConcurrentTriggersKeepTheLatest: triggers racing
+// from many goroutines finish rendering in any order, and LastDump is
+// always the one with the highest Seq — an older, slower dump never
+// replaces a newer one, not even for a moment.
+func TestFlightRecorderConcurrentTriggersKeepTheLatest(t *testing.T) {
+	f := NewFlightRecorder(256, nil)
+	tr := NewTracer()
+	tr.SetOnEmit(f.Record)
+	tk := tr.Track("host", "app")
+	for i := 0; i < 256; i++ {
+		tk.Emit(0, fmt.Sprintf("op_%d", i), simclock.Duration(i*10), 5, nil)
+	}
+	const workers, each = 8, 25
+	var wg sync.WaitGroup
+	var older atomic.Int64 // the first older dump seen in place of a newer one
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				d := f.Trigger(fmt.Sprintf("worker %d trigger %d", w, i))
+				if last := f.LastDump().Seq; last < d.Seq && older.CompareAndSwap(0, int64(last)) {
+					t.Errorf("dump %d was replaced by the older dump %d", d.Seq, last)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := f.LastDump().Seq; got != workers*each {
+		t.Fatalf("LastDump().Seq = %d after %d triggers, want the highest", got, workers*each)
 	}
 }
 

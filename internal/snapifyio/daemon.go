@@ -282,11 +282,12 @@ func (d *Daemon) discardAssembly(path string) {
 // is wiped. The listener stays bound: by the time a client observes the
 // connection resets, the restarted daemon is already accepting again.
 func (d *Daemon) crash() {
-	d.teardown()
 	// A daemon crash is exactly the incident the always-on flight
 	// recorder exists for: freeze the recent-span ring before recovery
-	// machinery overwrites it.
+	// machinery overwrites it. The dump comes before the teardown, so the
+	// dump of a client the reset fails is always the later, higher-Seq one.
 	d.svc.obs.FlightOf().Trigger("snapifyio: injected daemon crash on " + d.node.String())
+	d.teardown()
 }
 
 // teardown is the state-wiping half of crash, shared with the clean
@@ -317,6 +318,18 @@ func (d *Daemon) teardown() {
 		// after that would take the new upload with the old ones.
 		cs.AbortAll()
 	}
+	// Partial files go before the connections too, for the same reason:
+	// an abort removes the marker by path, so one that ran after the
+	// reset could take the retry's fresh assembly marker with it, and a
+	// client that has seen the reset must find no orphan left.
+	paths := make([]string, 0, len(asms))
+	for path := range asms {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		asms[path].sw.Abort()
+	}
 	sort.Slice(eps, func(i, j int) bool {
 		a, b := eps[i], eps[j]
 		if a.RemoteAddr() != b.RemoteAddr() {
@@ -332,14 +345,6 @@ func (d *Daemon) teardown() {
 	})
 	for _, ep := range eps {
 		ep.Close() //nolint:errcheck // crash path: connection teardown is the point
-	}
-	paths := make([]string, 0, len(asms))
-	for path := range asms {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		asms[path].sw.Abort()
 	}
 }
 
