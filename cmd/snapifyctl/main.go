@@ -13,7 +13,7 @@
 //
 //	snapifyctl [command...]
 //	    commands: swapout [store] | swapin <device> | migrate <device> [store|live]
-//	            | store ls|stat|tiers|verify|gc
+//	            | store ls|stat|verify|gc
 //	            | trace <out.json> | metrics
 //	    default sequence: swapout, swapin 2, migrate 1 live
 //
@@ -37,10 +37,8 @@
 // rounds while the process runs, and the reply details each round's
 // dirty/shipped bytes plus the final downtime. The store
 // subcommands inspect it: ls lists committed manifests, stat prints
-// chunk/dedup statistics, tiers prints the storage-hierarchy placement
-// (cache/host/cold residency, per-tier hits, promotion/demotion counts),
-// verify re-digests every chunk and checks the refcount invariants, and
-// gc runs a mark-and-sweep collection. trace
+// chunk/dedup statistics, verify re-digests every chunk and checks the
+// refcount invariants, and gc runs a mark-and-sweep collection. trace
 // writes the session's virtual-clock trace as Chrome trace-event JSON
 // (open it at ui.perfetto.dev); metrics prints the platform metrics
 // registry in Prometheus text exposition. Both observe whatever commands
@@ -176,13 +174,13 @@ func parseCommands(argv []string) []string {
 			i++
 		case "store":
 			if i+1 >= len(argv) {
-				fatal(fmt.Errorf("store needs a subcommand (ls | stat | tiers | verify | gc)"))
+				fatal(fmt.Errorf("store needs a subcommand (ls | stat | verify | gc)"))
 			}
 			switch argv[i+1] {
-			case "ls", "stat", "tiers", "verify", "gc":
+			case "ls", "stat", "verify", "gc":
 				out = append(out, "store "+argv[i+1])
 			default:
-				fatal(fmt.Errorf("unknown store subcommand %q (want ls | stat | tiers | verify | gc)", argv[i+1]))
+				fatal(fmt.Errorf("unknown store subcommand %q (want ls | stat | verify | gc)", argv[i+1]))
 			}
 			i++
 		case "metrics":
@@ -252,22 +250,6 @@ func storeCommand(st *snapstore.Store, sub string) {
 		fmt.Printf("  logical bytes: %d\n", s.LogicalBytes)
 		fmt.Printf("  dedup ratio:   %.2fx\n", s.DedupRatio())
 		fmt.Printf("  reclaimable:   %d chunks (%d bytes)\n", s.ReclaimableChunks, s.ReclaimableBytes)
-	case "tiers":
-		p := st.TierPolicy()
-		cacheCap, hostCap := "disabled", "unbounded"
-		if p.CacheBytes > 0 {
-			cacheCap = fmt.Sprintf("%d bytes", p.CacheBytes)
-		}
-		if p.HostBytes > 0 {
-			hostCap = fmt.Sprintf("%d bytes", p.HostBytes)
-		}
-		ts := st.TierStats()
-		fmt.Printf("  %-6s %8s %12s %10s   %s\n", "tier", "chunks", "bytes", "hits", "capacity")
-		fmt.Printf("  %-6s %8d %12d %10d   %s\n", "cache", ts.CacheChunks, ts.CacheBytes, ts.CacheHits, cacheCap)
-		fmt.Printf("  %-6s %8d %12d %10d   %s\n", "host", ts.HostChunks, ts.HostBytes, ts.HostHits, hostCap)
-		fmt.Printf("  %-6s %8d %12d %10d   %s\n", "cold", ts.ColdChunks, ts.ColdBytes, ts.ColdHits, "unbounded")
-		fmt.Printf("  hit ratio (above cold): %.2f\n", ts.HitRatio())
-		fmt.Printf("  demotions %d, promotions %d\n", ts.Demotions, ts.Promotions)
 	case "verify":
 		problems, _ := st.Verify()
 		if len(problems) == 0 {

@@ -82,11 +82,9 @@ func NewMigration(cp *coi.Process, opts MigrateOptions) (*Migration, error) {
 	}
 	opts = opts.normalized()
 	s := NewSnapshot(opts.Path, cp)
-	if !opts.StageLocalStoreOnHost {
-		// The local store moves device-to-device over PCIe, not through
-		// the host (Section 7, "Process migration").
-		s.localStoreTarget = opts.DeviceTo
-	}
+	// The local store moves device-to-device over PCIe, not through the
+	// host (Section 7, "Process migration").
+	s.localStoreTarget = opts.DeviceTo
 	return &Migration{
 		s:     s,
 		opts:  opts,
@@ -101,18 +99,15 @@ func (m *Migration) Snapshot() *Snapshot { return m.s }
 // ctxPath is the context file the rounds negotiate into the store.
 func (m *Migration) ctxPath() string { return m.opts.Path + "/" + coi.ContextFileName }
 
-// shipFloor is the current round-stopping floor: the static
-// DirtyFloorBytes, raised dynamically when the observed shipping
-// bandwidth projects the remaining dirty set to fit DowntimeBudget.
+// shipFloor is the current round-stopping floor: the dirty bytes the
+// observed shipping bandwidth moves within DowntimeBudget, or zero before
+// any round has shipped or with no budget set.
 func (m *Migration) shipFloor() int64 {
-	floor := m.opts.Precopy.DirtyFloorBytes
-	if m.opts.Precopy.DowntimeBudget > 0 && m.lastShipDur > 0 && m.lastShipped > 0 {
-		bw := float64(m.lastShipped) / float64(m.lastShipDur) // bytes per ns
-		if proj := int64(bw * float64(m.opts.Precopy.DowntimeBudget)); proj > floor {
-			floor = proj
-		}
+	if m.opts.Precopy.DowntimeBudget <= 0 || m.lastShipDur <= 0 || m.lastShipped <= 0 {
+		return 0
 	}
-	return floor
+	bw := float64(m.lastShipped) / float64(m.lastShipDur) // bytes per ns
+	return int64(bw * float64(m.opts.Precopy.DowntimeBudget))
 }
 
 // Round runs one pre-copy iteration: the source daemon digests the
@@ -141,7 +136,7 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	var resp coi.PrecopyResp
 	err := cp.DaemonRequest(coi.OpSnapifyPrecopy, &coi.PrecopyReq{
 		ProcID: cp.ID(), Round: m.round, Align: start, Scope: m.scope,
-		ChunkBytes: m.opts.Precopy.ChunkBytes, Streams: m.opts.Precopy.Streams,
+		ChunkBytes: m.opts.Capture.ChunkBytes, Streams: max(m.opts.Capture.Streams, 1),
 		ShipFloor: floor, Dir: m.opts.Path,
 	}, &resp)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"snapify/internal/coi"
 )
@@ -13,7 +14,8 @@ func liveOpts(path string) MigrateOptions {
 	return MigrateOptions{
 		DeviceTo: 2,
 		Path:     path,
-		Precopy:  PrecopyOptions{MaxRounds: 4, ChunkBytes: 32 * 1024, Streams: 2},
+		Precopy:  PrecopyOptions{MaxRounds: 4},
+		Capture:  CaptureOptions{ChunkBytes: 32 * 1024, Streams: 2},
 	}
 }
 
@@ -140,7 +142,7 @@ func TestMigrateOptionValidation(t *testing.T) {
 		{"negative rounds", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
 			Precopy: PrecopyOptions{MaxRounds: -1}}},
 		{"precopy fields without rounds", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
-			Precopy: PrecopyOptions{DirtyFloorBytes: 1 << 20}}},
+			Precopy: PrecopyOptions{DowntimeBudget: time.Millisecond}}},
 		{"negative capture streams", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
 			Capture: CaptureOptions{Streams: -1}}},
 		{"restore parent", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
@@ -167,5 +169,76 @@ func TestMigrateOptionValidation(t *testing.T) {
 	}
 	if _, err := m.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLiveMigrateDowntimeBudgetEndsTheRounds: once round 1 has measured
+// the shipping bandwidth, a round whose dirty set ships within
+// DowntimeBudget at that bandwidth is a probe. It ships nothing, stages
+// nothing and ends the rounds; the final capture carries the delta, and
+// the computation continues exactly. With a budget too small for the
+// same dirty set the round ships as usual.
+func TestLiveMigrateDowntimeBudgetEndsTheRounds(t *testing.T) {
+	for _, tc := range []struct {
+		budget   time.Duration
+		wantSkip bool
+	}{{50 * time.Millisecond, true}, {time.Nanosecond, false}} {
+		t.Run(tc.budget.String(), func(t *testing.T) {
+			r := newRig(t, "core_mig_budget", 2)
+			r.count(t, 20)
+			opts := liveOpts("/snap/budget")
+			opts.Precopy.DowntimeBudget = tc.budget
+			m, err := NewMigration(r.cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, done, err := m.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Skipped || done || first.ShippedBytes == 0 {
+				t.Fatalf("round 1 = %+v, done %v: with no bandwidth measured yet it must ship", first, done)
+			}
+			r.count(t, 30)
+
+			floor := int64(float64(first.ShippedBytes) / float64(first.Duration) * float64(tc.budget))
+			staging := coi.DaemonAt(r.plat, 2).Staging()
+			staged, chunks := staging.StagedBytes(m.ctxPath()), r.plat.Store.Stats().Chunks
+			rec, done, err := m.Round()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fits := rec.DirtyBytes > 0 && rec.DirtyBytes <= floor; fits != tc.wantSkip {
+				t.Fatalf("round 2 dirtied %d bytes against a %d-byte floor; the case needs fits=%v", rec.DirtyBytes, floor, tc.wantSkip)
+			}
+			if rec.Skipped != tc.wantSkip {
+				t.Fatalf("round 2 skipped %v, want %v: %+v", rec.Skipped, tc.wantSkip, rec)
+			}
+			if tc.wantSkip {
+				if rec.ShippedBytes != 0 || rec.ChunksNeeded != 0 || rec.StageDuration != 0 {
+					t.Errorf("skipped round moved data: %+v", rec)
+				}
+				if got := staging.StagedBytes(m.ctxPath()); got != staged {
+					t.Errorf("skipped round changed the staged bytes %d -> %d", staged, got)
+				}
+				if got := r.plat.Store.Stats().Chunks; got != chunks {
+					t.Errorf("skipped round changed the store's chunks %d -> %d", chunks, got)
+				}
+				if !done {
+					t.Error("a skipped round did not end the rounds")
+				}
+				if _, _, err := m.Round(); err == nil {
+					t.Error("Round after a skipped round must fail")
+				}
+			} else if rec.ShippedBytes == 0 || rec.StageDuration == 0 {
+				t.Errorf("round over the floor shipped or staged nothing: %+v", rec)
+			}
+			if _, err := m.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			if got := r.count(t, 40); got != refSum(40) {
+				t.Errorf("computation after the migration = %d, want %d", got, refSum(40))
+			}
+		})
 	}
 }

@@ -72,21 +72,11 @@ type PrecopyOptions struct {
 	// dirties memory faster than the link ships it would otherwise iterate
 	// forever. Zero disables pre-copy entirely.
 	MaxRounds int
-	// DirtyFloorBytes stops iterating once a round's dirty set is at or
-	// under this size: the remainder ships in the paused final capture.
-	// Zero means rounds stop only on MaxRounds, DowntimeBudget, or lack
-	// of progress.
-	DirtyFloorBytes int64
-	// DowntimeBudget, when positive, derives a dynamic stopping floor from
-	// the observed shipping bandwidth: rounds stop as soon as the projected
-	// time to ship the remaining dirty set fits the budget.
+	// DowntimeBudget, when positive, derives a stopping floor from the
+	// observed shipping bandwidth: rounds stop as soon as the projected
+	// time to ship the remaining dirty set fits the budget. Zero means
+	// rounds stop only on MaxRounds or lack of progress.
 	DowntimeBudget simclock.Duration
-	// Streams is how many parallel Snapify-IO streams each round ships
-	// over; zero inherits MigrateOptions.Capture.Streams (or 1).
-	Streams int
-	// ChunkBytes is the digest/ship granularity; zero inherits
-	// MigrateOptions.Capture.ChunkBytes (or the checkpointer default).
-	ChunkBytes int64
 }
 
 // Enabled reports whether pre-copy is on.
@@ -97,20 +87,11 @@ func (o *PrecopyOptions) validate() error {
 	if o.MaxRounds < 0 {
 		return fmt.Errorf("core: PrecopyOptions.MaxRounds is %d; want 0 (stop-the-world) or a positive round bound", o.MaxRounds)
 	}
-	if o.DirtyFloorBytes < 0 {
-		return fmt.Errorf("core: PrecopyOptions.DirtyFloorBytes is %d; want a non-negative byte floor", o.DirtyFloorBytes)
-	}
 	if o.DowntimeBudget < 0 {
 		return errors.New("core: PrecopyOptions.DowntimeBudget is negative; want a non-negative virtual duration")
 	}
-	if o.Streams < 0 {
-		return fmt.Errorf("core: PrecopyOptions.Streams is %d; want 0 (inherit) or a positive stream count", o.Streams)
-	}
-	if o.ChunkBytes < 0 {
-		return fmt.Errorf("core: PrecopyOptions.ChunkBytes is %d; want 0 (inherit) or a positive chunk size", o.ChunkBytes)
-	}
-	if o.MaxRounds == 0 && (o.DirtyFloorBytes > 0 || o.DowntimeBudget > 0 || o.Streams > 0 || o.ChunkBytes > 0) {
-		return errors.New("core: PrecopyOptions fields are set but MaxRounds is 0; set MaxRounds > 0 to enable pre-copy")
+	if o.MaxRounds == 0 && o.DowntimeBudget > 0 {
+		return errors.New("core: PrecopyOptions.DowntimeBudget is set but MaxRounds is 0; set MaxRounds > 0 to enable pre-copy")
 	}
 	return nil
 }
@@ -123,16 +104,14 @@ type MigrateOptions struct {
 	DeviceTo simnet.NodeID
 	// Path is the snapshot directory on the host file system.
 	Path string
-	// StageLocalStoreOnHost keeps the saved local store on the host
-	// instead of streaming it device-to-device during the pause (the
-	// device-direct path is the paper's default for migration).
-	StageLocalStoreOnHost bool
 	// Precopy turns the migration into a live one: iterative rounds ship
 	// the image while the process runs, and only the final delta is
 	// captured under pause. Pre-copy requires the dedup store data path;
 	// enabling it forces Capture.Store.Enabled and Restore.Store.Enabled.
 	Precopy PrecopyOptions
-	// Capture configures the final (paused) capture.
+	// Capture configures the final (paused) capture, and with pre-copy on
+	// also the rounds: they ship over Capture.Streams streams (at least
+	// one) in Capture.ChunkBytes chunks.
 	Capture CaptureOptions
 	// Restore configures the restore on the destination card.
 	Restore RestoreOptions
@@ -164,27 +143,12 @@ func (o *MigrateOptions) validate(cp *coi.Process) error {
 	return nil
 }
 
-// normalized returns a copy of o with the pre-copy defaults resolved: the
-// store data path is forced on (pre-copy rounds live in the store's
-// have/need negotiation), the chunk geometry is made consistent between
-// rounds and the final capture (they share one chunk-digest cache, which
-// a change of chunk size would discard), and stream counts inherit
-// sensibly.
+// normalized returns a copy of o with the store data path forced on when
+// pre-copy is: the rounds live in the store's have/need negotiation.
 func (o MigrateOptions) normalized() MigrateOptions {
-	if !o.Precopy.Enabled() {
-		return o
-	}
-	o.Capture.Store.Enabled = true
-	o.Restore.Store.Enabled = true
-	if o.Precopy.ChunkBytes == 0 {
-		o.Precopy.ChunkBytes = o.Capture.ChunkBytes
-	}
-	o.Capture.ChunkBytes = o.Precopy.ChunkBytes
-	if o.Precopy.Streams == 0 {
-		o.Precopy.Streams = o.Capture.Streams
-	}
-	if o.Precopy.Streams < 1 {
-		o.Precopy.Streams = 1
+	if o.Precopy.Enabled() {
+		o.Capture.Store.Enabled = true
+		o.Restore.Store.Enabled = true
 	}
 	return o
 }

@@ -31,37 +31,6 @@ func storeStreamRestoreOpts() RestoreOptions {
 	return o
 }
 
-// TestLiveMigrateUnderHostTierBudget: with a host-tier budget far under
-// the image, most chunks a pre-copy round ships are demoted to the cold
-// tier before the destination stages them. Staging reads through the
-// store, so it finds them there (and the reads count); opening chunk files
-// by path, as staging used to, failed round 1 with "file does not exist".
-func TestLiveMigrateUnderHostTierBudget(t *testing.T) {
-	r := newRig(t, "core_mig_tier", 2)
-	r.count(t, 20)
-	if _, err := r.plat.Store.SetTierPolicy(snapstore.TierPolicy{HostBytes: 64 << 10}); err != nil {
-		t.Fatal(err)
-	}
-	cp2, snap, err := Migrate(r.cp, MigrateOptions{
-		DeviceTo: 2, Path: "/snap/tiermig",
-		Precopy: PrecopyOptions{MaxRounds: 3, ChunkBytes: 32 * 1024},
-	})
-	if err != nil {
-		t.Fatalf("live migration under a host-tier budget: %v", err)
-	}
-	if cp2.DeviceNode() != 2 || len(snap.Report.Precopy) == 0 {
-		t.Fatalf("process on %v after %d rounds", cp2.DeviceNode(), len(snap.Report.Precopy))
-	}
-	if got := r.count(t, 40); got != refSum(40) {
-		t.Errorf("computation after the migration = %d, want %d", got, refSum(40))
-	}
-	ts := r.plat.Store.TierStats()
-	if ts.ColdChunks == 0 || ts.ColdHits == 0 {
-		t.Errorf("the budget demoted %d chunks and staging read %d from the cold tier; want both > 0", ts.ColdChunks, ts.ColdHits)
-	}
-	assertNoStaging(t, r, 2)
-}
-
 // TestFailedAdoptionDropsTheStagedImage: the switch-over's straggler pull
 // hits one chunk fault, the adoption gives up, and the restore falls back
 // to streaming the committed image — which must succeed, and must not
@@ -71,7 +40,7 @@ func TestFailedAdoptionDropsTheStagedImage(t *testing.T) {
 	r.count(t, 20)
 	m, err := NewMigration(r.cp, MigrateOptions{
 		DeviceTo: 2, Path: "/snap/adoptfault",
-		Precopy: PrecopyOptions{MaxRounds: 2, ChunkBytes: 32 * 1024},
+		Precopy: PrecopyOptions{MaxRounds: 2}, Capture: CaptureOptions{ChunkBytes: 32 * 1024},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +103,7 @@ func TestFailedFinishDropsTheStagedImage(t *testing.T) {
 	r.count(t, 20)
 	m, err := NewMigration(r.cp, MigrateOptions{
 		DeviceTo: 2, Path: "/snap/finishfault",
-		Precopy: PrecopyOptions{MaxRounds: 1, ChunkBytes: 32 * 1024},
+		Precopy: PrecopyOptions{MaxRounds: 1}, Capture: CaptureOptions{ChunkBytes: 32 * 1024},
 	})
 	if err != nil {
 		t.Fatal(err)

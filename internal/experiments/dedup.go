@@ -293,7 +293,7 @@ func (r *DedupSwapResult) Render() string {
 // of different chunks overlap, and the walk is the slowest stage of both —
 // so all it may add is a deeper pipeline fill and one have/need round-trip
 // per window of chunks: 1.01x plain at 256 MiB, 1.003x at 1 GiB. The bound
-// leaves room for a slower store (a cold-tier write per chunk) but not for
+// leaves room for a slower store's chunk writes but not for
 // any stage falling back out of the overlap — the digest copy alone, run
 // as a serial pass again, costs 1.31x.
 const (

@@ -11,11 +11,10 @@ import (
 // planReader is what a store-mode read stream serves, the read mirror of
 // storeSink: chunks of a snapshot's digest plan — the pending upload's
 // while one is in flight, else the committed manifest's — as one byte
-// stream. Every chunk comes out of the store through ReadChunk, so a tiered
-// store serves it from wherever it lives and counts the read; a chunk the
-// plan names but the store has not received yet fails the pull that reaches
-// it. The plan is read once, at open: what the stream carries does not
-// change under it.
+// stream. Every chunk comes out of the store through ReadChunk; a chunk
+// the plan names but the store has not received yet fails the pull that
+// reaches it. The plan is read once, at open: what the stream carries
+// does not change under it.
 type planReader struct {
 	cs      ChunkStore
 	digests []string // chunks still to serve, in order

@@ -156,7 +156,7 @@ type ChunkStore interface {
 	// migration's destination can stage against it across rounds.
 	DigestPlan(path string) (size, chunkBytes int64, digests []string, committed, ok bool, dur simclock.Duration)
 	// ReadChunk returns a resident chunk's content and the virtual time to
-	// read it from wherever the store keeps it.
+	// read it.
 	ReadChunk(digest string) (blob.Blob, simclock.Duration, error)
 }
 

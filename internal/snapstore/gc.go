@@ -57,34 +57,26 @@ func (st *Store) GC(at simclock.Duration) (GCStats, simclock.Duration, error) {
 			dur += st.model.HostFSOpLatency
 		}
 	}
-sweep:
-	for _, prefix := range []string{ChunkPrefix, ColdPrefix} {
-		for _, cp := range st.fs.List(prefix) {
-			gs.ChunksScanned++
-			if f := st.fire("gc"); f != nil && f.Kind == faultinject.Crash {
-				sweepErr = fmt.Errorf("%w: gc sweep after %d chunks", ErrInterrupted, gs.ChunksScanned)
-				break sweep
-			}
-			digest := strings.TrimPrefix(cp, prefix)
-			if live[digest] {
-				gs.ChunksLive++
-				continue
-			}
-			n, err := st.fs.Size(cp)
-			if err != nil {
-				continue
-			}
-			if err := st.fs.Remove(cp); err != nil {
-				continue
-			}
-			if prefix == ChunkPrefix {
-				st.dropHostLocked(digest, n)
-			}
-			st.dropCacheLocked(digest)
-			gs.ChunksReclaimed++
-			gs.BytesReclaimed += n
-			dur += st.model.HostFSOpLatency
+	for _, cp := range st.fs.List(ChunkPrefix) {
+		gs.ChunksScanned++
+		if f := st.fire("gc"); f != nil && f.Kind == faultinject.Crash {
+			sweepErr = fmt.Errorf("%w: gc sweep after %d chunks", ErrInterrupted, gs.ChunksScanned)
+			break
 		}
+		if live[strings.TrimPrefix(cp, ChunkPrefix)] {
+			gs.ChunksLive++
+			continue
+		}
+		n, err := st.fs.Size(cp)
+		if err != nil {
+			continue
+		}
+		if err := st.fs.Remove(cp); err != nil {
+			continue
+		}
+		gs.ChunksReclaimed++
+		gs.BytesReclaimed += n
+		dur += st.model.HostFSOpLatency
 	}
 	st.gcChunks.Add(int64(gs.ChunksReclaimed))
 	st.gcBytes.Add(gs.BytesReclaimed)
@@ -101,22 +93,16 @@ func (st *Store) Verify() ([]string, simclock.Duration) {
 	defer st.mu.Unlock()
 	var problems []string
 	var dur simclock.Duration
-	for _, prefix := range []string{ChunkPrefix, ColdPrefix} {
-		for _, cp := range st.fs.List(prefix) {
-			b, d, err := st.fs.ReadFile(cp)
-			dur += d
-			if err != nil {
-				problems = append(problems, fmt.Sprintf("chunk %s: %v", cp, err))
-				continue
-			}
-			want := strings.TrimPrefix(cp, prefix)
-			dur += st.model.HostMemcpy(b.Len())
-			if got := Digest(b); got != want {
-				problems = append(problems, fmt.Sprintf("chunk %s: content digests to %s", cp, got))
-			}
-			if prefix == ColdPrefix && st.fs.Exists(chunkPath(want)) {
-				problems = append(problems, fmt.Sprintf("chunk %s resident in both host and cold tier", want[:12]))
-			}
+	for _, cp := range st.fs.List(ChunkPrefix) {
+		b, d, err := st.fs.ReadFile(cp)
+		dur += d
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("chunk %s: %v", cp, err))
+			continue
+		}
+		dur += st.model.HostMemcpy(b.Len())
+		if got := Digest(b); got != strings.TrimPrefix(cp, ChunkPrefix) {
+			problems = append(problems, fmt.Sprintf("chunk %s: content digests to %s", cp, got))
 		}
 	}
 	children := make(map[string]int64)
@@ -143,7 +129,7 @@ func (st *Store) Verify() ([]string, simclock.Duration) {
 			children[m.Parent]++
 		}
 		for i, dg := range m.Chunks {
-			if !st.chunkResidentLocked(dg) {
+			if !st.fs.Exists(chunkPath(dg)) {
 				problems = append(problems, fmt.Sprintf("manifest %s: chunk %d (%s) missing", path, i, dg[:12]))
 			}
 		}

@@ -48,7 +48,6 @@ type Store struct {
 
 	mu      sync.Mutex
 	uploads map[string]*upload
-	tiers   *tiers
 
 	chunksPut    *obs.Counter
 	chunkHits    *obs.Counter
@@ -57,12 +56,6 @@ type Store struct {
 	gcChunks     *obs.Counter
 	gcBytes      *obs.Counter
 	commits      *obs.Counter
-
-	cacheHits      *obs.Counter
-	hostTierHits   *obs.Counter
-	coldHits       *obs.Counter
-	tierDemotions  *obs.Counter
-	tierPromotions *obs.Counter
 }
 
 // upload is one negotiated dedup upload in flight. Its digest list fills
@@ -122,17 +115,6 @@ func New(model *simclock.Model, fs *hostfs.FS, o *obs.Obs, injector func() *faul
 			"Bytes reclaimed by GC sweeps."),
 		commits: reg.Counter("snapstore_manifests_committed_total",
 			"Manifests committed (temp-then-final renames)."),
-		cacheHits: reg.Counter("snapstore_tier_reads_total",
-			"Chunk reads served per tier.", obs.L("tier", string(TierCache))),
-		hostTierHits: reg.Counter("snapstore_tier_reads_total",
-			"Chunk reads served per tier.", obs.L("tier", string(TierHost))),
-		coldHits: reg.Counter("snapstore_tier_reads_total",
-			"Chunk reads served per tier.", obs.L("tier", string(TierCold))),
-		tierDemotions: reg.Counter("snapstore_tier_demotions_total",
-			"Chunks demoted host -> cold by the byte-budget rebalance."),
-		tierPromotions: reg.Counter("snapstore_tier_promotions_total",
-			"Chunks promoted cold -> host on read."),
-		tiers: newTiers(),
 	}
 	reg.RegisterCollector(func(r *obs.Registry) {
 		s := st.Stats()
@@ -222,7 +204,7 @@ func (st *Store) NegotiateWindow(path, parent string, size, chunkBytes int64, fi
 		st.uploads[path] = up
 	}
 	for i, d := range digests {
-		if up.missing[d] || !st.chunkResidentLocked(d) {
+		if up.missing[d] || !st.fs.Exists(chunkPath(d)) {
 			up.missing[d] = true
 			need = append(need, first+i)
 		} else {
@@ -274,19 +256,13 @@ func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock
 	if got := Digest(content); got != up.digests[idx] {
 		return dur, fmt.Errorf("snapstore: put %s: chunk %d digest mismatch (got %s, want %s)", path, idx, got[:12], up.digests[idx][:12])
 	}
-	cp := chunkPath(up.digests[idx])
-	if !st.chunkResidentLocked(up.digests[idx]) {
+	if cp := chunkPath(up.digests[idx]); !st.fs.Exists(cp) {
 		d, err := st.fs.WriteFile(cp, content)
 		dur += d
 		if err != nil {
 			return dur, err
 		}
 		st.chunksPut.Inc()
-		d, err = st.admitHostLocked(up.digests[idx], content.Len())
-		dur += d
-		if err != nil {
-			return dur, err
-		}
 	}
 	if !up.have[idx] {
 		up.have[idx] = true
@@ -533,6 +509,12 @@ func (st *Store) Has(path string) bool {
 	return st.fs.Exists(manifestPath(normPath(path)))
 }
 
+// ReadChunk returns the content of the chunk with the given digest,
+// charging one host file-system read of its chunk file.
+func (st *Store) ReadChunk(digest string) (blob.Blob, simclock.Duration, error) {
+	return st.fs.ReadFile(chunkPath(digest))
+}
+
 // List returns the snapshot paths with committed manifests, sorted.
 func (st *Store) List() []string {
 	var out []string
@@ -582,18 +564,16 @@ func (st *Store) Stats() Stats {
 			}
 		}
 	}
-	for _, prefix := range []string{ChunkPrefix, ColdPrefix} {
-		for _, cp := range st.fs.List(prefix) {
-			n, err := st.fs.Size(cp)
-			if err != nil {
-				continue
-			}
-			s.Chunks++
-			s.StoredBytes += n
-			if !live[strings.TrimPrefix(cp, prefix)] {
-				s.ReclaimableChunks++
-				s.ReclaimableBytes += n
-			}
+	for _, cp := range st.fs.List(ChunkPrefix) {
+		n, err := st.fs.Size(cp)
+		if err != nil {
+			continue
+		}
+		s.Chunks++
+		s.StoredBytes += n
+		if !live[strings.TrimPrefix(cp, ChunkPrefix)] {
+			s.ReclaimableChunks++
+			s.ReclaimableBytes += n
 		}
 	}
 	return s

@@ -125,6 +125,39 @@ func TestUploadCommitAndCrossSnapshotDedup(t *testing.T) {
 	}
 }
 
+// ReadChunk serves a chunk's content at exactly the cost of one host
+// file-system read of its chunk file, leaves the store as it found it,
+// and fails for a digest the store does not hold.
+func TestReadChunkIsOneHostFileRead(t *testing.T) {
+	e := newEnv(t)
+	const chunk = 1024
+	content := testContent(3, 4*chunk)
+	putAll(t, e, "/snap/a", "", content, chunk)
+	for i, d := range ChunkDigests(content, chunk) {
+		for range 2 {
+			b, dur, err := e.st.ReadChunk(d)
+			if err != nil {
+				t.Fatalf("read chunk %d: %v", i, err)
+			}
+			if !blob.Equal(b, content.Slice(int64(i)*chunk, chunk)) {
+				t.Fatalf("chunk %d content differs", i)
+			}
+			if _, want, _ := e.fs.ReadFile(chunkPath(d)); dur != want {
+				t.Fatalf("chunk %d read cost %v, want the host file read's %v", i, dur, want)
+			}
+		}
+	}
+	if s := e.st.Stats(); s.Chunks != 4 || s.StoredBytes != content.Len() {
+		t.Fatalf("stats after reads: %+v", s)
+	}
+	if problems, _ := e.st.Verify(); len(problems) != 0 {
+		t.Fatalf("verify after reads: %v", problems)
+	}
+	if _, _, err := e.st.ReadChunk(Digest(testContent(9, chunk))); err == nil {
+		t.Fatal("read of a chunk the store never held succeeded")
+	}
+}
+
 func TestPutChunkVerifiesDigestAndAlignment(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096

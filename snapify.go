@@ -77,9 +77,11 @@ type (
 	// RestoreOptions configures a restore's parallel data path.
 	RestoreOptions = core.RestoreOptions
 	// MigrateOptions configures a migration: destination, snapshot
-	// directory, and the capture/restore/pre-copy behavior.
+	// directory, pre-copy, and the capture/restore behavior. Pre-copy
+	// rounds ship with the capture's streams and chunk size.
 	MigrateOptions = core.MigrateOptions
-	// PrecopyOptions configures live migration's iterative pre-copy phase.
+	// PrecopyOptions configures live migration's iterative pre-copy
+	// phase: the round cap and the downtime budget that ends the rounds.
 	PrecopyOptions = core.PrecopyOptions
 	// Migration is a live-migration session (NewMigration, Round, Finish).
 	Migration = core.Migration
