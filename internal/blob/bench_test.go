@@ -43,3 +43,25 @@ func BenchmarkMaterialize(b *testing.B) {
 		Materialize(0xDEADBEEF, 0, dst)
 	}
 }
+
+// BenchmarkSparseStripedAssembly assembles a 4 GiB snapshot from 4 stripes
+// of 256 synthetic 4 MiB chunks, interleaved chunk by chunk the way
+// parallel Snapify-IO streams deliver them to the host's sparse writer.
+func BenchmarkSparseStripedAssembly(b *testing.B) {
+	const stripes, chunks, chunk = 4, 256, 4 << 20
+	const stripe = chunks * chunk
+	src := make([]Blob, stripes)
+	for s := range src {
+		src[s] = Synthetic(uint64(s+1), chunk)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp := NewSparse(stripes * stripe)
+		for k := int64(0); k < chunks; k++ {
+			for s := int64(0); s < stripes; s++ {
+				sp.WriteAt(s*stripe+k*chunk, src[s])
+			}
+		}
+		_ = sp.Blob()
+	}
+}

@@ -98,7 +98,12 @@ func (b Blob) Slice(off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
-	var out Blob
+	return Blob{extents: b.appendRange(nil, off, n), size: n}
+}
+
+// appendRange appends the extents of [off, off+n) to dst; the range must
+// lie within b.
+func (b Blob) appendRange(dst []Extent, off, n int64) []Extent {
 	pos := int64(0)
 	for _, e := range b.extents {
 		if n == 0 {
@@ -119,16 +124,15 @@ func (b Blob) Slice(off, n int64) Blob {
 			take = n
 		}
 		if e.IsLiteral() {
-			out.extents = append(out.extents, Extent{Literal: e.Literal[start : start+take], Size: take})
+			dst = append(dst, Extent{Literal: e.Literal[start : start+take], Size: take})
 		} else {
-			out.extents = append(out.extents, Extent{Seed: e.Seed, Off: streamOff(e.Seed, e.Off+start), Size: take})
+			dst = append(dst, Extent{Seed: e.Seed, Off: streamOff(e.Seed, e.Off+start), Size: take})
 		}
-		out.size += take
 		off += take
 		n -= take
 		pos = end
 	}
-	return out
+	return dst
 }
 
 // streamOff canonicalizes a synthetic stream offset. Seed 0 is zeros
@@ -333,8 +337,9 @@ func (b Blob) Hash() uint64 {
 }
 
 // Splice returns base with [off, off+src.Len()) replaced by src. It panics
-// if the spliced range exceeds base. Extents are preserved, so staging
-// buffers built on Splice never materialize synthetic content.
+// if the spliced range exceeds base. Extents are preserved, so synthetic
+// content is never materialized. Splice copies base's whole extent list;
+// content built from many positioned writes belongs in a Sparse.
 func Splice(base Blob, off int64, src Blob) Blob {
 	if off < 0 || off+src.Len() > base.Len() {
 		panic(fmt.Sprintf("blob: splice [%d,%d) out of range of %d", off, off+src.Len(), base.Len())) //nolint:paniclib // caller bug: splice bounds, mirroring built-in slice semantics

@@ -198,6 +198,8 @@ func (w *Writer) Abort() { w.done = true }
 
 // SparseWriter fills disjoint ranges of a fixed-size file; parallel
 // Snapify-IO streams striping one snapshot each write their own ranges.
+// The ranges accumulate in a blob.Sparse, so each write costs a search of
+// the pieces written so far and the file is concatenated once, at Commit.
 // WriteBlobAt is safe for concurrent use.
 type SparseWriter struct {
 	fs   *FS
@@ -205,7 +207,7 @@ type SparseWriter struct {
 	size int64
 
 	mu      sync.Mutex
-	content blob.Blob
+	content *blob.Sparse
 	done    bool
 }
 
@@ -229,7 +231,7 @@ func (fs *FS) CreateSparse(path string, size int64) (*SparseWriter, error) {
 	fs.mu.Lock()
 	fs.files[path+PartialSuffix] = &file{content: blob.Zeros(0)}
 	fs.mu.Unlock()
-	return &SparseWriter{fs: fs, path: path, size: size, content: blob.Zeros(size)}, nil
+	return &SparseWriter{fs: fs, path: path, size: size, content: blob.NewSparse(size)}, nil
 }
 
 // WriteBlobAt writes content at the given offset, returning the virtual
@@ -243,7 +245,7 @@ func (w *SparseWriter) WriteBlobAt(off int64, content blob.Blob) (simclock.Durat
 	if off < 0 || off+content.Len() > w.size {
 		return 0, fmt.Errorf("hostfs: sparse write [%d,%d) outside file of %d bytes", off, off+content.Len(), w.size)
 	}
-	w.content = blob.Splice(w.content, off, content)
+	w.content.WriteAt(off, content)
 	return simclock.Rate(w.fs.model.HostFSWriteBandwidth)(content.Len()), nil
 }
 
@@ -256,9 +258,10 @@ func (w *SparseWriter) Commit() error {
 		return nil
 	}
 	w.done = true
+	content := w.content.Blob()
 	w.fs.mu.Lock()
 	delete(w.fs.files, w.path+PartialSuffix)
-	w.fs.files[w.path] = &file{content: w.content}
+	w.fs.files[w.path] = &file{content: content}
 	w.fs.mu.Unlock()
 	return nil
 }

@@ -237,15 +237,16 @@ func (w *Writer) Abort() {
 
 // SparseWriter fills disjoint ranges of a fixed-size file. Its full size
 // is reserved against the memory budget up front (the card must hold the
-// whole file either way); the file becomes visible at Commit. WriteBlobAt
-// is safe for concurrent use.
+// whole file either way); the ranges accumulate in a blob.Sparse and the
+// file is concatenated once and made visible at Commit. WriteBlobAt is
+// safe for concurrent use.
 type SparseWriter struct {
 	fs   *FS
 	path string
 	size int64
 
 	mu      sync.Mutex
-	content blob.Blob
+	content *blob.Sparse
 	done    bool
 }
 
@@ -265,7 +266,7 @@ func (fs *FS) CreateSparse(path string, size int64) (*SparseWriter, error) {
 	fs.open[path]++
 	fs.files[path+PartialSuffix] = blob.Zeros(0)
 	fs.mu.Unlock()
-	return &SparseWriter{fs: fs, path: path, size: size, content: blob.Zeros(size)}, nil
+	return &SparseWriter{fs: fs, path: path, size: size, content: blob.NewSparse(size)}, nil
 }
 
 // PartialSuffix marks an in-progress sparse assembly, mirroring
@@ -283,7 +284,7 @@ func (w *SparseWriter) WriteBlobAt(off int64, content blob.Blob) (simclock.Durat
 	if off < 0 || off+content.Len() > w.size {
 		return 0, fmt.Errorf("ramfs: sparse write [%d,%d) outside file of %d bytes", off, off+content.Len(), w.size)
 	}
-	w.content = blob.Splice(w.content, off, content)
+	w.content.WriteAt(off, content)
 	return simclock.Rate(w.fs.model.RamFSBandwidth)(content.Len()), nil
 }
 
@@ -297,10 +298,11 @@ func (w *SparseWriter) Commit() error {
 	}
 	w.done = true
 	fs := w.fs
+	content := w.content.Blob()
 	fs.mu.Lock()
 	delete(fs.files, w.path+PartialSuffix)
 	old, had := fs.files[w.path]
-	fs.files[w.path] = w.content
+	fs.files[w.path] = content
 	fs.open[w.path]--
 	if fs.open[w.path] == 0 {
 		delete(fs.open, w.path)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -106,26 +107,19 @@ type assembly struct {
 // span is one covered byte range [off, end).
 type span struct{ off, end int64 }
 
-// add merges [off, end) into the coverage set. Caller holds d.mu.
+// add merges [off, end) into the coverage set in place: the run of spans
+// it overlaps or touches collapses into one. Caller holds d.mu.
 func (a *assembly) add(off, end int64) {
 	if end <= off {
 		return
 	}
-	merged := make([]span, 0, len(a.spans)+1)
-	i := 0
-	for ; i < len(a.spans) && a.spans[i].end < off; i++ {
-		merged = append(merged, a.spans[i]) // entirely before, keep
+	lo := sort.Search(len(a.spans), func(i int) bool { return a.spans[i].end >= off })
+	hi := lo
+	for ; hi < len(a.spans) && a.spans[hi].off <= end; hi++ {
+		off = min(off, a.spans[hi].off)
+		end = max(end, a.spans[hi].end)
 	}
-	for ; i < len(a.spans) && a.spans[i].off <= end; i++ {
-		if s := a.spans[i]; s.off < off { // overlapping or touching, absorb
-			off = s.off
-		}
-		if s := a.spans[i]; s.end > end {
-			end = s.end
-		}
-	}
-	merged = append(merged, span{off, end})
-	a.spans = append(merged, a.spans[i:]...)
+	a.spans = slices.Replace(a.spans, lo, hi, span{off, end})
 }
 
 // covered returns the total bytes durably written. Caller holds d.mu.

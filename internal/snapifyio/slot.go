@@ -7,23 +7,23 @@ import (
 )
 
 // slot is the registered RDMA staging buffer of one handler. It implements
-// scif.Memory over an immutable blob, so chunk content passes through with
-// its extents intact: literal bytes are really copied, synthetic background
+// scif.Memory over a blob.Sparse, so chunk content passes through with its
+// extents intact: literal bytes are really copied, synthetic background
 // travels as descriptors, and multi-gigabyte snapshots never materialize in
 // the staging path (the virtual-time cost is charged on the full size
-// regardless; see internal/blob).
+// regardless; see internal/blob). A write replaces only the pieces it
+// covers, so refilling the slot chunk after chunk never copies the rest.
 type slot struct {
 	mu      sync.Mutex
-	content blob.Blob
-	size    int64
+	content *blob.Sparse
 }
 
 func newSlot(size int64) *slot {
-	return &slot{content: blob.Zeros(size), size: size}
+	return &slot{content: blob.NewSparse(size)}
 }
 
 // Size implements scif.Memory.
-func (s *slot) Size() int64 { return s.size }
+func (s *slot) Size() int64 { return s.content.Len() }
 
 // SnapshotRange implements scif.Memory.
 func (s *slot) SnapshotRange(off, n int64) blob.Blob {
@@ -36,5 +36,5 @@ func (s *slot) SnapshotRange(off, n int64) blob.Blob {
 func (s *slot) WriteBlob(off int64, src blob.Blob) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.content = blob.Splice(s.content, off, src)
+	s.content.WriteAt(off, src)
 }
