@@ -234,6 +234,9 @@ func (st *Store) NegotiateWindow(path, parent string, size, chunkBytes int64, fi
 // stored under a name it doesn't match). Idempotent: re-shipping a
 // chunk that already landed is a no-op replay.
 func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error) {
+	// Hash before taking the lock: content is immutable, and a chunk's
+	// digest must not serialize the other stripes' calls behind it.
+	got := Digest(content)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	up := st.uploads[normPath(path)]
@@ -253,7 +256,7 @@ func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock
 	}
 	// Verifying the digest re-reads the chunk once at memcpy rate.
 	dur := st.model.HostMemcpy(content.Len())
-	if got := Digest(content); got != up.digests[idx] {
+	if got != up.digests[idx] {
 		return dur, fmt.Errorf("snapstore: put %s: chunk %d digest mismatch (got %s, want %s)", path, idx, got[:12], up.digests[idx][:12])
 	}
 	if cp := chunkPath(up.digests[idx]); !st.fs.Exists(cp) {

@@ -528,27 +528,40 @@ func TestOverlayRangeAndPassthroughReads(t *testing.T) {
 	}
 }
 
-// TestDigestKeysZeroChunksTogether: every all-zero chunk of one size is
-// the same content, so however it was cut out of its image it must share
-// one synthetic-digest cache entry — a zero-background region's chunks are
-// otherwise hashed (and materialized) once per chunk index.
+// TestDigestKeysZeroChunksTogether: zeros are the same content wherever
+// they sit, so every all-zero window of one length shares one leaf-cache
+// entry whatever its stream offset, and every all-zero chunk of one size
+// one whole-blob entry, however it was cut out of its image — a
+// zero-background region is otherwise hashed (and materialized) once per
+// window position.
 func TestDigestKeysZeroChunksTogether(t *testing.T) {
-	const chunk = 256 * 1024
+	const chunk = 4*digestWindow + 100 // a short last window too
 	img := blob.Zeros(8 * chunk)
-	first := Digest(img.Slice(0, chunk))
-	synMu.Lock()
-	before := len(synCache)
-	synMu.Unlock()
+	// One dirty record per chunk, so its windows go through the leaf path.
+	dirty := func(k int64) blob.Blob {
+		return overwrite(img.Slice(k*chunk, chunk), 17, []byte("record"))
+	}
+	first, firstDirty := Digest(img.Slice(0, chunk)), Digest(dirty(0))
+	blobsMu.Lock()
+	blobsBefore := len(blobs)
+	blobsMu.Unlock()
+	leavesBefore := leaves.len()
 	for k := int64(1); k < 8; k++ {
 		if d := Digest(img.Slice(k*chunk, chunk)); d != first {
 			t.Fatalf("zero chunk %d digests to %s, chunk 0 to %s", k, d, first)
 		}
+		if d := Digest(dirty(k)); d != firstDirty {
+			t.Fatalf("dirty zero chunk %d digests to %s, chunk 0 to %s", k, d, firstDirty)
+		}
 	}
-	synMu.Lock()
-	after := len(synCache)
-	synMu.Unlock()
-	if after != before {
-		t.Errorf("zero chunks at 7 more offsets added %d cache entries, want 0", after-before)
+	blobsMu.Lock()
+	blobsAfter := len(blobs)
+	blobsMu.Unlock()
+	if blobsAfter != blobsBefore {
+		t.Errorf("zero chunks at 7 more offsets added %d whole-blob cache entries, want 0", blobsAfter-blobsBefore)
+	}
+	if n := leaves.len(); n != leavesBefore {
+		t.Errorf("zero windows at 7 more offsets added %d leaf cache entries, want 0", n-leavesBefore)
 	}
 }
 

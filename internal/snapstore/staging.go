@@ -75,6 +75,8 @@ func (sg *Staging) Plan(path string, size, chunkBytes int64, want []string) []in
 // digest-verified against the current plan before it is admitted, so a
 // corrupted (or raced) fetch is rejected rather than staged.
 func (sg *Staging) SetChunk(path string, idx int, content blob.Blob) error {
+	// Hash before taking the lock (content is immutable).
+	got := Digest(content)
 	sg.mu.Lock()
 	defer sg.mu.Unlock()
 	e := sg.entries[normPath(path)]
@@ -88,7 +90,7 @@ func (sg *Staging) SetChunk(path string, idx int, content blob.Blob) error {
 	if content.Len() != m.chunkLen(idx) {
 		return fmt.Errorf("snapstore: stage %s: chunk %d is %d bytes, want %d", path, idx, content.Len(), m.chunkLen(idx))
 	}
-	if got := Digest(content); got != e.want[idx] {
+	if got != e.want[idx] {
 		return fmt.Errorf("snapstore: stage %s: chunk %d digest mismatch (got %s, want %s)", path, idx, got[:12], e.want[idx][:12])
 	}
 	e.chunks[idx] = content

@@ -95,13 +95,16 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # decoder (a -faults file, and what the chaos sweeps arm their per-index
 # faults from), the flight-dump reader (dump files `snapifyctl analyze
 # flight` reads back, possibly cut short by the crash that wrote them);
-# and one differential target, blob.Buffer's overlay
-# against a flat []byte oracle under random op programs. The committed corpora
+# and two differential targets, blob.Buffer's overlay
+# against a flat []byte oracle under random op programs, and
+# snapstore.Digest's window-grain chunk address against the spec computed
+# from the flat bytes under random literal / zero / seeded extent mixes. The committed corpora
 # under testdata/fuzz/ replay first; 5s of mutation on top catches
 # regressions in input hardening without turning the gate into a fuzzing
 # campaign. Crashers minimize into testdata/fuzz/ and fail the gate until
 # fixed.
 go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 5s ./internal/snapstore/
+go test -run '^$' -fuzz '^FuzzDigest$' -fuzztime 5s ./internal/snapstore/
 go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/analyze/
 go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
