@@ -273,6 +273,9 @@ func (c *Controller) markHostDead(name string) error {
 	}
 	h.dead = true
 	h.draining = false
+	// The blocked head is searched for again: liveHolders forgets a
+	// snapshot whose last holder died here on this event, not later.
+	c.blocked = nil
 	if h.drain != nil && !h.drain.done {
 		h.drain.done = true
 		h.drain.met = false

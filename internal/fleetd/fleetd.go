@@ -255,6 +255,8 @@ type card struct {
 	hostIdx int
 	idx     int
 	cap     int64
+	// commitCap caps committed: cap * Options.OversubPct / 100.
+	commitCap int64
 	// committed is the memory promised to the jobs assigned here and to
 	// evacuation moves landing here (<= cap * oversub); resident is the
 	// memory physically on the card (<= cap), residents' footprints.
@@ -283,8 +285,6 @@ type prioBytes struct {
 	prio  int
 	bytes int64
 }
-
-func (c *card) commitCap(pct int64) int64 { return c.cap * pct / 100 }
 
 // idleBelow is the footprint of the card's idlers below priority prio:
 // everything a job of that priority could free here by preemption.
@@ -396,6 +396,10 @@ type Controller struct {
 	// cands and take are preemptPlan's scratch: one card's candidates,
 	// and the best plan's victims so far.
 	cands, take []*Job
+	// blocked is the last queue head that found neither a card nor a
+	// preemption plan, nil once recheck or a host death finds that may
+	// have changed. dispatch skips its searches while it heads the queue.
+	blocked *Job
 
 	mAdmitted, mRejected, mPlacements, mPreempts *obs.Counter
 	mSwapOuts, mSwapIns, mEvacMoves, mLost       *obs.Counter
@@ -413,10 +417,11 @@ func New(opts Options, be Backend, o *obs.Obs) *Controller {
 		jobs:         make(map[int]*Job),
 		controls:     make(map[uint64]controlPayload),
 	}
+	pct := opts.oversubPct()
 	for i, ht := range be.Topology() {
 		h := &hostState{name: ht.Name, idx: i, assigned: make(map[int]*Job)}
 		for ci, capBytes := range ht.Cards {
-			h.cards = append(h.cards, &card{hostIdx: i, idx: ci, cap: capBytes,
+			h.cards = append(h.cards, &card{hostIdx: i, idx: ci, cap: capBytes, commitCap: capBytes * pct / 100,
 				residents: make(map[int]*Job), idlers: make(map[int]*Job)})
 			c.totalCap += capBytes
 			c.cards++
@@ -728,6 +733,7 @@ func (c *Controller) unassign(j *Job) {
 	delete(c.hosts[cd.hostIdx].assigned, j.ID)
 	j.Host, j.Card = "", -1
 	c.touch(j)
+	c.recheck(cd)
 }
 
 // reserve holds commitment and residency for j on an evacuation move's
@@ -743,6 +749,7 @@ func (c *Controller) reserve(j *Job, dst *card) {
 func (c *Controller) unreserve(j *Job) {
 	j.dst.committed -= j.Spec.Footprint
 	j.dst.lift(j)
+	c.recheck(j.dst)
 }
 
 // land makes j resident on cd.
@@ -816,8 +823,23 @@ func (c *Controller) touch(j *Job) {
 	if on != nil {
 		on.addIdle(j.Spec.Priority, j.Spec.Footprint)
 		on.idlers[j.ID] = j
+		c.recheck(on)
 	}
 	j.idleOn = on
+}
+
+// recheck clears the blocked head when cd, whose commitment just
+// dropped or whose idle tally just grew, could now take it: it fits, or
+// what idles there below its priority covers its deficit. Those two
+// writes are the only ones that can make a card feasible, and each
+// calls recheck after it, so a head stays blocked only while no card
+// could take it.
+func (c *Controller) recheck(cd *card) {
+	if b := c.blocked; b != nil {
+		if deficit := b.Spec.Footprint - (cd.commitCap - cd.committed); deficit <= 0 || cd.idleBelow(b.Spec.Priority) >= deficit {
+			c.blocked = nil
+		}
+	}
 }
 
 // --- admission ---
@@ -850,7 +872,6 @@ func (c *Controller) admit(j *Job) {
 // Fit comes before locality: a host's link cost is priced only once one
 // of its cards fits, since a host with no fitting card cannot win.
 func (c *Controller) findCard(j *Job, needRoom bool) *card {
-	pct := c.opts.oversubPct()
 	// Called even when no host fits: it forgets a snapshot whose every
 	// holder died, and later decisions read that.
 	holders := c.liveHolders(j)
@@ -863,7 +884,7 @@ func (c *Controller) findCard(j *Job, needRoom bool) *card {
 		}
 		loc := simclock.Duration(-1) // priced at the host's first fitting card
 		for _, cd := range h.cards {
-			left := cd.commitCap(pct) - cd.committed - j.Spec.Footprint
+			left := cd.commitCap - cd.committed - j.Spec.Footprint
 			if left < 0 {
 				continue
 			}
@@ -923,7 +944,8 @@ func (c *Controller) liveHolders(j *Job) []string {
 // places first; when nothing fits it may preempt; while it waits no
 // lower-priority job jumps it. It also re-pumps parked evacuation
 // drains — jobs that were mid-op when the drain started become movable
-// as their ops complete.
+// as their ops complete. A head that found neither a card nor a plan is
+// not searched for again until recheck says some card could take it.
 func (c *Controller) dispatch() error {
 	for _, name := range c.drained {
 		h := c.hosts[c.hostIdx[name]]
@@ -937,8 +959,8 @@ func (c *Controller) dispatch() error {
 	}
 	for c.pending.Len() > 0 {
 		j := c.pending.Peek()
-		if j.preemptEvicts > 0 {
-			return nil // its evictions are still in flight
+		if j.preemptEvicts > 0 || j == c.blocked {
+			return nil // its evictions are still in flight, or nothing could place it
 		}
 		cd := c.findCard(j, false)
 		if cd == nil {
@@ -1017,6 +1039,9 @@ func (c *Controller) placedMotion(j *Job, cd *card) error {
 // store first.
 func (c *Controller) tryPreempt(j *Job) {
 	cd, victims := c.preemptPlan(j)
+	if cd == nil {
+		c.blocked = j
+	}
 	for _, v := range victims {
 		// Evicting an earlier victim re-serves the card, which may have
 		// launched, swapped in or evicted a later one for residency: a
@@ -1047,14 +1072,13 @@ func (c *Controller) tryPreempt(j *Job) {
 // no card can. It changes nothing. The victims alias c.take and are
 // valid until the next call.
 func (c *Controller) preemptPlan(j *Job) (*card, []*Job) {
-	pct := c.opts.oversubPct()
 	var best *card
 	for _, h := range c.hosts {
 		if h.dead || h.draining {
 			continue
 		}
 		for _, cd := range h.cards {
-			deficit := j.Spec.Footprint - (cd.commitCap(pct) - cd.committed)
+			deficit := j.Spec.Footprint - (cd.commitCap - cd.committed)
 			if deficit <= 0 {
 				continue // findCard would have taken it
 			}
@@ -1437,7 +1461,6 @@ func (c *Controller) checkInvariants() error {
 	if victims != evicting {
 		return fail("%d evictions counted, %d victims", evicting, victims)
 	}
-	pct := c.opts.oversubPct()
 	for _, h := range c.hosts {
 		type recount struct {
 			committed, resident int64
@@ -1486,7 +1509,7 @@ func (c *Controller) checkInvariants() error {
 		listed += len(h.assigned)
 		for i, cd := range h.cards {
 			n, m := &counts[i], moving[cd]
-			if cd.resident < 0 || cd.resident > cd.cap || cd.committed < 0 || cd.committed > cd.commitCap(pct) {
+			if cd.resident < 0 || cd.resident > cd.cap || cd.committed < 0 || cd.committed > cd.commitCap {
 				return fail("card %s resident %d, committed %d, cap %d", c.cardName(cd), cd.resident, cd.committed, cd.cap)
 			}
 			if cd.committed != n.committed+m.bytes || cd.resident != n.resident+m.bytes || len(cd.residents) != n.residents+m.jobs {

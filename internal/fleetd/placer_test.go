@@ -6,7 +6,8 @@ package fleetd
 // before testing fit, preemptPlanScan walks every host's assigned jobs
 // for each card instead of reading the card's idle tally and idlers.
 // Stepping a run one event at a time, the indexed and the scan searches
-// must agree on the head job's card and victims after every event.
+// must agree on the head job's card and victims after every event, and
+// both scans must find nothing for a head dispatch would skip.
 
 import (
 	"fmt"
@@ -20,7 +21,6 @@ import (
 // findCardScan is findCard as a brute-force scan: every living host's
 // replica locality is priced, fitting or not.
 func (c *Controller) findCardScan(j *Job, needRoom bool) *card {
-	pct := c.opts.oversubPct()
 	holders := c.liveHolders(j)
 	var best *card
 	var bestLoc simclock.Duration
@@ -43,7 +43,7 @@ func (c *Controller) findCardScan(j *Job, needRoom bool) *card {
 			}
 		}
 		for _, cd := range h.cards {
-			left := cd.commitCap(pct) - cd.committed - j.Spec.Footprint
+			left := cd.commitCap - cd.committed - j.Spec.Footprint
 			if left < 0 {
 				continue
 			}
@@ -61,7 +61,6 @@ func (c *Controller) findCardScan(j *Job, needRoom bool) *card {
 // preemptPlanScan is preemptPlan as a brute-force scan: each card's
 // candidates are found by walking its host's assigned jobs.
 func (c *Controller) preemptPlanScan(j *Job) (*card, []*Job) {
-	pct := c.opts.oversubPct()
 	type plan struct {
 		cd      *card
 		victims []*Job
@@ -72,7 +71,7 @@ func (c *Controller) preemptPlanScan(j *Job) (*card, []*Job) {
 			continue
 		}
 		for _, cd := range h.cards {
-			deficit := j.Spec.Footprint - (cd.commitCap(pct) - cd.committed)
+			deficit := j.Spec.Footprint - (cd.commitCap - cd.committed)
 			if deficit <= 0 {
 				continue // findCard would have taken it
 			}
@@ -131,14 +130,16 @@ func (c *Controller) preemptPlanScan(j *Job) (*card, []*Job) {
 
 // placerSweep counts what a differential sweep exercised.
 type placerSweep struct {
-	events, compared, noCard, plans int
+	events, compared, noCard, plans, skips int
 }
 
 // stepCompare runs c dry one event at a time. After every event it
 // checks the controller's invariants (the idle tallies the indexed
 // searches read among them) and, when dispatch would search for the
 // head job, compares the indexed searches with the scans for it:
-// findCard with and without needRoom, and preemptPlan.
+// findCard with and without needRoom, and preemptPlan. While a job is
+// blocked, dispatch skips its searches when it heads the queue, so then
+// neither scan may find it a card or a plan.
 func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 	t.Helper()
 	for c.events.Len() > 0 {
@@ -150,6 +151,19 @@ func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 			t.Fatal(err)
 		}
 		j := c.pending.Peek()
+		if b := c.blocked; b != nil {
+			if b.State != StatePending {
+				t.Fatalf("at %v: blocked job %d is %s", c.now, b.ID, b.State)
+			}
+			plan, _ := c.preemptPlanScan(b)
+			if fit := c.findCardScan(b, false); fit != nil || plan != nil {
+				t.Fatalf("at %v: blocked job %d: the scans find card %s, a plan on %s",
+					c.now, b.ID, orNone(c, fit), orNone(c, plan))
+			}
+			if b == j {
+				sw.skips++
+			}
+		}
 		if j == nil || j.preemptEvicts > 0 {
 			continue
 		}
@@ -195,7 +209,8 @@ func jobIDs(js []*Job) []int {
 // TestPlacerMatchesScan is the indexed placer's differential: seeds 1-50
 // of the 4 x 2 sweep shape at 100, 150 and 200 % oversubscription, then
 // the kill-mid-evacuation and crash-mid-preemption chaos plans. Every
-// run also holds the controller's invariants after every event.
+// run also holds the controller's invariants after every event. The
+// sweep must reach a blocked head that dispatch skips.
 func TestPlacerMatchesScan(t *testing.T) {
 	var sw placerSweep
 	for _, pct := range []int{100, 150, 200} {
@@ -207,10 +222,10 @@ func TestPlacerMatchesScan(t *testing.T) {
 		stepCompare(t, chaosEvacuation(t, seed), &sw)
 	}
 	stepCompare(t, chaosPreemption(t, 0xBADBEEF), &sw)
-	t.Logf("%d events, %d head-job comparisons, %d with no card, %d preemption plans",
-		sw.events, sw.compared, sw.noCard, sw.plans)
-	if sw.noCard == 0 || sw.plans == 0 {
-		t.Fatalf("the sweep never exercised preemption: %+v", sw)
+	t.Logf("%d events, %d head-job comparisons, %d with no card, %d preemption plans, %d with the head blocked",
+		sw.events, sw.compared, sw.noCard, sw.plans, sw.skips)
+	if sw.noCard == 0 || sw.plans == 0 || sw.skips == 0 {
+		t.Fatalf("the sweep never exercised preemption or a skipped head: %+v", sw)
 	}
 }
 
@@ -230,6 +245,37 @@ func TestFindCardForgetsDeadSnapshotWithoutFit(t *testing.T) {
 	be.holders[j.ID] = []string{"h001"}
 	if cd := c.findCard(j, false); cd != nil {
 		t.Fatalf("placed on %s with the fleet full", orNone(c, cd))
+	}
+	if j.snapshotted || j.burstsDone != 0 || j.ckptBursts != 0 {
+		t.Fatalf("snapshot with no living holder kept: snapshotted=%v bursts done %d, checkpointed %d",
+			j.snapshotted, j.burstsDone, j.ckptBursts)
+	}
+}
+
+// TestDispatchForgetsDeadSnapshotOfBlockedHead: a queue head that is
+// blocked while its only snapshot holder drains elsewhere, and that
+// holder then dies, has its snapshot forgotten by the dispatch that
+// follows the death. The death frees no card the head could take, so
+// only the host-death reset sends dispatch back to liveHolders.
+func TestDispatchForgetsDeadSnapshotOfBlockedHead(t *testing.T) {
+	c, be := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
+	// h000 full; h001 draining and empty, so no card can take the head.
+	c.assign(&Job{ID: 2, Spec: simpleSpec(2, "a", 0, 0, 1<<30, 1)}, c.hosts[0].cards[0])
+	if err := c.startDrain("h001", 1000*ms); err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 1<<30, 4), Card: -1,
+		snapshotted: true, burstsDone: 2, ckptBursts: 2}
+	be.holders[j.ID] = []string{"h001"}
+	c.pending.Push(j)
+	if err := c.dispatch(); err != nil {
+		t.Fatal(err)
+	}
+	if c.blocked != j || !j.snapshotted {
+		t.Fatalf("setup: blocked %v, snapshotted %v; want job 1 blocked with its snapshot", c.blocked, j.snapshotted)
+	}
+	if err := c.KillHost("h001"); err != nil {
+		t.Fatal(err)
 	}
 	if j.snapshotted || j.burstsDone != 0 || j.ckptBursts != 0 {
 		t.Fatalf("snapshot with no living holder kept: snapshotted=%v bursts done %d, checkpointed %d",
@@ -266,29 +312,38 @@ func TestModelBackendRackIndex(t *testing.T) {
 	}
 }
 
-// BenchmarkControllerRun runs the bench's fleet_oversub shape: 2400
-// jobs over 120 one-card hosts at 200 % oversubscription, h000 drained
-// at 500 ms. Set-up (New, SubmitTrace) is outside the timer.
+// BenchmarkControllerRun runs the bench's fleet_oversub shape: 20 jobs
+// per one-card host at 200 % oversubscription, h000 drained at 500 ms.
+// hosts=120 is the shape itself (2400 jobs); hosts=1000 scales it the
+// way the bench's fleet-size probe does, with the arrival rate and the
+// admission queues growing with the fleet so the load per host stays
+// the same. Set-up (New, SubmitTrace) is outside the timer.
 func BenchmarkControllerRun(b *testing.B) {
 	const cardMem = 256 << 20
-	specs := GenerateTrace(TraceConfig{
-		Seed: 42, Jobs: 2400, Tenants: 8, CardMem: cardMem, BurstScale: 10, ThinkScale: 400,
-	})
-	b.ReportAllocs()
-	var events int64
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := New(Options{OversubPct: 200, QueueDepth: 512},
-			NewModelBackend(ModelOptions{Hosts: 120, CardsPerHost: 1, CardMem: cardMem}), obs.New())
-		if err := c.SubmitTrace(specs); err != nil {
-			b.Fatal(err)
-		}
-		c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
-		b.StartTimer()
-		if err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-		events += c.Stats().Events
+	for _, hosts := range []int{120, 1000} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			specs := GenerateTrace(TraceConfig{
+				Seed: 42, Jobs: 20 * hosts, Tenants: 8, CardMem: cardMem, BurstScale: 10, ThinkScale: 400,
+				BurstEvery: 20 * ms * 120 / simclock.Duration(hosts), MeanGap: ms * 120 / simclock.Duration(hosts),
+			})
+			b.ReportAllocs()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c := New(Options{OversubPct: 200, QueueDepth: 512 * hosts / 120},
+					NewModelBackend(ModelOptions{Hosts: hosts, CardsPerHost: 1, CardMem: cardMem}), obs.New())
+				if err := c.SubmitTrace(specs); err != nil {
+					b.Fatal(err)
+				}
+				c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
+				b.StartTimer()
+				if err := c.Run(); err != nil {
+					b.Fatal(err)
+				}
+				events += c.Stats().Events
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
