@@ -113,12 +113,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, "%s: %v", e.Name, err)
 		}
 		fmt.Fprintln(stdout, res.Render())
-		if e.Check != "" && (*check || e.Standing) {
+		if *check || e.Standing {
 			if err := res.CheckShape(); err != nil {
 				return fail(1, "%s FAILED: %v", e.Check, err)
 			}
-			// Experiments sharing a label share its line, after the last.
-			if i+1 == len(sel) || sel[i+1].Check != e.Check {
+			// Experiments sharing a label share its line, after the last;
+			// one with no claim (Table 2) prints none.
+			if e.Check != "" && (i+1 == len(sel) || sel[i+1].Check != e.Check) {
 				fmt.Fprintf(stdout, "[%s: OK]\n", e.Check)
 				if e.Num != 0 {
 					fmt.Fprintln(stdout) // numbered exhibits are set apart

@@ -55,7 +55,7 @@ func main() {
 				failures++
 				lost := in.Progress()
 				in.Close()
-				app2, host2, _, err := core.RestartApp(plat, lastCkpt)
+				app2, host2, _, err := srv.RestartApp(lastCkpt)
 				check(err)
 				in, err = workloads.Attach(plat, spec, host2, app2.Proc())
 				check(err)

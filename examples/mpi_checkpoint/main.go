@@ -66,7 +66,14 @@ func main() {
 			return err
 		}
 		fmt.Printf("  rank %d resumes at iteration %d\n", r.ID, in.Progress())
-		return workloads.RunMZIterations(r, in, spec.Iterations-in.Progress())
+		if err := workloads.RunMZIterations(r, in, spec.Iterations-in.Progress()); err != nil {
+			return err
+		}
+		// Every rank must agree that every rank finished the job.
+		if done := r.AllreduceSum(uint64(in.Progress())); done != ranks*uint64(spec.Iterations) {
+			return fmt.Errorf("rank %d: ranks completed %d iterations in total, want %d", r.ID, done, ranks*spec.Iterations)
+		}
+		return nil
 	})
 	check(err)
 	fmt.Println("job completed all 10 iterations across the failure")

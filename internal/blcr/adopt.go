@@ -23,31 +23,17 @@ import (
 // image size. The caller is responsible for having verified the staged
 // image against the committed manifest before adopting it.
 func (c *Checkpointer) RestartAdopted(img blob.Blob, spawn Spawner) (*proc.Process, *Stats, error) {
-	return c.restartFrom(&residentSource{img: img}, spawn, true)
-}
-
-// residentSource feeds an already-resident image to the restart parser.
-// Transport cost is zero — the bytes crossed the fabric during the
-// pre-copy rounds, charged there — so the only time the restart accrues
-// is the adoption stage the reader charges per piece.
-type residentSource struct {
-	img blob.Blob
-	off int64
-}
-
-func (s *residentSource) Next(max int64) (blob.Blob, stream.Cost, error) {
-	if s.off >= s.img.Len() {
-		return blob.FromBytes(nil), stream.Cost{}, io.EOF
+	// Transport cost is zero — the bytes crossed the fabric during the
+	// pre-copy rounds, charged there — so the only time the restart
+	// accrues is the adoption stage the reader charges per piece.
+	var off int64
+	feed := func() (blob.Blob, stream.Cost, error) {
+		if off >= img.Len() {
+			return blob.Blob{}, stream.Cost{}, io.EOF
+		}
+		b := img.Slice(off, min(img.Len()-off, PageChunk))
+		off += b.Len()
+		return b, stream.Cost{}, nil
 	}
-	n := s.img.Len() - s.off
-	if n > max {
-		n = max
-	}
-	b := s.img.Slice(s.off, n)
-	s.off += n
-	return b, stream.Cost{}, nil
+	return c.restartFrom(feed, spawn, true)
 }
-
-func (s *residentSource) Size() int64 { return s.img.Len() }
-
-func (s *residentSource) Close() error { return nil }

@@ -65,7 +65,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 		if img.Name != "offload_proc" {
 			t.Errorf("image name = %q", img.Name)
 		}
-		return proc.New(img.Name, 777, 2, nil), nil
+		return proc.New(img.Name, 777, 2, phi.NewMemBudget(1<<40)), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestCheckpointRestartRoundTrip(t *testing.T) {
 // makeProcReal builds the proc on a real simnet node id.
 func makeProcReal(t *testing.T, name string, node int) *proc.Process {
 	t.Helper()
-	p := proc.New(name, 4242, simnet.NodeID(node), nil)
+	p := proc.New(name, 4242, simnet.NodeID(node), phi.NewMemBudget(1<<40))
 	data, err := p.AddRegion("data", proc.RegionData, 8192, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestRestartRejectsCorruptContext(t *testing.T) {
 			e := newEnv()
 			e.fs.WriteFile("full", blob.FromBytes(tc.full))
 			e.fs.WriteFile("delta", blob.FromBytes(tc.delta))
-			target := proc.New("t", 1, 1, nil)
+			target := proc.New("t", 1, 1, phi.NewMemBudget(1<<40))
 			target.AddRegion("heap", proc.RegionHeap, 16, 7) //nolint:errcheck
 			_, _, seqErr := e.cr.Restart(e.source(t, "full"), freshSpawn)
 			_, _, rangedErr := e.cr.RestartParallel(int64(len(tc.full)), 2, 0, e.rangeSource("full"), freshSpawn)
@@ -281,7 +281,7 @@ func TestRestartRejectsTruncatedContext(t *testing.T) {
 	full, _, _ := e.fs.ReadFile("ctx")
 	e.fs.WriteFile("trunc", full.Slice(0, full.Len()/2))
 	_, _, err := e.cr.Restart(e.source(t, "trunc"), func(img *Image) (*proc.Process, error) {
-		return proc.New(img.Name, 1, 1, nil), nil
+		return proc.New(img.Name, 1, 1, phi.NewMemBudget(1<<40)), nil
 	})
 	var bad *ErrBadContext
 	if !errors.As(err, &bad) {
@@ -302,7 +302,7 @@ func TestLargeSyntheticRegionStaysCheap(t *testing.T) {
 	// A 1 GiB mostly-untouched region must checkpoint without
 	// materializing: the context file stores its background descriptor.
 	e := newEnv()
-	p := proc.New("big", 1, 1, nil)
+	p := proc.New("big", 1, 1, phi.NewMemBudget(1<<40))
 	r, _ := p.AddRegion("huge", proc.RegionHeap, simclock.GiB, 21)
 	r.WriteAt([]byte("tiny dirty bit"), 12345)
 	st, err := e.cr.Checkpoint(p, e.sink(t, "ctx"))

@@ -38,9 +38,6 @@ func NewClient(cr *Checkpointer, p *proc.Process) *Client {
 	return &Client{cr: cr, p: p}
 }
 
-// Process returns the attached process.
-func (c *Client) Process() *proc.Process { return c.p }
-
 // RegisterCallback installs the checkpoint callback (cr_register_callback).
 func (c *Client) RegisterCallback(cb Callback) { c.callback = cb }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -64,7 +65,7 @@ func drain(t *testing.T, pass *DigestPass, w int) int {
 // dozen 64 KiB chunks, with region boundaries off the chunk grid.
 func digestProc(t *testing.T) *proc.Process {
 	t.Helper()
-	p := proc.New("offload_digest", 4242, 1, nil)
+	p := proc.New("offload_digest", 4242, 1, phi.NewMemBudget(1<<40))
 	for _, r := range []struct {
 		name string
 		kind proc.RegionKind
@@ -237,7 +238,9 @@ func TestRestartRecordsGeometry(t *testing.T) {
 	}
 	p.ResumeSteps()
 
-	spawn := func(img *Image) (*proc.Process, error) { return proc.New(img.Name, 9001, 1, nil), nil }
+	spawn := func(img *Image) (*proc.Process, error) {
+		return proc.New(img.Name, 9001, 1, phi.NewMemBudget(1<<40)), nil
+	}
 	restarts := map[string]func() (*proc.Process, *Stats, error){
 		"serial": func() (*proc.Process, *Stats, error) { return e.cr.Restart(e.source(t, "ctx"), spawn) },
 		"parallel": func() (*proc.Process, *Stats, error) {

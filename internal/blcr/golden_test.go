@@ -3,10 +3,12 @@ package blcr
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/phi"
 	"snapify/internal/proc"
 )
 
@@ -37,7 +39,7 @@ func goldenBytes(n int, salt byte) []byte {
 // and two threads.
 func goldenProc(t testing.TB) *proc.Process {
 	t.Helper()
-	p := proc.New("golden_offload", 4242, 1, nil)
+	p := proc.New("golden_offload", 4242, 1, phi.NewMemBudget(1<<40))
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
 	for _, name := range []string{"omp0", "omp1"} {
@@ -77,7 +79,11 @@ func readGolden(t testing.TB, name string) []byte {
 	return b
 }
 
-func freshSpawn(img *Image) (*proc.Process, error) { return proc.New(img.Name, 777, 2, nil), nil }
+func freshSpawn(img *Image) (*proc.Process, error) {
+	// The budget holds any size, so a corrupt region size reaches the
+	// parser's own bounds checks instead of failing the allocation.
+	return proc.New(img.Name, 777, 2, phi.NewMemBudget(math.MaxInt64)), nil
+}
 
 // requireSameRegions fails unless got has exactly want's regions — name,
 // kind, size, pin — with identical content. A context file does not carry

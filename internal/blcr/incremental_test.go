@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -12,7 +13,7 @@ import (
 
 func TestIncrementalCheckpointChain(t *testing.T) {
 	e := newEnv()
-	p := proc.New("incr", 1, 1, nil)
+	p := proc.New("incr", 1, 1, phi.NewMemBudget(1<<40))
 	heap, _ := p.AddRegion("heap", proc.RegionHeap, 64*simclock.MiB, 9)
 	data, _ := p.AddRegion("data", proc.RegionData, 1*simclock.MiB, 3)
 
@@ -54,7 +55,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 		e.source(t, "base"),
 		[]stream.Source{e.source(t, "delta1"), e.source(t, "delta2")},
 		func(img *Image) (*proc.Process, error) {
-			return proc.New(img.Name, 2, 2, nil), nil
+			return proc.New(img.Name, 2, 2, phi.NewMemBudget(1<<40)), nil
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 
 func TestDeltaWithNoChangesIsTiny(t *testing.T) {
 	e := newEnv()
-	p := proc.New("quiet", 1, 1, nil)
+	p := proc.New("quiet", 1, 1, phi.NewMemBudget(1<<40))
 	p.AddRegion("heap", proc.RegionHeap, 256*simclock.MiB, 1)
 	if _, err := e.cr.CheckpointFull(p, e.sink(t, "base")); err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestDeltaWithNoChangesIsTiny(t *testing.T) {
 
 func TestApplyDeltaRejectsUnknownRegion(t *testing.T) {
 	e := newEnv()
-	p := proc.New("a", 1, 1, nil)
+	p := proc.New("a", 1, 1, phi.NewMemBudget(1<<40))
 	p.AddRegion("heap", proc.RegionHeap, 1024, 0)
 	p.Region("heap").WriteAt([]byte("x"), 0)
 	e.cr.CheckpointFull(p, e.sink(t, "base")) //nolint:errcheck
@@ -98,7 +99,7 @@ func TestApplyDeltaRejectsUnknownRegion(t *testing.T) {
 	}
 
 	// A process without that region cannot take the delta.
-	q := proc.New("b", 2, 1, nil)
+	q := proc.New("b", 2, 1, phi.NewMemBudget(1<<40))
 	q.AddRegion("other", proc.RegionHeap, 1024, 0)
 	if _, err := e.cr.ApplyDelta(q, e.source(t, "delta")); err == nil {
 		t.Fatal("delta against mismatched process must fail")
@@ -120,7 +121,7 @@ func TestDirtyTrackingSurvivesManyPatterns(t *testing.T) {
 	// Randomized writes: the delta chain must always reconstruct the
 	// current state exactly.
 	e := newEnv()
-	p := proc.New("fuzzy", 1, 1, nil)
+	p := proc.New("fuzzy", 1, 1, phi.NewMemBudget(1<<40))
 	heap, _ := p.AddRegion("heap", proc.RegionHeap, 1<<20, 5)
 	if _, err := e.cr.CheckpointFull(p, e.sink(t, "f_base")); err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestDirtyTrackingSurvivesManyPatterns(t *testing.T) {
 	}
 	want := heap.Snapshot()
 	restored, _, err := e.cr.RestartChain(e.source(t, "f_base"), deltas,
-		func(img *Image) (*proc.Process, error) { return proc.New(img.Name, 9, 2, nil), nil })
+		func(img *Image) (*proc.Process, error) { return proc.New(img.Name, 9, 2, phi.NewMemBudget(1<<40)), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

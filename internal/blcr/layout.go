@@ -88,9 +88,12 @@ func (l *Layout) Range(off, n int64) blob.Blob {
 }
 
 // ChunkDigests materializes the whole layout and digests it in chunk-sized
-// pieces (<=0 means PageChunk): the full recompute every windowed
-// DigestPass is checked against, and nothing a capture runs. The digest
-// function lives in internal/snapstore; keeping it a parameter keeps blcr
+// pieces (<=0 means PageChunk). It is a reference implementation: the full
+// recompute every windowed DigestPass is checked against
+// (TestDigestPassMatchesOracle, TestDigestPassFullOnAnyShapeChange,
+// TestDigestPassAbandonedHalfWaySeedsNothing, TestRestartRecordsGeometry),
+// and nothing a capture runs; bench/'s layout-digest probe times it. The
+// digest function lives in internal/snapstore; keeping it a parameter keeps blcr
 // free of hash imports (snapifylint's storegate pins that). The duration
 // is Materialize's: the walk and the copy of the whole image, summed.
 func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]string, simclock.Duration) {
@@ -105,8 +108,11 @@ func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]str
 }
 
 // Materialize snapshots the whole laid-out context file into one
-// immutable blob: the image the full-recompute oracles digest (ChunkDigests
-// here, internal/core's differential test). The returned duration is the
+// immutable blob. It is a reference implementation: the image the
+// full-recompute oracles digest (ChunkDigests here; internal/core's
+// TestDigestCacheDifferential, TestChaosPrecopyWriterRace,
+// TestChaosLostDirtyRangeIsInvisibleToVerify and
+// TestStoreRestoreDifferential). The returned duration is the
 // cost of reading it in one serial pass — a page-table walk plus a
 // memcpy-rate copy of the image on the process's node, plus any
 // dirty-detection walks the delta layout carries. No capture pays it: a

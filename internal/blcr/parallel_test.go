@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -36,7 +37,7 @@ func (e *testEnv) rangeSource(path string) RangeSourceFactory {
 // makeBigProc builds a process whose regions are large enough to stripe.
 func makeBigProc(t *testing.T) *proc.Process {
 	t.Helper()
-	p := proc.New("offload_big", 4242, 1, nil)
+	p := proc.New("offload_big", 4242, 1, phi.NewMemBudget(1<<40))
 	data, err := p.AddRegion("data", proc.RegionData, 8192, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestParallelRestartRestoresIdenticalState(t *testing.T) {
 		if img.Name != "offload_big" {
 			t.Errorf("image name = %q", img.Name)
 		}
-		return proc.New(img.Name, 777, 2, nil), nil
+		return proc.New(img.Name, 777, 2, phi.NewMemBudget(1<<40)), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestParallelDeltaByteIdenticalToSerial(t *testing.T) {
 	if _, err := e.cr.CheckpointDeltaFrozenParallel(p, 4, 0, e.stripedSink(t, "d_parallel")); err != nil {
 		t.Fatal(err)
 	}
-	if p.Region("heap").DirtySinceClean() == 0 {
+	if len(p.Region("heap").DirtyRanges()) == 0 {
 		t.Error("a frozen delta writer marked the regions clean")
 	}
 	a, _, err := e.fs.ReadFile("d_serial")
@@ -218,7 +219,7 @@ func TestRestartChainParallel(t *testing.T) {
 	restored, st, err := e.cr.RestartChainParallel(base.Len(), 3, 0, e.rangeSource("base"),
 		[]stream.Source{e.source(t, "delta0")},
 		func(img *Image) (*proc.Process, error) {
-			return proc.New(img.Name, 778, 2, nil), nil
+			return proc.New(img.Name, 778, 2, phi.NewMemBudget(1<<40)), nil
 		})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package blcr
 
 import (
 	"fmt"
+
+	"snapify/internal/blob"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
@@ -26,14 +28,14 @@ type Spawner func(img *Image) (*proc.Process, error)
 // restored process is returned with its step gate paused; the caller
 // resumes it once reconnection (Section 4.3) is complete.
 func (c *Checkpointer) Restart(source stream.Source, spawn Spawner) (*proc.Process, *Stats, error) {
-	return c.restartFrom(source, spawn, false)
+	return c.restartFrom(sequential(source), spawn, false)
 }
 
-// restartFrom is the sequential feeder behind Restart and RestartAdopted:
-// each region's pages are written as the stream delivers them. adopt
-// selects the page-adoption cost model.
-func (c *Checkpointer) restartFrom(source stream.Source, spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
-	r := &reader{c: c, feed: sequential(source), acc: simclock.NewPipelineAccum(), adopt: adopt, geo: &Geometry{}}
+// restartFrom is the sequential parse behind Restart and RestartAdopted:
+// each region's pages are written as feed delivers them. adopt selects
+// the page-adoption cost model.
+func (c *Checkpointer) restartFrom(feed func() (blob.Blob, stream.Cost, error), spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
+	r := &reader{c: c, feed: feed, acc: simclock.NewPipelineAccum(), adopt: adopt, geo: &Geometry{}}
 	p, st, err := c.parseContext(r, spawn, func(reg *proc.Region, _, n int64) error {
 		return r.copyTo(reg, 0, n)
 	})

@@ -204,27 +204,6 @@ func (b Blob) Bytes() []byte {
 	return out
 }
 
-// At returns the byte at offset off.
-func (b Blob) At(off int64) byte {
-	if off < 0 || off >= b.size {
-		panic(fmt.Sprintf("blob: offset %d out of range of %d", off, b.size)) //nolint:paniclib // caller bug: index bounds, mirroring built-in indexing
-	}
-	pos := int64(0)
-	for _, e := range b.extents {
-		if off < pos+e.Size {
-			i := off - pos
-			if e.IsLiteral() {
-				return e.Literal[i]
-			}
-			var one [1]byte
-			Materialize(e.Seed, e.Off+i, one[:])
-			return one[0]
-		}
-		pos += e.Size
-	}
-	panic("unreachable") //nolint:paniclib // unreachable: the extent list covers the whole blob by construction
-}
-
 // LiteralBytes returns the number of bytes held as literal extents; the
 // remainder is synthetic background. Transports use this split to decide
 // how much real copying to do while charging full virtual cost.

@@ -62,16 +62,6 @@ func TestSliceOutOfRangePanics(t *testing.T) {
 	Zeros(10).Slice(5, 6)
 }
 
-func TestAt(t *testing.T) {
-	b := Concat(FromBytes([]byte{1, 2, 3}), Synthetic(9, 16))
-	whole := b.Bytes()
-	for i := int64(0); i < b.Len(); i++ {
-		if b.At(i) != whole[i] {
-			t.Fatalf("At(%d) = %d, want %d", i, b.At(i), whole[i])
-		}
-	}
-}
-
 func TestEqualFastPathAndMixed(t *testing.T) {
 	a := Synthetic(5, 1000)
 	b := Synthetic(5, 1000)
@@ -170,7 +160,7 @@ func TestBufferMergeAdjacentAndOverlapping(t *testing.T) {
 func TestBufferSnapshotRestoreRoundTrip(t *testing.T) {
 	buf := NewBuffer(1<<16, 77)
 	buf.WriteAt([]byte("snapshot me"), 1234)
-	buf.Fill(0xAB, 40000, 100)
+	buf.WriteAt(bytes.Repeat([]byte{0xAB}, 100), 40000)
 	snap := buf.Snapshot()
 	if snap.Len() != buf.Size() {
 		t.Fatalf("snapshot len %d != size %d", snap.Len(), buf.Size())
@@ -178,7 +168,7 @@ func TestBufferSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Restore into a fresh buffer with the same background seed.
 	fresh := NewBuffer(1<<16, 77)
-	fresh.Restore(snap)
+	fresh.WriteBlob(0, snap)
 	if !Equal(fresh.Snapshot(), snap) {
 		t.Fatal("restore(snapshot) not content-identical")
 	}
@@ -190,7 +180,7 @@ func TestBufferSnapshotRestoreRoundTrip(t *testing.T) {
 	// Restore into a buffer with a different seed: still content-identical,
 	// now fully materialized.
 	alien := NewBuffer(1<<16, 99)
-	alien.Restore(snap)
+	alien.WriteBlob(0, snap)
 	if !Equal(alien.Snapshot(), snap) {
 		t.Fatal("cross-seed restore not content-identical")
 	}
@@ -246,7 +236,7 @@ func TestBufferQuickAgainstReference(t *testing.T) {
 					return false
 				}
 				clone := NewBuffer(size, bg)
-				clone.Restore(snap)
+				clone.WriteBlob(0, snap)
 				if !bytes.Equal(clone.Snapshot().Bytes(), ref) {
 					return false
 				}

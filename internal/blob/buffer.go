@@ -82,17 +82,6 @@ func (b *Buffer) WriteAt(p []byte, off int64) {
 	}
 }
 
-// Fill writes n copies of v starting at off.
-func (b *Buffer) Fill(v byte, off, n int64) {
-	p := make([]byte, n)
-	if v != 0 {
-		for i := range p {
-			p[i] = v
-		}
-	}
-	b.WriteAt(p, off)
-}
-
 // ReadAt fills p with buffer content at off: overlay bytes are copied, and
 // background is generated only for the gaps between spans.
 func (b *Buffer) ReadAt(p []byte, off int64) {
@@ -116,17 +105,6 @@ func (b *Buffer) ReadAt(p []byte, off int64) {
 // literal extents for written ranges, synthetic extents for untouched
 // background.
 func (b *Buffer) Snapshot() Blob { return b.SnapshotRange(0, b.size) }
-
-// Restore overwrites the buffer's entire content from a blob of the same
-// size. Literal extents become overlay writes; synthetic extents with the
-// buffer's own seed and matching stream offset collapse back to background.
-func (b *Buffer) Restore(src Blob) {
-	if src.Len() != b.size {
-		panic(fmt.Sprintf("blob: restore size %d into buffer of %d", src.Len(), b.size)) //nolint:paniclib // caller bug: a restore image matches the buffer size by protocol construction
-	}
-	b.writes = nil
-	b.WriteBlob(0, src)
-}
 
 // WriteBlob copies src into the buffer at off. Literal extents become
 // overlay writes; a synthetic extent that already matches the buffer's own

@@ -131,7 +131,7 @@ func runBufferOps(t testing.TB, prog []byte) {
 			buf.WriteAt(p, int64(off))
 			o.write(p, off)
 		case opFill:
-			buf.Fill(arg, int64(off), int64(n))
+			buf.WriteAt(bytes.Repeat([]byte{arg}, n), int64(off))
 			o.write(bytes.Repeat([]byte{arg}, n), off)
 		case opLiteral:
 			src := FromBytes(pattern(n, arg, step))
@@ -160,7 +160,7 @@ func runBufferOps(t testing.TB, prog []byte) {
 					FromBytes(pattern(n, arg, step)),
 					Synthetic(tailSeed, opsSize).Slice(int64(off+n), int64(opsSize-off-n)))
 			}
-			buf.Restore(src)
+			buf.WriteBlob(0, src)
 			o = newOpOracle(opsSize, bg)
 			o.writeBlob(0, src)
 		}

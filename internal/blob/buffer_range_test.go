@@ -28,7 +28,7 @@ func TestWriteBlobMatchingBackgroundIsFree(t *testing.T) {
 	snap := src.Snapshot()
 
 	dst := NewBuffer(1<<20, 7)
-	dst.Fill(0xFF, 0, 1<<20) // fully dirty before the transfer
+	dst.WriteAt(bytes.Repeat([]byte{0xFF}, 1<<20), 0) // fully dirty before the transfer
 	dst.WriteBlob(0, snap)
 	if dst.DirtyBytes() != 5 {
 		t.Errorf("DirtyBytes = %d after background-matching WriteBlob, want 5", dst.DirtyBytes())
@@ -61,7 +61,7 @@ func TestWriteBlobForeignBackground(t *testing.T) {
 
 func TestClearOverlaySplitsSpans(t *testing.T) {
 	buf := NewBuffer(100, 5)
-	buf.Fill(1, 10, 50) // overlay [10,60)
+	buf.WriteAt(bytes.Repeat([]byte{1}, 50), 10) // overlay [10,60)
 	// Write background-matching blob over [20,40): clears that window.
 	bg := Synthetic(5, 100).Slice(20, 20)
 	buf.WriteBlob(20, bg)

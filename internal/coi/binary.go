@@ -119,9 +119,6 @@ type RunContext struct {
 	compute simclock.Duration
 }
 
-// Proc returns the offload process.
-func (c *RunContext) Proc() *proc.Process { return c.op.p }
-
 // Region returns a named region of the offload process.
 func (c *RunContext) Region(name string) *proc.Region { return c.op.p.Region(name) }
 

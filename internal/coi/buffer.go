@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"snapify/internal/blob"
 	"snapify/internal/scif"
 )
 
@@ -63,10 +62,6 @@ func (b *Buffer) ID() int { return b.id }
 // Size returns the buffer size in bytes.
 func (b *Buffer) Size() int64 { return b.size }
 
-// RDMAAddr returns the buffer's current RDMA address (tests assert the
-// remap after restore).
-func (b *Buffer) RDMAAddr() int64 { return b.rdmaOff }
-
 // Destroy releases the buffer (COIBufferDestroy).
 func (b *Buffer) Destroy() error {
 	cp := b.cp
@@ -106,24 +101,6 @@ func (b *Buffer) Read(p []byte, off int64) error {
 		return err
 	})
 }
-
-// WriteBlob copies blob content into the buffer at off, preserving
-// synthetic extents (bulk initialization of large inputs).
-func (b *Buffer) WriteBlob(content blob.Blob, off int64) error {
-	return b.rdma(func() error {
-		mem := blobMemory{content}
-		d, err := b.cp.dmaEP.VWriteTo(mem, 0, content.Len(), b.rdmaOff+off)
-		b.cp.tl.Advance(d)
-		return err
-	})
-}
-
-// blobMemory adapts an immutable blob to scif.Memory (source-only).
-type blobMemory struct{ b blob.Blob }
-
-func (m blobMemory) Size() int64                          { return m.b.Len() }
-func (m blobMemory) SnapshotRange(off, n int64) blob.Blob { return m.b.Slice(off, n) }
-func (m blobMemory) WriteBlob(int64, blob.Blob)           { panic("coi: write into immutable blob") } //nolint:paniclib // interface contract: restore sources are read-only by construction
 
 // rdma runs one RDMA call site inside the case-2 critical region.
 func (b *Buffer) rdma(op func() error) error {

@@ -60,9 +60,6 @@ func newClientChan(name string, ep *scif.Endpoint, tl *simclock.Timeline, hooks 
 	}
 }
 
-// Name returns the channel name.
-func (c *ClientChan) Name() string { return c.name }
-
 // Request sends one command and waits for the server's reply.
 func (c *ClientChan) Request(payload []byte) ([]byte, error) {
 	c.mu.Lock()
@@ -86,20 +83,6 @@ func (c *ClientChan) Request(payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("coi: %s: unexpected opcode %d", c.name, raw[0])
 	}
 	return raw[1:], nil
-}
-
-// Ping sends a no-op command and waits for the reply — real traffic on the
-// event and log channels, so the drain protocol has live channels to prove
-// empty.
-func (c *ClientChan) Ping() error {
-	reply, err := c.Request([]byte{cmdPing})
-	if err != nil {
-		return err
-	}
-	if len(reply) == 0 || reply[0] != 0 {
-		return fmt.Errorf("coi: %s: ping rejected", c.name)
-	}
-	return nil
 }
 
 // PauseLock acquires the channel lock on behalf of Snapify's pause and

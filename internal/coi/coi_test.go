@@ -135,7 +135,7 @@ func TestCreateRunDestroy(t *testing.T) {
 		t.Error("run on destroyed process must fail")
 	}
 	// The daemon must not have marked the requested destroy as a crash.
-	if DaemonAt(e.plat, 1).Crashed(cp.ID()) {
+	if crashed(DaemonAt(e.plat, 1), cp.ID()) {
 		t.Error("requested destroy recorded as crash")
 	}
 }
@@ -229,7 +229,7 @@ func TestHostProcessDeathCleansUpOffloadProcess(t *testing.T) {
 	e.host.Terminate()
 	waitFor(t, func() bool { return op.Proc().State() == proc.Terminated })
 	// Daemon-driven cleanup is not a crash.
-	if DaemonAt(e.plat, 1).Crashed(cp.ID()) {
+	if crashed(DaemonAt(e.plat, 1), cp.ID()) {
 		t.Error("host-death cleanup recorded as crash")
 	}
 }
@@ -240,7 +240,7 @@ func TestCrashDetection(t *testing.T) {
 	cp := e.create(t, "app_crash", 1)
 	op, _ := DaemonAt(e.plat, 1).Lookup(cp.ID())
 	op.Proc().Terminate() // unannounced: a crash
-	waitFor(t, func() bool { return DaemonAt(e.plat, 1).Crashed(cp.ID()) })
+	waitFor(t, func() bool { return crashed(DaemonAt(e.plat, 1), cp.ID()) })
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -325,9 +325,9 @@ func TestPauseDrainsAllChannels(t *testing.T) {
 		t.Errorf("host endpoints hold %d queued bytes at pause", n)
 	}
 	op, _ := DaemonAt(e.plat, 1).Lookup(cp.ID())
-	for _, ep := range op.Endpoints() {
+	for i, ep := range op.Endpoints() {
 		if n := ep.QueuedBytes(); n != 0 {
-			t.Errorf("device endpoint %v holds %d queued bytes at pause", ep.LocalAddr(), n)
+			t.Errorf("device endpoint %d holds %d queued bytes at pause", i, n)
 		}
 	}
 	// Local store was saved to the host.
@@ -392,7 +392,7 @@ func TestSwapOutSwapInWithBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	runCount(t, pl, 30)
-	oldAddr := buf.RDMAAddr()
+	oldAddr := buf.rdmaOff
 	oldID := cp.ID()
 
 	dir := "/snap/swap"
@@ -405,7 +405,7 @@ func TestSwapOutSwapInWithBuffers(t *testing.T) {
 		_, err := DaemonAt(e.plat, 1).Lookup(oldID)
 		return err != nil
 	})
-	if DaemonAt(e.plat, 1).Crashed(oldID) {
+	if crashed(DaemonAt(e.plat, 1), oldID) {
 		t.Fatal("announced swap-out termination recorded as crash")
 	}
 	if cp.State() != StateSwapped {
@@ -427,7 +427,7 @@ func TestSwapOutSwapInWithBuffers(t *testing.T) {
 	if len(remap) != 1 || remap[0].Old != oldAddr || remap[0].New == oldAddr {
 		t.Errorf("remap = %+v (old addr %#x)", remap, oldAddr)
 	}
-	if buf.RDMAAddr() == oldAddr {
+	if buf.rdmaOff == oldAddr {
 		t.Error("buffer handle still holds the stale RDMA address")
 	}
 
@@ -493,8 +493,8 @@ func TestRebindRemapOrderDeterministic(t *testing.T) {
 		if !ok {
 			t.Fatalf("buffer %d missing from remap table %+v", b.ID(), remap)
 		}
-		if re.New != b.RDMAAddr() {
-			t.Errorf("buffer %d: remap New %#x, handle holds %#x", b.ID(), re.New, b.RDMAAddr())
+		if re.New != b.rdmaOff {
+			t.Errorf("buffer %d: remap New %#x, handle holds %#x", b.ID(), re.New, b.rdmaOff)
 		}
 	}
 	cp.Destroy()
@@ -690,8 +690,8 @@ func TestCommandChannelsServeTraffic(t *testing.T) {
 			wg.Add(1)
 			go func(c *ClientChan) {
 				defer wg.Done()
-				if err := c.Ping(); err != nil {
-					t.Error(err)
+				if reply, err := c.Request([]byte{cmdPing}); err != nil || len(reply) == 0 || reply[0] != 0 {
+					t.Errorf("ping on %s: reply %v, err %v", c.name, reply, err)
 				}
 			}(c)
 		}
@@ -704,7 +704,14 @@ func TestCommandChannelsServeTraffic(t *testing.T) {
 		t.Errorf("queued bytes after ping traffic: %d", n)
 	}
 	snapResume(t, cp)
-	if err := cp.Command("log").Ping(); err != nil {
-		t.Errorf("ping after resume: %v", err)
+	if reply, err := cp.Command("log").Request([]byte{cmdPing}); err != nil || len(reply) == 0 || reply[0] != 0 {
+		t.Errorf("ping after resume: reply %v, err %v", reply, err)
 	}
+}
+
+// crashed reports whether the daemon marked offload process id as crashed.
+func crashed(d *Daemon, id int) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.crashed[id]
 }

@@ -12,7 +12,6 @@ import (
 	"snapify/internal/proc"
 	"snapify/internal/scif"
 	"snapify/internal/simclock"
-	"snapify/internal/simnet"
 	"snapify/internal/snapstore"
 )
 
@@ -86,9 +85,6 @@ func StartDaemon(plat *platform.Platform, dev *phi.Device) (*Daemon, error) {
 	return d, nil
 }
 
-// Node returns the daemon's card node.
-func (d *Daemon) Node() simnet.NodeID { return d.dev.Node }
-
 // Staging exposes the daemon's pre-copy staging area — chaos tests
 // assert it holds no orphan chunks after an aborted migration.
 func (d *Daemon) Staging() *snapstore.Staging { return d.staging }
@@ -124,13 +120,6 @@ func (d *Daemon) Stop() {
 	for ep := range conns {
 		ep.Close() //nolint:errcheck // daemon stop: releasing the endpoint is the point
 	}
-}
-
-// Crashed reports whether the daemon marked offload process id as crashed.
-func (d *Daemon) Crashed(id int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.crashed[id]
 }
 
 // Lookup returns the offload process with the given id.

@@ -53,9 +53,6 @@ func newPipeline(cp *Process, id uint32, ep *scif.Endpoint) *Pipeline {
 	return pl
 }
 
-// ID returns the pipeline id.
-func (pl *Pipeline) ID() uint32 { return pl.id }
-
 // receiver is the host-side result dispatcher. It exits when its endpoint
 // dies (swap-out, destroy); a reconnect starts a fresh receiver on the new
 // endpoint and the pending waiters simply keep waiting — the restored

@@ -59,9 +59,9 @@ type pauseState struct {
 // forwarder that blocks on the pipe and routes agent messages to the
 // waiting handler. It exits — closing the inbox so a blocked await fails
 // instead of hanging — when the pipe closes, either from removePauseState
-// or from the offload process's side going away. Blocking on Recv (rather
-// than polling TryRecv on a wall-clock timer, as an earlier version did)
-// keeps the daemon free of real-time dependencies.
+// or from the offload process's side going away. Blocking on Recv, rather
+// than polling the pipe on a wall-clock timer, keeps the daemon free of
+// real-time dependencies.
 func (d *Daemon) addPauseState(ps *pauseState) {
 	d.monMu.Lock()
 	d.activeReqs[ps.id] = ps

@@ -87,10 +87,6 @@ func (a *App) Proc() *coi.Process {
 	return a.cp
 }
 
-// Client exposes the BLCR client (the cr_checkpoint command-line tool
-// signals through it).
-func (a *App) Client() *blcr.Client { return a.client }
-
 // SetOptions configures how the callback captures and restores the
 // offload process — store-backed data paths, parallel streams, retry,
 // replication targets. The zero values (the default) are the plain
@@ -106,13 +102,6 @@ func (a *App) SetOptions(capture CaptureOptions, restore RestoreOptions) error {
 	defer a.mu.Unlock()
 	a.capture, a.restore = capture, restore
 	return nil
-}
-
-// Options returns the callback's configured capture and restore options.
-func (a *App) Options() (CaptureOptions, RestoreOptions) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.capture, a.restore
 }
 
 // callback is Fig 5a: pause + capture the offload process, snapshot the

@@ -8,6 +8,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"snapify/internal/faultinject"
@@ -85,11 +86,11 @@ func TestSeededPlanIsPure(t *testing.T) {
 	}
 	a := faultinject.SeededPlan(42, menu, 4, 8)
 	b := faultinject.SeededPlan(42, menu, 4, 8)
-	ea, err := a.Encode()
+	ea, err := json.MarshalIndent(a, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := b.Encode()
+	eb, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSeededPlanIsPure(t *testing.T) {
 		t.Fatalf("same seed produced different plans:\n%s\nvs\n%s", ea, eb)
 	}
 	c := faultinject.SeededPlan(43, menu, 4, 8)
-	ec, err := c.Encode()
+	ec, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -161,9 +161,6 @@ func ParsePlan(data []byte) (Plan, error) {
 	return p, nil
 }
 
-// Encode renders the plan as deterministic JSON (the -faults format).
-func (p Plan) Encode() ([]byte, error) { return json.MarshalIndent(p, "", "  ") }
-
 // SiteKey is one candidate injection point for seeded plan derivation.
 type SiteKey struct {
 	Site Site

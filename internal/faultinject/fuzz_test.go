@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func FuzzParsePlan(f *testing.F) {
 	f.Add([]byte(`[{"site": "snapifyio.chunk", "key": "0", "kind": "drop", "nth": 3}]`))
 	f.Add([]byte(`[{"site": "snapifyio.daemon", "key": "host", "kind": "crash", "nth": 7}]`))
 	f.Add([]byte(`[{"site": "scif.rdma", "key": "mic0->host", "kind": "slow", "at_ns": 1500000, "count": 4, "factor": 8}]`))
-	if seeded, err := SeededPlan(7, []SiteKey{{SiteSend, LinkKey("mic0", "host")}, {SiteChunk, "0"}}, 3, 9).Encode(); err == nil {
+	if seeded, err := json.MarshalIndent(SeededPlan(7, []SiteKey{{SiteSend, LinkKey("mic0", "host")}, {SiteChunk, "0"}}, 3, 9), "", "  "); err == nil {
 		f.Add(seeded)
 	}
 	f.Add([]byte(`[{"site": "snapifyio.chunk"}]`))                 // no kind
@@ -40,7 +41,7 @@ func FuzzParsePlan(f *testing.F) {
 				t.Fatalf("accepted plan[%d] without a site or a kind: %+v", i, fault)
 			}
 		}
-		enc, err := plan.Encode()
+		enc, err := json.MarshalIndent(plan, "", "  ")
 		if err != nil {
 			t.Fatalf("encoding an accepted plan: %v", err)
 		}

@@ -206,7 +206,7 @@ func TestChaosFleetHostKillMidPreemptionEviction(t *testing.T) {
 	}
 	var victim *Job
 	if !stepUntil(t, c, func() bool {
-		for _, j := range c.Jobs() {
+		for _, j := range c.order {
 			if j.preemptFor != nil {
 				victim = j
 				return true
@@ -269,7 +269,7 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !stepUntil(t, c, func() bool {
-		for _, j := range c.Jobs() {
+		for _, j := range c.order {
 			if j.Host == "h000" && j.State == StateSwappedOut && j.curOp == opNone {
 				return true
 			}
@@ -283,7 +283,7 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 	// migrating but holds no residency on the source card.
 	var moving *Job
 	if !stepUntil(t, c, func() bool {
-		for _, j := range c.Jobs() {
+		for _, j := range c.order {
 			if j.dst == nil || j.Host != "h000" {
 				continue
 			}

@@ -503,9 +503,6 @@ func (c *Controller) Now() simclock.Duration { return c.now }
 // JobByID returns the job record, or nil.
 func (c *Controller) JobByID(id int) *Job { return c.jobs[id] }
 
-// Jobs returns all jobs in submission order.
-func (c *Controller) Jobs() []*Job { return slices.Clone(c.order) }
-
 // SwapLatencies returns the observed swap-in latencies, sorted.
 func (c *Controller) SwapLatencies() []simclock.Duration { return sorted(c.swapLats) }
 

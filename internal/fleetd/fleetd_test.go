@@ -38,7 +38,7 @@ func completedAll(t *testing.T, c *Controller) {
 	if st.Completed != st.Admitted {
 		t.Fatalf("completed %d of %d admitted", st.Completed, st.Admitted)
 	}
-	for _, j := range c.Jobs() {
+	for _, j := range c.order {
 		if j.State != StateDone && j.State != StateRejected {
 			t.Errorf("job %d stuck in state %s", j.ID, j.State)
 		}
@@ -284,7 +284,7 @@ func TestEvacuationWaves(t *testing.T) {
 	if err := c.RunUntil(1 * ms); err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range c.Jobs() {
+	for _, j := range c.order {
 		if j.Host != "h000" {
 			t.Fatalf("setup: job %d on %s, want h000", j.ID, j.Host)
 		}
@@ -305,7 +305,7 @@ func TestEvacuationWaves(t *testing.T) {
 		t.Fatalf("evacuation report %+v, want done under deadline", evs)
 	}
 	// The drained host must hold nothing.
-	for _, j := range c.Jobs() {
+	for _, j := range c.order {
 		if j.Host == "h000" {
 			t.Errorf("job %d still homed on drained host", j.ID)
 		}
@@ -333,7 +333,7 @@ func TestKillHostRecovery(t *testing.T) {
 		t.Fatal("setup: no swaps happened before the kill")
 	}
 	snapshotted := 0
-	for _, j := range c.Jobs() {
+	for _, j := range c.order {
 		if j.snapshotted && len(be.Holders(j)) > 1 {
 			snapshotted++
 		}
@@ -353,7 +353,7 @@ func TestKillHostRecovery(t *testing.T) {
 	if st.Recovered == 0 {
 		t.Fatal("no job recovered from its replica")
 	}
-	for _, j := range c.Jobs() {
+	for _, j := range c.order {
 		if j.Host == "h000" {
 			t.Errorf("job %d completed on the dead host", j.ID)
 		}
@@ -467,7 +467,7 @@ func TestEvacDestinationNeedsPhysicalRoom(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !stepUntil(t, c, func() bool {
-		for _, j := range c.Jobs() {
+		for _, j := range c.order {
 			if j.Host == "h000" && j.State == StateSwappedOut && j.curOp == opNone {
 				return true
 			}

@@ -4,8 +4,8 @@
 // Two timing behaviours matter to the paper. Writes land in the page cache
 // and are flushed to disk asynchronously — so a snapshot streaming from the
 // coprocessor overlaps its disk writeback with the PCIe transfer, which is
-// why Snapify-IO writes (device to host) outrun reads (Section 7). Reads of
-// recently written files come from the cache; cold files pay the disk rate.
+// why Snapify-IO writes (device to host) outrun reads (Section 7). Reads
+// come from the cache: every file the simulation reads, it wrote.
 package hostfs
 
 import (
@@ -25,7 +25,6 @@ var ErrNotExist = errors.New("hostfs: file does not exist")
 
 type file struct {
 	content blob.Blob
-	cold    bool // evicted from the page cache
 }
 
 // FS is the host file system.
@@ -64,11 +63,7 @@ func (fs *FS) ReadFile(path string) (blob.Blob, simclock.Duration, error) {
 	if !ok {
 		return blob.Blob{}, 0, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
-	bw := fs.model.HostFSReadCachedBandwidth
-	if f.cold {
-		bw = fs.model.HostFSReadColdBandwidth
-	}
-	return f.content, fs.model.HostFSOpLatency + simclock.Rate(bw)(f.content.Len()), nil
+	return f.content, fs.model.HostFSOpLatency + simclock.Rate(fs.model.HostFSReadCachedBandwidth)(f.content.Len()), nil
 }
 
 // Remove deletes the file at path.
@@ -130,29 +125,6 @@ func (fs *FS) List(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EvictAll marks every file cold, as if the page cache were dropped.
-// Experiments use it to measure cold-restart behaviour.
-func (fs *FS) EvictAll() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for _, f := range fs.files {
-		f.cold = true
-	}
-}
-
-// FlushCost returns the virtual time of flushing the file at path to
-// secondary storage. The flush runs asynchronously to foreground writes;
-// callers that need durable-on-disk semantics add this cost explicitly.
-func (fs *FS) FlushCost(path string) (simclock.Duration, error) {
-	fs.mu.Lock()
-	f, ok := fs.files[path]
-	fs.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	return simclock.Rate(fs.model.HostFSFlushBandwidth)(f.content.Len()), nil
 }
 
 // Writer streams a file into the FS.
@@ -295,11 +267,7 @@ func (fs *FS) Open(path string) (*Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
-	bw := fs.model.HostFSReadCachedBandwidth
-	if f.cold {
-		bw = fs.model.HostFSReadColdBandwidth
-	}
-	return &Reader{content: f.content, bw: bw}, nil
+	return &Reader{content: f.content, bw: fs.model.HostFSReadCachedBandwidth}, nil
 }
 
 // OpenRange returns a streaming reader over bytes [off, off+n) of the
@@ -314,11 +282,7 @@ func (fs *FS) OpenRange(path string, off, n int64) (*Reader, error) {
 	if off < 0 || n < 0 || off+n > f.content.Len() {
 		return nil, fmt.Errorf("hostfs: range [%d,%d) outside %s (%d bytes)", off, off+n, path, f.content.Len())
 	}
-	bw := fs.model.HostFSReadCachedBandwidth
-	if f.cold {
-		bw = fs.model.HostFSReadColdBandwidth
-	}
-	return &Reader{content: f.content.Slice(off, n), bw: bw}, nil
+	return &Reader{content: f.content.Slice(off, n), bw: fs.model.HostFSReadCachedBandwidth}, nil
 }
 
 // Size returns the total file size.

@@ -27,31 +27,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestColdReadSlower(t *testing.T) {
-	fs := New(simclock.Default())
-	content := blob.Zeros(256 * simclock.MiB)
-	fs.WriteFile("f", content)
-	_, warm, _ := fs.ReadFile("f")
-	fs.EvictAll()
-	_, cold, _ := fs.ReadFile("f")
-	if cold <= warm {
-		t.Errorf("cold read (%v) must be slower than cached read (%v)", cold, warm)
-	}
-}
-
-func TestFlushSlowerThanWrite(t *testing.T) {
-	fs := New(simclock.Default())
-	content := blob.Zeros(512 * simclock.MiB)
-	wd, _ := fs.WriteFile("f", content)
-	fd, err := fs.FlushCost("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fd <= wd {
-		t.Errorf("flush (%v) must be slower than page-cache write (%v)", fd, wd)
-	}
-}
-
 func TestStreamingWriterAndReader(t *testing.T) {
 	fs := New(simclock.Default())
 	w, err := fs.Create("stream")
@@ -128,9 +103,6 @@ func TestMissingFileErrors(t *testing.T) {
 	}
 	if _, err := fs.Open("nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Open: %v", err)
-	}
-	if _, err := fs.FlushCost("nope"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("FlushCost: %v", err)
 	}
 	if _, err := fs.Size("nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Size: %v", err)

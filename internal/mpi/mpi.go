@@ -51,9 +51,6 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Model returns the cluster's cost model.
-func (c *Cluster) Model() *simclock.Model { return c.model }
-
 // message is one in-flight MPI message.
 type message struct {
 	tag  int
@@ -127,9 +124,6 @@ func (w *World) Size() int { return len(w.ranks) }
 
 // World returns the rank's world.
 func (r *Rank) World() *World { return r.world }
-
-// Rank returns rank i.
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
 
 // netCost is the interconnect cost of moving n bytes between two nodes.
 func (w *World) netCost(n int64) simclock.Duration {

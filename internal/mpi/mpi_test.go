@@ -20,6 +20,16 @@ func newCluster(t *testing.T, nodes int) *mpi.Cluster {
 	return c
 }
 
+// ranks returns w's n rank handles, collected through Run.
+func ranks(t *testing.T, w *mpi.World, n int) []*mpi.Rank {
+	t.Helper()
+	rs := make([]*mpi.Rank, n)
+	if err := w.Run(func(r *mpi.Rank) error { rs[r.ID] = r; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestSendRecvAcrossRanks(t *testing.T) {
 	c := newCluster(t, 2)
 	w, err := mpi.NewWorld(c, 2)
@@ -27,6 +37,7 @@ func TestSendRecvAcrossRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
+	rs := ranks(t, w, 2)
 	err = w.Run(func(r *mpi.Rank) error {
 		if r.ID == 0 {
 			if err := r.Send(1, 7, []byte("halo exchange")); err != nil {
@@ -53,7 +64,7 @@ func TestSendRecvAcrossRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Rank(0).TL.Now() <= 0 {
+	if rs[0].TL.Now() <= 0 {
 		t.Error("no network time charged")
 	}
 }
@@ -62,7 +73,8 @@ func TestTagFiltering(t *testing.T) {
 	c := newCluster(t, 2)
 	w, _ := mpi.NewWorld(c, 2)
 	defer w.Close()
-	r0, r1 := w.Rank(0), w.Rank(1)
+	rs := ranks(t, w, 2)
+	r0, r1 := rs[0], rs[1]
 	r0.Send(1, 5, []byte("five"))  //nolint:errcheck
 	r0.Send(1, 3, []byte("three")) //nolint:errcheck
 	msg, err := r1.Recv(0, 3)
@@ -82,7 +94,8 @@ func TestBarrierAlignsTimelines(t *testing.T) {
 	c := newCluster(t, 3)
 	w, _ := mpi.NewWorld(c, 3)
 	defer w.Close()
-	w.Rank(2).TL.Advance(1e9) // rank 2 is one second ahead
+	rs := ranks(t, w, 3)
+	rs[2].TL.Advance(1e9) // rank 2 is one second ahead
 	err := w.Run(func(r *mpi.Rank) error {
 		r.Barrier()
 		return nil
@@ -91,8 +104,8 @@ func TestBarrierAlignsTimelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if w.Rank(i).TL.Now() < 1e9 {
-			t.Errorf("rank %d timeline %v behind the barrier", i, w.Rank(i).TL.Now())
+		if rs[i].TL.Now() < 1e9 {
+			t.Errorf("rank %d timeline %v behind the barrier", i, rs[i].TL.Now())
 		}
 	}
 }
@@ -192,80 +205,9 @@ func TestCheckpointRejectsUndrainedChannels(t *testing.T) {
 	c := newCluster(t, 2)
 	w, _ := mpi.NewWorld(c, 2)
 	defer w.Close()
-	w.Rank(0).Send(1, 1, []byte("in flight")) //nolint:errcheck
+	rs := ranks(t, w, 2)
+	rs[0].Send(1, 1, []byte("in flight")) //nolint:errcheck
 	if _, err := w.Checkpoint("/snap/dirty"); err == nil {
 		t.Fatal("checkpoint with undrained channels must fail")
-	}
-}
-
-func TestBcastAndGather(t *testing.T) {
-	c := newCluster(t, 3)
-	w, _ := mpi.NewWorld(c, 3)
-	defer w.Close()
-	err := w.Run(func(r *mpi.Rank) error {
-		// Broadcast from rank 1.
-		var payload []byte
-		if r.ID == 1 {
-			payload = []byte("zone boundaries")
-		}
-		got, err := r.Bcast(1, payload)
-		if err != nil {
-			return err
-		}
-		if string(got) != "zone boundaries" {
-			return fmt.Errorf("rank %d bcast got %q", r.ID, got)
-		}
-		// Gather at rank 0.
-		all, err := r.Gather(0, []byte{byte('A' + r.ID)})
-		if err != nil {
-			return err
-		}
-		if r.ID == 0 {
-			if len(all) != 3 || string(all[0]) != "A" || string(all[1]) != "B" || string(all[2]) != "C" {
-				return fmt.Errorf("gather = %q", all)
-			}
-		} else if all != nil {
-			return fmt.Errorf("rank %d gather should be nil", r.ID)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceMaxAndSkew(t *testing.T) {
-	c := newCluster(t, 3)
-	w, _ := mpi.NewWorld(c, 3)
-	defer w.Close()
-	maxes := make([]uint64, 3)
-	err := w.Run(func(r *mpi.Rank) error {
-		m, err := r.AllreduceMax(uint64(10 * (r.ID + 1)))
-		maxes[r.ID] = m
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range maxes {
-		if m != 30 {
-			t.Errorf("rank %d max = %d, want 30", i, m)
-		}
-	}
-	w.Rank(2).TL.Advance(5e8)
-	if w.TimelineSkew() < 5e8 {
-		t.Errorf("skew = %v", w.TimelineSkew())
-	}
-}
-
-func TestCollectiveRootValidation(t *testing.T) {
-	c := newCluster(t, 2)
-	w, _ := mpi.NewWorld(c, 2)
-	defer w.Close()
-	if _, err := w.Rank(0).Bcast(7, nil); err == nil {
-		t.Error("bad bcast root accepted")
-	}
-	if _, err := w.Rank(0).Gather(-1, nil); err == nil {
-		t.Error("bad gather root accepted")
 	}
 }

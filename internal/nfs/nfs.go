@@ -52,9 +52,6 @@ func NewMount(fabric *simnet.Fabric, node simnet.NodeID, host *hostfs.FS) *Mount
 	return &Mount{fabric: fabric, model: fabric.Model(), node: node, host: host}
 }
 
-// Node returns the client node.
-func (m *Mount) Node() simnet.NodeID { return m.node }
-
 // rpcs returns the number of RPCs needed to carry n bytes at the mount's
 // rsize/wsize.
 func (m *Mount) rpcs(n int64) int64 {
@@ -220,5 +217,4 @@ func (s *readSource) Next(max int64) (blob.Blob, stream.Cost, error) {
 	return b, stream.Cost{Stages: []simclock.Duration{fsRead, lat + wire}}, nil
 }
 
-func (s *readSource) Size() int64  { return s.r.Size() }
 func (s *readSource) Close() error { return nil }

@@ -137,9 +137,6 @@ func TestReadRoundTripAndCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Size() != content.Len() {
-		t.Errorf("Size = %d", src.Size())
-	}
 	acc := simclock.NewPipelineAccum()
 	var parts []blob.Blob
 	for {

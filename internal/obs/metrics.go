@@ -53,14 +53,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add moves the gauge by n, which may be negative.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current gauge value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -91,41 +83,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i]++
 	h.sum += v
 	h.count++
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) from the bucket
-// counts, histogram_quantile-style: linear interpolation inside the
-// covering bucket, with the lowest bucket anchored at 0. Observations
-// landing in the +Inf bucket clamp to the highest finite bound — the
-// estimate cannot exceed what the buckets can resolve. Returns 0 on
-// nil or when nothing has been observed.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
 }
 
 func (h *Histogram) quantileLocked(q float64) int64 {

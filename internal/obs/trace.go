@@ -129,8 +129,8 @@ func (t *Tracer) Spans() []Span {
 }
 
 // Track is one pid/tid lane of the trace. It keeps a cursor — the
-// virtual time at which the next convenience Span() starts — advanced
-// by every emission and by AlignTo.
+// furthest span end emitted on it — advanced by every emission and by
+// AlignTo.
 type Track struct {
 	tracer  *Tracer
 	process string
@@ -193,20 +193,10 @@ func (tk *Track) Emit(scope uint64, name string, start, dur simclock.Duration, a
 	return s
 }
 
-// Span emits a span starting at the track cursor.
-func (tk *Track) Span(scope uint64, name string, dur simclock.Duration, args map[string]int64) Span {
-	if tk == nil {
-		return Span{Name: name, Scope: scope, Dur: dur, Args: args}
-	}
-	return tk.Emit(scope, name, tk.Now(), dur, args)
-}
-
-// An OpenSpan is an in-flight span begun with Track.Begin: the virtual
+// An OpenSpan is an in-flight span begun with Track.BeginAt: the virtual
 // start time is fixed, the duration still accumulating. Every span begun
-// must be ended exactly once on every path out of the beginning function
-// — `defer sp.End()` right after Begin is the idiomatic form. Ending
-// twice is a no-op, so a deferred End composes with an explicit early
-// EndAt.
+// must be ended on every path out of the beginning function. Ending twice
+// is a no-op, so a deferred EndAt composes with an explicit early one.
 type OpenSpan struct {
 	tk    *Track
 	scope uint64
@@ -214,17 +204,6 @@ type OpenSpan struct {
 	start simclock.Duration
 	args  map[string]int64
 	ended bool
-}
-
-// Begin opens a span starting at the track cursor. Safe on a nil track:
-// the returned span still carries name/scope/args and End stays a no-op
-// recorder, so instrumented code paths need no nil checks.
-func (tk *Track) Begin(scope uint64, name string, args map[string]int64) *OpenSpan {
-	var start simclock.Duration
-	if tk != nil {
-		start = tk.Now()
-	}
-	return tk.BeginAt(scope, name, start, args)
 }
 
 // BeginAt opens a span with an explicit virtual start time.
@@ -242,22 +221,6 @@ func (o *OpenSpan) SetArg(key string, v int64) {
 		o.args = map[string]int64{}
 	}
 	o.args[key] = v
-}
-
-// End closes the span at the track cursor — virtual time as advanced by
-// whatever was emitted since Begin — and records it. Second and later
-// calls are no-ops returning a zero Span.
-func (o *OpenSpan) End() Span {
-	if o == nil || o.ended {
-		return Span{}
-	}
-	at := o.start
-	if o.tk != nil {
-		if now := o.tk.Now(); now > at {
-			at = now
-		}
-	}
-	return o.EndAt(at)
 }
 
 // EndAt closes the span at an explicit virtual end time (clamped to the

@@ -223,40 +223,40 @@ func TestValidateChromeTraceAcceptsNesting(t *testing.T) {
 	}
 }
 
-// TestOpenSpan pins the Begin/End pairing contract: the recorded span
-// matches an equivalent Emit, SetArg mutates only until End, End is
-// idempotent (so a deferred End composes with an early explicit EndAt),
+// TestOpenSpan pins the BeginAt/EndAt pairing contract: the recorded span
+// matches an equivalent Emit, SetArg mutates only until EndAt, EndAt is
+// idempotent (so a deferred EndAt composes with an early explicit one),
 // and EndAt clamps a stale timestamp to zero duration.
 func TestOpenSpan(t *testing.T) {
 	tr := NewTracer()
 	tk := tr.Track("host", "app")
 	tk.AlignTo(100)
 
-	sp := tk.Begin(3, "gc", map[string]int64{"seed": 1})
+	sp := tk.BeginAt(3, "gc", tk.Now(), map[string]int64{"seed": 1})
 	sp.SetArg("reclaimed", 42)
 	tk.Emit(0, "sweep", 100, 40, nil) // advances the cursor to 140
-	got := sp.End()
+	got := sp.EndAt(tk.Now())
 	want := Span{Process: "host", Thread: "app", Scope: 3, Name: "gc",
 		Start: 100, Dur: 40, Args: map[string]int64{"seed": 1, "reclaimed": 42}}
 	if got.Name != want.Name || got.Start != want.Start || got.Dur != want.Dur ||
 		got.Scope != want.Scope || got.Args["reclaimed"] != 42 || got.Args["seed"] != 1 {
-		t.Errorf("End recorded %+v, want %+v", got, want)
+		t.Errorf("EndAt recorded %+v, want %+v", got, want)
 	}
 
-	// Second End is a no-op: nothing re-recorded, SetArg dead.
+	// Second EndAt is a no-op: nothing re-recorded, SetArg dead.
 	before := len(tr.Spans())
 	sp.SetArg("late", 1)
-	if again := sp.End(); again.Name != "" {
-		t.Errorf("second End returned %+v, want zero Span", again)
+	if again := sp.EndAt(500); again.Name != "" {
+		t.Errorf("second EndAt returned %+v, want zero Span", again)
 	}
 	if len(tr.Spans()) != before {
-		t.Error("second End recorded another span")
+		t.Error("second EndAt recorded another span")
 	}
 
-	// Early explicit EndAt followed by a deferred End: exactly one record.
+	// Early explicit EndAt followed by a deferred one: exactly one record.
 	sp2 := tk.BeginAt(0, "early", 200, nil)
 	sp2.EndAt(250)
-	sp2.End()
+	sp2.EndAt(tk.Now())
 	var early int
 	for _, s := range tr.Spans() {
 		if s.Name == "early" {
@@ -278,25 +278,25 @@ func TestOpenSpan(t *testing.T) {
 }
 
 // TestOpenSpanNilTrack: instrumented code must not need nil checks —
-// Begin on a nil track hands back a span whose End returns the record
+// BeginAt on a nil track hands back a span whose EndAt returns the record
 // without touching a tracer.
 func TestOpenSpanNilTrack(t *testing.T) {
 	var tk *Track
-	sp := tk.Begin(1, "work", nil)
+	sp := tk.BeginAt(1, "work", tk.Now(), nil)
 	sp.SetArg("k", 7)
-	got := sp.End()
+	got := sp.EndAt(10)
 	if got.Name != "work" || got.Args["k"] != 7 {
-		t.Errorf("nil-track End returned %+v, want the span record back", got)
+		t.Errorf("nil-track EndAt returned %+v, want the span record back", got)
 	}
 	var nilSp *OpenSpan
 	nilSp.SetArg("k", 1) // must not panic
-	if s := nilSp.End(); s.Name != "" {
-		t.Errorf("nil OpenSpan End returned %+v", s)
+	if s := nilSp.EndAt(10); s.Name != "" {
+		t.Errorf("nil OpenSpan EndAt returned %+v", s)
 	}
 }
 
 // TestTrackCursor pins AlignTo/Emit cursor semantics: forward-only
-// alignment, cursor at the furthest span end, Span() starting there.
+// alignment, cursor at the furthest span end.
 func TestTrackCursor(t *testing.T) {
 	tr := NewTracer()
 	tk := tr.Track("host", "app")
@@ -312,9 +312,9 @@ func TestTrackCursor(t *testing.T) {
 	if tk.Now() != 140 {
 		t.Fatalf("cursor %v after span ending at 140", tk.Now())
 	}
-	sp := tk.Span(0, "b", 10, nil)
-	if sp.Start != 140 || sp.End() != 150 {
-		t.Errorf("Span() started at %v, want the cursor (140)", sp.Start)
+	tk.Emit(0, "b", 120, 10, nil) // ends before the cursor: no move
+	if tk.Now() != 140 {
+		t.Fatalf("an earlier span moved the cursor to %v", tk.Now())
 	}
 	if got := tr.Track("host", "app"); got != tk {
 		t.Error("Track is not idempotent for the same (process, thread)")

@@ -73,13 +73,6 @@ func (b *MemBudget) Free() int64 {
 	return b.capacity - b.used
 }
 
-// Capacity returns the total pool size.
-func (b *MemBudget) Capacity() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capacity
-}
-
 // Device is one Xeon Phi coprocessor card.
 type Device struct {
 	// Node is the card's SCIF node ID (>= 1).
@@ -135,12 +128,6 @@ func NewDevice(model *simclock.Model, node simnet.NodeID, cfg DeviceConfig) *Dev
 	}
 }
 
-// HWThreads returns the card's hardware thread count.
-func (d *Device) HWThreads() int { return d.Cores * d.ThreadsPerCore }
-
-// Model returns the card's cost model.
-func (d *Device) Model() *simclock.Model { return d.model }
-
 // Host is the host side of a Xeon Phi server.
 type Host struct {
 	// Node is always simnet.HostNode.
@@ -165,9 +152,6 @@ func NewHost(model *simclock.Model, memBytes int64) *Host {
 		model: model,
 	}
 }
-
-// Model returns the host's cost model.
-func (h *Host) Model() *simclock.Model { return h.model }
 
 // Server is a complete Xeon Phi server: a host, one or more cards, and the
 // PCIe fabric connecting them.

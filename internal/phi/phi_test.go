@@ -17,8 +17,8 @@ func TestMemBudgetBasics(t *testing.T) {
 	if err := b.Reserve(500); err == nil {
 		t.Fatal("over-reservation must fail")
 	}
-	if b.Used() != 600 || b.Free() != 400 || b.Capacity() != 1000 {
-		t.Errorf("Used/Free/Capacity = %d/%d/%d", b.Used(), b.Free(), b.Capacity())
+	if b.Used() != 600 || b.Free() != 400 || b.capacity != 1000 {
+		t.Errorf("Used/Free/Capacity = %d/%d/%d", b.Used(), b.Free(), b.capacity)
 	}
 	b.Release(600)
 	if b.Used() != 0 {
@@ -60,11 +60,11 @@ func TestMemBudgetConcurrent(t *testing.T) {
 
 func TestDeviceDefaults(t *testing.T) {
 	d := NewDevice(simclock.Default(), 1, DeviceConfig{})
-	if d.Cores != 60 || d.ThreadsPerCore != 4 || d.HWThreads() != 240 {
+	if d.Cores != 60 || d.ThreadsPerCore != 4 {
 		t.Errorf("default card shape wrong: %d cores x %d", d.Cores, d.ThreadsPerCore)
 	}
-	if d.Mem.Capacity() != 8*simclock.GiB {
-		t.Errorf("default memory = %d", d.Mem.Capacity())
+	if d.Mem.capacity != 8*simclock.GiB {
+		t.Errorf("default memory = %d", d.Mem.capacity)
 	}
 	// The OS reservation must already be charged.
 	if d.Mem.Used() != 512*simclock.MiB {
@@ -109,8 +109,8 @@ func TestServerAssembly(t *testing.T) {
 	if s.Device(1).Node != 1 || s.Device(2).Node != 2 {
 		t.Error("device lookup wrong")
 	}
-	if s.Host.Mem.Capacity() != 32*simclock.GiB {
-		t.Errorf("host memory default = %d", s.Host.Mem.Capacity())
+	if s.Host.Mem.capacity != 32*simclock.GiB {
+		t.Errorf("host memory default = %d", s.Host.Mem.capacity)
 	}
 	if s.Model() == nil {
 		t.Error("nil model")

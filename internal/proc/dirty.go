@@ -51,14 +51,5 @@ func (s *rangeSet) ranges() []ByteRange {
 	return out
 }
 
-// bytes returns the total dirty byte count.
-func (s *rangeSet) bytes() int64 {
-	var n int64
-	for _, r := range s.spans {
-		n += r.Len
-	}
-	return n
-}
-
 // reset clears the set.
 func (s *rangeSet) reset() { s.spans = nil }

@@ -1,11 +1,13 @@
 package proc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"snapify/internal/blob"
+	"snapify/internal/phi"
 )
 
 // blobOf returns n literal bytes.
@@ -28,11 +30,11 @@ func TestRangeSetCoalescing(t *testing.T) {
 	if got := s.ranges(); len(got) != 1 || got[0] != (ByteRange{0, 30}) {
 		t.Fatalf("ranges = %v", got)
 	}
-	if s.bytes() != 30 {
-		t.Fatalf("bytes = %d", s.bytes())
+	if spanBytes(s.spans) != 30 {
+		t.Fatalf("bytes = %d", spanBytes(s.spans))
 	}
 	s.reset()
-	if len(s.ranges()) != 0 || s.bytes() != 0 {
+	if len(s.ranges()) != 0 || spanBytes(s.spans) != 0 {
 		t.Fatal("reset did not clear")
 	}
 	s.add(3, 0) // no-op
@@ -64,7 +66,7 @@ func TestRangeSetQuickAgainstBitmap(t *testing.T) {
 				want++
 			}
 		}
-		if s.bytes() != want {
+		if spanBytes(s.spans) != want {
 			return false
 		}
 		// Ranges are sorted, disjoint, non-adjacent, and cover exactly ref.
@@ -92,24 +94,24 @@ func TestRangeSetQuickAgainstBitmap(t *testing.T) {
 }
 
 func TestRegionDirtyTracking(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	r, _ := p.AddRegion("heap", RegionHeap, 4096, 0)
-	if r.DirtySinceClean() != 0 {
+	if spanBytes(r.DirtyRanges()) != 0 {
 		t.Fatal("fresh region dirty")
 	}
 	r.WriteAt([]byte("abc"), 100)
-	r.Fill(1, 200, 50)
-	if got := r.DirtySinceClean(); got != 53 {
+	r.WriteAt(bytes.Repeat([]byte{1}, 50), 200)
+	if got := spanBytes(r.DirtyRanges()); got != 53 {
 		t.Fatalf("dirty = %d, want 53", got)
 	}
 	r.MarkClean()
-	if r.DirtySinceClean() != 0 {
+	if spanBytes(r.DirtyRanges()) != 0 {
 		t.Fatal("MarkClean did not clear")
 	}
 	// Overlapping rewrite counts once.
 	r.WriteAt(make([]byte, 100), 0)
 	r.WriteAt(make([]byte, 100), 50)
-	if got := r.DirtySinceClean(); got != 150 {
+	if got := spanBytes(r.DirtyRanges()); got != 150 {
 		t.Fatalf("dirty = %d, want 150", got)
 	}
 }
@@ -132,9 +134,9 @@ func TestEpochTrackerArmsLazily(t *testing.T) {
 		t.Fatalf("cut with no write in between = %v, want empty", got)
 	}
 
-	r.WriteAt([]byte{9}, 5000)            // page 1
-	r.Fill(7, 3*EpochPage+10, 20)         // page 3
-	r.WriteBlob(8*EpochPage-1, blobOf(2)) // straddles pages 7 and 8
+	r.WriteAt([]byte{9}, 5000)                             // page 1
+	r.WriteAt(bytes.Repeat([]byte{7}, 20), 3*EpochPage+10) // page 3
+	r.WriteBlob(8*EpochPage-1, blobOf(2))                  // straddles pages 7 and 8
 	want := []ByteRange{{EpochPage, EpochPage}, {3 * EpochPage, EpochPage}, {7 * EpochPage, 2 * EpochPage}}
 	got := r.CutEpoch()
 	if len(got) != len(want) {
@@ -145,9 +147,9 @@ func TestEpochTrackerArmsLazily(t *testing.T) {
 			t.Fatalf("cut = %v, want %v", got, want)
 		}
 	}
-	r.Restore(blobOf(64 * 1024))
+	r.WriteBlob(0, blobOf(64*1024))
 	if got := r.CutEpoch(); len(got) != 1 || got[0] != (ByteRange{0, 64 * 1024}) {
-		t.Fatalf("cut after Restore = %v, want the whole region", got)
+		t.Fatalf("cut after a whole-region write = %v, want the whole region", got)
 	}
 
 	r.DropEpoch()
@@ -196,4 +198,13 @@ func TestEpochIndependentOfMarkClean(t *testing.T) {
 	if got := r.DirtyRanges(); len(got) != 2 {
 		t.Fatalf("delta ledger after a cut = %v, want both writes since MarkClean", got)
 	}
+}
+
+// spanBytes is the total length of a set of ranges.
+func spanBytes(rs []ByteRange) int64 {
+	var n int64
+	for _, r := range rs {
+		n += r.Len
+	}
+	return n
 }

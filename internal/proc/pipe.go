@@ -67,22 +67,6 @@ func (p *PipeEnd) Recv() ([]byte, simclock.Duration, error) {
 	return msg, p.model.PipeLatency, nil
 }
 
-// TryRecv returns a pending message without blocking. The COI daemon's
-// Snapify monitor thread polls pipes with it.
-func (p *PipeEnd) TryRecv() (msg []byte, d simclock.Duration, ok bool, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
-		if p.closed {
-			return nil, 0, false, ErrPipeClosed
-		}
-		return nil, 0, false, nil
-	}
-	msg = p.queue[0]
-	p.queue = p.queue[1:]
-	return msg, p.model.PipeLatency, true, nil
-}
-
 // Close shuts down both ends; blocked receivers drain queued messages and
 // then fail with ErrPipeClosed.
 func (p *PipeEnd) Close() error {

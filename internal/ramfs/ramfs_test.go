@@ -34,6 +34,34 @@ func newTestFS(capacity int64) (*FS, *fakeBudget) {
 	return New(simclock.Default(), b), b
 }
 
+// readFile reads the whole file at path through Open, summing the chunk
+// costs.
+func readFile(t *testing.T, fs *FS, path string) (blob.Blob, simclock.Duration) {
+	t.Helper()
+	r, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []blob.Blob
+	var total simclock.Duration
+	for {
+		c, d, err := r.Next(4096)
+		if err == io.EOF {
+			return blob.Concat(parts...), total
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, c)
+		total += d
+	}
+}
+
+func exists(fs *FS, path string) bool {
+	_, err := fs.Open(path)
+	return err == nil
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	fs, bud := newTestFS(1 << 20)
 	content := blob.FromBytes([]byte("local store of an offload process"))
@@ -44,10 +72,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if d <= 0 {
 		t.Error("write cost must be positive")
 	}
-	got, rd, err := fs.ReadFile("/tmp/coi_store_1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, rd := readFile(t, fs, "/tmp/coi_store_1")
 	if rd <= 0 {
 		t.Error("read cost must be positive")
 	}
@@ -91,8 +116,8 @@ func TestOverwriteReleasesOld(t *testing.T) {
 	if bud.used != 200 {
 		t.Errorf("budget used = %d after overwrite, want 200", bud.used)
 	}
-	if n, _ := fs.Size("f"); n != 200 {
-		t.Errorf("size = %d, want 200", n)
+	if got, _ := readFile(t, fs, "f"); got.Len() != 200 {
+		t.Errorf("size = %d, want 200", got.Len())
 	}
 }
 
@@ -115,7 +140,7 @@ func TestStreamingWriterAbort(t *testing.T) {
 	if bud.used != 0 {
 		t.Errorf("budget used = %d after abort, want 0", bud.used)
 	}
-	if fs.Exists("big") {
+	if exists(fs, "big") {
 		t.Error("aborted file must not be visible")
 	}
 }
@@ -124,13 +149,13 @@ func TestWriterVisibilityAtClose(t *testing.T) {
 	fs, _ := newTestFS(1000)
 	w, _ := fs.Create("f")
 	w.WriteBlob(blob.FromBytes([]byte("abc")))
-	if fs.Exists("f") {
+	if exists(fs, "f") {
 		t.Error("file visible before Close")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Exists("f") {
+	if !exists(fs, "f") {
 		t.Error("file not visible after Close")
 	}
 	if _, err := w.WriteBlob(blob.Zeros(1)); err == nil {
@@ -173,33 +198,26 @@ func TestRemoveAllAndList(t *testing.T) {
 	fs.WriteFile("/tmp/coi_procs/1/a", blob.Zeros(10))
 	fs.WriteFile("/tmp/coi_procs/1/b", blob.Zeros(20))
 	fs.WriteFile("/tmp/other", blob.Zeros(30))
-	if got := fs.List("/tmp/coi_procs/"); len(got) != 2 {
-		t.Fatalf("List = %v", got)
-	}
 	if n := fs.RemoveAll("/tmp/coi_procs/"); n != 2 {
 		t.Fatalf("RemoveAll = %d, want 2", n)
 	}
 	if bud.used != 30 {
 		t.Errorf("budget used = %d, want 30", bud.used)
 	}
-	if fs.Usage() != 30 {
-		t.Errorf("Usage = %d, want 30", fs.Usage())
+	for path, want := range map[string]bool{"/tmp/coi_procs/1/a": false, "/tmp/coi_procs/1/b": false, "/tmp/other": true} {
+		if exists(fs, path) != want {
+			t.Errorf("%s present = %v after RemoveAll, want %v", path, !want, want)
+		}
 	}
 }
 
 func TestMissingFileErrors(t *testing.T) {
 	fs, _ := newTestFS(100)
-	if _, _, err := fs.ReadFile("nope"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("ReadFile: %v", err)
-	}
 	if err := fs.Remove("nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Remove: %v", err)
 	}
 	if _, err := fs.Open("nope"); !errors.Is(err, ErrNotExist) {
 		t.Errorf("Open: %v", err)
-	}
-	if _, err := fs.Size("nope"); !errors.Is(err, ErrNotExist) {
-		t.Errorf("Size: %v", err)
 	}
 	if _, err := fs.Create(""); err == nil {
 		t.Error("Create(\"\") must fail")

@@ -1,11 +1,12 @@
 package scif
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"snapify/internal/faultinject"
 	"snapify/internal/simclock"
-	"snapify/internal/simnet"
 )
 
 // Endpoint is one end of a SCIF connection.
@@ -35,11 +36,20 @@ func newEndpoint(n *Network, local, remote Addr) *Endpoint {
 	return ep
 }
 
-// LocalAddr returns the endpoint's own address.
-func (e *Endpoint) LocalAddr() Addr { return e.local }
-
-// RemoteAddr returns the peer's address.
-func (e *Endpoint) RemoteAddr() Addr { return e.remote }
+// CloseAll closes eps in (remote, local) address order, whatever order
+// they were collected in, so a teardown that resets many connections
+// touches the simulated network the same way on every run. It sorts eps
+// in place. Close errors are dropped: resetting the connection is the
+// point.
+func CloseAll(eps []*Endpoint) {
+	slices.SortFunc(eps, func(a, b *Endpoint) int {
+		return cmp.Or(cmp.Compare(a.remote.Node, b.remote.Node), cmp.Compare(a.remote.Port, b.remote.Port),
+			cmp.Compare(a.local.Node, b.local.Node), cmp.Compare(a.local.Port, b.local.Port))
+	})
+	for _, ep := range eps {
+		ep.Close() //nolint:errcheck // teardown: the reset is the point
+	}
+}
 
 // Send transmits data to the peer (scif_send). It returns the virtual cost
 // of the transfer. Messages are delivered in order; Send does not block on
@@ -147,20 +157,6 @@ func (e *Endpoint) QueuedBytes() int64 {
 	return e.qbytes
 }
 
-// QueuedMessages returns the number of undelivered messages.
-func (e *Endpoint) QueuedMessages() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
-// Closed reports whether the endpoint has been closed (or reset).
-func (e *Endpoint) Closed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.closed
-}
-
 // Close tears down both ends of the connection. Pending and future Recvs on
 // the peer fail with ErrConnReset once their queues drain; registered
 // windows are dropped. Closing an already-closed endpoint is a no-op.
@@ -183,6 +179,3 @@ func (e *Endpoint) closeOneSide() {
 	e.cond.Broadcast()
 	e.mu.Unlock()
 }
-
-// Node returns the SCIF node this endpoint lives on.
-func (e *Endpoint) Node() simnet.NodeID { return e.local.Node }

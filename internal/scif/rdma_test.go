@@ -1,6 +1,7 @@
 package scif
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -9,6 +10,7 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/faultinject"
+	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 )
@@ -37,7 +39,7 @@ func newRDMARig(t *testing.T) rdmaRig {
 	t.Helper()
 	n := newTestNetwork(t, 1)
 	c, s := dial(t, n, 0, 1)
-	r, err := proc.New("card", 1, 1, nil).AddRegion("coibuf", proc.RegionLocalStore, rigRegion, 0x5eed)
+	r, err := proc.New("card", 1, 1, phi.NewMemBudget(1<<40)).AddRegion("coibuf", proc.RegionLocalStore, rigRegion, 0x5eed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestDirectRDMAFaults(t *testing.T) {
 			if r.region.DirtyBytes() != 0 || len(r.region.DirtyRanges()) != 0 {
 				t.Error("a dropped transfer wrote the region")
 			}
-			if !r.host.Closed() {
+			if !r.host.closed {
 				t.Error("Drop left the endpoint open")
 			}
 		})
@@ -181,11 +183,11 @@ func benchRDMA(b *testing.B, write bool) {
 			b.Run(fmt.Sprintf("%s/%dKiB", kind, size>>10), func(b *testing.B) {
 				n := newTestNetwork(b, 1)
 				c, s := dial(b, n, 0, 1)
-				r, err := proc.New("card", 1, 1, nil).AddRegion("coibuf", proc.RegionLocalStore, 4*size, 0x5eed)
+				r, err := proc.New("card", 1, 1, phi.NewMemBudget(1<<40)).AddRegion("coibuf", proc.RegionLocalStore, 4*size, 0x5eed)
 				if err != nil {
 					b.Fatal(err)
 				}
-				r.Fill(1, 0, 4*size) // the window is all overlay, as after the first writes
+				r.WriteAt(bytes.Repeat([]byte{1}, int(4*size)), 0) // the window is all overlay, as after the first writes
 				w, _, err := s.Register(r, 0, 4*size)
 				if err != nil {
 					b.Fatal(err)

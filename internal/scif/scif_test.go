@@ -42,11 +42,11 @@ func dial(t testing.TB, n *Network, clientNode, serverNode simnet.NodeID) (clien
 func TestListenConnectAccept(t *testing.T) {
 	n := newTestNetwork(t, 1)
 	c, s := dial(t, n, 0, 1)
-	if c.RemoteAddr() != s.LocalAddr() || s.RemoteAddr() != c.LocalAddr() {
+	if c.remote != s.local || s.remote != c.local {
 		t.Errorf("address mismatch: c=%v->%v s=%v->%v",
-			c.LocalAddr(), c.RemoteAddr(), s.LocalAddr(), s.RemoteAddr())
+			c.local, c.remote, s.local, s.remote)
 	}
-	if c.Node() != 0 || s.Node() != 1 {
+	if c.local.Node != 0 || s.local.Node != 1 {
 		t.Error("node mismatch")
 	}
 }
@@ -90,8 +90,8 @@ func TestSendRecvOrdering(t *testing.T) {
 			t.Fatalf("out of order: got %q want %q", msg, want)
 		}
 	}
-	if s.QueuedBytes() != 0 || s.QueuedMessages() != 0 {
-		t.Errorf("queue not drained: %d bytes, %d msgs", s.QueuedBytes(), s.QueuedMessages())
+	if s.QueuedBytes() != 0 || len(s.queue) != 0 {
+		t.Errorf("queue not drained: %d bytes, %d msgs", s.QueuedBytes(), len(s.queue))
 	}
 }
 
@@ -100,8 +100,8 @@ func TestQueuedBytesObservable(t *testing.T) {
 	c, s := dial(t, n, 0, 1)
 	c.Send(make([]byte, 10))
 	c.Send(make([]byte, 20))
-	if s.QueuedBytes() != 30 || s.QueuedMessages() != 2 {
-		t.Fatalf("queued = %d bytes / %d msgs, want 30/2", s.QueuedBytes(), s.QueuedMessages())
+	if s.QueuedBytes() != 30 || len(s.queue) != 2 {
+		t.Fatalf("queued = %d bytes / %d msgs, want 30/2", s.QueuedBytes(), len(s.queue))
 	}
 	s.Recv()
 	if s.QueuedBytes() != 20 {
@@ -137,7 +137,7 @@ func TestCloseResetsPeer(t *testing.T) {
 	if _, err := s.Send([]byte("x")); err == nil {
 		t.Error("send to closed peer must fail")
 	}
-	if !c.Closed() || !s.Closed() {
+	if !c.closed || !s.closed {
 		t.Error("both sides should report closed")
 	}
 }
@@ -214,7 +214,7 @@ func TestConcurrentSenders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.QueuedMessages() != 0 {
+	if len(s.queue) != 0 {
 		t.Error("messages left over")
 	}
 }

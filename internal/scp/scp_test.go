@@ -60,7 +60,7 @@ func TestCopyIntoFullCardFails(t *testing.T) {
 	if _, err := Copy(s.Fabric, 0, vfs.Host(s.Host.FS), "/big", 1, vfs.Ram(s.Device(1).FS), "/tmp/big"); err == nil {
 		t.Fatal("copy exceeding card memory must fail")
 	}
-	if s.Device(1).FS.Exists("/tmp/big") {
+	if _, err := s.Device(1).FS.Open("/tmp/big"); err == nil {
 		t.Error("partial file left on card")
 	}
 }

@@ -5,93 +5,9 @@ package simclock
 // process that chunk.
 type Stage func(bytes int64) Duration
 
-// Pipeline returns the end-to-end virtual time of streaming total bytes
-// through a sequence of stages in chunks of chunkSize bytes, where each
-// stage can work on a different chunk concurrently (the classic software
-// pipeline: Snapify-IO's socket -> RDMA buffer -> SCIF -> file chain
-// operates exactly this way with a 4 MiB staging buffer).
-//
-// The formula is the standard pipelined-latency bound: the first chunk pays
-// every stage in sequence (fill), and each subsequent chunk adds only the
-// cost of the slowest stage (steady state). A final partial chunk is
-// accounted with its actual size.
-func Pipeline(total, chunkSize int64, stages ...Stage) Duration {
-	if total <= 0 || len(stages) == 0 {
-		return 0
-	}
-	if chunkSize <= 0 || chunkSize > total {
-		chunkSize = total
-	}
-	fullChunks := total / chunkSize
-	rem := total % chunkSize
-
-	// Fill: the first chunk traverses all stages.
-	first := chunkSize
-	if fullChunks == 0 {
-		first = rem
-	}
-	var fill Duration
-	for _, s := range stages {
-		fill += s(first)
-	}
-
-	// Steady state: every further chunk is gated by the slowest stage.
-	var steady Duration
-	bottleneck := func(n int64) Duration {
-		var mx Duration
-		for _, s := range stages {
-			if d := s(n); d > mx {
-				mx = d
-			}
-		}
-		return mx
-	}
-	if fullChunks > 1 {
-		steady += Duration(fullChunks-1) * bottleneck(chunkSize)
-	}
-	if rem > 0 && fullChunks > 0 {
-		steady += bottleneck(rem)
-	}
-	return fill + steady
-}
-
-// Serial returns the cost of streaming total bytes through the stages with
-// no overlap: every chunk pays every stage (e.g. a synchronous read path
-// with no readahead).
-func Serial(total, chunkSize int64, stages ...Stage) Duration {
-	if total <= 0 || len(stages) == 0 {
-		return 0
-	}
-	if chunkSize <= 0 || chunkSize > total {
-		chunkSize = total
-	}
-	var sum Duration
-	for off := int64(0); off < total; off += chunkSize {
-		n := chunkSize
-		if total-off < n {
-			n = total - off
-		}
-		for _, s := range stages {
-			sum += s(n)
-		}
-	}
-	return sum
-}
-
 // Rate returns a Stage with the given throughput in bytes per second.
 func Rate(bandwidth int64) Stage {
 	return func(n int64) Duration { return xfer(n, bandwidth) }
-}
-
-// RateWithSetup returns a Stage with a fixed per-chunk setup cost plus a
-// throughput term.
-func RateWithSetup(setup Duration, bandwidth int64) Stage {
-	return func(n int64) Duration { return setup + xfer(n, bandwidth) }
-}
-
-// Fixed returns a Stage costing d per chunk regardless of size.
-func Fixed(d Duration) Stage {
-	return func(int64) Duration { return d }
 }
 
 // Max returns the larger of two durations; it expresses phases that run

@@ -61,9 +61,6 @@ type streamInfo struct {
 	slots int
 }
 
-// Node returns the daemon's SCIF node.
-func (d *Daemon) Node() simnet.NodeID { return d.node }
-
 // ActiveStreams returns the number of streams the daemon is serving.
 func (d *Daemon) ActiveStreams() int {
 	d.mu.Lock()
@@ -324,22 +321,7 @@ func (d *Daemon) teardown() {
 	for _, path := range paths {
 		asms[path].sw.Abort()
 	}
-	sort.Slice(eps, func(i, j int) bool {
-		a, b := eps[i], eps[j]
-		if a.RemoteAddr() != b.RemoteAddr() {
-			if a.RemoteAddr().Node != b.RemoteAddr().Node {
-				return a.RemoteAddr().Node < b.RemoteAddr().Node
-			}
-			return a.RemoteAddr().Port < b.RemoteAddr().Port
-		}
-		if a.LocalAddr().Node != b.LocalAddr().Node {
-			return a.LocalAddr().Node < b.LocalAddr().Node
-		}
-		return a.LocalAddr().Port < b.LocalAddr().Port
-	})
-	for _, ep := range eps {
-		ep.Close() //nolint:errcheck // crash path: connection teardown is the point
-	}
+	scif.CloseAll(eps)
 }
 
 func (d *Daemon) trackEp(ep *scif.Endpoint) {

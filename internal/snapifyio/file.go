@@ -77,14 +77,8 @@ var (
 	_ stream.Flusher = (*File)(nil)
 )
 
-// Mode returns the file's access mode.
-func (f *File) Mode() Mode { return f.mode }
-
 // Size returns the remote file size (read mode only).
 func (f *File) Size() int64 { return f.size }
-
-// StreamID returns the wire-protocol stream ID.
-func (f *File) StreamID() int64 { return f.streamID }
 
 // localCopy is the user-process-to-staging (or back) stage on f's node.
 func (f *File) localCopy(n int64) simclock.Duration {

@@ -191,10 +191,6 @@ func NewService(net *scif.Network, o *obs.Obs) *Service {
 	return s
 }
 
-// Metrics returns the service's metrics registry (nil if the service was
-// built without observability).
-func (s *Service) Metrics() *obs.Registry { return s.obs.MetricsOf() }
-
 // DumpMetrics sends the SIGUSR1-analogue control message to the daemon on
 // targetNode from localNode and returns the daemon's Prometheus-style
 // metrics exposition. The real snapifyiod dumps its counters on a signal;

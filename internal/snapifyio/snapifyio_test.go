@@ -149,11 +149,11 @@ func TestDeviceToDeviceCopy(t *testing.T) {
 	}
 	got, _ := readAll(t, src)
 	writeAll(t, dst, got)
-	stored, _, err := r.server.Device(2).FS.ReadFile("/tmp/store")
+	back, err := r.svc.Open(2, 2, "/tmp/store", Read)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !blob.Equal(stored, content) {
+	if stored, _ := readAll(t, back); !blob.Equal(stored, content) {
 		t.Error("device-to-device copy corrupted content")
 	}
 }
@@ -213,7 +213,7 @@ func TestWriteToFullDeviceFails(t *testing.T) {
 		t.Fatal("write exceeding card memory must fail")
 	}
 	f.Abort()
-	if r.server.Device(1).FS.Exists("/tmp/too_big") {
+	if _, err := r.server.Device(1).FS.Open("/tmp/too_big"); err == nil {
 		t.Error("partial file left behind")
 	}
 }

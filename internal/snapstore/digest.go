@@ -161,14 +161,6 @@ func (c *leafCache) putLocked(k synKey, sum [sha256.Size]byte) {
 	e.sum = sum
 }
 
-// len reports the number of entries held across both generations (a
-// promoted entry counts once in each).
-func (c *leafCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens[0].n + c.gens[1].n
-}
-
 // syntheticLeaf returns the SHA-256 of n bytes of stream seed at off,
 // materializing them into buf only on a cache miss.
 func syntheticLeaf(seed uint64, off, n int64, buf *[digestWindow]byte) [sha256.Size]byte {
@@ -246,7 +238,13 @@ func Digest(b blob.Blob) string {
 
 // ChunkDigests splits content into chunkBytes-sized pieces (the last may
 // be short) and returns their digests in order — the have/need unit of
-// the dedup-aware transfer protocol.
+// the dedup-aware transfer protocol. It is a reference implementation:
+// no capture runs it. The store tests (TestPutChunkVerifiesDigestAndAlignment,
+// TestNegotiateWindowsAddUpToTheWholeList, TestVerifyDetectsCorruptionAndMissingChunks
+// and the rest of snapstore_test.go), internal/core's digest-cache oracle
+// (TestDigestCacheDifferential, TestChaosLostDirtyRangeIsInvisibleToVerify),
+// TestStoreRestoreDifferential and Snapify-IO's store-read tests compare
+// the product's digest lists against it.
 func ChunkDigests(content blob.Blob, chunkBytes int64) []string {
 	if chunkBytes <= 0 || content.Len() == 0 {
 		return nil

@@ -291,17 +291,11 @@ func (s *ShipStats) add(o ShipStats) {
 	s.BytesLogical += o.BytesLogical
 }
 
-// ShipSnapshot moves the store-resident snapshot at path from src to
+// shipSnapshotLocked moves the store-resident snapshot at path from src to
 // dst, negotiating have/need against the destination store first: only
 // chunks dst lacks cross the link. The shipped manifest flattens the
 // delta chain (no parent at dst) but lists the identical chunk digests,
 // so restored content is byte-identical to the source.
-func (f *Federation) ShipSnapshot(src, dst, path string) (ShipStats, simclock.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shipSnapshotLocked(src, dst, path)
-}
-
 func (f *Federation) shipSnapshotLocked(src, dst, path string) (ShipStats, simclock.Duration, error) {
 	var stats ShipStats
 	srcStore, err := f.storeLocked(src)
@@ -397,15 +391,9 @@ func corruptChunk(b blob.Blob, kind faultinject.Kind) blob.Blob {
 	return blob.FromBytes(data)
 }
 
-// ShipFile copies one plain host file from src to dst, skipping the
+// shipFileLocked copies one plain host file from src to dst, skipping the
 // transfer when dst already holds identical content (whole-file dedup
 // by digest — the runtime-libs blob ships once per destination, ever).
-func (f *Federation) ShipFile(src, dst, path string) (ShipStats, simclock.Duration, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shipFileLocked(src, dst, path)
-}
-
 func (f *Federation) shipFileLocked(src, dst, path string) (ShipStats, simclock.Duration, error) {
 	var stats ShipStats
 	srcStore, err := f.storeLocked(src)

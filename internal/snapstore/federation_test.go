@@ -73,9 +73,9 @@ func (fe *fedEnv) assertFsckClean(t *testing.T) {
 func TestFederationShipDedup(t *testing.T) {
 	fe := newFedEnv(t, 2)
 	content := testContent(1, 8*1024)
-	putAll(t, fe.hosts["h0"], "/snap/a", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", content, 1024)
 
-	s1, _, err := fe.fed.ShipSnapshot("h0", "h1", "/snap/a")
+	s1, _, err := fe.fed.ShipDir("h0", "h1", "/snap/a")
 	if err != nil {
 		t.Fatalf("first ship: %v", err)
 	}
@@ -85,8 +85,8 @@ func TestFederationShipDedup(t *testing.T) {
 
 	// A similar image: one chunk differs.
 	similar := blob.Concat(testContent(99, 1024), content.Slice(1024, 7*1024))
-	putAll(t, fe.hosts["h0"], "/snap/b", "", similar, 1024)
-	s2, _, err := fe.fed.ShipSnapshot("h0", "h1", "/snap/b")
+	putAll(t, fe.hosts["h0"], "/snap/b/ctx", "", similar, 1024)
+	s2, _, err := fe.fed.ShipDir("h0", "h1", "/snap/b")
 	if err != nil {
 		t.Fatalf("second ship: %v", err)
 	}
@@ -96,15 +96,15 @@ func TestFederationShipDedup(t *testing.T) {
 
 	// Byte identity: the destination manifest lists the same digests and
 	// assembles the same bytes.
-	src, _, _ := fe.hosts["h0"].st.Manifest("/snap/b")
-	dst, _, err := fe.hosts["h1"].st.Manifest("/snap/b")
+	src, _, _ := fe.hosts["h0"].st.Manifest("/snap/b/ctx")
+	dst, _, err := fe.hosts["h1"].st.Manifest("/snap/b/ctx")
 	if err != nil {
 		t.Fatalf("dst manifest: %v", err)
 	}
 	if !reflect.DeepEqual(src.Chunks, dst.Chunks) {
 		t.Fatalf("manifest digests differ across hosts")
 	}
-	if got := readAll(t, fe.hosts["h1"], "/snap/b"); !blob.Equal(got, similar) {
+	if got := readAll(t, fe.hosts["h1"], "/snap/b/ctx"); !blob.Equal(got, similar) {
 		t.Fatalf("shipped snapshot content differs")
 	}
 	fe.assertFsckClean(t)
@@ -118,11 +118,11 @@ func TestFederationShipFileDedup(t *testing.T) {
 	if _, err := fe.hosts["h0"].fs.WriteFile("/libs/runtime", content); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	s1, _, err := fe.fed.ShipFile("h0", "h1", "/libs/runtime")
+	s1, _, err := fe.fed.ShipDir("h0", "h1", "/libs")
 	if err != nil || s1.BytesShipped != 4096 {
 		t.Fatalf("first ship = %+v, %v", s1, err)
 	}
-	s2, _, err := fe.fed.ShipFile("h0", "h1", "/libs/runtime")
+	s2, _, err := fe.fed.ShipDir("h0", "h1", "/libs")
 	if err != nil || s2.BytesShipped != 0 || s2.ChunksDeduped != 1 {
 		t.Fatalf("re-ship = %+v, %v (want deduped)", s2, err)
 	}
@@ -264,14 +264,14 @@ func TestFederationDropDir(t *testing.T) {
 // killed member.
 func TestFederationDeadHostRefused(t *testing.T) {
 	fe := newFedEnv(t, 2)
-	putAll(t, fe.hosts["h0"], "/snap/a", "", testContent(5, 1024), 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", testContent(5, 1024), 1024)
 	if err := fe.fed.KillHost("h1"); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
-	if _, _, err := fe.fed.ShipSnapshot("h0", "h1", "/snap/a"); !errors.Is(err, ErrHostDead) {
+	if _, _, err := fe.fed.ShipDir("h0", "h1", "/snap/a"); !errors.Is(err, ErrHostDead) {
 		t.Fatalf("ship to dead host: %v, want ErrHostDead", err)
 	}
-	if _, _, err := fe.fed.ShipSnapshot("h1", "h0", "/snap/a"); !errors.Is(err, ErrHostDead) {
+	if _, _, err := fe.fed.ShipDir("h1", "h0", "/snap/a"); !errors.Is(err, ErrHostDead) {
 		t.Fatalf("ship from dead host: %v, want ErrHostDead", err)
 	}
 	if _, err := fe.fed.StoreOf("h1"); !errors.Is(err, ErrHostDead) {
@@ -289,10 +289,10 @@ func TestFederationDeadHostRefused(t *testing.T) {
 func TestChaosFederationDestCrashMidNegotiate(t *testing.T) {
 	fe := newFedEnv(t, 3)
 	content := testContent(6, 4*1024)
-	putAll(t, fe.hosts["h0"], "/snap/a", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", content, 1024)
 
 	fe.arm(faultinject.Plan{{Site: faultinject.SiteFederation, Key: "negotiate", Kind: faultinject.Crash}})
-	_, _, err := fe.fed.ShipSnapshot("h0", "h1", "/snap/a")
+	_, _, err := fe.fed.ShipDir("h0", "h1", "/snap/a")
 	if !errors.Is(err, ErrHostDead) {
 		t.Fatalf("ship under crash: %v, want ErrHostDead", err)
 	}
@@ -302,14 +302,14 @@ func TestChaosFederationDestCrashMidNegotiate(t *testing.T) {
 	fe.disarm()
 
 	// Retry against a survivor: full ship, byte-identical.
-	s, _, err := fe.fed.ShipSnapshot("h0", "h2", "/snap/a")
+	s, _, err := fe.fed.ShipDir("h0", "h2", "/snap/a")
 	if err != nil {
 		t.Fatalf("retry ship: %v", err)
 	}
 	if s.ChunksShipped != 4 {
 		t.Fatalf("retry shipped %d chunks, want 4", s.ChunksShipped)
 	}
-	if got := readAll(t, fe.hosts["h2"], "/snap/a"); !blob.Equal(got, content) {
+	if got := readAll(t, fe.hosts["h2"], "/snap/a/ctx"); !blob.Equal(got, content) {
 		t.Fatalf("retry content differs")
 	}
 	fe.assertFsckClean(t)
@@ -445,13 +445,13 @@ func TestFederationPerPairLinks(t *testing.T) {
 	}
 
 	content := testContent(3, 8*1024)
-	putAll(t, fe.hosts["h0"], "/snap/fast", "", content, 1024)
-	putAll(t, fe.hosts["h0"], "/snap/slow", "", content, 1024)
-	_, fastDur, err := fe.fed.ShipSnapshot("h0", "h1", "/snap/fast")
+	putAll(t, fe.hosts["h0"], "/snap/fast/ctx", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/slow/ctx", "", content, 1024)
+	_, fastDur, err := fe.fed.ShipDir("h0", "h1", "/snap/fast")
 	if err != nil {
 		t.Fatalf("fast ship: %v", err)
 	}
-	_, slowDur, err := fe.fed.ShipSnapshot("h0", "h2", "/snap/slow")
+	_, slowDur, err := fe.fed.ShipDir("h0", "h2", "/snap/slow")
 	if err != nil {
 		t.Fatalf("slow ship: %v", err)
 	}

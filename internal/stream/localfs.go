@@ -50,9 +50,6 @@ func (s *HostFSSource) Next(max int64) (blob.Blob, Cost, error) {
 	return b, Cost{Stages: []simclock.Duration{d}}, err
 }
 
-// Size implements Source.
-func (s *HostFSSource) Size() int64 { return s.r.Size() }
-
 // Close implements Source.
 func (s *HostFSSource) Close() error { return nil }
 
@@ -99,9 +96,6 @@ func (s *RamFSSource) Next(max int64) (blob.Blob, Cost, error) {
 	b, d, err := s.r.Next(max)
 	return b, Cost{Stages: []simclock.Duration{d}}, err
 }
-
-// Size implements Source.
-func (s *RamFSSource) Size() int64 { return s.r.Size() }
 
 // Close implements Source.
 func (s *RamFSSource) Close() error { return nil }

@@ -51,8 +51,6 @@ type Source interface {
 	// Next returns the next chunk of at most max bytes, with its transport
 	// cost, or io.EOF after the last chunk.
 	Next(max int64) (blob.Blob, Cost, error)
-	// Size returns the total stream size in bytes.
-	Size() int64
 	// Close releases the source.
 	Close() error
 }

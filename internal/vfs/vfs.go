@@ -78,18 +78,11 @@ type ramAdapter struct{ fs *ramfs.FS }
 
 func (r ramAdapter) Create(path string) (Writer, error) { return r.fs.Create(path) }
 func (r ramAdapter) Open(path string) (Reader, error)   { return r.fs.Open(path) }
-func (r ramAdapter) CreateSparse(path string, size int64) (SparseWriter, error) {
-	return r.fs.CreateSparse(path, size)
-}
-func (r ramAdapter) OpenRange(path string, off, n int64) (Reader, error) {
-	return r.fs.OpenRange(path, off, n)
-}
 
-// Compile-time checks that both adapters implement the optional
-// interfaces.
+// Compile-time checks that the host adapter implements the optional
+// interfaces. A card's RAM file system implements neither: striped
+// captures and restores always land on, and read from, the host.
 var (
 	_ SparseFS = hostAdapter{}
 	_ RangeFS  = hostAdapter{}
-	_ SparseFS = ramAdapter{}
-	_ RangeFS  = ramAdapter{}
 )

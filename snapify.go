@@ -154,9 +154,6 @@ func (s *Server) Stop() {
 	s.stop.Do(func() { coi.Shutdown(s.Platform) })
 }
 
-// Devices returns the number of cards.
-func (s *Server) Devices() int { return s.Platform.Server.Fabric.Devices() }
-
 // Application is a launched offload application: its host process, the
 // offload process handle, and the virtual timeline its operations charge.
 type Application struct {
