@@ -1,6 +1,9 @@
 package blob
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkBufferSequentialWrite fills a fresh 32 MiB buffer with 64 KiB
 // writes, the way an offload app's "in" transfers fill its local store.
@@ -31,6 +34,47 @@ func BenchmarkBufferReadAtCovered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.ReadAt(p, int64(i)*chunk%size)
+	}
+}
+
+// snapshotBuffer returns a 4 MiB buffer written in four 1 MiB spans.
+func snapshotBuffer() *Buffer {
+	const size, span = 4 << 20, 1 << 20
+	buf := NewBuffer(size, 7)
+	p := make([]byte, span)
+	for off := int64(0); off < size; off += span {
+		buf.WriteAt(p, off)
+	}
+	return buf
+}
+
+// BenchmarkBufferSnapshot snapshots a 4 MiB buffer of four written 1 MiB
+// spans: the extents alias the spans, so the cost is the extent list.
+func BenchmarkBufferSnapshot(b *testing.B) {
+	buf := snapshotBuffer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = buf.Snapshot()
+	}
+}
+
+var snapshotSink Blob
+
+// TestBufferSnapshotAllocs is the snapshot's allocation gate, in bytes:
+// 4 MiB of written spans snapshot without copying them (bytes.Join copied
+// all 4 MiB before spans were shared).
+func TestBufferSnapshotAllocs(t *testing.T) {
+	buf := snapshotBuffer()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		_ = buf.SnapshotRange(0, buf.Size())
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 4<<10 {
+		t.Errorf("SnapshotRange of 4 MiB in 1 MiB spans allocates %d B, want < 4 KiB", got)
 	}
 }
 

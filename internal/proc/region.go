@@ -131,6 +131,15 @@ func (r *Region) ReadAt(p []byte, off int64) {
 	r.buf.ReadAt(p, off)
 }
 
+// Visit calls fn with the content of [off, off+n) in consecutive slices,
+// under the region lock (see blob.Buffer.Visit). fn must not modify or
+// retain its argument, nor call back into the region.
+func (r *Region) Visit(off, n int64, fn func(p []byte)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.buf.Visit(off, n, fn)
+}
+
 // SnapshotRange returns the content of [off, off+n). Part of scif.Memory.
 func (r *Region) SnapshotRange(off, n int64) blob.Blob {
 	r.mu.Lock()

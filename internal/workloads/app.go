@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"snapify/internal/coi"
@@ -61,7 +62,6 @@ func RegisterBinary(s Spec) string {
 		if sliceLen < 1 {
 			sliceLen = 1
 		}
-		page := make([]byte, sliceLen)
 		for ; step < uint64(steps); step++ {
 			step := step
 			if err := ctx.Step(func() {
@@ -70,8 +70,9 @@ func RegisterBinary(s Spec) string {
 				if off+n > buf.Size() {
 					n = buf.Size() - off
 				}
-				buf.ReadAt(page[:n], off)
-				sum = fold(sum, page[:n]) + callIdx
+				// The fold streams, so the slice is read in place.
+				buf.Visit(off, n, func(p []byte) { sum = fold(sum, p) })
+				sum += callIdx
 				binary.BigEndian.PutUint64(st[8:16], step+1)
 				binary.BigEndian.PutUint64(st[16:], sum)
 				heap.WriteAt(st, 0)
@@ -217,8 +218,10 @@ func (in *Instance) RunCalls(n int) (int, error) {
 	s := in.Spec
 	model := in.Plat.Model()
 	done := 0
-	inData := make([]byte, s.InPerCall)
-	outData := make([]byte, s.OutPerCall)
+	stage := getStaging(s.InPerCall + s.OutPerCall)
+	defer staging.Put(stage)
+	inData, outData := (*stage)[:s.InPerCall], (*stage)[s.InPerCall:]
+	clear(inData)
 	for done < n {
 		call := in.Progress()
 		if call >= s.Calls {
@@ -259,6 +262,20 @@ func (in *Instance) RunCalls(n int) (int, error) {
 		done++
 	}
 	return done, nil
+}
+
+// staging holds RunCalls' host-side transfer buffers (*[]byte) between
+// calls. A COI buffer write copies out of them, so none is ever aliased.
+var staging = sync.Pool{New: func() any { return new([]byte) }}
+
+// getStaging returns a staging buffer of n bytes; its content is stale.
+func getStaging(n int64) *[]byte {
+	p := staging.Get().(*[]byte)
+	if int64(cap(*p)) < n {
+		*p = make([]byte, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
 // Run executes the benchmark to completion and returns its checksum.

@@ -76,7 +76,7 @@ echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, int
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:65.0" "./internal/snapifyio/:77.3" "./internal/fleetd/:88.0" "./internal/experiments/:77.0" "./internal/blob/:90.4" "./internal/scif/:88.5" "./internal/workloads/:72.7"; do
+for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:65.0" "./internal/snapifyio/:77.3" "./internal/fleetd/:88.0" "./internal/experiments/:77.0" "./internal/blob/:90.4" "./internal/scif/:88.5" "./internal/workloads/:74.3"; do
     pkg=${spec%:*}
     floor=${spec#*:}
     pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
