@@ -236,12 +236,7 @@ func storeCommand(st *snapstore.Store, sub string) {
 		for _, p := range paths {
 			m, _, err := st.Manifest(p)
 			fatal(err)
-			parent := "-"
-			if m.Parent != "" {
-				parent = m.Parent
-			}
-			fmt.Printf("  %s  %d bytes, %d chunks, refs %d, parent %s\n",
-				m.Path, m.Size, len(m.Chunks), m.Refs, parent)
+			fmt.Printf("  %s  %d bytes, %d chunks\n", m.Path, m.Size, len(m.Chunks))
 		}
 	case "stat":
 		s := st.Stats()

@@ -173,15 +173,14 @@ func (c *DigestCache) eachRegion(p *proc.Process, fn func(*proc.Region)) {
 type DigestPass struct {
 	// Cache describes the image the pass cut; the caller installs it for
 	// the next pass (and drops it if the pass is abandoned or what follows
-	// it fails — the epochs were cut and cannot be replayed). Nil from
-	// DigestUncached.
+	// it fails — the epochs were cut and cannot be replayed).
 	Cache *DigestCache
 	// SeededFrom is the seed of the cache the pass carries digests from,
 	// SeedNone if it carries none.
 	SeededFrom DigestSeed
 	// Prelude is the serial cost ahead of the first chunk: the PTE sweep
-	// that finds a warm pass its dirty pages, a delta layout's
-	// dirty-detection walks. Per-chunk costs go through Observe.
+	// that finds a warm pass its dirty pages. Per-chunk costs go through
+	// Observe.
 	Prelude simclock.Duration
 	// ChunksRehashed and BytesRehashed count what the windows handed out
 	// so far re-read and re-hashed; every other digest was carried forward.
@@ -320,19 +319,6 @@ func allChunks(n int) []int {
 		due[i] = i
 	}
 	return due
-}
-
-// DigestUncached starts a pass that re-reads every chunk, carries nothing
-// and leaves the regions' digest epochs alone: what a delta layout — a
-// different file every time — is digested with.
-func (l *Layout) DigestUncached(chunk int64, digest func(blob.Blob) string) *DigestPass {
-	chunk = chunkOrDefault(chunk)
-	n := int((l.Size() + chunk - 1) / chunk)
-	pass := l.newPass(chunk, digest, make([]string, n), allChunks(n))
-	for _, sg := range l.pl.segs {
-		pass.Prelude += sg.extraWalk
-	}
-	return pass
 }
 
 // DigestPass starts a pass over a full layout that carries forward from

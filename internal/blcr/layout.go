@@ -29,16 +29,6 @@ func (c *Checkpointer) LayoutFull(p *proc.Process) (*Layout, error) {
 	return &Layout{c: c, pl: c.planFull(p), onHost: p.Node().IsHost()}, nil
 }
 
-// LayoutDelta lays out the delta-checkpoint format (dirty ranges only).
-// Regions are NOT marked clean: the caller does that itself once the
-// capture is verified end-to-end, exactly like the delta writers.
-func (c *Checkpointer) LayoutDelta(p *proc.Process) (*Layout, error) {
-	if p.State() != proc.Running {
-		return nil, fmt.Errorf("blcr: cannot lay out %s process %s", p.State(), p.Name())
-	}
-	return &Layout{c: c, pl: c.planDelta(p), onHost: p.Node().IsHost()}, nil
-}
-
 // Size is the laid-out context file's exact byte length.
 func (l *Layout) Size() int64 { return l.pl.total }
 
@@ -114,17 +104,12 @@ func (l *Layout) ChunkDigests(chunk int64, digest func(blob.Blob) string) ([]str
 // TestChaosLostDirtyRangeIsInvisibleToVerify and
 // TestStoreRestoreDifferential). The returned duration is the
 // cost of reading it in one serial pass — a page-table walk plus a
-// memcpy-rate copy of the image on the process's node, plus any
-// dirty-detection walks the delta layout carries. No capture pays it: a
+// memcpy-rate copy of the image on the process's node. No capture pays it: a
 // DigestPass prices the same walk and copy chunk by chunk, overlapped with
 // the shipping.
 func (l *Layout) Materialize() (blob.Blob, simclock.Duration) {
 	img := l.Range(0, l.pl.total)
-	dur := l.c.walkStage(l.onHost, l.pl.total) + l.c.copyStage(l.onHost, l.pl.total)
-	for _, sg := range l.pl.segs {
-		dur += sg.extraWalk
-	}
-	return img, dur
+	return img, l.c.walkStage(l.onHost, l.pl.total) + l.c.copyStage(l.onHost, l.pl.total)
 }
 
 // pteBytesPerByte is the page-table overhead ratio: one 8-byte entry

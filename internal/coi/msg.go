@@ -146,8 +146,8 @@ func (m *DrainResp) fields(c *wire.Cursor) {
 
 // CaptureArgs is what the agent needs to capture: the mode, the data path
 // (Streams striped Snapify-IO streams of ChunkBytes granularity; <= 1 is
-// the paper's single stream), the retry policy, and — for a dedup-aware
-// capture — the store flag and the parent snapshot path.
+// the paper's single stream), the retry policy, and the store flag of a
+// dedup-aware capture, which is always a full image.
 type CaptureArgs struct {
 	Terminate  bool
 	Mode       uint8
@@ -157,7 +157,6 @@ type CaptureArgs struct {
 	Dir        string
 	Retry      blcr.RetryPolicy
 	Store      bool
-	Parent     string
 }
 
 func (m *CaptureArgs) fields(c *wire.Cursor) {
@@ -170,7 +169,6 @@ func (m *CaptureArgs) fields(c *wire.Cursor) {
 	wire.U16(c, &m.Retry.MaxAttempts)
 	wire.U64(c, &m.Retry.Backoff)
 	wire.Bool(c, &m.Store)
-	wire.Str32(c, &m.Parent)
 }
 
 // CaptureReq is the host's capture request; the daemon forwards

@@ -576,9 +576,9 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*bl
 }
 
 // runCaptureStore is the dedup-aware capture path: instead of streaming
-// every byte, the agent lays out the context file in memory (blcr.Layout)
-// and runs it through the upload loop (storeUpload): digest a window of
-// chunks — re-reading only what changed since the image the process's
+// every byte, the agent lays out the full context file in memory
+// (blcr.Layout) and runs it through the upload loop (storeUpload): digest
+// a window of chunks — re-reading only what changed since the image the process's
 // chunk-digest cache describes — negotiate its have/need set against the
 // host's chunk store, ship what the store lacks, next window. The
 // committed manifest reassembles a byte-identical context file through the
@@ -586,31 +586,18 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*bl
 // verification below) use the ordinary read path. Returns the layout stats
 // plus the bytes physically shipped — the dedup win is st.Bytes - shipped.
 func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs, scope uint64) (*blcr.Stats, int64, error) {
-	mode, align := args.Mode, args.Align
-	path := args.contextPath()
-	var lay *blcr.Layout
-	var err error
-	if mode == CaptureDelta {
-		lay, err = cr.LayoutDelta(op.p)
-	} else {
-		lay, err = cr.LayoutFull(op.p)
+	if args.Mode != CaptureFull {
+		return nil, 0, errors.New("coi: a store capture is a full image; delta files are plain files")
 	}
+	align, path := args.Align, args.contextPath()
+	lay, err := cr.LayoutFull(op.p)
 	if err != nil {
 		return nil, 0, err
 	}
 	tk := op.agentTrack()
 	tk.AlignTo(align)
-	// A full-layout image goes through the process's chunk-digest cache
-	// and re-reads only what changed since the image the cache describes;
-	// a delta layout is a different file every time and is digested whole,
-	// leaving the cache (and the epochs it is keyed to) alone.
-	var pass *blcr.DigestPass
-	if mode == CaptureDelta {
-		pass = lay.DigestUncached(args.ChunkBytes, snapstore.Digest)
-	} else {
-		pass = op.digestPass(lay, args.ChunkBytes, blcr.SeedCapture)
-	}
-	up := upload{path: path, parent: args.Parent, streams: max(args.Streams, 1), scope: scope, streamSpan: "capture_stream"}
+	pass := op.digestPass(lay, args.ChunkBytes, blcr.SeedCapture)
+	up := upload{path: path, streams: max(args.Streams, 1), scope: scope, streamSpan: "capture_stream"}
 
 	rp := cr.Retry()
 	st := lay.Stats()
@@ -650,9 +637,7 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs,
 		// failed capture is where unenumerated things went wrong, and a
 		// full pass costs one scan.
 		op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
-		if mode != CaptureDelta {
-			op.dropDigestsIf(blcr.SeedCapture)
-		}
+		op.dropDigestsIf(blcr.SeedCapture)
 		return nil, 0, err
 	}
 	st.Duration = elapsed

@@ -37,8 +37,8 @@ var errCarriedChunkMissing = errors.New("coi: store lacks a chunk the digest pas
 
 // upload is where and how one image goes into the host store.
 type upload struct {
-	path, parent string
-	streams      int
+	path    string
+	streams int
 	// live: the process is running, so only chunks the pass read itself
 	// may ship (errCarriedChunkMissing otherwise).
 	live bool
@@ -90,7 +90,7 @@ func (op *OffloadProc) storeUpload(pass *blcr.DigestPass, acc *simclock.Pipeline
 		if !ok {
 			break
 		}
-		need, _, negDur, err := io.NegotiateWindow(node, simnet.HostNode, up.path, up.parent, size, chunk, lo, pass.Digests()[lo:hi])
+		need, _, negDur, err := io.NegotiateWindow(node, simnet.HostNode, up.path, size, chunk, lo, pass.Digests()[lo:hi])
 		tk.Emit(up.scope, "store_negotiate", up.at+acc.Total(), negDur, map[string]int64{
 			"chunks_total":  int64(hi - lo),
 			"chunks_needed": int64(len(need)),

@@ -39,11 +39,7 @@ func (s *recordingStore) digest(b blob.Blob) string {
 	return snapstore.Digest(b)
 }
 
-func (s *recordingStore) Negotiate(path, parent string, size, chunkBytes int64, digests []string) ([]int, bool, simclock.Duration, error) {
-	return s.NegotiateWindow(path, parent, size, chunkBytes, 0, digests)
-}
-
-func (s *recordingStore) NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) ([]int, bool, simclock.Duration, error) {
+func (s *recordingStore) NegotiateWindow(path string, size, chunkBytes int64, first int, digests []string) ([]int, bool, simclock.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.log("negotiate %d %d", first, len(digests))

@@ -92,7 +92,7 @@ func (a *App) Proc() *coi.Process {
 // replication targets. The zero values (the default) are the plain
 // serial paths.
 func (a *App) SetOptions(capture CaptureOptions, restore RestoreOptions) error {
-	if err := capture.validate(); err != nil {
+	if err := capture.validate(coi.CaptureFull); err != nil {
 		return err
 	}
 	if err := restore.validate(); err != nil {

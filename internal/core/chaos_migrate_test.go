@@ -72,7 +72,7 @@ func TestChaosMigratePrecopyRoundCrash(t *testing.T) {
 	assertNoStaging(t, r, 2)
 	assertNoPartials(t, r.plat)
 	// The aborted upload is unpinned: a GC reclaims anything the crashed
-	// round left behind and the refcount graph stays sound.
+	// round left behind and Verify stays clean.
 	assertStoreConsistent(t, r)
 
 	// Retry from scratch: the full live migration lands the process on

@@ -4,7 +4,7 @@ package core
 // mid-dedup-upload, a crash between a manifest's temp and final writes,
 // and a crash mid-GC sweep. The contract matches the plain chaos tier —
 // atomic-or-retryable — plus the store's own invariants: no dangling
-// manifest, no pinned orphan chunk, refcounts consistent after recovery,
+// manifest, no pinned orphan chunk, a clean Verify after recovery,
 // and a byte-identical restore when the operation succeeds.
 // scripts/verify.sh runs these twice under -race via the TestChaos filter.
 
@@ -118,7 +118,7 @@ func TestChaosStoreCommitCrash(t *testing.T) {
 		t.Fatal("no committed manifest after retried commit")
 	}
 	// The retried commit reused the same temp name, so nothing stale
-	// lingers and the refcount graph checks out.
+	// lingers and Verify is clean.
 	assertStoreConsistent(t, r)
 	ropts := RestoreOptions{}
 	ropts.Store.Enabled = true

@@ -145,11 +145,11 @@ func TestMigrateOptionValidation(t *testing.T) {
 			Precopy: PrecopyOptions{DowntimeBudget: time.Millisecond}}},
 		{"negative capture streams", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
 			Capture: CaptureOptions{Streams: -1}}},
-		{"restore parent", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
+		{"restore replicas", MigrateOptions{DeviceTo: 2, Path: "/snap/x",
 			Restore: func() RestoreOptions {
 				var o RestoreOptions
 				o.Store.Enabled = true
-				o.Store.Parent = "/snap/other"
+				o.Store.Replicas = 2
 				return o
 			}()}},
 	}

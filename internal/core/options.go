@@ -14,8 +14,15 @@ import (
 // misconfigured option fails fast with an actionable message instead of a
 // transport error deep in the data path.
 
-// validate checks a CaptureOptions for internal consistency.
-func (o *CaptureOptions) validate() error {
+// errStoreNotFull rejects a base or delta capture into the store: the
+// store holds whole images (an unchanged chunk is already free to
+// re-capture there), and a delta chain lives on plain files.
+var errStoreNotFull = errors.New("core: CaptureOptions.Store.Enabled is set on a base or delta capture; the store holds whole images, so capture a delta chain over plain files")
+
+// validate checks a CaptureOptions for internal consistency and for the
+// capture mode (coi.CaptureFull, CaptureBase or CaptureDelta) it is used
+// with.
+func (o *CaptureOptions) validate(mode uint8) error {
 	if o.Streams < 0 {
 		return fmt.Errorf("core: CaptureOptions.Streams is %d; want 0 (serial) or a positive stream count", o.Streams)
 	}
@@ -28,8 +35,8 @@ func (o *CaptureOptions) validate() error {
 	if o.Retry.Backoff < 0 {
 		return errors.New("core: CaptureOptions.Retry.Backoff is negative; want a non-negative virtual duration")
 	}
-	if o.Store.Parent != "" && !o.Store.Enabled {
-		return errors.New("core: CaptureOptions.Store.Parent is set but Store.Enabled is false; enable the store to extend a parent manifest")
+	if o.Store.Enabled && mode != coi.CaptureFull {
+		return errStoreNotFull
 	}
 	if o.Store.Replicas < 0 {
 		return fmt.Errorf("core: CaptureOptions.Store.Replicas is %d; want 0 (no replication) or a positive copy count", o.Store.Replicas)
@@ -53,9 +60,6 @@ func (o *RestoreOptions) validate() error {
 	}
 	if o.Retry.Backoff < 0 {
 		return errors.New("core: RestoreOptions.Retry.Backoff is negative; want a non-negative virtual duration")
-	}
-	if o.Store.Parent != "" {
-		return errors.New("core: RestoreOptions.Store.Parent has no meaning on restore; leave it empty")
 	}
 	if o.Store.Replicas != 0 {
 		return errors.New("core: RestoreOptions.Store.Replicas has no meaning on restore; leave it zero")
@@ -131,7 +135,7 @@ func (o *MigrateOptions) validate(cp *coi.Process) error {
 	if err := o.Precopy.validate(); err != nil {
 		return err
 	}
-	if err := o.Capture.validate(); err != nil {
+	if err := o.Capture.validate(coi.CaptureFull); err != nil {
 		return err
 	}
 	if err := o.Restore.validate(); err != nil {

@@ -151,13 +151,9 @@ type RetryPolicy = blcr.RetryPolicy
 // chunks the store lacks, and the restore reads the committed manifest's
 // chunks through the store's overlay file system.
 type StoreOptions struct {
-	// Enabled turns on the dedup-aware data path.
+	// Enabled turns on the dedup-aware data path. The store holds whole
+	// images: only Capture (not CaptureBase or CaptureDelta) may set it.
 	Enabled bool
-	// Parent, if nonempty, names the snapshot file whose manifest this
-	// capture's delta chain extends (e.g. the base capture's context
-	// path). The parent must already be committed in the store; its
-	// refcount is retained until this snapshot is released.
-	Parent string
 	// Replicas, when above one, asks the fleet layer (fleetd's platform
 	// backend) to keep this many total copies of the committed snapshot
 	// directory across hosts through the store federation. The capture
@@ -354,7 +350,7 @@ func (s *Snapshot) CaptureDelta(opts CaptureOptions) error {
 }
 
 func (s *Snapshot) captureMode(opts CaptureOptions, mode uint8) error {
-	if err := opts.validate(); err != nil {
+	if err := opts.validate(mode); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -371,7 +367,7 @@ func (s *Snapshot) captureMode(opts CaptureOptions, mode uint8) error {
 		err := cp.DaemonRequest(coi.OpSnapifyCapture, &coi.CaptureReq{ProcID: cp.ID(), CaptureArgs: coi.CaptureArgs{
 			Terminate: opts.Terminate, Mode: mode, Streams: opts.Streams, ChunkBytes: opts.ChunkBytes,
 			Align: start, Dir: s.Path, Retry: opts.Retry,
-			Store: opts.Store.Enabled, Parent: opts.Store.Parent,
+			Store: opts.Store.Enabled,
 		}}, &resp)
 		s.mu.Lock()
 		if err != nil {
@@ -521,11 +517,6 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 		}
 		if !plat.Store.Has(ctx) {
 			return nil, fmt.Errorf("core: restore: no committed store manifest for %s", ctx)
-		}
-		for _, dd := range deltaDirs {
-			if dp := dd + "/" + coi.DeltaFileName; !plat.Store.Has(dp) {
-				return nil, fmt.Errorf("core: restore: no committed store manifest for %s", dp)
-			}
 		}
 	}
 	s.countOp("restore")

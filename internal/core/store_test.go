@@ -1,11 +1,12 @@
 package core
 
 // Store-backed capture and restore at the core layer: swap cycles that
-// ship only missing chunks, and delta chains whose parent manifest lives
-// only in the content-addressed store (ISSUE 5). The chaos-under-fault
-// cases live in chaos_store_test.go.
+// ship only missing chunks, and the refusal of base and delta captures,
+// which the store (holding whole images only) has no place for. The
+// chaos-under-fault cases live in chaos_store_test.go.
 
 import (
+	"errors"
 	"testing"
 
 	"snapify/internal/coi"
@@ -122,91 +123,42 @@ func TestStoreRestorePrecheckFailsFast(t *testing.T) {
 	}
 }
 
-// TestStoreDeltaChainParentOnlyInStore restores a base+delta chain where
-// neither file exists outside the store: the base's refcount tracks its
-// delta child, and releasing the chain cascades the store back to empty.
-func TestStoreDeltaChainParentOnlyInStore(t *testing.T) {
-	r := newRig(t, "core_store_chain", 1)
+// TestStoreRefusesBaseAndDeltaCaptures: the store holds whole images, so
+// a base or a delta capture with the store enabled fails validation before
+// any request leaves the host. Nothing is left behind — no manifest, no
+// pending upload, no chunk, no context or delta file — and the paused
+// handle resumes and computes on.
+func TestStoreRefusesBaseAndDeltaCaptures(t *testing.T) {
+	r := newRig(t, "core_store_nodelta", 1)
 	r.count(t, 10)
-
-	baseCtx := "/snap/sbase/" + coi.ContextFileName
-	deltaPath := "/snap/sdelta/" + coi.DeltaFileName
-	base := NewSnapshot("/snap/sbase", r.cp)
-	if err := Pause(base); err != nil {
+	s := NewSnapshot("/snap/nodelta", r.cp)
+	if err := Pause(s); err != nil {
 		t.Fatal(err)
 	}
-	bopts := storeOpts()
-	bopts.Terminate = false
-	if err := base.CaptureBase(bopts); err != nil {
+	for _, c := range []struct {
+		name    string
+		capture func(CaptureOptions) error
+	}{{"base", s.CaptureBase}, {"delta", s.CaptureDelta}} {
+		if err := c.capture(storeOpts()); !errors.Is(err, errStoreNotFull) {
+			t.Errorf("%s capture with the store enabled: err = %v, want errStoreNotFull", c.name, err)
+		}
+	}
+	if st := r.plat.Store.Stats(); st.Manifests != 0 || st.Chunks != 0 {
+		t.Errorf("refused captures left store state: %+v", st)
+	}
+	if n := r.plat.Store.PendingUploads(); n != 0 {
+		t.Errorf("refused captures left %d pending uploads", n)
+	}
+	for _, f := range []string{coi.ContextFileName, coi.DeltaFileName} {
+		if p := "/snap/nodelta/" + f; r.plat.Host().FS.Exists(p) {
+			t.Errorf("refused captures left %s on the host", p)
+		}
+	}
+	if err := Resume(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := Wait(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := Resume(base); err != nil {
-		t.Fatal(err)
-	}
-	r.count(t, 30)
-
-	d := NewSnapshot("/snap/sdelta", r.cp)
-	if err := Pause(d); err != nil {
-		t.Fatal(err)
-	}
-	dopts := storeOpts()
-	dopts.Store.Parent = baseCtx
-	if err := d.CaptureDelta(dopts); err != nil {
-		t.Fatal(err)
-	}
-	if err := Wait(d); err != nil {
-		t.Fatal(err)
-	}
-
-	if r.plat.Host().FS.Exists(baseCtx) || r.plat.Host().FS.Exists(deltaPath) {
-		t.Fatal("chain files exist outside the store")
-	}
-	bm, _, err := r.plat.Store.Manifest(baseCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bm.Refs != 2 {
-		t.Errorf("base refs %d, want 2 (holder + delta child)", bm.Refs)
-	}
-	dm, _, err := r.plat.Store.Manifest(deltaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm.Parent != baseCtx {
-		t.Errorf("delta parent %q, want %q", dm.Parent, baseCtx)
-	}
-
-	ropts := RestoreOptions{}
-	ropts.Store.Enabled = true
-	if _, err := d.RestoreChain("/snap/sbase", []string{"/snap/sdelta"}, 1, ropts); err != nil {
-		t.Fatalf("restore chain from store: %v", err)
-	}
-	if err := d.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.count(t, 50); got != refSum(50) {
-		t.Errorf("restored computation = %d, want %d", got, refSum(50))
-	}
-
-	// Releasing the delta cascades onto the base; releasing the base's own
-	// holder reference empties the store.
-	if _, err := r.plat.Store.Release(deltaPath); err != nil {
-		t.Fatal(err)
-	}
-	if bm, _, err := r.plat.Store.Manifest(baseCtx); err != nil || bm.Refs != 1 {
-		t.Fatalf("base after delta release: refs=%v err=%v", bm, err)
-	}
-	if _, err := r.plat.Store.Release(baseCtx); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.plat.Store.GC(0); err != nil {
-		t.Fatal(err)
-	}
-	if s := r.plat.Store.Stats(); s.Manifests != 0 || s.Chunks != 0 {
-		t.Errorf("store not empty after chain release + gc: %+v", s)
+	if got := r.count(t, 30); got != refSum(30) {
+		t.Errorf("count after the refused captures = %d, want %d", got, refSum(30))
 	}
 }
 

@@ -10,14 +10,11 @@ import (
 
 // CheckOptions tunes the baseline comparison.
 type CheckOptions struct {
-	// RelTol is the default relative tolerance for numeric fields: a
+	// RelTol is the relative tolerance for every numeric field: a
 	// fresh value within RelTol of the baseline passes. The simulation
 	// is deterministic, so the default is tight (1%) — it exists to
 	// absorb row reordering artifacts, not real drift.
 	RelTol float64
-	// FieldTol overrides RelTol for any field whose key contains the
-	// map key (first match in sorted key order wins).
-	FieldTol map[string]float64
 }
 
 // DefaultCheckOptions returns the tolerances the snapbench gate uses.
@@ -52,20 +49,6 @@ func CompareBenchJSON(baseline, fresh []byte, opts CheckOptions) ([]Regression, 
 	var regs []Regression
 	compareValue("$", bv, fv, opts, &regs)
 	return regs, nil
-}
-
-func tolFor(path string, opts CheckOptions) float64 {
-	keys := make([]string, 0, len(opts.FieldTol))
-	for k := range opts.FieldTol {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if strings.Contains(path, k) {
-			return opts.FieldTol[k]
-		}
-	}
-	return opts.RelTol
 }
 
 func compareValue(path string, base, fresh any, opts CheckOptions, regs *[]Regression) {
@@ -120,7 +103,7 @@ func compareValue(path string, base, fresh any, opts CheckOptions, regs *[]Regre
 			*regs = append(*regs, Regression{path, fmt.Sprintf("baseline is a number, fresh is %T", fresh)})
 			return
 		}
-		tol := tolFor(path, opts)
+		tol := opts.RelTol
 		denom := math.Max(math.Max(math.Abs(bv), math.Abs(fn)), 1e-12)
 		if diff := math.Abs(bv - fn); diff/denom > tol {
 			*regs = append(*regs, Regression{path,

@@ -102,17 +102,3 @@ func TestCompareBenchStructuralDrift(t *testing.T) {
 		})
 	}
 }
-
-// TestCompareBenchFieldTol: per-field overrides beat the default.
-func TestCompareBenchFieldTol(t *testing.T) {
-	fresh := strings.Replace(baseDoc, `"capture_ns": 1005000`, `"capture_ns": 1100000`, 1)
-	opts := DefaultCheckOptions()
-	opts.FieldTol = map[string]float64{"capture_ns": 0.2}
-	regs, err := CompareBenchJSON([]byte(baseDoc), []byte(fresh), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Errorf("9%% drift flagged despite 20%% field tolerance: %v", regs)
-	}
-}

@@ -370,7 +370,7 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 			switch raw[0] {
 			case msgOpen:
 				send(ep, &openResp{Err: err.Error()})
-			case msgStoreNegotiate, msgStoreWindow:
+			case msgStoreWindow:
 				send(ep, &negotiateResp{Err: err.Error()})
 			case msgStoreDigests:
 				send(ep, &digestsResp{Err: err.Error()})
@@ -396,8 +396,8 @@ func (d *Daemon) remoteHandler(ep *scif.Endpoint) {
 			"Pending striped assemblies discarded by control request.",
 			obs.L("node", d.node.String())).Inc()
 		send(ep, &textMsg{Kind: msgDiscardResp})
-	case msgStoreNegotiate, msgStoreWindow:
-		send(ep, d.serveNegotiate(first))
+	case msgStoreWindow:
+		send(ep, d.serveNegotiate(first.(*windowMsg)))
 	case msgStoreDigests:
 		send(ep, d.serveDigestPlan(first.(*textMsg).Text))
 	case msgOpen:
@@ -429,27 +429,20 @@ func (d *Daemon) serveStream(ep *scif.Endpoint, open *openMsg) {
 }
 
 // serveNegotiate answers a have/need control round against the attached
-// chunk store: ask the store which chunks of the offered list (or window
-// of it) it lacks, reply with the need set (or that the manifest committed
-// on the spot). What the store refuses — a window outside the declared
-// geometry, or for a path with no upload open — is the reply's error text.
-func (d *Daemon) serveNegotiate(req msg) *negotiateResp {
+// chunk store: ask the store which chunks of the offered window it lacks,
+// reply with the need set (or that the manifest committed on the spot).
+// What the store refuses — a window outside the declared geometry, or for
+// a path with no upload open — is the reply's error text.
+func (d *Daemon) serveNegotiate(req *windowMsg) *negotiateResp {
 	cs := d.chunkStore()
 	if cs == nil {
 		return &negotiateResp{Err: fmt.Sprintf("no chunk store attached on %v", d.node)}
 	}
-	resp := new(negotiateResp)
-	var err error
-	switch req := req.(type) {
-	case *negotiateMsg:
-		resp.Need, resp.Committed, resp.Dur, err = cs.Negotiate(req.Path, req.Parent, req.Size, req.ChunkBytes, req.Digests)
-	case *windowMsg:
-		resp.Need, resp.Committed, resp.Dur, err = cs.NegotiateWindow(req.Path, req.Parent, req.Size, req.ChunkBytes, req.First, req.Digests)
-	}
+	need, committed, dur, err := cs.NegotiateWindow(req.Path, req.Size, req.ChunkBytes, req.First, req.Digests)
 	if err != nil {
 		return &negotiateResp{Err: err.Error()}
 	}
-	return resp
+	return &negotiateResp{Need: need, Committed: committed, Dur: dur}
 }
 
 // serveDigestPlan answers a digest-plan request against the attached

@@ -28,11 +28,11 @@ const (
 	msgDetach  // write mode: stream departs but the striped assembly survives for a resume
 	msgDiscard // control: drop a pending striped assembly and its partial file
 	msgDiscardResp
-	msgStoreNegotiate // control: have/need negotiation against the node's chunk store
-	msgStoreNegotiateResp
-	msgStoreDigests // control: fetch the digest plan (pending upload or manifest) for a snapshot path
+	_                  // 15, retired: the whole-list negotiation, now a msgStoreWindow at First 0
+	msgStoreWindowResp // control: the need set a msgStoreWindow's have/need negotiation found
+	msgStoreDigests    // control: fetch the digest plan (pending upload or manifest) for a snapshot path
 	msgStoreDigestsResp
-	msgStoreWindow // control: one window of a have/need negotiation whose digest list arrives in pieces; answered by msgStoreNegotiateResp
+	msgStoreWindow // control: one window of a have/need negotiation against the node's chunk store; answered by msgStoreWindowResp
 )
 
 // errMalformed is what every rejected message unwraps to: too short for
@@ -180,31 +180,12 @@ type textMsg struct {
 func (m *textMsg) kind() uint8           { return m.Kind }
 func (m *textMsg) fields(c *wire.Cursor) { wire.Str64(c, &m.Text) }
 
-// negotiateMsg opens a dedup upload: the image's ordered chunk digests.
-type negotiateMsg struct {
-	Path       string
-	Parent     string
-	Size       int64
-	ChunkBytes int64
-	Digests    []string
-}
-
-func (*negotiateMsg) kind() uint8 { return msgStoreNegotiate }
-func (m *negotiateMsg) fields(c *wire.Cursor) {
-	wire.Str64(c, &m.Path)
-	wire.Str64(c, &m.Parent)
-	wire.U64(c, &m.Size)
-	wire.U64(c, &m.ChunkBytes)
-	wire.List(c, wire.U64[int], &m.Digests, wire.Str64)
-}
-
 // windowMsg offers one window of a dedup upload's digest list: Digests are
 // those of chunks First, First+1, ... of the declared image. The window at
 // First == 0 opens the upload; each later one continues it and restates
-// the same geometry. negotiateMsg is the window that is the whole list.
+// the same geometry.
 type windowMsg struct {
 	Path       string
-	Parent     string
 	Size       int64
 	ChunkBytes int64
 	First      int
@@ -214,7 +195,6 @@ type windowMsg struct {
 func (*windowMsg) kind() uint8 { return msgStoreWindow }
 func (m *windowMsg) fields(c *wire.Cursor) {
 	wire.Str64(c, &m.Path)
-	wire.Str64(c, &m.Parent)
 	wire.U64(c, &m.Size)
 	wire.U64(c, &m.ChunkBytes)
 	wire.U64(c, &m.First)
@@ -230,7 +210,7 @@ type negotiateResp struct {
 	Need      []int
 }
 
-func (*negotiateResp) kind() uint8 { return msgStoreNegotiateResp }
+func (*negotiateResp) kind() uint8 { return msgStoreWindowResp }
 func (m *negotiateResp) fields(c *wire.Cursor) {
 	wire.Str64(c, &m.Err)
 	wire.Bool(c, &m.Committed)
@@ -280,11 +260,9 @@ func newMsg(kind uint8) msg {
 		return bare(kind)
 	case msgCloseResp, msgMetricsResp, msgDiscard, msgDiscardResp, msgStoreDigests:
 		return &textMsg{Kind: kind}
-	case msgStoreNegotiate:
-		return new(negotiateMsg)
 	case msgStoreWindow:
 		return new(windowMsg)
-	case msgStoreNegotiateResp:
+	case msgStoreWindowResp:
 		return new(negotiateResp)
 	case msgStoreDigestsResp:
 		return new(digestsResp)

@@ -23,8 +23,9 @@ import (
 // file.go and snapifyio.go at PR 15, run over these field values);
 // negotiate_window and the two open_store_read messages (an open grows a
 // chunk list only as a store-mode read), which came later, by their own
-// first encoding.
-// Service.Negotiate and StagePlan charge virtual time by message length,
+// first encoding; negotiate_window lost its parent field once the store
+// held whole images only.
+// Service.NegotiateWindow and StagePlan charge virtual time by message length,
 // so identical bytes is what keeps every virtual number identical.
 var goldenMessages = []struct {
 	name string
@@ -97,12 +98,9 @@ var goldenMessages = []struct {
 	{"discard_resp",
 		"0e0000000000000000",
 		&textMsg{Kind: msgDiscardResp}},
-	{"negotiate",
-		"0f00000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000000a0000000000000004000000000000000000003000000000000000461613131000000000000000462623232000000000000000463633333",
-		&negotiateMsg{Path: "/snap/a/context_offload", Parent: "/snap/base/context_offload", Size: 10 << 20, ChunkBytes: 4 << 20, Digests: []string{"aa11", "bb22", "cc33"}}},
 	{"negotiate_window",
-		"1300000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000002800000000000000040000000000000000000080000000000000002000000000000000461613131000000000000000462623232",
-		&windowMsg{Path: "/snap/a/context_offload", Parent: "/snap/base/context_offload", Size: 40 << 20, ChunkBytes: 4 << 20, First: 8, Digests: []string{"aa11", "bb22"}}},
+		"1300000000000000172f736e61702f612f636f6e746578745f6f66666c6f61640000000002800000000000000040000000000000000000080000000000000002000000000000000461613131000000000000000462623232",
+		&windowMsg{Path: "/snap/a/context_offload", Size: 40 << 20, ChunkBytes: 4 << 20, First: 8, Digests: []string{"aa11", "bb22"}}},
 	{"negotiate_resp",
 		"10000000000000000000000000000000a410000000000000000200000000000000000000000000000002",
 		&negotiateResp{Dur: 42 * time.Microsecond, Need: []int{0, 2}}},
@@ -156,10 +154,18 @@ func TestGoldenWireBytes(t *testing.T) {
 // FuzzWireDecode holds the daemon protocol's one decoder to three
 // properties: no input panics, every rejection unwraps to errMalformed,
 // and an accepted input is exactly its message — it re-encodes to the same
-// bytes. Seeds: the golden messages.
+// bytes. Seeds: the golden messages and the frames in retiredFrames, each
+// of which must be rejected.
 func FuzzWireDecode(f *testing.F) {
 	for _, g := range goldenMessages {
 		f.Add(goldenBytes(f, g.hex))
+	}
+	for _, r := range retiredFrames {
+		raw := goldenBytes(f, r.hex)
+		if _, err := decode(raw); !errors.Is(err, errMalformed) {
+			f.Fatalf("%s: err = %v, want errMalformed", r.name, err)
+		}
+		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decode(data)
@@ -175,13 +181,20 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// retiredFrames are frames of message kinds the protocol no longer has.
+// Kind 15 was the whole-list negotiation, which a msgStoreWindow at First
+// 0 replaced; the frame is its last golden encoding.
+var retiredFrames = []struct{ name, hex string }{
+	{"negotiate (kind 15)", "0f00000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164000000000000001a2f736e61702f626173652f636f6e746578745f6f66666c6f61640000000000a0000000000000004000000000000000000003000000000000000461613131000000000000000462623232000000000000000463633333"},
+}
+
 // A request the daemon cannot decode is refused in-band where its
 // protocol has a refusal (open, negotiate, digest plan), the daemon
 // survives every cut of every golden request, and serves a real stream
 // afterwards.
 func TestDaemonRefusesGarbageAndKeepsServing(t *testing.T) {
 	r := newRig(t)
-	refused := map[uint8]bool{msgOpen: true, msgStoreNegotiate: true, msgStoreWindow: true, msgStoreDigests: true}
+	refused := map[uint8]bool{msgOpen: true, msgStoreWindow: true, msgStoreDigests: true}
 	for _, g := range goldenMessages {
 		full := goldenBytes(t, g.hex)
 		for k := 0; k < len(full); k++ {
@@ -238,10 +251,7 @@ type fakeStore struct {
 	onAbortAll func()
 }
 
-func (s *fakeStore) Negotiate(path, parent string, size, chunkBytes int64, digests []string) ([]int, bool, simclock.Duration, error) {
-	return []int{0, 1}, false, 5, nil
-}
-func (s *fakeStore) NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) ([]int, bool, simclock.Duration, error) {
+func (s *fakeStore) NegotiateWindow(path string, size, chunkBytes int64, first int, digests []string) ([]int, bool, simclock.Duration, error) {
 	return []int{first}, false, 5, nil
 }
 func (s *fakeStore) PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error) {
@@ -282,8 +292,8 @@ func TestStoreStreamThroughTheOneWriteLoop(t *testing.T) {
 	if err := r.svc.AttachStore(simnet.HostNode, st); err != nil {
 		t.Fatal(err)
 	}
-	need, committed, _, err := r.svc.Negotiate(1, simnet.HostNode, "/s/ctx", "", 8, 4, []string{"d0", "d1"})
-	if err != nil || committed || len(need) != 2 {
+	need, committed, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, "/s/ctx", 8, 4, 0, []string{"d0", "d1"})
+	if err != nil || committed || len(need) != 1 {
 		t.Fatalf("negotiate: need %v committed %v err %v", need, committed, err)
 	}
 	if size, chunk, digests, _, ok, _, err := r.svc.StagePlan(1, simnet.HostNode, "/s/ctx"); err != nil || !ok || size != 8 || chunk != 4 || len(digests) != 2 {
@@ -387,7 +397,7 @@ func TestDaemonRefusesMisplacedWindows(t *testing.T) {
 	content := blob.FromBytes([]byte("aaaabbbbccccdddd"))
 	d := snapstore.ChunkDigests(content, chunk)
 	window := func(path string, size int64, first int, digests []string) ([]int, error) {
-		need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, path, "", size, chunk, first, digests)
+		need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, path, size, chunk, first, digests)
 		return need, err
 	}
 	refused := func(what string, err error) {
@@ -411,8 +421,8 @@ func TestDaemonRefusesMisplacedWindows(t *testing.T) {
 	if need, err := window("/s/ctx", 16, 2, d[2:]); err != nil || len(need) != 2 {
 		t.Fatalf("continuing window after the refusals: need %v err %v", need, err)
 	}
-	// The window that is the whole list rides the whole-list message.
-	if need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, "/s/whole", "", 16, chunk, 0, d); err != nil || len(need) != 4 {
+	// The window that is the whole list is one window like any other.
+	if need, _, _, err := r.svc.NegotiateWindow(1, simnet.HostNode, "/s/whole", 16, chunk, 0, d); err != nil || len(need) != 4 {
 		t.Fatalf("whole-list window: need %v err %v", need, err)
 	}
 }

@@ -118,7 +118,7 @@ type OpenOptions struct {
 	// instead of a plain file; it needs a store attached on the target. A
 	// write stream's positioned chunks are verified and deduplicated
 	// against the store, and the snapshot's manifest commits when a
-	// negotiated upload (see Service.Negotiate) sees its last missing
+	// negotiated upload (see Service.NegotiateWindow) sees its last missing
 	// chunk; it requires a stripe (chunks carry offsets). A read stream is
 	// its mirror: the target serves chunks of the snapshot's digest plan
 	// (the pending upload's, else the committed manifest's), each out of
@@ -134,14 +134,12 @@ type OpenOptions struct {
 // drains. *snapstore.Store implements it; the indirection keeps snapifyio
 // a pure transport with no dependency on the store's internals.
 type ChunkStore interface {
-	// Negotiate registers an upload from its whole digest list and returns
-	// the chunk indices the store lacks, or committed=true if the manifest
-	// committed on the spot because every chunk was already resident.
-	Negotiate(path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error)
-	// NegotiateWindow is Negotiate for a list that arrives in pieces: the
-	// digests of chunks first, first+1, ...; first == 0 registers the
-	// upload, later windows must continue it.
-	NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error)
+	// NegotiateWindow offers the digests of chunks first, first+1, ... of
+	// an image and returns the indices the store lacks among them: first
+	// == 0 registers the upload, later windows must continue it, and the
+	// window that completes the list reports committed=true if the
+	// manifest committed on the spot because every chunk was resident.
+	NegotiateWindow(path string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error)
 	// PutChunkAt stores one chunk-aligned piece of a negotiated upload.
 	PutChunkAt(path string, off int64, content blob.Blob) (simclock.Duration, error)
 	// CloseUpload commits the manifest if every chunk landed; otherwise
@@ -257,40 +255,22 @@ func (s *Service) AttachStore(node simnet.NodeID, cs ChunkStore) error {
 	return nil
 }
 
-// Negotiate runs the have/need round of a dedup-aware capture over the
-// image's whole digest list: it sends the list to the chunk store on
-// targetNode and returns the indices of the chunks the store lacks.
-// committed=true means the store already had every chunk and the manifest
-// committed without a single data byte moving. dur is the virtual
-// round-trip including the store's index scan.
-func (s *Service) Negotiate(localNode, targetNode simnet.NodeID, path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
-	return s.negotiate(localNode, targetNode, path,
-		&negotiateMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, Digests: digests})
-}
-
-// NegotiateWindow is the have/need round for one window of a digest list
-// that is still being computed: digests are those of chunks first,
-// first+1, ...; the answer covers only them. The window at first == 0
-// opens the upload, each later one must continue it, and committed=true
-// can only come back from the one that completes the list. A window that
-// is the whole list travels as Negotiate's message.
-func (s *Service) NegotiateWindow(localNode, targetNode simnet.NodeID, path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
-	if first == 0 && chunkBytes > 0 && int64(len(digests)) == (size+chunkBytes-1)/chunkBytes {
-		return s.Negotiate(localNode, targetNode, path, parent, size, chunkBytes, digests)
-	}
-	return s.negotiate(localNode, targetNode, path,
-		&windowMsg{Path: path, Parent: parent, Size: size, ChunkBytes: chunkBytes, First: first, Digests: digests})
-}
-
-// negotiate is the one-shot control round-trip both negotiation messages
-// ride.
-func (s *Service) negotiate(localNode, targetNode simnet.NodeID, path string, req msg) (need []int, committed bool, dur simclock.Duration, err error) {
+// NegotiateWindow runs one have/need round of a dedup-aware capture
+// against the chunk store on targetNode: digests are those of chunks
+// first, first+1, ... of the image, and the answer lists the indices among
+// them the store lacks. The window at first == 0 opens the upload (a
+// retry's window there is the whole list), each later one must continue
+// it, and committed=true — every chunk was already resident, so the
+// manifest committed without a data byte moving — can only come back from
+// the window that completes the list. dur is the virtual round-trip
+// including the store's index scan.
+func (s *Service) NegotiateWindow(localNode, targetNode simnet.NodeID, path string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
 	ep, err := s.net.Connect(localNode, scif.Addr{Node: targetNode, Port: Port})
 	if err != nil {
 		return nil, false, 0, err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot control round-trip; Recv already surfaced any peer error
-	sendDur, err := ep.Send(encode(req))
+	sendDur, err := ep.Send(encode(&windowMsg{Path: path, Size: size, ChunkBytes: chunkBytes, First: first, Digests: digests}))
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -298,7 +278,7 @@ func (s *Service) negotiate(localNode, targetNode simnet.NodeID, path string, re
 	if err != nil {
 		return nil, false, 0, err
 	}
-	resp, err := expect[*negotiateResp](raw, msgStoreNegotiateResp)
+	resp, err := expect[*negotiateResp](raw, msgStoreWindowResp)
 	if err != nil {
 		return nil, false, 0, err
 	}

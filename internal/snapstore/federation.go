@@ -293,9 +293,9 @@ func (s *ShipStats) add(o ShipStats) {
 
 // shipSnapshotLocked moves the store-resident snapshot at path from src to
 // dst, negotiating have/need against the destination store first: only
-// chunks dst lacks cross the link. The shipped manifest flattens the
-// delta chain (no parent at dst) but lists the identical chunk digests,
-// so restored content is byte-identical to the source.
+// chunks dst lacks cross the link. The shipped manifest lists the
+// identical chunk digests, so restored content is byte-identical to the
+// source.
 func (f *Federation) shipSnapshotLocked(src, dst, path string) (ShipStats, simclock.Duration, error) {
 	var stats ShipStats
 	srcStore, err := f.storeLocked(src)
@@ -627,9 +627,7 @@ func (f *Federation) DropDir(dir string) error {
 	for _, name := range f.aliveLocked() {
 		st := f.members[name]
 		for _, p := range st.List() {
-			// A release cascades up a delta chain, so a parent listed
-			// later may already be gone.
-			if strings.HasPrefix(p, prefix) && st.Has(p) {
+			if strings.HasPrefix(p, prefix) {
 				if _, err := st.Release(p); err != nil {
 					return fmt.Errorf("snapstore: dropping %s on %s: %w", p, name, err)
 				}

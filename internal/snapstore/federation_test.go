@@ -50,7 +50,7 @@ func (fe *fedEnv) seedDir(t *testing.T, name, dir string, seed byte, n int64) bl
 	if _, err := e.fs.WriteFile(dir+"/context_host", testContent(seed+100, 512)); err != nil {
 		t.Fatalf("seed plain file: %v", err)
 	}
-	putAll(t, e, dir+"/ctx", "", content, 1024)
+	putAll(t, e, dir+"/ctx", content, 1024)
 	return content
 }
 
@@ -73,7 +73,7 @@ func (fe *fedEnv) assertFsckClean(t *testing.T) {
 func TestFederationShipDedup(t *testing.T) {
 	fe := newFedEnv(t, 2)
 	content := testContent(1, 8*1024)
-	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", content, 1024)
 
 	s1, _, err := fe.fed.ShipDir("h0", "h1", "/snap/a")
 	if err != nil {
@@ -85,7 +85,7 @@ func TestFederationShipDedup(t *testing.T) {
 
 	// A similar image: one chunk differs.
 	similar := blob.Concat(testContent(99, 1024), content.Slice(1024, 7*1024))
-	putAll(t, fe.hosts["h0"], "/snap/b/ctx", "", similar, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/b/ctx", similar, 1024)
 	s2, _, err := fe.fed.ShipDir("h0", "h1", "/snap/b")
 	if err != nil {
 		t.Fatalf("second ship: %v", err)
@@ -264,7 +264,7 @@ func TestFederationDropDir(t *testing.T) {
 // killed member.
 func TestFederationDeadHostRefused(t *testing.T) {
 	fe := newFedEnv(t, 2)
-	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", testContent(5, 1024), 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", testContent(5, 1024), 1024)
 	if err := fe.fed.KillHost("h1"); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestFederationDeadHostRefused(t *testing.T) {
 func TestChaosFederationDestCrashMidNegotiate(t *testing.T) {
 	fe := newFedEnv(t, 3)
 	content := testContent(6, 4*1024)
-	putAll(t, fe.hosts["h0"], "/snap/a/ctx", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/a/ctx", content, 1024)
 
 	fe.arm(faultinject.Plan{{Site: faultinject.SiteFederation, Key: "negotiate", Kind: faultinject.Crash}})
 	_, _, err := fe.fed.ShipDir("h0", "h1", "/snap/a")
@@ -445,8 +445,8 @@ func TestFederationPerPairLinks(t *testing.T) {
 	}
 
 	content := testContent(3, 8*1024)
-	putAll(t, fe.hosts["h0"], "/snap/fast/ctx", "", content, 1024)
-	putAll(t, fe.hosts["h0"], "/snap/slow/ctx", "", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/fast/ctx", content, 1024)
+	putAll(t, fe.hosts["h0"], "/snap/slow/ctx", content, 1024)
 	_, fastDur, err := fe.fed.ShipDir("h0", "h1", "/snap/fast")
 	if err != nil {
 		t.Fatalf("fast ship: %v", err)

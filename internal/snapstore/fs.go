@@ -12,7 +12,7 @@ import (
 // committed manifest assemble the snapshot from store chunks; every
 // other operation passes through. Mounting this as the host daemon's
 // file system makes the file read path — striped parallel restores,
-// delta-chain reads, size probes, any plain Snapify-IO read — work
+// size probes, any plain Snapify-IO read — work
 // unchanged against store-resident snapshots. (A one-stream swap-in and a
 // migration's staging pull chunks over Snapify-IO's store-mode read stream
 // instead, which serves chunk indices rather than byte ranges.)

@@ -10,16 +10,16 @@ import (
 // The decoder is the store's parsing surface for data read back off the
 // host VFS (and, with federation, off the wire from a peer), so it must
 // reject malformed documents with an error — never panic — and any
-// document it accepts must satisfy the store's geometry invariant and
-// survive a re-encode round trip unchanged.
+// document it accepts must have a positive chunk size and a non-negative
+// size, satisfy the store's geometry invariant and survive a re-encode
+// round trip unchanged.
 func FuzzDecodeManifest(f *testing.F) {
-	valid := &Manifest{Path: "/snap/job0/context", Size: 100, ChunkBytes: 64, Refs: 1,
+	valid := &Manifest{Path: "/snap/job0/context", Size: 100, ChunkBytes: 64,
 		Chunks: []string{"aa", "bb"}}
-	child := &Manifest{Path: "/snap/job0/buf0", Size: 64, ChunkBytes: 64,
-		Parent: "/snap/job0/context", Refs: 2, Chunks: []string{"cc"}}
-	empty := &Manifest{Path: "/snap/empty", Size: 0, ChunkBytes: 64, Refs: 1}
+	single := &Manifest{Path: "/snap/job0/buf0", Size: 64, ChunkBytes: 64, Chunks: []string{"cc"}}
+	empty := &Manifest{Path: "/snap/empty", Size: 0, ChunkBytes: 64}
 	f.Add(valid.encode().Bytes())
-	f.Add(child.encode().Bytes())
+	f.Add(single.encode().Bytes())
 	f.Add(empty.encode().Bytes())
 	f.Add([]byte(`{"path":"/x","size":100,"chunk_bytes":64,"refs":1,"chunks":["aa"]}`)) // count mismatch
 	f.Add([]byte(`{"path":"/x","size":100,"chunk_b`))                                   // truncated
@@ -30,6 +30,9 @@ func FuzzDecodeManifest(f *testing.F) {
 		m, err := decodeManifest(blob.FromBytes(data))
 		if err != nil {
 			return // rejected input: the only requirement is "no panic"
+		}
+		if m.ChunkBytes <= 0 || m.Size < 0 {
+			t.Fatalf("accepted manifest with size %d in %d-byte chunks", m.Size, m.ChunkBytes)
 		}
 		if got, want := len(m.Chunks), chunkCount(m.Size, m.ChunkBytes); got != want {
 			t.Fatalf("accepted manifest with %d chunks, geometry wants %d (size %d, chunk %d)",
@@ -42,7 +45,7 @@ func FuzzDecodeManifest(f *testing.F) {
 			t.Fatalf("re-decoding an accepted manifest failed: %v", err)
 		}
 		if back.Path != m.Path || back.Size != m.Size || back.ChunkBytes != m.ChunkBytes ||
-			back.Parent != m.Parent || back.Refs != m.Refs || len(back.Chunks) != len(m.Chunks) {
+			len(back.Chunks) != len(m.Chunks) {
 			t.Fatalf("round trip changed the manifest: %+v -> %+v", m, back)
 		}
 		for i := range m.Chunks {

@@ -2,7 +2,6 @@ package snapstore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"snapify/internal/faultinject"
@@ -84,10 +83,9 @@ func (st *Store) GC(at simclock.Duration) (GCStats, simclock.Duration, error) {
 }
 
 // Verify is the store's fsck. It re-digests every chunk against its
-// name, decodes every manifest, and checks the reference graph:
-// referenced chunks exist, parents exist, and every refcount is at
-// least one-for-the-holder plus one per child. It returns a description
-// of each problem found (empty means clean).
+// name, decodes every manifest, and checks that every chunk a manifest
+// references exists. It returns a description of each problem found
+// (empty means clean).
 func (st *Store) Verify() ([]string, simclock.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -105,8 +103,6 @@ func (st *Store) Verify() ([]string, simclock.Duration) {
 			problems = append(problems, fmt.Sprintf("chunk %s: content digests to %s", cp, got))
 		}
 	}
-	children := make(map[string]int64)
-	manifests := make(map[string]*Manifest)
 	for _, mp := range st.fs.List(ManifestPrefix) {
 		if strings.HasSuffix(mp, TmpSuffix) {
 			problems = append(problems, fmt.Sprintf("stale temp manifest %s (crashed commit; run gc)", mp))
@@ -124,30 +120,10 @@ func (st *Store) Verify() ([]string, simclock.Duration) {
 			continue
 		}
 		path := strings.TrimPrefix(mp, ManifestPrefix)
-		manifests[path] = m
-		if m.Parent != "" {
-			children[m.Parent]++
-		}
 		for i, dg := range m.Chunks {
 			if !st.fs.Exists(chunkPath(dg)) {
 				problems = append(problems, fmt.Sprintf("manifest %s: chunk %d (%s) missing", path, i, dg[:12]))
 			}
-		}
-	}
-	paths := make([]string, 0, len(manifests))
-	for path := range manifests {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		m := manifests[path]
-		if m.Parent != "" {
-			if _, ok := manifests[m.Parent]; !ok {
-				problems = append(problems, fmt.Sprintf("manifest %s: parent %s missing (dangling delta chain)", path, m.Parent))
-			}
-		}
-		if min := 1 + children[path]; m.Refs < min {
-			problems = append(problems, fmt.Sprintf("manifest %s: refs %d below %d (1 holder + %d children)", path, m.Refs, min, children[path]))
 		}
 	}
 	return problems, dur

@@ -29,17 +29,13 @@ const (
 	TmpSuffix = ".tmp"
 )
 
-// Manifest records one stored snapshot: its logical geometry and the
-// ordered chunk digests that reassemble it. Refs counts holders — one
-// for the snapshot itself while registered, plus one per child manifest
-// whose delta chain passes through this one — so GC can drop a base the
-// moment its last delta is released, and not a moment earlier.
+// Manifest records one stored snapshot: the logical geometry of a whole
+// context image and the ordered chunk digests that reassemble it. Its one
+// holder is the snapshot itself; Release removes it.
 type Manifest struct {
 	Path       string   `json:"path"`
 	Size       int64    `json:"size"`
 	ChunkBytes int64    `json:"chunk_bytes"`
-	Parent     string   `json:"parent,omitempty"`
-	Refs       int64    `json:"refs"`
 	Chunks     []string `json:"chunks"`
 }
 
@@ -74,6 +70,9 @@ func decodeManifest(b blob.Blob) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(b.Bytes(), &m); err != nil {
 		return nil, fmt.Errorf("snapstore: decoding manifest: %w", err)
+	}
+	if m.ChunkBytes <= 0 || m.Size < 0 {
+		return nil, fmt.Errorf("snapstore: manifest %s: bad geometry size=%d chunk_bytes=%d", m.Path, m.Size, m.ChunkBytes)
 	}
 	if got, want := len(m.Chunks), chunkCount(m.Size, m.ChunkBytes); got != want {
 		return nil, fmt.Errorf("snapstore: manifest %s: %d chunks for %d bytes in %d-byte chunks (want %d)",

@@ -3,12 +3,12 @@
 //
 // Snapshot images are split into fixed-size chunks keyed by SHA-256 and
 // stored once; per-snapshot manifests list the chunk digests that
-// reassemble the image, carry a refcount, and link to a delta chain's
-// parent manifest. The capture data path negotiates a have/need chunk
-// set before streaming (Snapify-IO msgStoreNegotiate) and ships only
-// the chunks the store lacks — the dedup that makes repeated swap-out
-// of a mostly-unchanged offload process cheap, the same redundancy the
-// paper's delta checkpoints (§4.4) exploit at page granularity.
+// reassemble one whole context image. The capture data path negotiates a
+// have/need chunk set window by window while it streams (Snapify-IO
+// msgStoreWindow) and ships only the chunks the store lacks — the dedup
+// that makes repeated swap-out of a mostly-unchanged offload process
+// cheap: an unchanged chunk costs a digest, never a byte. Delta files
+// are plain files; the store holds no delta chains.
 //
 // Consistency contract: a manifest is committed atomically
 // (temp-then-final write; a crash in between leaves the snapshot
@@ -64,7 +64,6 @@ type Store struct {
 // reclaim a chunk the writer was told the store already has.
 type upload struct {
 	path       string // normalized snapshot path
-	parent     string // normalized parent snapshot path, or ""
 	size       int64
 	chunkBytes int64
 	digests    []string // chunks 0..len-1, as the windows so far declared them
@@ -141,17 +140,21 @@ var ErrBadWindow = errors.New("snapstore: window does not continue the upload")
 
 // Negotiate registers a dedup upload for the snapshot at path from its
 // whole digest list at once and returns which chunk indices the store
-// lacks: the one-window case of NegotiateWindow, and what a retry after a
-// crash (the writer knows the full list by then) and Federation.ShipDir
-// use. If nothing is missing the manifest commits immediately (committed
-// reports this) and no data streams at all.
+// lacks: the one-window case of NegotiateWindow, which Federation.ShipDir
+// uses. If nothing is missing the manifest commits immediately (committed
+// reports this) and no data streams at all. The store holds whole images
+// only, so parent must be empty; the argument survives for existing
+// callers.
 func (st *Store) Negotiate(path, parent string, size, chunkBytes int64, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
+	if parent != "" {
+		return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: the store holds whole images; parent %s names a delta chain", path, parent)
+	}
 	if size >= 0 && chunkBytes > 0 {
 		if want := chunkCount(size, chunkBytes); len(digests) != want {
 			return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: %d digests for %d bytes in %d-byte chunks (want %d)", path, len(digests), size, chunkBytes, want)
 		}
 	}
-	return st.NegotiateWindow(path, parent, size, chunkBytes, 0, digests)
+	return st.NegotiateWindow(path, size, chunkBytes, 0, digests)
 }
 
 // NegotiateWindow offers the store the digests of chunks first,
@@ -161,15 +164,14 @@ func (st *Store) Negotiate(path, parent string, size, chunkBytes int64, digests 
 // first == 0 opens the upload — replacing a pending one for the path, the
 // retry path after a mid-upload crash: chunks already shipped are found
 // and drop out of the need set — and each later window must continue
-// exactly where the last ended, under the same geometry and parent
-// (ErrBadWindow otherwise). parent, if nonempty, names the snapshot whose
-// manifest this one's delta chain extends and must already be committed.
-// When the window that completes the list finds that no window had a chunk
-// missing, the manifest commits on the spot (committed reports this) and
-// no stream ever opens; otherwise it commits when the stream that brought
-// the last missing chunk closes — never in between, so the outcome does
-// not depend on how far the shipping has got when a window arrives.
-func (st *Store) NegotiateWindow(path, parent string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
+// exactly where the last ended, under the same geometry (ErrBadWindow
+// otherwise). When the window that completes the list finds that no
+// window had a chunk missing, the manifest commits on the spot (committed
+// reports this) and no stream ever opens; otherwise it commits when the
+// stream that brought the last missing chunk closes — never in between, so
+// the outcome does not depend on how far the shipping has got when a
+// window arrives.
+func (st *Store) NegotiateWindow(path string, size, chunkBytes int64, first int, digests []string) (need []int, committed bool, dur simclock.Duration, err error) {
 	if size < 0 || chunkBytes <= 0 {
 		return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: bad geometry size=%d chunkBytes=%d", path, size, chunkBytes)
 	}
@@ -179,28 +181,17 @@ func (st *Store) NegotiateWindow(path, parent string, size, chunkBytes int64, fi
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	path = normPath(path)
-	if parent != "" {
-		parent = normPath(parent)
-	}
 	up := st.uploads[path]
 	if first > 0 {
 		if up == nil || up.committed {
 			return nil, false, 0, fmt.Errorf("%w: %s: no upload open for chunk %d", ErrBadWindow, path, first)
 		}
-		if up.size != size || up.chunkBytes != chunkBytes || up.parent != parent || first != len(up.digests) {
-			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d of %d bytes in %d-byte chunks under parent %q, upload is at chunk %d of %d in %d under %q",
-				ErrBadWindow, path, first, size, chunkBytes, parent, len(up.digests), up.size, up.chunkBytes, up.parent)
+		if up.size != size || up.chunkBytes != chunkBytes || first != len(up.digests) {
+			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d of %d bytes in %d-byte chunks, upload is at chunk %d of %d in %d",
+				ErrBadWindow, path, first, size, chunkBytes, len(up.digests), up.size, up.chunkBytes)
 		}
 	} else {
-		if parent != "" {
-			if !st.fs.Exists(manifestPath(parent)) {
-				return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: parent %s has no manifest", path, parent)
-			}
-			if parent == path {
-				return nil, false, 0, fmt.Errorf("snapstore: negotiate %s: snapshot cannot parent itself", path)
-			}
-		}
-		up = &upload{path: path, parent: parent, size: size, chunkBytes: chunkBytes, missing: make(map[string]bool)}
+		up = &upload{path: path, size: size, chunkBytes: chunkBytes, missing: make(map[string]bool)}
 		st.uploads[path] = up
 	}
 	for i, d := range digests {
@@ -356,33 +347,15 @@ func (st *Store) AbortAll() {
 }
 
 // commitLocked writes the manifest for a completed upload with the
-// temp-then-final dance and settles refcounts: a replaced manifest's
-// refs carry over (holders don't know the content changed), a replaced
-// parent link is released, a new parent link retained. Caller holds
-// st.mu.
+// temp-then-final dance; a manifest already at the path is replaced
+// whole. Caller holds st.mu.
 func (st *Store) commitLocked(up *upload) (simclock.Duration, error) {
 	mp := manifestPath(up.path)
-	var old *Manifest
-	if st.fs.Exists(mp) {
-		b, d, err := st.fs.ReadFile(mp)
-		if err != nil {
-			return d, err
-		}
-		old, err = decodeManifest(b)
-		if err != nil {
-			return d, err
-		}
-	}
 	m := &Manifest{
 		Path:       up.path,
 		Size:       up.size,
 		ChunkBytes: up.chunkBytes,
-		Parent:     up.parent,
-		Refs:       1,
 		Chunks:     append([]string(nil), up.digests...),
-	}
-	if old != nil {
-		m.Refs = old.Refs
 	}
 	dur, err := st.fs.WriteFile(mp+TmpSuffix, m.encode())
 	if err != nil {
@@ -402,80 +375,16 @@ func (st *Store) commitLocked(up *upload) (simclock.Duration, error) {
 	if err := st.fs.Remove(mp + TmpSuffix); err != nil {
 		return dur, err
 	}
-	if old == nil || old.Parent != m.Parent {
-		if m.Parent != "" {
-			d, err := st.retainLocked(m.Parent)
-			dur += d
-			if err != nil {
-				return dur, err
-			}
-		}
-		if old != nil && old.Parent != "" {
-			d, err := st.releaseLocked(old.Parent)
-			dur += d
-			if err != nil {
-				return dur, err
-			}
-		}
-	}
 	up.committed = true
 	st.commits.Inc()
 	st.bytesLogical.Add(up.size)
 	return dur, nil
 }
 
-// writeManifestLocked rewrites an existing manifest (refcount changes)
-// with the same temp-then-final discipline as a commit.
-func (st *Store) writeManifestLocked(m *Manifest) (simclock.Duration, error) {
-	mp := manifestPath(m.Path)
-	dur, err := st.fs.WriteFile(mp+TmpSuffix, m.encode())
-	if err != nil {
-		return dur, err
-	}
-	d, err := st.fs.WriteFile(mp, m.encode())
-	dur += d
-	if err != nil {
-		return dur, err
-	}
-	return dur, st.fs.Remove(mp + TmpSuffix)
-}
-
-// retainLocked bumps the refcount of the manifest at path.
-func (st *Store) retainLocked(path string) (simclock.Duration, error) {
-	m, dur, err := st.manifestLocked(path)
-	if err != nil {
-		return dur, err
-	}
-	m.Refs++
-	d, err := st.writeManifestLocked(m)
-	return dur + d, err
-}
-
-// releaseLocked drops one reference from the manifest at path, deleting
-// it (and cascading up its delta chain) at zero. Chunks are left for GC.
-func (st *Store) releaseLocked(path string) (simclock.Duration, error) {
-	m, dur, err := st.manifestLocked(path)
-	if err != nil {
-		return dur, err
-	}
-	m.Refs--
-	if m.Refs > 0 {
-		d, err := st.writeManifestLocked(m)
-		return dur + d, err
-	}
-	if err := st.fs.Remove(manifestPath(path)); err != nil {
-		return dur, err
-	}
-	if m.Parent != "" {
-		d, err := st.releaseLocked(m.Parent)
-		return dur + d, err
-	}
-	return dur, nil
-}
-
-// Release drops one reference from the snapshot at path — the owner no
-// longer wants it. At refcount zero the manifest disappears (parents
-// cascade) and the next GC reclaims any chunks nothing else references.
+// Release removes the committed manifest of the snapshot at path — the
+// owner no longer wants it — charging one metadata operation; the next GC
+// reclaims any chunks nothing else references. Releasing a path with no
+// committed manifest is an error.
 func (st *Store) Release(path string) (simclock.Duration, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -485,7 +394,7 @@ func (st *Store) Release(path string) (simclock.Duration, error) {
 	if up := st.uploads[p]; up != nil && up.committed {
 		delete(st.uploads, p)
 	}
-	return st.releaseLocked(p)
+	return st.model.HostFSOpLatency, st.fs.Remove(manifestPath(p))
 }
 
 // manifestLocked reads and decodes the manifest for the snapshot at

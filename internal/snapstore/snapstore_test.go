@@ -46,10 +46,10 @@ func testContent(seed byte, n int64) blob.Blob {
 
 // putAll drives the full writer protocol: negotiate, ship every needed
 // chunk, close. It returns how many chunks the store asked for.
-func putAll(t *testing.T, e *env, path, parent string, content blob.Blob, chunkBytes int64) int {
+func putAll(t *testing.T, e *env, path string, content blob.Blob, chunkBytes int64) int {
 	t.Helper()
 	digests := ChunkDigests(content, chunkBytes)
-	need, committed, _, err := e.st.Negotiate(path, parent, content.Len(), chunkBytes, digests)
+	need, committed, _, err := e.st.Negotiate(path, "", content.Len(), chunkBytes, digests)
 	if err != nil {
 		t.Fatalf("negotiate %s: %v", path, err)
 	}
@@ -99,7 +99,7 @@ func TestUploadCommitAndCrossSnapshotDedup(t *testing.T) {
 	const chunk = 4096
 	content := testContent(1, 4*chunk+100) // 5 chunks, last one short
 
-	if got := putAll(t, e, "/snap/a/ctx", "", content, chunk); got != 5 {
+	if got := putAll(t, e, "/snap/a/ctx", content, chunk); got != 5 {
 		t.Fatalf("cold upload shipped %d chunks, want 5", got)
 	}
 	if !e.st.Has("/snap/a/ctx") {
@@ -107,7 +107,7 @@ func TestUploadCommitAndCrossSnapshotDedup(t *testing.T) {
 	}
 	// Same content under a second path: the negotiation finds every chunk
 	// resident and commits without a single put.
-	if got := putAll(t, e, "/snap/b/ctx", "", content, chunk); got != 0 {
+	if got := putAll(t, e, "/snap/b/ctx", content, chunk); got != 0 {
 		t.Fatalf("identical re-upload shipped %d chunks, want 0", got)
 	}
 	s := e.st.Stats()
@@ -132,7 +132,7 @@ func TestReadChunkIsOneHostFileRead(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 1024
 	content := testContent(3, 4*chunk)
-	putAll(t, e, "/snap/a", "", content, chunk)
+	putAll(t, e, "/snap/a", content, chunk)
 	for i, d := range ChunkDigests(content, chunk) {
 		for range 2 {
 			b, dur, err := e.st.ReadChunk(d)
@@ -188,7 +188,7 @@ func TestPutChunkVerifiesDigestAndAlignment(t *testing.T) {
 	}
 }
 
-func TestNegotiateRejectsBadGeometryAndParent(t *testing.T) {
+func TestNegotiateRejectsBadGeometry(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096
 	content := testContent(3, 2*chunk)
@@ -199,59 +199,47 @@ func TestNegotiateRejectsBadGeometryAndParent(t *testing.T) {
 	if _, _, _, err := e.st.Negotiate("/snap/g", "", content.Len(), chunk, digests[:1]); err == nil {
 		t.Fatal("digest count mismatch accepted")
 	}
-	if _, _, _, err := e.st.Negotiate("/snap/g", "/snap/noparent", content.Len(), chunk, digests); err == nil {
-		t.Fatal("missing parent accepted")
+}
+
+// The store holds whole images: Negotiate keeps its parent argument for
+// existing callers but refuses any parent, and opens no upload for it.
+func TestNegotiateRefusesParent(t *testing.T) {
+	e := newEnv(t)
+	const chunk = 4096
+	content := testContent(3, 2*chunk)
+	putAll(t, e, "/snap/base/ctx", content, chunk)
+	if _, _, _, err := e.st.Negotiate("/snap/d/ctx", "/snap/base/ctx", content.Len(), chunk, ChunkDigests(content, chunk)); err == nil {
+		t.Fatal("negotiation under a parent accepted")
 	}
-	if _, _, _, err := e.st.Negotiate("/snap/g", "/snap/g", content.Len(), chunk, digests); err == nil {
-		t.Fatal("self-parent accepted")
+	if n := e.st.PendingUploads(); n != 0 || e.st.Has("/snap/d/ctx") {
+		t.Fatalf("refused negotiation left %d pending uploads, manifest present %v", n, e.st.Has("/snap/d/ctx"))
 	}
 }
 
-func TestReleaseCascadesDeltaChain(t *testing.T) {
+// One Release removes a committed manifest; a second has nothing to
+// remove and errors. The store stays clean and GC takes it back to empty.
+func TestReleaseRemovesManifestOnce(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096
-	base := testContent(4, 3*chunk)
-	delta := testContent(5, 2*chunk)
-	putAll(t, e, "/snap/base/ctx", "", base, chunk)
-	putAll(t, e, "/snap/d1/delta", "/snap/base/ctx", delta, chunk)
-
-	m, _, err := e.st.Manifest("/snap/base/ctx")
-	if err != nil {
+	a, b := testContent(4, 3*chunk), testContent(5, 2*chunk)
+	putAll(t, e, "/snap/a/ctx", a, chunk)
+	putAll(t, e, "/snap/b/ctx", b, chunk)
+	if _, err := e.st.Release("/snap/a/ctx"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Refs != 2 {
-		t.Fatalf("base refs %d, want 2 (holder + child)", m.Refs)
+	if e.st.Has("/snap/a/ctx") || !e.st.Has("/snap/b/ctx") {
+		t.Fatalf("after one release: a present %v, b present %v; want false, true", e.st.Has("/snap/a/ctx"), e.st.Has("/snap/b/ctx"))
 	}
-	dm, _, err := e.st.Manifest("/snap/d1/delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dm.Parent != "/snap/base/ctx" || dm.Refs != 1 {
-		t.Fatalf("delta manifest: %+v", dm)
+	if _, err := e.st.Release("/snap/a/ctx"); err == nil {
+		t.Fatal("second release of the same snapshot succeeded")
 	}
 	if problems, _ := e.st.Verify(); len(problems) != 0 {
-		t.Fatalf("verify: %v", problems)
+		t.Fatalf("verify after release: %v", problems)
 	}
-
-	// Releasing the delta cascades one reference off the base.
-	if _, err := e.st.Release("/snap/d1/delta"); err != nil {
+	if _, err := e.st.Release("/snap/b/ctx"); err != nil {
 		t.Fatal(err)
 	}
-	if e.st.Has("/snap/d1/delta") {
-		t.Fatal("released delta manifest still present")
-	}
-	m, _, err = e.st.Manifest("/snap/base/ctx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Refs != 1 {
-		t.Fatalf("base refs %d after delta release, want 1", m.Refs)
-	}
-	if _, err := e.st.Release("/snap/base/ctx"); err != nil {
-		t.Fatal(err)
-	}
-	s := e.st.Stats()
-	if s.Manifests != 0 || s.ReclaimableChunks != 5 {
+	if s := e.st.Stats(); s.Manifests != 0 || s.ReclaimableChunks != 5 {
 		t.Fatalf("stats after release-all: %+v", s)
 	}
 	gs, _, err := e.st.GC(0)
@@ -260,6 +248,31 @@ func TestReleaseCascadesDeltaChain(t *testing.T) {
 	}
 	if gs.ChunksReclaimed != 5 || e.st.Stats().Chunks != 0 {
 		t.Fatalf("gc after release-all: %+v, stats %+v", gs, e.st.Stats())
+	}
+	if problems, _ := e.st.Verify(); len(problems) != 0 {
+		t.Fatalf("verify after gc: %v", problems)
+	}
+}
+
+// A manifest whose geometry has no chunks to offer — chunk_bytes ≤ 0, or
+// a negative size — is refused when the overlay opens the snapshot, not
+// handed to a reader that would divide by zero or index past its chunk
+// list on the first Next.
+func TestOverlayRefusesManifestWithBadGeometry(t *testing.T) {
+	for _, doc := range []string{
+		`{"path":"/snap/bad/ctx","size":100,"chunk_bytes":0,"chunks":[]}`,
+		`{"path":"/snap/bad/ctx","size":100,"chunk_bytes":-64,"chunks":[]}`,
+		`{"path":"/snap/bad/ctx","size":-5,"chunk_bytes":64,"chunks":[]}`,
+	} {
+		e := newEnv(t)
+		if _, err := e.fs.WriteFile(manifestPath("/snap/bad/ctx"), blob.FromBytes([]byte(doc))); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Overlay(e.st, vfs.Host(e.fs)).Open("/snap/bad/ctx")
+		if err == nil {
+			_, _, err = r.Next(4096)
+			t.Errorf("%s: opened (first Next: %v), want a decode error", doc, err)
+		}
 	}
 }
 
@@ -300,7 +313,7 @@ func TestCommittedUploadDoesNotPinChunks(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096
 	content := testContent(7, 3*chunk)
-	putAll(t, e, "/snap/lin/ctx", "", content, chunk)
+	putAll(t, e, "/snap/lin/ctx", content, chunk)
 	// A late close replay still reports committed.
 	committed, _, err := e.st.CloseUpload("/snap/lin/ctx")
 	if err != nil || !committed {
@@ -405,7 +418,7 @@ func TestCommitCrashLeavesSnapshotAbsentAndGCRecovers(t *testing.T) {
 		t.Fatalf("store inconsistent after recovery gc: %v", problems)
 	}
 	// The retry path works: a fresh upload of the same snapshot commits.
-	putAll(t, e, "/snap/cc", "", content, chunk)
+	putAll(t, e, "/snap/cc", content, chunk)
 	if got := readAll(t, e, "/snap/cc"); !blob.Equal(got, content) {
 		t.Fatal("post-recovery upload does not reassemble byte-identical")
 	}
@@ -415,7 +428,7 @@ func TestGCCrashIsResumable(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096
 	content := testContent(10, 4*chunk)
-	putAll(t, e, "/snap/gcc/ctx", "", content, chunk)
+	putAll(t, e, "/snap/gcc/ctx", content, chunk)
 	if _, err := e.st.Release("/snap/gcc/ctx"); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +458,7 @@ func TestVerifyDetectsCorruptionAndMissingChunks(t *testing.T) {
 	const chunk = 4096
 	content := testContent(11, 2*chunk)
 	digests := ChunkDigests(content, chunk)
-	putAll(t, e, "/snap/v/ctx", "", content, chunk)
+	putAll(t, e, "/snap/v/ctx", content, chunk)
 	if problems, _ := e.st.Verify(); len(problems) != 0 {
 		t.Fatalf("clean store flagged: %v", problems)
 	}
@@ -477,7 +490,7 @@ func TestOverlayRangeAndPassthroughReads(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096
 	content := testContent(13, 3*chunk+200)
-	putAll(t, e, "/snap/o/ctx", "", content, chunk)
+	putAll(t, e, "/snap/o/ctx", content, chunk)
 	fs := Overlay(e.st, vfs.Host(e.fs))
 
 	if got := readAll(t, e, "/snap/o/ctx"); !blob.Equal(got, content) {
@@ -589,7 +602,7 @@ func TestNegotiateWindowsAddUpToTheWholeList(t *testing.T) {
 	var gotNeed []int
 	for first := 0; first < len(digests); first += 3 {
 		end := min(first+3, len(digests))
-		need, committed, _, err := e.st.NegotiateWindow("/snap/w", "", content.Len(), chunk, first, digests[first:end])
+		need, committed, _, err := e.st.NegotiateWindow("/snap/w", content.Len(), chunk, first, digests[first:end])
 		if err != nil || committed {
 			t.Fatalf("window at %d: committed=%v err=%v", first, committed, err)
 		}
@@ -632,7 +645,7 @@ func TestNegotiateWindowsAddUpToTheWholeList(t *testing.T) {
 	// window that completes the list commits on the spot — and only that one.
 	for first := 0; first < len(digests); first += 3 {
 		end := min(first+3, len(digests))
-		need, committed, _, err := e.st.NegotiateWindow("/snap/w2", "", content.Len(), chunk, first, digests[first:end])
+		need, committed, _, err := e.st.NegotiateWindow("/snap/w2", content.Len(), chunk, first, digests[first:end])
 		if err != nil || len(need) != 0 || committed != (end == len(digests)) {
 			t.Fatalf("resident window at %d: need=%v committed=%v err=%v", first, need, committed, err)
 		}
@@ -655,7 +668,7 @@ func TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload(t *testing.T) {
 	size := content.Len()
 	refused := func(what string, path string, size, chunkBytes int64, first int, digests []string) {
 		t.Helper()
-		if _, _, _, err := e.st.NegotiateWindow(path, "", size, chunkBytes, first, digests); !errors.Is(err, ErrBadWindow) {
+		if _, _, _, err := e.st.NegotiateWindow(path, size, chunkBytes, first, digests); !errors.Is(err, ErrBadWindow) {
 			t.Errorf("%s: err = %v, want ErrBadWindow", what, err)
 		}
 	}
@@ -663,7 +676,7 @@ func TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload(t *testing.T) {
 	refused("first window past the geometry", "/snap/r", size, chunk, 0, append(d[:5:5], "extra"))
 	refused("negative first chunk", "/snap/r", size, chunk, -1, d[:1])
 
-	if _, _, _, err := e.st.NegotiateWindow("/snap/r", "", size, chunk, 0, d[:2]); err != nil {
+	if _, _, _, err := e.st.NegotiateWindow("/snap/r", size, chunk, 0, d[:2]); err != nil {
 		t.Fatal(err)
 	}
 	refused("gap", "/snap/r", size, chunk, 3, d[3:])
@@ -671,11 +684,8 @@ func TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload(t *testing.T) {
 	refused("past the geometry", "/snap/r", size, chunk, 2, append(d[2:5:5], "extra"))
 	refused("different size", "/snap/r", size-chunk, chunk, 2, d[2:4])
 	refused("different chunk size", "/snap/r", size, 2*chunk, 2, d[2:3])
-	if _, _, _, err := e.st.NegotiateWindow("/snap/r", "/snap/other", size, chunk, 2, d[2:]); !errors.Is(err, ErrBadWindow) {
-		t.Errorf("different parent: err = %v, want ErrBadWindow", err)
-	}
 	// None of that moved the upload: the window it is waiting for fits.
-	need, _, _, err := e.st.NegotiateWindow("/snap/r", "", size, chunk, 2, d[2:])
+	need, _, _, err := e.st.NegotiateWindow("/snap/r", size, chunk, 2, d[2:])
 	if err != nil || len(need) != 3 {
 		t.Fatalf("the continuing window: need=%v err=%v", need, err)
 	}
@@ -689,7 +699,7 @@ func TestNegotiateWindowRefusesWhatDoesNotContinueTheUpload(t *testing.T) {
 	}
 	refused("committed upload", "/snap/r", size, chunk, 5, nil)
 
-	if _, _, _, err := e.st.NegotiateWindow("/snap/gone", "", size, chunk, 0, d[:2]); err != nil {
+	if _, _, _, err := e.st.NegotiateWindow("/snap/gone", size, chunk, 0, d[:2]); err != nil {
 		t.Fatal(err)
 	}
 	e.st.AbortAll()

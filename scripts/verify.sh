@@ -75,11 +75,34 @@ echo "==> coverage floors (internal/snapstore, internal/core, internal/blcr, int
 # erosion, not on formatting-level churn. Raise a floor when coverage
 # grows; never lower one without a written justification in the PR.
 cover_fail=0
+specs="./internal/snapstore/:74.0 ./internal/core/:81.0 ./internal/blcr/:77.0 ./internal/coi/:65.0 ./internal/snapifyio/:77.3 ./internal/fleetd/:88.0 ./internal/experiments/:77.0 ./internal/blob/:90.4 ./internal/scif/:88.5 ./internal/workloads/:74.3"
+pkgs=
+for spec in $specs; do
+    pkgs="$pkgs ${spec%:*}"
+done
+# One go test over the ten packages, so they build and run side by side.
+# Each package's output is one block ending in its "ok" or "FAIL" line:
+# a passing package has its coverage on that line, a failing one on the
+# line before it. Test failures are the race step's to report; a package
+# that reports no coverage (it did not build) fails the floor below.
+report=$(go test -cover $pkgs 2>&1) || true
 printf '%-24s %10s %8s\n' "package" "coverage" "floor"
-for spec in "./internal/snapstore/:74.0" "./internal/core/:81.0" "./internal/blcr/:77.0" "./internal/coi/:65.0" "./internal/snapifyio/:77.3" "./internal/fleetd/:88.0" "./internal/experiments/:77.0" "./internal/blob/:90.4" "./internal/scif/:88.5" "./internal/workloads/:74.3"; do
+for spec in $specs; do
     pkg=${spec%:*}
     floor=${spec#*:}
-    pct=$(go test -cover "$pkg" | awk '{for (i=1;i<=NF;i++) if ($i ~ /%$/) {gsub(/%/,"",$i); print $i}}')
+    ip=snapify/${pkg#./}
+    pct=$(printf '%s\n' "$report" | awk -v ip="${ip%/}" '
+        $1 == "ok" || ($1 == "FAIL" && NF > 1) {
+            if ($2 == ip) {
+                for (i = 3; i <= NF; i++) if ($i ~ /%$/) cov = $i
+                sub(/%/, "", cov)
+                print cov
+                exit
+            }
+            cov = ""
+            next
+        }
+        $1 == "coverage:" { cov = $2 }')
     if [ -z "$pct" ]; then
         echo "coverage: no percentage reported for $pkg" >&2
         cover_fail=1
