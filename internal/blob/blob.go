@@ -98,6 +98,9 @@ func (b Blob) Slice(off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
+	if n == b.size {
+		return b // the whole blob: immutable, so the slice shares its extents
+	}
 	return Blob{extents: b.appendRange(nil, off, n), size: n}
 }
 

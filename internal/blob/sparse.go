@@ -82,9 +82,14 @@ func (s *Sparse) Slice(off, n int64) Blob {
 	if n == 0 {
 		return Blob{}
 	}
+	first := s.search(off)
+	if first < len(s.pieces) && s.pieces[first].off <= off && end <= s.pieces[first].end() {
+		p := s.pieces[first] // the range lies inside one piece: slice it
+		return p.b.Slice(off-p.off, n)
+	}
 	var out []Extent
 	pos := off
-	for i := s.search(off); i < len(s.pieces) && s.pieces[i].off < end; i++ {
+	for i := first; i < len(s.pieces) && s.pieces[i].off < end; i++ {
 		p := s.pieces[i]
 		if p.off > pos {
 			out = append(out, Extent{Size: p.off - pos})

@@ -176,9 +176,11 @@ func (d *Daemon) handleConn(ep *scif.Endpoint) {
 		}
 		// Fault hook: a dropped request makes the daemon momentarily
 		// unreachable — the host gets a transient error reply it can retry
-		// on.
-		if f := d.plat.Net.Fabric().Injector().Fire(faultinject.SiteRequest, d.dev.Node.String()); f != nil && f.Kind == faultinject.Drop {
-			err = errors.New("injected fault: coi daemon unavailable")
+		// on. The node key is built only when a plan is armed.
+		if inj := d.plat.Net.Fabric().Injector(); inj != nil {
+			if f := inj.Fire(faultinject.SiteRequest, d.dev.Node.String()); f != nil && f.Kind == faultinject.Drop {
+				err = errors.New("injected fault: coi daemon unavailable")
+			}
 		}
 		var resp Message = &Empty{}
 		if err == nil {

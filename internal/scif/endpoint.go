@@ -18,7 +18,8 @@ type Endpoint struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  [][]byte // received-but-not-consumed messages, in order
+	queue  [][]byte // received messages, in order; queue[head:] are not consumed yet
+	head   int
 	qbytes int64
 	closed bool
 
@@ -72,22 +73,24 @@ func (e *Endpoint) Send(data []byte) (simclock.Duration, error) {
 	// (a link failure mid-message); Corrupt flips the framing byte so
 	// the receiver's decoder rejects the message (the analogue of a
 	// checksum failure); Truncate delivers only a prefix; Slow scales
-	// the virtual cost. Cost faults apply after delivery.
+	// the virtual cost. Cost faults apply after delivery. The link key
+	// is built only when a plan is armed.
 	slow := simclock.Duration(1)
-	if fault := e.net.fabric.Injector().Fire(faultinject.SiteSend,
-		faultinject.LinkKey(e.local.Node.String(), e.remote.Node.String())); fault != nil {
-		switch fault.Kind {
-		case faultinject.Drop:
-			_ = e.Close() //nolint:errcheck // simulating a link failure; the severed endpoint's close error is immaterial
-			return 0, ErrConnReset
-		case faultinject.Corrupt:
-			if len(cp) > 0 {
-				cp[0] ^= 0xFF
+	if inj := e.net.fabric.Injector(); inj != nil {
+		if fault := inj.Fire(faultinject.SiteSend, faultinject.LinkKey(e.local.Node.String(), e.remote.Node.String())); fault != nil {
+			switch fault.Kind {
+			case faultinject.Drop:
+				_ = e.Close() //nolint:errcheck // simulating a link failure; the severed endpoint's close error is immaterial
+				return 0, ErrConnReset
+			case faultinject.Corrupt:
+				if len(cp) > 0 {
+					cp[0] ^= 0xFF
+				}
+			case faultinject.Truncate:
+				cp = cp[:len(cp)/2]
+			case faultinject.Slow:
+				slow = simclock.Duration(fault.SlowFactor())
 			}
-		case faultinject.Truncate:
-			cp = cp[:len(cp)/2]
-		case faultinject.Slow:
-			slow = simclock.Duration(fault.SlowFactor())
 		}
 	}
 
@@ -96,8 +99,7 @@ func (e *Endpoint) Send(data []byte) (simclock.Duration, error) {
 		p.mu.Unlock()
 		return 0, ErrConnReset
 	}
-	p.queue = append(p.queue, cp)
-	p.qbytes += int64(len(cp))
+	p.push(cp)
 	p.cond.Signal()
 	p.mu.Unlock()
 	return slow * e.net.fabric.MsgCost(e.local.Node, e.remote.Node, int64(len(data))), nil
@@ -107,16 +109,14 @@ func (e *Endpoint) Send(data []byte) (simclock.Duration, error) {
 // virtual cost (the copy out of the kernel queue).
 func (e *Endpoint) Recv() ([]byte, simclock.Duration, error) {
 	e.mu.Lock()
-	for len(e.queue) == 0 && !e.closed {
+	for e.head == len(e.queue) && !e.closed {
 		e.cond.Wait()
 	}
-	if len(e.queue) == 0 { // closed and drained
+	if e.head == len(e.queue) { // closed and drained
 		e.mu.Unlock()
 		return nil, 0, ErrConnReset
 	}
-	msg := e.queue[0]
-	e.queue = e.queue[1:]
-	e.qbytes -= int64(len(msg))
+	msg := e.pop()
 	e.mu.Unlock()
 
 	m := e.net.fabric.Model()
@@ -133,7 +133,7 @@ func (e *Endpoint) Recv() ([]byte, simclock.Duration, error) {
 // queue is empty.
 func (e *Endpoint) TryRecv() (msg []byte, d simclock.Duration, ok bool, err error) {
 	e.mu.Lock()
-	if len(e.queue) == 0 {
+	if e.head == len(e.queue) {
 		closed := e.closed
 		e.mu.Unlock()
 		if closed {
@@ -141,11 +141,36 @@ func (e *Endpoint) TryRecv() (msg []byte, d simclock.Duration, ok bool, err erro
 		}
 		return nil, 0, false, nil
 	}
-	m := e.queue[0]
-	e.queue = e.queue[1:]
-	e.qbytes -= int64(len(m))
+	m := e.pop()
 	e.mu.Unlock()
 	return m, e.net.fabric.Model().HostMemcpy(int64(len(m))), true, nil
+}
+
+// push appends msg to the receive queue; e.mu is held. A full queue
+// first slides its unconsumed messages down over the consumed ones, so a
+// connection that never quite drains keeps reusing one backing array.
+func (e *Endpoint) push(msg []byte) {
+	if e.head > 0 && len(e.queue) == cap(e.queue) {
+		n := copy(e.queue, e.queue[e.head:])
+		clear(e.queue[n:])
+		e.queue, e.head = e.queue[:n], 0
+	}
+	e.queue = append(e.queue, msg)
+	e.qbytes += int64(len(msg))
+}
+
+// pop removes the oldest queued message, which must exist; e.mu is held.
+// Emptying the queue rewinds it, so steady send-receive traffic never
+// grows it.
+func (e *Endpoint) pop() []byte {
+	msg := e.queue[e.head]
+	e.queue[e.head] = nil
+	e.head++
+	if e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
+	}
+	e.qbytes -= int64(len(msg))
+	return msg
 }
 
 // QueuedBytes returns the bytes sent to this endpoint but not yet received.

@@ -6,14 +6,20 @@ import (
 	"snapify/internal/blob"
 	"snapify/internal/faultinject"
 	"snapify/internal/simclock"
+	"snapify/internal/simnet"
 )
 
 // rdmaFault consults the armed fault plan for a from->to RDMA transfer.
 // Drop severs the connection and reports ErrConnReset (the peer's next
 // operation sees the reset too); Slow returns a cost multiplier. Other
-// kinds are not expressible on the DMA path and are ignored.
-func (e *Endpoint) rdmaFault(from, to string) (simclock.Duration, error) {
-	fault := e.net.fabric.Injector().Fire(faultinject.SiteRDMA, faultinject.LinkKey(from, to))
+// kinds are not expressible on the DMA path and are ignored. The link key
+// is built only when a plan is armed.
+func (e *Endpoint) rdmaFault(from, to simnet.NodeID) (simclock.Duration, error) {
+	inj := e.net.fabric.Injector()
+	if inj == nil {
+		return 1, nil
+	}
+	fault := inj.Fire(faultinject.SiteRDMA, faultinject.LinkKey(from.String(), to.String()))
 	if fault == nil {
 		return 1, nil
 	}
@@ -155,7 +161,7 @@ func (e *Endpoint) lookupRemote(offset, n int64) (*Window, error) {
 // remoteOffset into arbitrary local memory (scif_vreadfrom). It returns the
 // virtual cost of the DMA.
 func (e *Endpoint) VReadFrom(local Memory, localOff, n, remoteOffset int64) (simclock.Duration, error) {
-	slow, err := e.rdmaFault(e.remote.Node.String(), e.local.Node.String())
+	slow, err := e.rdmaFault(e.remote.Node, e.local.Node)
 	if err != nil {
 		return 0, err
 	}
@@ -173,7 +179,7 @@ func (e *Endpoint) VReadFrom(local Memory, localOff, n, remoteOffset int64) (sim
 // VWriteTo copies n bytes from arbitrary local memory into the peer's
 // registered window at remoteOffset (scif_vwriteto).
 func (e *Endpoint) VWriteTo(local Memory, localOff, n, remoteOffset int64) (simclock.Duration, error) {
-	slow, err := e.rdmaFault(e.local.Node.String(), e.remote.Node.String())
+	slow, err := e.rdmaFault(e.local.Node, e.remote.Node)
 	if err != nil {
 		return 0, err
 	}

@@ -223,3 +223,41 @@ func benchRDMA(b *testing.B, write bool) {
 
 func BenchmarkVWriteTo(b *testing.B)  { benchRDMA(b, true) }
 func BenchmarkVReadFrom(b *testing.B) { benchRDMA(b, false) }
+
+// TestNilInjectorAllocs is the allocation gate of the fault hooks: with no
+// plan armed no fault key is built, so a message costs only the copy Send
+// queues, in either direction, and a direct RDMA allocates nothing.
+func TestNilInjectorAllocs(t *testing.T) {
+	r := newRDMARig(t)
+	card := r.host.peer
+	msg := make([]byte, 40)
+	roundTrip := func() {
+		if _, err := r.host.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := card.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := card.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.host.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, roundTrip); a != 2 {
+		t.Errorf("a message each way allocates %.0f objects, want 2 (the queued copies)", a)
+	}
+	var local Memory = Bytes(make([]byte, 4096)) // converted once: the conversion allocates
+	rdma := func() {
+		if _, err := r.host.VWriteTo(local, 0, local.Size(), r.win.Offset); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.host.VReadFrom(local, 0, local.Size(), r.win.Offset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, rdma); a != 0 {
+		t.Errorf("an RDMA write and read allocate %.0f objects, want 0", a)
+	}
+}

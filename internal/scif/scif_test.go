@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/faultinject"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 )
@@ -92,6 +93,35 @@ func TestSendRecvOrdering(t *testing.T) {
 	}
 	if s.QueuedBytes() != 0 || len(s.queue) != 0 {
 		t.Errorf("queue not drained: %d bytes, %d msgs", s.QueuedBytes(), len(s.queue))
+	}
+
+	// A receiver that keeps a backlog never empties the queue: order and
+	// byte count still hold, and the queue reuses one bounded array.
+	c, s = dial(t, n, 0, 1)
+	const backlog = 5
+	sent, got := 0, 0
+	for sent < 1000 {
+		if _, err := c.Send([]byte(fmt.Sprintf("msg-%04d", sent))); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		if sent-got <= backlog {
+			continue
+		}
+		msg, _, ok, err := s.TryRecv()
+		if err != nil || !ok {
+			t.Fatalf("TryRecv with %d queued: ok=%v err=%v", sent-got, ok, err)
+		}
+		if want := fmt.Sprintf("msg-%04d", got); string(msg) != want {
+			t.Fatalf("backlogged queue out of order: got %q want %q", msg, want)
+		}
+		got++
+		if q := s.QueuedBytes(); q != int64(backlog*len(msg)) {
+			t.Fatalf("queued %d bytes with %d messages of %d waiting", q, backlog, len(msg))
+		}
+	}
+	if c := cap(s.queue); c > 4*backlog {
+		t.Errorf("a backlog of %d grew the queue's array to %d", backlog, c)
 	}
 }
 
@@ -359,5 +389,52 @@ func TestRDMACostAccountedOnFabric(t *testing.T) {
 	c.VWriteTo(host, 0, 1<<20, w.Offset)
 	if got := n.Fabric().Traffic(0, 1) - before; got != 1<<20 {
 		t.Errorf("fabric traffic = %d, want %d", got, 1<<20)
+	}
+}
+
+// Each fault kind a plan arms at scif.send does what the failure model
+// says to the one message it hits: Drop severs the link, Corrupt flips
+// the type byte, Truncate delivers half, Slow scales the cost.
+func TestSendFaults(t *testing.T) {
+	msg := []byte("abcdefgh")
+	for _, c := range []struct {
+		kind faultinject.Kind
+		want string // delivered message; empty: none
+	}{
+		{faultinject.Drop, ""},
+		{faultinject.Corrupt, "\x9ebcdefgh"},
+		{faultinject.Truncate, "abcd"},
+		{faultinject.Slow, "abcdefgh"},
+	} {
+		t.Run(string(c.kind), func(t *testing.T) {
+			n := newTestNetwork(t, 1)
+			cl, sv := dial(t, n, 0, 1)
+			clean, err := cl.Send(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv.Recv()
+			n.Fabric().SetInjector(faultinject.New(faultinject.Plan{{Site: faultinject.SiteSend, Key: "host->mic0", Kind: c.kind, Factor: 3}}, nil))
+			d, err := cl.Send(msg)
+			if c.want == "" {
+				if !errors.Is(err, ErrConnReset) || !cl.closed || !sv.closed {
+					t.Fatalf("Drop: err %v, closed %v/%v; want ErrConnReset and both ends closed", err, cl.closed, sv.closed)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := sv.Recv(); err != nil || string(got) != c.want {
+				t.Fatalf("delivered %q (%v), want %q", got, err, c.want)
+			}
+			if want := clean; c.kind == faultinject.Slow {
+				if d != 3*want {
+					t.Fatalf("slowed send cost %v, want 3 × %v", d, want)
+				}
+			} else if d != want {
+				t.Fatalf("send cost %v, want %v", d, want)
+			}
+		})
 	}
 }

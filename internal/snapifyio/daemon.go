@@ -607,22 +607,28 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
 	for i := range staging {
 		staging[i] = newSlot(d.bufSize)
 	}
+	// The loop's message scratch and per-chunk messages (DESIGN.md §8).
+	var (
+		msgs codec
+		cr   chunkReady
+		ack  chunkAck
+	)
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {
 			sink.leave(false) // peer vanished mid-stream
 			return
 		}
-		m, err := decode(raw)
+		m, err := msgs.decode(raw, &cr)
 		if err != nil {
 			sink.leave(false) // truncated or corrupted request
 			return
 		}
 		switch m.kind() {
 		case msgChunkReady:
-			cr := m.(*chunkReady)
 			nack := func(text string) {
-				send(ep, &chunkAck{StreamID: open.StreamID, Slot: cr.Slot, Err: text})
+				ack = chunkAck{StreamID: open.StreamID, Slot: cr.Slot, Err: text}
+				msgs.send(ep, &ack) //nolint:errcheck // peer teardown is handled by Recv errors
 			}
 			// A request that breaks the stream's declaration is a peer
 			// bug, not a transport fault: refuse it and abort.
@@ -646,19 +652,20 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
 			// point: a Crash fault takes the whole daemon down (and
 			// back up, state wiped); chunk-level faults hit just this
 			// stream, keyed by its stripe offset.
-			inj := d.svc.net.Fabric().Injector()
-			if f := inj.Fire(faultinject.SiteDaemon, d.node.String()); f != nil && f.Kind == faultinject.Crash {
-				d.crash()
-				return
-			}
 			partial := false
-			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(st.Offset, 10)); f != nil {
-				switch f.Kind {
-				case faultinject.Drop:
-					sink.leave(false)
+			if inj := d.svc.net.Fabric().Injector(); inj != nil {
+				if f := inj.Fire(faultinject.SiteDaemon, d.node.String()); f != nil && f.Kind == faultinject.Crash {
+					d.crash()
 					return
-				case faultinject.PartialWrite:
-					partial = true
+				}
+				if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(st.Offset, 10)); f != nil {
+					switch f.Kind {
+					case faultinject.Drop:
+						sink.leave(false)
+						return
+					case faultinject.PartialWrite:
+						partial = true
+					}
 				}
 			}
 			// Drain the peer's registered buffer with scif_vreadfrom.
@@ -675,7 +682,8 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
 				sink.leave(!partial)
 				return
 			}
-			send(ep, &chunkAck{StreamID: open.StreamID, Slot: cr.Slot, RDMA: rdma, FSWrite: fsWrite})
+			ack = chunkAck{StreamID: open.StreamID, Slot: cr.Slot, RDMA: rdma, FSWrite: fsWrite}
+			msgs.send(ep, &ack) //nolint:errcheck // peer teardown is handled by Recv errors
 		case msgClose:
 			resp := &textMsg{Kind: msgCloseResp}
 			if err := sink.commit(); err != nil {
@@ -732,22 +740,27 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 	for i := range staging {
 		staging[i] = newSlot(d.bufSize)
 	}
+	// The loop's message scratch and per-chunk messages (DESIGN.md §8).
+	var (
+		msgs codec
+		pull pullMsg
+		here chunkHere
+	)
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {
 			return
 		}
-		m, err := decode(raw)
+		m, err := msgs.decode(raw, &pull)
 		if err != nil {
 			return // truncated or corrupted request
 		}
 		switch m.kind() {
 		case msgPull:
-			pull := m.(*pullMsg)
-			here := &chunkHere{StreamID: open.StreamID, Slot: pull.Slot}
+			here = chunkHere{StreamID: open.StreamID, Slot: pull.Slot}
 			nack := func(text string) {
 				here.Err = text
-				send(ep, here)
+				msgs.send(ep, &here) //nolint:errcheck // peer teardown is handled by Recv errors
 			}
 			if pull.StreamID != open.StreamID {
 				nack(fmt.Sprintf("pull for stream %d on stream %d", pull.StreamID, open.StreamID))
@@ -760,19 +773,20 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 			// The read path consults the same fault plan as the write
 			// path: restores face the same daemon crashes and chunk
 			// faults captures do.
-			inj := d.svc.net.Fabric().Injector()
-			if f := inj.Fire(faultinject.SiteDaemon, d.node.String()); f != nil && f.Kind == faultinject.Crash {
-				d.crash()
-				return
-			}
-			if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(open.Stripe.Offset, 10)); f != nil && f.Kind != faultinject.Slow {
-				nack("injected fault: chunk read failed")
-				return
+			if inj := d.svc.net.Fabric().Injector(); inj != nil {
+				if f := inj.Fire(faultinject.SiteDaemon, d.node.String()); f != nil && f.Kind == faultinject.Crash {
+					d.crash()
+					return
+				}
+				if f := inj.Fire(faultinject.SiteChunk, strconv.FormatInt(open.Stripe.Offset, 10)); f != nil && f.Kind != faultinject.Slow {
+					nack("injected fault: chunk read failed")
+					return
+				}
 			}
 			chunk, fsRead, err := fr.Next(d.bufSize)
 			if err == io.EOF {
-				send(ep, here) // N == 0: end of file
-				continue       // peer will close
+				msgs.send(ep, &here) //nolint:errcheck // N == 0: end of file; the peer will close
+				continue
 			}
 			if err != nil {
 				nack(err.Error())
@@ -785,7 +799,7 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 				return
 			}
 			here.N, here.FSRead, here.RDMA = chunk.Len(), fsRead, rdma
-			send(ep, here)
+			msgs.send(ep, &here) //nolint:errcheck // peer teardown is handled by Recv errors
 		case msgClose, msgAbort, msgDetach:
 			send(ep, &textMsg{Kind: msgCloseResp})
 			return
@@ -895,6 +909,7 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 		streamID: streamID,
 		release:  release,
 		fileOff:  -1,
+		sentLens: make([]int64, slots),
 		bytesCtr: mx.Counter("snapifyio_stream_bytes_total",
 			"Bytes streamed through Snapify-IO handles.", nodeL, modeL),
 		chunkHist: mx.Histogram("snapifyio_chunk_bytes",

@@ -37,6 +37,16 @@ type File struct {
 	streamID int64
 	release  func() // drops the stream's fabric flow
 
+	// The stream's message scratch and its per-chunk messages, reused
+	// chunk after chunk (DESIGN.md §8), and the stage costs the last
+	// WriteBlob, Flush or Next returned.
+	msgs   codec
+	ready  chunkReady
+	ack    chunkAck
+	pull   pullMsg
+	here   chunkHere
+	stages [3]simclock.Duration
+
 	// Per-stream metrics, resolved at open (all nil-safe no-ops when the
 	// service runs without observability).
 	bytesCtr  *obs.Counter
@@ -55,11 +65,13 @@ type File struct {
 	stripeEnd int64
 
 	// Acknowledgement watermark: lengths of in-flight chunks in send
-	// order, and the bytes durably written by the remote daemon so far.
-	// Acks arrive in send order and a chunk is written in full before
-	// it is acknowledged, so acked is always a contiguous prefix of the
+	// order (a ring of one entry per slot, oldest at sentHead), and the
+	// bytes durably written by the remote daemon so far. Acks arrive in
+	// send order and a chunk is written in full before it is
+	// acknowledged, so acked is always a contiguous prefix of the
 	// stream's payload — the resume point after a fault.
 	sentLens []int64
+	sentHead int
 	acked    int64
 
 	// read-mode prefetch state.
@@ -98,18 +110,17 @@ func (f *File) awaitAck(stages *[3]simclock.Duration) error {
 	if err != nil {
 		return err
 	}
-	f.inflight-- // whatever arrived is the reply to the oldest chunk: acks come in send order
-	ack, err := expect[*chunkAck](raw, msgChunkAck)
-	if err != nil {
+	// Whatever arrived is the reply to the oldest chunk: acks come in
+	// send order.
+	f.inflight--
+	chunkLen := f.sentLens[f.sentHead]
+	f.sentHead = (f.sentHead + 1) % len(f.sentLens)
+	ack := &f.ack
+	if err := f.msgs.expect(raw, ack); err != nil {
 		return err
 	}
 	if ack.StreamID != f.streamID {
 		return fmt.Errorf("snapifyio: ack for stream %d on stream %d", ack.StreamID, f.streamID)
-	}
-	chunkLen := int64(0)
-	if len(f.sentLens) > 0 {
-		chunkLen = f.sentLens[0]
-		f.sentLens = f.sentLens[1:]
 	}
 	if ack.Err != "" {
 		// A nacked chunk was not durably written; it does not advance
@@ -157,7 +168,8 @@ func (f *File) WriteBlob(b blob.Blob) (stream.Cost, error) {
 	if f.mode != Write {
 		return stream.Cost{}, fmt.Errorf("snapifyio: write on %v-mode file", f.mode)
 	}
-	var stages [3]simclock.Duration
+	stages := &f.stages
+	*stages = [3]simclock.Duration{}
 	err := b.ForEachChunk(f.bufSize, func(chunk blob.Blob) error {
 		// Stage 1: user writes the socket; local handler fills a free slot.
 		// The slot is free: at most slots-1 chunks are in flight, so the
@@ -182,14 +194,14 @@ func (f *File) WriteBlob(b blob.Blob) (stream.Cost, error) {
 		// Notify the remote daemon; with one slot this immediately awaits
 		// the drain ack (the paper's ping-pong), with more the ack of an
 		// earlier chunk is awaited instead, keeping slots-1 in flight.
-		ready := &chunkReady{StreamID: f.streamID, Slot: sl, N: chunk.Len(), FileOff: off}
-		if _, err := f.ep.Send(encode(ready)); err != nil {
+		f.ready = chunkReady{StreamID: f.streamID, Slot: sl, N: chunk.Len(), FileOff: off}
+		if _, err := f.msgs.send(f.ep, &f.ready); err != nil {
 			return err
 		}
+		f.sentLens[(f.sentHead+f.inflight)%len(f.sentLens)] = chunk.Len()
 		f.inflight++
-		f.sentLens = append(f.sentLens, chunk.Len())
 		for f.inflight > len(f.slots)-1 {
-			if err := f.awaitAck(&stages); err != nil {
+			if err := f.awaitAck(stages); err != nil {
 				return err
 			}
 		}
@@ -228,9 +240,10 @@ func (f *File) Flush() (stream.Cost, error) {
 	if f.mode != Write {
 		return stream.Cost{}, fmt.Errorf("snapifyio: flush on %v-mode file", f.mode)
 	}
-	var stages [3]simclock.Duration
+	stages := &f.stages
+	*stages = [3]simclock.Duration{}
 	for f.inflight > 0 {
-		if err := f.awaitAck(&stages); err != nil {
+		if err := f.awaitAck(stages); err != nil {
 			return stream.Cost{}, err
 		}
 	}
@@ -244,9 +257,9 @@ func (f *File) Flush() (stream.Cost, error) {
 // was consumed (and its content snapshotted), so reuse is safe.
 func (f *File) ensurePulls() error {
 	for !f.eof && f.pulls < len(f.slots) {
-		pull := &pullMsg{StreamID: f.streamID, Slot: f.seq % len(f.slots)}
+		f.pull = pullMsg{StreamID: f.streamID, Slot: f.seq % len(f.slots)}
 		f.seq++
-		if _, err := f.ep.Send(encode(pull)); err != nil {
+		if _, err := f.msgs.send(f.ep, &f.pull); err != nil {
 			return err
 		}
 		f.pulls++
@@ -275,8 +288,8 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 			return blob.Blob{}, stream.Cost{}, err
 		}
 		f.pulls--
-		here, err := expect[*chunkHere](raw, msgChunkHere)
-		if err != nil {
+		here := &f.here
+		if err := f.msgs.expect(raw, here); err != nil {
 			return blob.Blob{}, stream.Cost{}, err
 		}
 		if here.StreamID != f.streamID {
@@ -297,7 +310,7 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 				if err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
-				if _, err := expect[*chunkHere](raw, msgChunkHere); err != nil {
+				if err := f.msgs.expect(raw, here); err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
 				f.pulls--
@@ -317,10 +330,8 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 		// writes (whose host file-system writeback overlaps the PCIe
 		// transfer) outrun host-to-device reads in Section 7. Prefetching
 		// streams overlap the legs instead.
-		cost = stream.Cost{
-			Stages: []simclock.Duration{here.FSRead, here.RDMA + f.model.SCIFMsgLatency, f.localCopy(n) + f.pending},
-			Serial: len(f.slots) == 1,
-		}
+		f.stages = [3]simclock.Duration{here.FSRead, here.RDMA + f.model.SCIFMsgLatency, f.localCopy(n) + f.pending}
+		cost = stream.Cost{Stages: f.stages[:], Serial: len(f.slots) == 1}
 		f.pending = 0
 		if err := f.ensurePulls(); err != nil {
 			return blob.Blob{}, stream.Cost{}, err
@@ -358,7 +369,7 @@ func (f *File) Close() error {
 		if err != nil {
 			return err
 		}
-		if _, err := expect[*chunkHere](raw, msgChunkHere); err != nil {
+		if err := f.msgs.expect(raw, &f.here); err != nil {
 			return err
 		}
 		f.pulls--

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"snapify/internal/scif"
 	"snapify/internal/simclock"
 	"snapify/internal/wire"
 )
@@ -270,26 +271,39 @@ func newMsg(kind uint8) msg {
 	return nil
 }
 
-// encode returns m's wire bytes: its type byte, then its fields.
-func encode(m msg) []byte {
-	c := wire.Encoder()
+// put codes m into c: its type byte, then its fields.
+func put(c *wire.Cursor, m msg) {
 	k := m.kind()
 	wire.U8(c, &k)
 	m.fields(c)
+}
+
+// encode returns m's wire bytes in a buffer of their own: the one-off
+// messages (handshakes, control requests, replies).
+func encode(m msg) []byte {
+	c := wire.Encoder()
+	put(c, m)
 	return c.Bytes()
 }
 
 // decode is the one decoder: the type byte picks the message, its field
 // list consumes the rest. Every rejection unwraps to errMalformed.
-func decode(raw []byte) (msg, error) {
+func decode(raw []byte) (msg, error) { return decodeWith(new(wire.Cursor), raw, nil) }
+
+// decodeWith decodes raw with c. A message of into's kind is decoded into
+// into, overwriting every field; any other kind gets a fresh struct.
+func decodeWith(c *wire.Cursor, raw []byte, into msg) (msg, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("%w: empty", errMalformed)
 	}
-	m := newMsg(raw[0])
+	m := into
+	if m == nil || m.kind() != raw[0] {
+		m = newMsg(raw[0])
+	}
 	if m == nil {
 		return nil, fmt.Errorf("%w: unknown type %d", errMalformed, raw[0])
 	}
-	c := wire.Decoder(raw[1:])
+	c.Load(raw[1:])
 	m.fields(c)
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("%w (type %d): %v", errMalformed, raw[0], err)
@@ -297,16 +311,45 @@ func decode(raw []byte) (msg, error) {
 	return m, nil
 }
 
+// awaited passes on a decoding's error, or refuses a well-formed message
+// that is not the one the caller waits for.
+func awaited(m msg, err error, want uint8) error {
+	if err == nil && m.kind() != want {
+		err = fmt.Errorf("snapifyio: protocol error: got message %d, want %d", m.kind(), want)
+	}
+	return err
+}
+
 // expect decodes raw and verifies it is the message the caller is waiting
 // for.
 func expect[M msg](raw []byte, kind uint8) (M, error) {
 	m, err := decode(raw)
-	if err == nil && m.kind() != kind {
-		err = fmt.Errorf("snapifyio: protocol error: got message %d, want %d", m.kind(), kind)
-	}
-	if err != nil {
+	if err := awaited(m, err, kind); err != nil {
 		var none M
 		return none, err
 	}
 	return m.(M), nil
+}
+
+// codec is the message scratch of one end of a stream. Send copies what
+// it is given and a decoded message keeps no reference to its raw bytes,
+// so one cursor each way serves every message of the stream; the
+// per-chunk messages themselves are structs the stream loop owns and
+// passes to send and to decode or expect.
+type codec struct{ enc, dec wire.Cursor }
+
+// send encodes m into the scratch buffer and sends it on ep.
+func (k *codec) send(ep *scif.Endpoint, m msg) (simclock.Duration, error) {
+	k.enc.Reset()
+	put(&k.enc, m)
+	return ep.Send(k.enc.Bytes())
+}
+
+// decode is decodeWith over the stream's cursor.
+func (k *codec) decode(raw []byte, into msg) (msg, error) { return decodeWith(&k.dec, raw, into) }
+
+// expect decodes raw into into and verifies it is that message.
+func (k *codec) expect(raw []byte, into msg) error {
+	m, err := k.decode(raw, into)
+	return awaited(m, err, into.kind())
 }

@@ -151,11 +151,13 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// FuzzWireDecode holds the daemon protocol's one decoder to three
+// FuzzWireDecode holds the daemon protocol's one decoder to four
 // properties: no input panics, every rejection unwraps to errMalformed,
-// and an accepted input is exactly its message — it re-encodes to the same
-// bytes. Seeds: the golden messages and the frames in retiredFrames, each
-// of which must be rejected.
+// an accepted input is exactly its message — it re-encodes to the same
+// bytes — and a stream's reused codec, decoding into per-chunk structs
+// that still hold an earlier message, reaches the same verdict and the
+// same message. Seeds: the golden messages and the frames in
+// retiredFrames, each of which must be rejected.
 func FuzzWireDecode(f *testing.F) {
 	for _, g := range goldenMessages {
 		f.Add(goldenBytes(f, g.hex))
@@ -169,6 +171,19 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decode(data)
+		var k codec
+		k.dec.Load([]byte{msgChunkAck, 1}) // a stale earlier message
+		for _, into := range []msg{
+			&chunkReady{StreamID: 9, Slot: 1, N: 5, FileOff: 7},
+			&chunkAck{StreamID: 9, Err: "stale", RDMA: 3},
+			&pullMsg{StreamID: 4, Slot: 2},
+			&chunkHere{Err: "stale", N: 8, FSRead: 6},
+		} {
+			got, rerr := k.decode(data, into)
+			if (rerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, m) {
+				t.Fatalf("reused codec into %T: %+v, %v; fresh decode: %+v, %v", into, got, rerr, m, err)
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, errMalformed) {
 				t.Fatalf("rejected with %v, want errMalformed", err)
@@ -177,6 +192,11 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if again := encode(m); !bytes.Equal(again, data) {
 			t.Fatalf("accepted input re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+		k.enc.Reset()
+		put(&k.enc, m)
+		if !bytes.Equal(k.enc.Bytes(), data) {
+			t.Fatalf("reused encoder builds %x, want %x", k.enc.Bytes(), data)
 		}
 	})
 }

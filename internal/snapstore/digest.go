@@ -174,6 +174,22 @@ func syntheticLeaf(seed uint64, off, n int64, buf *[digestWindow]byte) [sha256.S
 	return d
 }
 
+// isDigest reports whether d has the shape Digest gives a chunk name:
+// exactly 64 lowercase hex characters. Every digest the store takes in
+// from outside — a manifest read back, a negotiated window — is held to
+// it, so a chunk name is always long enough to print a prefix of.
+func isDigest(d string) bool {
+	if len(d) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(d); i++ {
+		if c := d[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // Digest returns the blob's content address in hex: SHA-256 over its
 // length and its windows' SHA-256s (see the top of this file). A window
 // inside one synthetic extent takes its leaf from the cache; every other

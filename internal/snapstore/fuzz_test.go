@@ -1,6 +1,7 @@
 package snapstore
 
 import (
+	"strings"
 	"testing"
 
 	"snapify/internal/blob"
@@ -11,16 +12,22 @@ import (
 // host VFS (and, with federation, off the wire from a peer), so it must
 // reject malformed documents with an error — never panic — and any
 // document it accepts must have a positive chunk size and a non-negative
-// size, satisfy the store's geometry invariant and survive a re-encode
-// round trip unchanged.
+// size, satisfy the store's geometry invariant, name every chunk by a
+// digest (64 lowercase hex characters) and survive a re-encode round trip
+// unchanged.
 func FuzzDecodeManifest(f *testing.F) {
-	valid := &Manifest{Path: "/snap/job0/context", Size: 100, ChunkBytes: 64,
-		Chunks: []string{"aa", "bb"}}
-	single := &Manifest{Path: "/snap/job0/buf0", Size: 64, ChunkBytes: 64, Chunks: []string{"cc"}}
+	aa, bb := Digest(blob.Synthetic(1, 64)), Digest(blob.Synthetic(2, 36))
+	valid := &Manifest{Path: "/snap/job0/context", Size: 100, ChunkBytes: 64, Chunks: []string{aa, bb}}
+	single := &Manifest{Path: "/snap/job0/buf0", Size: 64, ChunkBytes: 64, Chunks: []string{aa}}
 	empty := &Manifest{Path: "/snap/empty", Size: 0, ChunkBytes: 64}
 	f.Add(valid.encode().Bytes())
 	f.Add(single.encode().Bytes())
 	f.Add(empty.encode().Bytes())
+	// Chunk names that are not digests: short, long, upper-case, non-hex.
+	for _, name := range []string{"aa", aa + "0", strings.ToUpper(aa), aa[:63] + "g"} {
+		bad := &Manifest{Path: "/snap/bad", Size: 64, ChunkBytes: 64, Chunks: []string{name}}
+		f.Add(bad.encode().Bytes())
+	}
 	f.Add([]byte(`{"path":"/x","size":100,"chunk_bytes":64,"refs":1,"chunks":["aa"]}`)) // count mismatch
 	f.Add([]byte(`{"path":"/x","size":100,"chunk_b`))                                   // truncated
 	f.Add([]byte(`{"path":"/x","size":-5,"chunk_bytes":64,"refs":1,"chunks":[]}`))      // negative size
@@ -37,6 +44,11 @@ func FuzzDecodeManifest(f *testing.F) {
 		if got, want := len(m.Chunks), chunkCount(m.Size, m.ChunkBytes); got != want {
 			t.Fatalf("accepted manifest with %d chunks, geometry wants %d (size %d, chunk %d)",
 				got, want, m.Size, m.ChunkBytes)
+		}
+		for i, d := range m.Chunks {
+			if !isDigest(d) {
+				t.Fatalf("accepted manifest whose chunk %d is named %q", i, d)
+			}
 		}
 		// Accepted documents must round-trip: encode is how the store
 		// persists what it just validated.

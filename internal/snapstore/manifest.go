@@ -78,6 +78,11 @@ func decodeManifest(b blob.Blob) (*Manifest, error) {
 		return nil, fmt.Errorf("snapstore: manifest %s: %d chunks for %d bytes in %d-byte chunks (want %d)",
 			m.Path, got, m.Size, m.ChunkBytes, want)
 	}
+	for i, d := range m.Chunks {
+		if !isDigest(d) {
+			return nil, fmt.Errorf("snapstore: manifest %s: chunk %d is named %q, not a digest", m.Path, i, d)
+		}
+	}
 	return &m, nil
 }
 

@@ -134,8 +134,9 @@ func (st *Store) fire(key string) *faultinject.Fault {
 
 // ErrBadWindow reports a negotiation window that does not fit the upload
 // it claims to continue: it reaches past the declared geometry, restates
-// the geometry differently, leaves a gap, or names a path with no upload
-// open. The upload, if any, is left as it was.
+// the geometry differently, leaves a gap, names a path with no upload
+// open, or offers a chunk name that is not a digest (64 lowercase hex
+// characters). The upload, if any, is left as it was.
 var ErrBadWindow = errors.New("snapstore: window does not continue the upload")
 
 // Negotiate registers a dedup upload for the snapshot at path from its
@@ -190,7 +191,13 @@ func (st *Store) NegotiateWindow(path string, size, chunkBytes int64, first int,
 			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d of %d bytes in %d-byte chunks, upload is at chunk %d of %d in %d",
 				ErrBadWindow, path, first, size, chunkBytes, len(up.digests), up.size, up.chunkBytes)
 		}
-	} else {
+	}
+	for i, d := range digests {
+		if !isDigest(d) {
+			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d is named %q, not a digest", ErrBadWindow, path, first+i, d)
+		}
+	}
+	if first == 0 {
 		up = &upload{path: path, size: size, chunkBytes: chunkBytes, missing: make(map[string]bool)}
 		st.uploads[path] = up
 	}

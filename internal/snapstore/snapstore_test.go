@@ -276,6 +276,41 @@ func TestOverlayRefusesManifestWithBadGeometry(t *testing.T) {
 	}
 }
 
+// A manifest that names a chunk by anything but a digest is a decode
+// error that Verify reports, not a chunk name it slices a prefix of (a
+// 2-character name panicked Verify).
+func TestVerifyReportsManifestWithMalformedChunkName(t *testing.T) {
+	e := newEnv(t)
+	doc := `{"path":"/snap/aa/ctx","size":64,"chunk_bytes":64,"chunks":["aa"]}`
+	if _, err := e.fs.WriteFile(manifestPath("/snap/aa/ctx"), blob.FromBytes([]byte(doc))); err != nil {
+		t.Fatal(err)
+	}
+	problems, _ := e.st.Verify()
+	if len(problems) != 1 || !strings.Contains(problems[0], "not a digest") {
+		t.Fatalf("verify: %q, want one problem naming the malformed chunk", problems)
+	}
+}
+
+// A negotiation that offers a chunk name that is not a digest is refused
+// as a bad window and opens no upload (a 2-character name was accepted,
+// and panicked PutChunkAt when the chunk landed).
+func TestNegotiateRefusesMalformedDigests(t *testing.T) {
+	e := newEnv(t)
+	const chunk = 64
+	content := testContent(3, chunk)
+	good := Digest(content)
+	for _, name := range []string{"aa", good[:63], good + "0", strings.ToUpper(good), good[:63] + "g"} {
+		need, _, _, err := e.st.Negotiate("/snap/aa", "", chunk, chunk, []string{name})
+		if !errors.Is(err, ErrBadWindow) {
+			_, perr := e.st.PutChunkAt("/snap/aa", 0, content)
+			t.Fatalf("negotiate with chunk name %q: need %v, err %v (then put: %v), want ErrBadWindow", name, need, err, perr)
+		}
+		if e.st.PendingUploads() != 0 {
+			t.Fatalf("refused negotiation with %q left an upload pending", name)
+		}
+	}
+}
+
 func TestPendingUploadPinsChunksUntilAbort(t *testing.T) {
 	e := newEnv(t)
 	const chunk = 4096

@@ -19,7 +19,9 @@ import (
 // Cost is the virtual cost of moving one chunk through a transport.
 type Cost struct {
 	// Stages holds the per-stage durations for this chunk, in data-path
-	// order (e.g. socket copy, RDMA, file-system write).
+	// order (e.g. socket copy, RDMA, file-system write). A transport may
+	// reuse its backing array on its next call, so a Cost is consumed
+	// (Observe, Add) before the transport is called again.
 	Stages []simclock.Duration
 	// Serial, when true, means the stages do not overlap with the producer
 	// or with each other (e.g. a synchronous NFS RPC per write), so the
@@ -83,10 +85,12 @@ type Flusher interface {
 }
 
 // Observe feeds one chunk's producer-side stages plus the transport cost
-// into the accumulator, honoring the transport's Serial flag.
+// into the accumulator, honoring the transport's Serial flag. The stage
+// list is built on the stack; one longer than the buffer (no producer and
+// transport here have more than five stages together) spills to the heap.
 func Observe(acc *simclock.PipelineAccum, c Cost, producerStages ...simclock.Duration) {
-	all := make([]simclock.Duration, 0, len(producerStages)+len(c.Stages))
-	all = append(all, producerStages...)
+	var buf [8]simclock.Duration
+	all := append(buf[:0], producerStages...)
 	all = append(all, c.Stages...)
 	if c.Serial {
 		acc.SerialObserve(all...)

@@ -33,11 +33,22 @@ type Cursor struct {
 }
 
 // Encoder returns a cursor that builds a message. Most messages fit the
-// initial capacity, so encoding one is a single buffer allocation.
+// initial capacity, so a one-off message costs the cursor and a single
+// buffer; a connection that sends many Resets one cursor instead.
 func Encoder() *Cursor { return &Cursor{buf: make([]byte, 0, 64)} }
 
 // Decoder returns a cursor that consumes raw.
 func Decoder(raw []byte) *Cursor { return &Cursor{buf: raw, dec: true} }
+
+// Reset empties an encoder (never a decoder: its buffer is the peer's
+// message) for its next message and keeps its buffer, so the bytes an
+// earlier Bytes returned are overwritten: each message must go to
+// something that copies it (a SCIF send does) before the next Reset.
+func (c *Cursor) Reset() { *c = Cursor{buf: c.buf[:0]} }
+
+// Load makes c a decoder that consumes raw from its start, whatever c was
+// before, so one cursor decodes message after message.
+func (c *Cursor) Load(raw []byte) { *c = Cursor{buf: raw, dec: true} }
 
 // Bytes returns the message built so far.
 func (c *Cursor) Bytes() []byte { return c.buf }

@@ -125,3 +125,39 @@ func TestHostileCountsDoNotAllocate(t *testing.T) {
 		t.Fatalf("negative count: err = %v", c.Err())
 	}
 }
+
+// A reused cursor codes each message exactly as a fresh one does: Reset
+// drops what the encoder built, Load drops a decoder's position and its
+// sticky error.
+func TestReusedCursorsMatchFreshOnes(t *testing.T) {
+	msgs := []*sample{
+		{A: 1, S64: "a long string that outgrows the initial buffer capacity of sixty-four bytes", L: []string{"x"}},
+		{A: 2, B: 3, Tail: "t"},
+		{},
+	}
+	enc := Encoder()
+	var dec Cursor
+	for i, in := range msgs {
+		enc.Reset()
+		in.fields(enc)
+		if want := encodeSample(in); !bytes.Equal(enc.Bytes(), want) {
+			t.Fatalf("message %d: reused encoder built %x, want %x", i, enc.Bytes(), want)
+		}
+		raw := bytes.Clone(enc.Bytes())
+		dec.Load(raw[:len(raw)/2])
+		var cut sample
+		cut.fields(&dec)
+		if dec.Err() == nil && len(raw) > 1 {
+			t.Fatalf("message %d: half a message decoded cleanly", i)
+		}
+		dec.Load(raw)
+		var out sample
+		out.fields(&dec)
+		if err := dec.Err(); err != nil {
+			t.Fatalf("message %d: reused decoder: %v", i, err)
+		}
+		if !reflect.DeepEqual(&out, in) {
+			t.Fatalf("message %d: round trip:\n got %+v\nwant %+v", i, out, *in)
+		}
+	}
+}

@@ -37,6 +37,16 @@ if grep -l '"encoding/binary"' $(git ls-files 'internal/core/*.go' 'internal/sna
     exit 1
 fi
 
+echo "==> fault keys only behind an armed injector"
+# A nil injector costs one atomic load (DESIGN.md §10): a site reads the
+# injector, and only when a plan is armed builds its key and calls Fire.
+# Chaining Injector().Fire( builds the key before the nil check, on every
+# message of every run.
+if git grep -n 'Injector()\.Fire(' -- '*.go' ':!*_test.go'; then
+    echo "verify: the lines above build a fault key with no plan armed; use 'if inj := ….Injector(); inj != nil { inj.Fire(…) }' (DESIGN.md §10)" >&2
+    exit 1
+fi
+
 echo "==> snapifylint -stats ./internal/... ./cmd/... ./examples/..."
 # All eight analyzers run here: errcheck, wallclock, paniclib, rawprint,
 # faultgate, storegate, and the two CFG-based ones, maporder (over the
