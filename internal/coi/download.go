@@ -15,8 +15,8 @@ import (
 // This file is the download side of the data path, beside upload.go: how a
 // context image comes back to a card. A store-resident image — a swap-in's,
 // or the chunks a live migration's destination stages round by round —
-// comes over one store-mode read stream (openStoreRead); a plain file, and
-// every striped or retry-enabled restore, over the paper's descriptors.
+// comes over store-mode read streams (openStoreRead, or one per stripe); a
+// plain file over the paper's descriptors.
 
 // openStoreRead opens the store-mode read stream of the snapshot at path:
 // the host serves the named chunks of the path's digest plan (none named:
@@ -30,20 +30,19 @@ func (d *Daemon) openStoreRead(path string, chunks []int) (*snapifyio.File, erro
 }
 
 // streamRestart rebuilds the process by streaming its context from host
-// storage (Section 4.3), deltas replayed on top. What carries the base
-// context depends on where it lives and what the request asks: striped
-// range streams, each prefetching on its own slots, for streams > 1 — and
-// for any retry-enabled restore, even with one stream: range reads are
-// idempotent, so a faulted source reopens at its current offset and
-// continues; else the store's read stream for a store-resident context;
-// else the plain one-slot descriptor, the paper's serial read. The parser
-// is the same throughout.
+// storage (Section 4.3), deltas replayed on top. Where the context lives
+// picks the source: the plain file over the paper's one-slot descriptor,
+// the store-resident image over the store's two-slot read stream. What the
+// request asks picks the shape, over either source: striped range streams,
+// each prefetching on its own slots, for streams > 1 — and for any
+// retry-enabled restore, even with one stream: range reads are idempotent,
+// so a faulted source reopens at its current offset and continues; else
+// the one whole stream. The parser is the same throughout.
 func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath string, spawn blcr.Spawner) (*proc.Process, *blcr.Stats, error) {
 	node, io := d.dev.Node, d.plat.IO
-	striped := req.Streams > 1 || req.Retry.Enabled()
 	var src *snapifyio.File
 	var err error
-	if req.StoreResident && !striped {
+	if req.StoreResident {
 		src, err = d.openStoreRead(ctxPath, nil)
 	} else {
 		src, err = io.Open(node, simnet.HostNode, ctxPath, snapifyio.Read)
@@ -67,8 +66,8 @@ func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath s
 	}
 	var restored *proc.Process
 	var rst *blcr.Stats
-	if striped {
-		// The plain descriptor only supplied the context size; the pages
+	if req.Streams > 1 || req.Retry.Enabled() {
+		// The whole stream only supplied the context size; the pages
 		// arrive over the range streams.
 		size := src.Size()
 		src.Close() //nolint:errcheck // size probe: close only releases the descriptor
@@ -76,6 +75,7 @@ func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath s
 			return io.OpenStream(node, simnet.HostNode, ctxPath, snapifyio.Read, snapifyio.OpenOptions{
 				Slots:  2,
 				Stripe: snapifyio.Stripe{Offset: off, Length: n},
+				Store:  req.StoreResident,
 			})
 		}
 		restored, rst, err = cr.RestartChainParallel(size, max(req.Streams, 1), req.ChunkBytes, open, deltas, spawn)

@@ -557,7 +557,7 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*bl
 	st, err := op.captureOnce(cr, mode, streams, chunk, path)
 	for attempt := 1; ; attempt++ {
 		if err == nil {
-			verr := op.verifySnapshotFile(path, st.Bytes)
+			verr := op.verifySnapshotFile(path, st.Bytes, false)
 			if verr == nil {
 				st.Duration += backoffs
 				return st, nil
@@ -581,10 +581,10 @@ func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*bl
 // a window of chunks — re-reading only what changed since the image the process's
 // chunk-digest cache describes — negotiate its have/need set against the
 // host's chunk store, ship what the store lacks, next window. The
-// committed manifest reassembles a byte-identical context file through the
-// store's overlay file system, so restores (and the end-to-end
-// verification below) use the ordinary read path. Returns the layout stats
-// plus the bytes physically shipped — the dedup win is st.Bytes - shipped.
+// committed manifest is the byte-identical context file that the store
+// read stream serves, to restores and to the end-to-end verification
+// below. Returns the layout stats plus the bytes physically shipped — the
+// dedup win is st.Bytes - shipped.
 func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs, scope uint64) (*blcr.Stats, int64, error) {
 	if args.Mode != CaptureFull {
 		return nil, 0, errors.New("coi: a store capture is a full image; delta files are plain files")
@@ -621,7 +621,7 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs,
 			digestDur = elapsed
 		}
 		if err = uerr; err == nil {
-			err = op.verifySnapshotFile(path, lay.Size())
+			err = op.verifySnapshotFile(path, lay.Size(), true)
 		}
 		if err == nil || attempt >= rp.MaxAttempts {
 			break
@@ -821,11 +821,12 @@ func (op *OffloadProc) captureOnce(cr *blcr.Checkpointer, mode uint8, streams in
 }
 
 // verifySnapshotFile confirms the capture's context file was committed on
-// host storage. A daemon crash can swallow acknowledged stripes, in which
-// case every resumed stream still closes cleanly but the assembled file
-// never appears — only a read-open of the final path proves the capture.
-func (op *OffloadProc) verifySnapshotFile(path string, want int64) error {
-	f, err := op.d.plat.IO.Open(op.d.dev.Node, simnet.HostNode, path, snapifyio.Read)
+// host storage, as a plain file or (store) a committed manifest. A daemon
+// crash can swallow acknowledged stripes, in which case every resumed
+// stream still closes cleanly but the assembled file never appears — only
+// a read-open of the final path proves the capture.
+func (op *OffloadProc) verifySnapshotFile(path string, want int64, store bool) error {
+	f, err := op.d.plat.IO.OpenStream(op.d.dev.Node, simnet.HostNode, path, snapifyio.Read, snapifyio.OpenOptions{Store: store})
 	if err != nil {
 		return fmt.Errorf("coi: capture verification: %w", err)
 	}

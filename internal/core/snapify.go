@@ -149,7 +149,7 @@ type RetryPolicy = blcr.RetryPolicy
 // content-addressed snapshot store (internal/snapstore) instead of plain
 // files: the capture negotiates a have/need chunk set and ships only the
 // chunks the store lacks, and the restore reads the committed manifest's
-// chunks through the store's overlay file system.
+// chunks over the store's read streams.
 type StoreOptions struct {
 	// Enabled turns on the dedup-aware data path. The store holds whole
 	// images: only Capture (not CaptureBase or CaptureDelta) may set it.
@@ -503,10 +503,10 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 		return nil, fmt.Errorf("core: restore requires a swapped-out handle, have %s", st)
 	}
 	ctx := baseDir + "/" + coi.ContextFileName
-	// Where the snapshot lives is observed, not declared. The overlay
-	// prefers a plain file, so only without one is a committed manifest
-	// what the restore reads — and only then may the card pull the context
-	// over the store's read stream and seed its chunk-digest cache from the
+	// Where the snapshot lives is observed, not declared. A plain file
+	// wins, so only without one is a committed manifest what the restore
+	// reads — and only then does the card pull the context over the
+	// store's read streams and seed its chunk-digest cache from the
 	// manifest's digest list.
 	storeResident := plat.Store != nil && !plat.Host().FS.Exists(ctx) && plat.Store.Has(ctx)
 	if opts.Store.Enabled {

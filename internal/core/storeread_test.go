@@ -2,10 +2,11 @@ package core
 
 // The store read stream at the core layer: a store-resident swap-in and a
 // live migration's destination staging pull their chunks over one two-slot
-// store-mode Snapify-IO stream (coi/download.go). These tests hold it to
-// the path it replaced — the same image as the striped overlay restore,
-// byte for byte — sweep its fault points, and pin the two bugs the
-// per-chunk file opens had.
+// store-mode Snapify-IO stream (coi/download.go); a striped or retrying
+// one, over one store stream per stripe. These tests hold both to a plain
+// file restore of the same frozen image, byte for byte, sweep the store
+// stream's fault points, pin its price, and pin the two bugs the per-chunk
+// file opens had.
 
 import (
 	"fmt"
@@ -138,11 +139,13 @@ type restoredImage struct {
 	digests []string
 }
 
-// TestStoreRestoreDifferential restores one store-resident image over the
-// store read stream and over the striped overlay path, on identical fresh
-// platforms, and requires the two restored processes to be the same
-// process: byte-identical full layouts, equal geometry, equal seeded digest
-// caches — which must also be the digests of the frozen image that went
+// TestStoreRestoreDifferential restores one image three ways, on identical
+// fresh platforms: out of the store over the one store read stream, out of
+// the store over two striped store streams, and — the reference, which
+// runs no store code — from a plain file over the paper's descriptor. The
+// restored processes must be the same process: byte-identical full
+// layouts and equal geometry, and the two store arms equal seeded digest
+// caches, which must also be the digests of the frozen image that went
 // into the store. The image is built so that, at the chunk size under test,
 // a chunk edge falls inside a metadata record, another chunk spans a region
 // boundary (the tail of one region's pages, the next region's record, the
@@ -152,7 +155,7 @@ func TestStoreRestoreDifferential(t *testing.T) {
 	for _, chunk := range []int64{32 * 1024, blcr.PageChunk} {
 		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
 			var want []string
-			restore := func(ropts RestoreOptions) restoredImage {
+			restore := func(store bool, ropts RestoreOptions) restoredImage {
 				r := newRig(t, "core_store_restore_diff", 1)
 				r.count(t, 20)
 				r.quiesce(t)
@@ -213,20 +216,22 @@ func TestStoreRestoreDifferential(t *testing.T) {
 					t.Fatal("the two platforms froze different images")
 				}
 				copts := CaptureOptions{Terminate: true, ChunkBytes: chunk}
-				copts.Store.Enabled = true
+				copts.Store.Enabled = store
 				if err := s.Capture(copts); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Wait(); err != nil {
 					t.Fatal(err)
 				}
-				assertManifestIs(t, r, dir+"/"+coi.ContextFileName, want, "after the swap-out")
+				if store {
+					assertManifestIs(t, r, dir+"/"+coi.ContextFileName, want, "after the swap-out")
+				}
 
 				// A daemon-level restore: the process as the context rebuilt
 				// it, before a rebind starts threads in it.
 				resp, err := coi.DaemonRestoreRequest(r.plat, 1, &coi.RestoreReq{
 					Binary: r.cp.BinaryName(), ContextDir: dir, LocalStoreNode: simnet.HostNode, LocalStoreDir: dir,
-					Streams: ropts.Streams, ChunkBytes: ropts.ChunkBytes, Retry: ropts.Retry, StoreResident: true,
+					Streams: ropts.Streams, ChunkBytes: ropts.ChunkBytes, Retry: ropts.Retry, StoreResident: store,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -244,15 +249,17 @@ func TestStoreRestoreDifferential(t *testing.T) {
 				return out
 			}
 
-			streamed := restore(storeStreamRestoreOpts())
-			striped := restore(storeRestoreOpts(chunk))
-			if streamed.img.Len() != striped.img.Len() || !blob.Equal(streamed.img, striped.img) {
-				t.Error("the restored processes' full layouts differ")
-			}
-			if !reflect.DeepEqual(streamed.geo, striped.geo) {
-				t.Error("the restored processes' geometries differ")
-			}
-			for name, got := range map[string]restoredImage{"store read stream": streamed, "striped overlay": striped} {
+			plain := restore(false, RestoreOptions{})
+			for name, got := range map[string]restoredImage{
+				"store read stream":     restore(true, storeStreamRestoreOpts()),
+				"striped store streams": restore(true, storeRestoreOpts(chunk)),
+			} {
+				if got.img.Len() != plain.img.Len() || !blob.Equal(got.img, plain.img) {
+					t.Errorf("%s: the restored process's full layout differs from the plain file restore's", name)
+				}
+				if !reflect.DeepEqual(got.geo, plain.geo) {
+					t.Errorf("%s: the restored process's geometry differs from the plain file restore's", name)
+				}
 				if got.chunk != chunk || firstDiff(got.digests, want) != -1 {
 					t.Errorf("%s: cache seeded with %d digests of %d-byte chunks, differing from the frozen image's at chunk %d",
 						name, len(got.digests), got.chunk, firstDiff(got.digests, want))
@@ -393,15 +400,17 @@ func TestChaosStagingRoundSweep(t *testing.T) {
 }
 
 // storeReadDurations are the virtual times of the first store-stream
-// restore and staging round this test process ran; they outlive one run of
-// the test, so -count=N compares N runs.
-var storeReadDurations [2]simclock.Duration
+// restore, staging round and retry-enabled one-stream restore this test
+// process ran; they outlive one run of the test, so -count=N compares N
+// runs.
+var storeReadDurations [3]simclock.Duration
 
-// TestStoreRestoreDeterministic: a swap-in over the store read stream and a
-// staging round over it are priced from sizes alone — one stream is the
-// link's only flow. Fresh platforms in one process, and (scripts/verify.sh:
-// -count=50 at GOMAXPROCS 1 and 8) any number of runs, report one restore
-// and one staging duration to the nanosecond.
+// TestStoreRestoreDeterministic: a swap-in over the store read stream, a
+// staging round over it and a retry-enabled one-stream swap-in (range
+// windows over store streams, one at a time) are priced from sizes alone —
+// one stream is the link's only flow. Fresh platforms in one process, and
+// (scripts/verify.sh: -count=50 at GOMAXPROCS 1 and 8) any number of runs,
+// report one duration of each to the nanosecond.
 func TestStoreRestoreDeterministic(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		r := newRig(t, "core_store_restore_deterministic", 2)
@@ -424,16 +433,23 @@ func TestStoreRestoreDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Abort()
-		got := [2]simclock.Duration{s.Report.RestoreDevice, round.StageDuration}
-		if got[0] <= 0 || got[1] <= 0 {
-			t.Fatalf("restore took %d virtual ns, staging %d", got[0], got[1])
+		retrying, _ := storeSwapout(t, r, "/snap/restoredet_retry")
+		ropts := storeStreamRestoreOpts()
+		ropts.Retry = RetryPolicy{MaxAttempts: 4}
+		if _, err := Swapin(retrying, 1, ropts); err != nil {
+			t.Fatal(err)
 		}
-		if storeReadDurations == [2]simclock.Duration{} {
+		got := [3]simclock.Duration{s.Report.RestoreDevice, round.StageDuration, retrying.Report.RestoreDevice}
+		if got[0] <= 0 || got[1] <= 0 || got[2] <= 0 {
+			t.Fatalf("restore took %d virtual ns, staging %d, retry-enabled restore %d", got[0], got[1], got[2])
+		}
+		if storeReadDurations == [3]simclock.Duration{} {
 			storeReadDurations = got
 		}
 		if got != storeReadDurations {
-			t.Fatalf("store-stream restore and staging took %v virtual ns, earlier identical ones %v", got, storeReadDurations)
+			t.Fatalf("store-stream restore, staging and retry-enabled restore took %v virtual ns, earlier identical ones %v", got, storeReadDurations)
 		}
+		t.Logf("virtual ns: store-stream restore %d, staging %d, retry-enabled restore %d", got[0], got[1], got[2])
 	}
 }
 
@@ -442,8 +458,9 @@ func TestStoreRestoreDeterministic(t *testing.T) {
 // committed manifest in the store — so a zero RestoreOptions must take the
 // same store read stream, and seed the same chunk-digest cache from the
 // manifest, as one with Store.Enabled set. Before residency was observed
-// the zero-options swap-in fell to the one-slot descriptor through the
-// overlay (2.7x the restore) and left the cache cold, so the next capture
+// the zero-options swap-in fell to the one-slot descriptor, reading the
+// store through a file system overlay (2.7x the restore), and left the
+// cache cold, so the next capture
 // re-read and re-shipped every chunk (25x the capture).
 func TestRestoreObservesStoreResidency(t *testing.T) {
 	type figures struct {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"snapify/internal/blob"
 	"snapify/internal/coi"
@@ -10,9 +9,7 @@ import (
 	"snapify/internal/obs"
 	"snapify/internal/platform"
 	"snapify/internal/simclock"
-	"snapify/internal/snapstore"
 	"snapify/internal/trace"
-	"snapify/internal/vfs"
 )
 
 // DedupSwapImageBytes is the default device image of the dedup swap
@@ -378,8 +375,8 @@ func (r *DedupSwapResult) CheckShape() error {
 
 // dualCaptureIdentical captures the same frozen process twice — once to
 // a plain host file, once through the store — and compares the two byte
-// streams, reading the store copy back chunk-by-chunk through the
-// overlay exactly as a restore would. No work runs between the captures
+// streams, reading the store copy back chunk by chunk as its manifest
+// lists them. No work runs between the captures
 // (and CaptureFull does not reset dirty tracking), so the frozen image
 // is the same both times.
 func dualCaptureIdentical(r *rig) (bool, error) {
@@ -403,23 +400,19 @@ func dualCaptureIdentical(r *rig) (bool, error) {
 	return plain.Len() == stored.Len() && blob.Equal(plain, stored), nil
 }
 
-// readStoreFile assembles a store-resident snapshot file through the
-// same overlay reader the restore path uses.
+// readStoreFile assembles a store-resident snapshot file from its
+// committed manifest's chunks, read straight out of the store: the
+// oracle touches no Snapify-IO code.
 func readStoreFile(plat *platform.Platform, path string) (blob.Blob, error) {
-	r, err := snapstore.Overlay(plat.Store, vfs.Host(plat.Host().FS)).Open(path)
+	m, _, err := plat.Store.Manifest(path)
 	if err != nil {
 		return blob.Blob{}, err
 	}
-	var parts []blob.Blob
-	for {
-		b, _, err := r.Next(64 * simclock.MiB)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	parts := make([]blob.Blob, len(m.Chunks))
+	for i, dg := range m.Chunks {
+		if parts[i], _, err = plat.Store.ReadChunk(dg); err != nil {
 			return blob.Blob{}, err
 		}
-		parts = append(parts, b)
 	}
 	return blob.Concat(parts...), nil
 }

@@ -29,10 +29,10 @@ type Platform struct {
 	Procs  *proc.Table
 	CR     *blcr.Checkpointer
 
-	// Store is the host's content-addressed snapshot repository. The host
-	// Snapify-IO daemon serves its file system through the store's overlay,
-	// so store-resident snapshots are readable by every existing path, and
-	// dedup-aware captures (core.StoreOptions) negotiate against it.
+	// Store is the host's content-addressed snapshot repository, attached
+	// to the host Snapify-IO daemon: dedup-aware captures (core.StoreOptions)
+	// negotiate against it, and store-mode read streams serve its committed
+	// images. A plain read never reaches it.
 	Store *snapstore.Store
 
 	// Obs is the platform-wide observability layer (virtual-clock span
@@ -68,7 +68,7 @@ func New(cfg Config) (*Platform, error) {
 	// The store consults the fabric's injector lazily: chaos plans are
 	// armed after the platform is built.
 	store := snapstore.New(server.Model(), server.Host.FS, o, server.Fabric.Injector)
-	if _, err := io.StartDaemon(simnet.HostNode, snapstore.Overlay(store, vfs.Host(server.Host.FS))); err != nil {
+	if _, err := io.StartDaemon(simnet.HostNode, vfs.Host(server.Host.FS)); err != nil {
 		io.Stop()
 		return nil, fmt.Errorf("platform: starting host Snapify-IO daemon: %w", err)
 	}

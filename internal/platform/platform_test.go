@@ -1,10 +1,13 @@
 package platform_test
 
 import (
+	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/hostfs"
 	"snapify/internal/platform"
 	"snapify/internal/platform/platformtest"
 	"snapify/internal/simclock"
@@ -51,17 +54,16 @@ func TestNewSeedsRuntimeLibraries(t *testing.T) {
 	}
 }
 
-func TestStoreServedThroughHostOverlay(t *testing.T) {
+// A store-resident snapshot is served by the host daemon's store read
+// stream and by nothing else: a plain read of its path finds no file.
+func TestStoreServedOnlyByTheStoreStream(t *testing.T) {
 	plat := platformtest.Start(t, platformtest.Options{})
 	if plat.Store == nil {
 		t.Fatal("no store")
 	}
-	// A store-resident snapshot is visible through the host daemon's
-	// overlay: write via the store protocol, read back via the IO path
-	// every restore uses.
 	const chunk = 16 * 1024
 	content := blob.Synthetic(7, 64*1024)
-	path := "/snap/overlay_probe"
+	path := "/snap/store_probe"
 	digests := snapstore.ChunkDigests(content, chunk)
 	need, _, _, err := plat.Store.Negotiate(path, "", content.Len(), chunk, digests)
 	if err != nil {
@@ -69,11 +71,7 @@ func TestStoreServedThroughHostOverlay(t *testing.T) {
 	}
 	for _, idx := range need {
 		off := int64(idx) * chunk
-		n := content.Len() - off
-		if n > chunk {
-			n = chunk
-		}
-		if _, err := plat.Store.PutChunkAt(path, off, content.Slice(off, n)); err != nil {
+		if _, err := plat.Store.PutChunkAt(path, off, content.Slice(off, min(chunk, content.Len()-off))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,9 +79,9 @@ func TestStoreServedThroughHostOverlay(t *testing.T) {
 		t.Fatalf("close upload: committed=%v err=%v", committed, err)
 	}
 
-	f, err := plat.IO.Open(simnet.HostNode, simnet.HostNode, path, snapifyio.Read)
+	f, err := plat.IO.OpenStream(simnet.HostNode, simnet.HostNode, path, snapifyio.Read, snapifyio.OpenOptions{Store: true})
 	if err != nil {
-		t.Fatalf("store snapshot invisible through the daemon: %v", err)
+		t.Fatalf("store snapshot not served by the store stream: %v", err)
 	}
 	defer f.Close()
 	var parts []blob.Blob
@@ -93,12 +91,18 @@ func TestStoreServedThroughHostOverlay(t *testing.T) {
 			break
 		}
 		if err != nil {
-			t.Fatalf("daemon read: %v", err)
+			t.Fatalf("store stream read: %v", err)
 		}
 		parts = append(parts, b)
 	}
 	if got := blob.Concat(parts...); !blob.Equal(got, content) {
-		t.Error("daemon read returned different bytes than the store holds")
+		t.Error("store stream returned different bytes than the store holds")
+	}
+
+	_, err = plat.IO.Open(simnet.HostNode, simnet.HostNode, path, snapifyio.Read)
+	var remote *snapifyio.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, hostfs.ErrNotExist.Error()) {
+		t.Errorf("plain open of a store-only path: err = %v, want the host's not-exist", err)
 	}
 }
 

@@ -701,8 +701,9 @@ func (d *Daemon) serveWrite(ep *scif.Endpoint, open *openMsg) {
 	}
 }
 
-// openSource opens what a read stream declared: chunks of a store-resident
-// snapshot's digest plan, a byte range of a file, or a whole file.
+// openSource opens what a read stream declared: chunks or a byte range of
+// a store-resident snapshot's digest plan, a byte range of a file, or a
+// whole file.
 func (d *Daemon) openSource(open *openMsg) (vfs.Reader, error) {
 	switch {
 	case open.Store:
@@ -710,10 +711,10 @@ func (d *Daemon) openSource(open *openMsg) (vfs.Reader, error) {
 		if cs == nil {
 			return nil, fmt.Errorf("no chunk store attached on %v", d.node)
 		}
-		if open.Striped {
-			return nil, errors.New("store-mode read names chunks, not a stripe")
+		if open.Striped && len(open.Chunks) > 0 {
+			return nil, errors.New("store-mode read names chunks or a stripe, not both")
 		}
-		return newPlanReader(cs, open.Path, open.Chunks)
+		return newPlanReader(cs, open.Path, open.Chunks, open.Stripe)
 	case open.Striped:
 		rfs, ok := d.fs.(vfs.RangeFS)
 		if !ok {
@@ -833,10 +834,10 @@ func (d *Daemon) open(target simnet.NodeID, path string, mode Mode, opts OpenOpt
 	switch {
 	case opts.Store && mode == Write && !st.enabled():
 		return nil, errors.New("snapifyio: store-mode write stream needs a stripe (its chunks carry offsets)")
-	case opts.Store && mode == Read && st.enabled():
-		return nil, errors.New("snapifyio: store-mode read stream names chunks, not a stripe")
 	case len(opts.Chunks) > 0 && !(opts.Store && mode == Read):
 		return nil, errors.New("snapifyio: only a store-mode read stream names chunks")
+	case len(opts.Chunks) > 0 && st.enabled():
+		return nil, errors.New("snapifyio: a store-mode read stream names chunks or a stripe, not both")
 	}
 
 	model := d.svc.net.Fabric().Model()

@@ -44,6 +44,9 @@ var goldenMessages = []struct {
 	{"open_store_read_whole",
 		"0100000000000000002c020000000000400000000000000000100000000000000020000000000000000000000000000000000000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164010000000000000000",
 		&openMsg{Mode: Read, StreamID: 44, BufSize: 4 << 20, Windows: []int64{4096, 8192}, Path: "/snap/a/context_offload", Store: true}},
+	{"open_store_read_stripe",
+		"0100000000000000002d020000000000400000000000000000100000000000000020000100000000005000000000000000300000000000000000000000000000000000172f736e61702f612f636f6e746578745f6f66666c6f6164010000000000000000",
+		&openMsg{Mode: Read, StreamID: 45, BufSize: 4 << 20, Windows: []int64{4096, 8192}, Striped: true, Stripe: Stripe{Offset: 5 << 20, Length: 3 << 20}, Path: "/snap/a/context_offload", Store: true}},
 	{"open_resp",
 		"0200000000000000000000000010000000",
 		&openResp{Size: 256 << 20}},

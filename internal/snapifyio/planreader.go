@@ -19,15 +19,19 @@ type planReader struct {
 	cs      ChunkStore
 	digests []string // chunks still to serve, in order
 	size    int64    // bytes the stream carries in all
+	left    int64    // bytes still to serve
+	skip    int64    // bytes of the first chunk ahead of a stripe
 	cur     blob.Blob
 	off     int64
 	// lookup is the plan's own read, charged with the first chunk.
 	lookup simclock.Duration
 }
 
-// newPlanReader opens the chunks want (indices into path's digest plan, in
-// serving order; none means the whole plan) for reading.
-func newPlanReader(cs ChunkStore, path string, want []int) (*planReader, error) {
+// newPlanReader opens the chunks want of path's digest plan (indices, in
+// serving order), or else the bytes st names of the committed image (the
+// zero stripe: all of them). A stripe starts and ends where it says, mid
+// chunk or not.
+func newPlanReader(cs ChunkStore, path string, want []int, st Stripe) (*planReader, error) {
 	size, chunkBytes, digests, committed, ok, dur := cs.DigestPlan(path)
 	if !ok {
 		return nil, fmt.Errorf("no digest plan for %s", path)
@@ -41,7 +45,14 @@ func newPlanReader(cs ChunkStore, path string, want []int) (*planReader, error) 
 		if !committed {
 			return nil, fmt.Errorf("%s has an upload in flight in place of a committed image", path)
 		}
-		r.digests, r.size = digests, size
+		if !st.enabled() {
+			st.Length = size
+		} else if st.Offset < 0 || st.Length <= 0 || st.Offset+st.Length > size {
+			return nil, fmt.Errorf("stripe [%d,%d) outside the %d bytes of %s", st.Offset, st.Offset+st.Length, size, path)
+		}
+		// The stream ends where the stripe does, whatever chunks follow.
+		r.digests, r.skip = digests[st.Offset/chunkBytes:], st.Offset%chunkBytes
+		r.size, r.left = st.Length, st.Length
 		return r, nil
 	}
 	r.digests = make([]string, 0, len(want))
@@ -52,6 +63,7 @@ func newPlanReader(cs ChunkStore, path string, want []int) (*planReader, error) 
 		r.digests = append(r.digests, digests[i])
 		r.size += min(chunkBytes, size-int64(i)*chunkBytes)
 	}
+	r.left = r.size
 	return r, nil
 }
 
@@ -60,21 +72,25 @@ func (r *planReader) Size() int64 { return r.size }
 // Next returns at most max bytes, never across a chunk boundary; the
 // chunk's store read is charged on the call that first touches it.
 func (r *planReader) Next(max int64) (blob.Blob, simclock.Duration, error) {
+	if r.left == 0 {
+		return blob.Blob{}, 0, io.EOF
+	}
 	var dur simclock.Duration
 	if r.off >= r.cur.Len() {
 		if len(r.digests) == 0 {
-			return blob.Blob{}, 0, io.EOF
+			return blob.Blob{}, 0, io.ErrUnexpectedEOF
 		}
 		b, d, err := r.cs.ReadChunk(r.digests[0])
 		if err != nil {
 			return blob.Blob{}, d, err
 		}
 		r.digests = r.digests[1:]
-		r.cur, r.off = b, 0
+		r.cur, r.off, r.skip = b, r.skip, 0
 		dur, r.lookup = d+r.lookup, 0
 	}
-	n := min(max, r.cur.Len()-r.off)
+	n := min(max, r.cur.Len()-r.off, r.left)
 	out := r.cur.Slice(r.off, n)
 	r.off += n
+	r.left -= n
 	return out, dur, nil
 }

@@ -122,11 +122,13 @@ type OpenOptions struct {
 	// chunk; it requires a stripe (chunks carry offsets). A read stream is
 	// its mirror: the target serves chunks of the snapshot's digest plan
 	// (the pending upload's, else the committed manifest's), each out of
-	// the store's ReadChunk, as one byte stream; it takes no stripe.
+	// the store's ReadChunk, as one byte stream; a stripe names bytes of
+	// the committed image, starting and ending mid chunk where it does.
 	Store bool
 	// Chunks names the chunk indices a store-mode read stream carries, in
-	// the order it carries them; empty means every chunk of the plan, in
-	// order. No other stream may set it.
+	// the order it carries them; empty means every chunk of the plan (or
+	// of the stripe), in order. No other stream may set it, nor one with a
+	// stripe.
 	Chunks []int
 }
 

@@ -3,6 +3,7 @@ package snapifyio
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,53 @@ func TestStoreReadStreamServesThePlan(t *testing.T) {
 	wantRemote(t, "unknown path", err, "no digest plan")
 }
 
+// A stripe on a store-mode read stream serves those bytes of the committed
+// image, starting and ending mid chunk where the stripe does — across chunk
+// edges, into the short last chunk — for a striped or retrying restore.
+// A stripe past the image's end, a stripe with named chunks and a stripe
+// of an upload still in flight are refused.
+func TestStoreReadStreamServesAStripe(t *testing.T) {
+	content := blob.FromBytes([]byte("aaaabbbbccccdddde"))
+	r, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2, 3, 4)
+	stripe := func(r *rig, off, n int64, chunks ...int) (*File, error) {
+		return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read,
+			OpenOptions{Slots: 2, Store: true, Stripe: Stripe{Offset: off, Length: n}, Chunks: chunks})
+	}
+	reads := int64(0)
+	for _, c := range []struct{ off, n, chunks int64 }{
+		{1, 2, 1},  // inside one chunk
+		{2, 7, 3},  // mid chunk to mid chunk, across two edges
+		{4, 4, 1},  // exactly one chunk
+		{10, 7, 3}, // mid chunk into the short last one
+		{16, 1, 1}, // the short last chunk alone
+		{0, 17, 5}, // the whole image
+	} {
+		f, err := stripe(r, c.off, c.n)
+		if err != nil {
+			t.Fatalf("stripe [%d,%d): %v", c.off, c.off+c.n, err)
+		}
+		if f.Size() != c.n {
+			t.Errorf("stripe [%d,%d) reports %d bytes", c.off, c.off+c.n, f.Size())
+		}
+		if got, _ := readAll(t, f); !blob.Equal(got, content.Slice(c.off, c.n)) {
+			t.Errorf("stripe [%d,%d) came back as %q", c.off, c.off+c.n, got.Bytes())
+		}
+		if reads += c.chunks; st.reads.Load() != reads {
+			t.Errorf("stripe [%d,%d): %d chunk reads so far, want %d: each chunk it crosses once", c.off, c.off+c.n, st.reads.Load(), reads)
+		}
+	}
+
+	_, err := stripe(r, 10, 8)
+	wantRemote(t, "stripe past the end", err, "outside the 17 bytes")
+	if f, err := stripe(r, 0, 4, 0); err == nil {
+		f.Abort()
+		t.Error("a store read with chunks and a stripe opened")
+	}
+	pending, _ := storeReadRig(t, "/s/ctx", blob.FromBytes([]byte("aaaabbbbcccc")), 0, 1)
+	_, err = stripe(pending, 0, 4)
+	wantRemote(t, "stripe of a pending upload", err, "upload in flight")
+}
+
 // While an upload is in flight the stream serves its named chunks — what a
 // migration's destination stages between rounds — but not the image: there
 // is no snapshot to restore before the manifest commits. A chunk that has
@@ -155,8 +203,8 @@ func TestStoreReadStreamAheadOfTheCommit(t *testing.T) {
 func TestStoreReadStreamRefusals(t *testing.T) {
 	r, _ := storeReadRig(t, "/s/ctx", blob.FromBytes([]byte("aaaa")), 0)
 	for name, open := range map[string]func() (*File, error){
-		"stripe on a store read": func() (*File, error) {
-			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Slots: 2, Store: true, Stripe: Stripe{Length: 4}})
+		"chunks and a stripe on a store read": func() (*File, error) {
+			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Slots: 2, Store: true, Stripe: Stripe{Length: 4}, Chunks: []int{0}})
 		},
 		"chunks on a file read": func() (*File, error) {
 			return r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Chunks: []int{0}})
@@ -194,8 +242,11 @@ func TestStoreReadStreamRefusals(t *testing.T) {
 		}
 		return resp.Err
 	}
-	if text := byHand(r.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Striped: true, Stripe: Stripe{Length: 4}, Path: "/s/ctx"}); !strings.Contains(text, "not a stripe") {
-		t.Errorf("striped store read by hand: daemon answered %q", text)
+	if text := byHand(r.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Striped: true, Stripe: Stripe{Length: 4}, Path: "/s/ctx", Chunks: []int{0}}); !strings.Contains(text, "not both") {
+		t.Errorf("store read naming chunks and a stripe by hand: daemon answered %q", text)
+	}
+	if text := byHand(r.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Striped: true, Stripe: Stripe{Offset: -2, Length: 4}, Path: "/s/ctx"}); !strings.Contains(text, "outside the 4 bytes") {
+		t.Errorf("store read of a stripe at a negative offset by hand: daemon answered %q", text)
 	}
 	bare := newRig(t)
 	if text := byHand(bare.net, &openMsg{Mode: Read, StreamID: 1, Store: true, Path: "/s/ctx"}); !strings.Contains(text, "no chunk store attached") {
@@ -204,39 +255,55 @@ func TestStoreReadStreamRefusals(t *testing.T) {
 }
 
 // planReader hands out pieces no larger than asked and never across a
-// chunk boundary, and charges the plan lookup and each chunk's read once.
+// chunk boundary — a stripe's first piece starts where the stripe does and
+// its last ends there — and charges the plan lookup once, with the first
+// chunk, and each chunk's read once.
 func TestPlanReaderPieces(t *testing.T) {
 	content := blob.FromBytes([]byte("aaaabbbbcc"))
 	_, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2)
-	pr, err := newPlanReader(st, "/s/ctx", nil)
-	if err != nil {
-		t.Fatal(err)
+	_, _, digests, _, _, lookup := st.DigestPlan("/s/ctx")
+	chunkRead := make([]simclock.Duration, len(digests))
+	for i, dg := range digests {
+		_, chunkRead[i], _ = st.ReadChunk(dg)
 	}
-	var sizes []int64
-	var charged int
-	for {
-		b, dur, err := pr.Next(3)
-		if err == io.EOF {
-			break
-		}
+	for _, c := range []struct {
+		stripe Stripe
+		pieces []int64
+		chunks []int // the chunks read, in order
+	}{
+		{Stripe{}, []int64{3, 1, 3, 1, 2}, []int{0, 1, 2}},
+		{Stripe{Offset: 2, Length: 7}, []int64{2, 3, 1, 1}, []int{0, 1, 2}},
+		{Stripe{Offset: 5, Length: 2}, []int64{2}, []int{1}},
+	} {
+		pr, err := newPlanReader(st, "/s/ctx", nil, c.stripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, b.Len())
-		if dur > 0 {
-			charged++
-		}
-	}
-	if want := []int64{3, 1, 3, 1, 2}; len(sizes) != len(want) {
-		t.Fatalf("pieces %v, want %v", sizes, want)
-	} else {
-		for i := range want {
-			if sizes[i] != want[i] {
-				t.Fatalf("pieces %v, want %v", sizes, want)
+		var sizes []int64
+		var charged []simclock.Duration
+		for {
+			b, dur, err := pr.Next(3)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, b.Len())
+			if dur > 0 {
+				charged = append(charged, dur)
 			}
 		}
-	}
-	if charged != 3 {
-		t.Errorf("%d pieces carried a read cost, want 3: one per chunk", charged)
+		if !slices.Equal(sizes, c.pieces) {
+			t.Errorf("stripe %+v: pieces %v, want %v", c.stripe, sizes, c.pieces)
+		}
+		want := make([]simclock.Duration, len(c.chunks))
+		for k, i := range c.chunks {
+			want[k] = chunkRead[i]
+		}
+		want[0] += lookup
+		if !slices.Equal(charged, want) {
+			t.Errorf("stripe %+v: pieces charged %v, want %v: the lookup with the first chunk, each chunk's read once", c.stripe, charged, want)
+		}
 	}
 }

@@ -177,7 +177,7 @@ func syntheticLeaf(seed uint64, off, n int64, buf *[digestWindow]byte) [sha256.S
 // isDigest reports whether d has the shape Digest gives a chunk name:
 // exactly 64 lowercase hex characters. Every digest the store takes in
 // from outside — a manifest read back, a negotiated window — is held to
-// it, so a chunk name is always long enough to print a prefix of.
+// it.
 func isDigest(d string) bool {
 	if len(d) != 2*sha256.Size {
 		return false

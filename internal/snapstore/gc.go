@@ -122,7 +122,7 @@ func (st *Store) Verify() ([]string, simclock.Duration) {
 		path := strings.TrimPrefix(mp, ManifestPrefix)
 		for i, dg := range m.Chunks {
 			if !st.fs.Exists(chunkPath(dg)) {
-				problems = append(problems, fmt.Sprintf("manifest %s: chunk %d (%s) missing", path, i, dg[:12]))
+				problems = append(problems, fmt.Sprintf("manifest %s: chunk %d (%.12s) missing", path, i, dg))
 			}
 		}
 	}

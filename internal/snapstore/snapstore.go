@@ -255,7 +255,7 @@ func (st *Store) PutChunkAt(path string, off int64, content blob.Blob) (simclock
 	// Verifying the digest re-reads the chunk once at memcpy rate.
 	dur := st.model.HostMemcpy(content.Len())
 	if got != up.digests[idx] {
-		return dur, fmt.Errorf("snapstore: put %s: chunk %d digest mismatch (got %s, want %s)", path, idx, got[:12], up.digests[idx][:12])
+		return dur, fmt.Errorf("snapstore: put %s: chunk %d digest mismatch (got %.12s, want %.12s)", path, idx, got, up.digests[idx])
 	}
 	if cp := chunkPath(up.digests[idx]); !st.fs.Exists(cp) {
 		d, err := st.fs.WriteFile(cp, content)

@@ -2,7 +2,6 @@ package snapstore
 
 import (
 	"errors"
-	"io"
 	"strings"
 	"testing"
 
@@ -11,7 +10,6 @@ import (
 	"snapify/internal/hostfs"
 	"snapify/internal/obs"
 	"snapify/internal/simclock"
-	"snapify/internal/vfs"
 )
 
 // env is a store over a fresh host file system with a swappable fault
@@ -73,23 +71,18 @@ func putAll(t *testing.T, e *env, path string, content blob.Blob, chunkBytes int
 	return len(need)
 }
 
-// readAll assembles a store-resident snapshot through the overlay.
+// readAll assembles a store-resident snapshot from its manifest's chunks.
 func readAll(t *testing.T, e *env, path string) blob.Blob {
 	t.Helper()
-	r, err := Overlay(e.st, vfs.Host(e.fs)).Open(path)
+	m, _, err := e.st.Manifest(path)
 	if err != nil {
-		t.Fatalf("overlay open %s: %v", path, err)
+		t.Fatalf("manifest %s: %v", path, err)
 	}
-	var parts []blob.Blob
-	for {
-		b, _, err := r.Next(1 << 20)
-		if err == io.EOF {
-			break
+	parts := make([]blob.Blob, len(m.Chunks))
+	for i, dg := range m.Chunks {
+		if parts[i], _, err = e.st.ReadChunk(dg); err != nil {
+			t.Fatalf("read %s chunk %d: %v", path, i, err)
 		}
-		if err != nil {
-			t.Fatalf("overlay read %s: %v", path, err)
-		}
-		parts = append(parts, b)
 	}
 	return blob.Concat(parts...)
 }
@@ -255,10 +248,9 @@ func TestReleaseRemovesManifestOnce(t *testing.T) {
 }
 
 // A manifest whose geometry has no chunks to offer — chunk_bytes ≤ 0, or
-// a negative size — is refused when the overlay opens the snapshot, not
-// handed to a reader that would divide by zero or index past its chunk
-// list on the first Next.
-func TestOverlayRefusesManifestWithBadGeometry(t *testing.T) {
+// a negative size — is a decode error, not a plan handed to a store read
+// stream that would divide by zero or index past its chunk list.
+func TestManifestRefusesBadGeometry(t *testing.T) {
 	for _, doc := range []string{
 		`{"path":"/snap/bad/ctx","size":100,"chunk_bytes":0,"chunks":[]}`,
 		`{"path":"/snap/bad/ctx","size":100,"chunk_bytes":-64,"chunks":[]}`,
@@ -268,11 +260,29 @@ func TestOverlayRefusesManifestWithBadGeometry(t *testing.T) {
 		if _, err := e.fs.WriteFile(manifestPath("/snap/bad/ctx"), blob.FromBytes([]byte(doc))); err != nil {
 			t.Fatal(err)
 		}
-		r, err := Overlay(e.st, vfs.Host(e.fs)).Open("/snap/bad/ctx")
-		if err == nil {
-			_, _, err = r.Next(4096)
-			t.Errorf("%s: opened (first Next: %v), want a decode error", doc, err)
+		if _, _, err := e.st.Manifest("/snap/bad/ctx"); err == nil {
+			t.Errorf("%s: decoded, want a decode error", doc)
 		}
+		if _, _, _, _, ok, _ := e.st.DigestPlan("/snap/bad/ctx"); ok {
+			t.Errorf("%s: offered as a digest plan", doc)
+		}
+	}
+}
+
+// A staging plan arrives off the wire with its digests unchecked: a chunk
+// that does not match a short one is refused by name, not sliced past the
+// name's end (a 2-character digest panicked SetChunk).
+func TestStagingRefusesMismatchWithShortDigest(t *testing.T) {
+	sg := NewStaging()
+	if need := sg.Plan("/p", 4, 4, []string{"aa"}); len(need) != 1 {
+		t.Fatalf("plan needs %v, want chunk 0", need)
+	}
+	err := sg.SetChunk("/p", 0, blob.FromBytes([]byte("abcd")))
+	if err == nil || !strings.Contains(err.Error(), "want aa)") {
+		t.Fatalf("SetChunk against a 2-character digest: %v, want a mismatch naming it", err)
+	}
+	if n := sg.StagedBytes("/p"); n != 0 {
+		t.Errorf("%d bytes staged after the mismatch, want 0", n)
 	}
 }
 
@@ -518,61 +528,6 @@ func TestVerifyDetectsCorruptionAndMissingChunks(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("missing chunk not flagged: %v", problems)
-	}
-}
-
-func TestOverlayRangeAndPassthroughReads(t *testing.T) {
-	e := newEnv(t)
-	const chunk = 4096
-	content := testContent(13, 3*chunk+200)
-	putAll(t, e, "/snap/o/ctx", content, chunk)
-	fs := Overlay(e.st, vfs.Host(e.fs))
-
-	if got := readAll(t, e, "/snap/o/ctx"); !blob.Equal(got, content) {
-		t.Fatal("whole-file overlay read differs")
-	}
-	// A range crossing a chunk boundary.
-	off, n := int64(chunk-100), int64(chunk+300)
-	r, err := fs.OpenRange("/snap/o/ctx", off, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Size() != n {
-		t.Fatalf("range size %d, want %d", r.Size(), n)
-	}
-	var parts []blob.Blob
-	for {
-		b, _, err := r.Next(512)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, b)
-	}
-	if got := blob.Concat(parts...); !blob.Equal(got, content.Slice(off, n)) {
-		t.Fatal("range overlay read differs")
-	}
-	// A range past the end fails fast.
-	if _, err := fs.OpenRange("/snap/o/ctx", content.Len()-10, 20); err == nil {
-		t.Fatal("out-of-range open succeeded")
-	}
-	// Plain files pass through untouched.
-	plain := testContent(14, 1000)
-	if _, err := e.fs.WriteFile("/plain/file", plain); err != nil {
-		t.Fatal(err)
-	}
-	pr, err := fs.Open("/plain/file")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := pr.Next(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !blob.Equal(b, plain) {
-		t.Fatal("passthrough read differs")
 	}
 }
 

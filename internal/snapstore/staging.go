@@ -91,7 +91,7 @@ func (sg *Staging) SetChunk(path string, idx int, content blob.Blob) error {
 		return fmt.Errorf("snapstore: stage %s: chunk %d is %d bytes, want %d", path, idx, content.Len(), m.chunkLen(idx))
 	}
 	if got != e.want[idx] {
-		return fmt.Errorf("snapstore: stage %s: chunk %d digest mismatch (got %s, want %s)", path, idx, got[:12], e.want[idx][:12])
+		return fmt.Errorf("snapstore: stage %s: chunk %d digest mismatch (got %.12s, want %.12s)", path, idx, got, e.want[idx])
 	}
 	e.chunks[idx] = content
 	e.got[idx] = e.want[idx]
