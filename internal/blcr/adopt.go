@@ -5,6 +5,7 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/proc"
+	"snapify/internal/simclock"
 	"snapify/internal/stream"
 )
 
@@ -35,5 +36,5 @@ func (c *Checkpointer) RestartAdopted(img blob.Blob, spawn Spawner) (*proc.Proce
 		off += b.Len()
 		return b, stream.Cost{}, nil
 	}
-	return c.restartFrom(feed, spawn, true)
+	return c.restartFrom(feed, simclock.NewPipelineAccum(), spawn, true)
 }

@@ -45,6 +45,15 @@ func (e *testEnv) source(t *testing.T, path string) stream.Source {
 	return s
 }
 
+func (e *testEnv) size(t *testing.T, path string) int64 {
+	t.Helper()
+	n, err := e.fs.Size(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestCheckpointRestartRoundTrip(t *testing.T) {
 	e := newEnv()
 	p := makeProcReal(t, "offload_proc", 1)

@@ -134,10 +134,14 @@ func (c *Checkpointer) ApplyDelta(p *proc.Process, source stream.Source) (*Stats
 	return st, nil
 }
 
-// RestartChain restores a process from a full base context and an ordered
-// chain of delta contexts.
-func (c *Checkpointer) RestartChain(base stream.Source, deltas []stream.Source, spawn Spawner) (*proc.Process, *Stats, error) {
-	p, st, err := c.Restart(base, spawn)
+// RestartChain restores a process from base, the whole stream of a full
+// context file of size bytes, and an ordered chain of delta contexts. A
+// fault on base under a retry policy reopens the rest through reopen.
+func (c *Checkpointer) RestartChain(base stream.Source, size int64, reopen RangeSourceFactory, deltas []stream.Source, spawn Spawner) (*proc.Process, *Stats, error) {
+	acc := simclock.NewPipelineAccum()
+	src := &resumable{open: reopen, src: base, end: size, retry: c.retries(acc)}
+	defer src.Close() //nolint:errcheck // read side: close only releases the descriptor
+	p, st, err := c.restartFrom(sequential(src), acc, spawn, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -52,7 +52,7 @@ func TestIncrementalCheckpointChain(t *testing.T) {
 
 	// Restore the chain into a fresh process.
 	restored, st, err := e.cr.RestartChain(
-		e.source(t, "base"),
+		e.source(t, "base"), e.size(t, "base"), e.rangeSource("base"),
 		[]stream.Source{e.source(t, "delta1"), e.source(t, "delta2")},
 		func(img *Image) (*proc.Process, error) {
 			return proc.New(img.Name, 2, 2, phi.NewMemBudget(1<<40)), nil
@@ -149,7 +149,7 @@ func TestDirtyTrackingSurvivesManyPatterns(t *testing.T) {
 		deltas = append(deltas, e.source(t, name))
 	}
 	want := heap.Snapshot()
-	restored, _, err := e.cr.RestartChain(e.source(t, "f_base"), deltas,
+	restored, _, err := e.cr.RestartChain(e.source(t, "f_base"), e.size(t, "f_base"), e.rangeSource("f_base"), deltas,
 		func(img *Image) (*proc.Process, error) { return proc.New(img.Name, 9, 2, phi.NewMemBudget(1<<40)), nil })
 	if err != nil {
 		t.Fatal(err)

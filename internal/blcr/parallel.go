@@ -146,9 +146,9 @@ func (c *Checkpointer) runShards(p *proc.Process, pl *plan, workers int, chunk i
 	marks := make([][]retryMark, len(shards))
 	err := fanout.Run(workers, len(shards), func(i int) error {
 		acc := simclock.NewPipelineAccum()
+		retry := c.retries(acc)
 		sink := sinks[i]
 		written := int64(0) // durable watermark, bytes into the shard
-		attempt := 1
 		for {
 			werr := c.writeShard(sink, shards[i], written, onHost, chunk, acc)
 			if werr == nil {
@@ -164,9 +164,10 @@ func (c *Checkpointer) runShards(p *proc.Process, pl *plan, workers int, chunk i
 			if wm, ok := sink.(stream.Watermarked); ok {
 				written += wm.Acked()
 			}
-			if !c.retry.Enabled() || attempt >= c.retry.MaxAttempts {
+			at := acc.Total()
+			if err := retry.spend(werr); err != nil {
 				sink.Abort()
-				return werr
+				return err
 			}
 			// Part company with the failed transport. A Detacher keeps
 			// the remote assembly (and its durable bytes) alive for the
@@ -178,10 +179,7 @@ func (c *Checkpointer) runShards(p *proc.Process, pl *plan, workers int, chunk i
 				sink.Abort()
 				written = 0
 			}
-			attempt++
-			backoff := c.retry.BackoffFor(attempt)
-			marks[i] = append(marks[i], retryMark{at: acc.Total(), backoff: backoff, attempt: attempt})
-			acc.Add(backoff)
+			marks[i] = append(marks[i], retryMark{at: at, backoff: Backoff(retry.used), attempt: retry.used + 1})
 			off, n := shards[i].off+written, shards[i].n-written
 			if n <= 0 {
 				// Every byte was acknowledged but the close handshake was
@@ -334,9 +332,9 @@ type pageRun struct {
 func (c *Checkpointer) RestartParallel(size int64, workers int, chunk int64, open RangeSourceFactory, spawn Spawner) (*proc.Process, *Stats, error) {
 	chunk = chunkOrDefault(chunk)
 	r := &reader{c: c, acc: simclock.NewPipelineAccum(), geo: &Geometry{}}
-	win := &rangeWindows{r: r, open: open, size: size}
+	win := &rangeWindows{r: r, size: size, win: resumable{open: open, retry: c.retries(r.acc)}}
 	r.feed = win.next
-	defer win.close()
+	defer win.win.Close() //nolint:errcheck // scanner teardown; reads already completed
 
 	var runs []pageRun
 	p, st, err := c.parseContext(r, spawn, func(reg *proc.Region, fileOff, n int64) error {
@@ -403,44 +401,26 @@ func splitRuns(runs []pageRun, workers int, chunk int64) []pageRun {
 	return pieces
 }
 
-// loadRun streams one piece of a region's pages from its own range source.
-// Reads are idempotent, so a transport fault retries by reopening the
-// range at the current offset and continuing (bounded by the retry
-// policy, with virtual backoff charged into the pipeline).
+// loadRun streams one piece of a region's pages from its own range source,
+// which resumes at its offset after a transport fault (resumable, with a
+// budget of its own).
 func (c *Checkpointer) loadRun(run pageRun, onHost bool, chunk int64, open RangeSourceFactory) (simclock.Duration, error) {
 	acc := simclock.NewPipelineAccum()
-	var off int64
-	attempt := 1
-	for {
-		err := func() error {
-			src, err := open(run.fileOff+off, run.n-off)
-			if err != nil {
-				return err
-			}
-			defer src.Close() //nolint:errcheck // read-side close failure has nothing to recover
-			for off < run.n {
-				piece, cost, err := src.Next(chunk)
-				if err == io.EOF {
-					return badContext("truncated page run")
-				}
-				if err != nil {
-					return err
-				}
-				stream.Observe(acc, cost, c.copyStage(onHost, piece.Len()))
-				run.region.WriteBlob(run.regOff+off, piece)
-				off += piece.Len()
-			}
-			return nil
-		}()
-		if err == nil {
-			return acc.Total(), nil
+	src := &resumable{open: open, off: run.fileOff, end: run.fileOff + run.n, retry: c.retries(acc)}
+	defer src.Close() //nolint:errcheck // read-side close failure has nothing to recover
+	for off := int64(0); off < run.n; {
+		piece, cost, err := src.Next(chunk)
+		if err == io.EOF {
+			return acc.Total(), badContext("truncated page run")
 		}
-		if !c.retry.Enabled() || attempt >= c.retry.MaxAttempts {
+		if err != nil {
 			return acc.Total(), err
 		}
-		attempt++
-		acc.Add(c.retry.BackoffFor(attempt))
+		stream.Observe(acc, cost, c.copyStage(onHost, piece.Len()))
+		run.region.WriteBlob(run.regOff+off, piece)
+		off += piece.Len()
 	}
+	return acc.Total(), nil
 }
 
 // RestartChainParallel restores a base context in parallel, then applies
@@ -455,16 +435,13 @@ func (c *Checkpointer) RestartChainParallel(size int64, workers int, chunk int64
 
 // rangeWindows feeds a reader the front of a context file through
 // successive small range opens, and skips page runs by offset instead of
-// reading them — the cheap scan that makes parallel restart possible.
+// reading them — the cheap scan that makes parallel restart possible. win
+// is the current window; every window draws on the scan's one retry
+// budget.
 type rangeWindows struct {
 	r    *reader
-	open RangeSourceFactory
 	size int64
-
-	src     stream.Source
-	readPos int64 // absolute offset of the next byte src will return
-	winEnd  int64 // absolute end of the current window
-	retries int   // transport retries used so far, bounded by the policy
+	win  resumable
 }
 
 // scanWindow is how much of the file one scan range-open covers. Large
@@ -472,58 +449,14 @@ type rangeWindows struct {
 // that over-reading into page bytes is cheap.
 const scanWindow = 4096
 
-func (w *rangeWindows) close() {
-	if w.src != nil {
-		w.src.Close() //nolint:errcheck // scanner teardown; reads already completed
-		w.src = nil
-	}
-}
-
-// fault consumes one retry from the scan's budget: the current source is
-// dropped (next reopens a window at readPos — reads are idempotent) and
-// the backoff is charged as virtual time. Out of budget, it returns the
-// original error.
-func (w *rangeWindows) fault(err error) error {
-	rp := w.r.c.retry
-	if !rp.Enabled() || w.retries >= rp.MaxAttempts-1 {
-		return err
-	}
-	w.retries++
-	w.r.acc.Add(rp.BackoffFor(w.retries + 1))
-	w.close()
-	return nil
-}
-
 // next returns the rest of the current window, opening the next one when
 // it is spent; io.EOF at the end of the file.
 func (w *rangeWindows) next() (blob.Blob, stream.Cost, error) {
-	for {
-		if w.src == nil || w.readPos >= w.winEnd {
-			w.close()
-			win := min(scanWindow, w.size-w.readPos)
-			if win <= 0 {
-				return blob.Blob{}, stream.Cost{}, io.EOF
-			}
-			src, err := w.open(w.readPos, win)
-			if err != nil {
-				if ferr := w.fault(err); ferr != nil {
-					return blob.Blob{}, stream.Cost{}, ferr
-				}
-				continue
-			}
-			w.src = src
-			w.winEnd = w.readPos + win
-		}
-		piece, cost, err := w.src.Next(w.winEnd - w.readPos)
-		if err != nil && err != io.EOF {
-			if ferr := w.fault(err); ferr != nil {
-				return blob.Blob{}, stream.Cost{}, ferr
-			}
-			continue
-		}
-		w.readPos += piece.Len()
-		return piece, cost, err
+	if w.win.off >= w.win.end {
+		w.win.Close() //nolint:errcheck // the window is spent; its reads completed
+		w.win.end = min(w.win.off+scanWindow, w.size)
 	}
+	return w.win.Next(scanWindow)
 }
 
 // skip advances the reader past n bytes (a page run) without reading them.
@@ -532,11 +465,12 @@ func (w *rangeWindows) skip(n int64) error {
 		w.r.off += n
 		return nil
 	}
-	w.readPos += n - w.r.buffered()
-	w.r.pending, w.r.off = blob.Blob{}, 0
-	w.close()
-	if w.readPos > w.size {
+	if n -= w.r.buffered(); n > w.size-w.win.off {
 		return badContext("page run past end of context file")
 	}
+	w.win.Close() //nolint:errcheck // the scan moves past the window; its reads completed
+	w.win.off += n
+	w.win.end = w.win.off
+	w.r.pending, w.r.off = blob.Blob{}, 0
 	return nil
 }

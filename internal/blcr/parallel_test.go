@@ -1,6 +1,10 @@
 package blcr
 
 import (
+	"bytes"
+	"errors"
+	"io"
+	"slices"
 	"testing"
 
 	"snapify/internal/blob"
@@ -231,6 +235,125 @@ func TestRestartChainParallel(t *testing.T) {
 	for _, name := range []string{"data", "heap", "stack"} {
 		if !blob.Equal(got[name], want[name]) {
 			t.Errorf("region %q differs after parallel chain restore", name)
+		}
+	}
+}
+
+var errFlaky = errors.New("injected range fault")
+
+// flakyRanges opens ranges of a file on the test host FS and fails the
+// opens and Nexts whose ordinal — counted together, from 1 — is in fail.
+// It records where every open started.
+type flakyRanges struct {
+	e     *testEnv
+	path  string
+	fail  map[int]bool
+	calls int
+	opens []int64
+}
+
+func (f *flakyRanges) faults() bool {
+	f.calls++
+	return f.fail[f.calls]
+}
+
+func (f *flakyRanges) open(off, n int64) (stream.Source, error) {
+	f.opens = append(f.opens, off)
+	if f.faults() {
+		return nil, errFlaky
+	}
+	src, err := f.e.rangeSource(f.path)(off, n)
+	return flakySource{src, f}, err
+}
+
+type flakySource struct {
+	stream.Source
+	f *flakyRanges
+}
+
+func (s flakySource) Next(max int64) (blob.Blob, stream.Cost, error) {
+	if s.f.faults() {
+		return blob.Blob{}, stream.Cost{}, errFlaky
+	}
+	return s.Source.Next(max)
+}
+
+// TestResumableReader: the one read-side retry reads exactly its range
+// whatever fails, reopens at the offset it failed at, charges one backoff
+// per reopen, returns the original error once its budget is spent, and a
+// metadata scan's windows all draw on one budget.
+func TestResumableReader(t *testing.T) {
+	e := newEnv()
+	content := make([]byte, 40_000)
+	for i := range content {
+		content[i] = byte(i * 7)
+	}
+	if _, err := e.fs.WriteFile("ranged", blob.FromBytes(content)); err != nil {
+		t.Fatal(err)
+	}
+	read := func(next func() (blob.Blob, stream.Cost, error)) ([]byte, error) {
+		var got []byte
+		for {
+			b, _, err := next()
+			got = append(got, b.Bytes()...)
+			if err == io.EOF {
+				return got, nil
+			}
+			if err != nil {
+				return got, err
+			}
+		}
+	}
+
+	// Open 1 fails, open 2 serves one piece, Next 4 fails: three opens, at
+	// the front, again at the front, and at the end of the first piece.
+	const from, to = 1000, 30_000
+	f := &flakyRanges{e: e, path: "ranged", fail: map[int]bool{1: true, 4: true}}
+	acc := simclock.NewPipelineAccum()
+	cr := e.cr.WithRetry(RetryPolicy{MaxAttempts: 3})
+	src := &resumable{open: f.open, off: from, end: to, retry: cr.retries(acc)}
+	got, err := read(func() (blob.Blob, stream.Cost, error) { return src.Next(4096) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content[from:to]) {
+		t.Errorf("resumed range delivered %d bytes differing from the range's %d", len(got), to-from)
+	}
+	if want := []int64{from, from, from + 4096}; !slices.Equal(f.opens, want) {
+		t.Errorf("opens at %v, want %v: a reopen starts where the read failed", f.opens, want)
+	}
+	if want := Backoff(1) + Backoff(2); acc.Total() != want {
+		t.Errorf("charged %v for two reopens, want %v", acc.Total(), want)
+	}
+
+	// A third fault with two retries left is the last straw.
+	f = &flakyRanges{e: e, path: "ranged", fail: map[int]bool{2: true, 4: true, 6: true}}
+	acc = simclock.NewPipelineAccum()
+	src = &resumable{open: f.open, off: from, end: to, retry: cr.retries(acc)}
+	if _, err := read(func() (blob.Blob, stream.Cost, error) { return src.Next(4096) }); err != errFlaky {
+		t.Errorf("out of budget: err = %v, want the original %v", err, errFlaky)
+	}
+	if want := Backoff(1) + Backoff(2); acc.Total() != want {
+		t.Errorf("charged %v before giving up, want %v", acc.Total(), want)
+	}
+
+	// A scan opens a window per scanWindow bytes. One fault in its first
+	// window and one in its second spend one budget: two retries see the
+	// file through, one does not.
+	for _, attempts := range []int{3, 2} {
+		f = &flakyRanges{e: e, path: "ranged", fail: map[int]bool{2: true, 5: true}}
+		acc = simclock.NewPipelineAccum()
+		budget := e.cr.WithRetry(RetryPolicy{MaxAttempts: attempts}).retries(acc)
+		w := &rangeWindows{size: int64(len(content)), win: resumable{open: f.open, retry: budget}}
+		got, err := read(w.next)
+		switch {
+		case attempts == 3 && (err != nil || !bytes.Equal(got, content)):
+			t.Errorf("scan with two retries: %d bytes, err %v; want the whole file", len(got), err)
+		case attempts == 2 && err != errFlaky:
+			t.Errorf("scan with one retry for two faults in two windows: err = %v, want %v", err, errFlaky)
+		}
+		if f.opens[len(f.opens)-1] < scanWindow {
+			t.Errorf("attempts %d: opens at %v, want the second fault past the first window", attempts, f.opens)
 		}
 	}
 }

@@ -28,14 +28,14 @@ type Spawner func(img *Image) (*proc.Process, error)
 // restored process is returned with its step gate paused; the caller
 // resumes it once reconnection (Section 4.3) is complete.
 func (c *Checkpointer) Restart(source stream.Source, spawn Spawner) (*proc.Process, *Stats, error) {
-	return c.restartFrom(sequential(source), spawn, false)
+	return c.restartFrom(sequential(source), simclock.NewPipelineAccum(), spawn, false)
 }
 
-// restartFrom is the sequential parse behind Restart and RestartAdopted:
-// each region's pages are written as feed delivers them. adopt selects
-// the page-adoption cost model.
-func (c *Checkpointer) restartFrom(feed func() (blob.Blob, stream.Cost, error), spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
-	r := &reader{c: c, feed: feed, acc: simclock.NewPipelineAccum(), adopt: adopt, geo: &Geometry{}}
+// restartFrom is the sequential parse behind Restart, RestartChain and
+// RestartAdopted: each region's pages are written, and their time observed
+// on acc, as feed delivers them. adopt selects the page-adoption cost model.
+func (c *Checkpointer) restartFrom(feed func() (blob.Blob, stream.Cost, error), acc *simclock.PipelineAccum, spawn Spawner, adopt bool) (*proc.Process, *Stats, error) {
+	r := &reader{c: c, feed: feed, acc: acc, adopt: adopt, geo: &Geometry{}}
 	p, st, err := c.parseContext(r, spawn, func(reg *proc.Region, _, n int64) error {
 		return r.copyTo(reg, 0, n)
 	})

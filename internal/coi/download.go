@@ -15,38 +15,29 @@ import (
 // This file is the download side of the data path, beside upload.go: how a
 // context image comes back to a card. A store-resident image — a swap-in's,
 // or the chunks a live migration's destination stages round by round —
-// comes over store-mode read streams (openStoreRead, or one per stripe); a
-// plain file over the paper's descriptors.
-
-// openStoreRead opens the store-mode read stream of the snapshot at path:
-// the host serves the named chunks of the path's digest plan (none named:
-// the whole image, in order) out of its chunk store, prefetching on two
-// staging slots, so the host's read, the RDMA and the card's copies of
-// different chunks overlap — the read mirror of the upload's two-slot write
-// streams — where the paper's one-slot descriptor adds them up per chunk.
-func (d *Daemon) openStoreRead(path string, chunks []int) (*snapifyio.File, error) {
-	return d.plat.IO.OpenStream(d.dev.Node, simnet.HostNode, path, snapifyio.Read,
-		snapifyio.OpenOptions{Slots: 2, Store: true, Chunks: chunks})
-}
+// comes over store-mode read streams: the host serves the named chunks of
+// the path's digest plan (none named: the whole image, in order) out of its
+// chunk store, prefetching on two staging slots, so the host's read, the
+// RDMA and the card's copies of different chunks overlap — the read mirror
+// of the upload's two-slot write streams — where the paper's one-slot
+// descriptor, which a plain file keeps, adds them up per chunk.
 
 // streamRestart rebuilds the process by streaming its context from host
 // storage (Section 4.3), deltas replayed on top. Where the context lives
 // picks the source: the plain file over the paper's one-slot descriptor,
-// the store-resident image over the store's two-slot read stream. What the
-// request asks picks the shape, over either source: striped range streams,
-// each prefetching on its own slots, for streams > 1 — and for any
-// retry-enabled restore, even with one stream: range reads are idempotent,
-// so a faulted source reopens at its current offset and continues; else
-// the one whole stream. The parser is the same throughout.
+// the store-resident image over the store's two-slot read stream. The
+// stream count alone picks the shape: striped range streams, each
+// prefetching on two slots, for streams > 1; else the one whole stream.
+// Either way a range of the source is the same descriptor with a Stripe,
+// which is what a read that faults reopens under a retry policy. The
+// parser is the same throughout.
 func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath string, spawn blcr.Spawner) (*proc.Process, *blcr.Stats, error) {
 	node, io := d.dev.Node, d.plat.IO
-	var src *snapifyio.File
-	var err error
+	whole := snapifyio.OpenOptions{Store: req.StoreResident}
 	if req.StoreResident {
-		src, err = d.openStoreRead(ctxPath, nil)
-	} else {
-		src, err = io.Open(node, simnet.HostNode, ctxPath, snapifyio.Read)
+		whole.Slots = 2
 	}
+	src, err := io.OpenStream(node, simnet.HostNode, ctxPath, snapifyio.Read, whole)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,23 +55,24 @@ func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath s
 		}
 		deltas = append(deltas, ds)
 	}
+	open := func(off, n int64) (stream.Source, error) {
+		o := whole
+		if req.Streams > 1 {
+			o.Slots = 2
+		}
+		o.Stripe = snapifyio.Stripe{Offset: off, Length: n}
+		return io.OpenStream(node, simnet.HostNode, ctxPath, snapifyio.Read, o)
+	}
+	size := src.Size()
 	var restored *proc.Process
 	var rst *blcr.Stats
-	if req.Streams > 1 || req.Retry.Enabled() {
+	if req.Streams > 1 {
 		// The whole stream only supplied the context size; the pages
 		// arrive over the range streams.
-		size := src.Size()
 		src.Close() //nolint:errcheck // size probe: close only releases the descriptor
-		open := func(off, n int64) (stream.Source, error) {
-			return io.OpenStream(node, simnet.HostNode, ctxPath, snapifyio.Read, snapifyio.OpenOptions{
-				Slots:  2,
-				Stripe: snapifyio.Stripe{Offset: off, Length: n},
-				Store:  req.StoreResident,
-			})
-		}
-		restored, rst, err = cr.RestartChainParallel(size, max(req.Streams, 1), req.ChunkBytes, open, deltas, spawn)
+		restored, rst, err = cr.RestartChainParallel(size, req.Streams, req.ChunkBytes, open, deltas, spawn)
 	} else {
-		restored, rst, err = cr.RestartChain(src, deltas, spawn)
+		restored, rst, err = cr.RestartChain(src, size, open, deltas, spawn)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("restoring offload process: %w", err)
@@ -134,7 +126,8 @@ func (d *Daemon) stagePull(path string, size, chunkBytes int64, digests []string
 	if len(need) == 0 {
 		return 0, 0, nil
 	}
-	f, err := d.openStoreRead(path, need)
+	f, err := d.plat.IO.OpenStream(d.dev.Node, simnet.HostNode, path, snapifyio.Read,
+		snapifyio.OpenOptions{Slots: 2, Store: true, Chunks: need})
 	if err != nil {
 		return 0, 0, fmt.Errorf("coi: stage pull: %w", err)
 	}

@@ -167,7 +167,6 @@ func (m *CaptureArgs) fields(c *wire.Cursor) {
 	wire.U64(c, &m.Align)
 	wire.Str32(c, &m.Dir)
 	wire.U16(c, &m.Retry.MaxAttempts)
-	wire.U64(c, &m.Retry.Backoff)
 	wire.Bool(c, &m.Store)
 }
 
@@ -232,7 +231,6 @@ func (m *RestoreReq) fields(c *wire.Cursor) {
 	wire.U64(c, &m.ChunkBytes)
 	wire.U64(c, &m.Align)
 	wire.U16(c, &m.Retry.MaxAttempts)
-	wire.U64(c, &m.Retry.Backoff)
 	wire.Bool(c, &m.StoreResident)
 }
 

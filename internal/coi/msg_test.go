@@ -18,7 +18,8 @@ import (
 // hand-rolled encoders this file's field lists replaced (core/snapify.go,
 // core/migration.go, coi/daemon.go and coi/snapify.go at PR 15, run over
 // these field values); capture and pipe_capture lost their parent field
-// once the store held whole images only. Every SCIF send charges virtual
+// once the store held whole images only, and they and restore lost the
+// retry backoff once it became a constant. Every SCIF send charges virtual
 // time by message length, so identical bytes is what keeps every virtual
 // number identical.
 
@@ -80,14 +81,14 @@ var goldenMessages = []struct {
 		"080000000000002625a00000000000300000",
 		&DrainResp{Duration: 2500 * time.Microsecond, LocalStoreBytes: 3 << 20}},
 	{"capture", asRequest, opSnapifyCapture, "",
-		"090000000701020004000000000010000000000000075bcd15000000072f736e61702f61000300000000001e848001",
-		&CaptureReq{ProcID: 7, CaptureArgs: CaptureArgs{Terminate: true, Mode: CaptureDelta, Streams: 4, ChunkBytes: 1 << 20, Align: 123456789, Dir: "/snap/a", Retry: blcr.RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Millisecond}, Store: true}}},
+		"090000000701020004000000000010000000000000075bcd15000000072f736e61702f61000301",
+		&CaptureReq{ProcID: 7, CaptureArgs: CaptureArgs{Terminate: true, Mode: CaptureDelta, Streams: 4, ChunkBytes: 1 << 20, Align: 123456789, Dir: "/snap/a", Retry: blcr.RetryPolicy{MaxAttempts: 3}, Store: true}}},
 	{"capture_resp", asReply, opSnapifyCaptureResp, "",
 		"0a000000000010000000000000007309768000000000000000110000000000700000",
 		&CaptureResp{SnapshotBytes: 256 << 20, Duration: 1930 * time.Millisecond, Scope: 17, ShippedBytes: 7 << 20}},
 	{"restore", asRequest, opSnapifyRestore, "",
-		"0d000000076170705f62696e0000000a2f736e61702f6261736500000001000000082f736e61702f643200000002000000082f736e61702f6431000000082f736e61702f643200020000000000010000000000000000002a000200000000000f424001",
-		&RestoreReq{Binary: "app_bin", ContextDir: "/snap/base", LocalStoreNode: 1, LocalStoreDir: "/snap/d2", DeltaDirs: []string{"/snap/d1", "/snap/d2"}, Streams: 2, ChunkBytes: 65536, Align: 42, Retry: blcr.RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}, StoreResident: true}},
+		"0d000000076170705f62696e0000000a2f736e61702f6261736500000001000000082f736e61702f643200000002000000082f736e61702f6431000000082f736e61702f643200020000000000010000000000000000002a000201",
+		&RestoreReq{Binary: "app_bin", ContextDir: "/snap/base", LocalStoreNode: 1, LocalStoreDir: "/snap/d2", DeltaDirs: []string{"/snap/d1", "/snap/d2"}, Streams: 2, ChunkBytes: 65536, Align: 42, Retry: blcr.RetryPolicy{MaxAttempts: 2}, StoreResident: true}},
 	{"restore_resp", asReply, opSnapifyRestoreResp, "",
 		"0e0000000009000000003473bc000000000000b71b0000000000003000000000000200000007636f6d6d616e640000083500000003646d6100000836",
 		&RestoreResp{ProcID: 9, ContextDur: 880 * time.Millisecond, LocalStoreDur: 12 * time.Millisecond, LocalStoreBytes: 3 << 20, Ports: []ChannelPort{{"command", 2101}, {"dma", 2102}}}},
@@ -119,8 +120,8 @@ var goldenMessages = []struct {
 		"21016469736b2066756c6c",
 		&DrainResp{}},
 	{"pipe_capture", asRequest, pipeCaptureReq, "",
-		"2201020004000000000010000000000000075bcd15000000072f736e61702f61000300000000001e848001",
-		&CaptureArgs{Terminate: true, Mode: CaptureDelta, Streams: 4, ChunkBytes: 1 << 20, Align: 123456789, Dir: "/snap/a", Retry: blcr.RetryPolicy{MaxAttempts: 3, Backoff: 2 * time.Millisecond}, Store: true}},
+		"2201020004000000000010000000000000075bcd15000000072f736e61702f61000301",
+		&CaptureArgs{Terminate: true, Mode: CaptureDelta, Streams: 4, ChunkBytes: 1 << 20, Align: 123456789, Dir: "/snap/a", Retry: blcr.RetryPolicy{MaxAttempts: 3}, Store: true}},
 	{"pipe_capture_done", asReply, pipeCaptureDone, "",
 		"23000000000010000000000000007309768000000000000000110000000000700000",
 		&CaptureResp{SnapshotBytes: 256 << 20, Duration: 1930 * time.Millisecond, Scope: 17, ShippedBytes: 7 << 20}},

@@ -506,7 +506,7 @@ func (op *OffloadProc) capture(args *CaptureArgs) (*CaptureResp, error) {
 	var err error
 	if args.Store {
 		st, shipped, err = op.runCaptureStore(cr, args, scope)
-	} else if st, err = op.runCapture(cr, args); err == nil {
+	} else if st, err = op.runCapture(cr, args, scope); err == nil {
 		shipped = st.Bytes
 	}
 	if err != nil {
@@ -530,48 +530,51 @@ func (a *CaptureArgs) contextPath() string {
 
 // runCapture serializes the frozen process into the snapshot directory on
 // host storage. blcr lays the file out once; streams only picks what
-// carries it: one plain Snapify-IO stream for streams <= 1 (the paper's data
-// path, and the row every speed-up is quoted against), or streams striped
-// Snapify-IO streams, each double-buffered and writing a disjoint range of
-// the same context file, assembled by the host daemon. chunk is the I/O
-// granularity for the striped path (0 uses the checkpointer's default).
-func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs) (*blcr.Stats, error) {
-	mode, streams, chunk := args.Mode, args.Streams, args.ChunkBytes
-	path := args.contextPath()
-	rp := cr.Retry()
-	if !rp.Enabled() {
-		return op.captureOnce(cr, mode, streams, chunk, path)
-	}
-	// With retry enabled even a one-stream capture rides the striped path
-	// (one worker, same layout, same file): only striped streams have
-	// the ack watermark and detach semantics a resume needs. A shard-level
-	// resume handles transport faults; the loop below redoes the whole
-	// capture for crash-class failures, where the remote daemon lost
-	// already-acknowledged stripes and every stream still closed cleanly —
-	// which is why each pass ends with an end-to-end verification instead
-	// of trusting the stream status.
-	if streams < 1 {
-		streams = 1
-	}
-	var backoffs simclock.Duration
-	st, err := op.captureOnce(cr, mode, streams, chunk, path)
-	for attempt := 1; ; attempt++ {
-		if err == nil {
-			verr := op.verifySnapshotFile(path, st.Bytes, false)
-			if verr == nil {
-				st.Duration += backoffs
-				return st, nil
-			}
-			err = verr
+// carries it (captureOnce). A transport fault on a striped stream resumes
+// from its watermark inside blcr; anything else fails the pass, and the
+// retry policy redoes it whole (redo) — a one-stream capture's append
+// descriptor has no stripe to resume, so it redoes the capture, as a
+// crash-class fault does on any stream count.
+func (op *OffloadProc) runCapture(cr *blcr.Checkpointer, args *CaptureArgs, scope uint64) (*blcr.Stats, error) {
+	path, rp := args.contextPath(), args.Retry
+	var st *blcr.Stats
+	backoff, err := op.redo(rp, path, func(_ int, backoff simclock.Duration) error {
+		// A failed pass reports nothing, so a redo's streams start where
+		// the backoff ends.
+		pcr := cr.WithSpans(op.d.plat.Obs.TracerOf(), scope, args.Align+backoff)
+		var err error
+		if st, err = op.captureOnce(pcr, args.Mode, args.Streams, args.ChunkBytes, path); err != nil || !rp.Enabled() {
+			return err
 		}
-		// Drop whatever half-covered assembly this pass left behind, so a
-		// redo starts clean and a final failure leaves no artifact.
+		// Only a resumed stream can close cleanly over an assembly a
+		// daemon crash swallowed, and only a retry policy resumes one.
+		return op.verifySnapshotFile(path, st.Bytes, false)
+	})
+	if err != nil {
+		return nil, err
+	}
+	st.Duration += backoff
+	return st, nil
+}
+
+// redo is the one redo loop of a capture into path, plain or store: it
+// runs pass — which checks end to end what it committed — and discards
+// whatever a failed pass left behind, so a redo starts clean and a final
+// failure leaves no artifact. The policy bounds the passes, and each redo
+// first backs off: pass gets the backoff charged so far, and redo returns
+// it.
+func (op *OffloadProc) redo(rp blcr.RetryPolicy, path string, pass func(attempt int, backoff simclock.Duration) error) (simclock.Duration, error) {
+	var backoff simclock.Duration
+	for attempt := 1; ; attempt++ {
+		err := pass(attempt, backoff)
+		if err == nil {
+			return backoff, nil
+		}
 		op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
 		if attempt >= rp.MaxAttempts {
-			return nil, err
+			return backoff, err
 		}
-		backoffs += rp.BackoffFor(attempt + 1)
-		st, err = op.captureOnce(cr, mode, streams, chunk, path)
+		backoff += blcr.Backoff(attempt)
 	}
 }
 
@@ -599,11 +602,10 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs,
 	pass := op.digestPass(lay, args.ChunkBytes, blcr.SeedCapture)
 	up := upload{path: path, streams: max(args.Streams, 1), scope: scope, streamSpan: "capture_stream"}
 
-	rp := cr.Retry()
 	st := lay.Stats()
 	var shipped int64
-	var elapsed, digestDur simclock.Duration
-	for attempt := 1; ; attempt++ {
+	var spent, digestDur simclock.Duration // every pass's pipeline; the first one's
+	backoff, err := op.redo(args.Retry, path, func(attempt int, backoff simclock.Duration) error {
 		acc := simclock.NewPipelineAccum()
 		if attempt == 1 {
 			acc.Add(pass.Prelude)
@@ -613,34 +615,30 @@ func (op *OffloadProc) runCaptureStore(cr *blcr.Checkpointer, args *CaptureArgs,
 			// what is still missing ships, from the reads the pass kept.
 			pass.Whole()
 		}
-		up.at = align + elapsed
-		n, _, uerr := op.storeUpload(pass, acc, up)
+		up.at = align + spent + backoff
+		n, _, err := op.storeUpload(pass, acc, up)
 		shipped += n
-		elapsed += acc.Total()
+		spent += acc.Total()
 		if attempt == 1 {
-			digestDur = elapsed
+			digestDur = spent
 		}
-		if err = uerr; err == nil {
-			err = op.verifySnapshotFile(path, lay.Size(), true)
+		if err != nil {
+			return err
 		}
-		if err == nil || attempt >= rp.MaxAttempts {
-			break
-		}
-		elapsed += rp.BackoffFor(attempt + 1)
-	}
+		return op.verifySnapshotFile(path, lay.Size(), true)
+	})
 	op.endDigestPass(tk, scope, "store_digest", align, digestDur, pass, nil)
 	if err != nil {
-		// Give up: drop the pending upload so its pinned digests don't
-		// shield orphaned chunks from GC. Chunks already shipped stay — they
-		// are content-addressed and a later capture may reuse them. The
-		// digest cache goes too: a stale digest is undetectable later, a
-		// failed capture is where unenumerated things went wrong, and a
-		// full pass costs one scan.
-		op.d.plat.IO.Discard(op.d.dev.Node, simnet.HostNode, path) //nolint:errcheck // best-effort cleanup; the capture error is what propagates
+		// Give up. redo dropped the pending upload, so its pinned digests
+		// don't shield orphaned chunks from GC; chunks already shipped
+		// stay — they are content-addressed and a later capture may reuse
+		// them. The digest cache goes too: a stale digest is undetectable
+		// later, a failed capture is where unenumerated things went wrong,
+		// and a full pass costs one scan.
 		op.dropDigestsIf(blcr.SeedCapture)
 		return nil, 0, err
 	}
-	st.Duration = elapsed
+	st.Duration = spent + backoff
 	return &st, shipped, nil
 }
 
@@ -792,13 +790,13 @@ func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
 	return res, err
 }
 
-// captureOnce runs one capture pass into path, over the transport the
-// request selects: one plain Snapify-IO stream, or striped two-slot streams
-// (which a retry-enabled capture needs even for one stream — see
-// runCapture). Delta regions stay dirty either way: a redo must lay out the
-// same delta, and the agent marks clean once runCapture returns success.
+// captureOnce runs one capture pass into path over the transport streams
+// selects: the paper's one-slot descriptor for streams <= 1, else striped
+// two-slot streams. Delta regions stay dirty either way: a redo must lay
+// out the same delta, and the agent marks clean once runCapture returns
+// success.
 func (op *OffloadProc) captureOnce(cr *blcr.Checkpointer, mode uint8, streams int, chunk int64, path string) (*blcr.Stats, error) {
-	if streams <= 1 && !cr.Retry().Enabled() {
+	if streams <= 1 {
 		sink, err := op.d.plat.IO.Open(op.d.dev.Node, simnet.HostNode, path, snapifyio.Write)
 		if err != nil {
 			return nil, err

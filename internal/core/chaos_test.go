@@ -163,91 +163,107 @@ func chaosRefSizes(t *testing.T) (full, delta int64) {
 	return chaosRef.full, chaosRef.delta
 }
 
-// TestChaosCaptureSweep runs one faulted capture per injection point.
+// chaosSweep runs one case per injection point on the striped data path
+// chaosOpts selects, and again, under "streams1", on the paper's
+// one-stream data path with the same retry policy.
+func chaosSweep(t *testing.T, run func(t *testing.T, cc chaosCase, streams int)) {
+	faults := chaosFaults(simnet.HostNode.String(), simnet.NodeID(1).String())
+	for _, cc := range faults {
+		t.Run(cc.name, func(t *testing.T) { run(t, cc, chaosOpts().Streams) })
+	}
+	t.Run("streams1", func(t *testing.T) {
+		for _, cc := range faults {
+			t.Run(cc.name, func(t *testing.T) { run(t, cc, 1) })
+		}
+	})
+}
+
+// TestChaosCaptureSweep runs one faulted capture per injection point. A
+// striped stream resumes from its watermark; the one-stream descriptor has
+// no stripe to resume, so its capture is redone whole.
 func TestChaosCaptureSweep(t *testing.T) {
 	refFull, _ := chaosRefSizes(t)
-	for _, cc := range chaosFaults(simnet.HostNode.String(), simnet.NodeID(1).String()) {
-		t.Run(cc.name, func(t *testing.T) {
-			r := newRig(t, "core_chaos", 1)
-			r.count(t, 20)
-			s := NewSnapshot("/snap/chaos", r.cp)
-			if err := Pause(s); err != nil {
-				t.Fatal(err)
+	chaosSweep(t, func(t *testing.T, cc chaosCase, streams int) {
+		r := newRig(t, "core_chaos", 1)
+		r.count(t, 20)
+		s := NewSnapshot("/snap/chaos", r.cp)
+		if err := Pause(s); err != nil {
+			t.Fatal(err)
+		}
+		opts := chaosOpts()
+		opts.Streams = streams
+		arm(r, cc.fault)
+		err := s.Capture(opts)
+		if err == nil {
+			err = Wait(s)
+		}
+		disarm(r)
+		assertNoPartials(t, r.plat)
+		if err != nil {
+			if cc.mustSucceed {
+				t.Fatalf("fault %s may not fail the capture: %v", cc.name, err)
 			}
-			arm(r, cc.fault)
-			err := s.Capture(chaosOpts())
-			if err == nil {
-				err = Wait(s)
-			}
-			disarm(r)
-			assertNoPartials(t, r.plat)
-			if err != nil {
-				if cc.mustSucceed {
-					t.Fatalf("fault %s may not fail the capture: %v", cc.name, err)
-				}
-				// Clean failure: nothing torn, nothing orphaned. (A
-				// fault on the request channel itself is not
-				// retryable — the daemon never saw the capture.)
-				t.Logf("capture failed cleanly: %v", err)
-				assertAtomicFile(t, r.plat, "/snap/chaos/"+coi.ContextFileName, refFull)
-				return
-			}
-			// Success: the snapshot must restore to the exact state.
-			if _, err := Swapin(s, 1, RestoreOptions{}); err != nil {
-				t.Fatalf("swap-in after faulted capture: %v", err)
-			}
-			if got := r.count(t, 40); got != refSum(40) {
-				t.Errorf("restored computation = %d, want %d", got, refSum(40))
-			}
-		})
-	}
+			// Clean failure: nothing torn, nothing orphaned. (A
+			// fault on the request channel itself is not
+			// retryable — the daemon never saw the capture.)
+			t.Logf("capture failed cleanly: %v", err)
+			assertAtomicFile(t, r.plat, "/snap/chaos/"+coi.ContextFileName, refFull)
+			return
+		}
+		// Success: the snapshot must restore to the exact state.
+		if _, err := Swapin(s, 1, RestoreOptions{}); err != nil {
+			t.Fatalf("swap-in after faulted capture: %v", err)
+		}
+		if got := r.count(t, 40); got != refSum(40) {
+			t.Errorf("restored computation = %d, want %d", got, refSum(40))
+		}
+	})
 }
 
 // TestChaosRestoreSweep runs one faulted restore per injection point,
-// from a snapshot taken fault-free.
+// from a snapshot taken fault-free. Striped or whole, a faulted read
+// reopens at its offset.
 func TestChaosRestoreSweep(t *testing.T) {
-	for _, cc := range chaosFaults(simnet.HostNode.String(), simnet.NodeID(1).String()) {
-		t.Run(cc.name, func(t *testing.T) {
-			r := newRig(t, "core_chaos", 1)
-			r.count(t, 20)
-			s := NewSnapshot("/snap/chaosr", r.cp)
-			if err := Pause(s); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Capture(chaosOpts()); err != nil {
-				t.Fatal(err)
-			}
-			if err := Wait(s); err != nil {
-				t.Fatal(err)
-			}
-			arm(r, cc.fault)
-			_, err := s.Restore(1, RestoreOptions{
-				Streams:    2,
-				ChunkBytes: 128 * 1024,
-				Retry:      RetryPolicy{MaxAttempts: 4},
-			})
-			disarm(r)
-			assertNoPartials(t, r.plat)
-			if err != nil {
-				if cc.mustSucceed {
-					t.Fatalf("fault %s may not fail the restore: %v", cc.name, err)
-				}
-				// A failed restore must not damage the snapshot it
-				// read from.
-				t.Logf("restore failed cleanly: %v", err)
-				if !r.plat.Host().FS.Exists("/snap/chaosr/" + coi.ContextFileName) {
-					t.Error("failed restore destroyed the snapshot")
-				}
-				return
-			}
-			if err := s.Resume(); err != nil {
-				t.Fatal(err)
-			}
-			if got := r.count(t, 40); got != refSum(40) {
-				t.Errorf("restored computation = %d, want %d", got, refSum(40))
-			}
+	chaosSweep(t, func(t *testing.T, cc chaosCase, streams int) {
+		r := newRig(t, "core_chaos", 1)
+		r.count(t, 20)
+		s := NewSnapshot("/snap/chaosr", r.cp)
+		if err := Pause(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Capture(chaosOpts()); err != nil {
+			t.Fatal(err)
+		}
+		if err := Wait(s); err != nil {
+			t.Fatal(err)
+		}
+		arm(r, cc.fault)
+		_, err := s.Restore(1, RestoreOptions{
+			Streams:    streams,
+			ChunkBytes: 128 * 1024,
+			Retry:      RetryPolicy{MaxAttempts: 4},
 		})
-	}
+		disarm(r)
+		assertNoPartials(t, r.plat)
+		if err != nil {
+			if cc.mustSucceed {
+				t.Fatalf("fault %s may not fail the restore: %v", cc.name, err)
+			}
+			// A failed restore must not damage the snapshot it
+			// read from.
+			t.Logf("restore failed cleanly: %v", err)
+			if !r.plat.Host().FS.Exists("/snap/chaosr/" + coi.ContextFileName) {
+				t.Error("failed restore destroyed the snapshot")
+			}
+			return
+		}
+		if err := s.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.count(t, 40); got != refSum(40) {
+			t.Errorf("restored computation = %d, want %d", got, refSum(40))
+		}
+	})
 }
 
 // TestChaosDeltaCaptureSweep runs one faulted delta capture per

@@ -32,9 +32,6 @@ func (o *CaptureOptions) validate(mode uint8) error {
 	if o.Retry.MaxAttempts < 0 {
 		return fmt.Errorf("core: CaptureOptions.Retry.MaxAttempts is %d; want 0 (no retry) or a positive attempt bound", o.Retry.MaxAttempts)
 	}
-	if o.Retry.Backoff < 0 {
-		return errors.New("core: CaptureOptions.Retry.Backoff is negative; want a non-negative virtual duration")
-	}
 	if o.Store.Enabled && mode != coi.CaptureFull {
 		return errStoreNotFull
 	}
@@ -57,9 +54,6 @@ func (o *RestoreOptions) validate() error {
 	}
 	if o.Retry.MaxAttempts < 0 {
 		return fmt.Errorf("core: RestoreOptions.Retry.MaxAttempts is %d; want 0 (no retry) or a positive attempt bound", o.Retry.MaxAttempts)
-	}
-	if o.Retry.Backoff < 0 {
-		return errors.New("core: RestoreOptions.Retry.Backoff is negative; want a non-negative virtual duration")
 	}
 	if o.Store.Replicas != 0 {
 		return errors.New("core: RestoreOptions.Store.Replicas has no meaning on restore; leave it zero")

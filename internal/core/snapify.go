@@ -173,14 +173,17 @@ type CaptureOptions struct {
 	// data path; higher values divide the file into contiguous stripes,
 	// one double-buffered stream each, assembled by the host daemon.
 	Streams int
-	// ChunkBytes is the I/O granularity of the parallel data path; zero
-	// uses the checkpointer's default (4 MiB). Ignored when Streams <= 1.
+	// ChunkBytes is the I/O granularity of the parallel data path and the
+	// chunk size of a store capture, at any stream count; zero uses the
+	// checkpointer's default (4 MiB). A plain capture over one stream
+	// ignores it.
 	ChunkBytes int64
-	// Retry lets the capture survive transport faults: each stream resumes
-	// from its acknowledgement watermark, and crash-class failures redo
-	// the whole capture, all under bounded virtual backoff. A capture that
-	// still fails leaves no snapshot file behind. The zero value fails on
-	// the first fault.
+	// Retry lets the capture survive transport faults: a striped stream
+	// resumes from its acknowledgement watermark, and a one-stream capture,
+	// or one a crash-class failure hits, is redone whole, all under
+	// bounded virtual backoff. It picks no data path. A capture that still
+	// fails leaves no snapshot file behind. The zero value fails on the
+	// first fault.
 	Retry RetryPolicy
 	// Store selects the dedup-aware data path through the host's
 	// content-addressed snapshot store.
@@ -195,8 +198,9 @@ type RestoreOptions struct {
 	// ChunkBytes is the I/O granularity of the parallel restore path; zero
 	// uses the checkpointer's default. Ignored when Streams <= 1.
 	ChunkBytes int64
-	// Retry lets the restore survive transport faults by reopening its
-	// range reads where they left off, under bounded virtual backoff.
+	// Retry lets the restore survive transport faults by reopening each
+	// read where it left off, the one whole stream included, under bounded
+	// virtual backoff. It picks no data path.
 	Retry RetryPolicy
 	// Store asserts the snapshot lives in the host's content-addressed
 	// store: the restore fails fast with a clear error if no committed

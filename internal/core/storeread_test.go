@@ -2,8 +2,8 @@ package core
 
 // The store read stream at the core layer: a store-resident swap-in and a
 // live migration's destination staging pull their chunks over one two-slot
-// store-mode Snapify-IO stream (coi/download.go); a striped or retrying
-// one, over one store stream per stripe. These tests hold both to a plain
+// store-mode Snapify-IO stream (coi/download.go); a striped one, over one
+// store stream per stripe. These tests hold both to a plain
 // file restore of the same frozen image, byte for byte, sweep the store
 // stream's fault points, pin its price, and pin the two bugs the per-chunk
 // file opens had.
@@ -25,7 +25,7 @@ import (
 )
 
 // storeStreamRestoreOpts selects the store read stream: store-resident,
-// one stream, no retry policy.
+// one stream.
 func storeStreamRestoreOpts() RestoreOptions {
 	var o RestoreOptions
 	o.Store.Enabled = true
@@ -307,42 +307,64 @@ func faultAtPull(t *testing.T, crash bool, k int) faultinject.Plan {
 // of its read stream, once by a host daemon crash and once by a chunk
 // fault: the restore returns the error, leaves no process behind and the
 // card's memory where it was, and the same snapshot restores on the next
-// attempt with the computation intact.
+// attempt with the computation intact. Under "retry4" the restore has a
+// retry policy and rides every one of those faults out: the read reopens
+// at its offset.
 func TestChaosStoreRestoreSweep(t *testing.T) {
-	for _, crash := range []bool{true, false} {
-		r := newRig(t, "core_chaos_store_restore", 1)
-		iters := uint64(20)
-		r.count(t, iters)
-		s, chunks := storeSwapout(t, r, "/snap/restoresweep")
-		if chunks < 4 {
-			t.Fatalf("image is %d chunks; the sweep wants a few", chunks)
+	for _, retry := range []bool{false, true} {
+		for _, crash := range []bool{true, false} {
+			r := newRig(t, "core_chaos_store_restore", 1)
+			iters := uint64(20)
+			r.count(t, iters)
+			s, chunks := storeSwapout(t, r, "/snap/restoresweep")
+			if chunks < 4 {
+				t.Fatalf("image is %d chunks; the sweep wants a few", chunks)
+			}
+			opts := storeStreamRestoreOpts()
+			name := fmt.Sprintf("crash=%v", crash)
+			if retry {
+				opts.Retry = RetryPolicy{MaxAttempts: 4}
+				name = "retry4/" + name
+			}
+			for k := 1; k <= chunks; k++ {
+				t.Run(fmt.Sprintf("%s/pull%d", name, k), func(t *testing.T) {
+					mem, procs := r.plat.Device(1).Mem.Used(), r.plat.Procs.Count()
+					inj := faultinject.New(faultAtPull(t, crash, k), nil)
+					r.plat.Server.Fabric.SetInjector(inj)
+					_, err := s.Restore(1, opts)
+					disarm(r)
+					if inj.FiredTotal() != 1 {
+						t.Fatalf("%d faults fired, want the one at pull %d", inj.FiredTotal(), k)
+					}
+					switch {
+					case retry && err != nil:
+						t.Fatalf("restore with a retry policy failed on one fault: %v", err)
+					case retry:
+						if err := s.Resume(); err != nil {
+							t.Fatal(err)
+						}
+					case err == nil:
+						t.Fatal("restore survived a fault on its read stream with no retry policy")
+					default:
+						if got := r.plat.Procs.Count(); got != procs {
+							t.Errorf("%d processes after the failed restore, %d before", got, procs)
+						}
+						if got := r.plat.Device(1).Mem.Used(); got != mem {
+							t.Errorf("card memory %d after the failed restore, %d before", got, mem)
+						}
+						if _, err := Swapin(s, 1, storeStreamRestoreOpts()); err != nil {
+							t.Fatalf("next attempt: %v", err)
+						}
+					}
+					iters += 5
+					if got := r.count(t, iters); got != refSum(iters) {
+						t.Fatalf("computation after the restore = %d, want %d", got, refSum(iters))
+					}
+					s, _ = storeSwapout(t, r, "/snap/restoresweep")
+				})
+			}
+			assertNoPartials(t, r.plat)
 		}
-		for k := 1; k <= chunks; k++ {
-			t.Run(fmt.Sprintf("crash=%v/pull%d", crash, k), func(t *testing.T) {
-				mem, procs := r.plat.Device(1).Mem.Used(), r.plat.Procs.Count()
-				r.plat.Server.Fabric.SetInjector(faultinject.New(faultAtPull(t, crash, k), nil))
-				_, err := s.Restore(1, storeStreamRestoreOpts())
-				disarm(r)
-				if err == nil {
-					t.Fatal("restore survived a fault on its read stream with no retry policy")
-				}
-				if got := r.plat.Procs.Count(); got != procs {
-					t.Errorf("%d processes after the failed restore, %d before", got, procs)
-				}
-				if got := r.plat.Device(1).Mem.Used(); got != mem {
-					t.Errorf("card memory %d after the failed restore, %d before", got, mem)
-				}
-				if _, err := Swapin(s, 1, storeStreamRestoreOpts()); err != nil {
-					t.Fatalf("next attempt: %v", err)
-				}
-				iters += 5
-				if got := r.count(t, iters); got != refSum(iters) {
-					t.Fatalf("computation after the retried restore = %d, want %d", got, refSum(iters))
-				}
-				s, _ = storeSwapout(t, r, "/snap/restoresweep")
-			})
-		}
-		assertNoPartials(t, r.plat)
 	}
 }
 
@@ -400,25 +422,42 @@ func TestChaosStagingRoundSweep(t *testing.T) {
 }
 
 // storeReadDurations are the virtual times of the first store-stream
-// restore, staging round and retry-enabled one-stream restore this test
-// process ran; they outlive one run of the test, so -count=N compares N
-// runs.
-var storeReadDurations [3]simclock.Duration
+// restore, staging round, retry-enabled store-stream restore, plain file
+// restore and retry-enabled plain file restore this test process ran; they
+// outlive one run of the test, so -count=N compares N runs.
+var storeReadDurations [5]simclock.Duration
 
 // TestStoreRestoreDeterministic: a swap-in over the store read stream, a
-// staging round over it and a retry-enabled one-stream swap-in (range
-// windows over store streams, one at a time) are priced from sizes alone —
-// one stream is the link's only flow. Fresh platforms in one process, and
-// (scripts/verify.sh: -count=50 at GOMAXPROCS 1 and 8) any number of runs,
-// report one duration of each to the nanosecond.
+// staging round over it and a swap-in over the paper's descriptor from a
+// plain file are priced from sizes alone — one stream is the link's only
+// flow. A retry policy picks no transport, so each swap-in costs the same
+// with one as without when no fault fires. Fresh platforms in one
+// process, and (scripts/verify.sh: -count=50 at GOMAXPROCS 1 and 8) any
+// number of runs, report one duration of each to the nanosecond.
 func TestStoreRestoreDeterministic(t *testing.T) {
-	for i := 0; i < 2; i++ {
+	// swapin swaps a fresh rig's process out, into the store or to a plain
+	// file, and back in, and returns the rig and the restore's price.
+	swapin := func(store, retry bool) (*rig, simclock.Duration) {
 		r := newRig(t, "core_store_restore_deterministic", 2)
 		r.count(t, 20)
-		s, _ := storeSwapout(t, r, "/snap/restoredet")
-		if _, err := Swapin(s, 1, storeStreamRestoreOpts()); err != nil {
+		var copts CaptureOptions
+		copts.Store.Enabled = store
+		s, err := Swapout("/snap/restoredet", r.cp, copts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		var ropts RestoreOptions
+		ropts.Store.Enabled = store
+		if retry {
+			ropts.Retry = RetryPolicy{MaxAttempts: 4}
+		}
+		if _, err := Swapin(s, 1, ropts); err != nil {
+			t.Fatal(err)
+		}
+		return r, s.Report.RestoreDevice
+	}
+	for i := 0; i < 2; i++ {
+		r, restore := swapin(true, false)
 		// A restored process respawns its pipeline thread when the first
 		// call arrives; make one, so the image the round stages has the
 		// thread's record in it on every run.
@@ -433,23 +472,27 @@ func TestStoreRestoreDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.Abort()
-		retrying, _ := storeSwapout(t, r, "/snap/restoredet_retry")
-		ropts := storeStreamRestoreOpts()
-		ropts.Retry = RetryPolicy{MaxAttempts: 4}
-		if _, err := Swapin(retrying, 1, ropts); err != nil {
-			t.Fatal(err)
+		_, retrying := swapin(true, true)
+		_, plain := swapin(false, false)
+		_, plainRetrying := swapin(false, true)
+		got := [5]simclock.Duration{restore, round.StageDuration, retrying, plain, plainRetrying}
+		for k, d := range got {
+			if d <= 0 {
+				t.Fatalf("figure %d of %v is not a duration", k, got)
+			}
 		}
-		got := [3]simclock.Duration{s.Report.RestoreDevice, round.StageDuration, retrying.Report.RestoreDevice}
-		if got[0] <= 0 || got[1] <= 0 || got[2] <= 0 {
-			t.Fatalf("restore took %d virtual ns, staging %d, retry-enabled restore %d", got[0], got[1], got[2])
+		if retrying != restore || plainRetrying != plain {
+			t.Errorf("retry-enabled swap-ins took %d (store) and %d (plain) virtual ns, retry-free ones %d and %d: a retry policy with no fault must cost nothing",
+				retrying, plainRetrying, restore, plain)
 		}
-		if storeReadDurations == [3]simclock.Duration{} {
+		if storeReadDurations == [5]simclock.Duration{} {
 			storeReadDurations = got
 		}
 		if got != storeReadDurations {
-			t.Fatalf("store-stream restore, staging and retry-enabled restore took %v virtual ns, earlier identical ones %v", got, storeReadDurations)
+			t.Fatalf("store-stream restore, staging, retry-enabled store restore, plain and retry-enabled plain restore took %v virtual ns, earlier identical ones %v", got, storeReadDurations)
 		}
-		t.Logf("virtual ns: store-stream restore %d, staging %d, retry-enabled restore %d", got[0], got[1], got[2])
+		t.Logf("virtual ns: store-stream restore %d, staging %d, retry-enabled store restore %d, plain restore %d, retry-enabled plain restore %d",
+			got[0], got[1], got[2], got[3], got[4])
 	}
 }
 

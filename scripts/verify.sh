@@ -162,7 +162,11 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # torn snapshot, no orphan .partial) or retryable, and the seeded runs
 # (seeds pinned inside the tests: 1, 7, 0xC0FFEE) must replay to
 # byte-identical Chrome traces. -count=2 makes cross-run nondeterminism
-# a failure, not a flake. core also carries the chunk-digest cache's two
+# a failure, not a flake. The capture and restore sweeps run every case
+# twice, striped (two streams) and, under "streams1", on the one-stream
+# data path with the same retry policy: a one-stream capture recovers by
+# redo, a one-stream restore by reopening its whole stream at the failed
+# offset. core also carries the chunk-digest cache's two
 # cases: TestChaosPrecopyWriterRace (a writer thread races the pre-copy
 # rounds' epoch cuts; the final digest list must equal the full
 # recompute) and TestChaosLostDirtyRangeIsInvisibleToVerify (a dropped
@@ -173,7 +177,9 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # whole digest list in one message, ship only what is missing and leave
 # nothing pending; and the store read stream's two sweeps
 # (TestChaosStoreRestoreSweep, TestChaosStagingRoundSweep): a daemon crash
-# and a chunk fault at every pull of a swap-in and of a staging round.
+# and a chunk fault at every pull of a swap-in and of a staging round,
+# failing cleanly with no retry policy and, for the swap-in, ridden out
+# with one ("retry4").
 # snapstore carries the federation chaos cases
 # (TestChaosFederation*), and fleetd the control-plane cases
 # (TestChaosFleet*: host kill mid-evacuation-wave, capture crash
@@ -193,9 +199,10 @@ GOMAXPROCS=1 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./inte
 GOMAXPROCS=8 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
 
 echo "==> store read stream determinism (-count=50, GOMAXPROCS 1 and 8)"
-# A swap-in over the store read stream and a pre-copy staging round over it
-# are one stream each, the link's only flow, so they too are priced from
-# sizes alone: one restore and one staging duration, to the nanosecond.
+# A swap-in over the store read stream, a pre-copy staging round over it
+# and a swap-in from a plain file are one stream each, the link's only
+# flow, so they too are priced from sizes alone, to the nanosecond; and a
+# retry-enabled swap-in must cost exactly what its retry-free twin does.
 GOMAXPROCS=1 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 
