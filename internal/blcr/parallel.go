@@ -120,8 +120,8 @@ func maxDur(ds []simclock.Duration) simclock.Duration {
 	return m
 }
 
-// runShards opens one sink per shard and streams them concurrently on a
-// bounded pool. Every worker closes (or aborts) its own sink, so a striped
+// runShards opens one sink per shard and streams them concurrently, one
+// worker per shard. Every worker closes (or aborts) its own sink, so a striped
 // assembly either completes or is discarded as a whole. The merged
 // Duration is the slowest worker — the wall-clock of the parallel capture.
 func (c *Checkpointer) runShards(p *proc.Process, pl *plan, workers int, chunk int64, open ShardSinkFactory) (*Stats, error) {
@@ -144,7 +144,7 @@ func (c *Checkpointer) runShards(p *proc.Process, pl *plan, workers int, chunk i
 	}
 	durs := make([]simclock.Duration, len(shards))
 	marks := make([][]retryMark, len(shards))
-	err := fanout.Run(workers, len(shards), func(i int) error {
+	err := fanout.Run(len(shards), func(i int) error {
 		acc := simclock.NewPipelineAccum()
 		retry := c.retries(acc)
 		sink := sinks[i]
@@ -315,20 +315,13 @@ func (c *Checkpointer) CheckpointDeltaFrozenParallel(p *proc.Process, workers in
 	return c.runShards(p, c.planDelta(p), workers, chunk, open)
 }
 
-// pageRun is one region's pages at a known context-file offset, discovered
-// by the restart scan.
-type pageRun struct {
-	region  *proc.Region
-	regOff  int64
-	fileOff int64
-	n       int64
-}
-
 // RestartParallel rebuilds a process from a context file of size bytes
 // reachable through range reads. The parser, fed by small windowed range
 // opens, hops the region table (noting each page run's offset and skipping
-// it), and then workers stream the page runs back concurrently — each from
-// its own range-opened source, chunk bytes at a time (<=0 means PageChunk).
+// it); then the page runs are cut into at most workers shards by the
+// capture's rule (buildShards), and each shard is one worker's pipeline:
+// its runs, in order, each from its own range-opened source, chunk bytes
+// at a time (<=0 means PageChunk).
 func (c *Checkpointer) RestartParallel(size int64, workers int, chunk int64, open RangeSourceFactory, spawn Spawner) (*proc.Process, *Stats, error) {
 	chunk = chunkOrDefault(chunk)
 	r := &reader{c: c, acc: simclock.NewPipelineAccum(), geo: &Geometry{}}
@@ -336,91 +329,68 @@ func (c *Checkpointer) RestartParallel(size int64, workers int, chunk int64, ope
 	r.feed = win.next
 	defer win.win.Close() //nolint:errcheck // scanner teardown; reads already completed
 
-	var runs []pageRun
+	// A full context holds each region's pages as one run from the
+	// region's first byte, so a piece of a run at regOff sits at the
+	// run's file offset plus regOff.
+	var runs []seg
+	var pages int64
+	runAt := make(map[*proc.Region]int64)
 	p, st, err := c.parseContext(r, spawn, func(reg *proc.Region, fileOff, n int64) error {
-		runs = append(runs, pageRun{region: reg, fileOff: fileOff, n: n})
+		runs = append(runs, seg{region: reg, n: n})
+		runAt[reg] = fileOff
+		pages += n
 		return win.skip(n)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Load the page runs concurrently, splitting at chunk boundaries so
-	// big regions spread across all workers.
-	pieces := splitRuns(runs, workers, chunk)
-	durs := make([]simclock.Duration, len(pieces))
-	err = fanout.Run(workers, len(pieces), func(i int) error {
-		d, err := c.loadRun(pieces[i], r.onHost, chunk, open)
-		durs[i] = d
-		return err
+	shards := buildShards(runs, pages, workers, chunk)
+	durs := make([]simclock.Duration, len(shards))
+	err = fanout.Run(len(shards), func(i int) error {
+		acc := simclock.NewPipelineAccum()
+		for _, sg := range shards[i].segs {
+			if err := c.loadRun(sg, runAt[sg.region]+sg.regOff, r.onHost, chunk, open, acc); err != nil {
+				return err
+			}
+		}
+		durs[i] = acc.Total()
+		return nil
 	})
 	if err != nil {
 		p.Terminate()
 		return nil, nil, err
 	}
-	scanDur := r.acc.Total()
-	bytes := make([]int64, len(pieces))
-	for i, pc := range pieces {
-		bytes[i] = pc.n
+	bytes := make([]int64, len(shards))
+	for i, sh := range shards {
+		bytes[i] = sh.n
 	}
+	scanDur := r.acc.Total()
 	c.emitStreamSpans(p, "restore_stream", c.spanStart()+scanDur, durs, bytes)
 	st.Duration = scanDur + maxDur(durs)
 	return p, st, nil
 }
 
-// splitRuns cuts page runs so that workers can balance: each piece is at
-// most ceil(total/workers) bytes, cut at chunk boundaries.
-func splitRuns(runs []pageRun, workers int, chunk int64) []pageRun {
-	if workers < 1 {
-		workers = 1
-	}
-	var total int64
-	for _, r := range runs {
-		total += r.n
-	}
-	if total == 0 {
-		return runs
-	}
-	target := (total + int64(workers) - 1) / int64(workers)
-	target -= target % chunk
-	if target < chunk {
-		target = chunk
-	}
-	var pieces []pageRun
-	for _, r := range runs {
-		for r.n > target {
-			head := r
-			head.n = target
-			pieces = append(pieces, head)
-			r.regOff += target
-			r.fileOff += target
-			r.n -= target
-		}
-		pieces = append(pieces, r)
-	}
-	return pieces
-}
-
-// loadRun streams one piece of a region's pages from its own range source,
-// which resumes at its offset after a transport fault (resumable, with a
-// budget of its own).
-func (c *Checkpointer) loadRun(run pageRun, onHost bool, chunk int64, open RangeSourceFactory) (simclock.Duration, error) {
-	acc := simclock.NewPipelineAccum()
-	src := &resumable{open: open, off: run.fileOff, end: run.fileOff + run.n, retry: c.retries(acc)}
+// loadRun streams one piece of a region's pages, at file offset fileOff,
+// into the region, observing its costs on the worker's acc. It reads from
+// a range source of its own, which resumes at its offset after a
+// transport fault (resumable, with a budget of its own).
+func (c *Checkpointer) loadRun(run seg, fileOff int64, onHost bool, chunk int64, open RangeSourceFactory, acc *simclock.PipelineAccum) error {
+	src := &resumable{open: open, off: fileOff, end: fileOff + run.n, retry: c.retries(acc)}
 	defer src.Close() //nolint:errcheck // read-side close failure has nothing to recover
 	for off := int64(0); off < run.n; {
 		piece, cost, err := src.Next(chunk)
 		if err == io.EOF {
-			return acc.Total(), badContext("truncated page run")
+			return badContext("truncated page run")
 		}
 		if err != nil {
-			return acc.Total(), err
+			return err
 		}
 		stream.Observe(acc, cost, c.copyStage(onHost, piece.Len()))
 		run.region.WriteBlob(run.regOff+off, piece)
 		off += piece.Len()
 	}
-	return acc.Total(), nil
+	return nil
 }
 
 // RestartChainParallel restores a base context in parallel, then applies

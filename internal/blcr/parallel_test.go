@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
+	"snapify/internal/obs"
 	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
@@ -162,6 +163,84 @@ func TestParallelRestartRestoresIdenticalState(t *testing.T) {
 	}
 	if !restored.StepsPaused() {
 		t.Error("parallel-restored process not frozen")
+	}
+}
+
+// shardedRestart keeps, per worker count, the Duration of the first
+// striped restore this test process ran; it outlives one run of the test,
+// so -count=N compares N runs.
+var shardedRestart = map[int]simclock.Duration{}
+
+// TestParallelRestartOneShardPerStream: a striped restore cuts the page
+// runs into at most one shard per worker, each shard one pipeline whose
+// span carries its bytes, and prices the restore as the scan plus the
+// slowest shard — so at one worker every page run is priced, the 9 MiB
+// stack's included, in one sequential pipeline. The price is a function
+// of the file and the worker count, never of the order the workers ran
+// in (scripts/verify.sh: -count=50 at GOMAXPROCS 1 and 8).
+func TestParallelRestartOneShardPerStream(t *testing.T) {
+	e := newEnv()
+	p := makeBigProc(t)
+	var pageBytes int64
+	for _, r := range p.Regions() {
+		if r.Kind() != proc.RegionLocalStore {
+			pageBytes += r.Size()
+		}
+	}
+	p.PauseSteps()
+	if _, err := e.cr.CheckpointFrozen(p, e.sink(t, "ctx")); err != nil {
+		t.Fatal(err)
+	}
+	p.ResumeSteps()
+	ctx, _, err := e.fs.ReadFile("ctx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev simclock.Duration
+	for _, workers := range []int{1, 2, 3} {
+		tr := obs.NewTracer()
+		scope := tr.NewScope()
+		restored, st, err := e.cr.WithSpans(tr, scope, 0).RestartParallel(ctx.Len(), workers, 0, e.rangeSource("ctx"), freshSpawn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := tr.ScopeSpans(scope)
+		if len(spans) == 0 || len(spans) > workers {
+			t.Fatalf("workers %d: %d restore_stream spans, want 1..%d", workers, len(spans), workers)
+		}
+		var carried int64
+		var longest simclock.Duration
+		for _, sp := range spans {
+			if sp.Name != "restore_stream" {
+				t.Fatalf("workers %d: span %q, want restore_stream", workers, sp.Name)
+			}
+			if sp.Start != spans[0].Start {
+				t.Errorf("workers %d: streams start at %v and %v, want all after the one scan", workers, spans[0].Start, sp.Start)
+			}
+			if floor := e.cr.copyStage(restored.Node().IsHost(), sp.Args["bytes"]); sp.Dur < floor {
+				t.Errorf("workers %d: stream %d carries %d bytes in %v, less than copying them takes (%v)",
+					workers, sp.Args["stream"], sp.Args["bytes"], sp.Dur, floor)
+			}
+			carried += sp.Args["bytes"]
+			longest = max(longest, sp.Dur)
+		}
+		if carried != pageBytes {
+			t.Errorf("workers %d: streams carry %d bytes, the page runs hold %d", workers, carried, pageBytes)
+		}
+		if want := spans[0].Start + longest; st.Duration != want {
+			t.Errorf("workers %d: Duration %v, want the scan %v plus the slowest stream %v = %v",
+				workers, st.Duration, spans[0].Start, longest, want)
+		}
+		t.Logf("workers %d: %d streams, Duration %v (scan %v)", workers, len(spans), st.Duration, spans[0].Start)
+		if first, ok := shardedRestart[workers]; !ok {
+			shardedRestart[workers] = st.Duration
+		} else if st.Duration != first {
+			t.Errorf("workers %d: Duration %v, an earlier identical restore %v", workers, st.Duration, first)
+		}
+		if workers > 1 && st.Duration >= prev {
+			t.Errorf("workers %d: Duration %v, not below %d workers' %v", workers, st.Duration, workers-1, prev)
+		}
+		prev = st.Duration
 	}
 }
 

@@ -65,8 +65,8 @@ func (b *retries) spend(err error) error {
 // context file through src (opened through open when nil). Reads are
 // idempotent, so after a failed open or Next it spends a retry and
 // reopens [off, end) over the same carrier. A restore's whole stream and
-// each page piece have a budget of their own; a metadata scan's windows
-// share one.
+// each page run a shard loads have a budget of their own; a metadata
+// scan's windows share one.
 type resumable struct {
 	open     RangeSourceFactory
 	src      stream.Source

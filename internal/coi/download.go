@@ -70,7 +70,7 @@ func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath s
 		// The whole stream only supplied the context size; the pages
 		// arrive over the range streams.
 		src.Close() //nolint:errcheck // size probe: close only releases the descriptor
-		restored, rst, err = cr.RestartChainParallel(size, req.Streams, req.ChunkBytes, open, deltas, spawn)
+		restored, rst, err = cr.RestartChainParallel(size, req.Streams, blcr.PageChunk, open, deltas, spawn)
 	} else {
 		restored, rst, err = cr.RestartChain(src, size, open, deltas, spawn)
 	}

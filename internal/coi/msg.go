@@ -205,7 +205,8 @@ func (m *CaptureResp) fields(c *wire.Cursor) {
 // LocalStoreDir on LocalStoreNode (the latest pause — the host for
 // checkpoint and swap, the daemon's own card for migration); DeltaDirs,
 // if any, are replayed in order. Streams > 1 restores the base context
-// over that many concurrent range streams. StoreResident says the context
+// over that many concurrent range streams, PageChunk bytes per read, and
+// reloads the local store on as many workers. StoreResident says the context
 // is read out of the host store's manifest, whose digest list can then
 // seed the process's chunk-digest cache.
 type RestoreReq struct {
@@ -215,7 +216,6 @@ type RestoreReq struct {
 	LocalStoreDir  string
 	DeltaDirs      []string
 	Streams        int
-	ChunkBytes     int64
 	Align          simclock.Duration
 	Retry          blcr.RetryPolicy
 	StoreResident  bool
@@ -228,7 +228,6 @@ func (m *RestoreReq) fields(c *wire.Cursor) {
 	wire.Str32(c, &m.LocalStoreDir)
 	wire.List(c, wire.U32[int], &m.DeltaDirs, wire.Str32)
 	wire.U16(c, &m.Streams)
-	wire.U64(c, &m.ChunkBytes)
 	wire.U64(c, &m.Align)
 	wire.U16(c, &m.Retry.MaxAttempts)
 	wire.Bool(c, &m.StoreResident)

@@ -87,8 +87,8 @@ var goldenMessages = []struct {
 		"0a000000000010000000000000007309768000000000000000110000000000700000",
 		&CaptureResp{SnapshotBytes: 256 << 20, Duration: 1930 * time.Millisecond, Scope: 17, ShippedBytes: 7 << 20}},
 	{"restore", asRequest, opSnapifyRestore, "",
-		"0d000000076170705f62696e0000000a2f736e61702f6261736500000001000000082f736e61702f643200000002000000082f736e61702f6431000000082f736e61702f643200020000000000010000000000000000002a000201",
-		&RestoreReq{Binary: "app_bin", ContextDir: "/snap/base", LocalStoreNode: 1, LocalStoreDir: "/snap/d2", DeltaDirs: []string{"/snap/d1", "/snap/d2"}, Streams: 2, ChunkBytes: 65536, Align: 42, Retry: blcr.RetryPolicy{MaxAttempts: 2}, StoreResident: true}},
+		"0d000000076170705f62696e0000000a2f736e61702f6261736500000001000000082f736e61702f643200000002000000082f736e61702f6431000000082f736e61702f64320002000000000000002a000201",
+		&RestoreReq{Binary: "app_bin", ContextDir: "/snap/base", LocalStoreNode: 1, LocalStoreDir: "/snap/d2", DeltaDirs: []string{"/snap/d1", "/snap/d2"}, Streams: 2, Align: 42, Retry: blcr.RetryPolicy{MaxAttempts: 2}, StoreResident: true}},
 	{"restore_resp", asReply, opSnapifyRestoreResp, "",
 		"0e0000000009000000003473bc000000000000b71b0000000000003000000000000200000007636f6d6d616e640000083500000003646d6100000836",
 		&RestoreResp{ProcID: 9, ContextDur: 880 * time.Millisecond, LocalStoreDur: 12 * time.Millisecond, LocalStoreBytes: 3 << 20, Ports: []ChannelPort{{"command", 2101}, {"dma", 2102}}}},

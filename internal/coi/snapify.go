@@ -294,49 +294,42 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 }
 
 // reloadLocalStore streams saved local-store files from the snapshot
-// directory (on lsNode) into the restored process's regions — serially
-// through one shared pipeline for workers <= 1 (the paper's path), or one
-// region per worker on a bounded pool. For process migration the files
-// are already on this card — written there directly by the source card's
-// pause — and are deleted once loaded.
-func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.NodeID, workers int) (simclock.Duration, int64, error) {
+// directory (on lsNode) into the restored process's regions. The regions
+// are dealt, in order, into at most streams contiguous shards, each one
+// worker's pipeline: streams <= 1 is the paper's one serial pipeline, and
+// with no more regions than streams every region has a worker of its own.
+// For process migration the files are already on this card — written
+// there directly by the source card's pause — and are deleted once loaded.
+func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.NodeID, streams int) (simclock.Duration, int64, error) {
 	var regions []*proc.Region
 	for _, r := range p.Regions() {
 		if r.Kind() == proc.RegionLocalStore {
 			regions = append(regions, r)
 		}
 	}
-	if workers <= 1 || len(regions) <= 1 {
+	shards := min(max(streams, 1), len(regions))
+	durs := make([]simclock.Duration, shards)
+	bytes := make([]int64, shards)
+	err := fanout.Run(shards, func(i int) error {
 		acc := simclock.NewPipelineAccum()
-		var total int64
-		for _, r := range regions {
+		for _, r := range regions[i*len(regions)/shards : (i+1)*len(regions)/shards] {
 			n, err := d.reloadOneLocalStore(r, dir, lsNode, acc)
 			if err != nil {
-				return 0, 0, err
+				return err
 			}
-			total += n
+			bytes[i] += n
 		}
-		return acc.Total(), total, nil
-	}
-	durs := make([]simclock.Duration, len(regions))
-	bytes := make([]int64, len(regions))
-	err := fanout.Run(workers, len(regions), func(i int) error {
-		acc := simclock.NewPipelineAccum()
-		n, err := d.reloadOneLocalStore(regions[i], dir, lsNode, acc)
 		durs[i] = acc.Total()
-		bytes[i] = n
-		return err
+		return nil
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	var total int64
 	var wall simclock.Duration
-	for i := range regions {
+	for i := range durs {
 		total += bytes[i]
-		if durs[i] > wall {
-			wall = durs[i]
-		}
+		wall = max(wall, durs[i])
 	}
 	return wall, total, nil
 }
@@ -354,7 +347,7 @@ func (d *Daemon) reloadOneLocalStore(r *proc.Region, dir string, lsNode simnet.N
 	}
 	var off int64
 	for off < r.Size() {
-		chunk, cost, err := f.Next(4 * simclock.MiB)
+		chunk, cost, err := f.Next(blcr.PageChunk)
 		if err != nil {
 			f.Close() //nolint:errcheck // error path: close only releases the descriptor; the read error is what propagates
 			return 0, err

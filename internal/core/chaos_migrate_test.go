@@ -24,7 +24,7 @@ import (
 func chaosMigrateOpts(path string) MigrateOptions {
 	o := MigrateOptions{DeviceTo: 2, Path: path}
 	o.Capture = chaosStoreOpts()
-	o.Restore = RestoreOptions{Streams: 2, ChunkBytes: 32 * 1024, Retry: RetryPolicy{MaxAttempts: 4}}
+	o.Restore = RestoreOptions{Streams: 2, Retry: RetryPolicy{MaxAttempts: 4}}
 	o.Restore.Store.Enabled = true
 	o.Precopy = PrecopyOptions{MaxRounds: 3}
 	return o

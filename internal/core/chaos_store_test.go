@@ -82,7 +82,7 @@ func TestChaosStoreDaemonCrashMidUpload(t *testing.T) {
 		t.Fatal("capture succeeded but no manifest committed")
 	}
 	assertStoreConsistent(t, r)
-	ropts := RestoreOptions{Streams: 2, ChunkBytes: 32 * 1024, Retry: RetryPolicy{MaxAttempts: 4}}
+	ropts := RestoreOptions{Streams: 2, Retry: RetryPolicy{MaxAttempts: 4}}
 	ropts.Store.Enabled = true
 	if _, err := Swapin(s, 1, ropts); err != nil {
 		t.Fatalf("swap-in after faulted store capture: %v", err)
@@ -237,7 +237,7 @@ func TestChaosStoreDaemonCrashMidWindow(t *testing.T) {
 	if n := r.plat.Store.PendingUploads(); n != 0 {
 		t.Errorf("%d uploads pending after the retried capture", n)
 	}
-	ropts := RestoreOptions{Streams: 2, ChunkBytes: opts.ChunkBytes}
+	ropts := RestoreOptions{Streams: 2}
 	ropts.Store.Enabled = true
 	if _, err := Swapin(s, 1, ropts); err != nil {
 		t.Fatalf("swap-in after the retried capture: %v", err)

@@ -239,9 +239,8 @@ func TestChaosRestoreSweep(t *testing.T) {
 		}
 		arm(r, cc.fault)
 		_, err := s.Restore(1, RestoreOptions{
-			Streams:    streams,
-			ChunkBytes: 128 * 1024,
-			Retry:      RetryPolicy{MaxAttempts: 4},
+			Streams: streams,
+			Retry:   RetryPolicy{MaxAttempts: 4},
 		})
 		disarm(r)
 		assertNoPartials(t, r.plat)

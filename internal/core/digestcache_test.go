@@ -155,8 +155,8 @@ func readStoreCtx(t *testing.T, r *rig, ctx string) blob.Blob {
 	return blob.Concat(parts...)
 }
 
-func storeRestoreOpts(chunk int64) RestoreOptions {
-	o := RestoreOptions{Streams: 2, ChunkBytes: chunk}
+func storeRestoreOpts() RestoreOptions {
+	o := RestoreOptions{Streams: 2}
 	o.Store.Enabled = true
 	return o
 }
@@ -180,7 +180,7 @@ func TestDigestCacheDifferential(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				copts := CaptureOptions{Streams: 2, ChunkBytes: chunk}
 				copts.Store.Enabled = true
-				ropts := storeRestoreOpts(chunk)
+				ropts := storeRestoreOpts()
 				iters := uint64(10)
 				r.count(t, iters)
 
@@ -350,7 +350,7 @@ func TestChaosPrecopyWriterRace(t *testing.T) {
 
 	copts := CaptureOptions{Streams: 2, ChunkBytes: chunk}
 	copts.Store.Enabled = true
-	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/race", Capture: copts, Restore: storeRestoreOpts(chunk),
+	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/race", Capture: copts, Restore: storeRestoreOpts(),
 		Precopy: PrecopyOptions{MaxRounds: 4}}
 	m, err := NewMigration(r.cp, mopts)
 	if err != nil {
@@ -537,7 +537,7 @@ func TestDigestCacheDropsForceFullPass(t *testing.T) {
 
 	// A live migration whose switch-over is abandoned under pause: rounds
 	// seed the cache, the process is paused and resumed with no capture.
-	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/drops/mig", Capture: opts, Restore: storeRestoreOpts(chunk),
+	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/drops/mig", Capture: opts, Restore: storeRestoreOpts(),
 		Precopy: PrecopyOptions{MaxRounds: 2}}
 	m, err := NewMigration(r.cp, mopts)
 	if err != nil {
@@ -583,7 +583,7 @@ func TestChaosLostDirtyRangeIsInvisibleToVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Swapin(s, 1, storeRestoreOpts(chunk)); err != nil {
+	if _, err := Swapin(s, 1, storeRestoreOpts()); err != nil {
 		t.Fatal(err)
 	}
 	r.count(t, 20) // the restored runtime's threads have settled once a call completes
@@ -678,7 +678,7 @@ func TestPrecopyRedoesRoundWhenStoreLacksCarriedChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Swapin(s, 1, storeRestoreOpts(chunk)); err != nil {
+	if _, err := Swapin(s, 1, storeRestoreOpts()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.plat.Store.Release("/snap/redo/swap/" + coi.ContextFileName); err != nil {
@@ -689,7 +689,7 @@ func TestPrecopyRedoesRoundWhenStoreLacksCarriedChunk(t *testing.T) {
 	}
 	r.count(t, 20)
 
-	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/redo/mig", Capture: opts, Restore: storeRestoreOpts(chunk),
+	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/redo/mig", Capture: opts, Restore: storeRestoreOpts(),
 		Precopy: PrecopyOptions{MaxRounds: 3}}
 	if _, _, err := Migrate(r.cp, mopts); err != nil {
 		t.Fatal(err)

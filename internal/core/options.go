@@ -49,9 +49,6 @@ func (o *RestoreOptions) validate() error {
 	if o.Streams < 0 {
 		return fmt.Errorf("core: RestoreOptions.Streams is %d; want 0 (serial) or a positive stream count", o.Streams)
 	}
-	if o.ChunkBytes < 0 {
-		return fmt.Errorf("core: RestoreOptions.ChunkBytes is %d; want 0 (default) or a positive chunk size", o.ChunkBytes)
-	}
 	if o.Retry.MaxAttempts < 0 {
 		return fmt.Errorf("core: RestoreOptions.Retry.MaxAttempts is %d; want 0 (no retry) or a positive attempt bound", o.Retry.MaxAttempts)
 	}

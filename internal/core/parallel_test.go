@@ -7,6 +7,7 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/coi"
+	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 )
 
@@ -151,7 +152,7 @@ func TestParallelCaptureRestoreEquivalence(t *testing.T) {
 // so the card's Snapify-IO daemon is assembling many striped files at
 // once while the monitor thread keeps serving pause traffic. Run under
 // -race this exercises the locking in the daemon's open-file table, the
-// striped assembly state, and the fanout worker pools.
+// striped assembly state, and the shard workers.
 func TestConcurrentParallelCaptures(t *testing.T) {
 	coi.RegisterBinary(testBinary("core_par_conc"))
 	r := newRig(t, "core_par_conc_unused", 1) // builds platform + daemons
@@ -227,5 +228,57 @@ func TestConcurrentParallelCaptures(t *testing.T) {
 				t.Errorf("missing context file %s", path)
 			}
 		}
+	}
+}
+
+// TestRestoreLocalStoreOneShardPerStream swaps in a process with three
+// equal local-store buffers. Its reload deals the buffers into at most
+// Streams shards, one pipeline each: two streams leave one of them two
+// buffers to load in a row, three give each its own, and one stream is
+// the paper's serial reload, pinned to the nanosecond.
+func TestRestoreLocalStoreOneShardPerStream(t *testing.T) {
+	const bufBytes = 2 << 20
+	local := make(map[int]simclock.Duration)
+	for _, streams := range []int{1, 2, 3} {
+		r := newRig(t, "core_ls_shards", 1)
+		var bufs []*coi.Buffer
+		for i := 0; i < 3; i++ {
+			buf, err := r.cp.CreateBuffer(bufBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := buf.Write([]byte(fmt.Sprintf("buffer %d", i)), int64(i)*4096); err != nil {
+				t.Fatal(err)
+			}
+			bufs = append(bufs, buf)
+		}
+		r.count(t, 10)
+		snap, err := Swapout("/snap/lsshards", r.cp, CaptureOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Swapin(snap, 1, RestoreOptions{Streams: streams}); err != nil {
+			t.Fatalf("streams %d: %v", streams, err)
+		}
+		for i, buf := range bufs {
+			want := fmt.Sprintf("buffer %d", i)
+			got := make([]byte, len(want))
+			if err := buf.Read(got, int64(i)*4096); err != nil || string(got) != want {
+				t.Fatalf("streams %d: buffer %d reads %q (%v), want %q", streams, i, got, err, want)
+			}
+		}
+		if snap.Report.LocalStoreBytes != 3*bufBytes {
+			t.Fatalf("streams %d: local store is %d bytes, want %d", streams, snap.Report.LocalStoreBytes, 3*bufBytes)
+		}
+		local[streams] = snap.Report.RestoreLocal
+		t.Logf("streams %d: RestoreLocal %d ns", streams, local[streams])
+	}
+	if local[2] <= local[3] {
+		t.Errorf("RestoreLocal at 2 streams %v, not above 3 streams' %v: a stream loads two buffers in a row", local[2], local[3])
+	}
+	// One stream is one pipeline over the three buffers in order; this is
+	// the serial reload's price before the reload had shards.
+	if want := simclock.Duration(27_070_243); local[1] != want {
+		t.Errorf("RestoreLocal at 1 stream %d ns, want the serial reload's %d", local[1], want)
 	}
 }

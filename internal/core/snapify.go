@@ -193,11 +193,11 @@ type CaptureOptions struct {
 // RestoreOptions configures a restore (snapify_restore).
 type RestoreOptions struct {
 	// Streams is how many parallel Snapify-IO range streams the base
-	// context is read over. Zero or one is the paper's serial restore.
+	// context is read over, and how many workers reload the local store.
+	// Zero or one is the paper's serial restore. Each stream is one
+	// pipeline over its shard of the page runs, cut as a capture cuts its
+	// stripes and read 4 MiB (blcr.PageChunk) at a time.
 	Streams int
-	// ChunkBytes is the I/O granularity of the parallel restore path; zero
-	// uses the checkpointer's default. Ignored when Streams <= 1.
-	ChunkBytes int64
 	// Retry lets the restore survive transport faults by reopening each
 	// read where it left off, the one whole stream included, under bounded
 	// virtual backoff. It picks no data path.
@@ -529,7 +529,7 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	resp, err := coi.DaemonRestoreRequest(plat, device, &coi.RestoreReq{
 		Binary: cp.BinaryName(), ContextDir: baseDir,
 		LocalStoreNode: s.localStoreTarget, LocalStoreDir: s.Path, DeltaDirs: deltaDirs,
-		Streams: opts.Streams, ChunkBytes: opts.ChunkBytes, Align: start, Retry: opts.Retry,
+		Streams: opts.Streams, Align: start, Retry: opts.Retry,
 		StoreResident: storeResident,
 	})
 	if err != nil {

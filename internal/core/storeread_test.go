@@ -231,7 +231,7 @@ func TestStoreRestoreDifferential(t *testing.T) {
 				// it, before a rebind starts threads in it.
 				resp, err := coi.DaemonRestoreRequest(r.plat, 1, &coi.RestoreReq{
 					Binary: r.cp.BinaryName(), ContextDir: dir, LocalStoreNode: simnet.HostNode, LocalStoreDir: dir,
-					Streams: ropts.Streams, ChunkBytes: ropts.ChunkBytes, Retry: ropts.Retry, StoreResident: store,
+					Streams: ropts.Streams, Retry: ropts.Retry, StoreResident: store,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -252,7 +252,7 @@ func TestStoreRestoreDifferential(t *testing.T) {
 			plain := restore(false, RestoreOptions{})
 			for name, got := range map[string]restoredImage{
 				"store read stream":     restore(true, storeStreamRestoreOpts()),
-				"striped store streams": restore(true, storeRestoreOpts(chunk)),
+				"striped store streams": restore(true, storeRestoreOpts()),
 			} {
 				if got.img.Len() != plain.img.Len() || !blob.Equal(got.img, plain.img) {
 					t.Errorf("%s: the restored process's full layout differs from the plain file restore's", name)

@@ -1,58 +1,45 @@
-// Package fanout provides the bounded worker pool the parallel snapshot
-// data path runs on: the checkpointer, the COI daemon, and the core API all
-// partition their per-region or per-shard work with Run.
+// Package fanout runs the parallel snapshot data path's workers: the
+// checkpointer and the COI daemon each cut their work into at most one
+// shard per stream up front and run one worker per shard with Run.
 package fanout
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Run executes fn(i) for every i in [0, items) on at most workers
-// concurrent goroutines and waits for all of them. It returns the first
-// error in item order (all items run regardless — snapshot shards must not
-// be silently skipped, and a striped sink is only consistent once every
-// worker has finished or aborted). workers < 1 is treated as 1.
-func Run(workers, items int, fn func(i int) error) error {
-	if items <= 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > items {
-		workers = items
-	}
-	errs := make([]error, items)
-	var next int
+// Run executes fn(i) for every i in [0, items), each on a goroutine of its
+// own, and waits for all of them. Callers pass one item per stream, so the
+// stream count bounds the goroutines. It returns the first error in item
+// order (all items run regardless — snapshot shards must not be silently
+// skipped, and a striped sink is only consistent once every worker has
+// finished or aborted).
+func Run(items int, fn func(i int) error) error {
+	errs := make([]error, max(items, 0))
 	var panicked any
-	var mu sync.Mutex
+	var once sync.Once
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// Each goroutine takes the next item as it starts, so item 0 starts
+	// first whatever order the scheduler runs new goroutines in: the
+	// shared link prices a transfer by the flows in flight when it starts
+	// (ROADMAP item 1b), and the baselines were recorded with stream 0
+	// leading.
+	var next atomic.Int64
+	for range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := int(next.Add(1) - 1)
 			// A panic in fn is a bug, not a recoverable fault — but it
 			// must not strand the sibling workers or the caller's
-			// WaitGroup. Capture it, drain the pool, and re-raise on
-			// the caller's goroutine after the join.
+			// WaitGroup. Capture it, let the siblings finish, and
+			// re-raise on the caller's goroutine after the join.
 			defer func() {
 				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					next = items // stop handing out work
-					mu.Unlock()
+					once.Do(func() { panicked = r })
 				}
 			}()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= items {
-					return
-				}
-				errs[i] = fn(i)
-			}
+			errs[i] = fn(i)
 		}()
 	}
 	wg.Wait()

@@ -3,7 +3,6 @@ package fanout
 import (
 	"errors"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,7 +11,7 @@ import (
 func TestRunExecutesEveryItem(t *testing.T) {
 	const items = 100
 	var hits [items]atomic.Int32
-	if err := Run(7, items, func(i int) error {
+	if err := Run(items, func(i int) error {
 		hits[i].Add(1)
 		return nil
 	}); err != nil {
@@ -25,31 +24,10 @@ func TestRunExecutesEveryItem(t *testing.T) {
 	}
 }
 
-func TestRunBoundsConcurrency(t *testing.T) {
-	const workers = 3
-	var cur, peak atomic.Int32
-	var mu sync.Mutex
-	if err := Run(workers, 50, func(int) error {
-		c := cur.Add(1)
-		mu.Lock()
-		if c > peak.Load() {
-			peak.Store(c)
-		}
-		mu.Unlock()
-		defer cur.Add(-1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > workers {
-		t.Errorf("peak concurrency %d exceeds %d workers", p, workers)
-	}
-}
-
 func TestRunReturnsFirstErrorInItemOrder(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := Run(4, 10, func(i int) error {
+	err := Run(10, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -64,15 +42,10 @@ func TestRunReturnsFirstErrorInItemOrder(t *testing.T) {
 }
 
 func TestRunDegenerateInputs(t *testing.T) {
-	if err := Run(4, 0, func(int) error { t.Fatal("ran"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	var n atomic.Int32
-	if err := Run(0, 5, func(int) error { n.Add(1); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 5 {
-		t.Errorf("workers=0 ran %d of 5 items", n.Load())
+	for _, items := range []int{0, -1} {
+		if err := Run(items, func(int) error { t.Fatal("ran"); return nil }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -84,7 +57,7 @@ func TestRunFaultedWorkerLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fault := errors.New("injected")
 	for round := 0; round < 20; round++ {
-		err := Run(8, 64, func(i int) error {
+		err := Run(64, func(i int) error {
 			if i%3 == 0 {
 				return fault
 			}
@@ -95,7 +68,7 @@ func TestRunFaultedWorkerLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("round %d: got %v, want %v", round, err, fault)
 		}
 	}
-	// Run waits on its WaitGroup, so the pool must already be gone; give
+	// Run waits on its WaitGroup, so the workers must already be gone; give
 	// the runtime a moment only for unrelated scheduler noise to settle.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -110,12 +83,23 @@ func TestRunFaultedWorkerLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestRunPanicInWorkerDoesNotHangSiblings documents that a panicking fn
-// propagates (it is a bug, not a fault) rather than deadlocking Run.
+// propagates (it is a bug, not a fault) rather than deadlocking Run, and
+// only after every sibling has finished.
 func TestRunPanicInWorkerDoesNotHangSiblings(t *testing.T) {
+	var done atomic.Int32
 	defer func() {
 		if recover() == nil {
 			t.Error("panic in fn must propagate to the caller")
 		}
+		if n := done.Load(); n != 3 {
+			t.Errorf("%d of 3 siblings finished before the panic was re-raised", n)
+		}
 	}()
-	Run(1, 1, func(int) error { panic("boom") }) //nolint:errcheck // the panic is the point
+	Run(4, func(i int) error { //nolint:errcheck // the panic is the point
+		if i == 1 {
+			panic("boom")
+		}
+		done.Add(1)
+		return nil
+	})
 }

@@ -206,6 +206,14 @@ echo "==> store read stream determinism (-count=50, GOMAXPROCS 1 and 8)"
 GOMAXPROCS=1 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
 
+echo "==> striped restore shard pricing (-count=50, GOMAXPROCS 1 and 8)"
+# A striped restore cuts its page runs into at most one shard per stream,
+# each shard one worker's pipeline, and is priced as the scan plus the
+# slowest shard; fifty runs on one P and fifty on eight must report one
+# Duration per worker count, so goroutine order never reaches a price.
+GOMAXPROCS=1 go test -count=50 -run '^TestParallelRestartOneShardPerStream$' ./internal/blcr/
+GOMAXPROCS=8 go test -count=50 -run '^TestParallelRestartOneShardPerStream$' ./internal/blcr/
+
 echo "==> snapbench -parallel -smoke -trace (the trace file the analyzer step reads)"
 # The one smoke invocation left: snapifyctl's critical-path analyzer
 # below needs a trace file. Every standing benchmark's shape check and

@@ -74,7 +74,9 @@ type (
 	// CaptureOptions configures a capture: termination and the parallel
 	// multi-stream data path.
 	CaptureOptions = core.CaptureOptions
-	// RestoreOptions configures a restore's parallel data path.
+	// RestoreOptions configures a restore: how many streams read the
+	// context and reload the local store (one shard of the work each),
+	// and the retry policy.
 	RestoreOptions = core.RestoreOptions
 	// MigrateOptions configures a migration: destination, snapshot
 	// directory, pre-copy, and the capture/restore behavior. Pre-copy
