@@ -303,7 +303,15 @@ type reader struct {
 
 	pending blob.Blob
 	off     int64
+	// fed counts the bytes fed into pending so far; holes are the
+	// stretches of them, in that count, that came as holes and whose copy
+	// is owed until they land (copyTo, take) or are skipped.
+	fed   int64
+	holes []span
 }
+
+// span is the stretch [from, to) of a reader's fed bytes.
+type span struct{ from, to int64 }
 
 // sequential feeds a reader from src, PageChunk at a time.
 func sequential(src stream.Source) func() (blob.Blob, stream.Cost, error) {
@@ -312,31 +320,74 @@ func sequential(src stream.Source) func() (blob.Blob, stream.Cost, error) {
 
 func (r *reader) buffered() int64 { return r.pending.Len() - r.off }
 
-// take returns the file's next n bytes as a blob.
-func (r *reader) take(n int64) (blob.Blob, error) {
+// fill buffers at least n bytes of the file. A plain piece is charged its
+// restore-side producer stage as it arrives; a hole's copy waits until we
+// know where its bytes land.
+func (r *reader) fill(n int64) error {
 	for r.buffered() < n {
 		piece, cost, err := r.feed()
 		if err == io.EOF {
-			return blob.Blob{}, badContext("truncated context file")
+			return badContext("truncated context file")
 		}
 		if err != nil {
-			return blob.Blob{}, err
+			return err
 		}
-		// Restore-side producer stage: writing the pages into memory —
-		// or, on the adoption path, only installing page-table entries
-		// over frames that are already resident.
-		charged := piece.Len()
-		if r.adopt {
-			charged /= pteBytesPerByte
+		if cost.Hole {
+			stream.Observe(r.acc, cost)
+			if k := len(r.holes) - 1; k >= 0 && r.holes[k].to == r.fed {
+				r.holes[k].to += piece.Len()
+			} else {
+				r.holes = append(r.holes, span{r.fed, r.fed + piece.Len()})
+			}
+		} else {
+			// Restore-side producer stage: writing the pages into memory
+			// — or, on the adoption path, only installing page-table
+			// entries over frames that are already resident.
+			charged := piece.Len()
+			if r.adopt {
+				charged /= pteBytesPerByte
+			}
+			stream.Observe(r.acc, cost, r.c.copyStage(r.onHost, charged))
 		}
-		stream.Observe(r.acc, cost, r.c.copyStage(r.onHost, charged))
+		r.fed += piece.Len()
 		if r.off > 0 {
 			r.pending, r.off = r.pending.Slice(r.off, r.buffered()), 0
 		}
 		r.pending = blob.Concat(r.pending, piece)
 	}
+	return nil
+}
+
+// run returns the length, at most n, of the buffered bytes from here on
+// that are all hole or all not, and which they are.
+func (r *reader) run(n int64) (int64, bool) {
+	at := r.fed - r.buffered()
+	for len(r.holes) > 0 && r.holes[0].to <= at {
+		r.holes = r.holes[1:] // consumed, or skipped by a scan
+	}
+	switch {
+	case len(r.holes) == 0 || r.holes[0].from >= at+n:
+		return n, false
+	case r.holes[0].from > at:
+		return r.holes[0].from - at, false
+	}
+	return min(r.holes[0].to-at, n), true
+}
+
+// take returns the file's next n bytes as a blob. Hole bytes among them
+// are parsed, not skipped, so their copy is charged now.
+func (r *reader) take(n int64) (blob.Blob, error) {
+	if err := r.fill(n); err != nil {
+		return blob.Blob{}, err
+	}
 	b := r.pending.Slice(r.off, n)
-	r.off += n
+	for end := r.off + n; r.off < end; {
+		k, hole := r.run(end - r.off)
+		if hole {
+			r.acc.Add(r.c.copyStage(r.onHost, k))
+		}
+		r.off += k
+	}
 	return b, nil
 }
 

@@ -386,8 +386,19 @@ func (c *Checkpointer) loadRun(run seg, fileOff int64, onHost bool, chunk int64,
 		if err != nil {
 			return err
 		}
-		stream.Observe(acc, cost, c.copyStage(onHost, piece.Len()))
-		run.region.WriteBlob(run.regOff+off, piece)
+		switch {
+		case !cost.Hole:
+			stream.Observe(acc, cost, c.copyStage(onHost, piece.Len()))
+			run.region.WriteBlob(run.regOff+off, piece)
+		case run.region.Seed() != 0:
+			// A hole is written, and its copy charged, only where the
+			// fresh region is not zeros already (copyTo's rule).
+			stream.Observe(acc, cost)
+			acc.Add(c.copyStage(onHost, piece.Len()))
+			run.region.WriteBlob(run.regOff+off, piece)
+		default:
+			stream.Observe(acc, cost)
+		}
 		off += piece.Len()
 	}
 	return nil
@@ -441,6 +452,6 @@ func (w *rangeWindows) skip(n int64) error {
 	w.win.Close() //nolint:errcheck // the scan moves past the window; its reads completed
 	w.win.off += n
 	w.win.end = w.win.off
-	w.r.pending, w.r.off = blob.Blob{}, 0
+	w.r.pending, w.r.off, w.r.holes = blob.Blob{}, 0, nil
 	return nil
 }

@@ -47,16 +47,24 @@ func (c *Checkpointer) restartFrom(feed func() (blob.Blob, stream.Cost, error), 
 }
 
 // copyTo writes the file's next n bytes into reg at off as they arrive,
-// PageChunk at a time.
+// PageChunk at a time. A hole over the fresh region's seed-0 background is
+// zeros already there: it is neither written nor charged. Any other hole
+// is written and charged its copy (DESIGN.md §11).
 func (r *reader) copyTo(reg *proc.Region, off, n int64) error {
 	for done := int64(0); done < n; {
 		m := min(n-done, PageChunk)
-		content, err := r.take(m)
-		if err != nil {
+		if err := r.fill(m); err != nil {
 			return err
 		}
-		reg.WriteBlob(off+done, content)
-		done += m
+		k, hole := r.run(m)
+		if !hole || reg.Seed() != 0 {
+			if hole {
+				r.acc.Add(r.c.copyStage(r.onHost, k))
+			}
+			reg.WriteBlob(off+done, r.pending.Slice(r.off, k))
+		}
+		r.off += k
+		done += k
 	}
 	return nil
 }

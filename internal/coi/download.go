@@ -118,7 +118,8 @@ func (d *Daemon) handleSnapifyPrecopyStage(req *StageReq) (*StageResp, error) {
 // slots still empty plus whatever the new plan disagrees with — over one
 // store-mode read stream, open for the whole pull. Each chunk is one step
 // of the pipeline: the host's store read, the RDMA, the socket copy and the
-// copy into the staging area overlap across chunks. Staging verifies every
+// copy into the staging area overlap across chunks. A zero chunk comes as a
+// hole and costs its reply alone (DESIGN.md §11). Staging verifies every
 // chunk against the plan's digest before it admits it, so a plan that moved
 // between the report and the open is an error here, never a wrong image.
 func (d *Daemon) stagePull(path string, size, chunkBytes int64, digests []string) (simclock.Duration, int64, error) {
@@ -142,7 +143,12 @@ func (d *Daemon) stagePull(path string, size, chunkBytes int64, digests []string
 			if err != nil {
 				return 0, 0, fmt.Errorf("coi: stage pull chunk %d: %w", idx, err)
 			}
-			stream.Observe(acc, cost, d.plat.Model().PhiMemcpy(b.Len()))
+			if cost.Hole {
+				// Zeros that did not move are staged without a copy.
+				stream.Observe(acc, cost)
+			} else {
+				stream.Observe(acc, cost, d.plat.Model().PhiMemcpy(b.Len()))
+			}
 			parts = append(parts, b)
 			got += b.Len()
 		}

@@ -3,6 +3,7 @@ package coi
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"snapify/internal/platform"
 	"snapify/internal/proc"
@@ -30,12 +31,19 @@ type BufferMeta struct {
 	Addr int64 // RDMA address at checkpoint time (stale after restore)
 }
 
-// ExportMeta snapshots the handle state.
+// ExportMeta snapshots the handle state, its buffers in ascending ID (the
+// remap table's order), so one state encodes to one byte string.
 func (cp *Process) ExportMeta() HandleMeta {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	m := HandleMeta{BinaryName: cp.binName, DevNode: cp.devNode}
-	for id, b := range cp.buffers {
+	ids := make([]int, 0, len(cp.buffers))
+	for id := range cp.buffers {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		b := cp.buffers[id]
 		m.Buffers = append(m.Buffers, BufferMeta{ID: id, Size: b.size, Addr: b.rdmaOff})
 	}
 	for _, pl := range cp.pipelines {
@@ -63,7 +71,8 @@ func (m HandleMeta) Encode() []byte {
 	return b
 }
 
-// DecodeHandleMeta parses an encoded HandleMeta.
+// DecodeHandleMeta parses an encoded HandleMeta; bytes past its end are
+// an error.
 func DecodeHandleMeta(b []byte) (m HandleMeta, err error) {
 	defer func() {
 		if recover() != nil {
@@ -93,6 +102,9 @@ func DecodeHandleMeta(b []byte) (m HandleMeta, err error) {
 	for i := 0; i < np; i++ {
 		m.Pipelines = append(m.Pipelines, binary.BigEndian.Uint32(b))
 		b = b[4:]
+	}
+	if len(b) != 0 {
+		return HandleMeta{}, fmt.Errorf("coi: %d bytes past the end of the handle metadata", len(b))
 	}
 	return m, nil
 }

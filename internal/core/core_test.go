@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"snapify/internal/coi"
+	"snapify/internal/phi"
 	"snapify/internal/platform"
 	"snapify/internal/platform/platformtest"
 	"snapify/internal/proc"
@@ -459,5 +461,28 @@ func TestOneHostTwoCards(t *testing.T) {
 		if got := decodeU64(out); got != refSum(24) {
 			t.Errorf("two-card result %d, want %d", got, refSum(24))
 		}
+	}
+}
+
+// TestLoadHandleStateBoundsItsLength: the handle state is read back out of
+// a restored host image, bytes this process did not write. A length
+// header past the region (here 0xFFFFFFFF) is an error, and nothing is
+// allocated for it.
+func TestLoadHandleStateBoundsItsLength(t *testing.T) {
+	host := proc.New("host_bad_state", 1, simnet.HostNode, phi.NewMemBudget(1<<30))
+	r, err := host.AddRegion(HandleStateRegion, proc.RegionData, handleStateSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.WriteAt([]byte{0xFF, 0xFF, 0xFF, 0xFF}, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadHandleState(host)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a handle state claiming 4 GiB in a 64 KiB region loaded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing the header allocated %d bytes", grew)
 	}
 }

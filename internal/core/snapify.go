@@ -316,7 +316,8 @@ func saveHandleState(cp *coi.Process) error {
 }
 
 // LoadHandleState reads the COI handle metadata back out of a (restored)
-// host process.
+// host process. The length in the region's first 4 bytes is bounded by
+// the region before anything is allocated for it.
 func LoadHandleState(host *proc.Process) (coi.HandleMeta, error) {
 	r := host.Region(HandleStateRegion)
 	if r == nil {
@@ -326,6 +327,9 @@ func LoadHandleState(host *proc.Process) (coi.HandleMeta, error) {
 	r.ReadAt(head, 0)
 	var n int
 	wire.U32(wire.Decoder(head), &n)
+	if int64(n) > r.Size()-4 {
+		return coi.HandleMeta{}, fmt.Errorf("core: handle state claims %d bytes, its region holds %d", n, r.Size()-4)
+	}
 	buf := make([]byte, n)
 	r.ReadAt(buf, 4)
 	return coi.DecodeHandleMeta(buf)

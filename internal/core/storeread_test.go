@@ -9,6 +9,7 @@ package core
 // file opens had.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -533,4 +534,171 @@ func TestRestoreObservesStoreResidency(t *testing.T) {
 		t.Errorf("capture after a zero-options restore: %d virtual ns, %d bytes shipped; after the Store.Enabled one (digest cache seeded from the manifest): %d ns, %d bytes",
 			got.capture, got.shipped, want.capture, want.shipped)
 	}
+}
+
+// paintedBinary is the rig's counter with one more region, name, of size
+// bytes over background seed, and a "paint" call that fills its bytes
+// [4 MiB, 12 MiB) with fill: at least one whole default-size chunk of
+// the image.
+func paintedBinary(bin, name string, size int64, seed uint64, fill byte) *coi.Binary {
+	b := testBinary(bin)
+	b.AddRegion(name, proc.RegionHeap, size, seed)
+	b.Register("paint", func(ctx *coi.RunContext, _ []byte) ([]byte, error) {
+		ctx.Region(name).WriteAt(bytes.Repeat([]byte{fill}, 8<<20), 4*simclock.MiB)
+		return nil, nil
+	})
+	return b
+}
+
+// swapCycle is a swap-out of a fresh rig running bin, after 20 counts and
+// one paint, and a swap-in onto the same card over streams streams, into
+// the store or through plain files. It returns the frozen image's chunk
+// digests and Report.RestoreDevice, and fails the test unless every
+// region of the restored process, before it resumed, holds the bytes it
+// was frozen with. (The full layouts differ by a thread record: a restored process
+// respawns its pipeline thread on the next call.)
+func swapCycle(t *testing.T, bin *coi.Binary, store bool, streams int) (digests []string, dev simclock.Duration) {
+	t.Helper()
+	r := newRigBinary(t, bin, 1)
+	r.count(t, 20)
+	if _, err := r.pl.RunFunction("paint", nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := "/snap/" + bin.Name
+	s := NewSnapshot(dir, r.cp)
+	if err := s.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	p := r.offload(t).Proc()
+	lay, err := r.plat.CR.LayoutFull(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, _ := lay.Materialize()
+	digests = snapstore.ChunkDigests(frozen, blcr.PageChunk)
+	regions := make(map[string]blob.Blob)
+	for _, reg := range p.Regions() {
+		regions[reg.Name()] = reg.SnapshotRange(0, reg.Size())
+	}
+	copts := CaptureOptions{Terminate: true}
+	copts.Store.Enabled = store
+	if err := s.Capture(copts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ropts := RestoreOptions{Streams: streams}
+	ropts.Store.Enabled = store
+	if _, err := s.Restore(1, ropts); err != nil {
+		t.Fatal(err)
+	}
+	restored := r.offload(t).Proc().Regions()
+	if len(restored) != len(regions) {
+		t.Fatalf("restored process has %d regions, frozen %d", len(restored), len(regions))
+	}
+	for _, reg := range restored {
+		want, ok := regions[reg.Name()]
+		if got := reg.SnapshotRange(0, reg.Size()); !ok || got.Len() != want.Len() || !blob.Equal(got, want) {
+			t.Fatalf("region %q after the swap-in differs from the frozen one", reg.Name())
+		}
+	}
+	if err := s.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.count(t, 30); got != refSum(30) {
+		t.Fatalf("computation after the swap-in = %d, want %d", got, refSum(30))
+	}
+	return digests, s.Report.RestoreDevice
+}
+
+// zeroChunks counts the digests that name a whole default-size chunk of
+// zeros: the chunks a store read stream serves as holes.
+func zeroChunks(digests []string) int {
+	zero, n := snapstore.ZeroDigest(blcr.PageChunk), 0
+	for _, d := range digests {
+		if d == zero {
+			n++
+		}
+	}
+	return n
+}
+
+// holeSeedDurations are TestStoreRestoreWritesHolesOverSeededRegions's
+// two swap-in prices as the first run in this test process saw them, so
+// -count=N compares N runs.
+var holeSeedDurations [2]simclock.Duration
+
+// TestStoreRestoreWritesHolesOverSeededRegions: a hole is skipped only
+// where the fresh region is zeros already. Here the application paints
+// zeros over 8 MiB of a region whose background is seed 7, so the image
+// has whole zero chunks whose bytes are not that region's background. A
+// store swap-in serves them as holes; the restore must still write them
+// (every restored region equals its frozen self, over one store stream
+// and over two striped ones) and pay their copy: next to the swap-in of
+// the same image painted 0xA5 instead, it may save what a hole does not
+// move (its RDMA and socket copy), never a chunk's copy into the region.
+func TestStoreRestoreWritesHolesOverSeededRegions(t *testing.T) {
+	const size = 16 * simclock.MiB
+	zeros := paintedBinary("core_hole_seed7_zeros", "canvas", size, 7, 0)
+	digests, zeroed := swapCycle(t, zeros, true, 1)
+	if n := zeroChunks(digests); n < 1 {
+		t.Fatalf("the zero-painted image has no whole zero chunk among its %d", len(digests))
+	}
+	// Two striped store streams load the same holes run by run; their
+	// price is not pinned (the link's flow count, ROADMAP item 1b). Over a
+	// seed-0 region, where holes are skipped, both shapes must leave the
+	// same bytes too.
+	swapCycle(t, zeros, true, 2)
+	skipped := paintedBinary("core_hole_seed0", "private", 64*simclock.MiB, 0, 0xA5)
+	if digests, _ := swapCycle(t, skipped, true, 1); zeroChunks(digests) < 8 {
+		t.Fatalf("the seed-0 image has %d zero chunks of %d, want at least 8", zeroChunks(digests), len(digests))
+	}
+	swapCycle(t, skipped, true, 2)
+	digests, painted := swapCycle(t, paintedBinary("core_hole_seed7_a5", "canvas", size, 7, 0xA5), true, 1)
+	if n := zeroChunks(digests); n != 0 {
+		t.Fatalf("the 0xA5-painted image has %d zero chunks, want none", n)
+	}
+	copyChunk := simclock.Default().PhiMemcpy(blcr.PageChunk)
+	if painted-zeroed >= copyChunk/2 {
+		t.Errorf("swap-in with zero chunks over seed 7: %d virtual ns, with 0xA5 there: %d; the zeros must not save half a chunk's copy (%d ns)",
+			zeroed, painted, copyChunk)
+	}
+	got := [2]simclock.Duration{zeroed, painted}
+	if holeSeedDurations == [2]simclock.Duration{} {
+		holeSeedDurations = got
+	}
+	if got != holeSeedDurations {
+		t.Fatalf("swap-ins took %v virtual ns, an earlier identical run %v", got, holeSeedDurations)
+	}
+	t.Logf("virtual ns: store swap-in with zeros over seed 7 %d, with 0xA5 %d", zeroed, painted)
+}
+
+// TestSwapinWithoutHolesUnchanged pins two swap-ins that a hole cannot
+// reach to the figures they had before store streams served holes: a store
+// swap-in of an image with no zero chunk (the rig with a 16 MiB heap over
+// seed 3, half of it painted), and a plain file swap-in of a zero-rich
+// image shaped like bench/'s swap_warm (a 256 MiB seed-0 heap: 60 of its
+// 75 chunks are zero), which never meets a hole because a plain read never
+// yields one.
+func TestSwapinWithoutHolesUnchanged(t *testing.T) {
+	// This test's figures on the tree before holes.
+	const (
+		seededStore = simclock.Duration(80_821_519)
+		zeroPlain   = simclock.Duration(1_081_253_224)
+	)
+	digests, store := swapCycle(t, paintedBinary("core_nohole_seed3", "heap", 16*simclock.MiB, 3, 0xA5), true, 1)
+	if n := zeroChunks(digests); n != 0 {
+		t.Fatalf("the seed-3 image has %d zero chunks, want none", n)
+	}
+	digests, plain := swapCycle(t, paintedBinary("core_nohole_zero_rich", "private", 256*simclock.MiB, 0, 0xA5), false, 1)
+	if n := zeroChunks(digests); 2*n < len(digests) {
+		t.Fatalf("the zero-rich image has %d zero chunks of %d, want most", n, len(digests))
+	}
+	if store != seededStore || plain != zeroPlain {
+		t.Errorf("store swap-in of an image with no zero chunk took %d virtual ns, plain swap-in of a zero-rich one %d; before holes they took %d and %d",
+			store, plain, seededStore, zeroPlain)
+	}
+	t.Logf("virtual ns: store swap-in without zero chunks %d, plain swap-in of a zero-rich image %d (%d of %d chunks zero)",
+		store, plain, zeroChunks(digests), len(digests))
 }

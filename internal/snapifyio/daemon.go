@@ -728,7 +728,8 @@ func (d *Daemon) openSource(open *openMsg) (vfs.Reader, error) {
 
 // serveRead streams the declared source into the peer's staging slots, one
 // pull at a time: validate the request, consult the fault plan, read the
-// next piece, push it with scif_vwriteto, answer.
+// next piece, push it with scif_vwriteto, answer — or, for a store
+// stream's hole, answer with its length alone.
 func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 	fr, err := d.openSource(open)
 	if err != nil {
@@ -741,11 +742,14 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 	for i := range staging {
 		staging[i] = newSlot(d.bufSize)
 	}
+	// Only a store read stream serves holes (DESIGN.md §11).
+	plan, _ := fr.(*planReader)
 	// The loop's message scratch and per-chunk messages (DESIGN.md §8).
 	var (
 		msgs codec
 		pull pullMsg
 		here chunkHere
+		hole holeHere
 	)
 	for {
 		raw, _, err := ep.Recv()
@@ -792,6 +796,12 @@ func (d *Daemon) serveRead(ep *scif.Endpoint, open *openMsg) {
 			if err != nil {
 				nack(err.Error())
 				return
+			}
+			if plan != nil && plan.hole {
+				// A zero chunk: no store read, nothing staged or pushed.
+				hole = holeHere{StreamID: open.StreamID, Slot: pull.Slot, N: chunk.Len(), FSRead: fsRead}
+				msgs.send(ep, &hole) //nolint:errcheck // peer teardown is handled by Recv errors
+				continue
 			}
 			staging[pull.Slot].WriteBlob(0, chunk)
 			// Push into the peer's registered buffer with scif_vwriteto.

@@ -45,6 +45,7 @@ type File struct {
 	ack    chunkAck
 	pull   pullMsg
 	here   chunkHere
+	hole   holeHere
 	stages [3]simclock.Duration
 
 	// Per-stream metrics, resolved at open (all nil-safe no-ops when the
@@ -77,6 +78,7 @@ type File struct {
 	// read-mode prefetch state.
 	pulls   int // outstanding msgPull requests
 	current blob.Blob
+	curHole bool // current is a hole: zeros that did not move
 	curOff  int64
 	eof     bool
 
@@ -288,10 +290,11 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 			return blob.Blob{}, stream.Cost{}, err
 		}
 		f.pulls--
-		here := &f.here
-		if err := f.msgs.expect(raw, here); err != nil {
+		hole, err := f.answer(raw)
+		if err != nil {
 			return blob.Blob{}, stream.Cost{}, err
 		}
+		here := &f.here
 		if here.StreamID != f.streamID {
 			return blob.Blob{}, stream.Cost{}, fmt.Errorf("snapifyio: chunk for stream %d on stream %d", here.StreamID, f.streamID)
 		}
@@ -310,7 +313,7 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 				if err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
-				if err := f.msgs.expect(raw, here); err != nil {
+				if _, err := f.answer(raw); err != nil {
 					return blob.Blob{}, stream.Cost{}, err
 				}
 				f.pulls--
@@ -320,17 +323,23 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 		if sl >= len(f.slots) {
 			return blob.Blob{}, stream.Cost{}, fmt.Errorf("snapifyio: chunk names slot %d of %d", sl, len(f.slots))
 		}
-		f.current = f.slots[sl].SnapshotRange(0, n)
-		f.curOff = 0
-		f.bytesCtr.Add(n)
-		f.chunkHist.Observe(n)
-		// Stage 3: local handler copies buffer -> socket -> user. With one
-		// slot the read path is request-response over a single staging
-		// buffer, so the stages serialize — this is why device-to-host
-		// writes (whose host file-system writeback overlaps the PCIe
-		// transfer) outrun host-to-device reads in Section 7. Prefetching
-		// streams overlap the legs instead.
-		f.stages = [3]simclock.Duration{here.FSRead, here.RDMA + f.model.SCIFMsgLatency, f.localCopy(n) + f.pending}
+		f.curOff, f.curHole = 0, hole
+		if hole {
+			// A hole moved nothing: its one leg is the reply.
+			f.current = blob.Zeros(n)
+			f.stages = [3]simclock.Duration{here.FSRead, f.model.SCIFMsgLatency, f.pending}
+		} else {
+			f.current = f.slots[sl].SnapshotRange(0, n)
+			f.bytesCtr.Add(n)
+			f.chunkHist.Observe(n)
+			// Stage 3: local handler copies buffer -> socket -> user. With
+			// one slot the read path is request-response over a single
+			// staging buffer, so the stages serialize — this is why
+			// device-to-host writes (whose host file-system writeback
+			// overlaps the PCIe transfer) outrun host-to-device reads in
+			// Section 7. Prefetching streams overlap the legs instead.
+			f.stages = [3]simclock.Duration{here.FSRead, here.RDMA + f.model.SCIFMsgLatency, f.localCopy(n) + f.pending}
+		}
 		cost = stream.Cost{Stages: f.stages[:], Serial: len(f.slots) == 1}
 		f.pending = 0
 		if err := f.ensurePulls(); err != nil {
@@ -343,7 +352,22 @@ func (f *File) Next(max int64) (blob.Blob, stream.Cost, error) {
 	}
 	chunk := f.current.Slice(f.curOff, n)
 	f.curOff += n
+	cost.Hole = f.curHole
 	return chunk, cost, nil
+}
+
+// answer decodes a pull's reply into f.here and reports whether it was a
+// hole, which f.here then shows as a chunk with no RDMA: a store stream
+// answers a zero chunk with a holeHere in place of a chunkHere.
+func (f *File) answer(raw []byte) (hole bool, err error) {
+	if len(raw) == 0 || raw[0] != msgHoleHere {
+		return false, f.msgs.expect(raw, &f.here)
+	}
+	if err := f.msgs.expect(raw, &f.hole); err != nil {
+		return false, err
+	}
+	f.here = chunkHere{StreamID: f.hole.StreamID, Slot: f.hole.Slot, N: f.hole.N, FSRead: f.hole.FSRead}
+	return true, nil
 }
 
 // Close finalizes the stream: in write mode the remote file (or this
@@ -369,7 +393,7 @@ func (f *File) Close() error {
 		if err != nil {
 			return err
 		}
-		if err := f.msgs.expect(raw, &f.here); err != nil {
+		if _, err := f.answer(raw); err != nil {
 			return err
 		}
 		f.pulls--

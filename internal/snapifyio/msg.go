@@ -34,6 +34,7 @@ const (
 	msgStoreDigests    // control: fetch the digest plan (pending upload or manifest) for a snapshot path
 	msgStoreDigestsResp
 	msgStoreWindow // control: one window of a have/need negotiation against the node's chunk store; answered by msgStoreWindowResp
+	msgHoleHere    // read mode, store streams only: a zero chunk's bytes, nothing in the staging buffer
 )
 
 // errMalformed is what every rejected message unwraps to: too short for
@@ -170,6 +171,27 @@ func (m *chunkHere) fields(c *wire.Cursor) {
 	wire.U64(c, &m.RDMA)
 }
 
+// holeHere answers a pull on a store read stream whose next piece is a
+// hole: N zero bytes of a chunk whose plan digest is the zero digest of
+// its length. Nothing was read out of the store or pushed into the slot;
+// FSRead is the plan lookup when the stream's first chunk is a hole, else
+// 0. Only a store stream sends one, so a plain read's replies are the
+// bytes they always were.
+type holeHere struct {
+	StreamID int64
+	Slot     int
+	N        int64
+	FSRead   simclock.Duration
+}
+
+func (*holeHere) kind() uint8 { return msgHoleHere }
+func (m *holeHere) fields(c *wire.Cursor) {
+	wire.U64(c, &m.StreamID)
+	wire.U8(c, &m.Slot)
+	wire.U64(c, &m.N)
+	wire.U64(c, &m.FSRead)
+}
+
 // textMsg is a message that is one string: the close and discard replies
 // (an error text, empty on success), the metrics dump, and the discard
 // and digest-plan requests (a path).
@@ -257,6 +279,8 @@ func newMsg(kind uint8) msg {
 		return new(pullMsg)
 	case msgChunkHere:
 		return new(chunkHere)
+	case msgHoleHere:
+		return new(holeHere)
 	case msgClose, msgAbort, msgDetach, msgMetricsDump:
 		return bare(kind)
 	case msgCloseResp, msgMetricsResp, msgDiscard, msgDiscardResp, msgStoreDigests:

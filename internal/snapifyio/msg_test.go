@@ -21,9 +21,9 @@ import (
 // The daemon protocol's byte layouts are pinned by hex captured from the
 // inline wire compositions msg.go's field lists replaced (daemon.go,
 // file.go and snapifyio.go at PR 15, run over these field values);
-// negotiate_window and the two open_store_read messages (an open grows a
-// chunk list only as a store-mode read), which came later, by their own
-// first encoding; negotiate_window lost its parent field once the store
+// negotiate_window, the two open_store_read messages (an open grows a
+// chunk list only as a store-mode read) and hole_here (a store stream's
+// answer for a zero chunk), which came later, by their own first encoding; negotiate_window lost its parent field once the store
 // held whole images only.
 // Service.NegotiateWindow and StagePlan charge virtual time by message length,
 // so identical bytes is what keeps every virtual number identical.
@@ -74,6 +74,9 @@ var goldenMessages = []struct {
 	{"chunk_here_err",
 		"06000000000000002a000000000000000021696e6a6563746564206661756c743a206368756e6b2072656164206661696c6564000000000000000000000000000000000000000000000000",
 		&chunkHere{StreamID: 42, Slot: 0, Err: "injected fault: chunk read failed"}},
+	{"hole_here",
+		"14000000000000002a0100000000004000000000000000004268",
+		&holeHere{StreamID: 42, Slot: 1, N: 4 << 20, FSRead: 17 * time.Microsecond}},
 	{"close",
 		"07",
 		bare(msgClose)},
@@ -181,6 +184,7 @@ func FuzzWireDecode(f *testing.F) {
 			&chunkAck{StreamID: 9, Err: "stale", RDMA: 3},
 			&pullMsg{StreamID: 4, Slot: 2},
 			&chunkHere{Err: "stale", N: 8, FSRead: 6},
+			&holeHere{StreamID: 3, Slot: 1, N: 9},
 		} {
 			got, rerr := k.decode(data, into)
 			if (rerr == nil) != (err == nil) || err == nil && !reflect.DeepEqual(got, m) {

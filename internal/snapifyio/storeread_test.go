@@ -307,3 +307,97 @@ func TestPlanReaderPieces(t *testing.T) {
 		}
 	}
 }
+
+// A chunk whose plan digest is the zero digest of its length is a hole: the
+// store stream serves it without reading it, staging it or pushing it, and
+// the card gets zeros marked Cost.Hole on every piece of it — the whole
+// image, a stripe that starts inside one, named chunks, a short last
+// chunk. The reply is its one leg. A plain read of the same bytes never
+// yields a hole.
+func TestStoreReadStreamServesZeroChunksAsHoles(t *testing.T) {
+	zero := string(make([]byte, storeReadChunk))
+	content := blob.FromBytes([]byte("aaaa" + zero + "bbbb" + zero[:2]))
+	r, st := storeReadRig(t, "/s/ctx", content, 0, 1, 2, 3)
+	holeAt := func(off int64) bool { return off/storeReadChunk%2 == 1 }
+	model := r.server.Fabric.Model()
+	read := func(f *File, off int64) blob.Blob {
+		t.Helper()
+		var parts []blob.Blob
+		for {
+			piece, cost, err := f.Next(3)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cost.Hole != holeAt(off) {
+				t.Errorf("piece at %d: hole %v, want %v", off, cost.Hole, holeAt(off))
+			}
+			if cost.Hole && len(cost.Stages) == 3 && cost.Stages[1] != model.SCIFMsgLatency {
+				t.Errorf("hole at %d: transfer stage %d, want the reply's %d alone", off, cost.Stages[1], model.SCIFMsgLatency)
+			}
+			parts = append(parts, piece)
+			off += piece.Len()
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return blob.Concat(parts...)
+	}
+
+	f, err := openStoreRead(r, "/s/ctx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(f, 0); !blob.Equal(got, content) {
+		t.Errorf("whole image with holes came back as %q", got.Bytes())
+	}
+	f, err = r.svc.OpenStream(1, simnet.HostNode, "/s/ctx", Read, OpenOptions{Slots: 2, Store: true, Stripe: Stripe{Offset: 6, Length: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := read(f, 6); !blob.Equal(got, content.Slice(6, 7)) {
+		t.Errorf("stripe [6,13) came back as %q", got.Bytes())
+	}
+	if hits := st.reads.Load(); hits != 3 {
+		t.Errorf("store counted %d chunk reads, want 3: the two non-zero chunks, then chunk 2 once more, and no hole", hits)
+	}
+	f, err = openStoreRead(r, "/s/ctx", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		piece, cost, err := f.Next(DefaultBufSize)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || !cost.Hole || !blob.Equal(piece, blob.Zeros(piece.Len())) {
+			t.Fatalf("named zero chunk: %d bytes, hole %v, err %v", piece.Len(), cost.Hole, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if hits := st.reads.Load(); hits != 3 {
+		t.Errorf("named zero chunks read the store: %d chunk reads, want still 3", hits)
+	}
+
+	r.server.Host.FS.WriteFile("/s/plain", content)
+	f, err = r.svc.OpenStream(1, simnet.HostNode, "/s/plain", Read, OpenOptions{Slots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, cost, err := f.Next(3)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || cost.Hole {
+			t.Fatalf("plain read: hole %v, err %v", cost.Hole, err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -252,6 +252,10 @@ func Digest(b blob.Blob) string {
 	return d
 }
 
+// ZeroDigest is the address of n zero bytes: a store read stream serves a
+// chunk of that digest as a hole (DESIGN.md §11).
+func ZeroDigest(n int64) string { return Digest(blob.Zeros(n)) }
+
 // ChunkDigests splits content into chunkBytes-sized pieces (the last may
 // be short) and returns their digests in order — the have/need unit of
 // the dedup-aware transfer protocol. It is a reference implementation:

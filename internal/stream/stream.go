@@ -27,6 +27,12 @@ type Cost struct {
 	// or with each other (e.g. a synchronous NFS RPC per write), so the
 	// chunk's total cost is the sum of all stages with no pipelining.
 	Serial bool
+	// Hole marks a piece the transport did not move: zeros standing for a
+	// store chunk whose digest is that of its length in zero bytes, which
+	// no one read, sent or copied (DESIGN.md §11). Only a store-mode
+	// Snapify-IO read stream yields one, on every piece of such a chunk; a
+	// consumer that writes the zeros pays their copy itself.
+	Hole bool
 }
 
 // Add returns the plain sum of the stage durations.

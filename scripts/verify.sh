@@ -198,13 +198,18 @@ echo "==> cold store capture determinism (-count=50, GOMAXPROCS 1 and 8)"
 GOMAXPROCS=1 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run '^TestColdStoreCaptureDeterministic$' ./internal/core/
 
-echo "==> store read stream determinism (-count=50, GOMAXPROCS 1 and 8)"
+echo "==> store read stream determinism and the hole guards (-count=50, GOMAXPROCS 1 and 8)"
 # A swap-in over the store read stream, a pre-copy staging round over it
 # and a swap-in from a plain file are one stream each, the link's only
 # flow, so they too are priced from sizes alone, to the nanosecond; and a
 # retry-enabled swap-in must cost exactly what its retry-free twin does.
-GOMAXPROCS=1 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
-GOMAXPROCS=8 go test -count=50 -run '^TestStoreRestoreDeterministic$' ./internal/core/
+# The two hole guards ride along: zero chunks over a seeded region are
+# written and charged (the restored regions equal the frozen ones), and a
+# swap-in no hole can reach (a store image with no zero chunk, a plain
+# zero-rich one) costs its pinned pre-hole figure.
+store_read='^(TestStoreRestoreDeterministic|TestStoreRestoreWritesHolesOverSeededRegions|TestSwapinWithoutHolesUnchanged)$'
+GOMAXPROCS=1 go test -count=50 -run "$store_read" ./internal/core/
+GOMAXPROCS=8 go test -count=50 -run "$store_read" ./internal/core/
 
 echo "==> striped restore shard pricing (-count=50, GOMAXPROCS 1 and 8)"
 # A striped restore cuts its page runs into at most one shard per stream,
