@@ -15,7 +15,9 @@ import (
 // and the process already knows which: proc.Region records every write in
 // a digest-epoch dirty set. A DigestCache carries the previous image's
 // digests forward; a pass re-reads and re-hashes only the chunks a dirty
-// range or a changed metadata record touches.
+// range or a changed metadata record touches. Of those, a chunk that lies
+// wholly in never-written pages of seed-0 regions is not read at all: the
+// page-table sweep names it the zero chunk (DESIGN.md §11).
 //
 // A wrongly carried digest is undetectable downstream — the store is
 // content-addressed, so a manifest naming an old chunk is self-consistent
@@ -179,16 +181,19 @@ type DigestPass struct {
 	// SeedNone if it carries none.
 	SeededFrom DigestSeed
 	// Prelude is the serial cost ahead of the first chunk: the PTE sweep
-	// that finds a warm pass its dirty pages. Per-chunk costs go through
-	// Observe.
+	// (see sweep). Per-chunk costs go through Observe.
 	Prelude simclock.Duration
 	// ChunksRehashed and BytesRehashed count what the windows handed out
-	// so far re-read and re-hashed; every other digest was carried forward.
+	// so far re-read and re-hashed; ChunksSwept and BytesSwept what the
+	// sweep named zero without reading. Every other digest was carried
+	// forward.
 	ChunksRehashed int
 	BytesRehashed  int64
-	// ChangedBytes sums the re-hashed chunks whose digest differs from
-	// the carried one (every chunk when nothing was carried): what a
-	// store holding the previous image lacks.
+	ChunksSwept    int
+	BytesSwept     int64
+	// ChangedBytes sums the swept and re-hashed chunks whose digest
+	// differs from the carried one (every chunk when nothing was
+	// carried): what a store holding the previous image lacks.
 	ChangedBytes int64
 
 	lay     *Layout
@@ -263,10 +268,10 @@ func (p *DigestPass) Reread(i int) bool {
 }
 
 // Chunk returns chunk i of the image the pass describes: the pass's own
-// point-in-time read if it has one, else — a carried chunk — a read of the
-// process now, kept like any other. That is the same bytes only while the
-// process is frozen: a pass over a running process (a pre-copy round) must
-// not ask for a chunk for which Reread is false.
+// point-in-time read if it has one, else — a carried or swept chunk — a
+// read of the process now, kept like any other. That is the same bytes
+// only while the process is frozen: a pass over a running process (a
+// pre-copy round) must not ask for a chunk for which Reread is false.
 func (p *DigestPass) Chunk(i int) blob.Blob {
 	if r, ok := p.read[i]; ok {
 		return r.data
@@ -325,12 +330,14 @@ func allChunks(n int) []int {
 // prev every digest that neither a region write since prev's cut nor a
 // changed metadata record can have invalidated. prev may be nil, and is
 // ignored when its chunk size or geometry differs from the layout's or the
-// pass that was to complete it never did.
+// pass that was to complete it never did. Of the chunks left to re-read,
+// the sweep names the untouched ones zero, and the windows read the rest.
 //
-// The pass cuts every region's digest epoch here, before any window reads
-// any content, so it is safe on a running process: a write that lands
-// after a region's cut is in the next epoch whether or not this pass's
-// read also saw it. The returned cache is stamped with seed.
+// The pass cuts every region's digest epoch here, before the sweep and
+// before any window reads any content, so it is safe on a running
+// process: a write that lands after a region's cut is in the next epoch
+// whether or not this pass's sweep or read also saw it. The returned cache
+// is stamped with seed.
 func (l *Layout) DigestPass(prev *DigestCache, chunk int64, seed DigestSeed, digest func(blob.Blob) string) *DigestPass {
 	chunk = chunkOrDefault(chunk)
 	geo := l.Geometry()
@@ -377,8 +384,58 @@ func (l *Layout) DigestPass(prev *DigestCache, chunk int64, seed DigestSeed, dig
 		}
 		pass = l.newPass(chunk, digest, digests, due)
 		pass.from, pass.SeededFrom = prev.digests, prev.seed
-		pass.Prelude = l.c.copyStage(l.onHost, geo.size/pteBytesPerByte)
 	}
+	pass.sweep()
+	covered := geo.size // a warm pass's sweep reads every entry, for the dirty bits
+	if !usable {
+		covered = pass.BytesSwept
+	}
+	pass.Prelude = l.c.copyStage(l.onHost, covered/pteBytesPerByte)
 	pass.Cache = &DigestCache{chunk: chunk, geo: geo, digests: pass.digests, seed: seed, partial: true}
 	return pass
+}
+
+// sweep is the page-table sweep, run after the cuts: of the chunks due to
+// be re-read, every one whose bytes all lie in page runs where
+// proc.Region.Untouched holds (no metadata byte, no page present) gets the
+// digest of that many zero bytes and leaves the re-read set — it is never
+// read, walked, copied or hashed. A warm pass's sweep reads every page
+// table entry of the image, for the dirty bits; a cold pass prices only
+// the entries of the chunks it spares, because a walked chunk's walk reads
+// its own.
+func (p *DigestPass) sweep() {
+	segs, size := p.lay.pl.segs, p.lay.Size()
+	zero := map[int64]string{}
+	s, at := 0, int64(0) // segs[s] starts at file offset at
+	read := p.due[:0]
+	for _, i := range p.due {
+		off := int64(i) * p.chunk
+		end := min(off+p.chunk, size)
+		for at+segs[s].fileLen() <= off {
+			at += segs[s].fileLen()
+			s++
+		}
+		untouched := true
+		for k, pos := s, at; untouched && pos < end; k++ {
+			sg := segs[k]
+			lo, hi := max(off, pos), min(end, pos+sg.fileLen())
+			untouched = sg.region != nil && sg.region.Untouched(sg.regOff+lo-pos, hi-lo)
+			pos += sg.fileLen()
+		}
+		if !untouched {
+			read = append(read, i)
+			continue
+		}
+		n := end - off
+		if _, ok := zero[n]; !ok {
+			zero[n] = p.digest(blob.Zeros(n))
+		}
+		p.digests[i] = zero[n]
+		p.ChunksSwept++
+		p.BytesSwept += n
+		if p.from == nil || p.digests[i] != p.from[i] {
+			p.ChangedBytes += n
+		}
+	}
+	p.due = read
 }

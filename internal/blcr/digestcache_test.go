@@ -88,8 +88,9 @@ func digestProc(t *testing.T) *proc.Process {
 
 // TestDigestPassMatchesOracle drives random write patterns through
 // repeated incremental passes at several chunk sizes: after every pass
-// the carried-forward list must equal the full recompute, and the pass
-// must have re-read only chunks a write could have touched.
+// the carried-forward list must equal the full recompute, the first pass
+// must have swept or re-read every chunk, and a later one must have
+// re-read only chunks a write could have touched.
 func TestDigestPassMatchesOracle(t *testing.T) {
 	for _, chunk := range []int64{16 * 1024, 64 * 1024, 1 << 20} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -105,9 +106,14 @@ func TestDigestPassMatchesOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					reads := map[string]int{} // digest calls per content
+					zeroCalls := 0            // the sweep's, one per zero-chunk length
 					pass := lay.DigestPass(cache, chunk, SeedCapture, func(b blob.Blob) string {
 						d := testDigest(b)
-						reads[d]++
+						if blob.Equal(b, blob.Zeros(b.Len())) {
+							zeroCalls++
+						} else {
+							reads[d]++
+						}
 						return d
 					})
 					w := 1 + rng.Intn(5)
@@ -120,8 +126,10 @@ func TestDigestPassMatchesOracle(t *testing.T) {
 					}
 					total := len(pass.Digests())
 					switch {
-					case round == 0 && (pass.ChunksRehashed != total || pass.SeededFrom != SeedNone):
-						t.Fatalf("first pass rehashed %d of %d chunks (seeded_from %d), want all, none", pass.ChunksRehashed, total, pass.SeededFrom)
+					case round == 0 && (pass.ChunksRehashed+pass.ChunksSwept != total || (pass.ChunksSwept == 0) != (chunk > 256*1024) || pass.SeededFrom != SeedNone):
+						// The 512 KiB seed-0 region holds a whole chunk of
+						// any size up to 256 KiB, wherever the grid falls.
+						t.Fatalf("first pass rehashed %d and swept %d of %d chunks (seeded_from %d), want all between them, some swept iff a chunk fits the zero region, none", pass.ChunksRehashed, pass.ChunksSwept, total, pass.SeededFrom)
 					case round > 0 && pass.SeededFrom != SeedCapture:
 						t.Fatalf("round %d did not use the cache", round)
 					case round > 0 && pass.ChunksRehashed > 2*writes:
@@ -138,8 +146,9 @@ func TestDigestPassMatchesOracle(t *testing.T) {
 					for _, n := range reads {
 						calls += n
 					}
-					if calls != pass.ChunksRehashed {
-						t.Fatalf("round %d: %d digest calls for %d re-read chunks — a chunk was read twice", round, calls, pass.ChunksRehashed)
+					if calls != pass.ChunksRehashed || zeroCalls > 2 || (zeroCalls == 0) != (pass.ChunksSwept == 0) {
+						t.Fatalf("round %d: %d digest calls for %d re-read chunks, %d zero digests for %d swept — a chunk was read twice, or the sweep hashed per chunk",
+							round, calls, pass.ChunksRehashed, zeroCalls, pass.ChunksSwept)
 					}
 					cache = pass.Cache
 
@@ -180,11 +189,18 @@ func TestDigestPassFullOnAnyShapeChange(t *testing.T) {
 		}
 		return ps
 	}
-	full := func(ps *DigestPass) bool { return ps.ChunksRehashed == len(ps.Digests()) }
+	full := func(ps *DigestPass) bool { return ps.ChunksRehashed+ps.ChunksSwept == len(ps.Digests()) }
 
+	// A full pass sweeps the page tables of the chunks it names zero (the
+	// walk of every other chunk reads its own); a warm one the whole
+	// image's, for the dirty bits.
 	first := pass(nil, chunk)
-	if warm := pass(first.Cache, chunk); warm.ChunksRehashed != 0 || warm.Prelude <= 0 || first.Prelude != 0 {
-		t.Fatalf("untouched process: rehashed %d chunks after a %v sweep (a full pass sweeps nothing, has %v)", warm.ChunksRehashed, warm.Prelude, first.Prelude)
+	sweep := func(n int64) simclock.Duration { return cr.copyStage(false, n/pteBytesPerByte) }
+	if first.ChunksSwept == 0 || first.Prelude != sweep(first.BytesSwept) {
+		t.Fatalf("full pass swept %d chunks for a %v prelude, want some and %v", first.ChunksSwept, first.Prelude, sweep(first.BytesSwept))
+	}
+	if warm := pass(first.Cache, chunk); warm.ChunksRehashed != 0 || warm.ChunksSwept != 0 || warm.Prelude != sweep(warm.ImageBytes()) {
+		t.Fatalf("untouched process: rehashed %d and swept %d chunks after a %v sweep, want none after %v", warm.ChunksRehashed, warm.ChunksSwept, warm.Prelude, sweep(warm.ImageBytes()))
 	}
 	if ps := pass(first.Cache, 2*chunk); !full(ps) || ps.SeededFrom != SeedNone {
 		t.Error("a different chunk size must force a full pass")
@@ -307,17 +323,18 @@ func TestDigestPassAbandonedHalfWaySeedsNothing(t *testing.T) {
 	if _, hi, ok := abandoned.Next(4); !ok || hi != 4 || abandoned.ChunksRehashed != 4 {
 		t.Fatalf("first window ends at chunk %d with %d chunks read, want 4 and 4", hi, abandoned.ChunksRehashed)
 	}
-	if next := start(abandoned.Cache); next.SeededFrom != SeedNone || drain(t, next, 8) < 2 || next.ChunksRehashed != len(next.Digests()) {
-		t.Fatalf("a pass seeded by an abandoned one carried digests forward (seeded_from %d, %d of %d re-read)", next.SeededFrom, next.ChunksRehashed, len(next.Digests()))
+	if next := start(abandoned.Cache); next.SeededFrom != SeedNone || drain(t, next, 8) < 2 || next.ChunksRehashed+next.ChunksSwept != len(next.Digests()) {
+		t.Fatalf("a pass seeded by an abandoned one carried digests forward (seeded_from %d, %d re-read and %d swept of %d)", next.SeededFrom, next.ChunksRehashed, next.ChunksSwept, len(next.Digests()))
 	}
 
 	pass := start(nil)
 	pass.Next(4)
 	pass.Whole()
-	if pass.ChunksRehashed != len(pass.Digests()) || !slices.Equal(pass.Digests(), oracle(t, cr, p, chunk)) {
-		t.Fatalf("Whole left the list incomplete: %d of %d chunks read", pass.ChunksRehashed, len(pass.Digests()))
+	all := len(pass.Digests()) - pass.ChunksSwept // every chunk the sweep left to read
+	if pass.ChunksRehashed != all || !slices.Equal(pass.Digests(), oracle(t, cr, p, chunk)) {
+		t.Fatalf("Whole left the list incomplete: %d of %d chunks read", pass.ChunksRehashed, all)
 	}
-	if lo, hi, ok := pass.Next(4); !ok || lo != 0 || hi != len(pass.Digests()) || pass.ChunksRehashed != len(pass.Digests()) {
+	if lo, hi, ok := pass.Next(4); !ok || lo != 0 || hi != len(pass.Digests()) || pass.ChunksRehashed != all {
 		t.Fatalf("after Whole the next window is [%d,%d) ok=%v with %d chunks read; want the whole list, nothing read again", lo, hi, ok, pass.ChunksRehashed)
 	}
 	if _, _, ok := pass.Next(4); ok {
@@ -332,6 +349,7 @@ func TestDigestPassAbandonedHalfWaySeedsNothing(t *testing.T) {
 // with one more stage — the first chunk fills the pipeline (walk + copy +
 // transport), each later one adds its slowest stage — and a chunk that
 // ships again (a retry) adds only its transport: the read is priced once.
+// A chunk the sweep named zero was never read and is priced nothing.
 func TestDigestPassPricesEachReadOnce(t *testing.T) {
 	const chunk = 64 * 1024
 	m := simclock.Default()
@@ -341,8 +359,8 @@ func TestDigestPassPricesEachReadOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	pass := lay.DigestPass(nil, chunk, SeedCapture, testDigest)
-	if pass.Prelude != 0 {
-		t.Fatalf("a pass that carries nothing sweeps no page table, has prelude %v", pass.Prelude)
+	if want := m.PhiMemcpy(pass.BytesSwept / pteBytesPerByte); pass.ChunksSwept == 0 || pass.Prelude != want {
+		t.Fatalf("a pass that carries nothing swept %d chunks for a %v prelude, want some, for the page tables of those alone (%v)", pass.ChunksSwept, pass.Prelude, want)
 	}
 	pass.Whole()
 	n := len(pass.Digests())
@@ -371,8 +389,88 @@ func TestDigestPassPricesEachReadOnce(t *testing.T) {
 	}
 	before = acc.Total()
 	pass.ObserveUnshipped(acc, 3, n)
-	last := lay.Size() - int64(n-1)*chunk
-	if want := simclock.Duration(n-4)*walk + m.PhiPageWalk(last); acc.Total()-before != want {
-		t.Fatalf("the unshipped rest cost %v, want one walk each = %v", acc.Total()-before, want)
+	var want simclock.Duration
+	for i := 3; i < n; i++ {
+		if pass.Reread(i) {
+			want += m.PhiPageWalk(min(chunk, lay.Size()-int64(i)*chunk))
+		}
+	}
+	if acc.Total()-before != want {
+		t.Fatalf("the unshipped rest cost %v, want one walk for each chunk read = %v", acc.Total()-before, want)
+	}
+}
+
+// TestSweepNamesOnlyZeroChunks is the page-table sweep's differential.
+// Two copies of one process take the same random writes — random bytes,
+// runs of zeros, and a region's own background written back over what was
+// there — and after each batch one copy takes a full pass and the other a
+// pass warm from its previous one. Every chunk the full pass did not read
+// (the sweep named it zero) must be the zero chunk in the full recompute,
+// and both lists must equal it: a zeros write is read like any write, and
+// background written back, which the warm pass finds dirty and untouched,
+// is swept there too.
+func TestSweepNamesOnlyZeroChunks(t *testing.T) {
+	const chunk = 16 * 1024
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cr := New(simclock.Default())
+			full, warm := digestProc(t), digestProc(t)
+			rng := rand.New(rand.NewSource(seed))
+			var cache *DigestCache
+			warmSwept := 0
+			for round := 0; round < 8; round++ {
+				for w := rng.Intn(12); w > 0; w-- {
+					name := []string{"data", "heap", "zero", "zero", "stack"}[rng.Intn(5)]
+					size := full.Region(name).Size()
+					n := 1 + rng.Int63n(min(size, 3*proc.EpochPage))
+					off := rng.Int63n(size - n + 1)
+					op := rng.Intn(3)
+					buf := make([]byte, n)
+					if op == 0 {
+						rng.Read(buf)
+					}
+					for _, p := range []*proc.Process{full, warm} {
+						r := p.Region(name)
+						if op == 2 {
+							r.WriteBlob(off, blob.Synthetic(r.Seed(), size).Slice(off, n))
+						} else {
+							r.WriteAt(buf, off)
+						}
+					}
+				}
+				want := oracle(t, cr, full, chunk)
+				lay, err := cr.LayoutFull(full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold := lay.DigestPass(nil, chunk, SeedCapture, testDigest)
+				drain(t, cold, 4)
+				for i := range cold.Digests() {
+					n := min(chunk, lay.Size()-int64(i)*chunk)
+					if !cold.Reread(i) && want[i] != testDigest(blob.Zeros(n)) {
+						t.Fatalf("round %d: the sweep named chunk %d zero, the full recompute has other bytes there", round, i)
+					}
+				}
+				if cold.ChunksSwept == 0 || !slices.Equal(cold.Digests(), want) {
+					t.Fatalf("round %d: a full pass swept %d chunks and its list differs from the full recompute: %v", round, cold.ChunksSwept, !slices.Equal(cold.Digests(), want))
+				}
+				wlay, err := cr.LayoutFull(warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ps := wlay.DigestPass(cache, chunk, SeedCapture, testDigest)
+				drain(t, ps, 4)
+				if !slices.Equal(ps.Digests(), want) {
+					t.Fatalf("round %d: a warm pass's list differs from the full recompute", round)
+				}
+				if round > 0 {
+					warmSwept += ps.ChunksSwept
+				}
+				cache = ps.Cache
+			}
+			if warmSwept == 0 {
+				t.Error("no warm pass swept a chunk written back to background")
+			}
+		})
 	}
 }

@@ -57,9 +57,11 @@ func makeHoleyProc(t *testing.T) *proc.Process {
 
 // TestRestartHoleRule: the one restore parser over a source that marks
 // zero grains as holes restores every region byte for byte, sequentially
-// and striped. Sequentially, its price is exact: each plain piece its
-// copy, and each hole byte its copy unless it lands in the page run of a
-// seed-0 region, where the fresh region holds its zeros already.
+// and striped, and leaves the pages of a hole it skipped untouched (a
+// later digest pass sweeps them zero without reading them). Sequentially,
+// its price is exact: each plain piece its copy, and each hole byte its
+// copy unless it lands in the page run of a seed-0 region, where the fresh
+// region holds its zeros already.
 func TestRestartHoleRule(t *testing.T) {
 	const grain = 4096
 	e := newEnv()
@@ -73,12 +75,38 @@ func TestRestartHoleRule(t *testing.T) {
 	spawn := func(img *Image) (*proc.Process, error) {
 		return proc.New(img.Name, 777, 2, phi.NewMemBudget(1<<40)), nil
 	}
+	// The hole grains that lie wholly in a seed-0 region's page run, as
+	// that region's byte ranges: a restore skips them, so they stay
+	// untouched.
+	type span struct {
+		region string
+		off, n int64
+	}
+	var skippedGrains []span
+	for g := int64(0); g < file.Len(); g += grain {
+		n := min(grain, file.Len()-g)
+		pos := int64(0)
+		for _, sg := range lay.pl.segs {
+			if sg.region != nil && sg.region.Seed() == 0 && g >= pos && g+n <= pos+sg.n && blob.Equal(file.Slice(g, n), blob.Zeros(n)) {
+				skippedGrains = append(skippedGrains, span{sg.region.Name(), g - pos, n})
+			}
+			pos += sg.fileLen()
+		}
+	}
+	if len(skippedGrains) == 0 {
+		t.Fatal("no hole grain lies wholly in a seed-0 page run")
+	}
 	check := func(what string, q *proc.Process) {
 		t.Helper()
 		got := snapshotAll(q)
 		for name, b := range want {
 			if !blob.Equal(got[name], b) {
 				t.Errorf("%s: region %q differs after the restore", what, name)
+			}
+		}
+		for _, sp := range skippedGrains {
+			if !q.Region(sp.region).Untouched(sp.off, sp.n) {
+				t.Errorf("%s: region %q bytes [%d,%d) were a skipped hole but are touched after the restore", what, sp.region, sp.off, sp.off+sp.n)
 			}
 		}
 	}

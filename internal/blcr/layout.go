@@ -114,7 +114,9 @@ func (l *Layout) Materialize() (blob.Blob, simclock.Duration) {
 
 // pteBytesPerByte is the page-table overhead ratio: one 8-byte entry
 // describes one 4 KiB page, so scanning (or installing) the page tables
-// that cover n bytes of memory touches n/512 bytes. A warm DigestPass
-// charges that scan (at memcpy rate) to collect the dirty bits the
-// hardware already keeps, then walks and copies only the dirty chunks.
+// that cover n bytes of memory touches n/512 bytes. A DigestPass charges
+// that scan (at memcpy rate) as its sweep: a warm pass over the whole
+// image, to collect the dirty bits the hardware already keeps, a cold one
+// over the chunks it finds with no page present; it then walks and copies
+// only the chunks it must read.
 const pteBytesPerByte = 512

@@ -64,6 +64,18 @@ func (b *Buffer) DirtyBytes() int64 {
 	return n
 }
 
+// Untouched reports whether no byte of [off, off+n) was written: the
+// range still holds the background it was allocated with. A WriteBlob of
+// that same background counts as no write (it clears the overlay).
+func (b *Buffer) Untouched(off, n int64) bool {
+	end := off + n
+	if off < 0 || n < 0 || end > b.size {
+		panic(fmt.Sprintf("blob: Untouched [%d,%d) out of range of %d", off, end, b.size)) //nolint:paniclib // caller bug: query bounds, mirroring built-in slice semantics
+	}
+	i := b.search(off)
+	return i == len(b.writes) || b.writes[i].off >= end
+}
+
 // search returns the index of the first span ending after off.
 func (b *Buffer) search(off int64) int {
 	return sort.Search(len(b.writes), func(i int) bool { return b.writes[i].end() > off })

@@ -675,23 +675,25 @@ func (op *OffloadProc) CachedDigests() (chunkBytes int64, digests []string) {
 // endDigestPass records a digest pass that is over — handed out whole or
 // abandoned — as a span on the agent lane under scope, covering the
 // pipelined pass it fed (its negotiations nest inside), and in the
-// counters that split the image into bytes re-read and bytes whose digest
-// was carried forward.
+// counters that split the image into bytes re-read, bytes the page-table
+// sweep named zero and bytes whose digest was carried forward.
 func (op *OffloadProc) endDigestPass(tk *obs.Track, scope uint64, name string, at, dur simclock.Duration, pass *blcr.DigestPass, extra map[string]int64) {
 	args := map[string]int64{
 		"chunks_total":    int64(len(pass.Digests())),
 		"chunks_rehashed": int64(pass.ChunksRehashed),
 		"bytes_rehashed":  pass.BytesRehashed,
+		"chunks_swept":    int64(pass.ChunksSwept),
 		"seeded_from":     int64(pass.SeededFrom),
 	}
 	for k, v := range extra {
 		args[k] = v
 	}
 	tk.Emit(scope, name, at, dur, args)
-	const help = "Image bytes a store digest pass re-read and re-hashed, or covered by a digest carried forward from the previous image."
+	const help = "Image bytes a store digest pass re-read and re-hashed, named zero from the page tables, or covered by a digest carried forward from the previous image."
 	mx := op.d.plat.Obs.MetricsOf()
 	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "rehashed")).Add(pass.BytesRehashed)
-	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(pass.ImageBytes() - pass.BytesRehashed)
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "swept")).Add(pass.BytesSwept)
+	mx.Counter("snapify_store_digest_bytes_total", help, obs.L("kind", "carried")).Add(pass.ImageBytes() - pass.BytesRehashed - pass.BytesSwept)
 }
 
 // --- live migration: pre-copy rounds (the destination's staging is in download.go) ---
@@ -771,7 +773,8 @@ func (op *OffloadProc) precopyRound(req PrecopyReq) (*PrecopyResp, error) {
 	if errors.Is(err, errCarriedChunkMissing) {
 		// The store was collected since the cache's image went in, or this
 		// migration's upload was lost: redo the round as a full pass
-		// (which reads every chunk itself, so it cannot land here again).
+		// (which reads every chunk itself but the zero ones, which no store
+		// asks for, so it cannot land here again).
 		op.dropDigestsIf(blcr.SeedPrecopy)
 		req.Align += res.Duration
 		redo, err := op.precopyRound(req)

@@ -228,7 +228,7 @@ func TestChaosStoreDaemonCrashMidWindow(t *testing.T) {
 	if retry["chunks_needed"] <= 0 || retry["chunks_needed"] > int64(len(want)-landed) {
 		t.Errorf("the retry needed %d of %d chunks with %d landed before the crash", retry["chunks_needed"], len(want), landed)
 	}
-	if sp := lastDigestSpan(t, r, "store_digest"); sp["chunks_rehashed"] != sp["chunks_total"] || sp["chunks_total"] != int64(len(want)) {
+	if sp := lastDigestSpan(t, r, "store_digest"); sp["chunks_rehashed"]+sp["chunks_swept"] != sp["chunks_total"] || sp["chunks_total"] != int64(len(want)) {
 		t.Errorf("the pass did not finish its digest list for the retry: %v", sp)
 	}
 

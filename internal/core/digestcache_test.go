@@ -314,8 +314,7 @@ func TestChaosPrecopyWriterRace(t *testing.T) {
 	const chunk = 32 * 1024
 	r := newRig(t, "core_digest_race", 2)
 	r.count(t, 10)
-	src := r.offload(t)
-	p := src.Proc()
+	p := r.offload(t).Proc()
 	regions := []*proc.Region{p.Region("runtime_heap"), p.Region("binary")}
 
 	// The writer keeps rewriting one page in each of a set of chunks, and
@@ -348,9 +347,60 @@ func TestChaosPrecopyWriterRace(t *testing.T) {
 		}
 	}()
 
+	migrateRacingWriter(t, r, chunk, "/snap/race", &wg)
+}
+
+// TestChaosPrecopyFirstTouchRace is the page-table sweep's twin of
+// TestChaosPrecopyWriterRace. A writer thread first-touches never-written
+// pages of a seed-0 region, one fresh chunk per step in random order,
+// while pre-copy rounds run, so first touches land while a pass sweeps. A
+// pass that swept before it cut its epochs would name such a chunk zero
+// and consume, with the cut, the write that made it non-zero: the chunk
+// would keep the zero digest for good. After the paused final capture the
+// digest list must equal the full recompute, and the destination must hold
+// the frozen process's regions byte for byte.
+func TestChaosPrecopyFirstTouchRace(t *testing.T) {
+	const chunk = 32 * 1024
+	const fresh = 128 * simclock.MiB
+	bin := testBinary("core_digest_touch_race")
+	bin.AddRegion("fresh", proc.RegionHeap, fresh, 0)
+	r := newRigBinary(t, bin, 2)
+	r.count(t, 10)
+	p := r.offload(t).Proc()
+	reg := p.Region("fresh")
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(11))
+		buf := make([]byte, 64)
+		for _, c := range rng.Perm(int(fresh / chunk)) {
+			if p.BeginStep() != nil {
+				return // terminated by the final capture
+			}
+			rng.Read(buf)
+			reg.WriteAt(buf, int64(c)*chunk+rng.Int63n(chunk/proc.EpochPage)*proc.EpochPage)
+			p.EndStep()
+		}
+	}()
+
+	migrateRacingWriter(t, r, chunk, "/snap/touch", &wg)
+}
+
+// migrateRacingWriter live-migrates r's process to card 2 in chunk-byte
+// store chunks while a writer wg waits for keeps writing, with the
+// switch-over done by hand so the oracle can be taken under pause: after
+// the paused final capture (which terminates the writer) the digest cache
+// and the manifest must equal the full recompute, and the destination
+// must hold the frozen process's regions byte for byte and compute on.
+func migrateRacingWriter(t *testing.T, r *rig, chunk int64, path string, wg *sync.WaitGroup) {
+	t.Helper()
+	src := r.offload(t)
+	p := src.Proc()
 	copts := CaptureOptions{Streams: 2, ChunkBytes: chunk}
 	copts.Store.Enabled = true
-	mopts := MigrateOptions{DeviceTo: 2, Path: "/snap/race", Capture: copts, Restore: storeRestoreOpts(),
+	mopts := MigrateOptions{DeviceTo: 2, Path: path, Capture: copts, Restore: storeRestoreOpts(),
 		Precopy: PrecopyOptions{MaxRounds: 4}}
 	m, err := NewMigration(r.cp, mopts)
 	if err != nil {
@@ -365,12 +415,15 @@ func TestChaosPrecopyWriterRace(t *testing.T) {
 			break
 		}
 	}
-	// The switch-over, by hand, so the oracle can be taken under pause.
 	s := m.Snapshot()
 	if err := s.Pause(); err != nil {
 		t.Fatal(err)
 	}
 	want := oracleDigests(t, r, p, chunk)
+	frozen := make(map[string]blob.Blob)
+	for _, rg := range p.Regions() {
+		frozen[rg.Name()] = rg.SnapshotRange(0, rg.Size())
+	}
 	fin := mopts.Capture
 	fin.Terminate = true
 	if err := s.Capture(fin); err != nil {
@@ -381,9 +434,18 @@ func TestChaosPrecopyWriterRace(t *testing.T) {
 	}
 	wg.Wait()
 	assertCacheIs(t, src, chunk, want, "paused final capture after racing rounds")
-	assertManifestIs(t, r, mopts.Path+"/"+coi.ContextFileName, want, "paused final capture after racing rounds")
+	assertManifestIs(t, r, path+"/"+coi.ContextFileName, want, "paused final capture after racing rounds")
 	if _, err := s.Restore(2, mopts.Restore); err != nil {
 		t.Fatal(err)
+	}
+	restored := r.offload(t).Proc().Regions()
+	if len(restored) != len(frozen) {
+		t.Fatalf("destination process has %d regions, the frozen one %d", len(restored), len(frozen))
+	}
+	for _, rg := range restored {
+		if want, ok := frozen[rg.Name()]; !ok || !blob.Equal(rg.SnapshotRange(0, rg.Size()), want) {
+			t.Fatalf("region %q on the destination differs from the frozen one", rg.Name())
+		}
 	}
 	if err := s.Resume(); err != nil {
 		t.Fatal(err)
@@ -465,8 +527,9 @@ func TestDigestEpochIndependentOfDeltaCheckpoints(t *testing.T) {
 // TestDigestCacheDropsForceFullPass: a geometry change (a region added, a
 // thread added), a different chunk size, and a resume after a migration
 // aborted under pause each make the next store capture digest the whole
-// image — seen as chunks_rehashed == chunks_total on its store_digest
-// span — and every such capture still matches the full recompute.
+// image — seen as chunks_rehashed + chunks_swept == chunks_total on its
+// store_digest span: every chunk read or named zero by the page-table
+// sweep — and every such capture still matches the full recompute.
 func TestDigestCacheDropsForceFullPass(t *testing.T) {
 	const chunk = 32 * 1024
 	r := newRig(t, "core_digest_drops", 2)
@@ -496,7 +559,7 @@ func TestDigestCacheDropsForceFullPass(t *testing.T) {
 		}
 		return lastDigestSpan(t, r, "store_digest")
 	}
-	full := func(sp map[string]int64) bool { return sp["chunks_rehashed"] == sp["chunks_total"] }
+	full := func(sp map[string]int64) bool { return sp["chunks_rehashed"]+sp["chunks_swept"] == sp["chunks_total"] }
 	warm := func(what string) {
 		t.Helper()
 		if sp := checkpoint(opts); full(sp) || sp["seeded_from"] != 1 {
@@ -700,7 +763,7 @@ func TestPrecopyRedoesRoundWhenStoreLacksCarriedChunk(t *testing.T) {
 			round1 = append(round1, sp)
 		}
 	}
-	if len(round1) != 2 || round1[0]["seeded_from"] != 2 || round1[1]["chunks_rehashed"] != round1[1]["chunks_total"] {
+	if len(round1) != 2 || round1[0]["seeded_from"] != 2 || round1[1]["chunks_rehashed"]+round1[1]["chunks_swept"] != round1[1]["chunks_total"] {
 		t.Errorf("round 1 digest passes = %v, want a restore-seeded pass then a full redo", round1)
 	}
 	if problems, _ := r.plat.Store.Verify(); len(problems) != 0 {

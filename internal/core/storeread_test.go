@@ -553,11 +553,11 @@ func paintedBinary(bin, name string, size int64, seed uint64, fill byte) *coi.Bi
 // swapCycle is a swap-out of a fresh rig running bin, after 20 counts and
 // one paint, and a swap-in onto the same card over streams streams, into
 // the store or through plain files. It returns the frozen image's chunk
-// digests and Report.RestoreDevice, and fails the test unless every
+// digests and the snapshot's report, and fails the test unless every
 // region of the restored process, before it resumed, holds the bytes it
 // was frozen with. (The full layouts differ by a thread record: a restored process
 // respawns its pipeline thread on the next call.)
-func swapCycle(t *testing.T, bin *coi.Binary, store bool, streams int) (digests []string, dev simclock.Duration) {
+func swapCycle(t *testing.T, bin *coi.Binary, store bool, streams int) (digests []string, rep *Report) {
 	t.Helper()
 	r := newRigBinary(t, bin, 1)
 	r.count(t, 20)
@@ -609,7 +609,7 @@ func swapCycle(t *testing.T, bin *coi.Binary, store bool, streams int) (digests 
 	if got := r.count(t, 30); got != refSum(30) {
 		t.Fatalf("computation after the swap-in = %d, want %d", got, refSum(30))
 	}
-	return digests, s.Report.RestoreDevice
+	return digests, &s.Report
 }
 
 // zeroChunks counts the digests that name a whole default-size chunk of
@@ -641,7 +641,8 @@ var holeSeedDurations [2]simclock.Duration
 func TestStoreRestoreWritesHolesOverSeededRegions(t *testing.T) {
 	const size = 16 * simclock.MiB
 	zeros := paintedBinary("core_hole_seed7_zeros", "canvas", size, 7, 0)
-	digests, zeroed := swapCycle(t, zeros, true, 1)
+	digests, rep := swapCycle(t, zeros, true, 1)
+	zeroed := rep.RestoreDevice
 	if n := zeroChunks(digests); n < 1 {
 		t.Fatalf("the zero-painted image has no whole zero chunk among its %d", len(digests))
 	}
@@ -655,7 +656,8 @@ func TestStoreRestoreWritesHolesOverSeededRegions(t *testing.T) {
 		t.Fatalf("the seed-0 image has %d zero chunks of %d, want at least 8", zeroChunks(digests), len(digests))
 	}
 	swapCycle(t, skipped, true, 2)
-	digests, painted := swapCycle(t, paintedBinary("core_hole_seed7_a5", "canvas", size, 7, 0xA5), true, 1)
+	digests, rep = swapCycle(t, paintedBinary("core_hole_seed7_a5", "canvas", size, 7, 0xA5), true, 1)
+	painted := rep.RestoreDevice
 	if n := zeroChunks(digests); n != 0 {
 		t.Fatalf("the 0xA5-painted image has %d zero chunks, want none", n)
 	}
@@ -674,31 +676,66 @@ func TestStoreRestoreWritesHolesOverSeededRegions(t *testing.T) {
 	t.Logf("virtual ns: store swap-in with zeros over seed 7 %d, with 0xA5 %d", zeroed, painted)
 }
 
-// TestSwapinWithoutHolesUnchanged pins two swap-ins that a hole cannot
-// reach to the figures they had before store streams served holes: a store
-// swap-in of an image with no zero chunk (the rig with a 16 MiB heap over
-// seed 3, half of it painted), and a plain file swap-in of a zero-rich
-// image shaped like bench/'s swap_warm (a 256 MiB seed-0 heap: 60 of its
-// 75 chunks are zero), which never meets a hole because a plain read never
-// yields one.
+// guardCycles runs the two swap cycles the zero rule's guards pin: a
+// store swap of an image with no zero chunk (the rig with a 16 MiB heap
+// over seed 3, half of it painted) and a plain swap of a zero-rich image
+// shaped like bench/'s store workloads (a 256 MiB seed-0 heap: 60 of its
+// 75 chunks are zero). It returns the two reports and the zero-rich
+// image's digests.
+func guardCycles(t *testing.T) (store, plain *Report, zeroRich []string) {
+	t.Helper()
+	digests, store := swapCycle(t, paintedBinary("core_nohole_seed3", "heap", 16*simclock.MiB, 3, 0xA5), true, 1)
+	if n := zeroChunks(digests); n != 0 {
+		t.Fatalf("the seed-3 image has %d zero chunks, want none", n)
+	}
+	zeroRich, plain = swapCycle(t, paintedBinary("core_nohole_zero_rich", "private", 256*simclock.MiB, 0, 0xA5), false, 1)
+	if n := zeroChunks(zeroRich); 2*n < len(zeroRich) {
+		t.Fatalf("the zero-rich image has %d zero chunks of %d, want most", n, len(zeroRich))
+	}
+	return store, plain, zeroRich
+}
+
+// TestSwapinWithoutHolesUnchanged pins the two swap-ins of guardCycles,
+// which a hole cannot reach, to the figures they had before store streams
+// served holes: the store image has no zero chunk, and a plain read never
+// yields a hole.
 func TestSwapinWithoutHolesUnchanged(t *testing.T) {
 	// This test's figures on the tree before holes.
 	const (
 		seededStore = simclock.Duration(80_821_519)
 		zeroPlain   = simclock.Duration(1_081_253_224)
 	)
-	digests, store := swapCycle(t, paintedBinary("core_nohole_seed3", "heap", 16*simclock.MiB, 3, 0xA5), true, 1)
-	if n := zeroChunks(digests); n != 0 {
-		t.Fatalf("the seed-3 image has %d zero chunks, want none", n)
-	}
-	digests, plain := swapCycle(t, paintedBinary("core_nohole_zero_rich", "private", 256*simclock.MiB, 0, 0xA5), false, 1)
-	if n := zeroChunks(digests); 2*n < len(digests) {
-		t.Fatalf("the zero-rich image has %d zero chunks of %d, want most", n, len(digests))
-	}
-	if store != seededStore || plain != zeroPlain {
+	store, plain, digests := guardCycles(t)
+	if store.RestoreDevice != seededStore || plain.RestoreDevice != zeroPlain {
 		t.Errorf("store swap-in of an image with no zero chunk took %d virtual ns, plain swap-in of a zero-rich one %d; before holes they took %d and %d",
-			store, plain, seededStore, zeroPlain)
+			store.RestoreDevice, plain.RestoreDevice, seededStore, zeroPlain)
 	}
 	t.Logf("virtual ns: store swap-in without zero chunks %d, plain swap-in of a zero-rich image %d (%d of %d chunks zero)",
-		store, plain, zeroChunks(digests), len(digests))
+		store.RestoreDevice, plain.RestoreDevice, zeroChunks(digests), len(digests))
+}
+
+// TestColdStoreCaptureWithoutZeroChunksUnchanged pins the two captures of
+// guardCycles, which the page-table sweep cannot shorten, to the figures
+// they had before the sweep: the cold store capture has no untouched
+// seed-0 chunk, so it walks every chunk (and a walked chunk's page tables
+// cost nothing extra), and a plain capture ships every byte whatever it
+// holds.
+func TestColdStoreCaptureWithoutZeroChunksUnchanged(t *testing.T) {
+	// This test's figures on the tree before the sweep.
+	const (
+		seededStore = simclock.Duration(239_583_970)
+		zeroPlain   = simclock.Duration(1_185_013_128)
+	)
+	store, plain, digests := guardCycles(t)
+	for _, rep := range []*Report{store, plain} {
+		if rep.ShippedBytes != rep.SnapshotBytes {
+			t.Fatalf("a capture shipped %d of %d bytes, want all", rep.ShippedBytes, rep.SnapshotBytes)
+		}
+	}
+	if store.Capture != seededStore || plain.Capture != zeroPlain {
+		t.Errorf("cold store capture of an image with no zero chunk took %d virtual ns, plain capture of a zero-rich one %d; before the sweep they took %d and %d",
+			store.Capture, plain.Capture, seededStore, zeroPlain)
+	}
+	t.Logf("virtual ns: cold store capture without zero chunks %d, plain capture of a zero-rich image %d (%d of %d chunks zero)",
+		store.Capture, plain.Capture, zeroChunks(digests), len(digests))
 }

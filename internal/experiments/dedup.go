@@ -50,6 +50,9 @@ type DedupSwapRow struct {
 	// window of the capture's digest list).
 	ChunksTotal   int64 `json:"chunks_total"`
 	ChunksShipped int64 `json:"chunks_shipped"`
+	// ZeroChunks counts the chunks of the cycle's committed manifest that
+	// are the zero chunk: no negotiation needs one, so none ships.
+	ZeroChunks int64 `json:"zero_chunks"`
 }
 
 // DedupSwapResult is the full comparison.
@@ -215,6 +218,11 @@ func DedupSwap(imageBytes int64, cycles int) (*DedupSwapResult, error) {
 			row.ChunksTotal = storeCaptures[c].total
 			row.ChunksShipped = storeCaptures[c].needed
 		}
+		m, _, err := plat.Store.Manifest(fmt.Sprintf("/bench/dedup/store/cycle%d/%s", c, coi.ContextFileName))
+		if err != nil {
+			return nil, fmt.Errorf("store path: cycle %d: %w", c, err)
+		}
+		row.ZeroChunks = int64(m.ZeroChunks())
 		res.PlainShippedTotal += row.PlainShippedBytes
 		res.StoreShippedTotal += row.StoreShippedBytes
 		res.Rows = append(res.Rows, row)
@@ -309,8 +317,9 @@ const (
 // about 0.7x.
 const storeRestoreMaxRatio = 0.40
 
-// CheckShape verifies the acceptance claims: the cold cycle ships the
-// whole image, every warm cycle ships strictly less and captures in at
+// CheckShape verifies the acceptance claims: the cold cycle ships every
+// chunk of the image but the zero ones (recurrences of a non-zero chunk
+// included: an empty store holds nothing else), every warm cycle ships strictly less and captures in at
 // most a quarter of the plain path's time, every store restore takes at
 // most 0.40x the plain serial one, the total reduction is at least 3x,
 // the store-resident context is byte-for-byte the plain capture, every
@@ -347,9 +356,9 @@ func (r *DedupSwapResult) CheckShape() error {
 				row.Cycle, row.StoreRestoreNs, storeRestoreMaxRatio, row.PlainRestoreNs)
 		}
 	}
-	if r.Rows[0].StoreShippedBytes != r.Rows[0].SnapshotBytes {
-		return fmt.Errorf("dedup swap: cold store cycle shipped %d of %d bytes — the empty store cannot dedup",
-			r.Rows[0].StoreShippedBytes, r.Rows[0].SnapshotBytes)
+	if cold := r.Rows[0]; cold.ChunksShipped != cold.ChunksTotal-cold.ZeroChunks {
+		return fmt.Errorf("dedup swap: cold store cycle shipped %d of %d chunks, %d of them zero — the empty store can dedup exactly the zero chunks",
+			cold.ChunksShipped, cold.ChunksTotal, cold.ZeroChunks)
 	}
 	if r.ReductionX < 3.0 {
 		return fmt.Errorf("dedup swap: only %.2fx shipped-byte reduction over %d cycles, want >= 3x",

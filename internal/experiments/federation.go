@@ -44,6 +44,9 @@ type FederationLeg struct {
 	BytesShipped  int64 `json:"bytes_shipped"`
 	ChunksShipped int64 `json:"chunks_shipped"`
 	ChunksDeduped int64 `json:"chunks_deduped"`
+	// ChunksZero counts the deduped chunks that are the zero chunk,
+	// which the destination store writes itself.
+	ChunksZero int64 `json:"chunks_zero"`
 }
 
 // FederationResult is the full federation benchmark document.
@@ -166,6 +169,7 @@ func FederationBench(imageBytes int64, hosts, legs int) (*FederationResult, erro
 			BytesShipped:  stats.BytesShipped,
 			ChunksShipped: stats.ChunksShipped,
 			ChunksDeduped: stats.ChunksDeduped,
+			ChunksZero:    stats.ChunksZero,
 		}
 		res.Rows = append(res.Rows, row)
 		if leg == 0 {
@@ -272,8 +276,9 @@ func (r *FederationResult) Render() string {
 		r.RecoveredJobs, r.ByteIdentical, r.ChecksumMatch, r.FsckProblems)
 }
 
-// CheckShape verifies the acceptance claims: the cold leg ships the
-// bulk of the image, every warm leg deduplicates, the cross-host
+// CheckShape verifies the acceptance claims: the cold leg ships every
+// chunk but the zero ones (an empty destination holds nothing else),
+// every warm leg deduplicates, the cross-host
 // reduction is at least 2x, and the kill phase recovers the job
 // byte-identically with a clean store and a fully repaired replica set.
 func (r *FederationResult) CheckShape() error {
@@ -281,9 +286,9 @@ func (r *FederationResult) CheckShape() error {
 		return fmt.Errorf("federation: %d rows for %d legs", len(r.Rows), r.Legs)
 	}
 	cold := r.Rows[0]
-	if cold.BytesShipped*2 < cold.BytesLogical {
-		return fmt.Errorf("federation: cold leg shipped only %d of %d bytes — the empty destination cannot dedup this much",
-			cold.BytesShipped, cold.BytesLogical)
+	if cold.ChunksShipped == 0 || cold.ChunksDeduped != cold.ChunksZero {
+		return fmt.Errorf("federation: cold leg shipped %d chunks and deduped %d, of which %d zero — the empty destination can dedup only zero chunks",
+			cold.ChunksShipped, cold.ChunksDeduped, cold.ChunksZero)
 	}
 	for _, row := range r.Rows[1:] {
 		if row.BytesShipped >= row.BytesLogical {

@@ -385,3 +385,59 @@ func TestPinTracking(t *testing.T) {
 		t.Error("Pin did not stick")
 	}
 }
+
+// TestRegionUntouched: Untouched is the "no page present" bit the digest
+// pass sweeps. It holds only over a seed-0 region's background: a write
+// of any bytes (zeros included) clears it for the bytes written, a
+// WriteBlob of the region's own background sets it again (the overlay is
+// dropped), and a page a restore never wrote — a hole it skipped — keeps
+// it.
+func TestRegionUntouched(t *testing.T) {
+	const size, page = 64 << 10, EpochPage
+	zeros := func(r *Region) { r.WriteAt(make([]byte, page), 2*page) }
+	for _, c := range []struct {
+		name   string
+		seed   uint64
+		ops    func(r *Region)
+		off, n int64
+		want   bool
+	}{
+		{"fresh seed-0 region", 0, nil, 0, size, true},
+		{"fresh seed-3 region", 3, nil, 0, size, false},
+		{"seed-3 region, empty range", 3, nil, page, 0, false},
+		{"seed-0 region, empty range", 0, nil, page, 0, true},
+		{"zeros written", 0, zeros, 2 * page, page, false},
+		{"zeros written, range ends where they start", 0, zeros, 0, 2 * page, true},
+		{"zeros written, range starts where they end", 0, zeros, 3 * page, size - 3*page, true},
+		{"zeros written, range overlaps their last byte", 0, zeros, 3*page - 1, 2, false},
+		{"one byte written mid-range", 0, func(r *Region) { r.WriteAt([]byte{1}, 40000) }, 0, size, false},
+		{"background written back over a write", 0, func(r *Region) {
+			r.WriteAt([]byte("payload"), 5*page+10)
+			r.WriteBlob(5*page, blob.Zeros(page))
+		}, 0, size, true},
+		{"background written back over half a write", 0, func(r *Region) {
+			r.WriteAt(make([]byte, 2*page), 5*page)
+			r.WriteBlob(5*page, blob.Zeros(page))
+		}, 5 * page, 2 * page, false},
+		{"literal zeros adopted", 0, func(r *Region) { r.WriteBlob(page, blob.FromBytes(make([]byte, page))) }, page, page, false},
+		{"seed-3 background written back", 3, func(r *Region) {
+			r.WriteAt([]byte("payload"), 10)
+			r.WriteBlob(0, blob.Synthetic(3, page))
+		}, 0, page, false},
+		{"restore that skipped a hole", 0, func(r *Region) {
+			// The pages before and after the hole arrive; the hole does not.
+			r.WriteBlob(0, blob.FromBytes(bytes.Repeat([]byte{7}, 4*page)))
+			r.WriteBlob(12*page, blob.FromBytes(bytes.Repeat([]byte{7}, 4*page)))
+		}, 4 * page, 8 * page, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRegion("r", RegionHeap, size, c.seed)
+			if c.ops != nil {
+				c.ops(r)
+			}
+			if got := r.Untouched(c.off, c.n); got != c.want {
+				t.Errorf("Untouched(%d, %d) = %v, want %v", c.off, c.n, got, c.want)
+			}
+		})
+	}
+}

@@ -162,6 +162,18 @@ func (r *Region) WriteBlob(off int64, src blob.Blob) {
 	r.wrote(off, src.Len())
 }
 
+// Untouched reports whether [off, off+n) holds no page: the region's
+// background is zeros (seed 0) and no byte of the range has been written
+// since the region was allocated, or since a write of that same
+// background cleared it. It is the simulator's "no page present" bit. The
+// content of such a range is zeros, which is what lets a digest pass name
+// it without reading it.
+func (r *Region) Untouched(off, n int64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seed == 0 && r.buf.Untouched(off, n)
+}
+
 // DirtyRanges returns the coalesced byte ranges written since the last
 // MarkClean — the payload of an incremental checkpoint.
 func (r *Region) DirtyRanges() []ByteRange {

@@ -280,13 +280,17 @@ func (f *Federation) markDeadLocked(name string, st *Store) {
 type ShipStats struct {
 	ChunksShipped int64
 	ChunksDeduped int64
-	BytesShipped  int64
-	BytesLogical  int64
+	// ChunksZero counts the deduped chunks that are the zero chunk: the
+	// destination store writes those itself, so they never ship.
+	ChunksZero   int64
+	BytesShipped int64
+	BytesLogical int64
 }
 
 func (s *ShipStats) add(o ShipStats) {
 	s.ChunksShipped += o.ChunksShipped
 	s.ChunksDeduped += o.ChunksDeduped
+	s.ChunksZero += o.ChunksZero
 	s.BytesShipped += o.BytesShipped
 	s.BytesLogical += o.BytesLogical
 }
@@ -327,6 +331,7 @@ func (f *Federation) shipSnapshotLocked(src, dst, path string) (ShipStats, simcl
 	dur += link.cost(8 * int64(len(need)))
 	stats.BytesLogical = m.Size
 	stats.ChunksDeduped = int64(len(m.Chunks) - len(need))
+	stats.ChunksZero = int64(m.ZeroChunks())
 	f.chunksDeduped.Add(stats.ChunksDeduped)
 	if committed {
 		return stats, dur, nil

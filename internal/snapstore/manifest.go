@@ -39,6 +39,18 @@ type Manifest struct {
 	Chunks     []string `json:"chunks"`
 }
 
+// ZeroChunks counts the chunks whose digest is ZeroDigest of their
+// length: the ones no upload ever ships.
+func (m *Manifest) ZeroChunks() int {
+	n := 0
+	for i, d := range m.Chunks {
+		if d == ZeroDigest(m.chunkLen(i)) {
+			n++
+		}
+	}
+	return n
+}
+
 // chunkLen returns the byte length of chunk i (the final chunk may be
 // short).
 func (m *Manifest) chunkLen(i int) int64 {

@@ -166,7 +166,11 @@ func (st *Store) Negotiate(path, parent string, size, chunkBytes int64, digests 
 // retry path after a mid-upload crash: chunks already shipped are found
 // and drop out of the need set — and each later window must continue
 // exactly where the last ended, under the same geometry (ErrBadWindow
-// otherwise). When the window that completes the list finds that no
+// otherwise). A chunk whose digest is ZeroDigest of its length is never
+// needed: the first time the store lacks it, the host writes the chunk
+// file itself (one host FS write, no transfer), so a zero chunk never
+// crosses PCIe or the cluster network and every manifest chunk still has
+// a file. When the window that completes the list finds that no
 // window had a chunk missing, the manifest commits on the spot (committed
 // reports this) and no stream ever opens; otherwise it commits when the
 // stream that brought the last missing chunk closes — never in between, so
@@ -197,12 +201,24 @@ func (st *Store) NegotiateWindow(path string, size, chunkBytes int64, first int,
 			return nil, false, 0, fmt.Errorf("%w: %s: chunk %d is named %q, not a digest", ErrBadWindow, path, first+i, d)
 		}
 	}
+	geo := Manifest{Size: size, ChunkBytes: chunkBytes}
+	zero := func(i int) bool { return digests[i] == ZeroDigest(geo.chunkLen(first+i)) }
+	for i, d := range digests {
+		if cp := chunkPath(d); zero(i) && !st.fs.Exists(cp) {
+			wd, err := st.fs.WriteFile(cp, blob.Zeros(geo.chunkLen(first+i)))
+			dur += wd
+			if err != nil {
+				return nil, false, dur, err
+			}
+			st.chunksPut.Inc()
+		}
+	}
 	if first == 0 {
 		up = &upload{path: path, size: size, chunkBytes: chunkBytes, missing: make(map[string]bool)}
 		st.uploads[path] = up
 	}
 	for i, d := range digests {
-		if up.missing[d] || !st.fs.Exists(chunkPath(d)) {
+		if !zero(i) && (up.missing[d] || !st.fs.Exists(chunkPath(d))) {
 			up.missing[d] = true
 			need = append(need, first+i)
 		} else {
@@ -214,7 +230,7 @@ func (st *Store) NegotiateWindow(path string, size, chunkBytes int64, first int,
 	// Metadata cost: one fs round-trip plus an in-memory index scan of
 	// the window's digests (a real store answers have/need from an index,
 	// not per-chunk stats).
-	dur = st.model.HostFSOpLatency + st.model.HostMemcpy(64*int64(len(digests)))
+	dur += st.model.HostFSOpLatency + st.model.HostMemcpy(64*int64(len(digests)))
 	if len(up.missing) == 0 && up.complete() {
 		d, err := st.commitLocked(up)
 		dur += d

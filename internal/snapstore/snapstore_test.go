@@ -2,6 +2,7 @@ package snapstore
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -574,7 +575,8 @@ func TestDigestKeysZeroChunksTogether(t *testing.T) {
 // the bytes a capture ships do not depend on how it cuts its windows or on
 // what has landed in between — pins only the digests it knows so far, and
 // commits at the close that follows the last chunk, never before the last
-// window arrived.
+// window arrived. Neither ever needs the zero chunk: the store writes its
+// file itself the first time it lacks it.
 func TestNegotiateWindowsAddUpToTheWholeList(t *testing.T) {
 	const chunk = 4096
 	// Seven chunks: A B Z | Z C A | Z — zeros and A recur across windows.
@@ -584,8 +586,11 @@ func TestNegotiateWindowsAddUpToTheWholeList(t *testing.T) {
 
 	whole := newEnv(t)
 	wantNeed, _, _, err := whole.st.Negotiate("/snap/w", "", content.Len(), chunk, digests)
-	if err != nil || len(wantNeed) != 7 {
-		t.Fatalf("whole-list need %v err %v, want all seven", wantNeed, err)
+	if err != nil || !slices.Equal(wantNeed, []int{0, 1, 4, 5}) {
+		t.Fatalf("whole-list need %v err %v, want every non-zero chunk, A's recurrence included, and no zero one", wantNeed, err)
+	}
+	if got, _, err := whole.st.ReadChunk(ZeroDigest(chunk)); err != nil || !blob.Equal(got, z) {
+		t.Fatalf("the zero chunk the store was never sent: err %v", err)
 	}
 
 	e := newEnv(t)
