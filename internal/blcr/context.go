@@ -343,11 +343,11 @@ func (r *reader) fill(n int64) error {
 			// Restore-side producer stage: writing the pages into memory
 			// — or, on the adoption path, only installing page-table
 			// entries over frames that are already resident.
-			charged := piece.Len()
 			if r.adopt {
-				charged /= pteBytesPerByte
+				stream.Observe(r.acc, cost, AdoptCost(r.c.model, piece.Len()))
+			} else {
+				stream.Observe(r.acc, cost, r.c.copyStage(r.onHost, piece.Len()))
 			}
-			stream.Observe(r.acc, cost, r.c.copyStage(r.onHost, charged))
 		}
 		r.fed += piece.Len()
 		if r.off > 0 {

@@ -2,6 +2,7 @@ package coi
 
 import (
 	"fmt"
+	"strings"
 
 	"snapify/internal/blcr"
 	"snapify/internal/blob"
@@ -84,26 +85,32 @@ func (d *Daemon) streamRestart(cr *blcr.Checkpointer, req *RestoreReq, ctxPath s
 
 // handleSnapifyPrecopyStage is the destination card's side of a pre-copy
 // round: pull the freshly shipped chunks out of the host store into the
-// staging area (StageSync), or discard the staged state (StageDrop, on
-// abort).
+// staging area (StageSync), or discard what a migration parked on this
+// card: the staged chunks (StageDrop), and with StageDropAll also the
+// local-store files the switch-over's pause saved beside the context.
 func (d *Daemon) handleSnapifyPrecopyStage(req *StageReq) (*StageResp, error) {
-	path := req.Path
-	if req.Mode == StageDrop {
-		d.staging.Drop(path)
+	ctxPath := req.Path
+	if req.Mode == StageDrop || req.Mode == StageDropAll {
+		d.staging.Drop(ctxPath)
+		if req.Mode == StageDropAll {
+			// The agent named the files dir+"/"+LocalStorePrefix+name from
+			// the unclean snapshot directory: match them the same way.
+			d.dev.FS.RemoveAll(strings.TrimSuffix(ctxPath, "/"+ContextFileName) + "/" + LocalStorePrefix)
+		}
 		return &StageResp{}, nil
 	}
-	size, chunkBytes, digests, _, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, path)
+	size, chunkBytes, digests, _, ok, planDur, err := d.plat.IO.StagePlan(d.dev.Node, simnet.HostNode, ctxPath)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("coi: stage sync: no digest plan for %s on the host store", path)
+		return nil, fmt.Errorf("coi: stage sync: no digest plan for %s on the host store", ctxPath)
 	}
-	pullDur, fetched, err := d.stagePull(path, size, chunkBytes, digests)
+	pullDur, fetched, err := d.stagePull(ctxPath, size, chunkBytes, digests)
 	if err != nil {
 		return nil, err
 	}
-	resp := &StageResp{Duration: planDur + pullDur, FetchedBytes: fetched, StagedBytes: d.staging.StagedBytes(path)}
+	resp := &StageResp{Duration: planDur + pullDur, FetchedBytes: fetched, StagedBytes: d.staging.StagedBytes(ctxPath)}
 	tk := d.coidTrack()
 	tk.AlignTo(req.Align)
 	tk.Emit(req.Scope, "precopy_stage", req.Align, resp.Duration, map[string]int64{

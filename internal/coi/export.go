@@ -27,8 +27,8 @@ func DaemonRestoreRequest(plat *platform.Platform, device simnet.NodeID, req *Re
 	return resp, daemonRequest(plat, device, opSnapifyRestore, req, resp, "coi: daemon restore error")
 }
 
-// DaemonStageRequest sends a pre-copy stage-control request (StageSync
-// or StageDrop) to the daemon on the migration's destination device.
+// DaemonStageRequest sends a stage-control request (StageSync, StageDrop
+// or StageDropAll) to the daemon on the migration's destination device.
 func DaemonStageRequest(plat *platform.Platform, device simnet.NodeID, req *StageReq) (*StageResp, error) {
 	resp := new(StageResp)
 	return resp, daemonRequest(plat, device, opSnapifyPrecopyStage, req, resp, "coi: daemon stage error")

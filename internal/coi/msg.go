@@ -109,17 +109,22 @@ func portField(c *wire.Cursor, p *ChannelPort) {
 // DrainArgs is what the agent needs to drain (step 4 of Fig 3): where the
 // local store goes. Align, here and below, is the host's virtual clock at
 // which the operation begins, so card-side spans land on the shared
-// timeline.
+// timeline. Live marks the drain of a live migration's switch-over: the
+// local store then streams double-buffered to the destination card, whose
+// restore adopts it in place (DESIGN.md §13); every other drain saves it
+// the paper's way.
 type DrainArgs struct {
 	Align          simclock.Duration
 	LocalStoreNode simnet.NodeID
 	Dir            string
+	Live           bool
 }
 
 func (m *DrainArgs) fields(c *wire.Cursor) {
 	wire.U64(c, &m.Align)
 	wire.U32(c, &m.LocalStoreNode)
 	wire.Str32(c, &m.Dir)
+	wire.Bool(c, &m.Live)
 }
 
 // DrainReq is the host's drain request; the daemon forwards DrainArgs.
@@ -300,8 +305,15 @@ const (
 	// StageSync pulls the current digest plan's missing chunks from the
 	// host store into the destination daemon's staging area.
 	StageSync uint8 = 0
-	// StageDrop discards the staged chunks for the path (abort).
+	// StageDrop discards the staged chunks for the path (abort, or a
+	// switch-over that failed after its terminating capture: the local
+	// store saved beside the path is then the only copy of the process's
+	// buffers, and a later restore still needs it).
 	StageDrop uint8 = 1
+	// StageDropAll discards the staged chunks and the local-store files
+	// saved beside the path: a switch-over that failed while the source
+	// process still runs, its buffers intact on its card.
+	StageDropAll uint8 = 2
 )
 
 // StageReq is the destination card's side of a pre-copy round.

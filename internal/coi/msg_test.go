@@ -75,8 +75,8 @@ var goldenMessages = []struct {
 		"0c016e6f20616374697665207061757365",
 		&Empty{}},
 	{"drain", asRequest, opSnapifyDrain, "",
-		"070000000700000000000005dc00000002000000072f736e61702f61",
-		&DrainReq{ProcID: 7, DrainArgs: DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a"}}},
+		"070000000700000000000005dc00000002000000072f736e61702f6101",
+		&DrainReq{ProcID: 7, DrainArgs: DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a", Live: true}}},
 	{"drain_resp", asReply, opSnapifyDrainResp, "",
 		"080000000000002625a00000000000300000",
 		&DrainResp{Duration: 2500 * time.Microsecond, LocalStoreBytes: 3 << 20}},
@@ -111,7 +111,7 @@ var goldenMessages = []struct {
 		"1f",
 		&Empty{}},
 	{"pipe_drain", asRequest, pipeDrainReq, "",
-		"2000000000000005dc00000002000000072f736e61702f61",
+		"2000000000000005dc00000002000000072f736e61702f6100",
 		&DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a"}},
 	{"pipe_drain_done", asReply, pipeDrainDone, "",
 		"210000000000002625a00000000000300000",

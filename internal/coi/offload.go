@@ -474,23 +474,37 @@ func (op *OffloadProc) readCtrl() ctrlState {
 	return st
 }
 
+// livePiece is the piece a live switch-over's local-store save writes at a
+// time: small enough that the page walk of one piece overlaps the socket
+// copy, RDMA and RAM-fs write of the one before it on the two-slot stream.
+const livePiece = 1 * simclock.MiB
+
 // SaveLocalStore streams every local-store region to files under dir on
 // targetNode via Snapify-IO (the pause phase of Section 4.1; for process
 // migration the target is the destination card). It returns the virtual
-// time and the bytes moved.
-func (op *OffloadProc) SaveLocalStore(targetNode simnet.NodeID, dir string) (simclock.Duration, int64, error) {
+// time and the bytes moved. The paper's save writes each region as 4 MiB
+// chunks over the one-slot ping-pong stream, so a chunk's page walk, copy,
+// RDMA and write add up. A live switch-over (live) writes it in livePiece
+// pieces over a two-slot stream, so the walk of each piece overlaps the
+// transfer of the one before and the save costs about the walk plus one
+// piece's fill.
+func (op *OffloadProc) SaveLocalStore(targetNode simnet.NodeID, dir string, live bool) (simclock.Duration, int64, error) {
+	opts, piece := snapifyio.OpenOptions{Slots: 1}, 4*simclock.MiB
+	if live {
+		opts, piece = snapifyio.OpenOptions{Slots: 2}, livePiece
+	}
 	acc := simclock.NewPipelineAccum()
 	var total int64
 	for _, r := range op.p.Regions() {
 		if r.Kind() != proc.RegionLocalStore {
 			continue
 		}
-		f, err := op.d.plat.IO.Open(op.d.dev.Node, targetNode, dir+"/localstore_"+r.Name(), snapifyio.Write)
+		f, err := op.d.plat.IO.OpenStream(op.d.dev.Node, targetNode, dir+"/"+LocalStorePrefix+r.Name(), snapifyio.Write, opts)
 		if err != nil {
 			return 0, 0, err
 		}
 		snap := r.Snapshot()
-		err = snap.ForEachChunk(4*simclock.MiB, func(chunk blob.Blob) error {
+		err = snap.ForEachChunk(piece, func(chunk blob.Blob) error {
 			cost, err := f.WriteBlob(chunk)
 			if err != nil {
 				return err
@@ -498,6 +512,14 @@ func (op *OffloadProc) SaveLocalStore(targetNode simnet.NodeID, dir string) (sim
 			stream.Observe(acc, cost, op.d.plat.Model().PhiPageWalk(chunk.Len()))
 			return nil
 		})
+		if err == nil && live {
+			// The last piece is still in flight: its RDMA and write end
+			// the save.
+			var cost stream.Cost
+			if cost, err = f.Flush(); err == nil {
+				stream.Observe(acc, cost)
+			}
+		}
 		if err != nil {
 			f.Abort()
 			return 0, 0, err

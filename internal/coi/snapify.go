@@ -3,6 +3,7 @@ package coi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"snapify/internal/blcr"
@@ -257,8 +258,10 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 		seed.Arm(restored)
 	}
 
-	// Copy the local store back on the fly into the mapped regions.
-	lsDur, lsBytes, err := d.reloadLocalStore(restored, req.LocalStoreDir, req.LocalStoreNode, req.Streams)
+	// Copy the local store back on the fly into the mapped regions — or,
+	// after an adopted restart, adopt the files the switch-over's pause
+	// saved on this card.
+	lsDur, lsBytes, err := d.reloadLocalStore(restored, req.LocalStoreDir, req.LocalStoreNode, req.Streams, adopted)
 	if err != nil {
 		restored.Terminate()
 		return nil, err
@@ -288,7 +291,11 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 		ctxArgs["adopted"] = 1
 	}
 	tk.Emit(scope, "restore_context", align, rst.Duration, ctxArgs)
-	tk.Emit(scope, "reload_local_store", align+rst.Duration, lsDur, map[string]int64{"bytes": lsBytes})
+	lsArgs := map[string]int64{"bytes": lsBytes}
+	if adopted {
+		lsArgs["adopted"] = 1
+	}
+	tk.Emit(scope, "reload_local_store", align+rst.Duration, lsDur, lsArgs)
 
 	return &RestoreResp{ProcID: newID, ContextDur: rst.Duration, LocalStoreDur: lsDur, LocalStoreBytes: lsBytes, Ports: op.ChannelPorts()}, nil
 }
@@ -299,8 +306,9 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 // worker's pipeline: streams <= 1 is the paper's one serial pipeline, and
 // with no more regions than streams every region has a worker of its own.
 // For process migration the files are already on this card — written
-// there directly by the source card's pause — and are deleted once loaded.
-func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.NodeID, streams int) (simclock.Duration, int64, error) {
+// there directly by the source card's pause — and are deleted once loaded;
+// a restore that adopted its image (adopt) adopts them too.
+func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.NodeID, streams int, adopt bool) (simclock.Duration, int64, error) {
 	var regions []*proc.Region
 	for _, r := range p.Regions() {
 		if r.Kind() == proc.RegionLocalStore {
@@ -313,7 +321,7 @@ func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.Nod
 	err := fanout.Run(shards, func(i int) error {
 		acc := simclock.NewPipelineAccum()
 		for _, r := range regions[i*len(regions)/shards : (i+1)*len(regions)/shards] {
-			n, err := d.reloadOneLocalStore(r, dir, lsNode, acc)
+			n, err := d.reloadOneLocalStore(r, dir, lsNode, adopt, acc)
 			if err != nil {
 				return err
 			}
@@ -335,32 +343,63 @@ func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.Nod
 }
 
 // reloadOneLocalStore streams one saved local-store file into its region,
-// observing costs on acc.
-func (d *Daemon) reloadOneLocalStore(r *proc.Region, dir string, lsNode simnet.NodeID, acc *simclock.PipelineAccum) (int64, error) {
-	f, err := d.plat.IO.Open(d.dev.Node, lsNode, dir+"/"+LocalStorePrefix+r.Name(), snapifyio.Read)
-	if err != nil {
-		return 0, fmt.Errorf("coi: local store for %q: %w", r.Name(), err)
-	}
-	if f.Size() != r.Size() {
-		f.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
-		return 0, fmt.Errorf("coi: local store for %q is %d bytes, region is %d", r.Name(), f.Size(), r.Size())
-	}
-	var off int64
-	for off < r.Size() {
-		chunk, cost, err := f.Next(blcr.PageChunk)
+// observing costs on acc, and removes the file if it was saved on this
+// card. With adopt, a file on this card is adopted instead of read: a COI
+// buffer is a RAM-fs file mapped into the process, so its pages are
+// donated to the region, not copied — one RAM-fs op plus installing the
+// page tables over them, RestartAdopted's per-page rule.
+func (d *Daemon) reloadOneLocalStore(r *proc.Region, dir string, lsNode simnet.NodeID, adopt bool, acc *simclock.PipelineAccum) (int64, error) {
+	path := dir + "/" + LocalStorePrefix + r.Name()
+	onCard := lsNode == d.dev.Node
+	m := d.plat.Model()
+	if adopt && onCard {
+		f, err := d.dev.FS.Open(path)
 		if err != nil {
-			f.Close() //nolint:errcheck // error path: close only releases the descriptor; the read error is what propagates
+			return 0, fmt.Errorf("coi: local store for %q: %w", r.Name(), err)
+		}
+		if err := fitsRegion(r, f.Size()); err != nil {
 			return 0, err
 		}
-		stream.Observe(acc, cost, d.plat.Model().PhiMemcpy(chunk.Len()))
-		r.WriteBlob(off, chunk)
-		off += chunk.Len()
+		content, _, err := f.Next(f.Size())
+		if err != nil && !errors.Is(err, io.EOF) { // an empty file is at EOF at once
+			return 0, err
+		}
+		r.WriteBlob(0, content)
+		acc.Add(m.RamFSOpLatency + blcr.AdoptCost(m, content.Len()))
+	} else {
+		f, err := d.plat.IO.Open(d.dev.Node, lsNode, path, snapifyio.Read)
+		if err != nil {
+			return 0, fmt.Errorf("coi: local store for %q: %w", r.Name(), err)
+		}
+		if err := fitsRegion(r, f.Size()); err != nil {
+			f.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
+			return 0, err
+		}
+		for off := int64(0); off < r.Size(); {
+			chunk, cost, err := f.Next(blcr.PageChunk)
+			if err != nil {
+				f.Close() //nolint:errcheck // error path: close only releases the descriptor; the read error is what propagates
+				return 0, err
+			}
+			stream.Observe(acc, cost, m.PhiMemcpy(chunk.Len()))
+			r.WriteBlob(off, chunk)
+			off += chunk.Len()
+		}
+		f.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
 	}
-	f.Close() //nolint:errcheck // read side at EOF: close only releases the descriptor
-	if lsNode == d.dev.Node {
-		d.dev.FS.Remove(dir + "/" + LocalStorePrefix + r.Name()) //nolint:errcheck // migration scratch: the local store is already loaded into the regions
+	if onCard {
+		d.dev.FS.Remove(path) //nolint:errcheck // migration scratch: the local store is already loaded into the region
 	}
-	return off, nil
+	return r.Size(), nil
+}
+
+// fitsRegion checks a saved local-store file of size bytes against the
+// region it reloads into.
+func fitsRegion(r *proc.Region, size int64) error {
+	if size != r.Size() {
+		return fmt.Errorf("coi: local store for %q is %d bytes, region is %d", r.Name(), size, r.Size())
+	}
+	return nil
 }
 
 // rebuildOffloadProc wraps a restored process in a fresh runtime: channels
@@ -438,7 +477,7 @@ func (op *OffloadProc) snapifyAgent() {
 			op.resultMu.Lock()
 			drained = true
 			quiesce := simclock.Duration(op.p.ThreadCount()) * op.d.plat.Model().ThreadQuiesce
-			d, bytes, err := op.SaveLocalStore(args.LocalStoreNode, args.Dir)
+			d, bytes, err := op.SaveLocalStore(args.LocalStoreNode, args.Dir, args.Live)
 			if err == nil {
 				// The request carries the host's virtual clock so the agent's
 				// spans land on the shared timeline (trace only; the reported

@@ -2,7 +2,8 @@ package core
 
 // Chaos cases for live migration: the host Snapify-IO daemon crashes in
 // the middle of a pre-copy round and in the middle of the final delta
-// capture. The contract extends the store tier's atomic-or-retryable rule
+// capture, and the destination card's crashes while the switch-over's
+// pause streams the local store to it. The contract extends the store tier's atomic-or-retryable rule
 // with live migration's own invariants: the source process is never
 // harmed (it was running during rounds and gets resumed after a failed
 // switch-over), Abort leaves no orphan staged chunks on the destination
@@ -15,6 +16,7 @@ import (
 
 	"snapify/internal/coi"
 	"snapify/internal/faultinject"
+	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 )
 
@@ -30,12 +32,19 @@ func chaosMigrateOpts(path string) MigrateOptions {
 	return o
 }
 
-// assertNoStaging checks the destination daemon holds no staged chunks.
-func assertNoStaging(t *testing.T, r *rig, dev simnet.NodeID) {
+// chaosBufBytes is the COI buffer the chaos migrations carry, so their
+// switch-overs save a local store to the destination card.
+const chaosBufBytes = 1 * simclock.MiB
+
+// assertNoStaging checks the destination card holds nothing a migration
+// into the snapshot directory dir parked there: no staged chunks on its
+// daemon, no local-store file on its RAM fs.
+func assertNoStaging(t *testing.T, r *rig, dev simnet.NodeID, dir string) {
 	t.Helper()
 	if dst := coi.DaemonAt(r.plat, dev); len(dst.Staging().Paths()) != 0 {
 		t.Errorf("orphan staged chunks on %v: %v", dev, dst.Staging().Paths())
 	}
+	assertNoLocalStore(t, r, dev, dir)
 }
 
 // TestChaosMigratePrecopyRoundCrash kills the host Snapify-IO daemon in
@@ -45,6 +54,7 @@ func assertNoStaging(t *testing.T, r *rig, dev simnet.NodeID) {
 // A retried live migration then succeeds with byte-identical state.
 func TestChaosMigratePrecopyRoundCrash(t *testing.T) {
 	r := newRig(t, "core_chaos_mig", 2)
+	buf, content := addPatternBuffer(t, r, chaosBufBytes, 1)
 	r.count(t, 20)
 	opts := chaosMigrateOpts("/snap/chmig")
 	m, err := NewMigration(r.cp, opts)
@@ -69,7 +79,7 @@ func TestChaosMigratePrecopyRoundCrash(t *testing.T) {
 	if got := r.count(t, 40); got != refSum(40) {
 		t.Errorf("source computation after aborted round = %d, want %d", got, refSum(40))
 	}
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, opts.Path)
 	assertNoPartials(t, r.plat)
 	// The aborted upload is unpinned: a GC reclaims anything the crashed
 	// round left behind and Verify stays clean.
@@ -87,7 +97,8 @@ func TestChaosMigratePrecopyRoundCrash(t *testing.T) {
 	if snap.Report.Downtime <= 0 || len(snap.Report.Precopy) == 0 {
 		t.Errorf("retried migration report incomplete: downtime %v, %d rounds", snap.Report.Downtime, len(snap.Report.Precopy))
 	}
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, opts.Path)
+	assertBuffer(t, buf, content)
 	if got := r.count(t, 60); got != refSum(60) {
 		t.Errorf("computation after retried migration = %d, want %d", got, refSum(60))
 	}
@@ -101,6 +112,7 @@ func TestChaosMigratePrecopyRoundCrash(t *testing.T) {
 // budget back in place) restores byte-identically.
 func TestChaosMigrateFinalDeltaCrash(t *testing.T) {
 	r := newRig(t, "core_chaos_mig", 2)
+	buf, content := addPatternBuffer(t, r, chaosBufBytes, 2)
 	r.count(t, 20)
 	opts := chaosMigrateOpts("/snap/chfinal")
 	opts.Capture.Retry = RetryPolicy{MaxAttempts: 1} // the crash must surface
@@ -147,7 +159,7 @@ func TestChaosMigrateFinalDeltaCrash(t *testing.T) {
 	}
 
 	m.Abort()
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, opts.Path)
 	assertNoPartials(t, r.plat)
 	assertStoreConsistent(t, r)
 
@@ -163,7 +175,79 @@ func TestChaosMigrateFinalDeltaCrash(t *testing.T) {
 	if snap.Report.Downtime <= 0 {
 		t.Error("retried migration recorded no downtime")
 	}
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, opts.Path)
+	assertBuffer(t, buf, content)
+	iters += 10
+	if got := r.count(t, iters); got != refSum(iters) {
+		t.Errorf("computation after retried migration = %d, want %d", got, refSum(iters))
+	}
+}
+
+// TestChaosMigrateLocalStoreStreamCrash crashes the destination card's
+// Snapify-IO daemon on the first chunk it serves in Finish: the
+// switch-over's pause streaming the local store to it. The switch-over
+// must fail cleanly: the source process is resumed on its original card
+// with its computation and its buffer intact, nothing stays parked on the
+// destination, and a retried migration restores byte-identically.
+func TestChaosMigrateLocalStoreStreamCrash(t *testing.T) {
+	r := newRig(t, "core_chaos_mig", 2)
+	buf, content := addPatternBuffer(t, r, chaosBufBytes, 3)
+	r.count(t, 20)
+	opts := chaosMigrateOpts("/snap/chls")
+	m, err := NewMigration(r.cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := uint64(20)
+	for done := false; !done; {
+		if _, done, err = m.Round(); err != nil {
+			t.Fatalf("clean pre-copy round: %v", err)
+		}
+		iters += 10
+		r.count(t, iters)
+	}
+
+	inj := faultinject.New(faultinject.Plan{{Site: faultinject.SiteDaemon, Key: "mic1", Kind: faultinject.Crash, Nth: 1}}, nil)
+	r.plat.Server.Fabric.SetInjector(inj)
+	_, ferr := m.Finish()
+	disarm(r)
+	if ferr == nil {
+		t.Fatal("Finish must fail when the destination's IO daemon crashes under the local-store save")
+	}
+	if inj.FiredTotal() != 1 {
+		t.Fatalf("%d faults fired, want the crash under the local-store save", inj.FiredTotal())
+	}
+	t.Logf("switch-over failed cleanly: %v", ferr)
+
+	if r.cp.DeviceNode() != 1 {
+		t.Fatalf("source on %v after failed switch-over, want mic0", r.cp.DeviceNode())
+	}
+	if st := r.cp.State(); st != coi.StateActive {
+		t.Fatalf("source process state %v after failed switch-over, want active", st)
+	}
+	iters += 10
+	if got := r.count(t, iters); got != refSum(iters) {
+		t.Errorf("source computation after failed switch-over = %d, want %d", got, refSum(iters))
+	}
+	assertBuffer(t, buf, content)
+
+	m.Abort()
+	assertNoStaging(t, r, 2, opts.Path)
+	assertNoPartials(t, r.plat)
+	assertStoreConsistent(t, r)
+
+	cp2, snap, err := Migrate(r.cp, opts)
+	if err != nil {
+		t.Fatalf("retried migration: %v", err)
+	}
+	if cp2.DeviceNode() != 2 {
+		t.Errorf("process on %v after retried migration, want mic1", cp2.DeviceNode())
+	}
+	if snap.Report.Downtime <= 0 || len(snap.Report.Precopy) == 0 {
+		t.Errorf("retried migration report incomplete: downtime %v, %d rounds", snap.Report.Downtime, len(snap.Report.Precopy))
+	}
+	assertNoStaging(t, r, 2, opts.Path)
+	assertBuffer(t, buf, content)
 	iters += 10
 	if got := r.count(t, iters); got != refSum(iters) {
 		t.Errorf("computation after retried migration = %d, want %d", got, refSum(iters))

@@ -85,6 +85,7 @@ func NewMigration(cp *coi.Process, opts MigrateOptions) (*Migration, error) {
 	// The local store moves device-to-device over PCIe, not through the
 	// host (Section 7, "Process migration").
 	s.localStoreTarget = opts.DeviceTo
+	s.liveSwitchOver = opts.Precopy.Enabled()
 	return &Migration{
 		s:     s,
 		opts:  opts,
@@ -203,8 +204,8 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	return rec, m.done, nil
 }
 
-// stageRequest sends one stage-control request (StageSync or StageDrop)
-// to the destination card's daemon.
+// stageRequest sends one stage-control request (StageSync, StageDrop or
+// StageDropAll) to the destination card's daemon.
 func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.StageResp, error) {
 	return coi.DaemonStageRequest(m.s.Proc.Platform(), m.opts.DeviceTo,
 		&coi.StageReq{Mode: mode, Align: align, Scope: m.scope, Path: m.ctxPath()})
@@ -213,17 +214,23 @@ func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.Stag
 // Finish executes the switch-over: pause, final capture (only the last
 // delta ships when pre-copy ran), restore on the destination (adopting
 // the staged chunks), and resume. Report.Downtime records the whole
-// stop-everything window. On a capture failure the source process is
-// resumed — it stays unharmed on its card. However Finish fails, the image
-// the rounds staged on the destination card is dropped with it: a later
-// Finish restores by streaming.
+// stop-everything window. With pre-copy the pause streams the local store
+// double-buffered to the destination, whose adopted restore takes it in
+// place; a stop-the-world Finish keeps the paper's path. On a pause or
+// capture failure the source process is resumed — it stays unharmed on
+// its card — and the local store the pause saved on the destination is
+// removed with the image the rounds staged. A failure after the
+// terminating capture drops only the staged image: the saved local store
+// is then the only copy of the process's buffers, and a later
+// Snapshot().Restore still needs it. Either way a later restore streams.
 func (m *Migration) Finish() (ncp *coi.Process, err error) {
 	if m.finished {
 		return nil, errors.New("core: migration already finished")
 	}
+	drop := coi.StageDropAll // the source runs on: nothing parked is needed
 	defer func() {
 		if err != nil {
-			m.dropStaging()
+			m.dropStaging(drop)
 		}
 	}()
 	s := m.s
@@ -244,6 +251,7 @@ func (m *Migration) Finish() (ncp *coi.Process, err error) {
 		s.Resume() //nolint:errcheck // best-effort unwind; the capture error is what propagates
 		return nil, err
 	}
+	drop = coi.StageDrop // the source is gone: keep its saved local store
 	ncp, err = s.Restore(m.opts.DeviceTo, m.opts.Restore)
 	if err != nil {
 		return nil, err
@@ -274,14 +282,14 @@ func (m *Migration) Abort() {
 	if plat.Store != nil {
 		plat.Store.AbortUpload(m.ctxPath())
 	}
-	m.dropStaging()
+	m.dropStaging(coi.StageDrop)
 }
 
-// dropStaging discards whatever the rounds staged on the destination card.
-func (m *Migration) dropStaging() {
-	if m.opts.Precopy.Enabled() {
-		m.stageRequest(coi.StageDrop, m.s.Proc.Timeline().Now()) //nolint:errcheck // best-effort cleanup; the destination daemon may be the very thing that failed
-	}
+// dropStaging discards what the session parked on the destination card:
+// the chunks the rounds staged, and with StageDropAll the local store a
+// failed switch-over's pause saved there.
+func (m *Migration) dropStaging(mode uint8) {
+	m.stageRequest(mode, m.s.Proc.Timeline().Now()) //nolint:errcheck // best-effort cleanup; the destination daemon may be the very thing that failed
 }
 
 // Migrate moves the offload process to another coprocessor on the same

@@ -54,6 +54,10 @@ type Snapshot struct {
 	// sets the destination card so the local store moves device-to-device
 	// (Section 7, "Process migration").
 	localStoreTarget simnet.NodeID
+	// liveSwitchOver marks the pause of a live migration's switch-over:
+	// its drain streams the local store double-buffered, for the
+	// destination's adopted restore to take in place (DESIGN.md §13).
+	liveSwitchOver bool
 
 	sem chan struct{} // m_sem
 
@@ -214,7 +218,8 @@ type RestoreOptions struct {
 // Pause stops and drains all communication between the host process and
 // the offload process (snapify_pause, Section 4.1). On return every SCIF
 // channel between the three parties is empty and the offload process's
-// local store has been saved.
+// local store has been saved. A device drain that fails is undone: both
+// sides release their drain locks and the process runs on.
 func Pause(s *Snapshot) error { return s.Pause() }
 
 // Pause implements snapify_pause; see the package-level Pause.
@@ -262,8 +267,12 @@ func (s *Snapshot) Pause() error {
 	align := start + handshake + hostDrain
 	var drained coi.DrainResp
 	err = cp.DaemonRequest(coi.OpSnapifyDrain, &coi.DrainReq{ProcID: cp.ID(),
-		DrainArgs: coi.DrainArgs{Align: align, LocalStoreNode: s.localStoreTarget, Dir: s.Path}}, &drained)
+		DrainArgs: coi.DrainArgs{Align: align, LocalStoreNode: s.localStoreTarget, Dir: s.Path, Live: s.liveSwitchOver}}, &drained)
 	if err != nil {
+		// The agent holds its quiesce locks and the host its drain locks:
+		// release both, so a failed pause leaves the process running.
+		cp.DaemonRequest(coi.OpSnapifyResume, &coi.IDReq{ID: cp.ID()}, &coi.Empty{}) //nolint:errcheck // best-effort unwind; the drain error is what propagates
+		cp.ResumeChannels()
 		return fmt.Errorf("core: device drain: %w", err)
 	}
 	deviceDrain := drained.Duration

@@ -88,7 +88,7 @@ func TestFailedAdoptionDropsTheStagedImage(t *testing.T) {
 			t.Error("the restore adopted the staged image despite the failed pull")
 		}
 	}
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, m.opts.Path)
 	if err := s.Resume(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestFailedFinishDropsTheStagedImage(t *testing.T) {
 	if err == nil {
 		t.Fatal("Finish survived a daemon crash in its final capture with no retry budget")
 	}
-	assertNoStaging(t, r, 2)
+	assertNoStaging(t, r, 2, "/snap/finishfault")
 	if got := r.count(t, 40); got != refSum(40) {
 		t.Errorf("source computation after the failed switch-over = %d, want %d", got, refSum(40))
 	}
@@ -414,7 +414,7 @@ func TestChaosStagingRoundSweep(t *testing.T) {
 				if got := r.count(t, 40); got != refSum(40) {
 					t.Errorf("source computation after the aborted round = %d, want %d", got, refSum(40))
 				}
-				assertNoStaging(t, r, 2)
+				assertNoStaging(t, r, 2, opts.Path)
 				assertNoPartials(t, r.plat)
 				assertStoreConsistent(t, r)
 			})

@@ -214,6 +214,16 @@ store_read='^(TestStoreRestoreDeterministic|TestStoreRestoreWritesHolesOverSeede
 GOMAXPROCS=1 go test -count=50 -run "$store_read" ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run "$store_read" ./internal/core/
 
+echo "==> local-store paths (-count=50, GOMAXPROCS 1 and 8)"
+# The paper's local-store save and reload — a stop-the-world migration, a
+# store swap and a plain checkpoint of a process with a 4 MiB buffer —
+# cost their pinned figures from before the live switch-over got a path
+# of its own, and the live switch-over's double-buffered save and adopted
+# reload cost their formulas, to the nanosecond on every run.
+local_store='^(TestPaperLocalStorePathUnchanged|TestLiveSwitchOverAdoptsLocalStore)$'
+GOMAXPROCS=1 go test -count=50 -run "$local_store" ./internal/core/
+GOMAXPROCS=8 go test -count=50 -run "$local_store" ./internal/core/
+
 echo "==> striped restore shard pricing (-count=50, GOMAXPROCS 1 and 8)"
 # A striped restore cuts its page runs into at most one shard per stream,
 # each shard one worker's pipeline, and is priced as the scan plus the
