@@ -39,12 +39,13 @@ func (c *Checkpointer) RestartAdopted(img blob.Blob, spawn Spawner) (*proc.Proce
 	return c.restartFrom(feed, simclock.NewPipelineAccum(), spawn, true)
 }
 
-// AdoptCost is the time to adopt n bytes already resident in a card's
-// memory into a process there: the frames are donated and only their
-// page-table entries are installed, so the charge scales with the page
-// count, not the bytes. It is RestartAdopted's per-page rule (adoption
-// runs on the card holding the staged image), and the coi daemon's for a
-// local-store file it adopts.
-func AdoptCost(m *simclock.Model, n int64) simclock.Duration {
+// PageTableCost is the time to touch the page-table entries that cover n
+// bytes of a card's memory: n/pteBytesPerByte bytes at memcpy rate. It
+// prices adoption, where the frames are donated and only their entries are
+// installed, so the charge scales with the page count, not the bytes —
+// RestartAdopted's per-page rule, and the coi daemon's for a local-store
+// file it adopts — and the scan of a buffer's dirty bits that tells a
+// live switch-over whether the buffer's pre-saved file is current.
+func PageTableCost(m *simclock.Model, n int64) simclock.Duration {
 	return m.PhiMemcpy(n / pteBytesPerByte)
 }

@@ -344,7 +344,7 @@ func (r *reader) fill(n int64) error {
 			// — or, on the adoption path, only installing page-table
 			// entries over frames that are already resident.
 			if r.adopt {
-				stream.Observe(r.acc, cost, AdoptCost(r.c.model, piece.Len()))
+				stream.Observe(r.acc, cost, PageTableCost(r.c.model, piece.Len()))
 			} else {
 				stream.Observe(r.acc, cost, r.c.copyStage(r.onHost, piece.Len()))
 			}

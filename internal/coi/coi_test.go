@@ -760,3 +760,32 @@ func TestDecodeHandleMetaRefusesTrailingBytes(t *testing.T) {
 		t.Error("a valid encoding plus one byte decoded")
 	}
 }
+
+// FuzzDecodeHandleMeta holds the handle-state decoder — it reads bytes
+// out of a restored host image — to two properties: no input panics out
+// of it, and an accepted input is exactly its metadata: it re-encodes to
+// the same bytes. Seeds: a six-buffer encoding in ExportMeta's shape
+// (buffers in ascending ID), every truncation of it, and the same
+// encoding claiming 0xFFFFFFFF buffers.
+func FuzzDecodeHandleMeta(f *testing.F) {
+	m := HandleMeta{BinaryName: "app_bin", DevNode: 2, Pipelines: []uint32{1, 3}}
+	for id := range 6 {
+		m.Buffers = append(m.Buffers, BufferMeta{ID: id, Size: int64(id+1) << 20, Addr: int64(id) << 24})
+	}
+	enc := m.Encode()
+	for k := 0; k <= len(enc); k++ {
+		f.Add(enc[:k])
+	}
+	huge := bytes.Clone(enc)
+	binary.BigEndian.PutUint32(huge[4+len(m.BinaryName)+4:], 0xFFFFFFFF)
+	f.Add(huge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := DecodeHandleMeta(data)
+		if err != nil {
+			return
+		}
+		if again := got.Encode(); !bytes.Equal(again, data) {
+			t.Fatalf("accepted input re-encodes differently:\n  in %x\n out %x", data, again)
+		}
+	})
+}

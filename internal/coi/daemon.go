@@ -221,6 +221,8 @@ func (d *Daemon) dispatch(op uint8, req Message) (Message, error) {
 		return d.handleSnapifyPrecopy(req.(*PrecopyReq))
 	case opSnapifyPrecopyStage:
 		return d.handleSnapifyPrecopyStage(req.(*StageReq))
+	case opSnapifyPresave:
+		return d.handleSnapifyPresave(req.(*PresaveReq))
 	}
 	return nil, fmt.Errorf("coi: opcode %d is not a lifecycle request", op)
 }

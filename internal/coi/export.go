@@ -18,6 +18,7 @@ const (
 	OpSnapifyCapture = opSnapifyCapture
 	OpSnapifyResume  = opSnapifyResume
 	OpSnapifyPrecopy = opSnapifyPrecopy
+	OpSnapifyPresave = opSnapifyPresave
 )
 
 // DaemonRestoreRequest sends a snapify-restore request to the daemon on

@@ -46,6 +46,10 @@ const (
 	opSnapifyPrecopyResp
 	opSnapifyPrecopyStage
 	opSnapifyPrecopyStageResp
+	// The pre-save: once the rounds end, the source card's agent saves
+	// the local store to the destination card while the process runs.
+	opSnapifyPresave
+	opSnapifyPresaveResp
 )
 
 // Pipe opcodes between the daemon and the offload process's Snapify agent.
@@ -60,6 +64,8 @@ const (
 	pipeCaptureDone
 	pipeResumeReq
 	pipeResumeDone
+	pipePresaveReq
+	pipePresaveDone
 )
 
 // Message is one control message. Only this file defines them.
@@ -112,12 +118,14 @@ func portField(c *wire.Cursor, p *ChannelPort) {
 // timeline. Live marks the drain of a live migration's switch-over: the
 // local store then streams double-buffered to the destination card, whose
 // restore adopts it in place (DESIGN.md §13); every other drain saves it
-// the paper's way.
+// the paper's way. Presaved says this session's pre-save (PresaveArgs)
+// succeeded: the drain then re-sends only a buffer written since.
 type DrainArgs struct {
 	Align          simclock.Duration
 	LocalStoreNode simnet.NodeID
 	Dir            string
 	Live           bool
+	Presaved       bool
 }
 
 func (m *DrainArgs) fields(c *wire.Cursor) {
@@ -125,6 +133,7 @@ func (m *DrainArgs) fields(c *wire.Cursor) {
 	wire.U32(c, &m.LocalStoreNode)
 	wire.Str32(c, &m.Dir)
 	wire.Bool(c, &m.Live)
+	wire.Bool(c, &m.Presaved)
 }
 
 // DrainReq is the host's drain request; the daemon forwards DrainArgs.
@@ -138,7 +147,37 @@ func (m *DrainReq) fields(c *wire.Cursor) {
 	m.DrainArgs.fields(c)
 }
 
-// DrainResp reports the quiesce plus local-store save.
+// PresaveArgs is what the agent needs for a live migration's pre-save:
+// where the local store goes (DrainArgs's LocalStoreNode and Dir). Scope
+// is the migration's trace scope.
+type PresaveArgs struct {
+	Align          simclock.Duration
+	Scope          uint64
+	LocalStoreNode simnet.NodeID
+	Dir            string
+}
+
+func (m *PresaveArgs) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Align)
+	wire.U64(c, &m.Scope)
+	wire.U32(c, &m.LocalStoreNode)
+	wire.Str32(c, &m.Dir)
+}
+
+// PresaveReq is the host's pre-save request; the daemon forwards
+// PresaveArgs.
+type PresaveReq struct {
+	ProcID int
+	PresaveArgs
+}
+
+func (m *PresaveReq) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ProcID)
+	m.PresaveArgs.fields(c)
+}
+
+// DrainResp reports a local-store save: the drain's quiesce plus save, or
+// a pre-save. LocalStoreBytes is the local store's size.
 type DrainResp struct {
 	Duration        simclock.Duration
 	LocalStoreBytes int64
@@ -374,12 +413,14 @@ var (
 		opSnapifyRestore:      {"restore", func() Message { return new(RestoreReq) }},
 		opSnapifyPrecopy:      {"precopy", func() Message { return new(PrecopyReq) }},
 		opSnapifyPrecopyStage: {"precopy-stage", func() Message { return new(StageReq) }},
+		opSnapifyPresave:      {"presave", func() Message { return new(PresaveReq) }},
 	}
 	agentRequests = requestTable{
 		pipePauseReq:   {"agent pause", func() Message { return new(Empty) }},
 		pipeDrainReq:   {"agent drain", func() Message { return new(DrainArgs) }},
 		pipeCaptureReq: {"agent capture", func() Message { return new(CaptureArgs) }},
 		pipeResumeReq:  {"agent resume", func() Message { return new(Empty) }},
+		pipePresaveReq: {"agent presave", func() Message { return new(PresaveArgs) }},
 	}
 )
 

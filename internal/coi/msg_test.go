@@ -19,7 +19,8 @@ import (
 // core/migration.go, coi/daemon.go and coi/snapify.go at PR 15, run over
 // these field values); capture and pipe_capture lost their parent field
 // once the store held whole images only, and they and restore lost the
-// retry backoff once it became a constant. Every SCIF send charges virtual
+// retry backoff once it became a constant; the pre-save messages are
+// pinned at their first encoding. Every SCIF send charges virtual
 // time by message length, so identical bytes is what keeps every virtual
 // number identical.
 
@@ -75,8 +76,8 @@ var goldenMessages = []struct {
 		"0c016e6f20616374697665207061757365",
 		&Empty{}},
 	{"drain", asRequest, opSnapifyDrain, "",
-		"070000000700000000000005dc00000002000000072f736e61702f6101",
-		&DrainReq{ProcID: 7, DrainArgs: DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a", Live: true}}},
+		"070000000700000000000005dc00000002000000072f736e61702f610101",
+		&DrainReq{ProcID: 7, DrainArgs: DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a", Live: true, Presaved: true}}},
 	{"drain_resp", asReply, opSnapifyDrainResp, "",
 		"080000000000002625a00000000000300000",
 		&DrainResp{Duration: 2500 * time.Microsecond, LocalStoreBytes: 3 << 20}},
@@ -104,6 +105,12 @@ var goldenMessages = []struct {
 	{"stage_resp", asReply, opSnapifyPrecopyStageResp, "",
 		"14000000000001d905c00000000000800000000000000f800000",
 		&StageResp{Duration: 31 * time.Millisecond, FetchedBytes: 8 << 20, StagedBytes: 248 << 20}},
+	{"presave", asRequest, opSnapifyPresave, "",
+		"150000000700000000000023280000000000000015000000020000000a2f736e61702f6d69672f",
+		&PresaveReq{ProcID: 7, PresaveArgs: PresaveArgs{Align: 9000, Scope: 21, LocalStoreNode: 2, Dir: "/snap/mig/"}}},
+	{"presave_resp", asReply, opSnapifyPresaveResp, "",
+		"16000000000001219e4a0000000000400000",
+		&DrainResp{Duration: 18_980_426, LocalStoreBytes: 4 << 20}},
 	{"pipe_pause", asRequest, pipePauseReq, "",
 		"1e",
 		&Empty{}},
@@ -111,7 +118,7 @@ var goldenMessages = []struct {
 		"1f",
 		&Empty{}},
 	{"pipe_drain", asRequest, pipeDrainReq, "",
-		"2000000000000005dc00000002000000072f736e61702f6100",
+		"2000000000000005dc00000002000000072f736e61702f610000",
 		&DrainArgs{Align: 1500, LocalStoreNode: 2, Dir: "/snap/a"}},
 	{"pipe_drain_done", asReply, pipeDrainDone, "",
 		"210000000000002625a00000000000300000",
@@ -134,6 +141,15 @@ var goldenMessages = []struct {
 	{"pipe_resume_done", asBare, pipeResumeDone, "",
 		"25",
 		&Empty{}},
+	{"pipe_presave", asRequest, pipePresaveReq, "",
+		"2600000000000023280000000000000015000000020000000a2f736e61702f6d69672f",
+		&PresaveArgs{Align: 9000, Scope: 21, LocalStoreNode: 2, Dir: "/snap/mig/"}},
+	{"pipe_presave_done", asReply, pipePresaveDone, "",
+		"27000000000001219e4a0000000000400000",
+		&DrainResp{Duration: 18_980_426, LocalStoreBytes: 4 << 20}},
+	{"pipe_presave_done_err", asReply, pipePresaveDone, "stream reset",
+		"270173747265616d207265736574",
+		&DrainResp{}},
 }
 
 func goldenBytes(t testing.TB, h string) []byte {

@@ -479,16 +479,36 @@ func (op *OffloadProc) readCtrl() ctrlState {
 // copy, RDMA and RAM-fs write of the one before it on the two-slot stream.
 const livePiece = 1 * simclock.MiB
 
-// SaveLocalStore streams every local-store region to files under dir on
+// What a live save does with each local-store region's digest epoch
+// (DESIGN.md §13, "Pre-save").
+type epochRule uint8
+
+const (
+	// epochsUntouched saves every region and leaves the epochs alone: the
+	// paper's save, and a live switch-over with no pre-save.
+	epochsUntouched epochRule = iota
+	// epochsCut cuts each region's epoch before it reads the region, then
+	// saves it whole: the pre-save.
+	epochsCut
+	// epochsSince cuts each region's epoch and saves only a region written
+	// since the pre-save's cut (or created after it: its first cut reports
+	// the whole region); the pre-saved file of any other region is
+	// current. Each cut is charged as the digest pass charges its sweep,
+	// one scan of the region's page tables.
+	epochsSince
+)
+
+// saveLocalStore streams every local-store region to files under dir on
 // targetNode via Snapify-IO (the pause phase of Section 4.1; for process
 // migration the target is the destination card). It returns the virtual
-// time and the bytes moved. The paper's save writes each region as 4 MiB
+// time and the bytes sent. The paper's save writes each region as 4 MiB
 // chunks over the one-slot ping-pong stream, so a chunk's page walk, copy,
 // RDMA and write add up. A live switch-over (live) writes it in livePiece
 // pieces over a two-slot stream, so the walk of each piece overlaps the
 // transfer of the one before and the save costs about the walk plus one
-// piece's fill.
-func (op *OffloadProc) SaveLocalStore(targetNode simnet.NodeID, dir string, live bool) (simclock.Duration, int64, error) {
+// piece's fill. epochs is what a live save does with each region's digest
+// epoch.
+func (op *OffloadProc) saveLocalStore(targetNode simnet.NodeID, dir string, live bool, epochs epochRule) (simclock.Duration, int64, error) {
 	opts, piece := snapifyio.OpenOptions{Slots: 1}, 4*simclock.MiB
 	if live {
 		opts, piece = snapifyio.OpenOptions{Slots: 2}, livePiece
@@ -498,6 +518,17 @@ func (op *OffloadProc) SaveLocalStore(targetNode simnet.NodeID, dir string, live
 	for _, r := range op.p.Regions() {
 		if r.Kind() != proc.RegionLocalStore {
 			continue
+		}
+		if epochs != epochsUntouched {
+			// Cut before the read below: a write landing between the two
+			// is then both in the saved bytes and in the next epoch.
+			written := r.CutEpoch()
+			if epochs == epochsSince {
+				acc.Add(blcr.PageTableCost(op.d.plat.Model(), r.Size()))
+				if len(written) == 0 {
+					continue
+				}
+			}
 		}
 		f, err := op.d.plat.IO.OpenStream(op.d.dev.Node, targetNode, dir+"/"+LocalStorePrefix+r.Name(), snapifyio.Write, opts)
 		if err != nil {

@@ -115,28 +115,51 @@ func (ps *pauseState) await(want uint8, done Message) error {
 // handleSnapifyPause is steps 1-3 of Fig 3: open the pipe, signal the
 // offload process, collect its acknowledgement, and relay it to the host.
 func (d *Daemon) handleSnapifyPause(id int) error {
-	op, err := d.Lookup(id)
+	return d.signalAgent(id, pipePauseReq, &Empty{}, pipePauseAck, nil)
+}
+
+// signalAgent opens a pipe to the agent of process id, sends it the
+// request (opcode op), signals the process and awaits the agent's answer
+// (opcode want): a reply decoded into done, or (done == nil) a bare ack.
+// The pipe stays open as id's active request unless this fails.
+func (d *Daemon) signalAgent(id int, op uint8, args Message, want uint8, done Message) error {
+	target, err := d.Lookup(id)
 	if err != nil {
 		return err
 	}
 	daemonEnd, procEnd := proc.NewPipe(d.plat.Model())
-	op.mu.Lock()
-	op.pipe = procEnd
-	op.mu.Unlock()
-	ps := &pauseState{id: id, op: op, pipe: daemonEnd, inbox: make(chan []byte, 8)}
+	target.mu.Lock()
+	target.pipe = procEnd
+	target.mu.Unlock()
+	ps := &pauseState{id: id, op: target, pipe: daemonEnd, inbox: make(chan []byte, 8)}
 	d.addPauseState(ps)
 
-	_, err = daemonEnd.Send(encodeMsg(pipePauseReq, &Empty{}))
+	_, err = daemonEnd.Send(encodeMsg(op, args))
 	if err == nil {
-		err = op.p.Deliver(proc.SigSnapify)
+		err = target.p.Deliver(proc.SigSnapify)
 	}
 	if err == nil {
-		err = ps.await(pipePauseAck, nil)
+		err = ps.await(want, done)
 	}
 	if err != nil {
 		d.removePauseState(id)
 	}
 	return err
+}
+
+// handleSnapifyPresave is a live migration's pre-save, sent once its
+// rounds end: the agent of the running process saves the local store to
+// the destination card over the switch-over's live path, cutting each
+// buffer's digest epoch first, so the switch-over re-sends only a buffer
+// written since (DESIGN.md §13). The process is not quiesced; the pipe
+// closes with the reply.
+func (d *Daemon) handleSnapifyPresave(req *PresaveReq) (*DrainResp, error) {
+	resp := new(DrainResp)
+	if err := d.signalAgent(req.ProcID, pipePresaveReq, &req.PresaveArgs, pipePresaveDone, resp); err != nil {
+		return nil, err
+	}
+	d.removePauseState(req.ProcID)
+	return resp, nil
 }
 
 // askAgent forwards one request (opcode op) to the agent of the process
@@ -306,8 +329,10 @@ func (d *Daemon) handleSnapifyRestore(req *RestoreReq) (*RestoreResp, error) {
 // worker's pipeline: streams <= 1 is the paper's one serial pipeline, and
 // with no more regions than streams every region has a worker of its own.
 // For process migration the files are already on this card — written
-// there directly by the source card's pause — and are deleted once loaded;
-// a restore that adopted its image (adopt) adopts them too.
+// there directly by the source card's pause or a live migration's
+// pre-save — and are deleted once loaded, with any left by a buffer
+// destroyed since; a restore that adopted its image (adopt) adopts them
+// too.
 func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.NodeID, streams int, adopt bool) (simclock.Duration, int64, error) {
 	var regions []*proc.Region
 	for _, r := range p.Regions() {
@@ -332,6 +357,9 @@ func (d *Daemon) reloadLocalStore(p *proc.Process, dir string, lsNode simnet.Nod
 	})
 	if err != nil {
 		return 0, 0, err
+	}
+	if lsNode == d.dev.Node {
+		d.dev.FS.RemoveAll(dir + "/" + LocalStorePrefix)
 	}
 	var total int64
 	var wall simclock.Duration
@@ -365,7 +393,7 @@ func (d *Daemon) reloadOneLocalStore(r *proc.Region, dir string, lsNode simnet.N
 			return 0, err
 		}
 		r.WriteBlob(0, content)
-		acc.Add(m.RamFSOpLatency + blcr.AdoptCost(m, content.Len()))
+		acc.Add(m.RamFSOpLatency + blcr.PageTableCost(m, content.Len()))
 	} else {
 		f, err := d.plat.IO.Open(d.dev.Node, lsNode, path, snapifyio.Read)
 		if err != nil {
@@ -477,7 +505,11 @@ func (op *OffloadProc) snapifyAgent() {
 			op.resultMu.Lock()
 			drained = true
 			quiesce := simclock.Duration(op.p.ThreadCount()) * op.d.plat.Model().ThreadQuiesce
-			d, bytes, err := op.SaveLocalStore(args.LocalStoreNode, args.Dir, args.Live)
+			epochs := epochsUntouched
+			if args.Presaved {
+				epochs = epochsSince
+			}
+			d, sent, err := op.saveLocalStore(args.LocalStoreNode, args.Dir, args.Live, epochs)
 			if err == nil {
 				// The request carries the host's virtual clock so the agent's
 				// spans land on the shared timeline (trace only; the reported
@@ -485,9 +517,21 @@ func (op *OffloadProc) snapifyAgent() {
 				tk := op.agentTrack()
 				tk.AlignTo(args.Align)
 				tk.Emit(0, "quiesce", args.Align, quiesce, nil)
-				tk.Emit(0, "save_local_store", args.Align+quiesce, d, map[string]int64{"bytes": bytes})
+				tk.Emit(0, "save_local_store", args.Align+quiesce, d, map[string]int64{"bytes": sent})
 			}
-			pipe.Send(encodeReply(pipeDrainDone, &DrainResp{Duration: d + quiesce, LocalStoreBytes: bytes}, err)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			pipe.Send(encodeReply(pipeDrainDone, &DrainResp{Duration: d + quiesce, LocalStoreBytes: op.LocalStoreBytes()}, err)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+
+		case pipePresaveReq:
+			args := req.(*PresaveArgs)
+			d, sent, err := op.saveLocalStore(args.LocalStoreNode, args.Dir, true, epochsCut)
+			if err == nil {
+				tk := op.agentTrack()
+				tk.AlignTo(args.Align)
+				tk.Emit(args.Scope, "save_local_store", args.Align, d, map[string]int64{"bytes": sent, "presave": 1})
+			}
+			pipe.Send(encodeReply(pipePresaveDone, &DrainResp{Duration: d, LocalStoreBytes: sent}, err)) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
+			// The daemon closes the pipe with the reply.
+			return
 
 		case pipeCaptureReq:
 			args := req.(*CaptureArgs)

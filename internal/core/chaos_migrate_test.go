@@ -184,72 +184,104 @@ func TestChaosMigrateFinalDeltaCrash(t *testing.T) {
 }
 
 // TestChaosMigrateLocalStoreStreamCrash crashes the destination card's
-// Snapify-IO daemon on the first chunk it serves in Finish: the
-// switch-over's pause streaming the local store to it. The switch-over
-// must fail cleanly: the source process is resumed on its original card
-// with its computation and its buffer intact, nothing stays parked on the
+// Snapify-IO daemon on the first chunk it serves while the local store
+// streams to it: in Finish, the switch-over's pause re-saving a buffer
+// the application wrote after the pre-save ("switch-over"), and in the
+// final Round, the pre-save itself ("pre-save"). Either must fail
+// cleanly: the source process runs on on its original card with its
+// computation and its buffer intact, Abort leaves nothing parked on the
 // destination, and a retried migration restores byte-identically.
 func TestChaosMigrateLocalStoreStreamCrash(t *testing.T) {
-	r := newRig(t, "core_chaos_mig", 2)
-	buf, content := addPatternBuffer(t, r, chaosBufBytes, 3)
-	r.count(t, 20)
-	opts := chaosMigrateOpts("/snap/chls")
-	m, err := NewMigration(r.cp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iters := uint64(20)
-	for done := false; !done; {
-		if _, done, err = m.Round(); err != nil {
-			t.Fatalf("clean pre-copy round: %v", err)
+	for _, presave := range []bool{false, true} {
+		name := "switch-over"
+		if presave {
+			name = "pre-save"
 		}
-		iters += 10
-		r.count(t, iters)
-	}
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, "core_chaos_mig", 2)
+			buf, content := addPatternBuffer(t, r, chaosBufBytes, 3)
+			r.count(t, 20)
+			opts := chaosMigrateOpts("/snap/chls")
+			m, err := NewMigration(r.cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := faultinject.New(faultinject.Plan{{Site: faultinject.SiteDaemon, Key: "mic1", Kind: faultinject.Crash, Nth: 1}}, nil)
+			if presave {
+				// Only the pre-save has mic1's daemon serve a chunk during
+				// the rounds: the destination pulls its staged chunks from
+				// the host's.
+				r.plat.Server.Fabric.SetInjector(inj)
+			}
+			iters := uint64(20)
+			var rerr error
+			for done := false; !done && rerr == nil; {
+				_, done, rerr = m.Round()
+				iters += 10
+				r.count(t, iters)
+			}
+			if presave {
+				disarm(r)
+				if rerr == nil {
+					t.Fatal("the rounds must fail when the destination's IO daemon crashes under the pre-save")
+				}
+				t.Logf("final round failed cleanly: %v", rerr)
+			} else {
+				if rerr != nil {
+					t.Fatalf("clean pre-copy round: %v", rerr)
+				}
+				// Write the buffer after the pre-save, so the pause re-saves
+				// it: that save is what the crash interrupts.
+				patch := make([]byte, 4096)
+				if err := buf.Write(patch, 0); err != nil {
+					t.Fatal(err)
+				}
+				copy(content, patch)
+				r.plat.Server.Fabric.SetInjector(inj)
+				_, ferr := m.Finish()
+				disarm(r)
+				if ferr == nil {
+					t.Fatal("Finish must fail when the destination's IO daemon crashes under the local-store save")
+				}
+				t.Logf("switch-over failed cleanly: %v", ferr)
+			}
+			if inj.FiredTotal() != 1 {
+				t.Fatalf("%d faults fired, want the crash under the local-store save", inj.FiredTotal())
+			}
 
-	inj := faultinject.New(faultinject.Plan{{Site: faultinject.SiteDaemon, Key: "mic1", Kind: faultinject.Crash, Nth: 1}}, nil)
-	r.plat.Server.Fabric.SetInjector(inj)
-	_, ferr := m.Finish()
-	disarm(r)
-	if ferr == nil {
-		t.Fatal("Finish must fail when the destination's IO daemon crashes under the local-store save")
-	}
-	if inj.FiredTotal() != 1 {
-		t.Fatalf("%d faults fired, want the crash under the local-store save", inj.FiredTotal())
-	}
-	t.Logf("switch-over failed cleanly: %v", ferr)
+			if r.cp.DeviceNode() != 1 {
+				t.Fatalf("source on %v after the failure, want mic0", r.cp.DeviceNode())
+			}
+			if st := r.cp.State(); st != coi.StateActive {
+				t.Fatalf("source process state %v after the failure, want active", st)
+			}
+			iters += 10
+			if got := r.count(t, iters); got != refSum(iters) {
+				t.Errorf("source computation after the failure = %d, want %d", got, refSum(iters))
+			}
+			assertBuffer(t, buf, content)
 
-	if r.cp.DeviceNode() != 1 {
-		t.Fatalf("source on %v after failed switch-over, want mic0", r.cp.DeviceNode())
-	}
-	if st := r.cp.State(); st != coi.StateActive {
-		t.Fatalf("source process state %v after failed switch-over, want active", st)
-	}
-	iters += 10
-	if got := r.count(t, iters); got != refSum(iters) {
-		t.Errorf("source computation after failed switch-over = %d, want %d", got, refSum(iters))
-	}
-	assertBuffer(t, buf, content)
+			m.Abort()
+			assertNoStaging(t, r, 2, opts.Path)
+			assertNoPartials(t, r.plat)
+			assertStoreConsistent(t, r)
 
-	m.Abort()
-	assertNoStaging(t, r, 2, opts.Path)
-	assertNoPartials(t, r.plat)
-	assertStoreConsistent(t, r)
-
-	cp2, snap, err := Migrate(r.cp, opts)
-	if err != nil {
-		t.Fatalf("retried migration: %v", err)
-	}
-	if cp2.DeviceNode() != 2 {
-		t.Errorf("process on %v after retried migration, want mic1", cp2.DeviceNode())
-	}
-	if snap.Report.Downtime <= 0 || len(snap.Report.Precopy) == 0 {
-		t.Errorf("retried migration report incomplete: downtime %v, %d rounds", snap.Report.Downtime, len(snap.Report.Precopy))
-	}
-	assertNoStaging(t, r, 2, opts.Path)
-	assertBuffer(t, buf, content)
-	iters += 10
-	if got := r.count(t, iters); got != refSum(iters) {
-		t.Errorf("computation after retried migration = %d, want %d", got, refSum(iters))
+			cp2, snap, err := Migrate(r.cp, opts)
+			if err != nil {
+				t.Fatalf("retried migration: %v", err)
+			}
+			if cp2.DeviceNode() != 2 {
+				t.Errorf("process on %v after retried migration, want mic1", cp2.DeviceNode())
+			}
+			if snap.Report.Downtime <= 0 || len(snap.Report.Precopy) == 0 {
+				t.Errorf("retried migration report incomplete: downtime %v, %d rounds", snap.Report.Downtime, len(snap.Report.Precopy))
+			}
+			assertNoStaging(t, r, 2, opts.Path)
+			assertBuffer(t, buf, content)
+			iters += 10
+			if got := r.count(t, iters); got != refSum(iters) {
+				t.Errorf("computation after retried migration = %d, want %d", got, refSum(iters))
+			}
+		})
 	}
 }

@@ -3,18 +3,24 @@ package core
 // The local store (the offload process's COI buffers) on its two paths.
 // Every pause, restore and stop-the-world migration keeps the paper's:
 // one 4 MiB ping-pong chunk at a time to wherever the restore will run,
-// and a Snapify-IO read back (Section 4.1). Only a live switch-over,
-// whose restore adopts its staged image in place, streams the store
-// double-buffered to the destination card and adopts the saved file
-// there (DESIGN.md §13).
+// and a Snapify-IO read back (Section 4.1). Only a live migration, whose
+// restore adopts its staged image in place, streams the store
+// double-buffered to the destination card — pre-saved by the round that
+// ends the rounds, re-sent by the switch-over only where written since —
+// and adopts the saved file there (DESIGN.md §13).
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
+	"snapify/internal/blcr"
 	"snapify/internal/coi"
 	"snapify/internal/faultinject"
 	"snapify/internal/obs"
+	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 )
@@ -139,28 +145,82 @@ func TestPaperLocalStorePathUnchanged(t *testing.T) {
 // lastSpan returns the latest-starting span named name on r's tracer.
 func lastSpan(t *testing.T, r *rig, name string) obs.Span {
 	t.Helper()
+	return findSpan(t, r, name, func(obs.Span) bool { return true })
+}
+
+// findSpan returns the latest-starting span named name on r's tracer
+// that match accepts.
+func findSpan(t *testing.T, r *rig, name string, match func(obs.Span) bool) obs.Span {
+	t.Helper()
 	var last obs.Span
 	found := false
 	for _, sp := range r.plat.Obs.TracerOf().Spans() {
-		if sp.Name == name && (!found || sp.Start >= last.Start) {
+		if sp.Name == name && match(sp) && (!found || sp.Start >= last.Start) {
 			last, found = sp, true
 		}
 	}
 	if !found {
-		t.Fatalf("no %s span", name)
+		t.Fatalf("no matching %s span", name)
 	}
 	return last
 }
 
+// presaveSpan is the last pre-save's save_local_store span.
+func presaveSpan(t *testing.T, r *rig) obs.Span {
+	t.Helper()
+	return findSpan(t, r, "save_local_store", func(sp obs.Span) bool { return sp.Args["presave"] == 1 })
+}
+
+// liveSave is the price of saving one n-byte buffer over the live path:
+// the page walk of every 1 MiB piece plus one piece's fill — the two-slot
+// stream's open (two staging slots registered), the first piece's socket
+// copy and the last piece's card-to-card RDMA or RAM-fs write, whichever
+// is longer.
+func liveSave(m *simclock.Model, n int64) simclock.Duration {
+	const piece = 1 * simclock.MiB
+	open := m.UnixSocketLatency + 2*m.SCIFMsgLatency + 2*m.RegisterCost(4*simclock.MiB)
+	fill := open + m.UnixSocketLatency + m.PhiMemcpy(piece) +
+		max(2*m.RDMA(piece)+m.SCIFMsgLatency, simclock.Rate(m.RamFSBandwidth)(piece))
+	return simclock.Duration(n/piece)*m.PhiPageWalk(piece) + fill
+}
+
+// presaveRounds opens a live migration of r's process and runs its
+// pre-copy rounds to the end, the last one's pre-save included.
+func presaveRounds(t *testing.T, r *rig, opts MigrateOptions) *Migration {
+	t.Helper()
+	m, err := NewMigration(r.cp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if _, done, err = m.Round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// finish runs m's switch-over and checks the process landed on card 2.
+func finish(t *testing.T, m *Migration) {
+	t.Helper()
+	cp2, err := m.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp2.DeviceNode() != 2 {
+		t.Fatalf("process on %v after the migration, want mic1", cp2.DeviceNode())
+	}
+}
+
 // TestLiveSwitchOverAdoptsLocalStore migrates a process with one 4 MiB
-// buffer live. The pause streams the buffer to the destination card in
-// 1 MiB pieces over a two-slot stream, so the save costs the page walk of
-// every piece plus one piece's fill: the stream's open (two staging slots
-// registered), the first piece's socket copy and the last piece's
-// card-to-card RDMA or RAM-fs write, whichever is longer. The adopted
-// restore takes the saved file in place — one RAM-fs op plus the page
-// tables over its frames — and removes it, and the restored buffer holds
-// the bytes it held at pause.
+// buffer live. The last round pre-saves the buffer to the destination
+// card in 1 MiB pieces over a two-slot stream, so the pre-save costs the
+// page walk of every piece plus one piece's fill, and the last
+// precopy_round span covers it. Nothing writes the buffer after that, so
+// the pause's save is the page-table sweep that finds it clean and sends
+// nothing. The adopted restore takes the pre-saved file in place — one
+// RAM-fs op plus the page tables over its frames — and removes it, and
+// the restored buffer holds the bytes it held at pause.
 func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 	r, buf, content := bufferRig(t, "core_ls_live", 2)
 	r.count(t, 10)
@@ -178,13 +238,27 @@ func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 	}
 
 	m := r.plat.Model()
-	const piece = 1 * simclock.MiB
-	open := m.UnixSocketLatency + 2*m.SCIFMsgLatency + 2*m.RegisterCost(4*simclock.MiB)
-	fill := open + m.UnixSocketLatency + m.PhiMemcpy(piece) +
-		max(2*m.RDMA(piece)+m.SCIFMsgLatency, simclock.Rate(m.RamFSBandwidth)(piece))
+	pre := presaveSpan(t, r)
+	if want := liveSave(m, lsBufBytes); pre.Dur != want || pre.Args["bytes"] != lsBufBytes {
+		t.Errorf("pre-save save_local_store = %d virtual ns, %d bytes; want the walk plus one piece's fill, %d, and %d bytes",
+			pre.Dur, pre.Args["bytes"], want, lsBufBytes)
+	}
+	round := lastSpan(t, r, "precopy_round")
+	if pre.Start < round.Start || pre.End() > round.End() {
+		t.Errorf("pre-save [%d, %d] outside the last precopy_round [%d, %d]", pre.Start, pre.End(), round.Start, round.End())
+	}
+	last := snap.Report.Precopy[len(snap.Report.Precopy)-1]
+	msgs := 2*m.SCIFMsg(16) + m.SignalLatency + 2*m.PipeLatency
+	if last.LocalStoreDuration != pre.Dur+msgs {
+		t.Errorf("last round's LocalStoreDuration = %d, want the pre-save %d plus its messages %d", last.LocalStoreDuration, pre.Dur, msgs)
+	}
+
 	save := lastSpan(t, r, "save_local_store")
-	if want := simclock.Duration(lsBufBytes/piece)*m.PhiPageWalk(piece) + fill; save.Dur != want {
-		t.Errorf("save_local_store = %d virtual ns, want the walk plus one piece's fill, %d", save.Dur, want)
+	if want := blcr.PageTableCost(m, lsBufBytes); save.Args["presave"] != 0 || save.Dur != want || save.Args["bytes"] != 0 {
+		t.Errorf("pause save_local_store = %d virtual ns, args %v; want the sweep alone, %d, and 0 bytes", save.Dur, save.Args, want)
+	}
+	if snap.Report.LocalStoreBytes != lsBufBytes {
+		t.Errorf("Report.LocalStoreBytes = %d, want the local store's size %d", snap.Report.LocalStoreBytes, lsBufBytes)
 	}
 
 	reload := lastSpan(t, r, "reload_local_store")
@@ -204,7 +278,198 @@ func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 		t.Errorf("Report.RestoreLocal = %d virtual ns, want the adoption %d plus the runtime libraries' %d", got, want, m.RDMA(libs.Len()))
 	}
 	assertNoLocalStore(t, r, 2, opts.Path)
-	t.Logf("virtual ns: save_local_store %d, reload_local_store %d, downtime %d", save.Dur, reload.Dur, snap.Report.Downtime)
+	t.Logf("virtual ns: pre-save %d, pause save_local_store %d, reload_local_store %d, downtime %d", pre.Dur, save.Dur, reload.Dur, snap.Report.Downtime)
+}
+
+// TestPresaveBufferWrittenAfterLastRound: the application writes the
+// buffer after the pre-save, so the switch-over's sweep finds it dirty and
+// the pause re-saves the whole buffer exactly as without a pre-save, plus
+// the sweep. The restored buffer holds what it held at pause.
+func TestPresaveBufferWrittenAfterLastRound(t *testing.T) {
+	r, buf, content := bufferRig(t, "core_ls_presave_written", 2)
+	r.count(t, 10)
+	m := presaveRounds(t, r, MigrateOptions{DeviceTo: 2, Path: "/snap/ls_written", Precopy: PrecopyOptions{MaxRounds: 2}})
+	patch := bytes.Repeat([]byte{0xa5}, 64*1024)
+	if err := buf.Write(patch, simclock.MiB+100); err != nil {
+		t.Fatal(err)
+	}
+	copy(content[simclock.MiB+100:], patch)
+	finish(t, m)
+	assertBuffer(t, buf, content)
+
+	model := r.plat.Model()
+	save := lastSpan(t, r, "save_local_store")
+	if want := liveSave(model, lsBufBytes) + blcr.PageTableCost(model, lsBufBytes); save.Args["presave"] != 0 || save.Dur != want || save.Args["bytes"] != lsBufBytes {
+		t.Errorf("pause save_local_store = %d virtual ns, args %v; want the whole save plus the sweep, %d, and %d bytes", save.Dur, save.Args, want, lsBufBytes)
+	}
+	assertNoStaging(t, r, 2, m.opts.Path)
+}
+
+// TestPresaveBufferCreatedAfter: a buffer created after the pre-save has
+// no pre-saved file and an unarmed epoch tracker, whose first cut reports
+// the whole buffer: the pause saves it whole, and only it. Both buffers
+// come back as they were at pause.
+func TestPresaveBufferCreatedAfter(t *testing.T) {
+	r, buf, content := bufferRig(t, "core_ls_presave_created", 2)
+	r.count(t, 10)
+	m := presaveRounds(t, r, MigrateOptions{DeviceTo: 2, Path: "/snap/ls_created", Precopy: PrecopyOptions{MaxRounds: 2}})
+	const late = 1 * simclock.MiB
+	buf2, content2 := addPatternBuffer(t, r, late, 9)
+	finish(t, m)
+	assertBuffer(t, buf, content)
+	assertBuffer(t, buf2, content2)
+
+	model := r.plat.Model()
+	save := lastSpan(t, r, "save_local_store")
+	if want := liveSave(model, late) + blcr.PageTableCost(model, lsBufBytes) + blcr.PageTableCost(model, late); save.Dur != want || save.Args["bytes"] != late {
+		t.Errorf("pause save_local_store = %d virtual ns, args %v; want the new buffer's save plus both sweeps, %d, and %d bytes", save.Dur, save.Args, want, late)
+	}
+	if got := m.Snapshot().Report.LocalStoreBytes; got != lsBufBytes+late {
+		t.Errorf("Report.LocalStoreBytes = %d, want both buffers' %d", got, lsBufBytes+late)
+	}
+	assertNoStaging(t, r, 2, m.opts.Path)
+}
+
+// TestPresaveRacingWriter races a writer against the pre-save. The writer
+// rewrites pages of the buffer while the rounds run, and stops after one
+// more write once the destination card's Snapify-IO daemon has served the
+// pre-save's first piece: that last write lands while the pre-save
+// streams the bytes it read. The pre-save cuts the buffer's epoch before it reads, so those
+// writes are in the next epoch and the pause re-saves the buffer; a
+// pre-save that cut after reading would consume them with its cut, and
+// the destination would keep the bytes read before them. The restored
+// buffer must equal the buffer at pause.
+func TestPresaveRacingWriter(t *testing.T) {
+	r, buf, _ := bufferRig(t, "core_ls_presave_race", 2)
+	r.count(t, 10)
+	var region *proc.Region
+	for _, rg := range r.offload(t).Proc().Regions() {
+		if rg.Kind() == proc.RegionLocalStore {
+			region = rg
+		}
+	}
+	// Fires, doing nothing (the daemon site only acts on a crash), when
+	// mic1's daemon serves its first chunk: the pre-save's first piece.
+	inj := faultinject.New(faultinject.Plan{{Site: faultinject.SiteDaemon, Key: "mic1", Kind: faultinject.Slow, Nth: 1}}, nil)
+	r.plat.Server.Fabric.SetInjector(inj)
+	defer disarm(r)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(5))
+		page := make([]byte, proc.EpochPage)
+		for {
+			served := inj.FiredTotal() > 0
+			rng.Read(page)
+			region.WriteAt(page, rng.Int63n(lsBufBytes/proc.EpochPage)*proc.EpochPage)
+			if served {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	m := presaveRounds(t, r, MigrateOptions{DeviceTo: 2, Path: "/snap/ls_race", Precopy: PrecopyOptions{MaxRounds: 3}})
+	wg.Wait()
+	if inj.FiredTotal() != 1 {
+		t.Fatalf("mic1's daemon served %d pre-save pieces under the probe, want 1", inj.FiredTotal())
+	}
+	want := make([]byte, lsBufBytes)
+	region.ReadAt(want, 0)
+	finish(t, m)
+	assertBuffer(t, buf, want)
+	assertNoStaging(t, r, 2, m.opts.Path)
+}
+
+// TestAbortAfterPresaveLeavesNoLocalStore: a session aborted after its
+// rounds ended leaves the pre-saved file nowhere — the destination's RAM
+// fs shares its budget with the processes there — and the source runs on
+// with its buffer intact.
+func TestAbortAfterPresaveLeavesNoLocalStore(t *testing.T) {
+	r, buf, content := bufferRig(t, "core_ls_presave_abort", 2)
+	r.count(t, 10)
+	m := presaveRounds(t, r, MigrateOptions{DeviceTo: 2, Path: "/snap/ls_abort", Precopy: PrecopyOptions{MaxRounds: 2}})
+	presaveSpan(t, r)
+	m.Abort()
+	assertNoStaging(t, r, 2, m.opts.Path)
+	if st := r.cp.State(); st != coi.StateActive || r.cp.DeviceNode() != 1 {
+		t.Fatalf("source %v on %v after the abort, want active on mic0", st, r.cp.DeviceNode())
+	}
+	assertBuffer(t, buf, content)
+	if got := r.count(t, 20); got != refSum(20) {
+		t.Errorf("source computation after the abort = %d, want %d", got, refSum(20))
+	}
+}
+
+// TestPresavedBufferDestroyedLeavesNoLocalStore: a buffer destroyed after
+// the pre-save has a file on the destination and no region to reload it
+// into; a successful switch-over must not leave that file behind.
+func TestPresavedBufferDestroyedLeavesNoLocalStore(t *testing.T) {
+	r, buf, content := bufferRig(t, "core_ls_presave_destroyed", 2)
+	gone, _ := addPatternBuffer(t, r, 1*simclock.MiB, 4)
+	r.count(t, 10)
+	m := presaveRounds(t, r, MigrateOptions{DeviceTo: 2, Path: "/snap/ls_destroyed", Precopy: PrecopyOptions{MaxRounds: 2}})
+	if err := gone.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	finish(t, m)
+	assertBuffer(t, buf, content)
+	assertNoStaging(t, r, 2, m.opts.Path)
+}
+
+// TestAbortedPresaveNeverTrusted: a session aborted after its pre-save
+// leaves the buffer's epoch tracker armed and, once the abort removed
+// its file, nothing on the destination. A new session must not trust
+// that tracker: its own pre-save saves every buffer whole whatever the
+// cut says, and a switch-over with no pre-save of its own saves every
+// buffer, so the restored buffer equals the buffer at pause — after the
+// application wrote it, after it did not, and when the new session
+// switches over before its rounds end.
+func TestAbortedPresaveNeverTrusted(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		write  bool
+		rounds bool // run the new session's rounds to the end (and its pre-save)
+	}{
+		{"written", true, true},
+		{"unwritten", false, true},
+		{"unwritten-early-switch-over", false, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, buf, content := bufferRig(t, "core_ls_presave_stale", 2)
+			r.count(t, 10)
+			opts := MigrateOptions{DeviceTo: 2, Path: "/snap/ls_stale", Precopy: PrecopyOptions{MaxRounds: 2}}
+			presaveRounds(t, r, opts).Abort()
+
+			if c.write {
+				patch := bytes.Repeat([]byte{0x3c}, 8*1024)
+				if err := buf.Write(patch, 3*simclock.MiB); err != nil {
+					t.Fatal(err)
+				}
+				copy(content[3*simclock.MiB:], patch)
+			}
+			r.count(t, 20)
+			var m *Migration
+			if c.rounds {
+				m = presaveRounds(t, r, opts)
+			} else {
+				var err error
+				if m, err = NewMigration(r.cp, opts); err != nil {
+					t.Fatal(err)
+				}
+				if _, done, err := m.Round(); err != nil || done {
+					t.Fatalf("first round: done %v, err %v; want the rounds to go on", done, err)
+				}
+			}
+			finish(t, m)
+			assertBuffer(t, buf, content)
+			if got := r.count(t, 30); got != refSum(30) {
+				t.Errorf("computation after the migration = %d, want %d", got, refSum(30))
+			}
+			assertNoStaging(t, r, 2, opts.Path)
+		})
+	}
 }
 
 // assertNoLocalStore checks dev's RAM fs holds no local-store file of the

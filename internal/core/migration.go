@@ -34,6 +34,11 @@ type PrecopyRound struct {
 	// StageDuration is the destination card's time pulling the round's
 	// chunks from the host store into its staging area.
 	StageDuration simclock.Duration
+	// LocalStoreDuration is the last round's pre-save: the local store
+	// saved to the destination card while the process runs, so the
+	// switch-over re-sends only a buffer written since (zero on every
+	// other round).
+	LocalStoreDuration simclock.Duration
 	// ImageBytes is the full context image size at this round's cut.
 	ImageBytes int64
 	// DirtyBytes is how much of the image changed since the previous
@@ -60,10 +65,11 @@ type Migration struct {
 	s    *Snapshot
 	opts MigrateOptions
 
-	scope    uint64
-	round    int
-	done     bool // rounds are over (floor hit, budget fit, or no progress)
-	finished bool // Finish ran
+	scope      uint64
+	round      int
+	done       bool // rounds are over (floor hit, budget fit, or no progress)
+	finished   bool // Finish ran
+	terminated bool // Finish's terminating capture ended the source process
 
 	prevDirty   int64
 	lastShipped int64
@@ -114,7 +120,10 @@ func (m *Migration) shipFloor() int64 {
 // Round runs one pre-copy iteration: the source daemon digests the
 // running process and ships the changed chunks, then the destination
 // daemon pulls them into its staging area. done reports that the rounds
-// have converged (or stopped making progress) and Finish should run.
+// have converged (or stopped making progress) and Finish should run; the
+// round that ends them first pre-saves the local store to the
+// destination card. A round that fails, its pre-save included, ends
+// nothing: Abort, or run another round.
 func (m *Migration) Round() (PrecopyRound, bool, error) {
 	if m.finished {
 		return PrecopyRound{}, true, errors.New("core: migration already finished")
@@ -169,9 +178,28 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 		rec.StageDuration = staged.Duration
 	}
 
+	// Round-termination rule: stop when the dirty set fits the floor
+	// (the device skipped), when the round budget is exhausted, or when
+	// the dirty set stopped shrinking (the workload writes faster than
+	// the link ships — more rounds only burn bandwidth).
+	done := rec.Skipped || m.round >= m.opts.Precopy.MaxRounds ||
+		(m.round >= 2 && rec.DirtyBytes >= m.prevDirty)
+	if done {
+		// The last round pre-saves the local store, so the switch-over's
+		// pause re-sends only a buffer written since.
+		d, err := m.presave(start + rec.Duration + rec.StageDuration)
+		if err != nil {
+			err = fmt.Errorf("core: pre-copy round %d pre-save: %w", m.round, err)
+			m.s.failDump("migrate", err)
+			return rec, false, err
+		}
+		rec.LocalStoreDuration = d
+		m.s.presaved = true
+	}
+
 	tk := m.s.hostTrack()
 	tk.AlignTo(start)
-	tk.Emit(m.scope, "precopy_round", start, rec.Duration+rec.StageDuration, map[string]int64{
+	tk.Emit(m.scope, "precopy_round", start, rec.Duration+rec.StageDuration+rec.LocalStoreDuration, map[string]int64{
 		"round":         int64(rec.Round),
 		"dirty_bytes":   rec.DirtyBytes,
 		"shipped_bytes": rec.ShippedBytes,
@@ -182,26 +210,34 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	ms.Gauge("snapify_precopy_dirty_bytes", "Dirty bytes after the latest pre-copy round.").Set(rec.DirtyBytes)
 
 	m.s.Report.Precopy = append(m.s.Report.Precopy, rec)
-	cp.Timeline().Advance(rec.Duration + rec.StageDuration)
+	cp.Timeline().Advance(rec.Duration + rec.StageDuration + rec.LocalStoreDuration)
 
-	// Round-termination rule: stop when the dirty set fits the floor
-	// (the device skipped), when the round budget is exhausted, or when
-	// the dirty set stopped shrinking (the workload writes faster than
-	// the link ships — more rounds only burn bandwidth).
-	switch {
-	case rec.Skipped:
-		m.done = true
-	case m.round >= m.opts.Precopy.MaxRounds:
-		m.done = true
-	case m.round >= 2 && rec.DirtyBytes >= m.prevDirty:
-		m.done = true
-	}
+	m.done = done
 	m.prevDirty = rec.DirtyBytes
 	if rec.ShippedBytes > 0 {
 		m.lastShipped = rec.ShippedBytes
 		m.lastShipDur = rec.Duration
 	}
 	return rec, m.done, nil
+}
+
+// presave asks the source agent to save the local store to the
+// destination card while the process runs, cutting each buffer's digest
+// epoch before it reads the buffer (DESIGN.md §13, "Pre-save"). It
+// returns the save plus the request's messages: the daemon request and
+// its reply, the pipe and signal to the agent, its answer.
+func (m *Migration) presave(align simclock.Duration) (simclock.Duration, error) {
+	cp := m.s.Proc
+	model := cp.Platform().Model()
+	toAgent := model.SCIFMsg(16) + model.SignalLatency + model.PipeLatency
+	var saved coi.DrainResp
+	err := cp.DaemonRequest(coi.OpSnapifyPresave, &coi.PresaveReq{ProcID: cp.ID(), PresaveArgs: coi.PresaveArgs{
+		Align: align + toAgent, Scope: m.scope, LocalStoreNode: m.opts.DeviceTo, Dir: m.opts.Path,
+	}}, &saved)
+	if err != nil {
+		return 0, err
+	}
+	return toAgent + saved.Duration + model.PipeLatency + model.SCIFMsg(16), nil
 }
 
 // stageRequest sends one stage-control request (StageSync, StageDrop or
@@ -215,22 +251,22 @@ func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.Stag
 // delta ships when pre-copy ran), restore on the destination (adopting
 // the staged chunks), and resume. Report.Downtime records the whole
 // stop-everything window. With pre-copy the pause streams the local store
-// double-buffered to the destination, whose adopted restore takes it in
+// double-buffered to the destination — after the last round's pre-save,
+// only a buffer written since — and the adopted restore takes it in
 // place; a stop-the-world Finish keeps the paper's path. On a pause or
 // capture failure the source process is resumed — it stays unharmed on
-// its card — and the local store the pause saved on the destination is
-// removed with the image the rounds staged. A failure after the
-// terminating capture drops only the staged image: the saved local store
-// is then the only copy of the process's buffers, and a later
-// Snapshot().Restore still needs it. Either way a later restore streams.
+// its card — and the local store saved on the destination is removed
+// with the image the rounds staged. A failure after the terminating
+// capture drops only the staged image: the saved local store is then the
+// only copy of the process's buffers, and a later Snapshot().Restore
+// still needs it. Either way a later restore streams.
 func (m *Migration) Finish() (ncp *coi.Process, err error) {
 	if m.finished {
 		return nil, errors.New("core: migration already finished")
 	}
-	drop := coi.StageDropAll // the source runs on: nothing parked is needed
 	defer func() {
 		if err != nil {
-			m.dropStaging(drop)
+			m.dropStaging()
 		}
 	}()
 	s := m.s
@@ -251,7 +287,7 @@ func (m *Migration) Finish() (ncp *coi.Process, err error) {
 		s.Resume() //nolint:errcheck // best-effort unwind; the capture error is what propagates
 		return nil, err
 	}
-	drop = coi.StageDrop // the source is gone: keep its saved local store
+	m.terminated = true
 	ncp, err = s.Restore(m.opts.DeviceTo, m.opts.Restore)
 	if err != nil {
 		return nil, err
@@ -269,9 +305,10 @@ func (m *Migration) Finish() (ncp *coi.Process, err error) {
 	return ncp, nil
 }
 
-// Abort abandons a session mid-rounds: the pending store upload is
-// dropped (unpinning its digests for GC) and the destination's staged
-// chunks are discarded. The source process was never paused and keeps
+// Abort abandons a session before its switch-over: the pending store
+// upload is dropped (unpinning its digests for GC) and what the session
+// parked on the destination card — the staged chunks, the pre-saved local
+// store — is discarded. The source process was never paused and keeps
 // running.
 func (m *Migration) Abort() {
 	if m.finished {
@@ -282,13 +319,21 @@ func (m *Migration) Abort() {
 	if plat.Store != nil {
 		plat.Store.AbortUpload(m.ctxPath())
 	}
-	m.dropStaging(coi.StageDrop)
+	m.dropStaging()
 }
 
 // dropStaging discards what the session parked on the destination card:
-// the chunks the rounds staged, and with StageDropAll the local store a
-// failed switch-over's pause saved there.
-func (m *Migration) dropStaging(mode uint8) {
+// the chunks the rounds staged and, while the source process still runs,
+// the local store saved there (StageDropAll). Once the terminating
+// capture has ended the source, the saved local store is the only copy
+// of its buffers and stays (StageDrop). Either way no later drain trusts
+// a pre-saved file.
+func (m *Migration) dropStaging() {
+	mode := coi.StageDropAll
+	if m.terminated {
+		mode = coi.StageDrop
+	}
+	m.s.presaved = false
 	m.stageRequest(mode, m.s.Proc.Timeline().Now()) //nolint:errcheck // best-effort cleanup; the destination daemon may be the very thing that failed
 }
 

@@ -58,6 +58,10 @@ type Snapshot struct {
 	// its drain streams the local store double-buffered, for the
 	// destination's adopted restore to take in place (DESIGN.md §13).
 	liveSwitchOver bool
+	// presaved marks a live switch-over whose session pre-saved the local
+	// store to the destination card and has not dropped it since: its
+	// drain re-sends only a buffer written after the pre-save.
+	presaved bool
 
 	sem chan struct{} // m_sem
 
@@ -267,7 +271,7 @@ func (s *Snapshot) Pause() error {
 	align := start + handshake + hostDrain
 	var drained coi.DrainResp
 	err = cp.DaemonRequest(coi.OpSnapifyDrain, &coi.DrainReq{ProcID: cp.ID(),
-		DrainArgs: coi.DrainArgs{Align: align, LocalStoreNode: s.localStoreTarget, Dir: s.Path, Live: s.liveSwitchOver}}, &drained)
+		DrainArgs: coi.DrainArgs{Align: align, LocalStoreNode: s.localStoreTarget, Dir: s.Path, Live: s.liveSwitchOver, Presaved: s.presaved}}, &drained)
 	if err != nil {
 		// The agent holds its quiesce locks and the host its drain locks:
 		// release both, so a failed pause leaves the process running.

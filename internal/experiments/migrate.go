@@ -36,7 +36,8 @@ type MigrateRow struct {
 	// DowntimeRatio is live/stw — the headline win.
 	DowntimeRatio float64 `json:"downtime_ratio"`
 	// LiveTotalNs is the whole live migration on the virtual clock: every
-	// round's upload and staging, then the downtime.
+	// round's upload and staging, the last round's pre-save of the local
+	// store, then the downtime.
 	LiveTotalNs int64 `json:"live_total_ns"`
 	// UploadNs and StageNs are round 1's two halves, each moving the whole
 	// image: the source card's digest -> negotiate -> ship pass into the
@@ -161,7 +162,7 @@ func liveMigrate(r *rig, row *MigrateRow) (uint64, error) {
 		row.Rounds = rec.Round
 		row.PrecopyShippedBytes += rec.ShippedBytes
 		row.FinalDirtyBytes = rec.DirtyBytes
-		row.LiveTotalNs += int64(rec.Duration + rec.StageDuration)
+		row.LiveTotalNs += int64(rec.Duration + rec.StageDuration + rec.LocalStoreDuration)
 		if rec.Round == 1 {
 			row.UploadNs, row.StageNs = int64(rec.Duration), int64(rec.StageDuration)
 		}

@@ -136,7 +136,9 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # fault plan truncates and corrupts), and the fault plan's own JSON
 # decoder (a -faults file, and what the chaos sweeps arm their per-index
 # faults from), the flight-dump reader (dump files `snapifyctl analyze
-# flight` reads back, possibly cut short by the crash that wrote them);
+# flight` reads back, possibly cut short by the crash that wrote them),
+# the COI handle-state decoder (bytes read back out of a restored host
+# process image);
 # and two differential targets, blob.Buffer's overlay
 # against a flat []byte oracle under random op programs, and
 # snapstore.Digest's window-grain chunk address against the spec computed
@@ -151,6 +153,7 @@ go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/ana
 go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
+go test -run '^$' -fuzz '^FuzzDecodeHandleMeta$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 5s ./internal/faultinject/
 go test -run '^$' -fuzz '^FuzzBufferOps$' -fuzztime 5s ./internal/blob/
@@ -219,8 +222,12 @@ echo "==> local-store paths (-count=50, GOMAXPROCS 1 and 8)"
 # store swap and a plain checkpoint of a process with a 4 MiB buffer —
 # cost their pinned figures from before the live switch-over got a path
 # of its own, and the live switch-over's double-buffered save and adopted
-# reload cost their formulas, to the nanosecond on every run.
-local_store='^(TestPaperLocalStorePathUnchanged|TestLiveSwitchOverAdoptsLocalStore)$'
+# reload cost their formulas, to the nanosecond on every run. A live
+# migration's pre-save re-sends only what was written since, and every
+# buffer comes back as it was at pause: written after the pre-save,
+# created after it, destroyed after it, raced by a writer during it, and
+# after an aborted session left its tracker armed.
+local_store='^(TestPaperLocalStorePathUnchanged|TestLiveSwitchOverAdoptsLocalStore|TestPresaveBufferWrittenAfterLastRound|TestPresaveBufferCreatedAfter|TestPresaveRacingWriter|TestAbortAfterPresaveLeavesNoLocalStore|TestPresavedBufferDestroyedLeavesNoLocalStore|TestAbortedPresaveNeverTrusted)$'
 GOMAXPROCS=1 go test -count=50 -run "$local_store" ./internal/core/
 GOMAXPROCS=8 go test -count=50 -run "$local_store" ./internal/core/
 
