@@ -17,9 +17,11 @@ import (
 	"testing"
 
 	"snapify/internal/blcr"
+	"snapify/internal/blob"
 	"snapify/internal/coi"
 	"snapify/internal/faultinject"
 	"snapify/internal/obs"
+	"snapify/internal/platform"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
@@ -69,17 +71,24 @@ func assertBuffer(t *testing.T, buf *coi.Buffer, want []byte) {
 
 // TestPaperLocalStorePathUnchanged pins the local store's save
 // (Report.DeviceDrain: quiesce plus save) and reload
-// (Report.RestoreLocal) for a process with one 4 MiB buffer on the three
-// operations that keep the paper's path: a stop-the-world migration, a
-// store swap and a plain checkpoint (which has no restore). The figures
-// are the tree's before the live switch-over got a path of its own.
+// (Report.RestoreLocal, which includes the runtime libraries' copy back)
+// for a process with one 4 MiB buffer on the three operations that keep
+// the paper's path: a stop-the-world migration, a store swap and a plain
+// checkpoint (which has no restore). It pins their pause handshakes too,
+// which copy the runtime libraries into the snapshot directory. The
+// figures are the tree's before the live switch-over got a path of its
+// own, and before the runtime libraries rode a live migration's
+// pre-save.
 func TestPaperLocalStorePathUnchanged(t *testing.T) {
 	const (
-		stwDrain   = simclock.Duration(30_261_018)
-		stwReload  = simclock.Duration(23_250_186)
-		swapDrain  = simclock.Duration(29_594_977)
-		swapReload = simclock.Duration(18_916_227)
-		ckptDrain  = simclock.Duration(29_594_977)
+		stwDrain      = simclock.Duration(30_261_018)
+		stwReload     = simclock.Duration(23_250_186)
+		stwHandshake  = simclock.Duration(4_090_350)
+		swapDrain     = simclock.Duration(29_594_977)
+		swapReload    = simclock.Duration(18_916_227)
+		swapHandshake = simclock.Duration(4_090_350)
+		ckptDrain     = simclock.Duration(29_594_977)
+		ckptHandshake = simclock.Duration(4_090_350)
 	)
 
 	r, buf, content := bufferRig(t, "core_ls_paper_mig", 2)
@@ -124,16 +133,20 @@ func TestPaperLocalStorePathUnchanged(t *testing.T) {
 	}
 	ckpt := snap.Report
 
-	t.Logf("virtual ns: stop-the-world migrate drain %d reload %d; store swap drain %d reload %d; checkpoint drain %d",
-		stw.DeviceDrain, stw.RestoreLocal, swap.DeviceDrain, swap.RestoreLocal, ckpt.DeviceDrain)
+	t.Logf("virtual ns: stop-the-world migrate handshake %d drain %d reload %d; store swap handshake %d drain %d reload %d; checkpoint handshake %d drain %d",
+		stw.PauseHandshake, stw.DeviceDrain, stw.RestoreLocal, swap.PauseHandshake, swap.DeviceDrain, swap.RestoreLocal,
+		ckpt.PauseHandshake, ckpt.DeviceDrain)
 	for _, c := range []struct {
 		what      string
 		got, want simclock.Duration
 	}{
+		{"stop-the-world migrate PauseHandshake", stw.PauseHandshake, stwHandshake},
 		{"stop-the-world migrate DeviceDrain", stw.DeviceDrain, stwDrain},
 		{"stop-the-world migrate RestoreLocal", stw.RestoreLocal, stwReload},
+		{"store swap PauseHandshake", swap.PauseHandshake, swapHandshake},
 		{"store swap DeviceDrain", swap.DeviceDrain, swapDrain},
 		{"store swap RestoreLocal", swap.RestoreLocal, swapReload},
+		{"checkpoint PauseHandshake", ckpt.PauseHandshake, ckptHandshake},
 		{"checkpoint DeviceDrain", ckpt.DeviceDrain, ckptDrain},
 	} {
 		if c.got != c.want {
@@ -216,30 +229,34 @@ func finish(t *testing.T, m *Migration) {
 // buffer live. The last round pre-saves the buffer to the destination
 // card in 1 MiB pieces over a two-slot stream, so the pre-save costs the
 // page walk of every piece plus one piece's fill, and the last
-// precopy_round span covers it. Nothing writes the buffer after that, so
-// the pause's save is the page-table sweep that finds it clean and sends
-// nothing. The adopted restore takes the pre-saved file in place — one
-// RAM-fs op plus the page tables over its frames — and removes it, and
-// the restored buffer holds the bytes it held at pause.
+// precopy_round span covers it. The same round saves the runtime
+// libraries into the snapshot directory and copies them to the
+// destination card. Nothing writes the buffer after that, so the pause's
+// save is the page-table sweep that finds it clean and sends nothing, and
+// its handshake is its messages alone. The adopted restore takes the
+// pre-saved file in place — one RAM-fs op plus the page tables over its
+// frames — and removes it, and the restored buffer holds the bytes it
+// held at pause.
 func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 	r, buf, content := bufferRig(t, "core_ls_live", 2)
 	r.count(t, 10)
 	opts := MigrateOptions{DeviceTo: 2, Path: "/snap/ls_live", Precopy: PrecopyOptions{MaxRounds: 2}}
-	cp2, snap, err := Migrate(r.cp, opts)
-	if err != nil {
-		t.Fatal(err)
+	m := presaveRounds(t, r, opts)
+	libs := runtimeLibs(t, r)
+	saved, _, err := r.plat.Host().FS.ReadFile(opts.Path + "/runtime_libs")
+	if err != nil || !blob.Equal(saved, libs) {
+		t.Fatalf("snapshot directory's runtime libraries after the rounds: %d bytes, err %v; want the MPSS copy's %d bytes", saved.Len(), err, libs.Len())
 	}
-	if cp2.DeviceNode() != 2 {
-		t.Fatalf("process on %v after the migration, want mic1", cp2.DeviceNode())
-	}
+	finish(t, m)
+	snap := m.Snapshot()
 	assertBuffer(t, buf, content)
 	if got := r.count(t, 20); got != refSum(20) {
 		t.Errorf("computation after the migration = %d, want %d", got, refSum(20))
 	}
 
-	m := r.plat.Model()
+	model := r.plat.Model()
 	pre := presaveSpan(t, r)
-	if want := liveSave(m, lsBufBytes); pre.Dur != want || pre.Args["bytes"] != lsBufBytes {
+	if want := liveSave(model, lsBufBytes); pre.Dur != want || pre.Args["bytes"] != lsBufBytes {
 		t.Errorf("pre-save save_local_store = %d virtual ns, %d bytes; want the walk plus one piece's fill, %d, and %d bytes",
 			pre.Dur, pre.Args["bytes"], want, lsBufBytes)
 	}
@@ -247,14 +264,23 @@ func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 	if pre.Start < round.Start || pre.End() > round.End() {
 		t.Errorf("pre-save [%d, %d] outside the last precopy_round [%d, %d]", pre.Start, pre.End(), round.Start, round.End())
 	}
+	if round.Args["runtime_libs_bytes"] != libs.Len() {
+		t.Errorf("last precopy_round runtime_libs_bytes = %d, want %d", round.Args["runtime_libs_bytes"], libs.Len())
+	}
 	last := snap.Report.Precopy[len(snap.Report.Precopy)-1]
-	msgs := 2*m.SCIFMsg(16) + m.SignalLatency + 2*m.PipeLatency
-	if last.LocalStoreDuration != pre.Dur+msgs {
-		t.Errorf("last round's LocalStoreDuration = %d, want the pre-save %d plus its messages %d", last.LocalStoreDuration, pre.Dur, msgs)
+	msgs := 2*model.SCIFMsg(16) + model.SignalLatency + 2*model.PipeLatency
+	if want := pre.Dur + msgs + model.HostMemcpy(libs.Len()) + model.RDMA(libs.Len()); last.LocalStoreDuration != want {
+		t.Errorf("last round's LocalStoreDuration = %d, want the pre-save %d plus its messages %d and the runtime libraries' two copies, %d",
+			last.LocalStoreDuration, pre.Dur, msgs, want)
 	}
 
+	hs := lastSpan(t, r, "pause_handshake")
+	if want := 2*model.SCIFMsg(16) + model.SignalLatency + 4*model.PipeLatency; snap.Report.PauseHandshake != want || hs.Args["runtime_libs_bytes"] != 0 {
+		t.Errorf("Report.PauseHandshake = %d virtual ns, runtime_libs_bytes %d; want its messages alone, %d, and 0",
+			snap.Report.PauseHandshake, hs.Args["runtime_libs_bytes"], want)
+	}
 	save := lastSpan(t, r, "save_local_store")
-	if want := blcr.PageTableCost(m, lsBufBytes); save.Args["presave"] != 0 || save.Dur != want || save.Args["bytes"] != 0 {
+	if want := blcr.PageTableCost(model, lsBufBytes); save.Args["presave"] != 0 || save.Dur != want || save.Args["bytes"] != 0 {
 		t.Errorf("pause save_local_store = %d virtual ns, args %v; want the sweep alone, %d, and 0 bytes", save.Dur, save.Args, want)
 	}
 	if snap.Report.LocalStoreBytes != lsBufBytes {
@@ -262,23 +288,143 @@ func TestLiveSwitchOverAdoptsLocalStore(t *testing.T) {
 	}
 
 	reload := lastSpan(t, r, "reload_local_store")
-	want := m.RamFSOpLatency + m.PhiMemcpy(lsBufBytes/512)
+	want := model.RamFSOpLatency + model.PhiMemcpy(lsBufBytes/512)
 	if reload.Args["adopted"] != 1 || reload.Args["bytes"] != lsBufBytes {
 		t.Errorf("reload_local_store args %v, want adopted 1 and %d bytes", reload.Args, lsBufBytes)
 	}
 	if reload.Dur != want {
 		t.Errorf("reload_local_store = %d virtual ns, want one RAM-fs op plus the page tables, %d", reload.Dur, want)
 	}
-	// Report.RestoreLocal adds the runtime libraries' copy back.
-	libs, _, err := r.plat.Host().FS.ReadFile(opts.Path + "/runtime_libs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Report.RestoreLocal; got != want+m.RDMA(libs.Len()) {
-		t.Errorf("Report.RestoreLocal = %d virtual ns, want the adoption %d plus the runtime libraries' %d", got, want, m.RDMA(libs.Len()))
+	rl := lastSpan(t, r, "restore_local")
+	if got := snap.Report.RestoreLocal; got != want || rl.Args["runtime_libs_bytes"] != 0 {
+		t.Errorf("Report.RestoreLocal = %d virtual ns, runtime_libs_bytes %d; want the adoption alone, %d, and 0", got, rl.Args["runtime_libs_bytes"], want)
 	}
 	assertNoLocalStore(t, r, 2, opts.Path)
 	t.Logf("virtual ns: pre-save %d, pause save_local_store %d, reload_local_store %d, downtime %d", pre.Dur, save.Dur, reload.Dur, snap.Report.Downtime)
+}
+
+// runtimeLibs returns the MPSS copy of the runtime libraries on r's host.
+func runtimeLibs(t *testing.T, r *rig) blob.Blob {
+	t.Helper()
+	libs, _, err := r.plat.Host().FS.ReadFile(platform.RuntimeLibsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return libs
+}
+
+// TestRuntimeLibsFollowThePresave: only a switch-over whose session
+// pre-saved the runtime libraries, restoring onto the card the pre-save
+// fed, leaves them out of its pause and restore. Every other switch-over
+// pays for them exactly as without a pre-save: its pause copies them into
+// the snapshot directory (HostMemcpy), unless the session's pre-save
+// already did, and its restore copies them to the card (RDMA), each span
+// naming the bytes in runtime_libs_bytes. The cases: a live Finish with
+// no round run; Snapshot().Restore after a Finish that failed after its
+// terminating capture (the failure cleared the presaved mark); a restore
+// onto a card other than the pre-save's; and a new session, with a round
+// that does not end the rounds, after an aborted one that pre-saved.
+func TestRuntimeLibsFollowThePresave(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		devices   int
+		pausePays bool // false: the session's pre-save copied the libraries into the snapshot directory
+		// run migrates r's process and returns the snapshot, resumed.
+		run func(t *testing.T, r *rig, opts MigrateOptions) *Snapshot
+	}{
+		{"no-round", 2, true, func(t *testing.T, r *rig, opts MigrateOptions) *Snapshot {
+			m, err := NewMigration(r.cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			finish(t, m)
+			return m.Snapshot()
+		}},
+		{"restore-after-failed-finish", 2, false, func(t *testing.T, r *rig, opts MigrateOptions) *Snapshot {
+			m := presaveRounds(t, r, opts)
+			dst := r.plat.Device(2)
+			hog := r.plat.Procs.Spawn("hog", 2, dst.Mem)
+			if _, err := hog.AddRegion("hog", 1, dst.Mem.Free()-8*simclock.MiB, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Finish(); err == nil {
+				t.Fatal("Finish restored onto a full card")
+			}
+			hog.Terminate()
+			if _, err := m.Snapshot().Restore(opts.DeviceTo, opts.Restore); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Snapshot().Resume(); err != nil {
+				t.Fatal(err)
+			}
+			return m.Snapshot()
+		}},
+		{"other-card", 3, false, func(t *testing.T, r *rig, opts MigrateOptions) *Snapshot {
+			s := presaveRounds(t, r, opts).Snapshot()
+			if err := s.Pause(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Capture(CaptureOptions{Terminate: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := s.Restore(3, RestoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.DeviceNode() != 3 {
+				t.Fatalf("process on %v after the restore, want mic2", cp.DeviceNode())
+			}
+			if err := s.Resume(); err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"new-session-after-abort", 2, true, func(t *testing.T, r *rig, opts MigrateOptions) *Snapshot {
+			presaveRounds(t, r, opts).Abort()
+			m, err := NewMigration(r.cp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, done, err := m.Round(); err != nil || done {
+				t.Fatalf("first round: done %v, err %v; want the rounds to go on", done, err)
+			}
+			finish(t, m)
+			return m.Snapshot()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, buf, content := bufferRig(t, "core_ls_libs", c.devices)
+			r.count(t, 10)
+			opts := MigrateOptions{DeviceTo: 2, Path: "/snap/ls_libs", Precopy: PrecopyOptions{MaxRounds: 2}}
+			snap := c.run(t, r, opts)
+			assertBuffer(t, buf, content)
+			if got := r.count(t, 20); got != refSum(20) {
+				t.Errorf("computation after the migration = %d, want %d", got, refSum(20))
+			}
+
+			model := r.plat.Model()
+			n := runtimeLibs(t, r).Len()
+			msgs := 2*model.SCIFMsg(16) + model.SignalLatency + 4*model.PipeLatency
+			wantHS, wantHSBytes := msgs, int64(0)
+			if c.pausePays {
+				wantHS, wantHSBytes = msgs+model.HostMemcpy(n), n
+			}
+			hs := lastSpan(t, r, "pause_handshake")
+			if snap.Report.PauseHandshake != wantHS || hs.Args["runtime_libs_bytes"] != wantHSBytes {
+				t.Errorf("Report.PauseHandshake = %d virtual ns, runtime_libs_bytes %d; want %d and %d",
+					snap.Report.PauseHandshake, hs.Args["runtime_libs_bytes"], wantHS, wantHSBytes)
+			}
+			reload := lastSpan(t, r, "reload_local_store")
+			rl := lastSpan(t, r, "restore_local")
+			if want := reload.Dur + model.RDMA(n); snap.Report.RestoreLocal != want || rl.Args["runtime_libs_bytes"] != n {
+				t.Errorf("Report.RestoreLocal = %d virtual ns, runtime_libs_bytes %d; want the reload %d plus the runtime libraries' %d, and %d",
+					snap.Report.RestoreLocal, rl.Args["runtime_libs_bytes"], reload.Dur, model.RDMA(n), n)
+			}
+		})
+	}
 }
 
 // TestPresaveBufferWrittenAfterLastRound: the application writes the

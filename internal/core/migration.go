@@ -36,8 +36,10 @@ type PrecopyRound struct {
 	StageDuration simclock.Duration
 	// LocalStoreDuration is the last round's pre-save: the local store
 	// saved to the destination card while the process runs, so the
-	// switch-over re-sends only a buffer written since (zero on every
-	// other round).
+	// switch-over re-sends only a buffer written since, and the runtime
+	// libraries saved into the snapshot directory and copied to the
+	// destination card, so the switch-over copies them neither at pause
+	// nor at restore (zero on every other round).
 	LocalStoreDuration simclock.Duration
 	// ImageBytes is the full context image size at this round's cut.
 	ImageBytes int64
@@ -184,25 +186,29 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 	// the link ships — more rounds only burn bandwidth).
 	done := rec.Skipped || m.round >= m.opts.Precopy.MaxRounds ||
 		(m.round >= 2 && rec.DirtyBytes >= m.prevDirty)
+	var libBytes int64
 	if done {
-		// The last round pre-saves the local store, so the switch-over's
-		// pause re-sends only a buffer written since.
-		d, err := m.presave(start + rec.Duration + rec.StageDuration)
+		// The last round pre-saves the local store and the runtime
+		// libraries, so the switch-over's pause re-sends only a buffer
+		// written since and neither it nor the restore copies the
+		// libraries.
+		d, n, err := m.presave(start + rec.Duration + rec.StageDuration)
 		if err != nil {
 			err = fmt.Errorf("core: pre-copy round %d pre-save: %w", m.round, err)
 			m.s.failDump("migrate", err)
 			return rec, false, err
 		}
-		rec.LocalStoreDuration = d
+		rec.LocalStoreDuration, libBytes = d, n
 		m.s.presaved = true
 	}
 
 	tk := m.s.hostTrack()
 	tk.AlignTo(start)
 	tk.Emit(m.scope, "precopy_round", start, rec.Duration+rec.StageDuration+rec.LocalStoreDuration, map[string]int64{
-		"round":         int64(rec.Round),
-		"dirty_bytes":   rec.DirtyBytes,
-		"shipped_bytes": rec.ShippedBytes,
+		"round":              int64(rec.Round),
+		"dirty_bytes":        rec.DirtyBytes,
+		"shipped_bytes":      rec.ShippedBytes,
+		"runtime_libs_bytes": libBytes,
 	})
 	ms := cp.Platform().Obs.MetricsOf()
 	ms.Counter("snapify_precopy_rounds_total", "Pre-copy rounds run.").Inc()
@@ -223,21 +229,31 @@ func (m *Migration) Round() (PrecopyRound, bool, error) {
 
 // presave asks the source agent to save the local store to the
 // destination card while the process runs, cutting each buffer's digest
-// epoch before it reads the buffer (DESIGN.md §13, "Pre-save"). It
-// returns the save plus the request's messages: the daemon request and
-// its reply, the pipe and signal to the agent, its answer.
-func (m *Migration) presave(align simclock.Duration) (simclock.Duration, error) {
+// epoch before it reads the buffer, then saves the runtime libraries into
+// the snapshot directory and copies them to the destination card
+// (DESIGN.md §13, "Pre-save"). It returns the runtime libraries' size and
+// the whole price: the agent's save plus the request's messages (the
+// daemon request and its reply, the pipe and signal to the agent, its
+// answer), then the libraries' two copies.
+func (m *Migration) presave(align simclock.Duration) (simclock.Duration, int64, error) {
 	cp := m.s.Proc
-	model := cp.Platform().Model()
+	plat := cp.Platform()
+	model := plat.Model()
 	toAgent := model.SCIFMsg(16) + model.SignalLatency + model.PipeLatency
 	var saved coi.DrainResp
 	err := cp.DaemonRequest(coi.OpSnapifyPresave, &coi.PresaveReq{ProcID: cp.ID(), PresaveArgs: coi.PresaveArgs{
 		Align: align + toAgent, Scope: m.scope, LocalStoreNode: m.opts.DeviceTo, Dir: m.opts.Path,
 	}}, &saved)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return toAgent + saved.Duration + model.PipeLatency + model.SCIFMsg(16), nil
+	d := toAgent + saved.Duration + model.PipeLatency + model.SCIFMsg(16)
+	n, save, err := saveRuntimeLibs(plat, m.opts.Path)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, load := copyRuntimeLibs(plat, m.opts.Path, m.opts.DeviceTo)
+	return d + save + load, n, nil
 }
 
 // stageRequest sends one stage-control request (StageSync, StageDrop or
@@ -252,14 +268,15 @@ func (m *Migration) stageRequest(mode uint8, align simclock.Duration) (*coi.Stag
 // the staged chunks), and resume. Report.Downtime records the whole
 // stop-everything window. With pre-copy the pause streams the local store
 // double-buffered to the destination — after the last round's pre-save,
-// only a buffer written since — and the adopted restore takes it in
-// place; a stop-the-world Finish keeps the paper's path. On a pause or
-// capture failure the source process is resumed — it stays unharmed on
-// its card — and the local store saved on the destination is removed
-// with the image the rounds staged. A failure after the terminating
-// capture drops only the staged image: the saved local store is then the
-// only copy of the process's buffers, and a later Snapshot().Restore
-// still needs it. Either way a later restore streams.
+// only a buffer written since, and not the runtime libraries — and the
+// adopted restore takes it in place; a stop-the-world Finish keeps the
+// paper's path. On a pause or capture failure the source process is
+// resumed — it stays unharmed on its card — and the local store saved on
+// the destination is removed with the image the rounds staged. A failure
+// after the terminating capture drops only the staged image: the saved
+// local store is then the only copy of the process's buffers, and a later
+// Snapshot().Restore still needs it. Either way a later restore streams
+// and copies the runtime libraries to its card.
 func (m *Migration) Finish() (ncp *coi.Process, err error) {
 	if m.finished {
 		return nil, errors.New("core: migration already finished")

@@ -59,8 +59,10 @@ type Snapshot struct {
 	// destination's adopted restore to take in place (DESIGN.md §13).
 	liveSwitchOver bool
 	// presaved marks a live switch-over whose session pre-saved the local
-	// store to the destination card and has not dropped it since: its
-	// drain re-sends only a buffer written after the pre-save.
+	// store and the runtime libraries to the destination card and has not
+	// dropped them since: its drain re-sends only a buffer written after
+	// the pre-save, its pause does not copy the libraries, and a restore
+	// onto localStoreTarget does not copy them to the card.
 	presaved bool
 
 	sem chan struct{} // m_sem
@@ -240,16 +242,15 @@ func (s *Snapshot) Pause() error {
 	s.countOp("pause")
 	start := cp.Timeline().Now()
 
-	// Step one: save the runtime libraries the offload process needs from
-	// the host file system into the snapshot directory (footnote 2: MPSS
-	// keeps host-side copies, so this is a host-local copy).
+	// Step one: save the runtime libraries into the snapshot directory —
+	// unless the session's pre-save already did.
 	var handshake simclock.Duration
-	libs, _, err := plat.Host().FS.ReadFile(platform.RuntimeLibsPath)
-	if err == nil {
-		if _, err := plat.Host().FS.WriteFile(s.Path+"/runtime_libs", libs); err != nil {
-			return fmt.Errorf("core: saving runtime libraries: %w", err)
+	var libBytes int64
+	if !s.presaved {
+		var err error
+		if libBytes, handshake, err = saveRuntimeLibs(plat, s.Path); err != nil {
+			return err
 		}
-		handshake += model.HostMemcpy(libs.Len())
 	}
 
 	// Steps 1-3 of Fig 3: snapify-service request to the daemon, pipe +
@@ -287,7 +288,8 @@ func (s *Snapshot) Pause() error {
 	tk.AlignTo(start)
 	tk.Emit(0, "snapify_pause", start, handshake+hostDrain+deviceDrain,
 		map[string]int64{"local_store_bytes": s.Report.LocalStoreBytes})
-	s.Report.PauseHandshake = tk.Emit(0, "pause_handshake", start, handshake, nil).Dur
+	s.Report.PauseHandshake = tk.Emit(0, "pause_handshake", start, handshake,
+		map[string]int64{"runtime_libs_bytes": libBytes}).Dur
 	s.Report.HostDrain = tk.Emit(0, "host_drain", start+handshake, hostDrain, nil).Dur
 	s.Report.DeviceDrain = tk.Emit(0, "device_drain", align, deviceDrain,
 		map[string]int64{"bytes": s.Report.LocalStoreBytes}).Dur
@@ -303,6 +305,32 @@ func (s *Snapshot) Pause() error {
 	s.mu.Unlock()
 	cp.Timeline().Advance(s.Report.PauseTotal())
 	return nil
+}
+
+// saveRuntimeLibs copies the runtime libraries the offload process needs
+// from the host file system into the snapshot directory dir (footnote 2:
+// MPSS keeps host-side copies, so this is a host-local copy). It returns
+// the bytes copied, zero when the host keeps none, and the copy's price.
+func saveRuntimeLibs(plat *platform.Platform, dir string) (int64, simclock.Duration, error) {
+	libs, _, err := plat.Host().FS.ReadFile(platform.RuntimeLibsPath)
+	if err != nil {
+		return 0, 0, nil
+	}
+	if _, err := plat.Host().FS.WriteFile(dir+"/runtime_libs", libs); err != nil {
+		return 0, 0, fmt.Errorf("core: saving runtime libraries: %w", err)
+	}
+	return libs.Len(), plat.Model().HostMemcpy(libs.Len()), nil
+}
+
+// copyRuntimeLibs prices the copy of the runtime libraries saved in the
+// snapshot directory dir over PCIe to the card device. It returns the
+// bytes, zero when dir holds none, and the copy's price.
+func copyRuntimeLibs(plat *platform.Platform, dir string, device simnet.NodeID) (int64, simclock.Duration) {
+	libs, _, err := plat.Host().FS.ReadFile(dir + "/runtime_libs")
+	if err != nil {
+		return 0, 0
+	}
+	return libs.Len(), plat.Server.Fabric.RDMACost(simnet.HostNode, device, libs.Len())
 }
 
 // saveHandleState serializes the COI handle metadata into a host-process
@@ -556,9 +584,13 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	}
 	restoreDevice, restoreLocal := resp.ContextDur, resp.LocalStoreDur
 
-	// The daemon also copies the runtime libraries back on the fly.
-	if libs, _, err := plat.Host().FS.ReadFile(s.Path + "/runtime_libs"); err == nil {
-		restoreLocal += model.RDMA(libs.Len())
+	// The daemon also copies the runtime libraries back on the fly, unless
+	// the session's pre-save already put them on this card.
+	var libBytes int64
+	if !s.presaved || device != s.localStoreTarget {
+		var libs simclock.Duration
+		libBytes, libs = copyRuntimeLibs(plat, s.Path, device)
+		restoreLocal += libs
 	}
 
 	remap, err := cp.Rebind(device, resp.ProcID, resp.Ports)
@@ -578,7 +610,8 @@ func (s *Snapshot) RestoreChain(baseDir string, deltaDirs []string, device simne
 	tk.AlignTo(start)
 	tk.Emit(0, "snapify_restore", start, restoreDevice+restoreLocal+reconnect, nil)
 	s.Report.RestoreDevice = tk.Emit(0, "restore_device", start, restoreDevice, nil).Dur
-	s.Report.RestoreLocal = tk.Emit(0, "restore_local", start+restoreDevice, restoreLocal, nil).Dur
+	s.Report.RestoreLocal = tk.Emit(0, "restore_local", start+restoreDevice, restoreLocal,
+		map[string]int64{"runtime_libs_bytes": libBytes}).Dur
 	s.Report.RestoreReconnect = tk.Emit(0, "restore_reconnect", start+restoreDevice+restoreLocal, reconnect,
 		map[string]int64{"remap_entries": int64(len(remap))}).Dur
 	cp.Timeline().Advance(s.Report.RestoreTotal())
