@@ -8,7 +8,7 @@ package fleetd
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"snapify/internal/simclock"
@@ -44,24 +44,21 @@ func (o ModelOptions) replicaK() int {
 	return o.ReplicaK
 }
 
-// ModelBackend implements Backend on the cost model alone.
+// ModelBackend implements Backend on the cost model alone. Each job's
+// replica set and capture count live on the Job (replicas, swaps).
 type ModelBackend struct {
 	opts  ModelOptions
 	model *simclock.Model
 	names []string
-	// index maps a host name to its position in names: the rack
-	// arithmetic and the replica ring read positions, never names.
+	// index maps a host name to its position in names, the topology
+	// index: the rack arithmetic and the replica ring read positions,
+	// never names. rank is each position's place in name order.
 	index map[string]int
+	rank  []int
 	local snapstore.LinkModel
 	cross snapstore.LinkModel
-
-	// holders maps job ID to the sorted host names replicating its
-	// snapshot; dead hosts are pruned on HostKilled.
-	holders map[int][]string
-	dead    map[string]bool
-	// swapped tracks how many times a job swapped out: the first capture
-	// ships the full footprint, later ones only the re-dirtied quarter.
-	swapped map[int]int
+	// dead marks, by position, the hosts HostKilled reported.
+	dead []bool
 }
 
 // NewModelBackend builds a synthetic fleet of opts.Hosts hosts.
@@ -70,19 +67,24 @@ func NewModelBackend(opts ModelOptions) *ModelBackend {
 		panic("fleetd: model backend needs at least one host, one card and positive card memory") //nolint:paniclib // configuration bug: bench topology is fixed at setup
 	}
 	b := &ModelBackend{
-		opts:    opts,
-		model:   simclock.Default(),
-		local:   snapstore.DefaultLink(),
-		cross:   snapstore.CrossRackLink(),
-		index:   make(map[string]int, opts.Hosts),
-		holders: make(map[int][]string),
-		dead:    make(map[string]bool),
-		swapped: make(map[int]int),
+		opts:  opts,
+		model: simclock.Default(),
+		local: snapstore.DefaultLink(),
+		cross: snapstore.CrossRackLink(),
+		index: make(map[string]int, opts.Hosts),
+		rank:  make([]int, opts.Hosts),
+		dead:  make([]bool, opts.Hosts),
 	}
 	for i := 0; i < opts.Hosts; i++ {
 		name := fmt.Sprintf("h%03d", i)
 		b.names = append(b.names, name)
 		b.index[name] = i
+	}
+	// Past h999 name order leaves index order: "h1000" < "h101".
+	byName := slices.Clone(b.names)
+	slices.Sort(byName)
+	for r, name := range byName {
+		b.rank[b.index[name]] = r
 	}
 	return b
 }
@@ -115,7 +117,20 @@ func (b *ModelBackend) LinkCost(a, bHost string, n int64) simclock.Duration {
 	if a == bHost {
 		return 0
 	}
-	if b.rackOf(a) == b.rackOf(bHost) {
+	return b.rackLink(b.rackOf(a) == b.rackOf(bHost), n)
+}
+
+// link is LinkCost between the hosts at positions a and z.
+func (b *ModelBackend) link(a, z int, n int64) simclock.Duration {
+	if a == z {
+		return 0
+	}
+	per := b.opts.hostsPerRack()
+	return b.rackLink(a/per == z/per, n)
+}
+
+func (b *ModelBackend) rackLink(sameRack bool, n int64) simclock.Duration {
+	if sameRack {
 		return b.local.Cost(n)
 	}
 	return b.cross.Cost(n)
@@ -132,7 +147,7 @@ func (b *ModelBackend) RunBurst(*Job) error { return nil }
 // dirtyBytes is how much a capture must move: the full footprint the
 // first time, the re-dirtied quarter after.
 func (b *ModelBackend) dirtyBytes(j *Job) int64 {
-	if b.swapped[j.ID] == 0 {
+	if j.swaps == 0 {
 		return j.Spec.Footprint
 	}
 	d := j.Spec.Footprint / 4
@@ -143,26 +158,27 @@ func (b *ModelBackend) dirtyBytes(j *Job) int64 {
 }
 
 // replicate records the snapshot's holders (self plus the next K-1
-// living hosts) and prices shipping the dirty bytes to the farthest one
-// (replication fans out in parallel; the slowest link dominates).
+// living hosts, in name order) over the job's last set, and prices
+// shipping the dirty bytes to the farthest one (replication fans out in
+// parallel; the slowest link dominates).
 func (b *ModelBackend) replicate(j *Job, dirty int64) simclock.Duration {
-	n := len(b.names)
-	self := j.Host
-	holders := []string{self}
+	n, self := len(b.names), j.cd.hostIdx
+	set := append(j.replicas[:0], self)
 	var worst simclock.Duration
-	start := b.index[self]
-	for i := 1; i < n && len(holders) < b.opts.replicaK(); i++ {
-		peer := b.names[(start+i)%n]
+	for i := 1; i < n && len(set) < b.opts.replicaK(); i++ {
+		peer := (self + i) % n
 		if b.dead[peer] {
 			continue
 		}
-		holders = append(holders, peer)
-		if c := b.LinkCost(self, peer, dirty); c > worst {
+		set = append(set, peer)
+		for k := len(set) - 1; k > 0 && b.rank[set[k]] < b.rank[set[k-1]]; k-- {
+			set[k], set[k-1] = set[k-1], set[k]
+		}
+		if c := b.link(self, peer, dirty); c > worst {
 			worst = c
 		}
 	}
-	sort.Strings(holders)
-	b.holders[j.ID] = holders
+	j.replicas = set
 	return worst
 }
 
@@ -172,7 +188,7 @@ func (b *ModelBackend) SwapOut(j *Job) (simclock.Duration, error) {
 	dur := b.model.PhiPageWalk(j.Spec.Footprint) +
 		simclock.Rate(b.model.HostFSWriteBandwidth)(dirty) +
 		b.replicate(j, dirty)
-	b.swapped[j.ID]++
+	j.swaps++
 	return dur, nil
 }
 
@@ -191,16 +207,8 @@ func (b *ModelBackend) Checkpoint(j *Job) (simclock.Duration, error) {
 	return b.SwapOut(j)
 }
 
-// Holders returns the living holders of j's snapshot, sorted.
-func (b *ModelBackend) Holders(j *Job) []string {
-	var out []string
-	for _, h := range b.holders[j.ID] {
-		if !b.dead[h] {
-			out = append(out, h)
-		}
-	}
-	return out
-}
+// Replicas returns j's replica set, dead holders included.
+func (b *ModelBackend) Replicas(j *Job) []int { return j.replicas }
 
 // Migrate prices a live pre-copy migration: three shrinking copy
 // rounds over the inter-host link, a short stop-and-copy, and a
@@ -217,23 +225,26 @@ func (b *ModelBackend) Migrate(j *Job, dstHost string, dstCard int) (simclock.Du
 		link(fp/64) + // stop-and-copy of the final dirty set
 		2*time.Millisecond // proxy teardown + reconnect
 	// Landing counts as a durable snapshot on the destination.
-	b.holders[j.ID] = []string{dstHost}
+	j.replicas = append(j.replicas[:0], b.index[dstHost])
 	return dur, nil
 }
 
-// Recover prices restoring j onto dstHost from its closest holder.
+// Recover prices restoring j onto dstHost from its closest living
+// holder (closestHolder's rule, on positions).
 func (b *ModelBackend) Recover(j *Job, dstHost string, dstCard int) (simclock.Duration, error) {
-	fp := j.Spec.Footprint
-	from := closestHolder(b, dstHost, b.Holders(j), fp)
-	dur := simclock.Rate(b.model.HostFSReadColdBandwidth)(fp) + b.model.RDMA(fp)
-	if from != "" && from != dstHost {
-		dur += b.LinkCost(from, dstHost, fp)
+	fp, dst := j.Spec.Footprint, b.index[dstHost]
+	from, best := -1, simclock.Duration(0)
+	for _, h := range j.replicas {
+		if c := b.link(dst, h, fp); !b.dead[h] && (from < 0 || c < best) {
+			from, best = h, c
+		}
 	}
-	return dur, nil
+	return simclock.Rate(b.model.HostFSReadColdBandwidth)(fp) + b.model.RDMA(fp) + best, nil
 }
 
-// closestHolder is both backends' recovery source: the holder cheapest
-// to move n bytes from onto dst, the first one on ties; "" with none.
+// closestHolder is the platform backend's recovery source: the holder
+// cheapest to move n bytes from onto dst, the first one on ties; "" with
+// none.
 func closestHolder(be Backend, dst string, holders []string, n int64) string {
 	from, best := "", simclock.Duration(0)
 	for _, h := range holders {
@@ -247,5 +258,10 @@ func closestHolder(be Backend, dst string, holders []string, n int64) string {
 // Finish is free in model mode.
 func (b *ModelBackend) Finish(*Job) error { return nil }
 
-// HostKilled prunes the dead host from every replica set.
-func (b *ModelBackend) HostKilled(name string) { b.dead[name] = true }
+// HostKilled marks the host dead: replication skips it, recovery reads
+// no replica from it.
+func (b *ModelBackend) HostKilled(name string) {
+	if i, ok := b.index[name]; ok {
+		b.dead[i] = true
+	}
+}

@@ -223,9 +223,7 @@ func TestChaosFleetHostKillMidPreemptionEviction(t *testing.T) {
 	// Kill in two phases (KillHost = markHostDead + dispatch) so the
 	// accounting is observable before dispatch starts a fresh preemption
 	// on the surviving host.
-	if err := c.markHostDead(victim.Host); err != nil {
-		t.Fatal(err)
-	}
+	c.markHostDead(c.hosts[victim.cd.hostIdx])
 	if preemptor.preemptEvicts != 0 {
 		t.Fatalf("host kill left preemptor %d with %d in-flight evictions — dispatch is wedged",
 			preemptor.ID, preemptor.preemptEvicts)
@@ -233,7 +231,7 @@ func TestChaosFleetHostKillMidPreemptionEviction(t *testing.T) {
 	if err := c.dispatch(); err != nil {
 		t.Fatal(err)
 	}
-	if !stepUntil(t, c, func() bool { return c.events.Len() == 0 }) {
+	if !stepUntil(t, c, func() bool { return noEventsLeft(c) }) {
 		t.Fatal("unreachable")
 	}
 	completedAll(t, c)
@@ -287,7 +285,7 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 			if j.dst == nil || j.Host != "h000" {
 				continue
 			}
-			if c.cardOf(j).residents[j.ID] == nil {
+			if j.cd.residents[j.ID] == nil {
 				moving = j
 				return true
 			}
@@ -302,7 +300,7 @@ func TestChaosFleetDestKillMidSwappedRecover(t *testing.T) {
 	// stepUntil's per-step invariant check is the teeth here: the job
 	// must never show up running or thinking without residency, and no
 	// card's residency may go negative or past capacity.
-	if !stepUntil(t, c, func() bool { return c.events.Len() == 0 }) {
+	if !stepUntil(t, c, func() bool { return noEventsLeft(c) }) {
 		t.Fatal("unreachable")
 	}
 	completedAll(t, c)

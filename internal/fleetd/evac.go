@@ -9,10 +9,10 @@ package fleetd
 // scratch.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"snapify/internal/simclock"
 	"snapify/internal/snapstore"
@@ -31,10 +31,9 @@ type EvacReport struct {
 // start order.
 func (c *Controller) Evacuations() []EvacReport {
 	var out []EvacReport
-	for _, name := range c.drained {
-		h := c.hosts[c.hostIdx[name]]
+	for _, h := range c.drained {
 		out = append(out, EvacReport{
-			Host: name, Moved: h.drain.moved, Waves: h.drain.waves,
+			Host: h.name, Moved: h.drain.moved, Waves: h.drain.waves,
 			Done: h.drain.done, DeadlineMet: h.drain.met,
 		})
 	}
@@ -44,9 +43,7 @@ func (c *Controller) Evacuations() []EvacReport {
 // ScheduleEvacuation arranges for host to start draining at virtual
 // time `at`, finishing by `deadline`.
 func (c *Controller) ScheduleEvacuation(at simclock.Duration, host string, deadline simclock.Duration) {
-	c.seq++
-	c.controls[c.seq] = controlPayload{host: host, deadline: deadline}
-	c.events.Push(event{at: at, seq: c.seq, kind: evEvacuate})
+	c.scheduleControl(at, evEvacuate, &control{host: host, deadline: deadline})
 }
 
 // startDrain begins the evacuation of host.
@@ -62,14 +59,19 @@ func (c *Controller) startDrain(name string, deadline simclock.Duration) error {
 		return fmt.Errorf("fleetd: host %s is already draining", name)
 	}
 	h.draining = true
-	ids := make([]int, 0, len(h.assigned))
-	for id := range h.assigned {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	h.drain = &drainState{deadline: deadline, remaining: ids}
-	c.drained = append(c.drained, name)
+	h.drain = &drainState{deadline: deadline, remaining: h.byID()}
+	c.drained = append(c.drained, h)
 	return c.pumpDrain(h)
+}
+
+// byID returns the jobs assigned to h in ID order.
+func (h *hostState) byID() []*Job {
+	js := make([]*Job, 0, len(h.assigned))
+	for _, j := range h.assigned {
+		js = append(js, j)
+	}
+	slices.SortFunc(js, func(a, b *Job) int { return cmp.Compare(a.ID, b.ID) })
+	return js
 }
 
 // pumpDrain starts evacuation moves until the wave is full. Jobs in a
@@ -86,10 +88,9 @@ func (c *Controller) pumpDrain(h *hostState) error {
 	// Each entry gets one look per pump; rotated entries wait for the
 	// next one, bounding the pass.
 	for looks := len(d.remaining); looks > 0 && d.inflight < wave && len(d.remaining) > 0; looks-- {
-		id := d.remaining[0]
+		j := d.remaining[0]
 		d.remaining = d.remaining[1:]
-		j := c.jobs[id]
-		if j == nil || j.Done() || j.Host != h.name {
+		if j.Done() || j.cd == nil || j.cd.hostIdx != h.idx {
 			continue
 		}
 		switch j.State {
@@ -103,7 +104,7 @@ func (c *Controller) pumpDrain(h *hostState) error {
 			}
 		default:
 			// Mid-op: rotate to the back and let it stabilize.
-			d.remaining = append(d.remaining, id)
+			d.remaining = append(d.remaining, j)
 		}
 	}
 	if fresh && started > 0 {
@@ -132,18 +133,18 @@ func (c *Controller) startEvacMove(h *hostState, j *Job) error {
 	if dst == nil {
 		// Fleet full elsewhere: park the job at the back; capacity may
 		// free before the deadline.
-		h.drain.remaining = append(h.drain.remaining, j.ID)
+		h.drain.remaining = append(h.drain.remaining, j)
 		return nil
 	}
-	dstName := c.hosts[dst.hostIdx].name
+	dstHost := c.hosts[dst.hostIdx]
 	// Reserve the destination before the bytes move.
 	c.reserve(j, dst)
 	var dur simclock.Duration
 	var err error
 	if j.State == StateSwappedOut {
-		dur, err = c.be.Recover(j, dstName, dst.idx)
+		dur, err = c.be.Recover(j, dstHost.name, dst.idx)
 	} else {
-		dur, err = c.be.Migrate(j, dstName, dst.idx)
+		dur, err = c.be.Migrate(j, dstHost.name, dst.idx)
 	}
 	if err != nil {
 		// Undo the reservation; the job is untouched on the source (the
@@ -154,8 +155,9 @@ func (c *Controller) startEvacMove(h *hostState, j *Job) error {
 		if errors.Is(err, snapstore.ErrHostDead) {
 			// The destination died mid-ship: mark it dead fleet-wide and
 			// let the next pump re-route to a living host.
-			h.drain.remaining = append(h.drain.remaining, j.ID)
-			return c.markHostDead(dstName)
+			h.drain.remaining = append(h.drain.remaining, j)
+			c.markHostDead(dstHost)
+			return nil
 		}
 		return fmt.Errorf("fleetd: evacuating job %d off %s: %w", j.ID, h.name, err)
 	}
@@ -168,7 +170,7 @@ func (c *Controller) startEvacMove(h *hostState, j *Job) error {
 // migrateDone lands an evacuation move on its destination: the source
 // card is released and the reservation becomes the assignment.
 func (c *Controller) migrateDone(j *Job) error {
-	src, dst := c.cardOf(j), j.dst
+	src, dst := j.cd, j.dst
 	h := c.hosts[src.hostIdx]
 	h.drain.inflight--
 	if c.hosts[dst.hostIdx].dead {
@@ -178,7 +180,7 @@ func (c *Controller) migrateDone(j *Job) error {
 		j.dst = nil
 		c.stats.EvacFails++
 		c.resumeOnSource(j, src)
-		h.drain.remaining = append(h.drain.remaining, j.ID)
+		h.drain.remaining = append(h.drain.remaining, j)
 		return c.drainStep(h)
 	}
 	wasResident := src.residents[j.ID] != nil
@@ -238,12 +240,12 @@ func (c *Controller) drainStep(src *hostState) error {
 
 // dropFromDrain removes a job that no longer needs moving (it
 // completed) from the host's drain queue.
-func (c *Controller) dropFromDrain(h *hostState, id int) {
+func (c *Controller) dropFromDrain(h *hostState, j *Job) {
 	d := h.drain
 	if d == nil {
 		return
 	}
-	if i := slices.Index(d.remaining, id); i >= 0 {
+	if i := slices.Index(d.remaining, j); i >= 0 {
 		d.remaining = slices.Delete(d.remaining, i, i+1)
 	}
 	d.settle(c.now)
@@ -254,22 +256,20 @@ func (c *Controller) dropFromDrain(h *hostState, id int) {
 // closest holder through placement's locality scoring; the rest
 // restart from scratch.
 func (c *Controller) KillHost(name string) error {
-	if err := c.markHostDead(name); err != nil {
+	h, err := c.hostByName(name)
+	if err != nil {
 		return err
 	}
+	c.markHostDead(h)
 	if err := c.dispatch(); err != nil {
 		return err
 	}
 	return c.illegal
 }
 
-func (c *Controller) markHostDead(name string) error {
-	h, err := c.hostByName(name)
-	if err != nil {
-		return err
-	}
+func (c *Controller) markHostDead(h *hostState) {
 	if h.dead {
-		return nil
+		return
 	}
 	h.dead = true
 	h.draining = false
@@ -280,14 +280,8 @@ func (c *Controller) markHostDead(name string) error {
 		h.drain.done = true
 		h.drain.met = false
 	}
-	c.be.HostKilled(name)
-	ids := make([]int, 0, len(h.assigned))
-	for id := range h.assigned {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		j := h.assigned[id]
+	c.be.HostKilled(h.name)
+	for _, j := range h.byID() {
 		c.stats.JobsLost++
 		c.mLost.Inc()
 		if j.dst != nil && !c.hosts[j.dst.hostIdx].dead {
@@ -317,7 +311,6 @@ func (c *Controller) markHostDead(name string) error {
 		cd.retries = 0
 		cd.busyUntil = c.now
 	}
-	return nil
 }
 
 // CheckpointJob captures a durable replicated snapshot of a resident
@@ -335,7 +328,7 @@ func (c *Controller) CheckpointJob(id int) error {
 	if err != nil {
 		return fmt.Errorf("fleetd: checkpointing job %d: %w", id, err)
 	}
-	cd := c.cardOf(j)
+	cd := j.cd
 	cd.busyUntil = max(cd.busyUntil, c.now) + dur
 	j.snapshotted = true
 	j.ckptBursts = j.burstsDone

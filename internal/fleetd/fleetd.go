@@ -10,8 +10,11 @@
 // deadline in waves of live pre-copy migrations.
 //
 // The controller is strictly single-threaded: every state change
-// happens inside its event loop, ordered by an O(log n) (time, seq)
-// event heap, so a run is a pure function of its inputs. Execution
+// happens inside its event loop, ordered by (time, seq) — the submitted
+// trace's arrivals stream from a cursor merged with an O(log n) heap of
+// the events in flight — so a run is a pure function of its inputs.
+// Inside the loop jobs, hosts and cards are records reached by pointer
+// and topology index; host names stay at the API edge. Execution
 // mechanics and cost pricing hide behind the Backend interface —
 // ModelBackend prices operations from the calibrated simclock model at
 // 100+ host scale, PlatformBackend drives real simulated platforms
@@ -140,10 +143,12 @@ type Job struct {
 	Spec  JobSpec
 	State JobState
 
-	// Host/Card locate the job's assignment (committed memory); Card is
-	// -1 while unassigned.
+	// Host/Card name the job's assignment (committed memory) for
+	// display and the platform backend; Card is -1 while unassigned.
 	Host string
 	Card int
+	// cd is the assigned card itself, nil while unassigned.
+	cd *card
 
 	epoch      int
 	burstsDone int
@@ -153,9 +158,9 @@ type Job struct {
 	snapshotted bool
 	// launched marks a live execution context on j.Host/j.Card; cleared
 	// when the job loses it (host death, preemption eviction).
-	launched bool
-
+	launched   bool
 	wantsBurst bool
+
 	// preemptEvicts counts this job's in-flight victim swap-outs when it
 	// is the preemptor; preemptFor is the preemptor while this job is a
 	// victim swapping out, nil otherwise.
@@ -176,6 +181,12 @@ type Job struct {
 	enqueuedAt   simclock.Duration
 	swapWantedAt simclock.Duration
 	thinkEndAt   simclock.Duration
+
+	// replicas and swaps are ModelBackend's record of the job: its
+	// snapshot's holders as topology indices in host-name order, and how
+	// many times it was captured.
+	replicas []int
+	swaps    int
 }
 
 // Done reports whether the job completed all bursts.
@@ -208,8 +219,10 @@ type Backend interface {
 	SwapIn(j *Job, from string) (simclock.Duration, error)
 	// Checkpoint captures a durable replicated snapshot without stopping j.
 	Checkpoint(j *Job) (simclock.Duration, error)
-	// Holders returns the living replica holders of j's snapshot, sorted.
-	Holders(j *Job) []string
+	// Replicas returns the topology indices of the hosts holding j's
+	// snapshot, in host-name order; dead hosts may be among them. The
+	// slice stays the backend's: read it before the next call for j.
+	Replicas(j *Job) []int
 	// Migrate live pre-copy migrates resident job j to dstHost/dstCard.
 	Migrate(j *Job, dstHost string, dstCard int) (simclock.Duration, error)
 	// Recover restarts j from a replica onto dstHost/dstCard after its
@@ -313,7 +326,7 @@ func (c *card) addIdle(prio int, delta int64) {
 
 type drainState struct {
 	deadline  simclock.Duration
-	remaining []int
+	remaining []*Job
 	inflight  int
 	waves     int
 	moved     int
@@ -369,7 +382,7 @@ type Controller struct {
 	obs  *obs.Obs
 
 	now    simclock.Duration
-	events eventHeap
+	events timeline
 	seq    uint64
 	// illegal records the first move outside the successor table; step
 	// returns it, ending the run at the event that made it.
@@ -378,14 +391,14 @@ type Controller struct {
 	pending      jobHeap
 	tenantQueued map[string]int
 
-	hosts   []*hostState
+	hosts []*hostState
+	// hostIdx and jobs resolve names and IDs at the API edge.
 	hostIdx map[string]int
 	cards   int
 
-	jobs     map[int]*Job
-	order    []*Job // submission order
-	controls map[uint64]controlPayload
-	drained  []string
+	jobs    map[int]*Job
+	order   []*Job // submission order
+	drained []*hostState
 
 	stats     Stats
 	swapLats  []simclock.Duration
@@ -394,8 +407,9 @@ type Controller struct {
 	firstTime simclock.Duration
 
 	// cands and take are preemptPlan's scratch: one card's candidates,
-	// and the best plan's victims so far.
+	// and the best plan's victims so far. live is liveHolders'.
 	cands, take []*Job
+	live        []int
 	// blocked is the last queue head that found neither a card nor a
 	// preemption plan, nil once recheck or a host death finds that may
 	// have changed. dispatch skips its searches while it heads the queue.
@@ -415,7 +429,6 @@ func New(opts Options, be Backend, o *obs.Obs) *Controller {
 		tenantQueued: make(map[string]int),
 		hostIdx:      make(map[string]int),
 		jobs:         make(map[int]*Job),
-		controls:     make(map[uint64]controlPayload),
 	}
 	pct := opts.oversubPct()
 	for i, ht := range be.Topology() {
@@ -537,24 +550,16 @@ func (c *Controller) UtilizationPct() int64 {
 
 // EventComparisons returns the event heap's comparison count — the
 // complexity-pin tests consume it.
-func (c *Controller) EventComparisons() int64 { return c.events.cmps }
+func (c *Controller) EventComparisons() int64 { return c.events.heap.cmps }
 
 func (c *Controller) schedule(at simclock.Duration, kind eventKind, j *Job) {
 	c.seq++
-	e := event{at: at, seq: c.seq, kind: kind}
-	if j != nil {
-		e.job = j.ID
-		e.epoch = j.epoch
-	}
-	c.events.Push(e)
+	c.events.heap.Push(event{at: at, seq: c.seq, kind: kind, job: j, epoch: j.epoch})
 }
 
-// control events carry their payload out of band, keyed by seq.
-type controlPayload struct {
-	host     string
-	deadline simclock.Duration
-	// card targets an evServeCard retry at one card's waiter queue.
-	card *card
+func (c *Controller) scheduleControl(at simclock.Duration, kind eventKind, ctl *control) {
+	c.seq++
+	c.events.heap.Push(event{at: at, seq: c.seq, kind: kind, ctl: ctl})
 }
 
 var errUnknownHost = errors.New("fleetd: unknown host")
@@ -571,11 +576,9 @@ func (c *Controller) cardName(cd *card) string {
 	return fmt.Sprintf("%s/%d", c.hosts[cd.hostIdx].name, cd.idx)
 }
 
-// cardOf returns the card j is assigned to; j must be assigned.
-func (c *Controller) cardOf(j *Job) *card { return c.hosts[c.hostIdx[j.Host]].cards[j.Card] }
-
-// SubmitTrace schedules every job on the arrival trace. A job no card
-// can hold is refused: queued, it would block its queue's head forever.
+// SubmitTrace schedules every job on the arrival trace, up to the first
+// one it refuses. A job no card can hold is refused: queued, it would
+// block its queue's head forever.
 func (c *Controller) SubmitTrace(specs []JobSpec) error {
 	var largest int64
 	for _, h := range c.hosts {
@@ -583,23 +586,30 @@ func (c *Controller) SubmitTrace(specs []JobSpec) error {
 			largest = max(largest, cd.cap)
 		}
 	}
+	c.order = slices.Grow(c.order, len(specs))
+	c.events.arrivals = slices.Grow(c.events.arrivals, len(specs))
+	var err error
 	for _, sp := range specs {
-		if _, ok := c.jobs[sp.ID]; ok {
-			return fmt.Errorf("fleetd: duplicate job id %d", sp.ID)
+		switch {
+		case c.jobs[sp.ID] != nil:
+			err = fmt.Errorf("fleetd: duplicate job id %d", sp.ID)
+		case sp.Bursts < 1 || sp.Footprint <= 0 || sp.BurstLen <= 0:
+			err = fmt.Errorf("fleetd: job %d: bursts, footprint and burst length must be positive", sp.ID)
+		case sp.Footprint > largest:
+			err = fmt.Errorf("fleetd: job %d: footprint %d bytes exceeds every card (largest %d)", sp.ID, sp.Footprint, largest)
 		}
-		if sp.Bursts < 1 || sp.Footprint <= 0 || sp.BurstLen <= 0 {
-			return fmt.Errorf("fleetd: job %d: bursts, footprint and burst length must be positive", sp.ID)
-		}
-		if sp.Footprint > largest {
-			return fmt.Errorf("fleetd: job %d: footprint %d bytes exceeds every card (largest %d)", sp.ID, sp.Footprint, largest)
+		if err != nil {
+			break
 		}
 		j := &Job{ID: sp.ID, Spec: sp, State: StatePending, Card: -1}
 		c.jobs[sp.ID] = j
 		c.order = append(c.order, j)
 		c.stats.Submitted++
-		c.schedule(sp.Arrival, evArrival, j)
+		c.seq++
+		c.events.arrivals = append(c.events.arrivals, event{at: sp.Arrival, seq: c.seq, kind: evArrival, job: j})
 	}
-	return nil
+	c.events.sortArrivals()
+	return err
 }
 
 // Run drives the event loop until no events remain, then checks the run
@@ -628,10 +638,7 @@ func (c *Controller) Run() error {
 // RunUntil drives the event loop through every event at or before
 // `until` (negative: run dry). Virtual time never rewinds.
 func (c *Controller) RunUntil(until simclock.Duration) error {
-	for c.events.Len() > 0 {
-		if until >= 0 && c.events.es[0].at > until {
-			break
-		}
+	for e := c.events.next(); e != nil && (until < 0 || e.at <= until); e = c.events.next() {
 		if err := c.step(); err != nil {
 			return err
 		}
@@ -642,9 +649,9 @@ func (c *Controller) RunUntil(until simclock.Duration) error {
 	return nil
 }
 
-// step handles the next event; the heap must not be empty.
+// step handles the next event; one must be left.
 func (c *Controller) step() error {
-	e := c.events.Pop()
+	e := c.events.pop()
 	c.stats.Events++
 	if e.at > c.now {
 		c.now = e.at
@@ -656,12 +663,9 @@ func (c *Controller) step() error {
 }
 
 func (c *Controller) handle(e event) error {
-	var j *Job
-	if e.job != 0 {
-		j = c.jobs[e.job]
-		if j == nil || j.epoch != e.epoch {
-			return nil // stale: the job's world changed under this event
-		}
+	j := e.job
+	if j != nil && j.epoch != e.epoch {
+		return nil // stale: the job's world changed under this event
 	}
 	var err error
 	switch e.kind {
@@ -674,14 +678,10 @@ func (c *Controller) handle(e event) error {
 	case evOpDone:
 		err = c.opDone(j)
 	case evEvacuate:
-		p := c.controls[e.seq]
-		delete(c.controls, e.seq)
-		err = c.startDrain(p.host, p.deadline)
+		err = c.startDrain(e.ctl.host, e.ctl.deadline)
 	case evServeCard:
-		p := c.controls[e.seq]
-		delete(c.controls, e.seq)
-		if !c.hosts[p.card.hostIdx].dead {
-			c.serveWaiters(p.card)
+		if cd := e.ctl.card; !c.hosts[cd.hostIdx].dead {
+			c.serveWaiters(cd)
 		}
 	}
 	if err != nil {
@@ -714,7 +714,7 @@ func (c *Controller) setState(j *Job, s JobState) {
 // assign makes cd j's card and commits j's footprint there.
 func (c *Controller) assign(j *Job, cd *card) {
 	h := c.hosts[cd.hostIdx]
-	j.Host, j.Card = h.name, cd.idx
+	j.cd, j.Host, j.Card = cd, h.name, cd.idx
 	cd.committed += j.Spec.Footprint
 	h.assigned[j.ID] = j
 	c.touch(j)
@@ -723,12 +723,12 @@ func (c *Controller) assign(j *Job, cd *card) {
 // unassign releases everything j holds on its card: residency, its
 // waiter entry and its commitment.
 func (c *Controller) unassign(j *Job) {
-	cd := c.cardOf(j)
+	cd := j.cd
 	cd.lift(j)
 	cd.unwait(j)
 	cd.committed -= j.Spec.Footprint
 	delete(c.hosts[cd.hostIdx].assigned, j.ID)
-	j.Host, j.Card = "", -1
+	j.cd, j.Host, j.Card = nil, "", -1
 	c.touch(j)
 	c.recheck(cd)
 }
@@ -765,7 +765,7 @@ func (cd *card) lift(j *Job) {
 
 // wait queues j, once, for residency on its card.
 func (c *Controller) wait(j *Job) {
-	if cd := c.cardOf(j); !slices.Contains(cd.waiters, j) {
+	if cd := j.cd; !slices.Contains(cd.waiters, j) {
 		cd.waiters = append(cd.waiters, j)
 	}
 }
@@ -807,8 +807,8 @@ func spare(v *Job) {
 // the state, the assignment and preemptFor.
 func (c *Controller) touch(j *Job) {
 	var on *card
-	if j.Card >= 0 && j.preemptFor == nil && (j.State == StateThinking || j.State == StateSwappedOut) {
-		on = c.cardOf(j)
+	if j.preemptFor == nil && (j.State == StateThinking || j.State == StateSwappedOut) {
+		on = j.cd
 	}
 	if on == j.idleOn {
 		return
@@ -889,7 +889,7 @@ func (c *Controller) findCard(j *Job, needRoom bool) *card {
 				continue
 			}
 			if loc < 0 {
-				_, loc = c.nearestHolder(h.name, holders, j.Spec.Footprint)
+				_, loc = c.nearestHolder(h, holders, j.Spec.Footprint)
 			}
 			if best == nil || loc < bestLoc || (loc == bestLoc && left < bestLeft) {
 				best, bestLoc, bestLeft = cd, loc, left
@@ -900,14 +900,14 @@ func (c *Controller) findCard(j *Job, needRoom bool) *card {
 }
 
 // nearestHolder returns the holder cheapest to move n bytes from onto
-// host (the first one on ties) and that link cost; with no holders, ""
-// and 0.
-func (c *Controller) nearestHolder(host string, holders []string, n int64) (string, simclock.Duration) {
-	from, best := "", simclock.Duration(0)
+// h (the first one on ties) and that link cost; with no holders, -1 and
+// 0.
+func (c *Controller) nearestHolder(h *hostState, holders []int, n int64) (int, simclock.Duration) {
+	from, best := -1, simclock.Duration(0)
 	for i, hold := range holders {
 		cost := simclock.Duration(0)
-		if hold != host {
-			cost = c.be.LinkCost(host, hold, n)
+		if hold != h.idx {
+			cost = c.be.LinkCost(h.name, c.hosts[hold].name, n)
 		}
 		if i == 0 || cost < best {
 			from, best = hold, cost
@@ -916,18 +916,19 @@ func (c *Controller) nearestHolder(host string, holders []string, n int64) (stri
 	return from, best
 }
 
-// liveHolders returns j's replica holders on living hosts. When the
-// job thought it had a snapshot but every holder died, the snapshot is
-// gone: the job restarts from scratch.
-func (c *Controller) liveHolders(j *Job) []string {
+// liveHolders returns j's replica holders on living hosts: the
+// backend's slice when none died, else a copy without the dead valid
+// until the next call. When the job thought it had a snapshot but every
+// holder died, the snapshot is gone: the job restarts from scratch.
+func (c *Controller) liveHolders(j *Job) []int {
 	if !j.snapshotted {
 		return nil
 	}
-	var out []string
-	for _, h := range c.be.Holders(j) {
-		if hs, err := c.hostByName(h); err == nil && !hs.dead {
-			out = append(out, h)
-		}
+	dead := func(h int) bool { return c.hosts[h].dead }
+	out := c.be.Replicas(j)
+	if slices.ContainsFunc(out, dead) {
+		c.live = slices.DeleteFunc(append(c.live[:0], out...), dead)
+		out = c.live
 	}
 	if len(out) == 0 {
 		j.snapshotted = false
@@ -944,8 +945,7 @@ func (c *Controller) liveHolders(j *Job) []string {
 // as their ops complete. A head that found neither a card nor a plan is
 // not searched for again until recheck says some card could take it.
 func (c *Controller) dispatch() error {
-	for _, name := range c.drained {
-		h := c.hosts[c.hostIdx[name]]
+	for _, h := range c.drained {
 		// Only a parked drain (empty wave) re-pumps here; a partial wave
 		// refills when its last move lands, keeping waves batched.
 		if h.draining && !h.drain.done && h.drain.inflight == 0 {
@@ -1011,11 +1011,11 @@ func (c *Controller) placedMotion(j *Job, cd *card) error {
 	h := c.hosts[cd.hostIdx]
 	holders := c.liveHolders(j)
 	if len(holders) > 0 {
-		from, _ := c.nearestHolder(h.name, holders, j.Spec.Footprint)
+		from, _ := c.nearestHolder(h, holders, j.Spec.Footprint)
 		j.swapWantedAt = c.now
 		dur, err := c.be.Recover(j, h.name, cd.idx)
 		if err != nil {
-			return fmt.Errorf("fleetd: recovering job %d on %s from %s: %w", j.ID, h.name, from, err)
+			return fmt.Errorf("fleetd: recovering job %d on %s from %s: %w", j.ID, h.name, c.hosts[from].name, err)
 		}
 		j.burstsDone = j.ckptBursts
 		j.launched = true
@@ -1134,7 +1134,7 @@ func evictOrder(a, b *Job) int {
 // evictPreempted requeues a victim whose state is already safely in the
 // store, and re-serves the card it left.
 func (c *Controller) evictPreempted(v *Job) {
-	cd := c.cardOf(v)
+	cd := v.cd
 	c.requeue(v)
 	c.stats.Preemptions++
 	c.mPreempts.Inc()
@@ -1174,7 +1174,7 @@ func (c *Controller) startSwapOut(v *Job) error {
 	}
 	c.stats.SwapOuts++
 	c.mSwapOuts.Inc()
-	c.startOp(v, opSwapOut, dur, c.cardOf(v))
+	c.startOp(v, opSwapOut, dur, v.cd)
 	return nil
 }
 
@@ -1212,7 +1212,7 @@ func (c *Controller) opDone(j *Job) error {
 }
 
 func (c *Controller) swapOutDone(j *Job) error {
-	cd := c.cardOf(j)
+	cd := j.cd
 	cd.lift(j)
 	c.setState(j, StateSwappedOut)
 	j.snapshotted = true
@@ -1275,11 +1275,11 @@ func (c *Controller) serveWaiters(cd *card) {
 // swapIn revives launched job j on cd, pulling its snapshot from a copy
 // on cd's own host when there is one, else from its first live holder.
 func (c *Controller) swapIn(j *Job, cd *card) error {
-	from := c.hosts[cd.hostIdx].name
-	if holders := c.liveHolders(j); len(holders) > 0 && !slices.Contains(holders, from) {
-		from = holders[0]
+	from := c.hosts[cd.hostIdx]
+	if holders := c.liveHolders(j); len(holders) > 0 && !slices.Contains(holders, from.idx) {
+		from = c.hosts[holders[0]]
 	}
-	dur, err := c.be.SwapIn(j, from)
+	dur, err := c.be.SwapIn(j, from.name)
 	if err != nil {
 		return err
 	}
@@ -1306,9 +1306,7 @@ func (c *Controller) scheduleServeRetry(cd *card) {
 	}
 	backoff := serveRetryBase << uint(cd.retries)
 	cd.retries++
-	c.seq++
-	c.controls[c.seq] = controlPayload{card: cd}
-	c.events.Push(event{at: c.now + backoff, seq: c.seq, kind: evServeCard})
+	c.scheduleControl(c.now+backoff, evServeCard, &control{card: cd})
 }
 
 // evictForResidency swaps out the thinking resident whose next burst
@@ -1356,7 +1354,7 @@ func (c *Controller) burstEnd(j *Job) error {
 	// Oversubscription: if someone is waiting for this card's memory,
 	// the thinking job's idle footprint is the cheapest thing to
 	// reclaim.
-	if len(c.cardOf(j).waiters) > 0 {
+	if len(j.cd.waiters) > 0 {
 		c.swapOutIdle(j)
 	}
 	return nil
@@ -1372,7 +1370,7 @@ func (c *Controller) thinkEnd(j *Job) error {
 		j.wantsBurst = true
 		j.swapWantedAt = c.now
 		c.wait(j)
-		c.serveWaiters(c.cardOf(j))
+		c.serveWaiters(j.cd)
 	case StateSwappingOut:
 		// Mid-eviction: remember the burst is due; swapOutDone requeues.
 		j.wantsBurst = true
@@ -1388,10 +1386,10 @@ func (c *Controller) complete(j *Job) error {
 	if err := c.be.Finish(j); err != nil {
 		return fmt.Errorf("fleetd: finishing job %d: %w", j.ID, err)
 	}
-	cd := c.cardOf(j)
+	cd := j.cd
 	c.unassign(j)
 	c.serveWaiters(cd)
-	c.dropFromDrain(c.hosts[cd.hostIdx], j.ID)
+	c.dropFromDrain(c.hosts[cd.hostIdx], j)
 	c.serveWaiters(cd)
 	return nil
 }
@@ -1444,7 +1442,7 @@ func (c *Controller) checkInvariants() error {
 			m := moving[d]
 			moving[d] = hold{m.bytes + j.Spec.Footprint, m.jobs + 1}
 		}
-		if j.Card >= 0 {
+		if j.cd != nil {
 			placed++
 		} else if j.State != StatePending && j.State != StateDone && j.State != StateRejected || j.idleOn != nil {
 			return fail("unassigned job %d is %s", j.ID, j.State)
@@ -1466,10 +1464,11 @@ func (c *Controller) checkInvariants() error {
 		}
 		counts := make([]recount, len(h.cards))
 		for _, j := range h.assigned {
-			if h.dead || j.Host != h.name || j.Card < 0 || j.Card >= len(h.cards) {
+			cd := j.cd
+			if h.dead || cd == nil || c.hosts[cd.hostIdx] != h || j.Host != h.name || j.Card != cd.idx {
 				return fail("host %s lists job %d, assigned to %s/%d", h.name, j.ID, j.Host, j.Card)
 			}
-			cd, n := h.cards[j.Card], &counts[j.Card]
+			n := &counts[cd.idx]
 			n.committed += j.Spec.Footprint
 			resident := cd.residents[j.ID] == j
 			if resident {
@@ -1514,7 +1513,7 @@ func (c *Controller) checkInvariants() error {
 					c.cardName(cd), cd.committed, cd.resident, len(cd.residents), n.committed+m.bytes, n.resident+m.bytes, n.residents+m.jobs)
 			}
 			for i, w := range cd.waiters {
-				if w.Card != cd.idx || w.Host != h.name || slices.Index(cd.waiters, w) != i ||
+				if w.cd != cd || slices.Index(cd.waiters, w) != i ||
 					w.State != StateSwappedOut && w.State != StateMigrating {
 					return fail("card %s queues job %d (%s on %s/%d), not its own waiter or twice", c.cardName(cd), w.ID, w.State, w.Host, w.Card)
 				}
@@ -1546,7 +1545,7 @@ func (c *Controller) emitOpSpan(j *Job, k opKind) {
 	}
 	cd := j.dst // an evacuation move runs on its destination's engine
 	if cd == nil {
-		cd = c.cardOf(j)
+		cd = j.cd
 	}
 	tk := c.obs.TracerOf().Track("fleet/"+c.hosts[cd.hostIdx].name, fmt.Sprintf("card%d", cd.idx))
 	tk.Emit(0, ops[k].span, c.now-j.opDur, j.opDur, map[string]int64{

@@ -45,13 +45,17 @@ func completedAll(t *testing.T, c *Controller) {
 	}
 }
 
+// noEventsLeft reports whether c has run dry: no arrival still to
+// come and no event in flight.
+func noEventsLeft(c *Controller) bool { return c.events.next() == nil }
+
 // stepUntil advances the controller in 1ms steps, checking invariants
 // at every step, until cond holds or the event queue drains. It
 // reports whether cond was met.
 func stepUntil(t *testing.T, c *Controller, cond func() bool) bool {
 	t.Helper()
 	for !cond() {
-		if c.events.Len() == 0 {
+		if noEventsLeft(c) {
 			return false
 		}
 		if err := c.RunUntil(c.now + 1*ms); err != nil {
@@ -334,7 +338,7 @@ func TestKillHostRecovery(t *testing.T) {
 	}
 	snapshotted := 0
 	for _, j := range c.order {
-		if j.snapshotted && len(be.Holders(j)) > 1 {
+		if j.snapshotted && len(be.Replicas(j)) > 1 {
 			snapshotted++
 		}
 	}
@@ -480,7 +484,7 @@ func TestEvacDestinationNeedsPhysicalRoom(t *testing.T) {
 		t.Fatalf("setup: job 3 on %s, want h001", j3.Host)
 	}
 	c.ScheduleEvacuation(c.now+1*ms, "h000", 600*sec)
-	if !stepUntil(t, c, func() bool { return c.events.Len() == 0 }) {
+	if !stepUntil(t, c, func() bool { return noEventsLeft(c) }) {
 		t.Fatal("unreachable")
 	}
 	completedAll(t, c)

@@ -1,6 +1,11 @@
 package fleetd
 
-import "snapify/internal/simclock"
+import (
+	"cmp"
+	"slices"
+
+	"snapify/internal/simclock"
+)
 
 // event is one scheduled occurrence on the controller's virtual
 // timeline. Ordering is (time, seq): seq breaks same-instant ties in
@@ -9,12 +14,31 @@ import "snapify/internal/simclock"
 type event struct {
 	at  simclock.Duration
 	seq uint64
-	// job is the subject (0 for control events like evacuation starts).
-	job int
+	// job is the subject, nil for a control event.
+	job *Job
+	// ctl is a control event's payload, nil for a job event.
+	ctl *control
 	// epoch guards against stale events: a job's epoch bumps whenever a
 	// failure or preemption invalidates its scheduled future.
 	epoch int
 	kind  eventKind
+}
+
+// control is a control event's payload: the host an evacuation drains,
+// named as ScheduleEvacuation got it, and its deadline; or the card an
+// evServeCard retry re-serves.
+type control struct {
+	host     string
+	deadline simclock.Duration
+	card     *card
+}
+
+// before reports whether a is handled before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 type eventKind int
@@ -24,9 +48,49 @@ const (
 	evBurstEnd
 	evThinkEnd
 	evOpDone    // an engine op (launch/swap/migrate/recover) completed
-	evEvacuate  // start draining a host (job field unused, host in drain record)
-	evServeCard // retry one card's waiter queue after a failed serve attempt
+	evEvacuate  // start draining a host (host and deadline in ctl)
+	evServeCard // retry one card's waiter queue after a failed serve attempt (card in ctl)
 )
+
+// timeline is the controller's event order: the submitted trace's
+// arrivals, a cursor in (at, seq) order, merged with a heap of the
+// events the run scheduled. Arrivals never enter the heap, so it holds
+// only what is in flight.
+type timeline struct {
+	arrivals []event
+	heap     eventHeap
+}
+
+// sortArrivals restores (at, seq) order after arrivals were appended.
+// Each keeps the seq submission gave it, so a stable sort by time is
+// that order; arrivals already in order (every generated trace) stay.
+func (t *timeline) sortArrivals() {
+	byTime := func(a, b event) int { return cmp.Compare(a.at, b.at) }
+	if !slices.IsSortedFunc(t.arrivals, byTime) {
+		slices.SortStableFunc(t.arrivals, byTime)
+	}
+}
+
+// next returns the event pop returns next, nil when none is left.
+func (t *timeline) next() *event {
+	switch {
+	case len(t.arrivals) > 0 && (t.heap.Len() == 0 || t.arrivals[0].before(&t.heap.es[0])):
+		return &t.arrivals[0]
+	case t.heap.Len() > 0:
+		return &t.heap.es[0]
+	}
+	return nil
+}
+
+// pop removes and returns the next event; one must be left.
+func (t *timeline) pop() event {
+	if len(t.arrivals) > 0 && t.next() == &t.arrivals[0] {
+		e := t.arrivals[0]
+		t.arrivals = t.arrivals[1:]
+		return e
+	}
+	return t.heap.Pop()
+}
 
 // eventHeap is a binary min-heap over (at, seq). It is the control
 // plane's O(log n) core: push and pop cost one sift each, so per-event
@@ -41,11 +105,7 @@ func (h *eventHeap) Len() int { return len(h.es) }
 
 func (h *eventHeap) less(i, j int) bool {
 	h.cmps++
-	a, b := &h.es[i], &h.es[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	return h.es[i].before(&h.es[j])
 }
 
 func (h *eventHeap) Push(e event) {
@@ -65,6 +125,7 @@ func (h *eventHeap) Pop() event {
 	top := h.es[0]
 	last := len(h.es) - 1
 	h.es[0] = h.es[last]
+	h.es[last] = event{} // drop its pointers
 	h.es = h.es[:last]
 	i := 0
 	for {

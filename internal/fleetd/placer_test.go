@@ -34,8 +34,8 @@ func (c *Controller) findCardScan(j *Job, needRoom bool) *card {
 			loc = -1
 			for _, hold := range holders {
 				cost := simclock.Duration(0)
-				if hold != h.name {
-					cost = c.be.LinkCost(h.name, hold, j.Spec.Footprint)
+				if hold != h.idx {
+					cost = c.be.LinkCost(h.name, c.hosts[hold].name, j.Spec.Footprint)
 				}
 				if loc < 0 || cost < loc {
 					loc = cost
@@ -142,7 +142,7 @@ type placerSweep struct {
 // neither scan may find it a card or a plan.
 func stepCompare(t *testing.T, c *Controller, sw *placerSweep) {
 	t.Helper()
-	for c.events.Len() > 0 {
+	for !noEventsLeft(c) {
 		if err := c.step(); err != nil {
 			t.Fatal(err)
 		}
@@ -234,15 +234,13 @@ func TestPlacerMatchesScan(t *testing.T) {
 // must not skip that: an evacuation move that finds no destination
 // still restarts such a job's progress, and later decisions see it.
 func TestFindCardForgetsDeadSnapshotWithoutFit(t *testing.T) {
-	c, be := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
-	if err := c.markHostDead("h001"); err != nil {
-		t.Fatal(err)
-	}
+	c, _ := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
+	c.markHostDead(c.hosts[1])
 	// h000 full: nothing fits.
 	c.assign(&Job{ID: 2, Spec: simpleSpec(2, "a", 0, 0, 1<<30, 1)}, c.hosts[0].cards[0])
 	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 1<<30, 4), Card: -1,
 		snapshotted: true, burstsDone: 2, ckptBursts: 2}
-	be.holders[j.ID] = []string{"h001"}
+	j.replicas = []int{1}
 	if cd := c.findCard(j, false); cd != nil {
 		t.Fatalf("placed on %s with the fleet full", orNone(c, cd))
 	}
@@ -258,7 +256,7 @@ func TestFindCardForgetsDeadSnapshotWithoutFit(t *testing.T) {
 // follows the death. The death frees no card the head could take, so
 // only the host-death reset sends dispatch back to liveHolders.
 func TestDispatchForgetsDeadSnapshotOfBlockedHead(t *testing.T) {
-	c, be := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
+	c, _ := newModel(t, Options{}, ModelOptions{Hosts: 2, CardsPerHost: 1, CardMem: 1 << 30})
 	// h000 full; h001 draining and empty, so no card can take the head.
 	c.assign(&Job{ID: 2, Spec: simpleSpec(2, "a", 0, 0, 1<<30, 1)}, c.hosts[0].cards[0])
 	if err := c.startDrain("h001", 1000*ms); err != nil {
@@ -266,7 +264,7 @@ func TestDispatchForgetsDeadSnapshotOfBlockedHead(t *testing.T) {
 	}
 	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 1<<30, 4), Card: -1,
 		snapshotted: true, burstsDone: 2, ckptBursts: 2}
-	be.holders[j.ID] = []string{"h001"}
+	j.replicas = []int{1}
 	c.pending.Push(j)
 	if err := c.dispatch(); err != nil {
 		t.Fatal(err)
@@ -305,10 +303,59 @@ func TestModelBackendRackIndex(t *testing.T) {
 			if got := b.LinkCost(a, z, 1<<20); got != want {
 				t.Fatalf("LinkCost(%s, %s) = %v, want %v", a, z, got, want)
 			}
+			if got := b.link(ia, iz, 1<<20); got != want {
+				t.Fatalf("link(%d, %d) = %v, want %v", ia, iz, got, want)
+			}
 		}
 	}
 	if b.rackOf("h040") != -1 || b.rackOf("x") != -1 {
 		t.Fatal("a host the backend did not name has a rack")
+	}
+}
+
+// holderFrom records where each swap-in pulls its snapshot from.
+type holderFrom struct {
+	*ModelBackend
+	from []string
+}
+
+func (b *holderFrom) SwapIn(j *Job, from string) (simclock.Duration, error) {
+	b.from = append(b.from, from)
+	return b.ModelBackend.SwapIn(j, from)
+}
+
+// TestHolderOrderPastH999: with 1001 hosts, index order and name order
+// part ("h1000" < "h999"). A replica set is kept in name order, as
+// sorting the names did, so the first-on-ties holder nearestHolder
+// picks and the first holder swapIn falls back to are the first by
+// name, not by index.
+func TestHolderOrderPastH999(t *testing.T) {
+	be := &holderFrom{ModelBackend: NewModelBackend(ModelOptions{Hosts: 1001, CardsPerHost: 1, CardMem: 1 << 30, ReplicaK: 2})}
+	c := New(Options{}, be, obs.New())
+	j := &Job{ID: 1, Spec: simpleSpec(1, "a", 0, 0, 256<<20, 2), Card: -1}
+	c.assign(j, c.hosts[999].cards[0])
+	if _, err := be.SwapOut(j); err != nil {
+		t.Fatal(err)
+	}
+	j.snapshotted = true
+	var names []string
+	for _, h := range c.liveHolders(j) {
+		names = append(names, c.hosts[h].name)
+	}
+	if want := []string{"h1000", "h999"}; fmt.Sprint(names) != fmt.Sprint(want) || !sort.StringsAreSorted(names) {
+		t.Fatalf("holders %v, want %v", names, want)
+	}
+	// h993 shares h999's and h1000's rack: a tie the name order breaks.
+	if from, _ := c.nearestHolder(c.hosts[993], c.liveHolders(j), j.Spec.Footprint); c.hosts[from].name != "h1000" {
+		t.Fatalf("nearest holder to h993 is %s, want h1000", c.hosts[from].name)
+	}
+	c.unassign(j)
+	c.assign(j, c.hosts[5].cards[0])
+	if err := c.swapIn(j, j.cd); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(be.from) != "[h1000]" {
+		t.Fatalf("swap-in onto h005 pulled from %v, want [h1000]", be.from)
 	}
 }
 

@@ -9,6 +9,7 @@ package fleetd
 
 import (
 	"fmt"
+	"slices"
 
 	"snapify/internal/coi"
 	"snapify/internal/core"
@@ -255,6 +256,17 @@ func (b *PlatformBackend) Holders(j *Job) []string {
 		return []string{j.Host}
 	}
 	return nil
+}
+
+// Replicas is Holders as topology indices.
+func (b *PlatformBackend) Replicas(j *Job) []int {
+	var out []int
+	for _, name := range b.Holders(j) {
+		if i := slices.IndexFunc(b.topo, func(t HostTopo) bool { return t.Name == name }); i >= 0 {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // MigrateJob moves the live job from j.Host to dstHost: checkpoint,

@@ -8,7 +8,10 @@ package fleetd
 // drained at 500 ms).
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -64,7 +67,7 @@ func TestSmokeFleetStrandsNoJob(t *testing.T) {
 // resident on its destination before it lands.)
 func TestResidencyFollowsAssignment(t *testing.T) {
 	c := smallFleet(t, 150, 10)
-	for c.events.Len() > 0 {
+	for !noEventsLeft(c) {
 		if err := c.step(); err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +88,7 @@ func TestResidencyFollowsAssignment(t *testing.T) {
 // after every event, then holds the drained run to what Run holds it to.
 func runChecked(t *testing.T, name string, c *Controller) {
 	t.Helper()
-	for c.events.Len() > 0 {
+	for !noEventsLeft(c) {
 		if err := c.step(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -93,7 +96,7 @@ func runChecked(t *testing.T, name string, c *Controller) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	// The heap is empty, so Run only makes its end-of-run checks.
+	// No event is left, so Run only makes its end-of-run checks.
 	if err := c.Run(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -115,24 +118,115 @@ func TestNoStrandingSweep(t *testing.T) {
 	}
 }
 
-// TestBenchShapeNoStranding runs the fleet benchmark's full
+// benchFleet sets up, without running it, the fleet benchmark's full
 // shape — 120 one-card hosts, 2400 jobs, h000 drained at 500 ms — at
-// 200 % over trace seeds 1-20. Run's own end-of-run checks are the
-// oracle: every invariant holds and no job is left unfinished.
-func TestBenchShapeNoStranding(t *testing.T) {
+// oversubscription pct over trace seed.
+func benchFleet(t *testing.T, pct int, seed uint64) *Controller {
+	t.Helper()
 	const cardMem = 256 << 20
+	c := New(Options{OversubPct: pct, QueueDepth: 512},
+		NewModelBackend(ModelOptions{Hosts: 120, CardsPerHost: 1, CardMem: cardMem}), obs.New())
+	if err := c.SubmitTrace(GenerateTrace(TraceConfig{
+		Seed: seed, Jobs: 2400, Tenants: 8, CardMem: cardMem, BurstScale: 10, ThinkScale: 400,
+	})); err != nil {
+		t.Fatal(err)
+	}
+	c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
+	return c
+}
+
+// TestBenchShapeNoStranding runs the bench shape at 200 % over trace
+// seeds 1-20. Run's own end-of-run checks are the oracle: every
+// invariant holds and no job is left unfinished.
+func TestBenchShapeNoStranding(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		c := New(Options{OversubPct: 200, QueueDepth: 512},
-			NewModelBackend(ModelOptions{Hosts: 120, CardsPerHost: 1, CardMem: cardMem}), obs.New())
-		if err := c.SubmitTrace(GenerateTrace(TraceConfig{
-			Seed: seed, Jobs: 2400, Tenants: 8, CardMem: cardMem, BurstScale: 10, ThinkScale: 400,
-		})); err != nil {
-			t.Fatal(err)
-		}
-		c.ScheduleEvacuation(500*ms, "h000", 120000*ms)
-		if err := c.Run(); err != nil {
+		if err := benchFleet(t, 200, seed).Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// decisionDigest runs c dry one event at a time and hashes every
+// handled event — stale ones included — as its virtual time, kind and
+// job, and the job's host, card and state after it.
+func decisionDigest(t *testing.T, c *Controller) string {
+	t.Helper()
+	h := fnv.New64a()
+	var buf []byte
+	for !noEventsLeft(c) {
+		e := *c.events.next()
+		if err := c.step(); err != nil {
+			t.Fatal(err)
+		}
+		buf = binary.AppendVarint(buf[:0], int64(e.at))
+		buf = binary.AppendVarint(buf, int64(e.kind))
+		if j := e.job; j == nil {
+			buf = binary.AppendVarint(buf, 0)
+		} else {
+			buf = binary.AppendVarint(buf, int64(j.ID))
+			buf = append(buf, j.Host...)
+			buf = binary.AppendVarint(buf, int64(j.Card))
+			buf = binary.AppendVarint(buf, int64(j.State))
+		}
+		h.Write(buf)
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestDecisionTracePinned pins every decision of the bench shape, at
+// 200 % (fleet_oversub) and 100 %, over trace seeds 1, 2 and 42 (the
+// bench's own trace): the digests were recorded before the event loop
+// moved from ID, name and seq maps to pointers and topology indices
+// with the arrivals on a cursor. A change meant to leave the placer's
+// behaviour alone must leave them standing.
+func TestDecisionTracePinned(t *testing.T) {
+	for _, tc := range []struct {
+		pct    int
+		seed   uint64
+		digest string
+		events int64
+	}{
+		{200, 1, "49675c493f6e7c9a", 35338},
+		{200, 2, "296e35f9e7219f98", 35066},
+		{200, 42, "686f52611f26118f", 34554},
+		{100, 1, "3042a0cd52a6713b", 19275},
+		{100, 2, "9e8ed1a5401eab40", 19207},
+		{100, 42, "ef1111ffa7327029", 19111},
+	} {
+		c := benchFleet(t, tc.pct, tc.seed)
+		if got := decisionDigest(t, c); got != tc.digest || c.Stats().Events != tc.events {
+			t.Errorf("%d%% seed %d: digest %s over %d events, pinned %s over %d",
+				tc.pct, tc.seed, got, c.Stats().Events, tc.digest, tc.events)
+		}
+	}
+}
+
+// TestRunSteadyStateAllocs is the event loop's allocation gate on the
+// model backend. After a warm-up that grows the heap, the maps and the
+// replica sets, the rest of the bench shape's run allocates only the
+// amortized growth of its latency samples, event heap and maps: about
+// 13 B per event (79 before the loop ran on indices and pointers).
+func TestRunSteadyStateAllocs(t *testing.T) {
+	c := benchFleet(t, 200, 42)
+	if err := c.RunUntil(5000 * ms); err != nil {
+		t.Fatal(err)
+	}
+	warm := c.Stats().Events
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	events := c.Stats().Events - warm
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(events)
+	t.Logf("%d events after %d of warm-up: %.1f B/event", events, warm, perEvent)
+	if perEvent > 24 {
+		t.Errorf("the event loop allocates %.1f B/event, want <= 24", perEvent)
 	}
 }
 

@@ -190,8 +190,9 @@ echo "==> chaos tier (fault-injection sweeps + seed replay, -count=2)"
 # mid-replication (TestChaosFleetKillDuringReplication), and the fleet
 # benchmark's full 120-host shape at 200 % over trace seeds 1-20
 # (TestBenchShapeNoStranding): Run's end-of-run invariant and liveness
-# checks must pass on every seed.
-go test -race -count=2 -run 'TestChaos|TestSeedReplay|TestBenchShapeNoStranding' ./internal/core/ ./internal/snapstore/ ./internal/fleetd/
+# checks must pass on every seed. TestDecisionTracePinned holds every
+# event of that shape, at 200 % and 100 %, to its pinned digest.
+go test -race -count=2 -run 'TestChaos|TestSeedReplay|TestBenchShapeNoStranding|TestDecisionTracePinned' ./internal/core/ ./internal/snapstore/ ./internal/fleetd/
 
 echo "==> cold store capture determinism (-count=50, GOMAXPROCS 1 and 8)"
 # The windowed digest -> negotiate -> ship pass of a cold one-stream store
