@@ -1,7 +1,6 @@
 package coi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -35,21 +34,11 @@ func (cp *Process) CreateBuffer(size int64) (*Buffer, error) {
 	if cmd == nil {
 		return nil, errors.New("coi: command channel not connected")
 	}
-	req := append([]byte{cmdBufferCreate}, binary.BigEndian.AppendUint32(nil, uint32(id))...)
-	req = binary.BigEndian.AppendUint64(req, uint64(size))
-	reply, err := cmd.Request(req)
-	if err != nil {
-		return nil, err
+	var created offsetResp
+	if err := cmd.Request(cmdBufferCreate, &bufferCreateReq{ID: id, Size: size}, &created); err != nil {
+		return nil, fmt.Errorf("coi: buffer create failed: %w", err)
 	}
-	if reply[0] != 0 {
-		return nil, fmt.Errorf("coi: buffer create failed: %s", reply[1:])
-	}
-	b := &Buffer{
-		cp:      cp,
-		id:      id,
-		size:    size,
-		rdmaOff: int64(binary.BigEndian.Uint64(reply[1:])),
-	}
+	b := &Buffer{cp: cp, id: id, size: size, rdmaOff: created.Offset}
 	cp.mu.Lock()
 	cp.buffers[id] = b
 	cp.mu.Unlock()
@@ -69,12 +58,8 @@ func (b *Buffer) Destroy() error {
 	if cmd == nil {
 		return errors.New("coi: command channel not connected")
 	}
-	reply, err := cmd.Request(append([]byte{cmdBufferDestroy}, binary.BigEndian.AppendUint32(nil, uint32(b.id))...))
-	if err != nil {
-		return err
-	}
-	if reply[0] != 0 {
-		return fmt.Errorf("coi: buffer destroy failed: %s", reply[1:])
+	if err := cmd.Request(cmdBufferDestroy, &IDReq{b.id}, &Empty{}); err != nil {
+		return fmt.Errorf("coi: buffer destroy failed: %w", err)
 	}
 	cp.mu.Lock()
 	delete(cp.buffers, b.id)

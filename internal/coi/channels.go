@@ -21,14 +21,6 @@ import (
 // carries.
 var CommandChannelNames = []string{"command", "event", "log"}
 
-// Wire opcodes on command channels.
-const (
-	cmdRequest     uint8 = 1
-	cmdReply       uint8 = 2
-	cmdShutdown    uint8 = 3 // Snapify's marker: no more commands until resume
-	cmdShutdownAck uint8 = 4
-)
-
 // ErrChannelDown is returned when a command channel's connection is gone.
 var ErrChannelDown = errors.New("coi: command channel disconnected")
 
@@ -60,29 +52,26 @@ func newClientChan(name string, ep *scif.Endpoint, tl *simclock.Timeline, hooks 
 	}
 }
 
-// Request sends one command and waits for the server's reply.
-func (c *ClientChan) Request(payload []byte) ([]byte, error) {
+// Request sends command op with req's fields and decodes the server's
+// reply into resp; a failure the server reported is a remoteError.
+func (c *ClientChan) Request(op uint8, req, resp Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reqCtr.Inc()
 	if c.hooks {
 		c.tl.Advance(c.hookCost)
 	}
-	msg := append([]byte{cmdRequest}, payload...)
-	d, err := c.ep.Send(msg) // blocking under the lock is intended (Section 4.1 case 3): the channel lock IS the pause lock; a request holds it across the round-trip
+	d, err := c.ep.Send(encodeCommand(op, req)) // blocking under the lock is intended (Section 4.1 case 3): the channel lock IS the pause lock; a request holds it across the round-trip
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
+		return fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
 	c.tl.Advance(d)
 	raw, rd, err := c.ep.Recv() // blocking under the lock is intended (Section 4.1 case 3): the reply completes inside the same critical region the pause will take
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
+		return fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
 	c.tl.Advance(rd)
-	if raw[0] != cmdReply {
-		return nil, fmt.Errorf("coi: %s: unexpected opcode %d", c.name, raw[0])
-	}
-	return raw[1:], nil
+	return decodeReply(raw, cmdReply, resp)
 }
 
 // PauseLock acquires the channel lock on behalf of Snapify's pause and
@@ -91,7 +80,7 @@ func (c *ClientChan) Request(payload []byte) ([]byte, error) {
 func (c *ClientChan) PauseLock() (simclock.Duration, error) {
 	c.mu.Lock() // released by ResumeUnlock
 	var total simclock.Duration
-	d, err := c.ep.Send([]byte{cmdShutdown}) // blocking under the lock is intended (Section 4.1): PauseLock drains the channel under the lock it keeps holding until resume
+	d, err := c.ep.Send(encodeMsg(cmdShutdown, &Empty{})) // blocking under the lock is intended (Section 4.1): PauseLock drains the channel under the lock it keeps holding until resume
 	if err != nil {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
@@ -103,9 +92,9 @@ func (c *ClientChan) PauseLock() (simclock.Duration, error) {
 		return 0, fmt.Errorf("%w: %s: %v", ErrChannelDown, c.name, err)
 	}
 	total += rd
-	if raw[0] != cmdShutdownAck {
+	if err := decodeMsg(raw, cmdShutdownAck, &Empty{}); err != nil {
 		c.mu.Unlock()
-		return 0, fmt.Errorf("coi: %s: expected shutdown ack, got opcode %d", c.name, raw[0])
+		return 0, fmt.Errorf("coi: %s: shutdown ack: %w", c.name, err)
 	}
 	c.drainCtr.Inc()
 	return total, nil
@@ -129,26 +118,29 @@ func (c *ClientChan) Endpoint() *scif.Endpoint { return c.ep }
 func (c *ClientChan) replaceEndpoint(ep *scif.Endpoint) { c.ep = ep }
 
 // serveCommandChannel is the device-side server thread: sequential service,
-// one reply per request, shutdown markers acknowledged in order.
-func serveCommandChannel(ep *scif.Endpoint, handle func(req []byte) []byte) {
+// one reply per request, shutdown markers acknowledged in order. A frame
+// that does not decode is answered with a malformed-command error reply,
+// and the channel keeps serving.
+func serveCommandChannel(ep *scif.Endpoint, handle func(op uint8, req Message) (Message, error)) {
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {
 			return // connection torn down (swap-out, destroy)
 		}
-		switch raw[0] {
-		case cmdRequest:
-			reply := handle(raw[1:])
-			if _, err := ep.Send(append([]byte{cmdReply}, reply...)); err != nil {
-				return
-			}
-		case cmdShutdown:
+		var reply []byte
+		if decodeMsg(raw, cmdShutdown, &Empty{}) == nil {
 			// Everything sent before the marker has been consumed; the
 			// client holds its lock, so nothing follows until resume.
-			if _, err := ep.Send([]byte{cmdShutdownAck}); err != nil {
-				return
+			reply = encodeMsg(cmdShutdownAck, &Empty{})
+		} else {
+			op, req, err := decodeCommand(raw)
+			var resp Message = &Empty{}
+			if err == nil {
+				resp, err = handle(op, req)
 			}
-		default:
+			reply = encodeReply(cmdReply, resp, err)
+		}
+		if _, err := ep.Send(reply); err != nil {
 			return
 		}
 	}

@@ -622,8 +622,8 @@ func TestControlRegionClearWhenResultArrives(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		runCount(t, pl, 2)
-		if st := op.readCtrl(); st.Active {
-			t.Fatalf("call %d: control region reads active (seq %d) after RunFunction returned", i, st.Seq)
+		if st, err := op.readCtrl(); err != nil || st.Active {
+			t.Fatalf("call %d: control region reads active (seq %d, err %v) after RunFunction returned", i, st.Seq, err)
 		}
 	}
 }
@@ -692,8 +692,8 @@ func TestCommandChannelsServeTraffic(t *testing.T) {
 			wg.Add(1)
 			go func(c *ClientChan) {
 				defer wg.Done()
-				if reply, err := c.Request([]byte{cmdPing}); err != nil || len(reply) == 0 || reply[0] != 0 {
-					t.Errorf("ping on %s: reply %v, err %v", c.name, reply, err)
+				if err := c.Request(cmdPing, &Empty{}, &Empty{}); err != nil {
+					t.Errorf("ping on %s: %v", c.name, err)
 				}
 			}(c)
 		}
@@ -706,8 +706,8 @@ func TestCommandChannelsServeTraffic(t *testing.T) {
 		t.Errorf("queued bytes after ping traffic: %d", n)
 	}
 	snapResume(t, cp)
-	if reply, err := cp.Command("log").Request([]byte{cmdPing}); err != nil || len(reply) == 0 || reply[0] != 0 {
-		t.Errorf("ping after resume: reply %v, err %v", reply, err)
+	if err := cp.Command("log").Request(cmdPing, &Empty{}, &Empty{}); err != nil {
+		t.Errorf("ping after resume: %v", err)
 	}
 }
 

@@ -42,6 +42,6 @@ func daemonRequest(plat *platform.Platform, device simnet.NodeID, op uint8, req,
 		return err
 	}
 	defer ep.Close() //nolint:errcheck // one-shot request endpoint: the reply already arrived or err reports the failure
-	_, err = roundTrip(ep, op, req, resp, what)
+	_, err = roundTrip(ep, encodeMsg(op, req), op+1, resp, what)
 	return err
 }

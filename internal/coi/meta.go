@@ -1,14 +1,13 @@
 package coi
 
 import (
-	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"snapify/internal/platform"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
+	"snapify/internal/wire"
 )
 
 // HandleMeta is the host-side COI library state that must survive a
@@ -53,58 +52,14 @@ func (cp *Process) ExportMeta() HandleMeta {
 }
 
 // Encode serializes the metadata.
-func (m HandleMeta) Encode() []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.BinaryName)))
-	b = append(b, m.BinaryName...)
-	b = binary.BigEndian.AppendUint32(b, uint32(m.DevNode))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Buffers)))
-	for _, bm := range m.Buffers {
-		b = binary.BigEndian.AppendUint32(b, uint32(bm.ID))
-		b = binary.BigEndian.AppendUint64(b, uint64(bm.Size))
-		b = binary.BigEndian.AppendUint64(b, uint64(bm.Addr))
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Pipelines)))
-	for _, id := range m.Pipelines {
-		b = binary.BigEndian.AppendUint32(b, id)
-	}
-	return b
-}
+func (m HandleMeta) Encode() []byte { return encode(wire.Encoder(), &m) }
 
 // DecodeHandleMeta parses an encoded HandleMeta; bytes past its end are
 // an error.
-func DecodeHandleMeta(b []byte) (m HandleMeta, err error) {
-	defer func() {
-		if recover() != nil {
-			err = fmt.Errorf("coi: truncated handle metadata")
-		}
-	}()
-	if len(b) < 4 {
-		return m, fmt.Errorf("coi: truncated handle metadata")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	m.BinaryName = string(b[4 : 4+n])
-	b = b[4+n:]
-	m.DevNode = simnet.NodeID(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	nb := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < nb; i++ {
-		m.Buffers = append(m.Buffers, BufferMeta{
-			ID:   int(binary.BigEndian.Uint32(b)),
-			Size: int64(binary.BigEndian.Uint64(b[4:])),
-			Addr: int64(binary.BigEndian.Uint64(b[12:])),
-		})
-		b = b[20:]
-	}
-	np := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	for i := 0; i < np; i++ {
-		m.Pipelines = append(m.Pipelines, binary.BigEndian.Uint32(b))
-		b = b[4:]
-	}
-	if len(b) != 0 {
-		return HandleMeta{}, fmt.Errorf("coi: %d bytes past the end of the handle metadata", len(b))
+func DecodeHandleMeta(b []byte) (HandleMeta, error) {
+	var m HandleMeta
+	if err := decode(new(wire.Cursor), b, "handle metadata", &m); err != nil {
+		return HandleMeta{}, err
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package coi
 
 import (
+	"errors"
 	"fmt"
 
 	"snapify/internal/blcr"
@@ -10,10 +11,12 @@ import (
 )
 
 // This file is the COI/Snapify control protocol: every message the host,
-// the COI daemon and the offload process's Snapify agent exchange on the
-// lifecycle channel and the agent pipe is a struct plus the one field list
-// that both encodes and decodes it. internal/core fills a struct and reads
-// a struct; the daemon decodes a request once and forwards its agent half;
+// the COI daemon and the offload process exchange — on the lifecycle
+// channel, the agent pipe, the command channels and the run-function
+// pipelines — and the two records that outlive a message (the control
+// record and HandleMeta) is a struct plus the one field list that both
+// encodes and decodes it. internal/core fills a struct and reads a
+// struct; the daemon decodes a request once and forwards its agent half;
 // the agent takes the struct. Nothing outside this file knows a byte
 // offset. DESIGN.md §3 tabulates the layouts.
 
@@ -66,6 +69,35 @@ const (
 	pipeResumeDone
 	pipePresaveReq
 	pipePresaveDone
+)
+
+// Command-channel frames: every message on a command, event or log
+// channel starts with one. A request frame carries one of the requests
+// below (its opcode, then its fields) and is answered by a reply frame
+// (cmdReply, then the one reply shape); the shutdown marker and its ack
+// are bare.
+const (
+	cmdRequest     uint8 = 1
+	cmdReply       uint8 = 2
+	cmdShutdown    uint8 = 3 // Snapify's marker: no more commands until resume
+	cmdShutdownAck uint8 = 4
+)
+
+// Command-channel requests. cmdBufferReregister is the restore path's: it
+// re-registers a buffer's region on the new DMA channel (Section 4.3).
+const (
+	cmdPing uint8 = iota + 10
+	cmdBufferCreate
+	cmdBufferDestroy
+	cmdPipelineCreate
+	cmdBufferReregister uint8 = 20
+)
+
+// Run-function pipeline opcodes: the host's run request and the offload
+// process's result.
+const (
+	plRun  uint8 = 1
+	plDone uint8 = 2
 )
 
 // Message is one control message. Only this file defines them.
@@ -382,8 +414,21 @@ func (m *StageResp) fields(c *wire.Cursor) {
 	wire.U64(c, &m.StagedBytes)
 }
 
-// portResp and offsetResp are the two command-channel replies process.go
-// and the post-restore rebind read (offload.go composes them).
+// bufferCreateReq allocates buffer ID, Size bytes of local store; the
+// reply is an offsetResp.
+type bufferCreateReq struct {
+	ID   int
+	Size int64
+}
+
+func (m *bufferCreateReq) fields(c *wire.Cursor) {
+	wire.U32(c, &m.ID)
+	wire.U64(c, &m.Size)
+}
+
+// portResp answers a pipeline create with its run-function channel's
+// port; offsetResp answers a buffer create or re-registration with the
+// buffer's RDMA offset.
 type portResp struct{ Port int }
 
 func (m *portResp) fields(c *wire.Cursor) { wire.U32(c, &m.Port) }
@@ -391,6 +436,68 @@ func (m *portResp) fields(c *wire.Cursor) { wire.U32(c, &m.Port) }
 type offsetResp struct{ Offset int64 }
 
 func (m *offsetResp) fields(c *wire.Cursor) { wire.U64(c, &m.Offset) }
+
+// runReq asks a pipeline's server thread to run Func on Args; Seq numbers
+// the pipeline's calls. Args runs to the end of the message.
+type runReq struct {
+	Seq  uint64
+	Func string
+	Args []byte
+}
+
+func (m *runReq) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Seq)
+	wire.Str32(c, &m.Func)
+	wire.Rest(c, &m.Args)
+}
+
+// runDone returns call Seq's result. Compute is the offload compute time
+// the host's timeline advances by; Result runs to the end of the message
+// and is the error text when Failed.
+type runDone struct {
+	Seq     uint64
+	Failed  bool
+	Compute simclock.Duration
+	Result  []byte
+}
+
+func (m *runDone) fields(c *wire.Cursor) {
+	wire.U64(c, &m.Seq)
+	wire.Bool(c, &m.Failed)
+	wire.U64(c, &m.Compute)
+	wire.Rest(c, &m.Result)
+}
+
+// ctrlState is the control record at the front of the offload process's
+// control region: the offload function in flight, if Active. Clearing it
+// rewrites only the record's own bytes, so what follows a short record
+// is stale; decodeCtrl reads from the front.
+type ctrlState struct {
+	Active     bool
+	PipelineID uint32
+	Seq        uint64
+	Func       string
+	Args       []byte
+}
+
+func (m *ctrlState) fields(c *wire.Cursor) {
+	wire.Bool(c, &m.Active)
+	wire.U32(c, &m.PipelineID)
+	wire.U64(c, &m.Seq)
+	wire.Str32(c, &m.Func)
+	wire.Str32(c, &m.Args)
+}
+
+func (m *HandleMeta) fields(c *wire.Cursor) {
+	wire.Str32(c, &m.BinaryName)
+	wire.U32(c, &m.DevNode)
+	wire.List(c, wire.U32[int], &m.Buffers, func(c *wire.Cursor, b *BufferMeta) {
+		wire.U32(c, &b.ID)
+		wire.U64(c, &b.Size)
+		wire.U64(c, &b.Addr)
+	})
+	wire.List(c, wire.U32[int], &m.Pipelines, wire.U32[uint32])
+}
 
 // requestTable maps request opcodes to their name in diagnostics and
 // their message type.
@@ -422,11 +529,20 @@ var (
 		pipeResumeReq:  {"agent resume", func() Message { return new(Empty) }},
 		pipePresaveReq: {"agent presave", func() Message { return new(PresaveArgs) }},
 	}
+	// commandRequests is what an offload process's command-channel server
+	// threads serve inside a request frame.
+	commandRequests = requestTable{
+		cmdPing:             {"ping", func() Message { return new(Empty) }},
+		cmdBufferCreate:     {"buffer-create", func() Message { return new(bufferCreateReq) }},
+		cmdBufferDestroy:    {"buffer-destroy", func() Message { return new(IDReq) }},
+		cmdPipelineCreate:   {"pipeline-create", func() Message { return new(IDReq) }},
+		cmdBufferReregister: {"buffer-reregister", func() Message { return new(IDReq) }},
+	}
 )
 
 // MalformedError rejects bytes that are not the message they should be:
 // too short for its fields, bytes left over, a boolean that is neither 0
-// nor 1, an opcode nobody serves.
+// nor 1, an opcode or a frame nobody serves.
 type MalformedError struct {
 	What string // "capture request", "restore reply", ...
 	Err  error
@@ -458,13 +574,23 @@ func (r *reply) fields(c *wire.Cursor) {
 	}
 }
 
-// encodeMsg returns op followed by m's fields.
-func encodeMsg(op uint8, m Message) []byte {
-	c := wire.Encoder()
-	wire.U8(c, &op)
+// encode returns the opcodes ops, then m's fields, built on a reused
+// encoder: the bytes are good until c's next Reset. A record has no
+// opcode.
+func encode(c *wire.Cursor, m Message, ops ...uint8) []byte {
+	c.Reset()
+	for i := range ops {
+		wire.U8(c, &ops[i])
+	}
 	m.fields(c)
 	return c.Bytes()
 }
+
+// encodeMsg returns op followed by m's fields.
+func encodeMsg(op uint8, m Message) []byte { return encode(wire.Encoder(), m, op) }
+
+// encodeCommand returns the request frame carrying op and m's fields.
+func encodeCommand(op uint8, m Message) []byte { return encode(wire.Encoder(), m, cmdRequest, op) }
 
 // encodeReply returns the reply with opcode op: body on success, err's
 // text on failure.
@@ -475,10 +601,17 @@ func encodeReply(op uint8, body Message, err error) []byte {
 	return encodeMsg(op, &reply{body: body})
 }
 
-// decodeFields runs m's field list over raw; what names the message in
-// the rejection.
-func decodeFields(raw []byte, what string, m Message) error {
-	c := wire.Decoder(raw)
+// decode runs m's field list over raw, after the opcodes ops, on a reused
+// cursor c; what names the message in the rejection.
+func decode(c *wire.Cursor, raw []byte, what string, m Message, ops ...uint8) error {
+	c.Load(raw)
+	for _, want := range ops {
+		var op uint8
+		wire.U8(c, &op)
+		if _, err := c.Prefix(); err == nil && op != want {
+			return &MalformedError{what, fmt.Errorf("opcode %d, want %d", op, want)}
+		}
+	}
 	m.fields(c)
 	if err := c.Err(); err != nil {
 		return &MalformedError{what, err}
@@ -499,23 +632,29 @@ func (t requestTable) decode(raw []byte) (op uint8, m Message, err error) {
 		return op, nil, &MalformedError{"request", fmt.Errorf("unknown opcode %d", op)}
 	}
 	m = r.new()
-	return op, m, decodeFields(raw[1:], r.name+" request", m)
+	return op, m, decode(new(wire.Cursor), raw[1:], r.name+" request", m)
+}
+
+// decodeCommand is a command channel's request decoder: a request frame,
+// then the request commandRequests names.
+func decodeCommand(raw []byte) (op uint8, m Message, err error) {
+	if len(raw) == 0 || raw[0] != cmdRequest {
+		return 0, nil, &MalformedError{"command", errors.New("not a request frame")}
+	}
+	return commandRequests.decode(raw[1:])
 }
 
 // decodeMsg decodes a message that must carry opcode want.
 func decodeMsg(raw []byte, want uint8, m Message) error {
-	if len(raw) == 0 || raw[0] != want {
-		return fmt.Errorf("coi: protocol error: want opcode %d", want)
-	}
-	return decodeFields(raw[1:], fmt.Sprintf("opcode-%d message", want), m)
+	return decode(new(wire.Cursor), raw, fmt.Sprintf("opcode-%d message", want), m, want)
 }
 
-// decodeStatus decodes what follows a reply's opcode — the status byte,
-// then the body or the error text; a failure the peer reported comes back
-// as a remoteError.
-func decodeStatus(raw []byte, what string, body Message) error {
+// decodeReply decodes the reply that must carry opcode want — the status
+// byte, then body's fields or the error text; a failure the peer reported
+// comes back as a remoteError.
+func decodeReply(raw []byte, want uint8, body Message) error {
 	r := &reply{body: body}
-	if err := decodeFields(raw, what, r); err != nil {
+	if err := decode(new(wire.Cursor), raw, fmt.Sprintf("opcode-%d reply", want), r, want); err != nil {
 		return err
 	}
 	if r.failed {
@@ -524,10 +663,22 @@ func decodeStatus(raw []byte, what string, body Message) error {
 	return nil
 }
 
-// decodeReply decodes the reply that must carry opcode want into body.
-func decodeReply(raw []byte, want uint8, body Message) error {
-	if len(raw) == 0 || raw[0] != want {
-		return fmt.Errorf("coi: protocol error: want opcode %d", want)
+// encodeCtrl is encode for the control record, which every offload call
+// writes twice: called on the concrete type, st stays off the heap.
+func encodeCtrl(c *wire.Cursor, st *ctrlState) []byte {
+	c.Reset()
+	st.fields(c)
+	return c.Bytes()
+}
+
+// decodeCtrl decodes the control record at the front of region, the
+// control region's bytes, into st and returns the record's length.
+func decodeCtrl(region []byte, st *ctrlState) (int, error) {
+	c := wire.Decoder(region)
+	st.fields(c)
+	n, err := c.Prefix()
+	if err != nil {
+		err = &MalformedError{"control record", err}
 	}
-	return decodeStatus(raw[1:], fmt.Sprintf("opcode-%d reply", want), body)
+	return n, err
 }

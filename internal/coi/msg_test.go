@@ -12,6 +12,7 @@ import (
 	"snapify/internal/blcr"
 	"snapify/internal/scif"
 	"snapify/internal/simnet"
+	"snapify/internal/wire"
 )
 
 // The control protocol's byte layouts are pinned by hex captured from the
@@ -20,15 +21,23 @@ import (
 // these field values); capture and pipe_capture lost their parent field
 // once the store held whole images only, and they and restore lost the
 // retry backoff once it became a constant; the pre-save messages are
-// pinned at their first encoding. Every SCIF send charges virtual
-// time by message length, so identical bytes is what keeps every virtual
-// number identical.
+// pinned at their first encoding. The command-channel, pipeline,
+// control-record and HandleMeta entries were captured from the hand-rolled
+// encoders of channels.go, buffer.go, offload.go, pipeline.go and meta.go
+// (device replies from a live handleCommand, the control record read back
+// out of a live control region) before those layouts moved into this
+// file's field lists. Every SCIF send charges virtual time by message
+// length and the records are image bytes, so identical bytes is what
+// keeps every virtual number identical.
 
 // How a golden message is framed.
 const (
 	asRequest = iota // op | fields, decoded through a request table
 	asReply          // op | 0 | fields, or op | 1 | error text
-	asBare           // op alone: the agent's pause ack and resume done
+	asBare           // op | fields, decoded for that one opcode
+	asCommand        // cmdRequest | op | fields, a command-channel request
+	asRecord         // fields alone: HandleMeta, through DecodeHandleMeta
+	asRegion         // fields alone, read from the front of a region: the control record
 )
 
 var goldenMessages = []struct {
@@ -150,6 +159,63 @@ var goldenMessages = []struct {
 	{"pipe_presave_done_err", asReply, pipePresaveDone, "stream reset",
 		"270173747265616d207265736574",
 		&DrainResp{}},
+	{"cmd_ping", asCommand, cmdPing, "",
+		"010a",
+		&Empty{}},
+	{"cmd_ping_reply", asReply, cmdReply, "",
+		"0200",
+		&Empty{}},
+	{"cmd_buffer_create", asCommand, cmdBufferCreate, "",
+		"010b000000030000000000100000",
+		&bufferCreateReq{ID: 3, Size: 1 << 20}},
+	{"cmd_buffer_create_reply", asReply, cmdReply, "",
+		"02000000000010001000",
+		&offsetResp{0x10001000}},
+	{"cmd_buffer_destroy", asCommand, cmdBufferDestroy, "",
+		"010c00000003",
+		&IDReq{3}},
+	{"cmd_buffer_destroy_reply", asReply, cmdReply, "",
+		"0200",
+		&Empty{}},
+	{"cmd_buffer_destroy_reply_err", asReply, cmdReply, "coi: no buffer 9",
+		"0201636f693a206e6f206275666665722039",
+		&Empty{}},
+	{"cmd_pipeline_create", asCommand, cmdPipelineCreate, "",
+		"010d00000002",
+		&IDReq{2}},
+	{"cmd_pipeline_create_reply", asReply, cmdReply, "",
+		"020000010009",
+		&portResp{0x10009}},
+	{"cmd_buffer_reregister", asCommand, cmdBufferReregister, "",
+		"011400000003",
+		&IDReq{3}},
+	{"cmd_buffer_reregister_reply", asReply, cmdReply, "",
+		"02000000000010102000",
+		&offsetResp{0x10102000}},
+	{"cmd_shutdown", asBare, cmdShutdown, "",
+		"03",
+		&Empty{}},
+	{"cmd_shutdown_ack", asBare, cmdShutdownAck, "",
+		"04",
+		&Empty{}},
+	{"pipeline_run", asBare, plRun, "",
+		"01000000000000000500000005636f756e74000000000000000a",
+		&runReq{Seq: 5, Func: "count", Args: []byte{0, 0, 0, 0, 0, 0, 0, 10}}},
+	{"pipeline_done", asBare, plDone, "",
+		"020000000000000005000000000000001194000000000000002d",
+		&runDone{Seq: 5, Compute: 4500, Result: []byte{0, 0, 0, 0, 0, 0, 0, 45}}},
+	{"pipeline_done_failed", asBare, plDone, "",
+		"0200000000000000050100000000000004b0636f693a206e6f206f66666c6f61642066756e6374696f6e20226e6f706522",
+		&runDone{Seq: 5, Failed: true, Compute: 1200, Result: []byte(`coi: no offload function "nope"`)}},
+	{"ctrl_active", asRegion, 0, "",
+		"0100000002000000000000000500000005636f756e7400000008000000000000000a",
+		&ctrlState{Active: true, PipelineID: 2, Seq: 5, Func: "count", Args: []byte{0, 0, 0, 0, 0, 0, 0, 10}}},
+	{"ctrl_cleared", asRegion, 0, "",
+		"000000000000000000000000000000000000000000",
+		&ctrlState{Args: []byte{}}},
+	{"handle_meta", asRecord, 0, "",
+		"000000076170705f62696e000000020000000200000000000000000010000000000000000100000000000300000000000010000000000000200000000000020000000100000002",
+		&HandleMeta{BinaryName: "app_bin", DevNode: 2, Buffers: []BufferMeta{{ID: 0, Size: 1 << 20, Addr: 0x10000}, {ID: 3, Size: 4096, Addr: 0x200000}}, Pipelines: []uint32{1, 2}}},
 }
 
 func goldenBytes(t testing.TB, h string) []byte {
@@ -172,15 +238,15 @@ func TestGoldenWireBytes(t *testing.T) {
 	for _, g := range goldenMessages {
 		t.Run(g.name, func(t *testing.T) {
 			want := goldenBytes(t, g.hex)
-			// decode runs the same decoder production uses for this framing
+			// parse runs the same decoder production uses for this framing
 			// into a fresh message.
 			fresh := reflect.New(reflect.TypeOf(g.msg).Elem()).Interface().(Message)
 			var got []byte
-			var decode func(raw []byte) error
+			var parse func(raw []byte) error
 			switch g.framing {
 			case asRequest:
 				got = encodeMsg(g.op, g.msg)
-				decode = func(raw []byte) error {
+				parse = func(raw []byte) error {
 					var err error
 					_, fresh, err = tableFor(g.op).decode(raw)
 					return err
@@ -191,15 +257,34 @@ func TestGoldenWireBytes(t *testing.T) {
 					failure = errors.New(g.errText)
 				}
 				got = encodeReply(g.op, g.msg, failure)
-				decode = func(raw []byte) error { return decodeReply(raw, g.op, fresh) }
+				parse = func(raw []byte) error { return decodeReply(raw, g.op, fresh) }
 			case asBare:
 				got = encodeMsg(g.op, g.msg)
-				decode = func(raw []byte) error { return decodeMsg(raw, g.op, fresh) }
+				parse = func(raw []byte) error { return decodeMsg(raw, g.op, fresh) }
+			case asCommand:
+				got = encodeCommand(g.op, g.msg)
+				parse = func(raw []byte) error {
+					var err error
+					_, fresh, err = decodeCommand(raw)
+					return err
+				}
+			case asRecord:
+				got = encode(wire.Encoder(), g.msg)
+				parse = func(raw []byte) (err error) {
+					*fresh.(*HandleMeta), err = DecodeHandleMeta(raw)
+					return err
+				}
+			case asRegion:
+				got = encodeCtrl(wire.Encoder(), g.msg.(*ctrlState))
+				parse = func(raw []byte) error {
+					_, err := decodeCtrl(raw, fresh.(*ctrlState))
+					return err
+				}
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("layout changed:\n got %x\nwant %x", got, want)
 			}
-			err := decode(want)
+			err := parse(want)
 			if g.errText != "" {
 				if re, ok := err.(remoteError); !ok || string(re) != g.errText {
 					t.Fatalf("decoded failure = %v, want remote error %q", err, g.errText)
@@ -210,14 +295,27 @@ func TestGoldenWireBytes(t *testing.T) {
 				t.Fatalf("decode(encode(m)):\n got %+v\nwant %+v", fresh, g.msg)
 			}
 			// No prefix of a message decodes as a message (a failure reply's
-			// prefix is a failure reply with a shorter text: still an error).
-			for k := 0; k < len(want); k++ {
-				if err := decode(want[:k]); err == nil {
+			// prefix is a failure reply with a shorter text: still an error),
+			// short of cutting into a field that runs to the end.
+			for k := 0; k < len(want)-openTail(g.msg); k++ {
+				if err := parse(want[:k]); err == nil {
 					t.Fatalf("prefix %d of %d decoded cleanly", k, len(want))
 				}
 			}
 		})
 	}
+}
+
+// openTail is the length of m's last field when that field runs to the
+// end of the message: any cut inside it is still a message.
+func openTail(m Message) int {
+	switch m := m.(type) {
+	case *runReq:
+		return len(m.Args)
+	case *runDone:
+		return len(m.Result)
+	}
+	return 0
 }
 
 // TestTruncatedRequestsGetErrorReplies is the bugfix's fail-before test:
@@ -290,5 +388,135 @@ func FuzzControlDecode(f *testing.F) {
 				t.Fatalf("accepted input re-encodes differently:\n  in %x\n out %x", data, again)
 			}
 		}
+	})
+}
+
+// TestTruncatedCommandsGetErrorReplies is TestTruncatedRequestsGetErrorReplies
+// for the command channel: every golden command request cut at every
+// length 0..n-1 is answered with a malformed-command error reply (while
+// the card parsed requests at fixed offsets, the empty frame and a bare
+// buffer-create opcode panicked the channel's server thread, and with it
+// the simulator), and the same channel then serves a valid request.
+func TestTruncatedCommandsGetErrorReplies(t *testing.T) {
+	RegisterBinary(counterBinary("app_trunc_cmd"))
+	e := newEnv(t, 1)
+	cp := e.create(t, "app_trunc_cmd", 1)
+	ep := cp.Command("command").Endpoint()
+	for _, g := range goldenMessages {
+		if g.framing != asCommand {
+			continue
+		}
+		full := goldenBytes(t, g.hex)
+		for k := 0; k < len(full); k++ {
+			want := "coi: malformed " + commandRequests[g.op].name + " request: "
+			switch k {
+			case 0:
+				want = "coi: malformed command: "
+			case 1:
+				want = "coi: malformed request: "
+			}
+			if _, err := ep.Send(full[:k]); err != nil {
+				t.Fatal(err)
+			}
+			raw, _, err := ep.Recv()
+			if err != nil {
+				t.Fatalf("%s cut to %d of %d bytes: the server hung up: %v", g.name, k, len(full), err)
+			}
+			err = decodeReply(raw, cmdReply, &Empty{})
+			if re, ok := err.(remoteError); !ok || !strings.HasPrefix(string(re), want) {
+				t.Fatalf("%s cut to %d of %d bytes: reply %v, want error %q...", g.name, k, len(full), err, want)
+			}
+		}
+		if err := cp.Command("command").Request(cmdPing, &Empty{}, &Empty{}); err != nil {
+			t.Fatalf("valid request after the truncated %s requests: %v", g.name, err)
+		}
+	}
+}
+
+// TestShortPipelineMessages: a message on a run-function channel that is
+// not the one its reader expects never panics the reader. The host's
+// receiver drops it and keeps delivering results; the offload process's
+// server thread drops the channel.
+func TestShortPipelineMessages(t *testing.T) {
+	RegisterBinary(counterBinary("app_short_pl"))
+	e := newEnv(t, 1)
+	cp := e.create(t, "app_short_pl", 1)
+	defer cp.Destroy()
+	op, err := DaemonAt(e.plat, 1).Lookup(cp.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := [][]byte{{}, {plDone}, {plDone, 0, 0, 0}, {plRun}, {plRun, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 9, 'x'},
+		goldenBytes(t, "0200000000000000050200000000000004b0")} // status byte 2
+
+	pl, err := cp.CreatePipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	device := op.awaitPipeline(pl.id).ep
+	for _, m := range junk {
+		if _, err := device.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := runCount(t, pl, 5); got != sumTo(5) {
+		t.Fatalf("after junk results the call returned %d, want %d", got, sumTo(5))
+	}
+
+	for _, m := range junk[:5] {
+		pl, err := cp.CreatePipeline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := pl.endpoint()
+		if _, err := host.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, _, _, err := host.TryRecv(); err != nil {
+				break // the server thread dropped the channel
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run request %x: the channel is still up", m)
+			}
+		}
+	}
+	if got := runCount(t, pl, 8); got != sumTo(8) {
+		t.Fatalf("the first pipeline after the dropped ones returned %d, want %d", got, sumTo(8))
+	}
+}
+
+// FuzzChannelDecode holds the command channel's request decoder, the
+// pipeline's run and result decoders and the control record's to
+// FuzzControlDecode's properties: no input panics, every rejection is a
+// *MalformedError, and an accepted input re-encodes to itself (the
+// control record: to the bytes it took from the front). Seeds: the golden
+// messages.
+func FuzzChannelDecode(f *testing.F) {
+	for _, g := range goldenMessages {
+		f.Add(goldenBytes(f, g.hex))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check := func(what string, err error, encode func() []byte, in []byte) {
+			t.Helper()
+			if err != nil {
+				var bad *MalformedError
+				if !errors.As(err, &bad) {
+					t.Fatalf("%s: rejected with %v, want *MalformedError", what, err)
+				}
+				return
+			}
+			if again := encode(); !bytes.Equal(again, in) {
+				t.Fatalf("%s: accepted input re-encodes differently:\n  in %x\n out %x", what, in, again)
+			}
+		}
+		op, m, err := decodeCommand(data)
+		check("command", err, func() []byte { return encodeCommand(op, m) }, data)
+		run, done := new(runReq), new(runDone)
+		check("run request", decodeMsg(data, plRun, run), func() []byte { return encodeMsg(plRun, run) }, data)
+		check("run result", decodeMsg(data, plDone, done), func() []byte { return encodeMsg(plDone, done) }, data)
+		var st ctrlState
+		n, err := decodeCtrl(data, &st)
+		check("control record", err, func() []byte { return encodeCtrl(wire.Encoder(), &st) }, data[:n])
 	})
 }

@@ -1,7 +1,6 @@
 package coi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -13,6 +12,7 @@ import (
 	"snapify/internal/simnet"
 	"snapify/internal/snapifyio"
 	"snapify/internal/stream"
+	"snapify/internal/wire"
 )
 
 // Control-region layout. The server thread records the active offload
@@ -163,7 +163,7 @@ func (op *OffloadProc) listenChannels() error {
 			op.cmdEPs[name] = ep
 			op.mu.Unlock()
 			op.p.SpawnThread("server_"+name, func() { //nolint:errcheck // the process died mid-setup; the pending Accept fails and tears the channel down
-				serveCommandChannel(ep, func(req []byte) []byte { return op.handleCommand(name, req) })
+				serveCommandChannel(ep, op.handleCommand)
 			})
 		}); err != nil {
 			return err
@@ -218,58 +218,27 @@ func (op *OffloadProc) ChannelPorts() []ChannelPort {
 	return out
 }
 
-// handleCommand serves one request on a command channel. The command
-// channel carries buffer management; event and log channels answer pings
-// (their traffic exists so the drain protocol has real channels to prove
-// empty).
-func (op *OffloadProc) handleCommand(channel string, req []byte) []byte {
-	if len(req) == 0 {
-		return []byte{1}
-	}
-	switch req[0] {
-	case cmdPing:
-		return []byte{0}
+// handleCommand serves one decoded request on a command channel. The
+// command channel carries buffer management; event and log channels answer
+// pings (their traffic exists so the drain protocol has real channels to
+// prove empty).
+func (op *OffloadProc) handleCommand(cmd uint8, req Message) (Message, error) {
+	switch cmd {
 	case cmdBufferCreate:
-		// id u32 | size u64
-		id := int(binary.BigEndian.Uint32(req[1:]))
-		size := int64(binary.BigEndian.Uint64(req[5:]))
-		off, err := op.createBuffer(id, size)
-		if err != nil {
-			return append([]byte{1}, []byte(err.Error())...)
-		}
-		return append([]byte{0}, binary.BigEndian.AppendUint64(nil, uint64(off))...)
+		r := req.(*bufferCreateReq)
+		off, err := op.createBuffer(r.ID, r.Size)
+		return &offsetResp{off}, err
 	case cmdBufferDestroy:
-		id := int(binary.BigEndian.Uint32(req[1:]))
-		if err := op.destroyBuffer(id); err != nil {
-			return append([]byte{1}, []byte(err.Error())...)
-		}
-		return []byte{0}
+		return &Empty{}, op.destroyBuffer(req.(*IDReq).ID)
 	case cmdPipelineCreate:
-		id := binary.BigEndian.Uint32(req[1:])
-		port, err := op.createPipeline(id)
-		if err != nil {
-			return append([]byte{1}, []byte(err.Error())...)
-		}
-		return append([]byte{0}, binary.BigEndian.AppendUint32(nil, uint32(port))...)
+		port, err := op.createPipeline(uint32(req.(*IDReq).ID))
+		return &portResp{port}, err
 	case cmdBufferReregister:
-		id := int(binary.BigEndian.Uint32(req[1:]))
-		off, err := op.reregisterBuffer(id)
-		if err != nil {
-			return append([]byte{1}, []byte(err.Error())...)
-		}
-		return append([]byte{0}, binary.BigEndian.AppendUint64(nil, uint64(off))...)
-	default:
-		return []byte{1}
+		off, err := op.reregisterBuffer(req.(*IDReq).ID)
+		return &offsetResp{off}, err
 	}
+	return &Empty{}, nil // cmdPing
 }
-
-// Command-channel request opcodes.
-const (
-	cmdPing uint8 = iota + 10
-	cmdBufferCreate
-	cmdBufferDestroy
-	cmdPipelineCreate
-)
 
 // createBuffer allocates the local-store region backing a COI buffer and
 // registers it for RDMA on the DMA channel.
@@ -417,16 +386,8 @@ func (op *OffloadProc) Endpoints() []*scif.Endpoint {
 
 // --- control region bookkeeping ---
 
-// ctrlState is the decoded control region.
-type ctrlState struct {
-	Active     bool
-	PipelineID uint32
-	Seq        uint64
-	Func       string
-	Args       []byte
-}
-
-func (op *OffloadProc) writeCtrl(st ctrlState) {
+// writeCtrl encodes st on c into the front of the control region.
+func (op *OffloadProc) writeCtrl(c *wire.Cursor, st *ctrlState) {
 	r := op.p.Region(ctrlRegionName)
 	if r == nil {
 		// The process was torn down (Destroy, daemon stop) between a
@@ -434,44 +395,20 @@ func (op *OffloadProc) writeCtrl(st ctrlState) {
 		// there is no control region left to write.
 		return
 	}
-	buf := make([]byte, 0, 64+len(st.Func)+len(st.Args))
-	if st.Active {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, st.PipelineID)
-	buf = binary.BigEndian.AppendUint64(buf, st.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.Func)))
-	buf = append(buf, st.Func...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(st.Args)))
-	buf = append(buf, st.Args...)
+	buf := encodeCtrl(c, st)
 	if len(buf) > ctrlRegionSize {
 		panic(fmt.Sprintf("coi: control record %d bytes exceeds control region", len(buf))) //nolint:paniclib // protocol invariant: the control region is sized for the largest record (args are capped at launch)
 	}
 	r.WriteAt(buf, 0)
 }
 
-func (op *OffloadProc) readCtrl() ctrlState {
-	r := op.p.Region(ctrlRegionName)
-	head := make([]byte, 17)
-	r.ReadAt(head, 0)
-	st := ctrlState{
-		Active:     head[0] == 1,
-		PipelineID: binary.BigEndian.Uint32(head[1:5]),
-		Seq:        binary.BigEndian.Uint64(head[5:13]),
-	}
-	nameLen := binary.BigEndian.Uint32(head[13:17])
-	name := make([]byte, nameLen)
-	r.ReadAt(name, 17)
-	st.Func = string(name)
-	lenBuf := make([]byte, 4)
-	r.ReadAt(lenBuf, 17+int64(nameLen))
-	argsLen := binary.BigEndian.Uint32(lenBuf)
-	args := make([]byte, argsLen)
-	r.ReadAt(args, 21+int64(nameLen))
-	st.Args = args
-	return st
+// readCtrl decodes the control record out of the control region.
+func (op *OffloadProc) readCtrl() (ctrlState, error) {
+	region := make([]byte, ctrlRegionSize)
+	op.p.Region(ctrlRegionName).ReadAt(region, 0)
+	var st ctrlState
+	_, err := decodeCtrl(region, &st)
+	return st, err
 }
 
 // livePiece is the piece a live switch-over's local-store save writes at a

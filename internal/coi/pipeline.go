@@ -1,7 +1,6 @@
 package coi
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,12 +8,7 @@ import (
 	"snapify/internal/proc"
 	"snapify/internal/scif"
 	"snapify/internal/simclock"
-)
-
-// Pipeline wire opcodes.
-const (
-	plRun  uint8 = 1
-	plDone uint8 = 2
+	"snapify/internal/wire"
 )
 
 // ErrProcessGone is returned for operations against a destroyed or
@@ -31,7 +25,11 @@ type Pipeline struct {
 
 	// sendMu is the host side of the case-4 critical region: Snapify's
 	// pause holds it, so no run request can enter the channel mid-drain.
+	// It also guards the run request's encoder and message, reused from
+	// call to call.
 	sendMu sync.Mutex
+	enc    wire.Cursor
+	run    runReq
 
 	mu       sync.Mutex
 	ep       *scif.Endpoint
@@ -58,39 +56,37 @@ func newPipeline(cp *Process, id uint32, ep *scif.Endpoint) *Pipeline {
 // endpoint and the pending waiters simply keep waiting — the restored
 // offload process re-sends results for re-entered functions.
 func (pl *Pipeline) receiver(ep *scif.Endpoint) {
+	var dec wire.Cursor
+	var done runDone
 	for {
 		raw, d, err := ep.Recv()
 		if err != nil {
 			return
 		}
-		if raw[0] != plDone {
-			continue
+		if decode(&dec, raw, "pipeline result", &done, plDone) != nil {
+			continue // not a result: nobody waits on it
 		}
-		seq := binary.BigEndian.Uint64(raw[1:9])
-		status := raw[9]
-		compute := simclock.Duration(binary.BigEndian.Uint64(raw[10:18]))
-		payload := raw[18:]
 
 		pl.mu.Lock()
-		if seq <= pl.lastDone {
+		if done.Seq <= pl.lastDone {
 			// Duplicate result after a restore re-entry; drop it.
 			pl.mu.Unlock()
 			continue
 		}
-		ch, ok := pl.pending[seq]
+		ch, ok := pl.pending[done.Seq]
 		if ok {
-			delete(pl.pending, seq)
-			pl.lastDone = seq
+			delete(pl.pending, done.Seq)
+			pl.lastDone = done.Seq
 		}
 		pl.mu.Unlock()
 		if !ok {
 			continue
 		}
-		res := runResult{compute: compute, recvD: d}
-		if status != 0 {
-			res.err = fmt.Errorf("coi: offload function failed: %s", payload)
+		res := runResult{compute: done.Compute, recvD: d}
+		if done.Failed {
+			res.err = fmt.Errorf("coi: offload function failed: %s", done.Result)
 		} else {
-			res.data = append([]byte(nil), payload...)
+			res.data = done.Result // a slice of raw, which nothing else holds
 		}
 		ch <- res
 	}
@@ -130,15 +126,11 @@ func (pl *Pipeline) RunFunctionAsync(name string, args []byte) (*RunHandle, erro
 	ep := pl.ep
 	pl.mu.Unlock()
 
-	msg := []byte{plRun}
-	msg = binary.BigEndian.AppendUint64(msg, seq)
-	msg = binary.BigEndian.AppendUint32(msg, uint32(len(name)))
-	msg = append(msg, name...)
-	msg = append(msg, args...)
-
 	// The send is a blocking call inside a critical region (the Snapify
 	// transformation of Fig 4 step 1); pause blocks here, never mid-send.
 	pl.sendMu.Lock()
+	pl.run = runReq{Seq: seq, Func: name, Args: args}
+	msg := encode(&pl.enc, &pl.run, plRun)
 	if cp.hooks() {
 		cp.tl.Advance(cp.plat.Model().HookOffloadCall)
 	}
@@ -189,38 +181,37 @@ func (pl *Pipeline) resumeUnlock() { pl.sendMu.Unlock() }
 // --- device side ---
 
 // servePipeline is Pipe_Thread2: it receives run requests in order and
-// executes them.
+// executes them. A message that is not a run request drops the channel.
 func (op *OffloadProc) servePipeline(id uint32, ep *scif.Endpoint) {
+	var dec, enc wire.Cursor
+	var run runReq
 	for {
 		raw, _, err := ep.Recv()
 		if err != nil {
 			return
 		}
-		if raw[0] != plRun {
+		if decode(&dec, raw, "pipeline run request", &run, plRun) != nil {
+			ep.Close() //nolint:errcheck // protocol error: dropping the connection IS the error signal
 			return
 		}
-		seq := binary.BigEndian.Uint64(raw[1:9])
-		nameLen := binary.BigEndian.Uint32(raw[9:13])
-		name := string(raw[13 : 13+nameLen])
-		args := append([]byte(nil), raw[13+nameLen:]...)
-		op.executeFunction(id, seq, name, args)
+		op.executeFunction(&enc, id, run.Seq, run.Func, run.Args)
 	}
 }
 
 // executeFunction records the active function in the control region, runs
-// it, and delivers the result. The control-region clear and the result
-// send are atomic under resultMu (the case-4 device-side critical region),
-// so a snapshot observes either "active" or "delivered".
-func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args []byte) {
+// it, and delivers the result; c encodes the record and the result. The
+// control-region clear and the result send are atomic under resultMu (the
+// case-4 device-side critical region), so a snapshot observes either
+// "active" or "delivered".
+func (op *OffloadProc) executeFunction(c *wire.Cursor, id uint32, seq uint64, name string, args []byte) {
 	active := ctrlState{Active: true, PipelineID: id, Seq: seq, Func: name, Args: args}
-	op.writeCtrl(active)
+	op.writeCtrl(c, &active)
 
 	ctx := &RunContext{op: op}
-	var payload []byte
-	status := uint8(0)
+	done := runDone{Seq: seq}
 	fn, err := op.bin.Lookup(name)
 	if err == nil {
-		payload, err = fn(ctx, args)
+		done.Result, err = fn(ctx, args)
 	}
 	if errors.Is(err, proc.ErrGateShutdown) {
 		// The process is being torn down (swap-out with terminate); the
@@ -228,15 +219,9 @@ func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args 
 		return
 	}
 	if err != nil {
-		status = 1
-		payload = []byte(err.Error())
+		done.Failed, done.Result = true, []byte(err.Error())
 	}
-
-	msg := []byte{plDone}
-	msg = binary.BigEndian.AppendUint64(msg, seq)
-	msg = append(msg, status)
-	msg = binary.BigEndian.AppendUint64(msg, uint64(ctx.compute))
-	msg = append(msg, payload...)
+	done.Compute = ctx.compute
 
 	// After a restore the host may still be reconnecting this pipeline;
 	// block until its channel is back (or the process is being torn down)
@@ -251,9 +236,9 @@ func (op *OffloadProc) executeFunction(id uint32, seq uint64, name string, args 
 	// arrives (a pre-copy round cuts the dirty set next), and must find the
 	// clear already written. A failed send puts the record back, so a
 	// restore still re-enters the function.
-	op.writeCtrl(ctrlState{})
-	if _, err := pl.ep.Send(msg); err != nil { // blocking under the lock is intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
-		op.writeCtrl(active)
+	op.writeCtrl(c, &ctrlState{})
+	if _, err := pl.ep.Send(encode(c, &done, plDone)); err != nil { // blocking under the lock is intended (Section 4.1 case 4): resultMu is the drain lock; the result send completes inside it
+		op.writeCtrl(c, &active)
 	}
 }
 

@@ -111,7 +111,7 @@ func CreateProcess(plat *platform.Platform, hostProc *proc.Process, tl *simclock
 	var resp launchResp
 	// The round-trip blocks under lifecycleMu on purpose: the lock
 	// serializes the whole launch against Snapify swap (Section 4.2).
-	d, err := roundTrip(ep, opLaunch, &launchReq{Binary: binaryName, BinarySize: binSize}, &resp, "coi: launch failed")
+	d, err := roundTrip(ep, encodeMsg(opLaunch, &launchReq{Binary: binaryName, BinarySize: binSize}), opLaunchResp, &resp, "coi: launch failed")
 	tl.Advance(d)
 	if err != nil {
 		return nil, err
@@ -132,11 +132,11 @@ func CreateProcess(plat *platform.Platform, hostProc *proc.Process, tl *simclock
 	return cp, nil
 }
 
-// roundTrip runs one request/reply exchange on ep — the reply's opcode is
-// the request's plus one — and returns the virtual time the two messages
-// took. what prefixes a failure the daemon reported.
-func roundTrip(ep *scif.Endpoint, op uint8, req, resp Message, what string) (simclock.Duration, error) {
-	sendDur, err := ep.Send(encodeMsg(op, req))
+// roundTrip sends req on ep, decodes the reply, which must carry opcode
+// replyOp, into resp, and returns the virtual time the two messages took.
+// what prefixes a failure the peer reported.
+func roundTrip(ep *scif.Endpoint, req []byte, replyOp uint8, resp Message, what string) (simclock.Duration, error) {
+	sendDur, err := ep.Send(req)
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +144,7 @@ func roundTrip(ep *scif.Endpoint, op uint8, req, resp Message, what string) (sim
 	if err != nil {
 		return sendDur, err
 	}
-	err = decodeReply(raw, op+1, resp)
+	err = decodeReply(raw, replyOp, resp)
 	if re, ok := err.(remoteError); ok {
 		err = fmt.Errorf("%s: %s", what, string(re))
 	}
@@ -252,12 +252,8 @@ func (cp *Process) CreatePipeline() (*Pipeline, error) {
 	if cmd == nil {
 		return nil, errors.New("coi: command channel not connected")
 	}
-	raw, err := cmd.Request(encodeMsg(cmdPipelineCreate, &IDReq{int(id)}))
-	if err != nil {
-		return nil, err
-	}
 	var created portResp
-	if err := decodeStatus(raw, "pipeline-create reply", &created); err != nil {
+	if err := cmd.Request(cmdPipelineCreate, &IDReq{int(id)}, &created); err != nil {
 		return nil, fmt.Errorf("coi: pipeline create failed: %w", err)
 	}
 	ep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: cp.devNode, Port: created.Port})
@@ -283,7 +279,7 @@ func (cp *Process) Destroy() error {
 		return fmt.Errorf("%w: %s", ErrProcessGone, s)
 	}
 	// Blocking under lifecycleMu on purpose, as in CreateProcess.
-	if _, err := roundTrip(cp.lifecycleEP, opDestroy, &IDReq{cp.id}, &Empty{}, "coi: destroy failed"); err != nil {
+	if _, err := roundTrip(cp.lifecycleEP, encodeMsg(opDestroy, &IDReq{cp.id}), opDestroyResp, &Empty{}, "coi: destroy failed"); err != nil {
 		return err
 	}
 	cp.setState(StateDestroyed)

@@ -16,6 +16,7 @@ import (
 	"snapify/internal/snapifyio"
 	"snapify/internal/snapstore"
 	"snapify/internal/stream"
+	"snapify/internal/wire"
 )
 
 // This file holds the Snapify modifications to the COI daemon and the COI
@@ -556,11 +557,11 @@ func (op *OffloadProc) snapifyAgent() {
 			op.dropDigestsIf(blcr.SeedPrecopy)
 			// Re-enter an offload function that was in flight when the
 			// snapshot was taken (Section 4.3): its progress is in the
-			// control region and the data regions.
-			st := op.readCtrl()
-			if st.Active {
+			// control region and the data regions. A record that does not
+			// decode names no function to re-enter.
+			if st, err := op.readCtrl(); err == nil && st.Active {
 				op.p.SpawnThread("reentry", func() { //nolint:errcheck // re-entry on a process mid-teardown is moot; the capture already succeeded
-					op.executeFunction(st.PipelineID, st.Seq, st.Func, st.Args)
+					op.executeFunction(new(wire.Cursor), st.PipelineID, st.Seq, st.Func, st.Args)
 				})
 			}
 			pipe.Send(encodeMsg(pipeResumeDone, &Empty{})) //nolint:errcheck // fire-and-forget reply: the daemon sees a dead agent on its monitor Recv
@@ -923,11 +924,8 @@ func (op *OffloadProc) agentTrack() *obs.Track {
 
 // --- buffer re-registration (restore path) ---
 
-// cmdBufferReregister re-registers an existing local-store region for RDMA
-// on the (new) DMA channel and returns the new offset. It extends the
-// command channel (see handleCommand).
-const cmdBufferReregister uint8 = 20
-
+// reregisterBuffer re-registers an existing local-store region for RDMA on
+// the (new) DMA channel and returns the new offset (cmdBufferReregister).
 func (op *OffloadProc) reregisterBuffer(id int) (int64, error) {
 	name := BufferRegionName(id)
 	r := op.p.Region(name)

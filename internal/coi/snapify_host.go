@@ -18,7 +18,7 @@ import (
 // DaemonRequest runs one request on the lifecycle channel: req goes out
 // under opcode op, the reply (opcode op+1) is decoded into resp.
 func (cp *Process) DaemonRequest(op uint8, req, resp Message) error {
-	_, err := roundTrip(cp.lifecycleEP, op, req, resp, "coi: daemon error")
+	_, err := roundTrip(cp.lifecycleEP, encodeMsg(op, req), op+1, resp, "coi: daemon error")
 	return err
 }
 
@@ -162,24 +162,13 @@ func (cp *Process) Rebind(devNode simnet.NodeID, newID int, ports []ChannelPort)
 	}
 
 	// The application threads are still blocked on the pause locks, so the
-	// rebind speaks on the raw command endpoint directly.
-	rawRequest := func(cmd uint8, id int, resp Message) error {
-		if _, err := cmdEP.Send(append([]byte{cmdRequest}, encodeMsg(cmd, &IDReq{id})...)); err != nil {
-			return err
-		}
-		raw, _, err := cmdEP.Recv()
-		if err != nil {
-			return err
-		}
-		return decodeReply(raw, cmdReply, resp)
-	}
-
+	// rebind speaks on the raw command endpoint directly, off the timeline.
 	// Recreate each pipeline's run-function channel and splice it in; the
 	// pending waiters survive, and the restored server re-sends results
 	// for any re-entered function.
 	for _, pl := range cp.Pipelines() {
 		var created portResp
-		if err := rawRequest(cmdPipelineCreate, int(pl.id), &created); err != nil {
+		if _, err := roundTrip(cmdEP, encodeCommand(cmdPipelineCreate, &IDReq{int(pl.id)}), cmdReply, &created, "coi: pipeline create failed"); err != nil {
 			return nil, fmt.Errorf("coi: recreating pipeline %d: %w", pl.id, err)
 		}
 		nep, err := cp.plat.Net.Connect(simnet.HostNode, scif.Addr{Node: devNode, Port: created.Port})
@@ -206,7 +195,7 @@ func (cp *Process) Rebind(devNode simnet.NodeID, newID int, ports []ChannelPort)
 	for _, id := range ids {
 		b := bufs[id]
 		var registered offsetResp
-		if err := rawRequest(cmdBufferReregister, id, &registered); err != nil {
+		if _, err := roundTrip(cmdEP, encodeCommand(cmdBufferReregister, &IDReq{id}), cmdReply, &registered, "coi: re-register failed"); err != nil {
 			return nil, fmt.Errorf("coi: re-registering buffer %d: %w", id, err)
 		}
 		remap = append(remap, RemapEntry{BufferID: id, Old: b.rdmaOff, New: registered.Offset})

@@ -349,10 +349,9 @@ func saveHandleState(cp *coi.Process) error {
 	if len(enc)+4 > handleStateSize {
 		return fmt.Errorf("core: handle metadata %d bytes exceeds region", len(enc))
 	}
-	n := len(enc)
 	c := wire.Encoder()
-	wire.U32(c, &n)
-	r.WriteAt(append(c.Bytes(), enc...), 0)
+	wire.Str32(c, &enc)
+	r.WriteAt(c.Bytes(), 0)
 	return nil
 }
 

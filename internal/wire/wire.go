@@ -1,6 +1,6 @@
 // Package wire is the one codec for the simulator's control protocols
-// (the COI/Snapify lifecycle channel and agent pipe, and the Snapify-IO
-// daemon protocol): a cursor over big-endian fields that runs in either
+// (every COI/Snapify channel and record, and the Snapify-IO daemon
+// protocol): a cursor over big-endian fields that runs in either
 // direction, so a message's field list is written once and serves both
 // its encoder and its decoder.
 //
@@ -63,6 +63,11 @@ func (c *Cursor) Err() error {
 	return c.err
 }
 
+// Prefix returns how many bytes a decoder consumed and its first failure,
+// leaving the bytes after them alone: for a record decoded from the front
+// of a larger fixed region.
+func (c *Cursor) Prefix() (int, error) { return c.off, c.err }
+
 // take consumes n bytes, or latches ErrTruncated and returns nil.
 func (c *Cursor) take(n uint64) []byte {
 	if c.err != nil || n > uint64(len(c.buf)-c.off) {
@@ -123,26 +128,30 @@ func Bool(c *Cursor, p *bool) {
 	*p = v == 1
 }
 
-func str(c *Cursor, p *string, width int) {
+// Text is what a length-prefixed or to-the-end field can live in. A
+// []byte field decodes to a slice of the message itself, not a copy.
+type Text interface{ ~string | ~[]byte }
+
+func text[T Text](c *Cursor, p *T, width int) {
 	n := uint64(len(*p))
 	fixed(c, &n, width)
 	if c.dec {
-		*p = string(c.take(n))
+		*p = T(c.take(n))
 		return
 	}
 	c.buf = append(c.buf, *p...)
 }
 
 // Str32 codes *p behind a four-byte length.
-func Str32(c *Cursor, p *string) { str(c, p, 4) }
+func Str32[T Text](c *Cursor, p *T) { text(c, p, 4) }
 
 // Str64 codes *p behind an eight-byte length.
-func Str64(c *Cursor, p *string) { str(c, p, 8) }
+func Str64[T Text](c *Cursor, p *T) { text(c, p, 8) }
 
 // Rest codes *p as everything up to the end of the message.
-func Rest(c *Cursor, p *string) {
+func Rest[T Text](c *Cursor, p *T) {
 	if c.dec {
-		*p = string(c.take(uint64(len(c.buf) - c.off)))
+		*p = T(c.take(uint64(len(c.buf) - c.off)))
 		return
 	}
 	c.buf = append(c.buf, *p...)

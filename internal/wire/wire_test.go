@@ -161,3 +161,49 @@ func TestReusedCursorsMatchFreshOnes(t *testing.T) {
 		}
 	}
 }
+
+// A []byte field has a string field's layout and decodes to a slice of
+// the message, not a copy.
+func TestByteFieldsMatchStringsAndAlias(t *testing.T) {
+	s32, tail := "abc", "rest"
+	b32, btail := []byte(s32), []byte(tail)
+	cs, cb := Encoder(), Encoder()
+	Str32(cs, &s32)
+	Rest(cs, &tail)
+	Str32(cb, &b32)
+	Rest(cb, &btail)
+	if !bytes.Equal(cs.Bytes(), cb.Bytes()) {
+		t.Fatalf("[]byte layout %x, string layout %x", cb.Bytes(), cs.Bytes())
+	}
+	raw := cb.Bytes()
+	var got32, gotTail []byte
+	c := Decoder(raw)
+	Str32(c, &got32)
+	Rest(c, &gotTail)
+	if err := c.Err(); err != nil || string(got32) != s32 || string(gotTail) != tail {
+		t.Fatalf("decoded %q, %q, err %v", got32, gotTail, err)
+	}
+	if &got32[0] != &raw[4] || &gotTail[0] != &raw[7] {
+		t.Fatal("a decoded []byte field copies the message")
+	}
+}
+
+// Prefix decodes a record from the front of a larger region: it reports
+// what the record took and leaves the rest alone; a record cut short
+// still fails.
+func TestPrefixIgnoresWhatFollows(t *testing.T) {
+	var v uint32
+	c := Decoder([]byte{0, 0, 0, 7, 0xEE})
+	U32(c, &v)
+	if n, err := c.Prefix(); err != nil || n != 4 || v != 7 {
+		t.Fatalf("Prefix() = %d, %v, v = %d", n, err, v)
+	}
+	if c.Err() == nil {
+		t.Fatal("Err accepts the byte Prefix leaves")
+	}
+	c = Decoder([]byte{0, 0, 7})
+	U32(c, &v)
+	if _, err := c.Prefix(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short record: Prefix err = %v", err)
+	}
+}

@@ -25,14 +25,13 @@ echo "==> go build ./..."
 go build ./...
 
 echo "==> one wire codec (no encoding/binary in the protocol files)"
-# Every COI/Snapify control message and every Snapify-IO message is a
-# field list over internal/wire (DESIGN.md §3, §8). A hand-rolled offset
-# in core, in snapifyio, or in coi's protocol files is a second definition
-# of a layout; the command/pipeline/buffer channels and HandleMeta
-# (offload.go, pipeline.go, buffer.go, meta.go) are out of scope.
+# Every COI/Snapify message on every channel (lifecycle, agent pipe,
+# command channels, run-function pipelines), the control record,
+# HandleMeta and every Snapify-IO message is a field list over
+# internal/wire (DESIGN.md §3, §8). A hand-rolled offset anywhere in core,
+# snapifyio or coi is a second definition of a layout.
 if grep -l '"encoding/binary"' $(git ls-files 'internal/core/*.go' 'internal/snapifyio/*.go' \
-    internal/coi/daemon.go internal/coi/snapify.go internal/coi/upload.go internal/coi/download.go internal/coi/snapify_host.go \
-    internal/coi/export.go internal/coi/process.go internal/coi/msg.go | grep -v '_test\.go$'); then
+    'internal/coi/*.go' | grep -v '_test\.go$'); then
     echo "verify: the files above import encoding/binary; code the message in msg.go instead" >&2
     exit 1
 fi
@@ -138,7 +137,9 @@ echo "==> fuzz smoke (5s per target, committed seed corpora)"
 # faults from), the flight-dump reader (dump files `snapifyctl analyze
 # flight` reads back, possibly cut short by the crash that wrote them),
 # the COI handle-state decoder (bytes read back out of a restored host
-# process image);
+# process image), the COI command-channel, pipeline and control-record
+# decoders (the card's channels, and the control region a restore brings
+# back);
 # and two differential targets, blob.Buffer's overlay
 # against a flat []byte oracle under random op programs, and
 # snapstore.Digest's window-grain chunk address against the spec computed
@@ -153,6 +154,7 @@ go test -run '^$' -fuzz '^FuzzParseChromeTrace$' -fuzztime 5s ./internal/obs/ana
 go test -run '^$' -fuzz '^FuzzRestartContext$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/blcr/
 go test -run '^$' -fuzz '^FuzzControlDecode$' -fuzztime 5s ./internal/coi/
+go test -run '^$' -fuzz '^FuzzChannelDecode$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzDecodeHandleMeta$' -fuzztime 5s ./internal/coi/
 go test -run '^$' -fuzz '^FuzzWireDecode$' -fuzztime 5s ./internal/snapifyio/
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 5s ./internal/faultinject/
