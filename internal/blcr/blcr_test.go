@@ -8,23 +8,23 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/phi"
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 	"snapify/internal/stream"
+	"snapify/internal/vfs"
 )
 
 // testEnv bundles a checkpointer with a host FS for sink/source plumbing.
 type testEnv struct {
 	cr *Checkpointer
-	fs *hostfs.FS
+	fs *vfs.FS
 }
 
 func newEnv() *testEnv {
 	m := simclock.Default()
-	return &testEnv{cr: New(m), fs: hostfs.New(m)}
+	return &testEnv{cr: New(m), fs: vfs.NewHost(m)}
 }
 
 func (e *testEnv) sink(t *testing.T, path string) stream.Sink {

@@ -19,11 +19,13 @@ import (
 // BenchmarkAblation_IncrementalCheckpoint).
 
 // CheckpointFull is Checkpoint plus a clean mark on every region, making
-// the snapshot a valid base for subsequent CheckpointDelta calls.
+// the snapshot a valid base for subsequent CheckpointDelta calls. The
+// outer freeze keeps the mark with the snapshot: a step between
+// Checkpoint's resume and the mark would be missing from the next delta.
 func (c *Checkpointer) CheckpointFull(p *proc.Process, sink stream.Sink) (*Stats, error) {
 	p.PauseSteps()
 	defer p.ResumeSteps()
-	st, err := c.CheckpointFrozen(p, sink)
+	st, err := c.Checkpoint(p, sink)
 	if err != nil {
 		return nil, err
 	}

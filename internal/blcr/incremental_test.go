@@ -158,3 +158,32 @@ func TestDirtyTrackingSurvivesManyPatterns(t *testing.T) {
 		t.Fatal("chain restore differs from live state")
 	}
 }
+
+// TestCheckpointFullChargesTheFreeze: CheckpointFull is Checkpoint plus a
+// clean mark, so on the same state it costs what Checkpoint does,
+// including ThreadQuiesce for every thread brought to a safe point.
+func TestCheckpointFullChargesTheFreeze(t *testing.T) {
+	e := newEnv()
+	p := proc.New("full", 1, 1, phi.NewMemBudget(1<<40))
+	heap, _ := p.AddRegion("heap", proc.RegionHeap, 4*simclock.MiB, 9)
+	heap.WriteAt([]byte("state"), 0)
+	release := make(chan struct{})
+	defer close(release)
+	for range 2 {
+		if err := p.SpawnThread("worker", func() { <-release }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, err := e.cr.Checkpoint(p, e.sink(t, "plain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := e.cr.CheckpointFull(p, e.sink(t, "full"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Duration != plain.Duration || full.Bytes != plain.Bytes {
+		t.Errorf("CheckpointFull = %v for %d B, Checkpoint = %v for %d B on the same state",
+			full.Duration, full.Bytes, plain.Duration, plain.Bytes)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"snapify/internal/proc"
 	"snapify/internal/simclock"
 	"snapify/internal/stream"
-	"snapify/internal/vfs"
 )
 
 // stripedSink returns a ShardSinkFactory assembling shards into one file
@@ -23,7 +22,7 @@ func (e *testEnv) stripedSink(t *testing.T, path string) ShardSinkFactory {
 	var set *StripeSet
 	return func(off, n, total int64) (stream.Sink, error) {
 		if set == nil {
-			s, err := NewStripeSet(vfs.Host(e.fs).(vfs.SparseFS), path, total)
+			s, err := NewStripeSet(e.fs, path, total)
 			if err != nil {
 				return nil, err
 			}
@@ -35,7 +34,7 @@ func (e *testEnv) stripedSink(t *testing.T, path string) ShardSinkFactory {
 
 func (e *testEnv) rangeSource(path string) RangeSourceFactory {
 	return func(off, n int64) (stream.Source, error) {
-		return NewRangeSource(vfs.Host(e.fs).(vfs.RangeFS), path, off, n)
+		return NewRangeSource(e.fs, path, off, n)
 	}
 }
 

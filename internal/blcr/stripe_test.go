@@ -17,7 +17,7 @@ import (
 // if any stripe aborts.
 type StripeSet struct {
 	mu      sync.Mutex
-	sw      vfs.SparseWriter
+	sw      *vfs.SparseWriter
 	total   int64
 	covered int64
 	refs    int
@@ -26,7 +26,7 @@ type StripeSet struct {
 }
 
 // NewStripeSet creates the backing sparse file of total bytes on fs.
-func NewStripeSet(fs vfs.SparseFS, path string, total int64) (*StripeSet, error) {
+func NewStripeSet(fs *vfs.FS, path string, total int64) (*StripeSet, error) {
 	sw, err := fs.CreateSparse(path, total)
 	if err != nil {
 		return nil, err
@@ -114,10 +114,10 @@ func (w *stripeSink) Abort() {
 	w.set.release(0, true) //nolint:errcheck // abort path: discarding the partial file is the handling
 }
 
-// NewRangeSource opens bytes [off, off+n) of the file at path on any
-// range-capable node file system as a Source (the read side of a parallel
-// restart from local storage).
-func NewRangeSource(fs vfs.RangeFS, path string, off, n int64) (stream.Source, error) {
+// NewRangeSource opens bytes [off, off+n) of the file at path on a node
+// file system as a Source (the read side of a parallel restart from local
+// storage).
+func NewRangeSource(fs *vfs.FS, path string, off, n int64) (stream.Source, error) {
 	r, err := fs.OpenRange(path, off, n)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,6 @@ import (
 	"snapify/internal/snapifyio"
 	"snapify/internal/stream"
 	"snapify/internal/trace"
-	"snapify/internal/vfs"
 )
 
 // Ablations probe the design choices DESIGN.md calls out: the Snapify-IO
@@ -58,10 +57,10 @@ func bufSizeRun(bufSize int64) (BufSizeAblationRow, error) {
 	net := scif.NewNetwork(server.Fabric)
 	svc := snapifyio.NewService(net, nil)
 	defer svc.Stop()
-	if _, err := svc.StartDaemonBuf(simnet.HostNode, vfs.Host(server.Host.FS), bufSize); err != nil {
+	if _, err := svc.StartDaemonBuf(simnet.HostNode, server.Host.FS, bufSize); err != nil {
 		return BufSizeAblationRow{}, err
 	}
-	if _, err := svc.StartDaemonBuf(1, vfs.Ram(server.Device(1).FS), bufSize); err != nil {
+	if _, err := svc.StartDaemonBuf(1, server.Device(1).FS, bufSize); err != nil {
 		return BufSizeAblationRow{}, err
 	}
 

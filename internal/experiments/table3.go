@@ -99,8 +99,8 @@ func Table3() (*Table3Result, error) {
 		if row.NFSWrite, err = toHost(mnt.CreateBuffered("/t3/nfs_w")); err != nil {
 			return nil, err
 		}
-		if row.SCPWrite, err = scp.Copy(plat.Server.Fabric, dev.Node, vfs.Ram(dev.FS), "/tmp/src",
-			simnet.HostNode, vfs.Host(host.FS), "/t3/scp_w"); err != nil {
+		if row.SCPWrite, err = scp.Copy(plat.Server.Fabric, dev.Node, dev.FS, "/tmp/src",
+			simnet.HostNode, host.FS, "/t3/scp_w"); err != nil {
 			return nil, err
 		}
 		dev.FS.Remove("/tmp/src") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
@@ -115,8 +115,8 @@ func Table3() (*Table3Result, error) {
 		if row.NFSRead, err = toCard(mnt.Open("/t3/src")); err != nil {
 			return nil, err
 		}
-		if row.SCPRead, err = scp.Copy(plat.Server.Fabric, simnet.HostNode, vfs.Host(host.FS), "/t3/src",
-			dev.Node, vfs.Ram(dev.FS), "/tmp/scp_r"); err != nil {
+		if row.SCPRead, err = scp.Copy(plat.Server.Fabric, simnet.HostNode, host.FS, "/t3/src",
+			dev.Node, dev.FS, "/tmp/scp_r"); err != nil {
 			return nil, err
 		}
 		dev.FS.Remove("/tmp/scp_r") //nolint:errcheck // scratch cleanup; a failed remove only holds simulated ram until the next loop
@@ -145,7 +145,7 @@ func copyReaderToSink(r vfs.Reader, sink stream.Sink, acc *simclock.PipelineAccu
 }
 
 // copySourceToWriter pumps a stream.Source into a vfs.Writer.
-func copySourceToWriter(src stream.Source, w vfs.Writer, acc *simclock.PipelineAccum) error {
+func copySourceToWriter(src stream.Source, w *vfs.Writer, acc *simclock.PipelineAccum) error {
 	for {
 		chunk, cost, err := src.Next(4 * simclock.MiB)
 		if err != nil {

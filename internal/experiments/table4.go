@@ -91,7 +91,7 @@ func Table4() (*Table4Result, error) {
 
 		// Local: the snapshot goes to the card's own RAM file system.
 		d, err := ckpt(func() (stream.Sink, error) {
-			s, err := stream.NewRamFSSink(dev.FS, "/tmp/ctx_local")
+			s, err := stream.NewHostFSSink(dev.FS, "/tmp/ctx_local")
 			return s, err
 		})
 		if err != nil {
@@ -141,7 +141,7 @@ func Table4() (*Table4Result, error) {
 
 		if !row.LocalOOM {
 			if row.RestartLocal, err = restart(func() (stream.Source, error) {
-				return stream.NewRamFSSource(dev.FS, "/tmp/ctx_local")
+				return stream.NewHostFSSource(dev.FS, "/tmp/ctx_local")
 			}); err != nil {
 				return nil, err
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // CloseLeak reports handles acquired from the I/O layers — snapifyio
-// streams, snapstore uploads, vfs/hostfs/ramfs/nfs writers and files —
+// streams, snapstore uploads, vfs/nfs writers and files —
 // that are not released on every CFG path out of the acquiring function.
 // The classic shape is the early error return between two opens:
 //
@@ -36,14 +36,12 @@ var CloseLeak = &Analyzer{
 
 // closeLeakPkgs are the import-path suffixes whose constructors and Open
 // methods hand out tracked handles. Interface methods count through the
-// package declaring the interface (vfs.FS.Create's callee lives in vfs no
-// matter which adapter implements it).
+// package declaring the interface (a stream.Sink's Close lives in stream
+// whichever transport implements it).
 var closeLeakPkgs = []string{
 	"internal/snapifyio",
 	"internal/snapstore",
 	"internal/vfs",
-	"internal/hostfs",
-	"internal/ramfs",
 	"internal/nfs",
 	"internal/stream",
 }

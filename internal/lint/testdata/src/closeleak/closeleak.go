@@ -7,14 +7,14 @@ package closeleak
 
 import (
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/snapstore"
+	"snapify/internal/vfs"
 )
 
 // copyFile: the classic two-open leak — the second Create's error return
 // leaves the first writer open. The error-paired facts must NOT flag the
 // first `return err`: there the handle was never valid.
-func copyFile(fs *hostfs.FS, a, b string) error {
+func copyFile(fs *vfs.FS, a, b string) error {
 	w1, err := fs.Create(a) // want "is not released on the path leaving the function"
 	if err != nil {
 		return err
@@ -28,7 +28,7 @@ func copyFile(fs *hostfs.FS, a, b string) error {
 }
 
 // copyFileClean: the fix — abort the survivor on the error path.
-func copyFileClean(fs *hostfs.FS, a, b string) error {
+func copyFileClean(fs *vfs.FS, a, b string) error {
 	w1, err := fs.Create(a)
 	if err != nil {
 		return err
@@ -43,7 +43,7 @@ func copyFileClean(fs *hostfs.FS, a, b string) error {
 }
 
 // leakOnWriteError: opened, written to, but only closed on success.
-func leakOnWriteError(fs *hostfs.FS, p string, content blob.Blob) error {
+func leakOnWriteError(fs *vfs.FS, p string, content blob.Blob) error {
 	w, err := fs.Create(p) // want "is not released on the path leaving the function"
 	if err != nil {
 		return err
@@ -55,7 +55,7 @@ func leakOnWriteError(fs *hostfs.FS, p string, content blob.Blob) error {
 }
 
 // deferClose: a deferred release discharges every exit at once.
-func deferClose(fs *hostfs.FS, p string, content blob.Blob) error {
+func deferClose(fs *vfs.FS, p string, content blob.Blob) error {
 	w, err := fs.Create(p)
 	if err != nil {
 		return err
@@ -68,7 +68,7 @@ func deferClose(fs *hostfs.FS, p string, content blob.Blob) error {
 }
 
 // alias: `own := w` moves the obligation to the new name.
-func alias(fs *hostfs.FS, p string) error {
+func alias(fs *vfs.FS, p string) error {
 	w, err := fs.Create(p)
 	if err != nil {
 		return err
@@ -78,11 +78,11 @@ func alias(fs *hostfs.FS, p string) error {
 }
 
 // holder carries a writer whose lifetime outlives the opening function.
-type holder struct{ w *hostfs.Writer }
+type holder struct{ w *vfs.Writer }
 
 // stash: storing the handle in a returned struct is an escape — the
 // obligation moved to code this intraprocedural pass cannot see.
-func stash(fs *hostfs.FS, p string) (*holder, error) {
+func stash(fs *vfs.FS, p string) (*holder, error) {
 	w, err := fs.Create(p)
 	if err != nil {
 		return nil, err
@@ -90,7 +90,7 @@ func stash(fs *hostfs.FS, p string) (*holder, error) {
 	return &holder{w: w}, nil
 }
 
-func suppressed(fs *hostfs.FS, p string, content blob.Blob) error {
+func suppressed(fs *vfs.FS, p string, content blob.Blob) error {
 	w, err := fs.Create(p) //nolint:closeleak // golden fixture: a justified directive suppresses the finding
 	if err != nil {
 		return err
@@ -101,7 +101,7 @@ func suppressed(fs *hostfs.FS, p string, content blob.Blob) error {
 
 // A directive with no justification must NOT suppress: the finding is
 // reported with a message explaining what a directive needs.
-func bareDirective(fs *hostfs.FS, p string, content blob.Blob) error {
+func bareDirective(fs *vfs.FS, p string, content blob.Blob) error {
 	w, err := fs.Create(p) //nolint:closeleak
 	if err != nil {
 		return err

@@ -22,10 +22,10 @@ package nfs
 
 import (
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 	"snapify/internal/stream"
+	"snapify/internal/vfs"
 )
 
 // Buffer sizes of the two buffered variants.
@@ -41,11 +41,11 @@ type Mount struct {
 	fabric *simnet.Fabric
 	model  *simclock.Model
 	node   simnet.NodeID // the client (card) node
-	host   *hostfs.FS
+	host   *vfs.FS
 }
 
 // NewMount mounts host's file system on the card at node.
-func NewMount(fabric *simnet.Fabric, node simnet.NodeID, host *hostfs.FS) *Mount {
+func NewMount(fabric *simnet.Fabric, node simnet.NodeID, host *vfs.FS) *Mount {
 	if node.IsHost() {
 		panic("nfs: the host does not NFS-mount itself") //nolint:paniclib // configuration bug: mounts are built at platform setup, not at runtime
 	}
@@ -80,7 +80,7 @@ func (m *Mount) CreateSync(path string) (stream.Sink, error) {
 
 type syncSink struct {
 	m *Mount
-	w *hostfs.Writer
+	w *vfs.Writer
 }
 
 func (s *syncSink) WriteBlob(b blob.Blob) (stream.Cost, error) {
@@ -133,7 +133,7 @@ func (m *Mount) CreateUserBuffered(path string) (stream.Sink, error) {
 // wire; flushes pipeline with the producer (asynchronous writeback).
 type bufferedSink struct {
 	m           *Mount
-	w           *hostfs.Writer
+	w           *vfs.Writer
 	bufSize     int64
 	copies      int  // memcpys on the card before the wire
 	serialFlush bool // flushes do not overlap the producer
@@ -197,7 +197,7 @@ func (m *Mount) Open(path string) (stream.Source, error) {
 
 type readSource struct {
 	m *Mount
-	r *hostfs.Reader
+	r vfs.Reader
 }
 
 func (s *readSource) Next(max int64) (blob.Blob, stream.Cost, error) {

@@ -5,17 +5,17 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 	"snapify/internal/stream"
+	"snapify/internal/vfs"
 )
 
-func newMount(t *testing.T) (*Mount, *hostfs.FS) {
+func newMount(t *testing.T) (*Mount, *vfs.FS) {
 	t.Helper()
 	m := simclock.Default()
 	fabric := simnet.NewFabric(m, 1)
-	host := hostfs.New(m)
+	host := vfs.NewHost(m)
 	return NewMount(fabric, 1, host), host
 }
 
@@ -48,7 +48,7 @@ func TestHostCannotMount(t *testing.T) {
 		}
 	}()
 	m := simclock.Default()
-	NewMount(simnet.NewFabric(m, 1), simnet.HostNode, hostfs.New(m))
+	NewMount(simnet.NewFabric(m, 1), simnet.HostNode, vfs.NewHost(m))
 }
 
 func TestSyncWriteStoresContent(t *testing.T) {

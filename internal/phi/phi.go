@@ -12,14 +12,13 @@ import (
 	"fmt"
 	"sync"
 
-	"snapify/internal/hostfs"
-	"snapify/internal/ramfs"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
+	"snapify/internal/vfs"
 )
 
 // MemBudget arbitrates a card's physical memory. It implements
-// ramfs.Budget; the process allocator draws from the same pool.
+// vfs.Budget; the process allocator draws from the same pool.
 type MemBudget struct {
 	mu       sync.Mutex
 	capacity int64
@@ -84,7 +83,7 @@ type Device struct {
 	// Mem is the card's physical memory budget.
 	Mem *MemBudget
 	// FS is the card's RAM-backed file system; it draws from Mem.
-	FS *ramfs.FS
+	FS *vfs.FS
 
 	model *simclock.Model
 }
@@ -123,7 +122,7 @@ func NewDevice(model *simclock.Model, node simnet.NodeID, cfg DeviceConfig) *Dev
 		Cores:          cfg.Cores,
 		ThreadsPerCore: cfg.ThreadsPerCore,
 		Mem:            mem,
-		FS:             ramfs.New(model, mem),
+		FS:             vfs.NewCard(model, mem),
 		model:          model,
 	}
 }
@@ -135,7 +134,7 @@ type Host struct {
 	// Mem is the host memory budget (the testbed has 32 GiB).
 	Mem *MemBudget
 	// FS is the host file system where snapshots are stored.
-	FS *hostfs.FS
+	FS *vfs.FS
 
 	model *simclock.Model
 }
@@ -148,7 +147,7 @@ func NewHost(model *simclock.Model, memBytes int64) *Host {
 	return &Host{
 		Node:  simnet.HostNode,
 		Mem:   NewMemBudget(memBytes),
-		FS:    hostfs.New(model),
+		FS:    vfs.NewHost(model),
 		model: model,
 	}
 }

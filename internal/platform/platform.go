@@ -18,7 +18,6 @@ import (
 	"snapify/internal/simnet"
 	"snapify/internal/snapifyio"
 	"snapify/internal/snapstore"
-	"snapify/internal/vfs"
 )
 
 // Platform is one assembled Xeon Phi server.
@@ -68,7 +67,7 @@ func New(cfg Config) (*Platform, error) {
 	// The store consults the fabric's injector lazily: chaos plans are
 	// armed after the platform is built.
 	store := snapstore.New(server.Model(), server.Host.FS, o, server.Fabric.Injector)
-	if _, err := io.StartDaemon(simnet.HostNode, vfs.Host(server.Host.FS)); err != nil {
+	if _, err := io.StartDaemon(simnet.HostNode, server.Host.FS); err != nil {
 		io.Stop()
 		return nil, fmt.Errorf("platform: starting host Snapify-IO daemon: %w", err)
 	}
@@ -77,7 +76,7 @@ func New(cfg Config) (*Platform, error) {
 		return nil, fmt.Errorf("platform: attaching snapshot store: %w", err)
 	}
 	for _, d := range server.Devices {
-		if _, err := io.StartDaemon(d.Node, vfs.Ram(d.FS)); err != nil {
+		if _, err := io.StartDaemon(d.Node, d.FS); err != nil {
 			io.Stop()
 			return nil, fmt.Errorf("platform: starting Snapify-IO daemon on %v: %w", d.Node, err)
 		}

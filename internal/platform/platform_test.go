@@ -7,13 +7,13 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/platform"
 	"snapify/internal/platform/platformtest"
 	"snapify/internal/simclock"
 	"snapify/internal/simnet"
 	"snapify/internal/snapifyio"
 	"snapify/internal/snapstore"
+	"snapify/internal/vfs"
 )
 
 func TestNewAssemblesServer(t *testing.T) {
@@ -101,7 +101,7 @@ func TestStoreServedOnlyByTheStoreStream(t *testing.T) {
 
 	_, err = plat.IO.Open(simnet.HostNode, simnet.HostNode, path, snapifyio.Read)
 	var remote *snapifyio.RemoteError
-	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, hostfs.ErrNotExist.Error()) {
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, vfs.ErrNotExist.Error()) {
 		t.Errorf("plain open of a store-only path: err = %v, want the host's not-exist", err)
 	}
 }

@@ -20,13 +20,8 @@ import (
 	"sync"
 
 	"snapify/internal/simnet"
+	"snapify/internal/vfs"
 )
-
-// Budget arbitrates memory; phi.MemBudget implements it.
-type Budget interface {
-	Reserve(n int64) error
-	Release(n int64)
-}
 
 // State is a process lifecycle state.
 type State int
@@ -80,7 +75,7 @@ type Process struct {
 	pid  int
 	node simnet.NodeID
 
-	budget Budget
+	budget vfs.Budget
 
 	mu       sync.Mutex
 	state    State
@@ -96,7 +91,7 @@ type Process struct {
 }
 
 // New creates a running process drawing its memory from budget.
-func New(name string, pid int, node simnet.NodeID, budget Budget) *Process {
+func New(name string, pid int, node simnet.NodeID, budget vfs.Budget) *Process {
 	p := &Process{
 		name:     name,
 		pid:      pid,

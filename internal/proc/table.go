@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"snapify/internal/simnet"
+	"snapify/internal/vfs"
 )
 
 // Table is the process table of a Xeon Phi server: it allocates PIDs and
@@ -22,7 +23,7 @@ func NewTable() *Table {
 }
 
 // Spawn creates a running process on the given node.
-func (t *Table) Spawn(name string, node simnet.NodeID, budget Budget) *Process {
+func (t *Table) Spawn(name string, node simnet.NodeID, budget vfs.Budget) *Process {
 	t.mu.Lock()
 	pid := t.nextPID
 	t.nextPID++

@@ -17,8 +17,8 @@ const chunk = 256 * simclock.KiB
 
 // Copy copies srcPath on srcFS (at srcNode) to dstPath on dstFS (at
 // dstNode) and returns the virtual end-to-end time.
-func Copy(fabric *simnet.Fabric, srcNode simnet.NodeID, srcFS vfs.NodeFS, srcPath string,
-	dstNode simnet.NodeID, dstFS vfs.NodeFS, dstPath string) (simclock.Duration, error) {
+func Copy(fabric *simnet.Fabric, srcNode simnet.NodeID, srcFS *vfs.FS, srcPath string,
+	dstNode simnet.NodeID, dstFS *vfs.FS, dstPath string) (simclock.Duration, error) {
 
 	model := fabric.Model()
 	r, err := srcFS.Open(srcPath)

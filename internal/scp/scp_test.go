@@ -6,7 +6,6 @@ import (
 	"snapify/internal/blob"
 	"snapify/internal/phi"
 	"snapify/internal/simclock"
-	"snapify/internal/vfs"
 )
 
 func TestCopyDeviceToHost(t *testing.T) {
@@ -16,7 +15,7 @@ func TestCopyDeviceToHost(t *testing.T) {
 	if _, err := dev.FS.WriteFile("/tmp/f", content); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Copy(s.Fabric, dev.Node, vfs.Ram(dev.FS), "/tmp/f", host.Node, vfs.Host(host.FS), "/f")
+	d, err := Copy(s.Fabric, dev.Node, dev.FS, "/tmp/f", host.Node, host.FS, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,7 @@ func TestCopyIsCipherBound(t *testing.T) {
 	s := phi.NewServer(phi.ServerConfig{Devices: 1})
 	content := blob.Synthetic(9, simclock.GiB)
 	s.Host.FS.WriteFile("/big", content)
-	d, err := Copy(s.Fabric, s.Host.Node, vfs.Host(s.Host.FS), "/big", s.Device(1).Node, vfs.Ram(s.Device(1).FS), "/tmp/big")
+	d, err := Copy(s.Fabric, s.Host.Node, s.Host.FS, "/big", s.Device(1).Node, s.Device(1).FS, "/tmp/big")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestCopyIsCipherBound(t *testing.T) {
 
 func TestCopyMissingSource(t *testing.T) {
 	s := phi.NewServer(phi.ServerConfig{Devices: 1})
-	if _, err := Copy(s.Fabric, 1, vfs.Ram(s.Device(1).FS), "/nope", 0, vfs.Host(s.Host.FS), "/f"); err == nil {
+	if _, err := Copy(s.Fabric, 1, s.Device(1).FS, "/nope", 0, s.Host.FS, "/f"); err == nil {
 		t.Fatal("copy of missing source must fail")
 	}
 }
@@ -57,7 +56,7 @@ func TestCopyIntoFullCardFails(t *testing.T) {
 	s := phi.NewServer(phi.ServerConfig{Devices: 1, Device: phi.DeviceConfig{MemBytes: simclock.GiB}})
 	content := blob.Zeros(2 * simclock.GiB)
 	s.Host.FS.WriteFile("/big", content)
-	if _, err := Copy(s.Fabric, 0, vfs.Host(s.Host.FS), "/big", 1, vfs.Ram(s.Device(1).FS), "/tmp/big"); err == nil {
+	if _, err := Copy(s.Fabric, 0, s.Host.FS, "/big", 1, s.Device(1).FS, "/tmp/big"); err == nil {
 		t.Fatal("copy exceeding card memory must fail")
 	}
 	if _, err := s.Device(1).FS.Open("/tmp/big"); err == nil {

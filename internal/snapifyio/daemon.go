@@ -33,7 +33,7 @@ var chunkSizeBuckets = []int64{
 type Daemon struct {
 	svc     *Service
 	node    simnet.NodeID
-	fs      vfs.NodeFS
+	fs      *vfs.FS
 	lst     *scif.Listener
 	bufSize int64
 	done    chan struct{}
@@ -93,7 +93,7 @@ func (d *Daemon) unregisterStream(id int64) {
 // connection died or that sent msgDetach — keeps the assembly alive so
 // a replacement stream can resume from its acknowledgement watermark.
 type assembly struct {
-	sw       vfs.SparseWriter
+	sw       *vfs.SparseWriter
 	total    int64
 	refs     int
 	detached int
@@ -150,11 +150,7 @@ func (d *Daemon) openAssembly(path string, total int64) (*assembly, error) {
 		}
 		return a, nil
 	}
-	sfs, ok := d.fs.(vfs.SparseFS)
-	if !ok {
-		return nil, fmt.Errorf("snapifyio: file system on %v does not support striped writes", d.node)
-	}
-	sw, err := sfs.CreateSparse(path, total)
+	sw, err := d.fs.CreateSparse(path, total)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +476,7 @@ type chunkSink interface {
 
 // appendSink is the classic mode: one stream appends one file, which has
 // nothing to resume from.
-type appendSink struct{ fw vfs.Writer }
+type appendSink struct{ fw *vfs.Writer }
 
 func (s appendSink) put(_ int64, content blob.Blob, partial bool) (simclock.Duration, error) {
 	if partial {
@@ -716,11 +712,7 @@ func (d *Daemon) openSource(open *openMsg) (vfs.Reader, error) {
 		}
 		return newPlanReader(cs, open.Path, open.Chunks, open.Stripe)
 	case open.Striped:
-		rfs, ok := d.fs.(vfs.RangeFS)
-		if !ok {
-			return nil, fmt.Errorf("snapifyio: file system on %v does not support range reads", d.node)
-		}
-		return rfs.OpenRange(open.Path, open.Stripe.Offset, open.Stripe.Length)
+		return d.fs.OpenRange(open.Path, open.Stripe.Offset, open.Stripe.Length)
 	default:
 		return d.fs.Open(open.Path)
 	}

@@ -338,14 +338,14 @@ func (s *Service) CrashDaemon(node simnet.NodeID) error {
 
 // StartDaemon launches the Snapify-IO daemon on node, serving its local
 // file system fs, with the default 4 MiB staging buffer.
-func (s *Service) StartDaemon(node simnet.NodeID, fs vfs.NodeFS) (*Daemon, error) {
+func (s *Service) StartDaemon(node simnet.NodeID, fs *vfs.FS) (*Daemon, error) {
 	return s.StartDaemonBuf(node, fs, DefaultBufSize)
 }
 
 // StartDaemonBuf launches a daemon with a specific staging buffer size
 // (the ablation of the paper's 4 MiB choice sweeps this; all daemons of a
 // service must agree or streams are rejected).
-func (s *Service) StartDaemonBuf(node simnet.NodeID, fs vfs.NodeFS, bufSize int64) (*Daemon, error) {
+func (s *Service) StartDaemonBuf(node simnet.NodeID, fs *vfs.FS, bufSize int64) (*Daemon, error) {
 	if bufSize <= 0 {
 		return nil, fmt.Errorf("snapifyio: non-positive staging buffer %d", bufSize)
 	}

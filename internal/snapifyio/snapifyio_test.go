@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/phi"
 	"snapify/internal/scif"
 	"snapify/internal/simclock"
@@ -30,11 +29,11 @@ func newRig(t *testing.T) *rig {
 	server := phi.NewServer(phi.ServerConfig{Devices: 2})
 	net := scif.NewNetwork(server.Fabric)
 	svc := NewService(net, nil)
-	if _, err := svc.StartDaemon(simnet.HostNode, vfs.Host(server.Host.FS)); err != nil {
+	if _, err := svc.StartDaemon(simnet.HostNode, server.Host.FS); err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range server.Devices {
-		if _, err := svc.StartDaemon(d.Node, vfs.Ram(d.FS)); err != nil {
+		if _, err := svc.StartDaemon(d.Node, d.FS); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,7 +237,7 @@ func TestModeEnforcement(t *testing.T) {
 
 func TestDuplicateDaemonRejected(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.svc.StartDaemon(1, vfs.Ram(r.server.Device(1).FS)); err == nil {
+	if _, err := r.svc.StartDaemon(1, r.server.Device(1).FS); err == nil {
 		t.Fatal("duplicate daemon must be rejected")
 	}
 }
@@ -342,10 +341,10 @@ func TestMismatchedStagingBufferRejected(t *testing.T) {
 	server := phi.NewServer(phi.ServerConfig{Devices: 1})
 	net := scif.NewNetwork(server.Fabric)
 	svc := NewService(net, nil)
-	if _, err := svc.StartDaemonBuf(simnet.HostNode, vfs.Host(server.Host.FS), 1*simclock.MiB); err != nil {
+	if _, err := svc.StartDaemonBuf(simnet.HostNode, server.Host.FS, 1*simclock.MiB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.StartDaemonBuf(1, vfs.Ram(server.Device(1).FS), 2*simclock.MiB); err != nil {
+	if _, err := svc.StartDaemonBuf(1, server.Device(1).FS, 2*simclock.MiB); err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Stop()
@@ -376,7 +375,7 @@ func TestDaemonCrashLeavesNoPartialFiles(t *testing.T) {
 	if _, err := f.WriteBlob(blob.Synthetic(3, DefaultBufSize)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.server.Host.FS.Exists("/snap/crashed" + hostfs.PartialSuffix) {
+	if !r.server.Host.FS.Exists("/snap/crashed" + vfs.PartialSuffix) {
 		t.Fatal("no partial marker while the stripe is in progress")
 	}
 	if err := r.svc.CrashDaemon(simnet.HostNode); err != nil {
@@ -388,7 +387,7 @@ func TestDaemonCrashLeavesNoPartialFiles(t *testing.T) {
 	}
 	f.Abort()
 	for _, p := range r.server.Host.FS.List("") {
-		if strings.HasSuffix(p, hostfs.PartialSuffix) {
+		if strings.HasSuffix(p, vfs.PartialSuffix) {
 			t.Errorf("orphan partial file after daemon crash: %s", p)
 		}
 	}
@@ -445,7 +444,7 @@ func TestDiscardRemovesPendingAssembly(t *testing.T) {
 	if err := r.svc.Discard(1, simnet.HostNode, "/snap/given_up"); err != nil {
 		t.Fatal(err)
 	}
-	if r.server.Host.FS.Exists("/snap/given_up"+hostfs.PartialSuffix) || r.server.Host.FS.Exists("/snap/given_up") {
+	if r.server.Host.FS.Exists("/snap/given_up"+vfs.PartialSuffix) || r.server.Host.FS.Exists("/snap/given_up") {
 		t.Error("discard left the assembly or its marker behind")
 	}
 }

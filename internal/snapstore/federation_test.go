@@ -8,9 +8,9 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/faultinject"
-	"snapify/internal/hostfs"
 	"snapify/internal/obs"
 	"snapify/internal/simclock"
+	"snapify/internal/vfs"
 )
 
 // fedEnv is a federation over n fresh single-store hosts named h0..hN
@@ -28,7 +28,7 @@ func newFedEnv(t *testing.T, n int) *fedEnv {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("h%d", i)
 		m := simclock.Default()
-		e := &env{fs: hostfs.New(m)}
+		e := &env{fs: vfs.NewHost(m)}
 		e.st = New(m, e.fs, obs.New(), func() *faultinject.Injector { return fe.inj })
 		fe.hosts[name] = e
 		if err := fe.fed.Add(name, e.st); err != nil {

@@ -25,9 +25,9 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/faultinject"
-	"snapify/internal/hostfs"
 	"snapify/internal/obs"
 	"snapify/internal/simclock"
+	"snapify/internal/vfs"
 )
 
 // ErrInterrupted reports an operation cut short by an injected daemon
@@ -40,7 +40,7 @@ var ErrInterrupted = errors.New("snapstore: interrupted by injected crash")
 // control plane (GC, Verify, ctl) share one Store.
 type Store struct {
 	model *simclock.Model
-	fs    *hostfs.FS
+	fs    *vfs.FS
 	obs   *obs.Obs
 	// injector supplies the fault injector lazily: chaos plans are armed
 	// on the fabric after the Platform (and Store) are built.
@@ -92,7 +92,7 @@ func (up *upload) complete() bool {
 
 // New builds a Store over the host file system. injector may be nil or
 // return nil; faults then never fire.
-func New(model *simclock.Model, fs *hostfs.FS, o *obs.Obs, injector func() *faultinject.Injector) *Store {
+func New(model *simclock.Model, fs *vfs.FS, o *obs.Obs, injector func() *faultinject.Injector) *Store {
 	reg := o.MetricsOf()
 	st := &Store{
 		model:    model,

@@ -8,9 +8,9 @@ import (
 
 	"snapify/internal/blob"
 	"snapify/internal/faultinject"
-	"snapify/internal/hostfs"
 	"snapify/internal/obs"
 	"snapify/internal/simclock"
+	"snapify/internal/vfs"
 )
 
 // env is a store over a fresh host file system with a swappable fault
@@ -18,14 +18,14 @@ import (
 // injector in lazily.
 type env struct {
 	st  *Store
-	fs  *hostfs.FS
+	fs  *vfs.FS
 	inj *faultinject.Injector
 }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	m := simclock.Default()
-	e := &env{fs: hostfs.New(m)}
+	e := &env{fs: vfs.NewHost(m)}
 	e.st = New(m, e.fs, obs.New(), func() *faultinject.Injector { return e.inj })
 	return e
 }

@@ -6,10 +6,9 @@ import (
 	"time"
 
 	"snapify/internal/blob"
-	"snapify/internal/hostfs"
 	"snapify/internal/phi"
-	"snapify/internal/ramfs"
 	"snapify/internal/simclock"
+	"snapify/internal/vfs"
 )
 
 func TestCostAddAndObserve(t *testing.T) {
@@ -35,7 +34,7 @@ func TestCostAddAndObserve(t *testing.T) {
 }
 
 func TestHostFSSinkSourceRoundTrip(t *testing.T) {
-	fs := hostfs.New(simclock.Default())
+	fs := vfs.NewHost(simclock.Default())
 	sink, err := NewHostFSSink(fs, "/f")
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +74,8 @@ func TestHostFSSinkSourceRoundTrip(t *testing.T) {
 
 func TestRamFSSinkAbortReleasesBudget(t *testing.T) {
 	bud := phi.NewMemBudget(10000)
-	fs := ramfs.New(simclock.Default(), bud)
-	sink, err := NewRamFSSink(fs, "/f")
+	fs := vfs.NewCard(simclock.Default(), bud)
+	sink, err := NewHostFSSink(fs, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func TestRamFSSinkAbortReleasesBudget(t *testing.T) {
 		t.Errorf("abort leaked %d bytes", bud.Used())
 	}
 	// Budget gate propagates as a write error.
-	sink2, _ := NewRamFSSink(fs, "/g")
+	sink2, _ := NewHostFSSink(fs, "/g")
 	if _, err := sink2.WriteBlob(blob.Zeros(20000)); err == nil {
 		t.Error("over-budget write must fail")
 	}
@@ -97,12 +96,12 @@ func TestRamFSSinkAbortReleasesBudget(t *testing.T) {
 
 func TestRamFSSourceRoundTrip(t *testing.T) {
 	bud := phi.NewMemBudget(1 << 20)
-	fs := ramfs.New(simclock.Default(), bud)
+	fs := vfs.NewCard(simclock.Default(), bud)
 	content := blob.Synthetic(3, 40000)
 	if _, err := fs.WriteFile("/f", content); err != nil {
 		t.Fatal(err)
 	}
-	src, err := NewRamFSSource(fs, "/f")
+	src, err := NewHostFSSource(fs, "/f")
 	if err != nil {
 		t.Fatal(err)
 	}
